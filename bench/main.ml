@@ -908,7 +908,10 @@ let capacity_planning () =
 
 (* Re-solving the FFC LP interval after interval is the controller's hot
    loop; this measures what warm-starting from the previous interval's
-   optimal basis buys when only the demands change. Returns the warm-start
+   optimal basis buys. [prev] is chained as the controller chains it: each
+   interval plans against the allocation the previous one installed, so
+   the §4.5 and §6 rules move the LP's row set from interval to interval
+   and the warm basis has to be mapped by key. Returns the warm-start
    section of BENCH_lp.json (written by the [lp] experiment). *)
 let warm_bench () =
   section "LP warm-start: cold vs warm revised simplex across a demand series (L-Net)";
@@ -916,20 +919,15 @@ let warm_bench () =
   let sc = Lazy.force lnet in
   Printf.printf "%s\n" (scenario_summary sc);
   let input = sc.Sim.Scenario.input in
-  let prev = match Basic_te.solve input with Ok a -> a | Error e -> failwith e in
-  (* mice_fraction 0: the mice-flow shortcut picks its flow set from the
-     demand values, which would change the LP structure between intervals
-     and defeat basis reuse. *)
+  (* The configuration `ffc simulate` runs. *)
   let config =
     Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Duality
-      ~mice_fraction:0. ()
+      ~mice_fraction:0. ~ingress_skip_fraction:0. ()
   in
   let n = intervals 12 in
   let series = Sim.Scenario.demand_series (Rng.create 314) sc ~scale:1.0 ~intervals:n in
-  (* Presolve off for both arms: it reduces the LP data-dependently, so
-     with it on the basis would not transfer across demand matrices (and
-     the cold/warm iteration counts would not be comparable). *)
-  let solve_one ?warm_start demands =
+  (* Presolve off for both arms, as in the controller. *)
+  let solve_one ?warm_start ~prev demands =
     let input_t = { input with Te_types.demands } in
     match Ffc.solve ~config ~prev ~presolve:false ?warm_start input_t with
     | Ok r -> r
@@ -942,43 +940,51 @@ let warm_bench () =
   in
   let t =
     Table.create
-      [ "interval"; "cold ms"; "cold iters"; "warm ms"; "warm iters"; "warm used" ]
+      [ "interval"; "LP rows"; "cold ms"; "cold iters"; "warm ms"; "warm iters"; "warm used" ]
   in
   let cold_ms = ref [] and warm_ms = ref [] in
   let cold_iters = ref [] and warm_iters = ref [] in
   let warm_used = ref 0 and restarts = ref 0 and compared = ref 0 in
-  (* Interval 0 seeds the warm chain; from interval 1 on, each demand matrix
-     is solved both cold and warm-started from the previous interval's
-     (warm-chain) basis. *)
+  let remapped = ref 0 and repaired = ref 0 in
+  (* Interval 0 seeds the chain from basic TE's allocation; from interval 1
+     on, each demand matrix is solved both cold and warm-started from the
+     previous interval's (warm-chain) basis, against the same [prev]. *)
   let chain = ref None in
+  let prev = ref (match Basic_te.solve input with Ok a -> a | Error e -> failwith e) in
   Array.iteri
     (fun i demands ->
       if i = 0 then begin
-        let r = solve_one demands in
-        chain := r.Ffc.basis
+        let r = solve_one ~prev:!prev demands in
+        chain := r.Ffc.basis;
+        prev := r.Ffc.alloc
       end
       else begin
-        let cold = solve_one demands in
-        let warm = solve_one ?warm_start:!chain demands in
+        let cold = solve_one ~prev:!prev demands in
+        let warm = solve_one ?warm_start:!chain ~prev:!prev demands in
         chain := warm.Ffc.basis;
+        prev := warm.Ffc.alloc;
         incr compared;
         cold_ms := cold.Ffc.stats.Ffc.solve_ms :: !cold_ms;
         warm_ms := warm.Ffc.stats.Ffc.solve_ms :: !warm_ms;
         cold_iters := float_of_int (iters cold) :: !cold_iters;
         warm_iters := float_of_int (iters warm) :: !warm_iters;
-        let used, rst =
+        let used =
           match warm.Ffc.stats.Ffc.solver with
-          | Some s -> (s.Problem.warm_started, s.Problem.restarts)
-          | None -> (false, 0)
+          | Some s ->
+            restarts := !restarts + s.Problem.restarts;
+            if s.Problem.warm_remapped then incr remapped;
+            if s.Problem.warm_repairs > 0 then incr repaired;
+            s.Problem.warm_started
+          | None -> false
         in
         if used then incr warm_used;
-        restarts := !restarts + rst;
         Option.iter
           (fun s -> Format.printf "  warm %d: %a@." i Ffc_lp.Problem.pp_stats s)
           warm.Ffc.stats.Ffc.solver;
         Table.add_row t
           [
             string_of_int i;
+            string_of_int warm.Ffc.stats.Ffc.lp_rows;
             Printf.sprintf "%.1f" cold.Ffc.stats.Ffc.solve_ms;
             string_of_int (iters cold);
             Printf.sprintf "%.1f" warm.Ffc.stats.Ffc.solve_ms;
@@ -990,20 +996,23 @@ let warm_bench () =
   Table.print t;
   let med = Stats.median and p95 = Stats.percentile 95. in
   Printf.printf
-    "cold: median %.1f ms / %.0f iters;  warm: median %.1f ms / %.0f iters;  warm used %d/%d\n"
-    (med !cold_ms) (med !cold_iters) (med !warm_ms) (med !warm_iters) !warm_used !compared;
+    "cold: median %.1f ms / %.0f iters;  warm: median %.1f ms / %.0f iters;  warm used %d/%d \
+     (remapped %d, repaired %d)\n"
+    (med !cold_ms) (med !cold_iters) (med !warm_ms) (med !warm_iters) !warm_used !compared
+    !remapped !repaired;
   Printf.sprintf
     "{\n\
-    \    \"config\": \"kc=2,ke=1,duality\",\n\
+    \    \"config\": \"kc=2,ke=1,duality,prev=chained\",\n\
     \    \"compared_intervals\": %d,\n\
     \    \"cold\": { \"median_ms\": %.3f, \"p95_ms\": %.3f, \"median_iters\": %.0f, \"p95_iters\": %.0f },\n\
     \    \"warm\": { \"median_ms\": %.3f, \"p95_ms\": %.3f, \"median_iters\": %.0f, \"p95_iters\": %.0f,\n\
-    \               \"warm_started\": %d, \"cold_fallbacks\": %d, \"restarts\": %d },\n\
+    \               \"warm_started\": %d, \"remapped\": %d, \"repaired\": %d,\n\
+    \               \"cold_fallbacks\": %d, \"restarts\": %d },\n\
     \    \"iter_reduction_median\": %.3f\n\
     \  }"
     !compared (med !cold_ms) (p95 !cold_ms) (med !cold_iters)
     (p95 !cold_iters) (med !warm_ms) (p95 !warm_ms) (med !warm_iters) (p95 !warm_iters)
-    !warm_used
+    !warm_used !remapped !repaired
     (!compared - !warm_used)
     !restarts
     (if med !cold_iters > 0. then 1. -. (med !warm_iters /. med !cold_iters) else 0.)

@@ -46,7 +46,7 @@ type lp = {
 
 let lp_nvars t = Array.length t.obj
 
-let lp_model (t : lp) =
+let lp_model ?row_ids (t : lp) =
   let m = Model.create ~name:"fuzz-lp" () in
   let n = lp_nvars t in
   let xs = Array.init n (fun j -> Model.add_var ~lb:t.lb.(j) ~ub:t.ub.(j) m) in
@@ -55,13 +55,21 @@ let lp_model (t : lp) =
     Array.iteri (fun j c -> if c <> 0. then e := Expr.add_term !e c xs.(j)) coeffs;
     !e
   in
-  List.iter
-    (fun r ->
+  List.iteri
+    (fun i r ->
       let add = match r.sense with Le -> Model.le | Ge -> Model.ge | Eq -> Model.eq in
-      add m (expr_of r.coeffs) (Expr.const r.rhs))
+      let id = match row_ids with Some ids -> ids.(i) | None -> i in
+      Model.scope m id (fun () -> add m (expr_of r.coeffs) (Expr.const r.rhs)))
     t.rows;
   Model.maximize m (expr_of t.obj);
   (m, xs)
+
+let lp_reshape (t : lp) ~cap =
+  let n = List.length t.rows in
+  let drop = n / 2 in
+  let cut = { coeffs = Array.copy t.obj; sense = Le; rhs = cap } in
+  ( { t with rows = List.filteri (fun i _ -> i <> drop) t.rows @ [ cut ] },
+    Array.of_list (List.filter (fun i -> i <> drop) (List.init n Fun.id) @ [ n ]) )
 
 let lp_instance rng =
   let n = 1 + Rng.int rng 6 in
@@ -163,19 +171,26 @@ let lp_snippet (t : lp) =
     t.rows;
   Buffer.add_string b "    ]\n  in\n";
   Buffer.add_string b
-    {|  let m = Model.create () in
-  let xs = Array.init (Array.length obj) (fun j -> Model.add_var ~lb:lb.(j) ~ub:ub.(j) m) in
-  let expr_of cs =
-    let e = ref Expr.zero in
-    Array.iteri (fun j c -> if c <> 0. then e := Expr.add_term !e c xs.(j)) cs;
-    !e
+    {|  (* Row i is added in scope i, or in the i-th of [ids], as the fuzz
+     oracle does, so a warm basis maps onto a reshaped copy by key. *)
+  let build ?ids rows =
+    let m = Model.create () in
+    let xs = Array.init (Array.length obj) (fun j -> Model.add_var ~lb:lb.(j) ~ub:ub.(j) m) in
+    let expr_of cs =
+      let e = ref Expr.zero in
+      Array.iteri (fun j c -> if c <> 0. then e := Expr.add_term !e c xs.(j)) cs;
+      !e
+    in
+    List.iteri
+      (fun i (cs, s, rhs) ->
+        let id = match ids with Some ids -> List.nth ids i | None -> i in
+        Model.scope m id (fun () ->
+            (match s with -1 -> Model.le | 0 -> Model.eq | _ -> Model.ge) m (expr_of cs)
+              (Expr.const rhs)))
+      rows;
+    Model.maximize m (expr_of obj);
+    m
   in
-  List.iter
-    (fun (cs, s, rhs) ->
-      (match s with -1 -> Model.le | 0 -> Model.eq | _ -> Model.ge) m (expr_of cs)
-        (Expr.const rhs))
-    rows;
-  Model.maximize m (expr_of obj);
   let show = function
     | Model.Optimal s -> Printf.sprintf "optimal %.9g" (Model.objective_value s)
     | Model.Infeasible -> "infeasible"
@@ -183,40 +198,41 @@ let lp_snippet (t : lp) =
     | Model.Iteration_limit -> "iteration-limit"
     | Model.Deadline_exceeded -> "deadline"
   in
-  Printf.printf "revised:           %s\n" (show (Model.solve ~backend:`Revised m));
-  let raw = Model.solve ~backend:`Revised ~presolve:false m in
+  Printf.printf "revised:           %s\n" (show (Model.solve ~backend:`Revised (build rows)));
+  let raw = Model.solve ~backend:`Revised ~presolve:false (build rows) in
   Printf.printf "revised-nopresolve: %s\n" (show raw);
-  Printf.printf "dense-tableau:     %s\n" (show (Model.solve ~backend:`Dense_tableau m));
-  (* Warm-start leg: relax the inequality right-hand sides a little and
-     re-solve from the final cold basis, against a cold dense solve. *)
+  Printf.printf "dense-tableau:     %s\n" (show (Model.solve ~backend:`Dense_tableau (build rows)));
+  (* Warm-start legs from the final cold basis, each against a cold dense
+     solve: the inequality right-hand sides relaxed a little, then the
+     middle row dropped and an objective cut just below the optimum added. *)
   match raw with
   | Model.Optimal s ->
     (match Model.solution_basis s with
     | None -> ()
     | Some basis ->
-      let build () =
-        let m' = Model.create () in
-        let xs' =
-          Array.init (Array.length obj) (fun j -> Model.add_var ~lb:lb.(j) ~ub:ub.(j) m')
-        in
-        let expr_of' cs =
-          let e = ref Expr.zero in
-          Array.iteri (fun j c -> if c <> 0. then e := Expr.add_term !e c xs'.(j)) cs;
-          !e
-        in
-        List.iter
+      let relaxed =
+        List.map
           (fun (cs, s, rhs) ->
-            let rhs = if s < 0 then rhs +. 0.125 else if s > 0 then rhs -. 0.125 else rhs in
-            (match s with -1 -> Model.le | 0 -> Model.eq | _ -> Model.ge) m' (expr_of' cs)
-              (Expr.const rhs))
-          rows;
-        Model.maximize m' (expr_of' obj);
-        m'
+            (cs, s, if s < 0 then rhs +. 0.125 else if s > 0 then rhs -. 0.125 else rhs))
+          rows
       in
       Printf.printf "warm revised:      %s\n"
-        (show (Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis (build ())));
+        (show (Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis (build relaxed)));
       Printf.printf "relaxed dense:     %s\n"
-        (show (Model.solve ~backend:`Dense_tableau (build ()))))
+        (show (Model.solve ~backend:`Dense_tableau (build relaxed)));
+      let v = Model.objective_value s in
+      let n = List.length rows in
+      let keep = List.filter (fun i -> i <> n / 2) (List.init n Fun.id) in
+      let reshaped =
+        List.map (List.nth rows) keep @ [ (obj, -1, v -. (0.125 *. (1. +. abs_float v))) ]
+      in
+      let ids = keep @ [ n ] in
+      Printf.printf "warm reshaped:     %s\n"
+        (show
+           (Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis
+              (build ~ids reshaped)));
+      Printf.printf "reshaped dense:    %s\n"
+        (show (Model.solve ~backend:`Dense_tableau (build ~ids reshaped))))
   | _ -> ()
 |};
   Buffer.contents b
@@ -360,6 +376,22 @@ let shrink_lu t =
   if snapped <> t.cols then push { t with cols = snapped; lu_updates = [] };
   List.rev !cands
 
+(* [a + c * b] as a sparse column, rows ascending. *)
+let axpy_col (ra, va) c (rb, vb) =
+  let tbl = Hashtbl.create 8 in
+  let put r v = Hashtbl.replace tbl r (v +. Option.value ~default:0. (Hashtbl.find_opt tbl r)) in
+  Array.iteri (fun u r -> put r va.(u)) ra;
+  Array.iteri (fun u r -> put r (c *. vb.(u))) rb;
+  let entries = List.sort compare (Hashtbl.fold (fun r v acc -> (r, v) :: acc) tbl []) in
+  (Array.of_list (List.map fst entries), Array.of_list (List.map snd entries))
+
+let lu_repair_cols (t : lu) =
+  let n = Array.length t.cols in
+  if t.must_factor && n >= 1 then
+    Array.append t.cols
+      [| axpy_col t.cols.(0) 1. t.cols.(n - 1); axpy_col t.cols.(n / 2) (-2.) t.cols.(0) |]
+  else t.cols
+
 let lu_snippet (t : lu) =
   let b = Buffer.create 512 in
   Buffer.add_string b "let () =\n";
@@ -371,6 +403,25 @@ let lu_snippet (t : lu) =
         (Printf.sprintf "      (%s, %s);\n" (int_array rows) (float_array vals)))
     t.cols;
   Buffer.add_string b "    |]\n  in\n";
+  Buffer.add_string b "  (* The repair leg's columns: the above plus any it appends. *)\n";
+  Buffer.add_string b "  let repair_cols =\n    [|\n";
+  Array.iter
+    (fun (rows, vals) ->
+      Buffer.add_string b
+        (Printf.sprintf "      (%s, %s);\n" (int_array rows) (float_array vals)))
+    (lu_repair_cols t);
+  Buffer.add_string b "    |]\n  in\n";
+  Buffer.add_string b
+    (Printf.sprintf
+       "  (match Ffc_lp.Sparse_lu.factorise ~repair:true ~m ~complete:%b repair_cols with\n"
+       t.complete);
+  Buffer.add_string b
+    {|  | None -> print_endline "repair: None"
+  | Some r ->
+    let ints l = String.concat " " (List.map string_of_int l) in
+    Printf.printf "repair: rejected [%s] completed [%s]\n" (ints r.Ffc_lp.Sparse_lu.rejected)
+      (ints r.Ffc_lp.Sparse_lu.completed_rows));
+|};
   Buffer.add_string b "  let updates =\n    [\n";
   List.iter
     (fun (r, a) ->

@@ -27,8 +27,16 @@ type lp = {
 
 val lp_nvars : lp -> int
 
-val lp_model : lp -> Ffc_lp.Model.t * Ffc_lp.Model.var array
-(** Build the instance as a maximisation model plus its variables. *)
+val lp_model : ?row_ids:int array -> lp -> Ffc_lp.Model.t * Ffc_lp.Model.var array
+(** Build the instance as a maximisation model plus its variables. Row [i]
+    is added in scope [row_ids.(i)] (default [i]; {!Ffc_lp.Model.scope}),
+    so its key follows the id, not its position. *)
+
+val lp_reshape : lp -> cap:float -> lp * int array
+(** The shape-changing warm leg's instance: [t] without its middle row
+    (index [nrows / 2]) and with the objective cut [obj . x <= cap]
+    appended, plus the row ids under which {!lp_model} keeps every
+    surviving row's key (the cut gets the fresh id [nrows]). *)
 
 val lp_instance : Ffc_util.Rng.t -> lp
 val shrink_lp : lp -> lp list
@@ -53,6 +61,12 @@ type lu = {
   lu_updates : (int * float array) list;
       (** [(slot, dense column)] replacements applied through {!Ffc_lp.Sparse_lu.update} *)
 }
+
+val lu_repair_cols : lu -> (int array * float array) array
+(** The columns the lu oracle's repair leg factorises with
+    [Sparse_lu.factorise ~repair:true]: the instance's own, plus — on a
+    basis built nonsingular — two columns dependent on them, so exactly two
+    must be rejected. *)
 
 val lu_instance : Ffc_util.Rng.t -> lu
 val shrink_lu : lu -> lu list

@@ -98,6 +98,51 @@ let budget_outcome = function
   | Model.Iteration_limit | Model.Deadline_exceeded -> true
   | _ -> false
 
+(* A warm-started revised solve of [t'] from [basis] against a cold dense
+   solve, adjudicated like the cold legs: a disagreement counts only with a
+   strict witness for the better value (or against an infeasible verdict),
+   never on tolerance ambiguity near a huge optimum. *)
+let warm_leg pool basis ?row_ids category what (t' : Gen.lp) =
+  let m1, xs1 = Gen.lp_model ?row_ids t' in
+  let m2, _ = Gen.lp_model ?row_ids t' in
+  let w1, w2 =
+    match
+      run_legs pool
+        [
+          (fun () -> Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis m1);
+          (fun () -> Model.solve ~backend:`Dense_tableau m2);
+        ]
+    with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  if budget_outcome w1 || budget_outcome w2 then Fuzz.Pass
+  else
+    match (w1, w2) with
+    | Model.Optimal u1, Model.Optimal u2 ->
+      let a = Model.objective_value u1 and b = Model.objective_value u2 in
+      if obj_close a b then Fuzz.Pass
+      else
+        let best = max a b in
+        let proves =
+          List.exists
+            (fun u ->
+              Model.objective_value u >= best -. (1e-7 *. (1. +. abs_float best))
+              && strictly_feasible t' (point t' xs1 u))
+            [ u1; u2 ]
+        in
+        if proves then failf "%s: warm revised=%.9g dense=%.9g (%s)" category a b what
+        else Fuzz.Skip "ill-conditioned (warm leg)"
+    | (Model.Optimal u, other) | (other, Model.Optimal u) ->
+      if
+        (other = Model.Infeasible && strictly_feasible t' (point t' xs1 u))
+        || (other = Model.Unbounded && abs_float (Model.objective_value u) <= 1e6)
+      then
+        failf "%s: warm revised=%s dense=%s (%s)" category (outcome_label w1)
+          (outcome_label w2) what
+      else Fuzz.Skip "ill-conditioned (warm leg)"
+    | _ -> Fuzz.Pass
+
 let lp_test ?pool (t : Gen.lp) =
   (* Variable handles are structural — identical across models built from the
      same instance (the warm leg below has always relied on this) — but
@@ -185,60 +230,18 @@ let lp_test ?pool (t : Gen.lp) =
              else Fuzz.Skip "ill-conditioned (objectives differ within tolerance slop)"
            end
            else
-             (* Warm-start leg: re-solve a relaxed copy seeded with the
-                final basis; the warm path must match a cold dense solve. *)
+             (* Warm-start legs, each seeded with the final cold basis and
+                checked against a cold dense solve: a relaxed copy (same
+                shape), then a reshaped one (a row dropped, an objective
+                cut added) whose basis must be mapped by key. *)
              (match Model.solution_basis s2 with
               | None -> Fuzz.Pass
-              | Some basis ->
-                let t' = relax_lp t in
-                let m1, xs1 = Gen.lp_model t' in
-                let m2, _ = Gen.lp_model t' in
-                let w1, w2 =
-                  match
-                    run_legs pool
-                      [
-                        (fun () ->
-                          Model.solve ~backend:`Revised ~presolve:false
-                            ~warm_start:basis m1);
-                        (fun () -> Model.solve ~backend:`Dense_tableau m2);
-                      ]
-                  with
-                  | [ a; b ] -> (a, b)
-                  | _ -> assert false
-                in
-                if budget_outcome w1 || budget_outcome w2 then Fuzz.Pass
-                else
-                  match (w1, w2) with
-                  | Model.Optimal u1, Model.Optimal u2 ->
-                    let a = Model.objective_value u1 and b = Model.objective_value u2 in
-                    if obj_close a b then Fuzz.Pass
-                    else
-                      let best = max a b in
-                      let proves =
-                        List.exists
-                          (fun u ->
-                            Model.objective_value u
-                            >= best -. (1e-7 *. (1. +. abs_float best))
-                            && strictly_feasible t' (point t' xs1 u))
-                          [ u1; u2 ]
-                      in
-                      if proves then failf "warm-mismatch: warm revised=%.9g dense=%.9g" a b
-                      else Fuzz.Skip "ill-conditioned (warm leg)"
-                  | (Model.Optimal u, other) | (other, Model.Optimal u) ->
-                    (* Same adjudication as the cold leg: an infeasible
-                       verdict is refuted only by a strict witness, and
-                       optimal-vs-unbounded near a huge optimum is
-                       tolerance ambiguity. *)
-                    if
-                      (other = Model.Infeasible
-                       && strictly_feasible t' (point t' xs1 u))
-                      || (other = Model.Unbounded
-                          && abs_float (Model.objective_value u) <= 1e6)
-                    then
-                      failf "warm-mismatch: warm revised=%s dense=%s (after rhs relaxation)"
-                        (outcome_label w1) (outcome_label w2)
-                    else Fuzz.Skip "ill-conditioned (warm leg)"
-                  | _ -> Fuzz.Pass))
+              | Some basis -> (
+                match warm_leg pool basis "warm-mismatch" "after rhs relaxation" (relax_lp t) with
+                | Fuzz.Pass ->
+                  let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
+                  warm_leg pool basis ~row_ids "warm-shape-mismatch" "after row set change" t'
+                | verdict -> verdict)))
       | _ -> Fuzz.Pass (* statuses agree on infeasible/unbounded *)
   end
 
@@ -248,15 +251,16 @@ let lp_test ?pool (t : Gen.lp) =
 
 (* Dense image of the factorised basis under the pivot convention: the
    column pivoted at row [r] occupies dense column [r]; completed rows are
-   implicit unit columns. Updates overwrite dense column [r]. *)
-let dense_of_lu (t : Gen.lu) row_of_col completed =
-  let m = t.Gen.lu_m in
+   implicit unit columns; rejected columns (slot [-1]) are left out.
+   Updates overwrite dense column [r]. *)
+let dense_of_lu m cols row_of_col completed =
   let b = Array.make_matrix m m 0. in
   Array.iteri
     (fun k (rows, vals) ->
       let slot = row_of_col.(k) in
-      Array.iteri (fun u r -> b.(r).(slot) <- b.(r).(slot) +. vals.(u)) rows)
-    t.Gen.cols;
+      if slot >= 0 then
+        Array.iteri (fun u r -> b.(r).(slot) <- b.(r).(slot) +. vals.(u)) rows)
+    cols;
   List.iter (fun r -> b.(r).(r) <- 1.) completed;
   b
 
@@ -299,6 +303,39 @@ let lu_residuals ~tol m dense lu =
   | Some msg -> Some msg
   | None -> check "btran" (Sparse_lu.btran lu) btx
 
+(* Repair leg: the factorisation a mapped warm basis gets. On a basis built
+   nonsingular, two columns dependent on the supplied ones are appended
+   (often more columns than rows); repair mode must then reject exactly
+   two and solve the kept-plus-completed basis to residual. On one built
+   exactly singular it must reject at least one, and the rest must solve.
+   Always: it succeeds, rejected columns get no slot, and every row is
+   covered once. *)
+let lu_repair_leg ws (t : Gen.lu) =
+  let m = t.Gen.lu_m and n = Array.length t.Gen.cols in
+  let cols = Gen.lu_repair_cols t in
+  let extra = Array.length cols - n in
+  match Sparse_lu.factorise ~ws ~repair:true ~m ~complete:t.Gen.complete cols with
+  | None -> failf "repair: repair-mode factorise returned None (m=%d, %d columns)" m (Array.length cols)
+  | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
+    let cover = Array.make m 0 in
+    Array.iteri (fun k slot -> if slot >= 0 && not (List.mem k rejected) then cover.(slot) <- cover.(slot) + 1) row_of_col;
+    List.iter (fun r -> cover.(r) <- cover.(r) + 1) completed_rows;
+    let nrej = List.length rejected in
+    if List.exists (fun k -> row_of_col.(k) <> -1) rejected then
+      failf "repair: a rejected column holds a pivot row (m=%d)" m
+    else if not (Array.for_all (( = ) 1) cover) then
+      failf "repair: rows not covered exactly once (m=%d)" m
+    else if t.Gen.must_factor && nrej <> extra then
+      failf "repair: rejected %d columns of a rank-%d set with %d dependent (m=%d)" nrej n
+        extra m
+    else if t.Gen.must_reject && nrej = 0 then
+      failf "repair: kept every column of an exactly singular basis (m=%d)" m
+    else if not (t.Gen.must_factor || t.Gen.must_reject) then Fuzz.Pass
+    else
+      match lu_residuals ~tol:1e-6 m (dense_of_lu m cols row_of_col completed_rows) lu with
+      | Some msg -> Fuzz.Fail ("repair: " ^ msg)
+      | None -> Fuzz.Pass
+
 (* The LU oracle owns one growable workspace per domain across all its
    instances, exercising the scratch reset/reuse path the way a long-lived
    simplex state does. Domain-local storage (rather than a plain ref) keeps
@@ -311,13 +348,14 @@ let make_lu_test () =
     let cell = Domain.DLS.get key in
     (if m > fst !cell then cell := (m, Sparse_lu.workspace m));
     let ws = snd !cell in
-    (match Sparse_lu.factorise ~ws ~m ~complete:t.Gen.complete t.Gen.cols with
+    let main =
+      match Sparse_lu.factorise ~ws ~m ~complete:t.Gen.complete t.Gen.cols with
      | None ->
        if t.Gen.must_factor then
          failf "rejected-nonsingular: factorise returned None on a diagonally dominant basis (m=%d)"
            m
        else Fuzz.Pass
-     | Some { Sparse_lu.lu; row_of_col; completed_rows } ->
+     | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
        if t.Gen.must_reject then
          failf "accepted-singular: factorise accepted an exactly singular basis (m=%d)" m
        else begin
@@ -348,7 +386,7 @@ let make_lu_test () =
            if not t.Gen.must_factor then Fuzz.Pass
              (* near-singular: accepting is fine, no residual contract *)
            else begin
-             let dense = dense_of_lu t row_of_col completed_rows in
+             let dense = dense_of_lu m t.Gen.cols row_of_col completed_rows in
              match lu_residuals ~tol:1e-6 m dense lu with
              | Some msg -> Fuzz.Fail msg
              | None ->
@@ -368,7 +406,9 @@ let make_lu_test () =
                 | Some msg -> Fuzz.Fail ("residual: after updates, " ^ String.sub msg 10 (String.length msg - 10))
                 | None -> Fuzz.Pass)
            end
-       end)
+       end
+    in
+    match main with Fuzz.Pass -> lu_repair_leg ws t | other -> other
 
 (* ------------------------------------------------------------------ *)
 (* FFC: encoding agreement + exhaustive guarantee audit                *)

@@ -21,11 +21,9 @@ val solve_full :
   Te_types.input ->
   (Te_types.allocation * Ffc_lp.Problem.basis option, string) result
 (** Like {!solve} but also returns the final simplex basis, and accepts one
-    from a previous interval's solve of the same input shape to warm-start
-    (stale bases fall back to a cold start inside the solver). Chain bases
-    with [~presolve:false] so the column layout is identical across
-    re-solves. [max_iterations] / [deadline_ms] bound the underlying LP
-    solve. *)
+    from a previous interval's solve to warm-start (mapped by key onto this
+    build, see {!Ffc_lp.Model.solve}). [max_iterations] / [deadline_ms]
+    bound the underlying LP solve. *)
 
 val solve_checked :
   ?backend:Ffc_lp.Model.backend ->

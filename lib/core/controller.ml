@@ -81,8 +81,9 @@ type t = {
   cfg : config;
   audit_rng : Rng.t;
   (* Warm-start bases are cached per (rung index, priority class): each rung
-     builds a differently-shaped LP, so bases only transfer within a rung.
-     Class [-1] holds the basic-TE rung's single joint LP. *)
+     re-solves from its own previous optimum, the closest start for its
+     protection level. Class [-1] holds the basic-TE rung's single joint
+     LP. *)
   mutable bases : ((int * int) * Problem.basis) list;
   mutable steps : int;
   mutable total_fallbacks : int;
@@ -110,8 +111,8 @@ let create cfg =
 (* ------------------------------------------------------------------ *)
 
 (* The warm-start basis caches are deliberately NOT journaled. They are
-   solver-internal state (Problem.basis values tied to the LP shapes of the
-   current rung set), large relative to everything else here, and entirely
+   solver-internal state (Problem.basis values keyed by the formulation's
+   row and column keys), large relative to everything else here, and entirely
    re-derivable: the first step after a restore simply cold-starts each
    rung's LP and repopulates the cache — a one-interval warm-up cost.
    Journaling them would drag the simplex's internal representation into
@@ -392,9 +393,9 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
       let c = config_of prio in
       { c with Ffc.protection = boost (degrade s c.Ffc.protection) }
     in
-    (* Escalated steps solve a differently-shaped LP (kc resizes the
-       sorting-network encoding), so the cached bases neither apply nor get
-       refreshed — the cache stays valid for the next normal step. *)
+    (* Escalated steps bypass the cache: they neither read it nor refresh
+       it, so the next normal step still starts from the last normal
+       optimum rather than from one planned for a raised kc. *)
     let warm_starts =
       if not use_bases then []
       else

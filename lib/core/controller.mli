@@ -101,8 +101,9 @@ type step = {
 
 type t
 (** Mutable controller state: warm-start basis caches keyed by
-    (rung, priority class) — bases do not transfer across rungs because each
-    rung builds a differently-shaped LP — plus lifetime telemetry counters. *)
+    (rung, priority class) — each rung re-solves from its own previous
+    optimum, the closest start for its protection level — plus lifetime
+    telemetry counters. *)
 
 val create : config -> t
 
@@ -137,9 +138,10 @@ val step :
     {e escalates}: every kc-protected class is solved at
     [kc = max configured (min stale #ingresses)], so the new target is
     provably safe against the switches that are actually stuck; the step is
-    marked [escalated] and skips warm-start basis reuse (the escalated LP
-    has a different shape). Never raises on solver failure — the last-good
-    rung always succeeds.
+    marked [escalated] and bypasses the basis caches, neither reading nor
+    refreshing them, so the next normal step still starts from the last
+    normal optimum. Never raises on solver failure — the last-good rung
+    always succeeds.
 
     [audit_input] (default: the planning input itself) is the view the
     sampled guarantee auditor verifies the accepted allocation against.

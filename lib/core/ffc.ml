@@ -62,36 +62,41 @@ let mice_flows (input : Te_types.input) fraction =
     flows;
   mice
 
-(* Data-plane FFC (§4.3/Eqn 15). *)
+(* Data-plane FFC (§4.3/Eqn 15). Keys: per flow; a flow's mice and
+   sorting-network forms (which one depends on the demands) sit in sibling
+   scopes 0 and 1, their tunnels in the network's element scopes. *)
 let add_data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.input) =
   let { Te_types.ke; kv; _ } = cfg.protection in
+  let model = vars.Formulation.model in
   if ke > 0 || kv > 0 then begin
     let mice = mice_flows input cfg.mice_fraction in
+    Model.scope model Formulation.scope_data_plane @@ fun () ->
     List.iter
       (fun (f : Flow.t) ->
         let id = f.Flow.id in
         let tau = Flow.tau f ~ke ~kv in
         let nt = Flow.num_tunnels f in
+        Model.scope model id @@ fun () ->
         if tau <= 0 then
           (* No guaranteed residual tunnel: the flow must be shut (§4.3). *)
-          Model.le vars.Formulation.model (Expr.var vars.Formulation.bf.(id)) Expr.zero
+          Model.le model (Expr.var vars.Formulation.bf.(id)) Expr.zero
         else if tau < nt then begin
           if Hashtbl.mem mice id then
             (* §6: equal-split a_{f,t} = b_f / tau_f satisfies Eqn 15 without
                a sorting network. *)
-            Array.iter
-              (fun a ->
-                Model.eq vars.Formulation.model (Expr.var a)
-                  (Expr.var ~coeff:(1. /. float_of_int tau) vars.Formulation.bf.(id)))
-              vars.Formulation.af.(id)
-          else begin
-            let af_exprs = Array.to_list (Array.map Expr.var vars.Formulation.af.(id)) in
-            let worst =
-              Bounded_sum.sum_smallest ~encoding:cfg.encoding vars.Formulation.model af_exprs
-                tau
-            in
-            Model.ge vars.Formulation.model worst (Expr.var vars.Formulation.bf.(id))
-          end
+            Model.scope model 0 (fun () ->
+                Array.iter
+                  (fun a ->
+                    Model.eq model (Expr.var a)
+                      (Expr.var ~coeff:(1. /. float_of_int tau) vars.Formulation.bf.(id)))
+                  vars.Formulation.af.(id))
+          else
+            Model.scope model 1 (fun () ->
+                let af_exprs = Array.to_list (Array.map Expr.var vars.Formulation.af.(id)) in
+                let worst =
+                  Bounded_sum.sum_smallest ~encoding:cfg.encoding model af_exprs tau
+                in
+                Model.ge model worst (Expr.var vars.Formulation.bf.(id)))
         end)
       input.Te_types.flows
   end
@@ -99,7 +104,12 @@ let add_data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.i
 (* Control-plane FFC (§4.2, Eqns 13-14), plus §5.5 ordered-rate-limiter and
    §5.6 uncertainty extensions. [rhs] gives the right-hand side of each
    link's safety constraint: the (residual) capacity for the standard
-   formulation, or [uf * c_e] for the §5.4 MLU variant. *)
+   formulation, or [uf * c_e] for the §5.4 MLU variant. Keys: beta per
+   (flow, tunnel), with the optional ordered-limiter and uncertainty rows
+   in child scopes 0 and 1 of it; the §4.5 and §6 rules decide per link
+   and per ingress which rows exist, so the safety row lives in its link's
+   scope and the M-sum over ingresses names each element by its ingress
+   switch. *)
 let add_control_plane_constraints_gen cfg (vars : Formulation.vars) (input : Te_types.input)
     ~(prev : Te_types.allocation) ~(prev2 : Te_types.allocation option)
     ~(uncertain : (int, unit) Hashtbl.t) ~(rhs : Topology.link -> Expr.t) () =
@@ -107,62 +117,68 @@ let add_control_plane_constraints_gen cfg (vars : Formulation.vars) (input : Te_
   let model = vars.Formulation.model in
   (* beta_{f,t} variables (Eqn 8 / Eqn 18 / §5.6). *)
   let beta = Array.map (Array.map (fun _ -> -1)) vars.Formulation.af in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      let w' = Te_types.weights prev id in
-      (* §4.5 gap (see DESIGN.md): a stuck ingress that also loses tunnels
-         rescales its OLD weights, so a surviving tunnel can carry up to
-         w'_t * b_f / (1 - D_f) where D_f is the worst old-weight mass on
-         tunnels that up to (ke p + kv q) data faults can kill. Scaling the
-         w' b_f bound by that constant keeps the formulation linear and
-         makes the combined (kc, ke, kv) guarantee hold simultaneously. *)
-      let amplification =
-        if
-          cfg.rescale_aware
-          && (cfg.protection.Te_types.ke > 0 || cfg.protection.Te_types.kv > 0)
-        then begin
-          let kt =
-            Flow.num_tunnels f
-            - Flow.tau f ~ke:cfg.protection.Te_types.ke ~kv:cfg.protection.Te_types.kv
-          in
-          let dead_mass =
-            Ffc_sortnet.Bounded_sum.value_sum_largest (Array.to_list w') kt
-          in
-          if dead_mass >= 0.999 then None (* any survivor may carry all of b_f *)
-          else Some (1. /. (1. -. dead_mass))
-        end
-        else Some 1.
-      in
-      Array.iteri
-        (fun ti a ->
-          let b = Model.add_var ~name:(Printf.sprintf "beta_f%d_t%d" id ti) model in
-          beta.(id).(ti) <- b;
-          Model.ge model (Expr.var b) (Expr.var a);
-          (match amplification with
-          | Some k ->
-            Model.ge model (Expr.var b)
-              (Expr.var ~coeff:(k *. w'.(ti)) vars.Formulation.bf.(id))
-          | None ->
-            if w'.(ti) > 0. then
-              Model.ge model (Expr.var b) (Expr.var vars.Formulation.bf.(id)));
-          (match cfg.rl_mode with
-          | Rl_ordered -> Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti))
-          | Rl_assumed_reliable -> ());
-          if Hashtbl.mem uncertain id then begin
-            (* Plan for either of the last two configurations. *)
-            Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti));
-            match prev2 with
-            | Some p2 when Array.length p2.Te_types.af.(id) > ti ->
-              Model.ge model (Expr.var b) (Expr.const p2.Te_types.af.(id).(ti))
-            | _ -> ()
-          end)
-        vars.Formulation.af.(id))
-    input.Te_types.flows;
+  Model.scope model Formulation.scope_beta (fun () ->
+    List.iter
+      (fun (f : Flow.t) ->
+        let id = f.Flow.id in
+        let w' = Te_types.weights prev id in
+        (* §4.5 gap (see DESIGN.md): a stuck ingress that also loses tunnels
+           rescales its OLD weights, so a surviving tunnel can carry up to
+           w'_t * b_f / (1 - D_f) where D_f is the worst old-weight mass on
+           tunnels that up to (ke p + kv q) data faults can kill. Scaling the
+           w' b_f bound by that constant keeps the formulation linear and
+           makes the combined (kc, ke, kv) guarantee hold simultaneously. *)
+        let amplification =
+          if
+            cfg.rescale_aware
+            && (cfg.protection.Te_types.ke > 0 || cfg.protection.Te_types.kv > 0)
+          then begin
+            let kt =
+              Flow.num_tunnels f
+              - Flow.tau f ~ke:cfg.protection.Te_types.ke ~kv:cfg.protection.Te_types.kv
+            in
+            let dead_mass =
+              Ffc_sortnet.Bounded_sum.value_sum_largest (Array.to_list w') kt
+            in
+            if dead_mass >= 0.999 then None (* any survivor may carry all of b_f *)
+            else Some (1. /. (1. -. dead_mass))
+          end
+          else Some 1.
+        in
+        Model.scope model id @@ fun () ->
+        Array.iteri
+          (fun ti a ->
+            Model.scope model ti @@ fun () ->
+            let b = Model.add_var ~name:(Printf.sprintf "beta_f%d_t%d" id ti) model in
+            beta.(id).(ti) <- b;
+            Model.ge model (Expr.var b) (Expr.var a);
+            (match amplification with
+            | Some k ->
+              Model.ge model (Expr.var b)
+                (Expr.var ~coeff:(k *. w'.(ti)) vars.Formulation.bf.(id))
+            | None ->
+              if w'.(ti) > 0. then
+                Model.ge model (Expr.var b) (Expr.var vars.Formulation.bf.(id)));
+            (match cfg.rl_mode with
+            | Rl_ordered ->
+              Model.scope model 0 (fun () ->
+                  Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti)))
+            | Rl_assumed_reliable -> ());
+            if Hashtbl.mem uncertain id then
+              Model.scope model 1 (fun () ->
+                  (* Plan for either of the last two configurations. *)
+                  Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti));
+                  match prev2 with
+                  | Some p2 when Array.length p2.Te_types.af.(id) > ti ->
+                    Model.ge model (Expr.var b) (Expr.const p2.Te_types.af.(id).(ti))
+                  | _ -> ()))
+          vars.Formulation.af.(id))
+      input.Te_types.flows);
   (* Old planned load per link, for the §6 skip rule and §4.5 unprotected
      moves. *)
   let old_loads = Te_types.link_loads input prev in
   let per_link = Formulation.crossings_by_link input in
+  Model.scope model Formulation.scope_control @@ fun () ->
   Array.iter
     (fun (l : Topology.link) ->
       let lid = l.Topology.id in
@@ -199,9 +215,13 @@ let add_control_plane_constraints_gen cfg (vars : Formulation.vars) (input : Te_
                      cs))
               considered
           in
-          let excess = Bounded_sum.sum_largest ~encoding:cfg.encoding model d_exprs kc in
-          let base_load = Formulation.load_expr vars crossings in
-          Model.le model (Expr.add base_load excess) (rhs l)
+          Model.scope model lid (fun () ->
+              let excess =
+                Bounded_sum.sum_largest ~encoding:cfg.encoding
+                  ~ids:(List.map fst considered) model d_exprs kc
+              in
+              let base_load = Formulation.load_expr vars crossings in
+              Model.le model (Expr.add base_load excess) (rhs l))
         end
       end)
     (Topology.links input.Te_types.topo)
@@ -237,13 +257,17 @@ let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
   if uncertain_flows <> [] then begin
     match (prev, prev2) with
     | Some p, Some _ ->
-      List.iter
-        (fun id ->
-          Model.eq model (Expr.var vars.Formulation.bf.(id)) (Expr.const p.Te_types.bf.(id));
-          Array.iteri
-            (fun ti a -> Model.eq model (Expr.var a) (Expr.const p.Te_types.af.(id).(ti)))
-            vars.Formulation.af.(id))
-        uncertain_flows
+      Model.scope model Formulation.scope_frozen (fun () ->
+          List.iter
+            (fun id ->
+              Model.scope model id (fun () ->
+                  Model.eq model (Expr.var vars.Formulation.bf.(id))
+                    (Expr.const p.Te_types.bf.(id));
+                  Array.iteri
+                    (fun ti a ->
+                      Model.eq model (Expr.var a) (Expr.const p.Te_types.af.(id).(ti)))
+                    vars.Formulation.af.(id)))
+            uncertain_flows)
     | _ -> invalid_arg "Ffc.build: uncertain_flows requires both prev and prev2"
   end;
   if cfg.protection.Te_types.kc > 0 then begin
@@ -265,12 +289,10 @@ let solve_checked ?(config = config ()) ?prev ?prev2 ?uncertain_flows ?reserved 
     Model.maximize model (Formulation.total_rate_expr vars);
     let build_ms = Ffc_util.Clock.since_ms t0 in
     let t1 = Ffc_util.Clock.now_ms () in
-    (* Warm-starting only makes sense against a structurally stable problem:
-       presolve absorbs rows depending on the numeric data, so two builds of
-       the same formulation with different demands can disagree on row count
-       (the basis would be rejected) or row order (worse: slacks silently
-       re-mapped). Callers chaining bases should pass ~presolve:false on
-       every solve of the chain. *)
+    (* A warm basis from an earlier interval carries across this build's
+       shape changes (the §4.5 and §6 rules make the row set depend on
+       [prev]; presolve reductions depend on the data): [Model.solve] maps
+       it onto the new rows and columns by key. *)
     (* The deadline covers the whole attempt: model build time is deducted
        from the solver's budget (a budget exhausted by the build fails the
        attempt immediately rather than granting the simplex a fresh one). *)

@@ -134,12 +134,12 @@ val solve :
     [uncertain_flows] (with [prev2]) marks flows whose last update was
     unconfirmed (§5.6): their configuration is frozen and planned for either
     of the last two states. [warm_start] seeds the revised simplex with the
-    [basis] of a previous solve of the same formulation; a stale or
-    mismatched basis falls back to a cold start (see
-    {!Ffc_lp.Problem.solver_stats}). Because presolve reduces the problem
-    data-dependently, callers chaining bases across re-solves should pass
-    [~presolve:false] on every solve of the chain so the column layout stays
-    stable. *)
+    [basis] of a previous solve of the same formulation, typically the
+    previous interval's. The §4.5 and §6 rules, mice flows and presolve make
+    the row set depend on the data and on [prev]; the basis is mapped onto
+    this build by the formulation's stable keys ({!Formulation.scope_vars}
+    and siblings), and the solver repairs what the mapping leaves
+    inconsistent (see {!Ffc_lp.Problem.solver_stats}). *)
 
 val solve_checked :
   ?config:config ->

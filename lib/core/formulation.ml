@@ -7,19 +7,29 @@ type vars = {
   af : Model.var array array;
 }
 
+let scope_vars = 1
+let scope_capacity = 2
+let scope_demand = 3
+let scope_frozen = 4
+let scope_beta = 5
+let scope_control = 6
+let scope_data_plane = 7
+
 let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
   let n = Array.length input.Te_types.demands in
   let bf = Array.make n (-1) and af = Array.make n [||] in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      let d = input.Te_types.demands.(id) in
-      let lb = if fixed_demand then d else 0. in
-      bf.(id) <- Model.add_var ~lb ~ub:d ~name:(Printf.sprintf "b_f%d" id) model;
-      af.(id) <-
-        Array.init (Flow.num_tunnels f) (fun ti ->
-            Model.add_var ~name:(Printf.sprintf "a_f%d_t%d" id ti) model))
-    input.Te_types.flows;
+  Model.scope model scope_vars (fun () ->
+      List.iter
+        (fun (f : Flow.t) ->
+          let id = f.Flow.id in
+          let d = input.Te_types.demands.(id) in
+          let lb = if fixed_demand then d else 0. in
+          Model.scope model id (fun () ->
+              bf.(id) <- Model.add_var ~lb ~ub:d ~name:(Printf.sprintf "b_f%d" id) model;
+              af.(id) <-
+                Array.init (Flow.num_tunnels f) (fun ti ->
+                    Model.add_var ~name:(Printf.sprintf "a_f%d_t%d" id ti) model)))
+        input.Te_types.flows);
   { model; bf; af }
 
 type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
@@ -50,30 +60,33 @@ let by_ingress crossings =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let demand_constraints vars (input : Te_types.input) =
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      let lhs = Expr.sum (Array.to_list (Array.map Expr.var vars.af.(id))) in
-      Model.ge vars.model lhs (Expr.var vars.bf.(id)))
-    input.Te_types.flows
+  Model.scope vars.model scope_demand (fun () ->
+      List.iter
+        (fun (f : Flow.t) ->
+          let id = f.Flow.id in
+          let lhs = Expr.sum (Array.to_list (Array.map Expr.var vars.af.(id))) in
+          Model.scope vars.model id (fun () -> Model.ge vars.model lhs (Expr.var vars.bf.(id))))
+        input.Te_types.flows)
 
 let load_expr vars crossings =
   Expr.sum (List.map (fun c -> Expr.var vars.af.(c.flow.Flow.id).(c.tidx)) crossings)
 
 let capacity_constraints ?reserved vars (input : Te_types.input) =
   let per_link = crossings_by_link input in
-  Array.iter
-    (fun (l : Topology.link) ->
-      let id = l.Topology.id in
-      match per_link.(id) with
-      | [] -> ()
-      | crossings ->
-        let cap =
-          l.Topology.capacity
-          -. (match reserved with None -> 0. | Some r -> r.(id))
-        in
-        Model.le vars.model (load_expr vars crossings) (Expr.const (max 0. cap)))
-    (Topology.links input.Te_types.topo)
+  Model.scope vars.model scope_capacity (fun () ->
+      Array.iter
+        (fun (l : Topology.link) ->
+          let id = l.Topology.id in
+          match per_link.(id) with
+          | [] -> ()
+          | crossings ->
+            let cap =
+              l.Topology.capacity
+              -. (match reserved with None -> 0. | Some r -> r.(id))
+            in
+            Model.scope vars.model id (fun () ->
+                Model.le vars.model (load_expr vars crossings) (Expr.const (max 0. cap))))
+        (Topology.links input.Te_types.topo))
 
 let total_rate_expr vars =
   Expr.sum (Array.to_list (Array.map (fun v -> if v >= 0 then Expr.var v else Expr.zero) vars.bf))

@@ -11,6 +11,30 @@ type vars = {
   af : Model.var array array; (* by flow id, tunnel position *)
 }
 
+(** {2 Stable keys}
+
+    Scope ids ({!Model.scope}) of the formulation blocks under the model
+    root. Inside its block every row or variable group sits in a child
+    scope named by the entity it encodes (flow id, link id), one level
+    further by tunnel position or ingress switch where a block has those,
+    so a group that appears or vanishes with the data (a skipped ingress,
+    an overloaded link, a mice flow) leaves every other group's keys
+    unchanged and a warm basis carries across. *)
+
+val scope_vars : int  (** [b_f], [a_{f,t}]: per flow *)
+
+val scope_capacity : int  (** Eqn 2: per link *)
+
+val scope_demand : int  (** Eqn 3: per flow *)
+
+val scope_frozen : int  (** §5.6 frozen uncertain flows: per flow *)
+
+val scope_beta : int  (** Eqn 8 [beta_{f,t}]: per flow, then tunnel *)
+
+val scope_control : int  (** Eqns 13-14: per link, then ingress *)
+
+val scope_data_plane : int  (** Eqn 15: per flow, then tunnel *)
+
 val make_vars : ?fixed_demand:bool -> Model.t -> Te_types.input -> vars
 (** Creates [b_f] in [\[0, d_f\]] and [a_{f,t} >= 0]. With [~fixed_demand]
     (the §5.4 no-rate-control setting) [b_f] is pinned to [d_f]. *)

@@ -27,9 +27,8 @@ val solve_warm :
 (** Like {!solve} but threads simplex bases per priority class:
     [warm_starts] maps a class to the basis its previous-interval solve
     returned, and the result carries each class's final basis for the next
-    interval. Classes absent from [warm_starts] (or with stale bases) cold
-    start. Chain bases with [~presolve:false] so each class's column layout
-    is identical across re-solves. *)
+    interval. Classes absent from [warm_starts] cold start; a class's basis
+    is mapped by key onto its new build, whatever rows changed. *)
 
 val solve_warm_checked :
   config_of:(int -> Ffc.config) ->

@@ -20,8 +20,8 @@ type plan = {
   min_rate : float array;  (** per-flow rate guaranteed throughout the update *)
   basis : Ffc_lp.Problem.basis option;
       (** final simplex basis of the planning LP; reusable as [warm_start]
-          for the next plan of the same shape (same topology, flow set and
-          step count) *)
+          for a later plan (keyed: {!Ffc_lp.Model.solve} maps it onto that
+          plan's rows and columns) *)
 }
 
 val plan :
@@ -37,7 +37,7 @@ val plan :
     least [min(b0_f, bm_f)] for each flow. [Error] if no such chain exists
     with the given number of steps (callers may retry with more). Only the
     [kc] component of [config.protection] is used here. [warm_start] seeds
-    the solver with a previous same-shaped plan's [basis]. *)
+    the solver with a previous plan's [basis]. *)
 
 val transition_safe :
   Te_types.input -> Te_types.allocation -> Te_types.allocation -> bool

@@ -10,6 +10,17 @@ type var = int
 
 val create : ?name:string -> unit -> t
 
+val scope : t -> int -> (unit -> 'a) -> 'a
+(** [scope t id f] runs [f] inside the child scope [id] of the current
+    scope. Every variable and constraint carries a stable integer key: the
+    hash of its scope's path of ids from the root plus its ordinal among
+    the variables (or constraints) added directly in that scope. A
+    formulation whose blocks appear, vanish or resize with the data scopes
+    each block by the entity it encodes (a link, a flow, a tunnel, an
+    ingress), so the keys of every other block stay put between builds and
+    {!solve} can carry a warm basis across the change. Ids must be distinct
+    among the children of one scope; the root scope is the model itself. *)
+
 val add_var : ?lb:float -> ?ub:float -> ?name:string -> t -> var
 (** New variable. [lb] defaults to [0.], [ub] to [infinity]. Use
     [~lb:neg_infinity] for free variables. *)
@@ -55,14 +66,15 @@ val solve :
     [?max_iterations] caps simplex pivots and [?deadline_ms] bounds the solve
     wall-clock (both backends); expiry yields {!Iteration_limit} /
     {!Deadline_exceeded} respectively. [?warm_start] seeds the revised
-    simplex with a basis snapshot from a previous solve of a same-shaped
-    model (see {!solution_basis}); it is ignored by the dense-tableau backend
-    and dropped (recorded in the stats as a restart with a [status_reason])
-    when its dimension does not match or when it was recorded against a
-    different presolve reduction -- perturbed data can change which rows
-    presolve absorbs, shifting slack indices even at equal row counts.
-    Bases returned through {!solution_basis} are stamped with the reduction
-    shape to make that check possible. *)
+    simplex with a basis from a previous solve ({!solution_basis}) — of
+    this model, or of another build of the same formulation whose rows and
+    variables differ (different data, a different presolve reduction). The
+    basis is mapped onto this build's columns by key
+    ({!Problem.remap_basis}; [stats.warm_remapped] says it was), never by
+    position, and the revised simplex repairs whatever the mapping leaves
+    inconsistent. A bare positional snapshot ({!Problem.basis_of_statuses})
+    is passed through as is. The dense-tableau backend ignores
+    [?warm_start]. *)
 
 val last_stats : t -> Problem.solver_stats option
 (** Instrumentation of the most recent [solve] on this model, available
@@ -81,8 +93,9 @@ val solution_stats : solution -> Problem.solver_stats
 (** Solver instrumentation for the solve that produced this solution. *)
 
 val solution_basis : solution -> Problem.basis option
-(** Final simplex basis ([Some] for the revised backend); feed it to the
-    next [solve ~warm_start] of a same-shaped model. *)
+(** Final simplex basis ([Some] for the revised backend), keyed by this
+    build's variable and constraint keys; feed it to the next
+    [solve ~warm_start] of this formulation, whatever its new shape. *)
 
 val num_vars : t -> int
 val num_constraints : t -> int

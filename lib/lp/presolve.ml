@@ -75,8 +75,7 @@ let reduce ~lb ~ub ~rows =
   try
     (* Fixpoint: re-simplify as long as new variables get fixed. Rows carry
        their original index so callers can tell *which* rows survived, not
-       just how many (warm-start bases are only transferable between solves
-       that kept the same row set). *)
+       just how many (a warm-start basis keys each slack by its row). *)
     let rows = ref (List.mapi (fun i r -> (i, r)) rows) in
     let progress = ref true in
     let rounds = ref 0 in

@@ -18,8 +18,9 @@ type outcome =
   | Reduced of { lb : float array; ub : float array; rows : row list; kept : int array }
       (** tightened bounds (fresh arrays) and the surviving rows, in
           original order; [kept.(i)] is the original index of the [i]-th
-          surviving row, so callers can fingerprint *which* rows survived
-          (two reductions with equal row counts need not keep the same set) *)
+          surviving row, so callers can tell *which* rows survived (two
+          reductions with equal row counts need not keep the same set;
+          {!Model} keys each slack by its original row) *)
   | Infeasible of string  (** human-readable reason *)
 
 val reduce : lb:float array -> ub:float array -> rows:row list -> outcome

@@ -71,9 +71,27 @@ type status = Optimal | Infeasible | Unbounded | Iteration_limit | Deadline_exce
 
 type col_status = Bs_basic | Bs_lower | Bs_upper | Bs_free
 
-type basis = { statuses : col_status array; shape : int }
+type basis = { statuses : col_status array; keys : int array }
 
-let basis_of_statuses ?(shape = 0) statuses = { statuses; shape }
+let basis_of_statuses statuses = { statuses; keys = [||] }
+
+let remap_basis (b : basis) ~nstruct ~keys =
+  let n = Array.length keys in
+  if Array.length b.keys = n && Array.for_all2 Int.equal b.keys keys then
+    (* Same column layout: the common case (a formulation whose rows and
+       columns do not depend on the data), kept free of hashing. *)
+    ({ b with keys }, false)
+  else begin
+    let old = Hashtbl.create (Array.length b.keys) in
+    Array.iteri (fun j k -> Hashtbl.replace old k b.statuses.(j)) b.keys;
+    let statuses =
+      Array.init n (fun j ->
+          match Hashtbl.find_opt old keys.(j) with
+          | Some s -> s
+          | None -> if j < nstruct then Bs_lower else Bs_basic)
+    in
+    ({ statuses; keys }, true)
+  end
 
 type solver_stats = {
   phase1_iterations : int;
@@ -87,6 +105,8 @@ type solver_stats = {
   factor_fill : int;
   lu_updates : int;
   warm_started : bool;
+  warm_remapped : bool;
+  warm_repairs : int;
   status_reason : string;
 }
 
@@ -103,15 +123,19 @@ let default_stats ?(reason = "") () =
     factor_fill = 0;
     lu_updates = 0;
     warm_started = false;
+    warm_remapped = false;
+    warm_repairs = 0;
     status_reason = reason;
   }
 
 let pp_stats fmt s =
   Format.fprintf fmt
     "iters=%d+%d refactor=%d nnz=%d fill=%d updates=%d degen=%d bland=%d restarts=%d \
-     ftran=%.2fms warm=%b%s"
+     ftran=%.2fms warm=%b%s%s%s"
     s.phase1_iterations s.phase2_iterations s.refactorisations s.factor_nnz s.factor_fill
     s.lu_updates s.degenerate_pivots s.bland_activations s.restarts s.ftran_ms s.warm_started
+    (if s.warm_remapped then " remapped" else "")
+    (if s.warm_repairs > 0 then Printf.sprintf " repaired=%d" s.warm_repairs else "")
     (if s.status_reason = "" then "" else " (" ^ s.status_reason ^ ")")
 
 type result = {

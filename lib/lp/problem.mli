@@ -47,21 +47,30 @@ type col_status = Bs_basic | Bs_lower | Bs_upper | Bs_free
 
 type basis = {
   statuses : col_status array;  (** one entry per structural + slack column *)
-  shape : int;
-      (** fingerprint of the formulation shape the snapshot was recorded
-          against (the presolve-surviving row set); [0] means unstamped.
-          {!Model.solve} stamps outgoing bases and drops a warm start whose
-          stamp disagrees with the current reduction — two presolves can keep
-          the same *number* of rows but different row sets, silently shifting
-          every slack column index. *)
+  keys : int array;
+      (** stable key of each column, same order as [statuses]: the key
+          {!Model} gave the variable (structural columns) or the row
+          (slack columns). [[||]] for a bare positional snapshot
+          ({!basis_of_statuses}, a direct {!Revised.solve}). *)
 }
-(** A basis snapshot over all [ncols] structural + slack columns, suitable
-    for warm-starting {!Revised.solve} on the same problem or on a problem
-    with identical dimensions (e.g. the next TE interval's re-build of the
-    same formulation with perturbed data). *)
+(** A basis snapshot over all [ncols] structural + slack columns. Keyed
+    snapshots (everything {!Model.solve} returns) warm-start a later solve
+    of a problem whose rows and columns differ, through {!remap_basis};
+    bare ones only a problem of identical dimensions. *)
 
-val basis_of_statuses : ?shape:int -> col_status array -> basis
-(** Wrap raw per-column statuses; [shape] defaults to [0] (unstamped). *)
+val basis_of_statuses : col_status array -> basis
+(** A bare positional snapshot ([keys = [||]]). *)
+
+val remap_basis : basis -> nstruct:int -> keys:int array -> basis * bool
+(** [remap_basis b ~nstruct ~keys] maps a keyed snapshot onto the column
+    layout whose keys are [keys] (structural columns first, [nstruct] of
+    them, then one slack per row): a column whose key [b] knows keeps its
+    status, a new structural column starts nonbasic at a bound
+    ([Bs_lower]) and a new row gets a basic slack. Columns are never
+    matched by position. The flag is [true] when the layouts differ; equal
+    key arrays return [b] unchanged. The result may hold more or fewer
+    basic columns than rows, or a singular set of them: {!Revised.solve}
+    repairs both. *)
 
 type solver_stats = {
   phase1_iterations : int;  (** iterations spent finding a feasible basis *)
@@ -79,6 +88,13 @@ type solver_stats = {
           nonzeros (negative when cancellation wins) *)
   lu_updates : int;  (** column-replacement updates absorbed across the solve *)
   warm_started : bool;  (** a supplied basis was accepted and used *)
+  warm_remapped : bool;
+      (** the supplied basis was recorded against a different row or column
+          set and was mapped onto this one by key ({!remap_basis}) *)
+  warm_repairs : int;
+      (** basic columns of the supplied basis the warm start's repair
+          factorisation could not pivot (dependent, or more of them than
+          rows) and moved to a bound *)
   status_reason : string;
       (** human-readable reason for the final status, e.g.
           ["phase1-unbounded (numerical)"] when a phase-1 unbounded ray was

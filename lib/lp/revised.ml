@@ -20,15 +20,20 @@
    row, used by the cold-start phase 1 (minimise the artificial sum) and to
    complete rank-deficient warm-start bases.
 
-   Warm starts ([solve ?basis]): the caller supplies a basis snapshot from a
-   previous solve of a problem with the same column dimension (e.g. the next
-   TE interval's re-build of the same formulation with perturbed data). The
-   basis is refactorised, completing uncovered rows with artificials pinned
-   to [0,0]; if the implied point violates bounds, a primal feasibility-
-   restoration phase (minimise the sum of bound violations, with the ratio
-   test relaxed so violated basic variables block only at the bound they are
-   violating) runs before phase 2. Numerical trouble anywhere on the warm
-   path falls back to a cold start, counted in [stats.restarts].
+   Warm starts ([solve ?basis]): the caller supplies per-column statuses for
+   this problem's layout -- typically a previous interval's optimal basis,
+   mapped by key onto this build's rows and columns ({!Problem.remap_basis},
+   done by [Model.solve]). Such a basis may hold more basic columns than
+   rows, or a dependent set of them. The basic columns are factorised in
+   repair mode: a column that cannot be pivoted moves to a bound (counted
+   in [stats.warm_repairs]) and uncovered rows are completed with
+   artificials pinned to [0,0], so a badly mapped basis costs iterations,
+   never the warm start. If the implied point violates bounds, a primal
+   feasibility-restoration phase (minimise the sum of bound violations,
+   with the ratio test relaxed so violated basic variables block only at
+   the bound they are violating) runs before phase 2; if restoration gets
+   stuck numerically, the solve falls back to a cold start, counted in
+   [stats.restarts].
 
    Invariants maintained across iterations:
    - [basic.(i)] is the variable basic in position/row i; [vstat.(j)] tracks
@@ -48,6 +53,7 @@ let m_degenerate = Obs.counter "revised.degenerate_pivots"
 let m_restarts = Obs.counter "revised.restarts"
 let m_lu_updates = Obs.counter "revised.lu_updates"
 let m_cold_fallbacks = Obs.counter "revised.cold_fallbacks"
+let m_warm_repairs = Obs.counter "revised.warm_repairs"
 let m_solve_ms = Obs.histogram "revised.solve_ms"
 let m_solve_iterations = Obs.histogram "revised.solve_iterations"
 
@@ -66,6 +72,7 @@ type acc = {
   mutable restarts : int;
   mutable ftran_ms : float;
   mutable lu_updates : int;
+  mutable warm_repairs : int;
   mutable spent_iterations : int; (* iterations of abandoned attempts *)
 }
 
@@ -77,6 +84,7 @@ let fresh_acc () =
     restarts = 0;
     ftran_ms = 0.;
     lu_updates = 0;
+    warm_repairs = 0;
     spent_iterations = 0;
   }
 
@@ -189,27 +197,47 @@ let recompute_basics st =
 (* Refactorisation                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Nonbasic at its lower bound if finite, else at its upper, else free at 0. *)
+let rest_at_bound ~lb ~ub vstat xval j =
+  if Float.is_finite lb.(j) then begin
+    vstat.(j) <- At_lower;
+    xval.(j) <- lb.(j)
+  end
+  else if Float.is_finite ub.(j) then begin
+    vstat.(j) <- At_upper;
+    xval.(j) <- ub.(j)
+  end
+  else begin
+    vstat.(j) <- Free_nonbasic;
+    xval.(j) <- 0.
+  end
+
 (* Rebuild the LU factorisation from the basis columns [cols]. Markowitz
    ordering inside {!Sparse_lu} replaces the old fewest-nonzeros-first
    Gauss-Jordan sweep. With [~complete], rows left unpivoted by [cols] are
    covered by their pinned artificial columns (rank completion for warm
    starts) -- those artificials all have sign +1 on the warm path, so the
    unit columns {!Sparse_lu} completes with are exactly the artificial
-   columns. Returns false -- leaving the previous factorisation and basis in
-   place -- if the basis matrix is (numerically) singular. *)
-let refactorise_cols st cols ~complete =
+   columns. With [~repair] (warm starts) any number of columns may be
+   given and a column the factorisation rejects goes back to a bound.
+   Returns false -- leaving the previous factorisation and basis in place
+   -- if the basis matrix is (numerically) singular, which repair mode
+   never reports. *)
+let refactorise_cols ?(repair = false) st cols ~complete =
   let cols = Array.of_list cols in
   let sparse =
     Array.map (fun j -> (col_rows st j, col_vals st j)) cols
   in
   match
     Obs.with_span "revised.refactor" (fun () ->
-        Sparse_lu.factorise ~ws:st.ws ~m:st.m ~complete sparse)
+        Sparse_lu.factorise ~ws:st.ws ~repair ~m:st.m ~complete sparse)
   with
   | None -> false
-  | Some { Sparse_lu.lu; row_of_col; completed_rows } ->
+  | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
+    List.iter (fun k -> rest_at_bound ~lb:st.lb ~ub:st.ub st.vstat st.xval cols.(k)) rejected;
+    st.acc.warm_repairs <- st.acc.warm_repairs + List.length rejected;
     let new_basic = Array.make st.m (-1) in
-    Array.iteri (fun k j -> new_basic.(row_of_col.(k)) <- j) cols;
+    Array.iteri (fun k j -> if row_of_col.(k) >= 0 then new_basic.(row_of_col.(k)) <- j) cols;
     List.iter
       (fun r ->
         let aj = st.p.Problem.ncols + r in
@@ -569,18 +597,7 @@ let initial_state acc ws (p : Problem.t) =
   let xval = Array.make n 0. in
   let vstat = Array.make n At_lower in
   for j = 0 to ncols - 1 do
-    if Float.is_finite lb.(j) then begin
-      vstat.(j) <- At_lower;
-      xval.(j) <- lb.(j)
-    end
-    else if Float.is_finite ub.(j) then begin
-      vstat.(j) <- At_upper;
-      xval.(j) <- ub.(j)
-    end
-    else begin
-      vstat.(j) <- Free_nonbasic;
-      xval.(j) <- 0.
-    end
+    rest_at_bound ~lb ~ub vstat xval j
   done;
   let art_sign = Array.make m 1. in
   let st = make_state acc ws p ~lb ~ub ~vstat ~xval ~art_sign in
@@ -613,8 +630,10 @@ let initial_state acc ws (p : Problem.t) =
 
 (* Build a state from a warm-start basis snapshot. All artificials are
    pinned to [0,0]; rank completion may make some of them (degenerately)
-   basic. Returns [None] -- caller falls back to a cold start -- when the
-   snapshot is inconsistent or its basis matrix is singular. *)
+   basic. The snapshot may come from a different LP mapped by key, so its
+   basic columns are factorised in repair mode: too many of them, or a
+   dependent set, costs the rejected columns their basic status, never the
+   warm start. *)
 let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
   let m = p.Problem.nrows in
   let ncols = p.Problem.ncols in
@@ -624,41 +643,21 @@ let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
   Array.blit p.Problem.ub 0 ub 0 ncols;
   let vstat = Array.make n At_lower in
   let xval = Array.make n 0. in
-  let nbasic = ref 0 in
   let cols = ref [] in
-  let at_lower j =
-    if Float.is_finite lb.(j) then begin
-      vstat.(j) <- At_lower;
-      xval.(j) <- lb.(j)
-    end
-    else if Float.is_finite ub.(j) then begin
-      vstat.(j) <- At_upper;
-      xval.(j) <- ub.(j)
-    end
-    else begin
-      vstat.(j) <- Free_nonbasic;
-      xval.(j) <- 0.
-    end
-  in
   for j = ncols - 1 downto 0 do
     match b.Problem.statuses.(j) with
     | Problem.Bs_basic ->
       vstat.(j) <- Basic;
-      incr nbasic;
       cols := j :: !cols
-    | Problem.Bs_upper ->
-      if Float.is_finite ub.(j) then begin
-        vstat.(j) <- At_upper;
-        xval.(j) <- ub.(j)
-      end
-      else at_lower j
-    | Problem.Bs_lower | Problem.Bs_free -> at_lower j
+    | Problem.Bs_upper when Float.is_finite ub.(j) ->
+      vstat.(j) <- At_upper;
+      xval.(j) <- ub.(j)
+    | Problem.Bs_upper | Problem.Bs_lower | Problem.Bs_free -> rest_at_bound ~lb ~ub vstat xval j
   done;
-  if !nbasic > m then None
-  else begin
-    let st = make_state acc ws p ~lb ~ub ~vstat ~xval ~art_sign:(Array.make m 1.) in
-    if refactorise_cols st !cols ~complete:true then Some st else None
-  end
+  let st = make_state acc ws p ~lb ~ub ~vstat ~xval ~art_sign:(Array.make m 1.) in
+  let factorised = refactorise_cols st !cols ~complete:true ~repair:true in
+  assert factorised;
+  st
 
 (* ------------------------------------------------------------------ *)
 (* Feasibility restoration (warm-start phase 1)                        *)
@@ -749,6 +748,8 @@ let finish st ~phase1 ~warm status reason =
       factor_fill = (match st.lu with Some lu -> Sparse_lu.fill_in lu | None -> 0);
       lu_updates = a.lu_updates;
       warm_started = warm;
+      warm_remapped = false;
+      warm_repairs = a.warm_repairs;
       status_reason = reason;
     }
   in
@@ -861,11 +862,9 @@ let cold_solve acc ws (p : Problem.t) ~max_iterations ~deadline_at =
     end
 
 let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
-  match warm_state acc ws p b with
-  | None -> None
-  | Some st -> (
-    st.deadline_at <- deadline_at;
-    match restore_feasibility st ~max_iterations with
+  let st = warm_state acc ws p b in
+  st.deadline_at <- deadline_at;
+  match restore_feasibility st ~max_iterations with
     | `Iterlimit ->
       Some
         (finish st ~phase1:st.iterations ~warm:true Problem.Iteration_limit
@@ -882,14 +881,20 @@ let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
       None
     | `Feasible ->
       let phase1 = st.iterations in
-      Some (run_phase2 st ~max_iterations ~phase1 ~warm:true))
+      Some (run_phase2 st ~max_iterations ~phase1 ~warm:true)
 
 let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   let acc = fresh_acc () in
   let m = p.Problem.nrows in
   (* One factorisation workspace per solve, shared by the warm attempt and
-     any cold fallback; dropped with the solve (no global cache). *)
-  let ws = Sparse_lu.workspace m in
+     any cold fallback; dropped with the solve (no global cache). A mapped
+     warm basis may hold more basic columns than rows. *)
+  let nbasic =
+    match basis with
+    | Some b -> Array.fold_left (fun k s -> if s = Problem.Bs_basic then k + 1 else k) 0 b.Problem.statuses
+    | None -> 0
+  in
+  let ws = Sparse_lu.workspace (max m nbasic) in
   let n = p.Problem.ncols + m in
   let max_iterations =
     match max_iterations with Some k -> k | None -> (20 * (m + n)) + 10_000
@@ -902,9 +907,8 @@ let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
     | Some b when Array.length b.Problem.statuses = p.Problem.ncols ->
       warm_solve acc ws p b ~max_iterations ~deadline_at
     | Some _ ->
-      (* Dimension mismatch (e.g. presolve kept a different number of rows;
-         same-count different-set reductions are caught upstream by the
-         shape stamp in [Model.solve]). *)
+      (* A bare positional snapshot of another layout; keyed ones arrive
+         here already mapped onto this problem by [Model.solve]. *)
       acc.restarts <- acc.restarts + 1;
       None
     | None -> None
@@ -927,6 +931,7 @@ let solve ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
       let r = solve_impl ?max_iterations ?deadline_ms ?basis p in
       if Obs.enabled () then begin
         let s = r.Problem.stats in
+        Obs.add m_warm_repairs (float_of_int s.Problem.warm_repairs);
         Obs.add m_pivots (float_of_int r.Problem.iterations);
         Obs.add m_refactorisations (float_of_int s.Problem.refactorisations);
         Obs.add m_degenerate (float_of_int s.Problem.degenerate_pivots);

@@ -14,12 +14,16 @@
     sparse problems produced by the FFC formulations (up to a few thousand
     rows).
 
-    [solve ?basis] warm-starts from a basis snapshot of a previous solve
-    with the same column dimension. A rank-deficient or stale basis is
-    completed with pinned artificials; a primal-infeasible one goes through
-    a bound-violation restoration phase before the real objective is
-    optimised. Numerical trouble anywhere on the warm path falls back to a
-    cold start, counted in [result.stats.restarts]. *)
+    [solve ?basis] warm-starts from per-column statuses for this problem's
+    layout (a previous solve's basis, mapped by key when the layout changed:
+    {!Problem.remap_basis}). Basic columns beyond the row count, or
+    dependent on the others, are moved to a bound by a repair-mode
+    factorisation ([result.stats.warm_repairs]); uncovered rows are
+    completed with pinned artificials; a primal-infeasible start goes
+    through a bound-violation restoration phase before the real objective
+    is optimised. Only a restoration that gets stuck numerically, or a bare
+    snapshot of the wrong dimension, falls back to a cold start, counted in
+    [result.stats.restarts]. *)
 
 val solve :
   ?max_iterations:int ->

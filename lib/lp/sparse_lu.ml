@@ -13,7 +13,13 @@
    BTRAN runs the transposed solves in reverse. Simplex column replacements
    are held as sparse product-form update etas applied after (FTRAN) /
    before (BTRAN) the triangular solves; the caller refactorises when the
-   file grows past its policy limit. *)
+   file grows past its policy limit.
+
+   Repair mode (warm starts) accepts any number of columns and never fails:
+   a column that cannot be pivoted -- empty, or reduced to (near) zero by
+   the eliminations before it -- is skipped and reported instead of making
+   the whole basis singular, and rank completion covers the rows left
+   over. *)
 
 module Obs = Ffc_obs.Obs
 
@@ -48,7 +54,12 @@ type t = {
   mutable nupd : int;
 }
 
-type factor_result = { lu : t; row_of_col : int array; completed_rows : int list }
+type factor_result = {
+  lu : t;
+  row_of_col : int array;
+  completed_rows : int list;
+  rejected : int list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic int/float array pairs                                       *)
@@ -146,11 +157,15 @@ let workspace m =
     w_visit = 0;
   }
 
-let factorise ?ws ~m ~complete cols =
+let factorise ?ws ?(repair = false) ~m ~complete cols =
   let ncols = Array.length cols in
+  let complete = complete || repair in
   if (not complete) && ncols <> m then invalid_arg "Sparse_lu.factorise: need m columns";
-  if ncols > m then invalid_arg "Sparse_lu.factorise: more columns than rows";
-  let ws = match ws with Some w when w.size >= m -> w | _ -> workspace m in
+  if ncols > m && not repair then invalid_arg "Sparse_lu.factorise: more columns than rows";
+  (* Per-column scratch is indexed by supplied column, per-row scratch by
+     row: repair mode may supply more columns than rows. *)
+  let need = max m ncols in
+  let ws = match ws with Some w when w.size >= need -> w | _ -> workspace need in
   (* Active matrix, column-wise. *)
   let col = ws.w_col and ufix = ws.w_ufix in
   let rowcnt = ws.w_rowcnt and rowcols = ws.w_rowcols in
@@ -203,13 +218,31 @@ let factorise ?ws ~m ~complete cols =
     unlink k;
     link k
   in
+  (* Repair mode: a column that cannot be pivoted leaves the elimination
+     (marked pivoted so row walks skip it, its entries uncounted) and is
+     reported; [remaining] counts the columns still to pivot or reject. *)
+  let rejected = ref [] in
+  let remaining = ref ncols in
+  let reject k =
+    let c = col.(k) in
+    for t = 0 to c.len - 1 do
+      rowcnt.(c.ir.(t)) <- rowcnt.(c.ir.(t)) - 1
+    done;
+    c.len <- 0;
+    col_pivoted.(k) <- true;
+    let _, vals = cols.(k) in
+    Array.iter (fun v -> if v <> 0. then decr orig_nnz) vals;
+    rejected := k :: !rejected;
+    decr remaining
+  in
   (* A column with no surviving entries (zero-nnz or explicit zeros only)
-     is structurally singular. Flag it here and raise inside the handler
-     below: raising [Singular] from this loop would escape the [try] that
-     turns it into [None], crashing the caller instead. *)
+     is structurally singular: rejected in repair mode, otherwise flagged
+     here and raised inside the handler below -- raising [Singular] from
+     this loop would escape the [try] that turns it into [None], crashing
+     the caller instead. *)
   let empty_col = ref false in
   for k = 0 to ncols - 1 do
-    if col.(k).len = 0 then empty_col := true else link k
+    if col.(k).len > 0 then link k else if repair then reject k else empty_col := true
   done;
   (* Output accumulators (steps are sequential, so append-only). *)
   let prow = Array.make m (-1) and upiv = Array.make m 1. in
@@ -246,21 +279,28 @@ let factorise ?ws ~m ~complete cols =
              let a = abs_float c.fr.(t) in
              if a > !amax then amax := a
            done;
-           if !amax <= abs_pivot_tol then raise_notrace Singular;
-           let thresh = tau *. !amax in
-           for t = 0 to c.len - 1 do
-             let v = abs_float c.fr.(t) in
-             if v >= thresh then begin
-               let r = c.ir.(t) in
-               let cost = (rowcnt.(r) - 1) * (cnt - 1) in
-               if cost < !best_cost || (cost = !best_cost && v > !best_v) then begin
-                 best_cost := cost;
-                 best_col := !k;
-                 best_row := r;
-                 best_v := v
+           if !amax <= abs_pivot_tol then begin
+             if not repair then raise_notrace Singular;
+             (* [k]'s successor link survives the unlink. *)
+             unlink !k;
+             reject !k
+           end
+           else begin
+             let thresh = tau *. !amax in
+             for t = 0 to c.len - 1 do
+               let v = abs_float c.fr.(t) in
+               if v >= thresh then begin
+                 let r = c.ir.(t) in
+                 let cost = (rowcnt.(r) - 1) * (cnt - 1) in
+                 if cost < !best_cost || (cost = !best_cost && v > !best_v) then begin
+                   best_cost := cost;
+                   best_col := !k;
+                   best_row := r;
+                   best_v := v
+                 end
                end
-             end
-           done;
+             done
+           end;
            if !best_col >= 0 && (!best_cost = 0 || !examined >= search_limit) then
              raise Exit;
            k := nxt.(!k)
@@ -355,8 +395,12 @@ let factorise ?ws ~m ~complete cols =
               else rowcnt.(rr) <- rowcnt.(rr) - 1 (* cancellation *)
             done
           end;
-          if d.len = 0 then raise_notrace Singular;
-          relink cc
+          if d.len > 0 then relink cc
+          else if repair then begin
+            unlink cc;
+            reject cc
+          end
+          else raise_notrace Singular
         end
       end
     done;
@@ -366,13 +410,14 @@ let factorise ?ws ~m ~complete cols =
   in
   try
     if !empty_col then raise_notrace Singular;
-    let remaining = ref ncols in
     while !remaining > 0 do
       match choose_pivot () with
-      | None -> raise_notrace Singular
       | Some (pc, pr) ->
         eliminate pc pr;
         decr remaining
+      | None ->
+        (* In repair mode the search may have rejected every column left. *)
+        if !remaining > 0 then raise_notrace Singular
     done;
     (* Rank completion: cover unpivoted rows with implicit unit columns.
        Prior eliminations never touch them (their pivot rows carry zero in a
@@ -422,7 +467,7 @@ let factorise ?ws ~m ~complete cols =
         Obs.observe m_fill (float_of_int lu.fill);
         Obs.observe m_nnz (float_of_int lu.lu_nnz)
       end;
-      Some { lu; row_of_col; completed_rows = !completed }
+      Some { lu; row_of_col; completed_rows = !completed; rejected = List.sort compare !rejected }
     end
   with Singular ->
     Obs.incr m_singular;

@@ -35,14 +35,18 @@ type factor_result = {
   lu : t;
   row_of_col : int array;
       (** [row_of_col.(k)] is the pivot row assigned to supplied column
-          [k]. *)
+          [k], or [-1] for a rejected column *)
   completed_rows : int list;
       (** rows covered by implicit unit columns (only with [~complete:true]
-          when fewer columns than rows were supplied) *)
+          when fewer columns than rows were pivoted) *)
+  rejected : int list;
+      (** supplied columns left out of the factorisation, in increasing
+          order; nonempty only with [~repair:true] *)
 }
 
 val factorise :
   ?ws:workspace ->
+  ?repair:bool ->
   m:int ->
   complete:bool ->
   (int array * float array) array ->
@@ -56,8 +60,18 @@ val factorise :
     column cannot be pivoted (structurally or numerically singular basis) —
     including columns with no entries at all (zero-nnz, or every value an
     explicit [0.]); no exception escapes for any input of valid dimensions.
+
+    [~repair:true] (default [false]) is the mode for a warm-start basis
+    mapped from another LP: any number of columns may be supplied, a column
+    that cannot be pivoted — empty, or dependent on the columns pivoted
+    before it — is skipped and listed in [rejected], and rank completion
+    covers the rows left over (whatever [complete] says). The result is
+    then always [Some]: the kept columns plus the completed unit columns
+    form a nonsingular basis.
+
     [ws] supplies caller-owned scratch (see {!workspace}); when absent, or
-    sized below [m], a fresh workspace is allocated for the call. *)
+    sized below [m] or the column count, a fresh workspace is allocated for
+    the call. *)
 
 val ftran : t -> float array -> unit
 (** [ftran t w] overwrites the dense vector [w] (length [m]) with

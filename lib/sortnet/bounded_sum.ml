@@ -2,16 +2,22 @@ open Ffc_lp
 
 type encoding = [ `Sorting_network | `Duality ]
 
+(* Keys (Model.scope): every comparator or slack built for element [x] of
+   the input lives in a child scope named by [x]'s id, so dropping one
+   element of a pool leaves the other elements' auxiliaries keyed as
+   before. Pools are lists of (id, expression). *)
+
 (* BubbleMax (Algorithm 2): one pass of compare-swap operators that leaves an
    expression representing max{pool} and the n-1 "losers". Each compare-swap
    of inputs a, b emits fresh variables hi, lo with
      hi >= a, hi >= b, lo = a + b - hi.
    Under an upper-bound use the solver pushes hi down to max(a,b), making the
-   linearisation of |a - b| in the paper's Algorithm 2 exact. *)
+   linearisation of |a - b| in the paper's Algorithm 2 exact. The loser of
+   the comparison with [x] inherits [x]'s id. *)
 let bubble_max model pool =
   match pool with
   | [] -> invalid_arg "bubble_max: empty pool"
-  | first :: rest ->
+  | (_, first) :: rest ->
     let compare_swap acc x =
       let hi = Model.add_var ~lb:neg_infinity model in
       let lo = Model.add_var ~lb:neg_infinity model in
@@ -23,9 +29,9 @@ let bubble_max model pool =
     in
     let rec pass acc losers = function
       | [] -> (acc, List.rev losers)
-      | x :: tl ->
-        let hi, lo = compare_swap acc x in
-        pass hi (lo :: losers) tl
+      | (id, x) :: tl ->
+        let hi, lo = Model.scope model id (fun () -> compare_swap acc x) in
+        pass hi ((id, lo) :: losers) tl
     in
     pass first [] rest
 
@@ -33,7 +39,7 @@ let bubble_max model pool =
 let bubble_min model pool =
   match pool with
   | [] -> invalid_arg "bubble_min: empty pool"
-  | first :: rest ->
+  | (_, first) :: rest ->
     let compare_swap acc x =
       let lo = Model.add_var ~lb:neg_infinity model in
       let hi = Model.add_var ~lb:neg_infinity model in
@@ -45,30 +51,31 @@ let bubble_min model pool =
     in
     let rec pass acc losers = function
       | [] -> (acc, List.rev losers)
-      | x :: tl ->
-        let lo, hi = compare_swap acc x in
-        pass lo (hi :: losers) tl
+      | (id, x) :: tl ->
+        let lo, hi = Model.scope model id (fun () -> compare_swap acc x) in
+        pass lo ((id, hi) :: losers) tl
     in
     pass first [] rest
 
-(* LargestValues (Algorithm 1): pop the maximum M times. *)
+(* LargestValues (Algorithm 1): pop the maximum M times, pass [k] in child
+   scope [k]. *)
 let network_largest model xs m =
-  let rec go pool m acc =
-    if m = 0 then acc
+  let rec go pool k acc =
+    if k = m then acc
     else
-      let top, rest = bubble_max model pool in
-      go rest (m - 1) (Expr.add acc top)
+      let top, rest = Model.scope model k (fun () -> bubble_max model pool) in
+      go rest (k + 1) (Expr.add acc top)
   in
-  go xs m Expr.zero
+  go xs 0 Expr.zero
 
 let network_smallest model xs m =
-  let rec go pool m acc =
-    if m = 0 then acc
+  let rec go pool k acc =
+    if k = m then acc
     else
-      let bot, rest = bubble_min model pool in
-      go rest (m - 1) (Expr.add acc bot)
+      let bot, rest = Model.scope model k (fun () -> bubble_min model pool) in
+      go rest (k + 1) (Expr.add acc bot)
   in
-  go xs m Expr.zero
+  go xs 0 Expr.zero
 
 (* Duality encoding: sum_largest(x, M) = min over t of M*t + sum_v (x_v-t)^+.
    With s_v >= x_v - t, s_v >= 0 free to be larger, the expression
@@ -79,10 +86,11 @@ let duality_largest model xs m =
   let t_e = Expr.var t in
   let slacks =
     List.map
-      (fun x ->
-        let s = Model.add_var model in
-        Model.ge model (Expr.var s) (Expr.sub x t_e);
-        Expr.var s)
+      (fun (id, x) ->
+        Model.scope model id (fun () ->
+            let s = Model.add_var model in
+            Model.ge model (Expr.var s) (Expr.sub x t_e);
+            Expr.var s))
       xs
   in
   Expr.add (Expr.scale (float_of_int m) t_e) (Expr.sum slacks)
@@ -92,31 +100,40 @@ let duality_smallest model xs m =
   let t_e = Expr.var t in
   let slacks =
     List.map
-      (fun x ->
-        let s = Model.add_var model in
-        Model.ge model (Expr.var s) (Expr.sub t_e x);
-        Expr.var s)
+      (fun (id, x) ->
+        Model.scope model id (fun () ->
+            let s = Model.add_var model in
+            Model.ge model (Expr.var s) (Expr.sub t_e x);
+            Expr.var s))
       xs
   in
   Expr.sub (Expr.scale (float_of_int m) t_e) (Expr.sum slacks)
 
-let sum_largest ?(encoding = `Sorting_network) model xs m =
-  let n = List.length xs in
-  if m <= 0 then Expr.zero
-  else if m >= n then Expr.sum xs
-  else
-    match encoding with
-    | `Sorting_network -> network_largest model xs m
-    | `Duality -> duality_largest model xs m
+let pool ?ids xs =
+  match ids with
+  | None -> List.mapi (fun i x -> (i, x)) xs
+  | Some ids ->
+    if List.compare_lengths ids xs <> 0 then
+      invalid_arg "Bounded_sum: ids and xs differ in length";
+    List.combine ids xs
 
-let sum_smallest ?(encoding = `Sorting_network) model xs m =
+let sum_largest ?(encoding = `Sorting_network) ?ids model xs m =
   let n = List.length xs in
   if m <= 0 then Expr.zero
   else if m >= n then Expr.sum xs
   else
     match encoding with
-    | `Sorting_network -> network_smallest model xs m
-    | `Duality -> duality_smallest model xs m
+    | `Sorting_network -> network_largest model (pool ?ids xs) m
+    | `Duality -> duality_largest model (pool ?ids xs) m
+
+let sum_smallest ?(encoding = `Sorting_network) ?ids model xs m =
+  let n = List.length xs in
+  if m <= 0 then Expr.zero
+  else if m >= n then Expr.sum xs
+  else
+    match encoding with
+    | `Sorting_network -> network_smallest model (pool ?ids xs) m
+    | `Duality -> duality_smallest model (pool ?ids xs) m
 
 let value_sum_largest xs m =
   let sorted = List.sort (fun a b -> Float.compare b a) xs in

@@ -30,17 +30,36 @@
 type encoding = [ `Sorting_network | `Duality ]
 
 val sum_largest :
-  ?encoding:encoding -> Ffc_lp.Model.t -> Ffc_lp.Expr.t list -> int -> Ffc_lp.Expr.t
+  ?encoding:encoding ->
+  ?ids:int list ->
+  Ffc_lp.Model.t ->
+  Ffc_lp.Expr.t list ->
+  int ->
+  Ffc_lp.Expr.t
 (** [sum_largest model xs m] adds auxiliary variables/constraints to [model]
     and returns an expression [Y] with [Y >= sum of the m largest xs] in any
     feasible point, tight at optimality. If [m >= length xs] the plain sum is
     returned; if [m <= 0], the zero expression. Default encoding is
-    [`Sorting_network]. *)
+    [`Sorting_network].
+
+    Keys ({!Ffc_lp.Model.scope}): the auxiliaries go into the current scope,
+    those built for element [x_i] into its child scope [ids_i] (default:
+    [i]; the sorting network nests them under one child scope per pass,
+    [0 .. m-1]). Naming elements by the entity they stand for keeps their
+    keys when other elements come and go between builds. Call it inside a
+    scope of its own when the surrounding scope has other children. Raises
+    [Invalid_argument] if [ids] and [xs] differ in length. *)
 
 val sum_smallest :
-  ?encoding:encoding -> Ffc_lp.Model.t -> Ffc_lp.Expr.t list -> int -> Ffc_lp.Expr.t
+  ?encoding:encoding ->
+  ?ids:int list ->
+  Ffc_lp.Model.t ->
+  Ffc_lp.Expr.t list ->
+  int ->
+  Ffc_lp.Expr.t
 (** [sum_smallest model xs m] returns [Y <= sum of the m smallest xs], tight
-    at optimality; intended for [Y >= bound] constraints. *)
+    at optimality; intended for [Y >= bound] constraints. Keys as for
+    {!sum_largest}. *)
 
 val value_sum_largest : float list -> int -> float
 (** Reference implementation on concrete values (for tests and the

@@ -141,12 +141,18 @@ let test_snippets_runnable_shape () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in lp snippet") true (contains lp needle))
-    [ "let () ="; "Model.solve ~backend:`Dense_tableau"; "warm_start"; "Model.maximize" ];
+    [
+      "let () =";
+      "Model.solve ~backend:`Dense_tableau";
+      "warm_start";
+      "Model.maximize";
+      "build ~ids reshaped";
+    ];
   let lus = Gen.lu_snippet (Gen.lu_instance (Rng.split rng)) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in lu snippet") true (contains lus needle))
-    [ "Sparse_lu.factorise"; "let () =" ];
+    [ "Sparse_lu.factorise"; "let () ="; "~repair:true" ];
   let tes = Gen.te_snippet (Gen.te_instance (Rng.split rng)) in
   Alcotest.(check bool) "te snippet solves" true (contains tes "solve");
   let sims = Gen.sim_snippet (Gen.sim_instance (Rng.split rng)) in

@@ -409,6 +409,82 @@ let test_stats_wall_clock () =
       "did simplex work" true
       (s.Ffc_lp.Problem.phase1_iterations + s.Ffc_lp.Problem.phase2_iterations > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Warm starts across FFC's data-dependent row set                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The §6 skip rule makes the control-plane rows depend on [prev]. Two
+   L-Net (2,1,0) duality solves whose [prev]s differ in one link's
+   considered-ingress set build different row sets; the second, seeded
+   with the first's basis, must still start warm (mapped by key) and reach
+   the cold optimum. *)
+let test_ffc_warm_across_skip_change () =
+  let rng = Rng.create 3 in
+  let topo = Topo_gen.lnet ~sites:8 rng in
+  let spec = Traffic.make_flows ~nflows:16 rng topo in
+  let input = { Te_types.topo; flows = spec.Traffic.flows; demands = spec.Traffic.base_demand } in
+  let prev_a =
+    match Basic_te.solve input with Ok a -> a | Error e -> Alcotest.fail e
+  in
+  (* A one-link tunnel carrying load in [prev_a], on a link with more than
+     kc = 2 considered ingresses where no other crossing from its ingress
+     carries load: zeroing that tunnel drops exactly this ingress from this
+     link's considered set, and one M-sum element from the LP. *)
+  let per_link = Formulation.crossings_by_link input in
+  let load (c : Formulation.crossing) =
+    prev_a.Te_types.af.(c.Formulation.flow.Flow.id).(c.Formulation.tidx)
+  in
+  let candidate =
+    List.find_map
+      (fun (f : Flow.t) ->
+        List.find_map
+          (fun (ti, (t : Tunnel.t)) ->
+            match t.Tunnel.links with
+            | [ l ] when prev_a.Te_types.af.(f.Flow.id).(ti) > 0. ->
+              let groups = Formulation.by_ingress per_link.(l.Topology.id) in
+              let loaded = List.filter (fun (_, cs) -> List.exists (fun c -> load c > 0.) cs) groups in
+              let own = List.assoc f.Flow.src groups in
+              let others_loaded =
+                List.exists
+                  (fun (c : Formulation.crossing) ->
+                    (c.Formulation.flow.Flow.id <> f.Flow.id || c.Formulation.tidx <> ti)
+                    && load c > 0.)
+                  own
+              in
+              if List.length loaded > 3 && not others_loaded then Some (f.Flow.id, ti) else None
+            | _ -> None)
+          (List.mapi (fun ti t -> (ti, t)) f.Flow.tunnels))
+      input.Te_types.flows
+  in
+  let fid, ti =
+    match candidate with Some c -> c | None -> Alcotest.fail "no single-link tunnel to drop"
+  in
+  let prev_b =
+    { prev_a with Te_types.af = Array.map Array.copy prev_a.Te_types.af }
+  in
+  prev_b.Te_types.af.(fid).(ti) <- 0.;
+  let config =
+    Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Duality
+      ~mice_fraction:0. ~ingress_skip_fraction:0. ()
+  in
+  let solve ?warm_start prev =
+    match Ffc.solve ~config ~prev ~presolve:false ?warm_start input with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let a = solve prev_a in
+  let cold = solve prev_b in
+  let warm = solve ?warm_start:a.Ffc.basis prev_b in
+  Alcotest.(check int) "one M-sum row fewer" (a.Ffc.stats.Ffc.lp_rows - 1)
+    warm.Ffc.stats.Ffc.lp_rows;
+  (match warm.Ffc.stats.Ffc.solver with
+  | Some s ->
+    Alcotest.(check bool) "warm started" true s.Ffc_lp.Problem.warm_started;
+    Alcotest.(check bool) "mapped by key" true s.Ffc_lp.Problem.warm_remapped
+  | None -> Alcotest.fail "no solver stats");
+  let obj (r : Ffc.result) = Te_types.throughput r.Ffc.alloc in
+  Alcotest.(check (float 1e-6)) "warm optimum = cold optimum" (obj cold) (obj warm)
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -439,6 +515,8 @@ let () =
           case "data FFC rows are O(tau |T|)" test_data_constraint_growth;
         ] );
       ("instrumentation", [ case "timing is positive wall-clock" test_stats_wall_clock ]);
+      ( "warm-start",
+        [ case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_data_ffc_robust;

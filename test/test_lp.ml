@@ -422,7 +422,7 @@ let test_sparse_lu_residuals () =
   let cols = random_dd_cols rng m in
   match Sparse_lu.factorise ~m ~complete:false cols with
   | None -> Alcotest.fail "diagonally dominant matrix reported singular"
-  | Some { Sparse_lu.lu; row_of_col; completed_rows } ->
+  | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
     Alcotest.(check (list int)) "full rank, nothing completed" [] completed_rows;
     let b = dense_of_cols m cols row_of_col in
     for _ = 1 to 20 do
@@ -498,7 +498,7 @@ let test_sparse_lu_rank_completion () =
   let cols = Array.sub full 0 12 in
   match Sparse_lu.factorise ~m ~complete:true cols with
   | None -> Alcotest.fail "completion failed"
-  | Some { Sparse_lu.lu; row_of_col; completed_rows } ->
+  | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
     Alcotest.(check int) "completed count" (m - 12) (List.length completed_rows);
     let b = Array.make_matrix m m 0. in
     List.iter (fun r -> b.(r).(r) <- 1.) completed_rows;
@@ -524,6 +524,105 @@ let test_sparse_lu_rejects_singular () =
   match Sparse_lu.factorise ~m:2 ~complete:false tiny with
   | None -> ()
   | Some _ -> Alcotest.fail "sub-tolerance pivot accepted"
+
+(* Repair mode: the kept columns in their pivot slots plus unit columns at
+   the completed rows must form the basis the factors solve against, and
+   every row must be covered exactly once. *)
+let check_repaired ~m cols { Sparse_lu.lu; row_of_col; completed_rows; rejected } =
+  let b = Array.make_matrix m m 0. and covered = Array.make m 0 in
+  Array.iteri
+    (fun k (rows, vals) ->
+      if not (List.mem k rejected) then begin
+        let slot = row_of_col.(k) in
+        covered.(slot) <- covered.(slot) + 1;
+        Array.iteri (fun t r -> b.(r).(slot) <- vals.(t)) rows
+      end)
+    cols;
+  List.iter
+    (fun r ->
+      covered.(r) <- covered.(r) + 1;
+      b.(r).(r) <- 1.)
+    completed_rows;
+  Alcotest.(check bool) "every row covered once" true (Array.for_all (( = ) 1) covered);
+  List.iter
+    (fun k -> Alcotest.(check int) "rejected column has no slot" (-1) row_of_col.(k))
+    rejected;
+  let rng = Ffc_util.Rng.create 5 in
+  for _ = 1 to 10 do
+    let rhs = Array.init m (fun _ -> Ffc_util.Rng.uniform rng (-3.) 3.) in
+    let x = Array.copy rhs in
+    Sparse_lu.ftran lu x;
+    Alcotest.(check bool) "repaired ftran residual" true (residual_inf b x rhs < 1e-8);
+    let y = Array.copy rhs in
+    Sparse_lu.btran lu y;
+    Alcotest.(check bool) "repaired btran residual" true (residual_inf_t b y rhs < 1e-8)
+  done
+
+(* Exactly one column of each dependent group must be rejected: which one
+   follows the pivot order, but nothing outside the group may go. *)
+let check_one_rejected_per_group rejected groups =
+  Alcotest.(check int) "rejected count" (List.length groups) (List.length rejected);
+  List.iter
+    (fun g ->
+      Alcotest.(check int)
+        (Printf.sprintf "one rejected from {%s}" (String.concat "," (List.map string_of_int g)))
+        1
+        (List.length (List.filter (fun k -> List.mem k g) rejected)))
+    groups
+
+let add_cols (r1, v1) a (r2, v2) =
+  let tbl = Hashtbl.create 8 in
+  let put r v = Hashtbl.replace tbl r (v +. Option.value ~default:0. (Hashtbl.find_opt tbl r)) in
+  Array.iteri (fun t r -> put r v1.(t)) r1;
+  Array.iteri (fun t r -> put r (a *. v2.(t))) r2;
+  let entries = Hashtbl.fold (fun r v acc -> (r, v) :: acc) tbl [] in
+  (Array.of_list (List.map fst entries), Array.of_list (List.map snd entries))
+
+(* A warm basis mapped from another LP can carry more basic columns than
+   rows, or a dependent set: repair mode skips the columns it cannot pivot,
+   names them, and completes the rows left over. Without repair the same
+   inputs stay errors. *)
+let test_sparse_lu_repair () =
+  let rng = Ffc_util.Rng.create 17 in
+  let m = 12 in
+  let base = random_dd_cols rng m in
+  (* m + 2 columns: the m independent ones plus c0 + c1 and c2 - 3 c3. *)
+  let over =
+    Array.append base [| add_cols base.(0) 1. base.(1); add_cols base.(2) (-3.) base.(3) |]
+  in
+  (match Sparse_lu.factorise ~repair:true ~m ~complete:false over with
+  | None -> Alcotest.fail "repair mode returned None (over-full)"
+  | Some r ->
+    check_one_rejected_per_group r.Sparse_lu.rejected [ [ 0; 1; m ]; [ 2; 3; m + 1 ] ];
+    Alcotest.(check (list int)) "nothing completed" [] r.Sparse_lu.completed_rows;
+    check_repaired ~m over r);
+  Alcotest.check_raises "over-full without repair"
+    (Invalid_argument "Sparse_lu.factorise: more columns than rows") (fun () ->
+      ignore (Sparse_lu.factorise ~m ~complete:true over));
+  (* A square singular set: c3 = c1 + c2. *)
+  let square = Array.copy base in
+  square.(3) <- add_cols base.(1) 1. base.(2);
+  (match Sparse_lu.factorise ~repair:true ~m ~complete:false square with
+  | None -> Alcotest.fail "repair mode returned None (singular)"
+  | Some r ->
+    check_one_rejected_per_group r.Sparse_lu.rejected [ [ 1; 2; 3 ] ];
+    Alcotest.(check int) "one row completed" 1 (List.length r.Sparse_lu.completed_rows);
+    check_repaired ~m square r);
+  List.iter
+    (fun complete ->
+      match Sparse_lu.factorise ~m ~complete square with
+      | None -> ()
+      | Some _ -> Alcotest.failf "singular set accepted without repair (complete=%b)" complete)
+    [ false; true ];
+  (* Empty columns are rejected too, and a healthy basis loses nothing. *)
+  (match Sparse_lu.factorise ~repair:true ~m:2 ~complete:false [| ([||], [||]); ([| 1 |], [| 1. |]) |] with
+  | Some r ->
+    Alcotest.(check (list int)) "empty column rejected" [ 0 ] r.Sparse_lu.rejected;
+    Alcotest.(check (list int)) "its row completed" [ 0 ] r.Sparse_lu.completed_rows
+  | None -> Alcotest.fail "repair mode returned None (empty column)");
+  match Sparse_lu.factorise ~repair:true ~m ~complete:false base with
+  | Some r -> Alcotest.(check (list int)) "healthy basis intact" [] r.Sparse_lu.rejected
+  | None -> Alcotest.fail "repair mode returned None (healthy)"
 
 (* Degenerate shapes: duplicated rows, zero right-hand sides and parallel
    constraints produce heavily degenerate bases; the LU-backed revised
@@ -724,10 +823,12 @@ let test_warm_survives_refactor () =
   | _ -> Alcotest.fail "warm solve not optimal"
 
 (* Two models with the same variable count whose presolve reductions keep
-   the same NUMBER of rows but a different row set: the basis recorded
-   against one must be dropped (shape stamp mismatch), not applied to the
-   other's slack layout. *)
-let test_warm_presolve_shape_mismatch () =
+   the same NUMBER of rows but a different row set. A basis is never reused
+   by position across a different row set: the warm start maps A's basis
+   onto B's columns by key, so B's kept row (its original row 1) must not
+   inherit the status of A's kept row (original row 0), although both
+   slacks sit at the same column position. *)
+let test_warm_presolve_row_set_remap () =
   let build_a () =
     (* Row 0 kept, row 1 a singleton absorbed into bounds. *)
     let m = Model.create () in
@@ -754,31 +855,59 @@ let test_warm_presolve_shape_mismatch () =
     | Model.Optimal s -> Option.get (Model.solution_basis s)
     | _ -> Alcotest.fail "model A not optimal"
   in
-  (* Same-shaped re-solve accepts the stamped basis... *)
+  (* Same-shaped re-solve takes the basis as it is... *)
   (match Model.solve ~backend:`Revised ~presolve:true ~warm_start:basis (build_a ()) with
   | Model.Optimal s ->
-    Alcotest.(check bool) "same shape accepted" true
-      (Model.solution_stats s).Problem.warm_started
+    let st = Model.solution_stats s in
+    Alcotest.(check bool) "same shape accepted" true st.Problem.warm_started;
+    Alcotest.(check bool) "same shape not remapped" false st.Problem.warm_remapped
   | _ -> Alcotest.fail "re-solve of A not optimal");
-  (* ...and the different reduction rejects it with a recorded reason. *)
+  (* ...and the different reduction gets it mapped by key. *)
   match Model.solve ~backend:`Revised ~presolve:true ~warm_start:basis (build_b ()) with
   | Model.Optimal s ->
     (* B's optimum: x0 = 3 (singleton bound), x1 = 7 (row keeps x0+x1 <= 10),
        objective 2*3 + 7 = 13. *)
     check_float "objective" 13. (Model.objective_value s);
     let st = Model.solution_stats s in
-    Alcotest.(check bool) "warm basis dropped" false st.Problem.warm_started;
-    Alcotest.(check bool) "restart recorded" true (st.Problem.restarts >= 1);
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
-    let mentions_mismatch = contains st.Problem.status_reason "mismatch" in
-    Alcotest.(check bool)
-      (Printf.sprintf "status_reason mentions mismatch (got %S)" st.Problem.status_reason)
-      true mentions_mismatch
+    Alcotest.(check bool) "warm started" true st.Problem.warm_started;
+    Alcotest.(check bool) "remapped" true st.Problem.warm_remapped;
+    (* Column 2 is the one slack: A's row 0, B's row 1. *)
+    let keys_b = (Option.get (Model.solution_basis s)).Problem.keys in
+    Alcotest.(check bool) "kept rows keyed apart" true
+      (basis.Problem.keys.(2) <> keys_b.(2));
+    let start, _ = Problem.remap_basis basis ~nstruct:2 ~keys:keys_b in
+    Alcotest.(check bool) "A's row-0 slack is nonbasic" true
+      (basis.Problem.statuses.(2) <> Problem.Bs_basic);
+    Alcotest.(check bool) "B's row 1 starts with a basic slack" true
+      (start.Problem.statuses.(2) = Problem.Bs_basic)
   | _ -> Alcotest.fail "model B not optimal"
+
+(* Keys must never collide across kinds or scopes: a variable and a row
+   ordinal 0 of the root and of child scope 0 (the case a naive mixer maps
+   to one key), nested scopes, and a scope re-entered after siblings. *)
+let test_keys_distinct () =
+  let m = Model.create () in
+  let v () = Model.add_var ~ub:1. m in
+  let row xs = Model.le m (Expr.sum (List.map Expr.var xs)) (Expr.const 1.) in
+  let x0 = v () and x1 = v () in
+  row [ x0 ];
+  row [ x1 ];
+  Model.scope m 0 (fun () ->
+      let y0 = v () in
+      row [ y0; x0 ];
+      Model.scope m 0 (fun () -> row [ v (); x1 ]));
+  Model.scope m 1 (fun () -> row [ v (); v () ]);
+  let z = v () in
+  row [ z; x0 ];
+  Model.maximize m (Expr.sum (List.init (Model.num_vars m) Expr.var));
+  match Model.solve ~backend:`Revised ~presolve:false m with
+  | Model.Optimal s ->
+    let keys = (Option.get (Model.solution_basis s)).Problem.keys in
+    Alcotest.(check int) "one key per column" (Model.num_vars m + Model.num_constraints m)
+      (Array.length keys);
+    Alcotest.(check int) "all keys distinct" (Array.length keys)
+      (List.length (List.sort_uniq compare (Array.to_list keys)))
+  | _ -> Alcotest.fail "not optimal"
 
 (* Regression: a column whose explicit-zero values are all filtered out has
    [len = 0] after ingestion; [factorise] must report the basis singular
@@ -999,6 +1128,7 @@ let () =
           case "rank completion" test_sparse_lu_rank_completion;
           case "rejects singular bases" test_sparse_lu_rejects_singular;
           case "zero-length columns" test_sparse_lu_zero_length_column;
+          case "repair skips dependent columns" test_sparse_lu_repair;
         ] );
       ( "fuzz-regressions",
         [
@@ -1013,7 +1143,8 @@ let () =
           case "basis reuse cuts iterations" test_warm_cuts_iterations;
           case "dimension mismatch falls back" test_warm_dimension_mismatch;
           case "warm survives LU refactorisation" test_warm_survives_refactor;
-          case "presolve row-set change drops basis" test_warm_presolve_shape_mismatch;
+          case "row-set change remaps by key" test_warm_presolve_row_set_remap;
+          case "keys distinct across kinds and scopes" test_keys_distinct;
         ] );
       ("printers", [ case "names and formatters" test_printers ]);
     ]
