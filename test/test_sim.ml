@@ -437,6 +437,81 @@ let test_engine_deterministic () =
     (List.map Sim.Interval_sim.total_lost a)
     (List.map Sim.Interval_sim.total_lost b)
 
+(* Seeded identity of the whole interval pipeline: three arms on a 6-site
+   L-Net under FFC (1,1), whose `--stats-json` streams are pinned by MD5.
+   Arms 1 and 2 drive constant demands through lossy, delayed sensing with
+   a dead-band estimator, a forced crash at interval 3 (500 s: two
+   intervals down) and a forced fibre cut every 4th interval, recovering
+   from the journal and cold respectively; arm 3 pushes with one attempt
+   per switch at a coin-flip failure rate, so more switches go stale than
+   kc covers. Between them the streams reach every branch of an interval:
+   controller down, dead-band skip, journaled and cold recovery, an
+   escalated step and a beyond-budget kc verdict. Any refactor of the
+   simulator must leave these bytes unchanged. *)
+let pinned_arm ~recovery ~sensing ~retry ~update_model ~scale =
+  let sc = Sim.Scenario.lnet_sim ~sites:6 (Rng.create 31) in
+  let input = sc.Sim.Scenario.input in
+  let topo = input.Te_types.topo in
+  let intervals = 12 in
+  let demand_series = Array.make intervals (Sim.Scenario.scaled sc scale).Te_types.demands in
+  let ffc _ =
+    Ffc.config ~protection:(Te_types.protection ~kc:1 ~ke:1 ()) ~encoding:`Duality ()
+  in
+  let telemetry, estimator, outage =
+    if sensing then
+      ( Some (Sim.Telemetry.config ~loss:0.25 ~delay:1 ()),
+        Some (Estimator.config ~alpha:1. ~peak_decay:0. ~headroom:0. ~dead_band:0.05 ()),
+        Some (Sim.Interval_sim.controller_outage ~forced_crashes:[ (3, 500.) ] recovery) )
+    else (None, None, None)
+  in
+  let base =
+    Sim.Interval_sim.default_config ~retry ?telemetry ?estimator ?outage
+      ~mode:(Sim.Interval_sim.Proactive ffc) ~update_model Sim.Fault_model.none
+  in
+  let forced rng idx =
+    if idx mod 4 = 0 then Sim.Fault_model.forced_link_failures rng ~interval_s:300. topo 1
+    else []
+  in
+  let cfg = { base with Sim.Interval_sim.forced_faults = Some forced } in
+  Sim.Interval_sim.run ~rng:(Rng.create 32) cfg input ~demand_series
+
+let stream_digest stats =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.map Sim.Interval_sim.stats_json_line stats)))
+
+let test_engine_pinned_streams () =
+  let realistic = Sim.Update_model.realistic () in
+  let sensed recovery =
+    pinned_arm ~recovery ~sensing:true ~retry:Sim.Southbound.default_retry
+      ~update_model:realistic ~scale:0.3
+  in
+  let journaled = sensed Sim.Interval_sim.Journaled_restart in
+  let cold = sensed Sim.Interval_sim.Cold_restart in
+  let single =
+    pinned_arm ~recovery:Sim.Interval_sim.Cold_restart ~sensing:false
+      ~retry:(Sim.Southbound.retry_policy ~max_attempts:1 ())
+      ~update_model:{ realistic with Sim.Update_model.config_fail_prob = 0.5 }
+      ~scale:0.6
+  in
+  let all = journaled @ cold @ single in
+  let has what p = Alcotest.(check bool) what true (List.exists p all) in
+  let open Sim.Interval_sim in
+  has "controller down" (fun s -> s.controller_down);
+  has "dead-band skip" (fun s -> s.solve_skipped);
+  has "journaled recovery" (fun s -> s.recovered_from_journal);
+  has "cold recovery" (fun s -> s.recovery_interval && not s.recovered_from_journal);
+  has "escalated step" (fun s -> s.escalated);
+  has "beyond-budget verdict" (fun s ->
+      match s.kc_verdict with Sim.Southbound.Beyond_budget _ -> true | _ -> false);
+  Alcotest.(check (list string))
+    "stream digests"
+    [
+      "1a98d8f5f69167917e53d0e56a355e3d";
+      "40bdf41c6889c17ea4dff9b7c330add1";
+      "e3909e171cf2bcf632272d382a5b110d";
+    ]
+    [ stream_digest journaled; stream_digest cold; stream_digest single ]
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sim"
@@ -482,5 +557,6 @@ let () =
           case "loss accounting (hand-computed)" test_engine_loss_accounting;
           case "FFC loses only the detection burst" test_engine_ffc_loss_is_burst_only;
           case "deterministic" test_engine_deterministic;
+          case "pinned interval streams" test_engine_pinned_streams;
         ] );
     ]
