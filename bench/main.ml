@@ -143,7 +143,7 @@ let figure1b () =
             let rates =
               Rescale.rescale input_t alloc
                 ~stuck:(fun v -> List.mem v stuck)
-                ~old_alloc:!prev
+                ~old_alloc_of:(fun _ -> !prev)
                 ~failed_links:(fun _ -> false)
                 ~failed_switches:(fun _ -> false)
                 ()

@@ -77,7 +77,9 @@ let data_plane_example () =
   show_flows input ffc;
   (match Enumerate.verify_data_plane input ffc ~ke:1 ~kv:0 with
   | Ok () -> Printf.printf "Figure 4(b): verified congestion-free under every single link failure\n"
-  | Error e -> Printf.printf "verification failed: %s\n" e);
+  | Error e ->
+    Printf.eprintf "verification failed: %s\n" e;
+    exit 1);
   Printf.printf "\n"
 
 (* ---------------- Figure 3 / Figure 5 ---------------- *)
@@ -116,13 +118,17 @@ let control_plane_example () =
         (match kc with 0 -> "3(b)" | 1 -> "5(b)" | _ -> "5(a)");
       (match Enumerate.verify_control_plane input ~old_alloc ~new_alloc:r.Ffc.alloc ~kc with
       | Ok () -> Printf.printf "  verified safe with up to %d stuck switches\n" kc
-      | Error e -> Printf.printf "  verification failed: %s\n" e))
+      | Error e ->
+        Printf.eprintf "  verification failed: %s\n" e;
+        exit 1))
     [ 0; 1; 2 ];
   (* Figure 3(c): what happens if s2 is stuck while the full 10 units start. *)
   let config = Ffc.config ~protection:Te_types.no_protection () in
   let aggressive = (Result.get_ok (Ffc.solve ~config ~prev:old_alloc input)).Ffc.alloc in
   match Enumerate.verify_control_plane input ~old_alloc ~new_alloc:aggressive ~kc:1 with
-  | Ok () -> Printf.printf "unexpected: aggressive update was robust\n"
+  | Ok () ->
+    Printf.eprintf "unexpected: aggressive update was robust\n";
+    exit 1
   | Error e -> Printf.printf "Figure 3(c): without FFC, one stuck switch congests: %s\n" e
 
 let () =

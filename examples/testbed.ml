@@ -114,4 +114,6 @@ let () =
   timeline "non-FFC (Figure 10), Figures 11(b,c)" non_ffc true;
   match Enumerate.verify_data_plane input ffc ~ke:1 ~kv:0 with
   | Ok () -> Printf.printf "FFC allocation verified congestion-free under every single link failure\n"
-  | Error e -> Printf.printf "FFC verification failed: %s\n" e
+  | Error e ->
+    Printf.eprintf "FFC verification failed: %s\n" e;
+    exit 1

@@ -739,7 +739,7 @@ let sim_snippet (s : sim) =
   in
   let mem a x = Array.exists (fun y -> y = x) a in
   let rates =
-    Rescale.rescale input alloc ~stuck:(mem stuck) ~old_alloc
+    Rescale.rescale input alloc ~stuck:(mem stuck) ~old_alloc_of:(fun _ -> old_alloc)
       ~failed_links:(mem failed_links) ~failed_switches:(mem failed_switches) ()
   in
   List.iter

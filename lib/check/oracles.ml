@@ -537,7 +537,8 @@ let sim_test (s : Gen.sim) =
         | Error _ -> Te_types.zero_allocation input
     in
     let rates =
-      Rescale.rescale input alloc ~stuck:(mem s.Gen.stuck) ~old_alloc
+      Rescale.rescale input alloc ~stuck:(mem s.Gen.stuck)
+        ~old_alloc_of:(fun _ -> old_alloc)
         ~failed_links:(mem s.Gen.failed_links)
         ~failed_switches:(mem s.Gen.failed_switches) ()
     in

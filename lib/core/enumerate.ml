@@ -170,19 +170,21 @@ let solve ?(backend = `Revised) ?(rl_mode = Ffc.Rl_assumed_reliable)
 
 let tol = 1e-6
 
-let check_loads (input : Te_types.input) loads ~context =
-  let bad = ref None in
-  Array.iter
+let first_overloaded ?(skip = fun _ -> false) (input : Te_types.input) loads =
+  Array.find_opt
     (fun (l : Topology.link) ->
-      if !bad = None && loads.(l.Topology.id) > l.Topology.capacity +. tol then
-        bad :=
-          Some
-            (Printf.sprintf "%s: link %s->%s overloaded: %.6f > %.6f" context
-               (Topology.switch_name input.Te_types.topo l.Topology.src)
-               (Topology.switch_name input.Te_types.topo l.Topology.dst)
-               loads.(l.Topology.id) l.Topology.capacity))
-    (Topology.links input.Te_types.topo);
-  match !bad with None -> Ok () | Some msg -> Error msg
+      (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol)
+    (Topology.links input.Te_types.topo)
+
+let check_loads (input : Te_types.input) loads ~context =
+  match first_overloaded input loads with
+  | None -> Ok ()
+  | Some l ->
+    Error
+      (Printf.sprintf "%s: link %s->%s overloaded: %.6f > %.6f" context
+         (Topology.switch_name input.Te_types.topo l.Topology.src)
+         (Topology.switch_name input.Te_types.topo l.Topology.dst)
+         loads.(l.Topology.id) l.Topology.capacity)
 
 let rescaled_loads (input : Te_types.input) (alloc : Te_types.allocation) ~failed_links
     ~failed_switches =
@@ -233,6 +235,9 @@ let data_fault_universe (input : Te_types.input) =
   in
   (all_links, Topology.switches input.Te_types.topo)
 
+let control_fault_universe (input : Te_types.input) =
+  List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
+
 let verify_data_plane (input : Te_types.input) alloc ~ke ~kv =
   let all_links, all_switches = data_fault_universe input in
   let link_cases = subsets_upto all_links ke in
@@ -251,51 +256,23 @@ let verify_data_plane (input : Te_types.input) alloc ~ke ~kv =
    [a_{f,t}] (which dominate any split of b_f they may install). *)
 let stuck_loads (input : Te_types.input) ~(old_alloc : Te_types.allocation)
     ~(new_alloc : Te_types.allocation) ~stuck =
-  let loads = Array.make (Topology.num_links input.Te_types.topo) 0. in
-  List.iter
-    (fun (f : Flow.t) ->
+  Te_types.loads_with input (fun (f : Flow.t) ->
       let id = f.Flow.id in
-      let rates =
-        if List.mem f.Flow.src stuck then begin
-          let w' = Te_types.weights old_alloc id in
-          Array.map (fun w -> w *. new_alloc.Te_types.bf.(id)) w'
-        end
-        else new_alloc.Te_types.af.(id)
-      in
-      List.iteri
-        (fun ti (t : Tunnel.t) ->
-          let r = rates.(ti) in
-          if r > 0. then
-            List.iter
-              (fun (l : Topology.link) -> loads.(l.Topology.id) <- loads.(l.Topology.id) +. r)
-              t.Tunnel.links)
-        f.Flow.tunnels)
-    input.Te_types.flows;
-  loads
+      if List.mem f.Flow.src stuck then
+        Array.map (fun w -> w *. new_alloc.Te_types.bf.(id)) (Te_types.weights old_alloc id)
+      else new_alloc.Te_types.af.(id))
 
 let verify_combined (input : Te_types.input) ~old_alloc ~new_alloc
     ~(protection : Te_types.protection) =
-  let ingresses =
-    List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
-  in
-  let all_links =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (f : Flow.t) ->
-           List.concat_map
-             (fun (t : Tunnel.t) ->
-               List.map (fun (l : Topology.link) -> l.Topology.id) t.Tunnel.links)
-             f.Flow.tunnels)
-         input.Te_types.flows)
-  in
-  let stuck_cases = subsets_upto ingresses protection.Te_types.kc in
+  let all_links, all_switches = data_fault_universe input in
+  let stuck_cases = subsets_upto (control_fault_universe input) protection.Te_types.kc in
   let link_cases = subsets_upto all_links protection.Te_types.ke in
-  let switch_cases = subsets_upto (Topology.switches input.Te_types.topo) protection.Te_types.kv in
+  let switch_cases = subsets_upto all_switches protection.Te_types.kv in
   let check stuck fl fs =
     let rates =
       Rescale.rescale input new_alloc
         ~stuck:(fun v -> List.mem v stuck)
-        ~old_alloc
+        ~old_alloc_of:(fun _ -> old_alloc)
         ~failed_links:(fun l -> List.mem l fl)
         ~failed_switches:(fun v -> List.mem v fs)
         ()
@@ -327,9 +304,6 @@ let check_control_case (input : Te_types.input) ~old_alloc ~new_alloc ~stuck =
     Printf.sprintf "stuck=[%s]" (String.concat "," (List.map string_of_int stuck))
   in
   check_loads input loads ~context
-
-let control_fault_universe (input : Te_types.input) =
-  List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
 
 let verify_control_plane (input : Te_types.input) ~old_alloc ~new_alloc ~kc =
   let rec check_cases = function

@@ -41,6 +41,24 @@ val data_fault_universe : Te_types.input -> int list * Ffc_net.Topology.switch l
 val control_fault_universe : Te_types.input -> Ffc_net.Topology.switch list
 (** The ingress switches the control-plane verifier enumerates over. *)
 
+val stuck_loads :
+  Te_types.input ->
+  old_alloc:Te_types.allocation ->
+  new_alloc:Te_types.allocation ->
+  stuck:Ffc_net.Topology.switch list ->
+  float array
+(** Per-link loads of one control-plane fault case, the model of Eqn 5:
+    flows at [stuck] ingresses split the new rate [b_f] by [old_alloc]'s
+    weights (host rate limiters update even when switches do not); all
+    others are charged their planned upper bounds [a_{f,t}], which
+    dominate any split of [b_f] they may install. *)
+
+val first_overloaded :
+  ?skip:(int -> bool) -> Te_types.input -> float array -> Ffc_net.Topology.link option
+(** The first link, in id order, whose load exceeds its capacity by more
+    than the verifiers' 1e-6 tolerance, ignoring links whose id [skip]
+    marks (default none): the scan behind every verdict in this module. *)
+
 val check_data_case :
   Te_types.input ->
   Te_types.allocation ->

@@ -3,7 +3,7 @@ open Ffc_net
 type rates = { tunnel_rates : float array array; undeliverable : float array }
 
 let rescale (input : Te_types.input) (alloc : Te_types.allocation)
-    ?(stuck = fun _ -> false) ?old_alloc ?old_alloc_of ~failed_links ~failed_switches () =
+    ?(stuck = fun _ -> false) ?old_alloc_of ~failed_links ~failed_switches () =
   let n = Array.length input.Te_types.demands in
   let tunnel_rates = Array.make n [||] in
   let undeliverable = Array.make n 0. in
@@ -19,14 +19,9 @@ let rescale (input : Te_types.input) (alloc : Te_types.allocation)
         else begin
           let weights =
             if stuck f.Flow.src then
-              (* Multi-epoch staleness: a per-switch lookup (the southbound
-                 engine's installed view) wins over the single shared
-                 old allocation. *)
-              match (old_alloc_of, old_alloc) with
-              | Some of_switch, _ -> Te_types.weights (of_switch f.Flow.src) id
-              | None, Some old -> Te_types.weights old id
-              | None, None ->
-                invalid_arg "Rescale.rescale: stuck ingress requires old_alloc"
+              match old_alloc_of with
+              | Some of_switch -> Te_types.weights (of_switch f.Flow.src) id
+              | None -> invalid_arg "Rescale.rescale: stuck ingress requires old_alloc_of"
             else Te_types.weights alloc id
           in
           let alive =
@@ -52,20 +47,7 @@ let rescale (input : Te_types.input) (alloc : Te_types.allocation)
   { tunnel_rates; undeliverable }
 
 let loads (input : Te_types.input) tunnel_rates =
-  let out = Array.make (Topology.num_links input.Te_types.topo) 0. in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      List.iteri
-        (fun ti (t : Tunnel.t) ->
-          let r = tunnel_rates.(id).(ti) in
-          if r > 0. then
-            List.iter
-              (fun (l : Topology.link) -> out.(l.Topology.id) <- out.(l.Topology.id) +. r)
-              t.Tunnel.links)
-        f.Flow.tunnels)
-    input.Te_types.flows;
-  out
+  Te_types.loads_with input (fun f -> tunnel_rates.(f.Flow.id))
 
 let overflow (input : Te_types.input) link_loads =
   Array.fold_left

@@ -16,7 +16,6 @@ val rescale :
   Te_types.input ->
   Te_types.allocation ->
   ?stuck:(Topology.switch -> bool) ->
-  ?old_alloc:Te_types.allocation ->
   ?old_alloc_of:(Topology.switch -> Te_types.allocation) ->
   failed_links:(int -> bool) ->
   failed_switches:(Topology.switch -> bool) ->
@@ -24,10 +23,11 @@ val rescale :
   rates
 (** Traffic actually emitted per tunnel: each flow sends [b_f] split over
     its residual tunnels proportionally to its installed weights. Installed
-    weights are the new allocation's, except at [stuck] ingresses where the
-    [old_alloc]'s weights apply (both default to "none"); when a stale
-    ingress may lag more than one configuration epoch, [old_alloc_of] gives
-    the per-switch installed allocation and takes precedence. Flows whose
+    weights are the new allocation's, except at [stuck] ingresses (default
+    none), where [old_alloc_of v] gives the allocation switch [v] still
+    runs: per switch when stale ingresses may lag different numbers of
+    configuration epochs, [fun _ -> old] for one shared old allocation. A
+    stuck ingress without [old_alloc_of] is an [Invalid_argument]. Flows whose
     ingress/egress switch failed send nothing (counted undeliverable, since
     the source is gone this is excluded from loss accounting by callers that
     follow the paper). *)

@@ -27,6 +27,13 @@ val weights : allocation -> int -> float array
 val throughput : allocation -> float
 (** [sum_f b_f]. *)
 
+val loads_with : input -> (Flow.t -> float array) -> float array
+(** [loads_with input rates] is the load per link id when each flow sends
+    [rates f] on its tunnels (indexed by tunnel position): the one
+    flow -> tunnel -> link accumulation behind every load model here.
+    Flows are visited in [input.flows] order and non-positive rates are
+    skipped, so callers agree bit for bit. *)
+
 val link_loads : input -> allocation -> float array
 (** Load per link id implied by the tunnel allocations [a_{f,t}] (the
     planned worst-case load, not the traffic-split load). *)

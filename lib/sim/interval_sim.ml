@@ -236,40 +236,61 @@ let controller_config cfg seed =
     ~audit_budget:cfg.audit_budget ~audit_seed:seed mode
 
 (* Reaction latency of the corrective mid-interval update: each ingress runs
-   its own retry timeline mirroring the southbound push (failures detected
-   immediately, then backoff; stragglers abandoned at the per-attempt
-   timeout), and the correction is effective once the slowest ingress lands.
-   An ingress that exhausts its attempts without landing pins the completion
-   at the interval end — the next interval's re-plan supersedes it — never at
-   infinity (the previous model returned [infinity] whenever any single
-   attempt failed, as if one dropped RPC cancelled the whole correction for
-   the rest of the interval). *)
+   the southbound engine's retry timeline on the update stream (without the
+   engine's outage process), and the correction is effective once the
+   slowest ingress lands. An ingress that never lands inside the interval
+   pins the completion at the interval end — the next interval's re-plan
+   supersedes it. *)
 let reaction_delay rng cfg n_switches =
-  let p = cfg.retry in
   let worst = ref 0. in
   for _ = 1 to max 1 n_switches do
-    let tl = ref 0. in
-    let attempt = ref 0 in
-    let landed = ref None in
-    while
-      !landed = None
-      && !attempt < p.Southbound.max_attempts
-      && !tl < cfg.interval_s
-    do
-      incr attempt;
-      match Update_model.attempt_update rng cfg.update_model with
-      | Update_model.Failed ->
-        tl := !tl +. Southbound.backoff_delay p rng ~attempt:!attempt
-      | Update_model.Completed d when d > p.Southbound.attempt_timeout_s ->
-        tl :=
-          !tl +. p.Southbound.attempt_timeout_s
-          +. Southbound.backoff_delay p rng ~attempt:!attempt
-      | Update_model.Completed d -> landed := Some (!tl +. d)
-    done;
-    let finish = match !landed with Some t -> t | None -> cfg.interval_s in
-    worst := max !worst finish
+    let tl =
+      Southbound.retry_timeline cfg.retry rng ~interval_s:cfg.interval_s (fun ~at_s:_ ->
+          Update_model.attempt_update rng cfg.update_model)
+    in
+    worst := max !worst (Option.value tl.Southbound.landed_at ~default:cfg.interval_s)
   done;
   cfg.compute_s +. !worst
+
+(* How an interval got its target: the one thing intervals differ in. *)
+type source =
+  | Coast  (** the controller is down: the network coasts, nobody reacts *)
+  | Reuse of Controller.step
+      (** dead-band skip: the last solve's target stays installed *)
+  | Solve of Controller.step
+
+(* An interval's target and what became of it at the interval edge.
+   Everything after — the kc check, journal, faults, play, verdicts and
+   accounting — is one tail shared by every source. *)
+type plan = {
+  source : source;
+  target : Te_types.allocation;  (** what the network is told to run *)
+  kc : int;  (** the effective kc [target] is asserted at *)
+  edge : int * int;  (** the (ke, kv) protection [target] was delivered at *)
+  report : Southbound.report;  (** the push, or the standing state if none *)
+}
+
+(* The simulator's state between intervals. *)
+type state = {
+  mutable ctrl : Controller.t;
+  mutable engine : Southbound.t;
+      (** the per-switch installed state (epochs, outages) *)
+  mutable enforced_bf : float array;
+      (** per-flow rates the host rate limiters enforce (they always
+          update, even when a switch's splits do not — §2.2) *)
+  backlog : float array;  (** unsatisfied demand carried to the next interval *)
+  mutable down_until : float;  (** absolute time the controller is down until *)
+  mutable was_down : bool;
+  mutable journal : (string * string) option;
+      (** controller and southbound snapshots after the last completed
+          step+push *)
+  mutable last_kc : int;
+      (** effective kc of the standing target: the level the coasting
+          network's configuration was last verified at *)
+  mutable last_solve : (float array * Controller.step) option;
+      (** the planning view and step of the last actual solve, which a
+          dead-band skip reuses *)
+}
 
 let run ~rng cfg (input : Te_types.input) ~demand_series =
   (* Independent sub-streams so that the injected fault sequence is
@@ -288,6 +309,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
   let telemetry_rng = Rng.split rng in
   let nflows = Array.length input.Te_types.demands in
   let nclasses = Loss.num_classes input in
+  let links = Topology.links input.Te_types.topo in
   let ingresses =
     (* Polymorphic [compare] is intentional here: switch ids are plain
        ints, and the float-keyed sorts elsewhere use [Float.compare]. *)
@@ -298,28 +320,20 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
   let tele = Telemetry.create (Option.value cfg.telemetry ~default:Telemetry.neutral) in
   let est_cfg = Option.value cfg.estimator ~default:Estimator.passthrough in
   let est = Estimator.create est_cfg ~nflows in
-  (* Hysteresis state: the planning view and solution of the last actual
-     solve, for the dead-band skip. *)
-  let last_view = ref None in
-  let last_solved = ref None in
-  let backlog = Array.make nflows 0. in
   let ccfg = controller_config cfg (Rng.int audit_rng 0x3FFFFFFF) in
-  let ctrl = ref (Controller.create ccfg) in
-  (* The southbound engine replaces the old fire-and-forget push: it owns
-     the per-switch installed state (epochs, outages) across intervals. *)
-  let engine = ref (Southbound.create ~retry:cfg.retry cfg.update_model input) in
-  (* Per-flow sending rates the host rate limiters currently enforce (they
-     always update, even when a switch's splits do not — §2.2). *)
-  let enforced_bf = ref (Array.make nflows 0.) in
-  (* Controller availability: absolute time until which the controller is
-     down, the journal captured after the last completed step+push, and the
-     effective kc of that step (the level the coasting network's standing
-     configuration was last verified at). *)
-  let down_until = ref neg_infinity in
-  let was_down = ref false in
-  let journal = ref None in
-  let last_kc = ref 0 in
-  let results = ref [] in
+  let st =
+    {
+      ctrl = Controller.create ccfg;
+      engine = Southbound.create ~retry:cfg.retry cfg.update_model input;
+      enforced_bf = Array.make nflows 0.;
+      backlog = Array.make nflows 0.;
+      down_until = neg_infinity;
+      was_down = false;
+      journal = None;
+      last_kc = 0;
+      last_solve = None;
+    }
+  in
   (* Play one interval's fault timeline against fixed [target] splits.
      [react = None] means the controller is down: faults still blackhole and
      ingresses still rescale locally (data-plane mechanisms), but no
@@ -331,7 +345,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let is_failed_switch v = Hashtbl.mem failed_switches v in
     let current_rates () =
       Rescale.rescale input_t target ~stuck:stuck_set
-        ~old_alloc_of:(Southbound.running !engine)
+        ~old_alloc_of:(Southbound.running st.engine)
         ~failed_links:is_failed_link ~failed_switches:is_failed_switch ()
     in
     let lost_congestion = Array.make nclasses 0. in
@@ -530,446 +544,294 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           lost_blackhole_gb = lost_blackhole.(cls);
         })
   in
-  Array.iteri
-    (fun interval_idx base_demands ->
-      Obs.with_span "interval" @@ fun () ->
-      let t_start = float_of_int interval_idx *. cfg.interval_s in
-      (* Crash process: a forced crash for this interval takes precedence
-         (and consumes no randomness, so bench arms can impose identical
-         crash timing); otherwise an up controller crashes with the
-         configured per-interval probability, for a lognormal downtime.
-         Crashes land at the interval edge — any positive downtime takes
-         out at least the current interval's step. *)
-      (match cfg.outage with
-      | None -> ()
-      | Some om ->
-        if t_start +. 1e-9 >= !down_until then begin
-          let downtime =
-            match List.assoc_opt interval_idx om.forced_crashes with
-            | Some d -> Some d
-            | None ->
-              if om.crash_per_interval > 0. && Rng.bernoulli chaos_rng om.crash_per_interval
-              then
-                Some
-                  (Rng.lognormal chaos_rng ~mu:(log om.downtime_median_s)
-                     ~sigma:om.downtime_sigma)
-              else None
-          in
-          match downtime with
-          | Some d -> down_until := t_start +. d
-          | None -> ()
-        end);
-      let down = t_start +. 1e-9 < !down_until in
-      let recovery = (not down) && !was_down in
-      (* Restart: a journaled controller resumes from the snapshot taken
-         after its last completed step+push (the engine state is replayed
-         through the serialization path end-to-end, then ticked through the
-         coasted intervals — legitimate, since nothing but the clock moved
-         while the controller was down). A cold restart keeps the real
-         network state (switches do not forget their configs when the
-         controller dies) but boots a blind controller. *)
-      let recovered = ref false in
-      if recovery then begin
-        match (cfg.outage, !journal) with
-        | Some { recovery = Journaled_restart; _ }, Some (cs, es) ->
-          (* A restore mismatch used to die as a bare invalid_arg: now it
-             is also a machine-readable Error event carrying the decoder's
-             complaint, so post-mortems can see which snapshot failed. *)
-          let c =
-            match Controller.restore ccfg cs with
-            | Ok c -> c
-            | Error m ->
-              Obs.event ~level:Obs.Error "interval.journal_restore_mismatch"
-                [ ("component", Obs.Str "controller"); ("interval", Obs.Int interval_idx);
-                  ("reason", Obs.Str m) ];
-              invalid_arg ("Interval_sim: controller journal: " ^ m)
-          in
-          let e =
-            match Southbound.restore ~retry:cfg.retry cfg.update_model input es with
-            | Ok e -> e
-            | Error m ->
-              Obs.event ~level:Obs.Error "interval.journal_restore_mismatch"
-                [ ("component", Obs.Str "southbound"); ("interval", Obs.Int interval_idx);
-                  ("reason", Obs.Str m) ];
-              invalid_arg ("Interval_sim: southbound journal: " ^ m)
-          in
-          while Southbound.now_s e +. 1e-9 < t_start do
-            Southbound.tick e ~interval_s:cfg.interval_s
-          done;
-          ctrl := c;
-          engine := e;
-          recovered := true;
-          Obs.event ~level:Obs.Debug "interval.journal_restored"
-            [ ("interval", Obs.Int interval_idx) ]
-        | _ ->
-          (* Cold restart — or a crash before the first snapshot existed. *)
-          ctrl := Controller.create ccfg;
-          Obs.event ~level:Obs.Debug "interval.cold_restart"
-            [ ("interval", Obs.Int interval_idx) ]
-      end;
-      let demands =
-        Array.init nflows (fun f -> base_demands.(f) +. (backlog.(f) /. cfg.interval_s))
+  (* Crash process: a forced crash for this interval takes precedence (and
+     consumes no randomness, so bench arms can impose identical crash
+     timing); otherwise an up controller crashes with the configured
+     per-interval probability, for a lognormal downtime. Crashes land at
+     the interval edge — any positive downtime takes out at least the
+     current interval's step. *)
+  let crash interval_idx t_start =
+    match cfg.outage with
+    | Some om when t_start +. 1e-9 >= st.down_until -> (
+      let downtime =
+        match List.assoc_opt interval_idx om.forced_crashes with
+        | Some d -> Some d
+        | None ->
+          if om.crash_per_interval > 0. && Rng.bernoulli chaos_rng om.crash_per_interval then
+            Some
+              (Rng.lognormal chaos_rng ~mu:(log om.downtime_median_s)
+                 ~sigma:om.downtime_sigma)
+          else None
       in
-      let input_t = { input with Te_types.demands } in
-      (* What the network actually imposes right now, and which links were
-         already overloaded before any new target (those get unprotected
-         moves from the formulation, §4.5, so the live checker skips exactly
-         those). Always computed from the real engine — even a blind
-         controller is judged against the network's true state. *)
-      let real_prev = Southbound.imposed_mix !engine input_t ~rates:!enforced_bf in
-      let prev_loads = Te_types.link_loads input_t real_prev in
-      let grandfathered =
-        let links = Topology.links input.Te_types.topo in
-        fun lid -> prev_loads.(lid) > (links.(lid)).Topology.capacity +. 1e-6
+      match downtime with Some d -> st.down_until <- t_start +. d | None -> ())
+    | _ -> ()
+  in
+  (* Restart: a journaled controller resumes from the snapshot taken after
+     its last completed step+push (the engine state is replayed through the
+     serialization path end-to-end, then ticked through the coasted
+     intervals — legitimate, since nothing but the clock moved while the
+     controller was down). A cold restart keeps the real network state
+     (switches do not forget their configs when the controller dies) but
+     boots a blind controller. Returns whether the journal was used. *)
+  let restart interval_idx t_start =
+    match (cfg.outage, st.journal) with
+    | Some { recovery = Journaled_restart; _ }, Some (cs, es) ->
+      (* A restore mismatch is an Error event carrying the decoder's
+         complaint, so post-mortems can see which snapshot failed. *)
+      let restored component = function
+        | Ok x -> x
+        | Error m ->
+          Obs.event ~level:Obs.Error "interval.journal_restore_mismatch"
+            [ ("component", Obs.Str component); ("interval", Obs.Int interval_idx);
+              ("reason", Obs.Str m) ];
+          invalid_arg (Printf.sprintf "Interval_sim: %s journal: %s" component m)
       in
-      if down then begin
-        (* The controller is down: no step, no push. Hosts keep enforcing
-           the last granted rates, switches keep their installed splits, and
-           the network coasts on that standing mixture while demands drift.
-           Data-plane faults still arrive (same fault stream — timelines
-           stay identical across recovery strategies) but nobody reacts. *)
-        was_down := true;
-        let coast = real_prev in
-        let kc_verdict =
-          Southbound.check_guarantee !engine ~grandfathered input_t ~target:coast
-            ~kc:!last_kc
-        in
-        let stale = Southbound.stale_switches !engine in
-        Southbound.tick !engine ~interval_s:cfg.interval_s;
-        let faults = sample_faults interval_idx in
-        let lost_congestion, lost_blackhole, max_oversub, _ =
-          play input_t ~target:coast ~stuck_set:(fun _ -> false) ~react:None faults
-        in
-        let per_class =
-          class_totals input_t ~demands
-            ~granted_of:(fun f -> !enforced_bf.(f))
-            lost_congestion lost_blackhole
-        in
-        Array.iteri
-          (fun f d -> backlog.(f) <- max 0. ((d -. !enforced_bf.(f)) *. cfg.interval_s))
-          demands;
-        let sb =
-          {
-            Southbound.epoch = Southbound.target_epoch !engine;
-            pushed = 0;
-            applied = [];
-            stale;
-            max_epoch_lag =
-              List.fold_left (fun acc v -> max acc (Southbound.epoch_lag !engine v)) 0 ingresses;
-            attempts = 0;
-            retries = 0;
-            retry_successes = 0;
-            failures = 0;
-            timeouts = 0;
-            outages_started = 0;
-          }
-        in
-        results :=
-          {
-            per_class;
-            max_oversub_pct = max_oversub;
-            control_faults = List.length stale;
-            data_faults = List.length faults;
-            reacted = false;
-            solver_fallbacks = 0;
-            rung = -1;
-            rung_label = "controller-down";
-            deadline_hits = 0;
-            stale_alloc = true;
-            audit_cases = 0;
-            audit_violations = 0;
-            ladder = [];
-            southbound = sb;
-            kc_verdict;
-            kc_checked = !last_kc;
-            escalated = false;
-            controller_down = true;
-            recovered_from_journal = false;
-            recovery_interval = false;
-            (* Nobody is listening while the controller is down: the view
-               simply freezes (no reports consumed, no suspicion raised)
-               and no ground-truth assertion is made for the coasted
-               configuration. *)
-            view_staleness = (if sensing then Estimator.staleness est else 0);
-            suspect_links = 0;
-            suspect_switches = 0;
-            estimation_err = 0.;
-            solve_skipped = false;
-            gt_data = Gt_not_asserted;
-          }
-          :: !results
-      end
-      else begin
-        was_down := false;
-        (* Staleness feedback: the controller solves against what the
-           network actually imposes (enforced rates split by installed
-           weights), and escalates kc when more ingresses are stale than
-           the configured protection covers. A cold-restarted controller is
-           blind on its recovery interval: no journal means no record of
-           the installed state, so it plans from a zero previous allocation
-           and an assumed-clean switch fleet (from the next interval the
-           push reports have re-synced its view). *)
-        let blind = recovery && not !recovered in
-        let stale_before =
-          if blind then 0 else List.length (Southbound.stale_switches !engine)
-        in
-        let mixed_prev =
-          if blind then Te_types.zero_allocation input_t else real_prev
-        in
-        (* --- the sensing round: what the controller gets to see --- *)
-        let view, suspect_links, suspect_switches, view_staleness =
-          if not sensing then (demands, 0, 0, 0)
-          else if recovery then begin
-            (* Full-view reconciliation: a recovering controller resyncs
-               against the real network before planning again — queued
-               stale news and suspicions are void, the demand view snaps
-               to an exact measurement. *)
-            Telemetry.reconcile tele;
-            Estimator.observe_exact est demands;
-            (Estimator.envelope est, 0, 0, 0)
-          end
-          else begin
-            Telemetry.begin_interval tele telemetry_rng ~interval:interval_idx
-              input.Te_types.topo;
-            Estimator.observe est (Telemetry.observe_demands tele telemetry_rng demands);
-            let sl, sv = Telemetry.suspect_counts tele in
-            (Estimator.envelope est, sl, sv, Estimator.staleness est)
-          end
-        in
-        let estimation_err =
-          if sensing then Estimator.mean_rel_error ~view ~truth:demands else 0.
-        in
-        let input_est =
-          if sensing then { input_t with Te_types.demands = view } else input_t
-        in
-        let any_grandfathered =
-          Array.exists
-            (fun (l : Topology.link) -> grandfathered l.Topology.id)
-            (Topology.links input.Te_types.topo)
-        in
-        let skip =
-          sensing && stale_before = 0 && (not recovery)
-          && Option.is_some !last_solved
-          && (match !last_view with
-             | Some lv -> Estimator.within_dead_band est_cfg ~view ~last:lv
-             | None -> false)
-        in
-        if skip then begin
-          (* Dead-band hysteresis: the estimated view barely moved since
-             the last solve, so the controller skips the re-solve and the
-             push — the standing target stays installed, the hosts re-trim
-             their limiters to the (unchanged) granted rates, and the
-             southbound engine just advances its clock. Guarantee-safe:
-             the installed allocation's fault certificates do not depend
-             on the demand values, and the kc check is re-asserted against
-             the live engine below. *)
-          let target, edge, kc_checked, l_rung = Option.get !last_solved in
-          let sent = cap_allocation input_t target in
-          enforced_bf := sent.Te_types.bf;
-          let stale = Southbound.stale_switches !engine in
-          let kc_verdict =
-            Southbound.check_guarantee !engine ~grandfathered input_t ~target
-              ~kc:kc_checked
-          in
-          last_kc := kc_checked;
-          Southbound.tick !engine ~interval_s:cfg.interval_s;
-          (match cfg.outage with
-          | Some { recovery = Journaled_restart; _ } ->
-            journal := Some (Controller.snapshot !ctrl, Southbound.snapshot !engine)
-          | _ -> ());
-          let faults = sample_faults interval_idx in
-          Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
-          (* Suspect elements are charged against the delivered protection
-             before confirmation: the reaction edge tightens, never
-             loosens. *)
-          let eke, ekv = edge in
-          let react_edge =
-            (max 0 (eke - suspect_links), max 0 (ekv - suspect_switches))
-          in
-          let stuck_set v = List.mem v stale in
-          let lost_congestion, lost_blackhole, max_oversub, reacted =
-            play input_t ~target:sent ~stuck_set ~react:(Some react_edge) faults
-          in
-          let gt_data =
-            gt_verdict_of input_t ~target ~faults ~stale ~any_grandfathered ~edge
-          in
-          let per_class =
-            class_totals input_t ~demands
-              ~granted_of:(fun f -> sent.Te_types.bf.(f))
-              lost_congestion lost_blackhole
-          in
-          Array.iteri
-            (fun f d ->
-              backlog.(f) <- max 0. ((d -. sent.Te_types.bf.(f)) *. cfg.interval_s))
-            demands;
-          let sb =
-            {
-              Southbound.epoch = Southbound.target_epoch !engine;
-              pushed = 0;
-              applied = [];
-              stale;
-              max_epoch_lag =
-                List.fold_left
-                  (fun acc v -> max acc (Southbound.epoch_lag !engine v))
-                  0 ingresses;
-              attempts = 0;
-              retries = 0;
-              retry_successes = 0;
-              failures = 0;
-              timeouts = 0;
-              outages_started = 0;
-            }
-          in
-          results :=
-            {
-              per_class;
-              max_oversub_pct = max_oversub;
-              control_faults = List.length stale;
-              data_faults = List.length faults;
-              reacted;
-              solver_fallbacks = 0;
-              rung = l_rung;
-              rung_label = "dead-band-skip";
-              deadline_hits = 0;
-              stale_alloc = false;
-              audit_cases = 0;
-              audit_violations = 0;
-              ladder = [];
-              southbound = sb;
-              kc_verdict;
-              kc_checked;
-              escalated = false;
-              controller_down = false;
-              recovered_from_journal = false;
-              recovery_interval = false;
-              view_staleness;
-              suspect_links;
-              suspect_switches;
-              estimation_err;
-              solve_skipped = true;
-              gt_data;
-            }
-            :: !results
+      let c = restored "controller" (Controller.restore ccfg cs) in
+      let e =
+        restored "southbound" (Southbound.restore ~retry:cfg.retry cfg.update_model input es)
+      in
+      while Southbound.now_s e +. 1e-9 < t_start do
+        Southbound.tick e ~interval_s:cfg.interval_s
+      done;
+      st.ctrl <- c;
+      st.engine <- e;
+      Obs.event ~level:Obs.Debug "interval.journal_restored"
+        [ ("interval", Obs.Int interval_idx) ];
+      true
+    | _ ->
+      (* Cold restart — or a crash before the first snapshot existed. *)
+      st.ctrl <- Controller.create ccfg;
+      Obs.event ~level:Obs.Debug "interval.cold_restart" [ ("interval", Obs.Int interval_idx) ];
+      false
+  in
+  (* The sensing round: the planning view, suspect link and switch counts,
+     view staleness and estimation error. A recovering controller resyncs
+     against the real network before planning again — queued stale news
+     and suspicions are void, the demand view snaps to an exact
+     measurement. *)
+  let sense interval_idx ~recovery demands =
+    if not sensing then (demands, 0, 0, 0, 0.)
+    else begin
+      let suspect_links, suspect_switches, view_staleness =
+        if recovery then begin
+          Telemetry.reconcile tele;
+          Estimator.observe_exact est demands;
+          (0, 0, 0)
         end
         else begin
-          (* The controller plans on its (possibly estimated) view; the
-             sampled guarantee auditor is pointed at ground truth, so audit
-             verdicts stay statements about the real network. *)
-          let step =
-            Controller.step !ctrl ?pool:cfg.pool ~stale:stale_before
-              ?audit_input:(if sensing then Some input_t else None)
-              input_est ~prev:mixed_prev
-          in
-          let target = step.Controller.alloc in
-          (* --- push the update through the retrying southbound engine --- *)
-          let sb =
-            Southbound.push !engine update_rng input_t ~target ~interval_s:cfg.interval_s
-          in
-          let sent = if sensing then cap_allocation input_t target else target in
-          enforced_bf := sent.Te_types.bf;
-          let stuck_set v = List.mem v sb.Southbound.stale in
-          (* Live configuration-fault guarantee check at the protection level
-             the controller actually delivered this interval. *)
-          let kc_checked = Controller.step_kc step in
-          let kc_verdict =
-            Southbound.check_guarantee !engine ~grandfathered input_t ~target ~kc:kc_checked
-          in
-          last_kc := kc_checked;
-          let edge = Controller.step_edge step in
-          if sensing then begin
-            last_view := Some (Array.copy view);
-            last_solved := Some (target, edge, kc_checked, step.Controller.rung)
-          end;
-          (* Journal the post-step state — everything a restarted controller
-             needs to resume as if it never died. Snapshots are taken every
-             interval (not lazily at crash time): a real controller cannot
-             journal after it has crashed. *)
-          (match cfg.outage with
-          | Some { recovery = Journaled_restart; _ } ->
-            journal := Some (Controller.snapshot !ctrl, Southbound.snapshot !engine)
-          | _ -> ());
-          let faults = sample_faults interval_idx in
-          if sensing then
-            Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
-          (* Reaction rule uses the protection the controller actually
-             delivered this interval (a degraded rung weakens the edge), not
-             the requested configuration — further tightened by suspect
-             elements, which are charged against the budget before
-             confirmation. *)
-          let eke, ekv = edge in
-          let react_edge =
-            (max 0 (eke - suspect_links), max 0 (ekv - suspect_switches))
-          in
-          let lost_congestion, lost_blackhole, max_oversub, reacted =
-            play input_t ~target:sent ~stuck_set ~react:(Some react_edge) faults
-          in
-          let gt_data =
-            gt_verdict_of input_t ~target ~faults ~stale:sb.Southbound.stale
-              ~any_grandfathered ~edge
-          in
-          let per_class =
-            class_totals input_t ~demands
-              ~granted_of:(fun f -> sent.Te_types.bf.(f))
-              lost_congestion lost_blackhole
-          in
-          Array.iteri
-            (fun f d ->
-              backlog.(f) <- max 0. ((d -. sent.Te_types.bf.(f)) *. cfg.interval_s))
-            demands;
-          let audit_cases, audit_violations =
-            match step.Controller.audit with
-            | Some a -> (a.Controller.audit_cases, a.Controller.audit_violations)
-            | None -> (0, 0)
-          in
-          results :=
-            {
-              per_class;
-              max_oversub_pct = max_oversub;
-              control_faults = List.length sb.Southbound.stale;
-              data_faults = List.length faults;
-              reacted;
-              solver_fallbacks = step.Controller.fallbacks;
-              rung = step.Controller.rung;
-              rung_label = step.Controller.label;
-              deadline_hits = step.Controller.deadline_hits;
-              stale_alloc = step.Controller.stale;
-              audit_cases;
-              audit_violations;
-              ladder = step.Controller.attempts;
-              southbound = sb;
-              kc_verdict;
-              kc_checked;
-              escalated = step.Controller.escalated;
-              controller_down = false;
-              recovered_from_journal = !recovered;
-              recovery_interval = recovery;
-              view_staleness;
-              suspect_links;
-              suspect_switches;
-              estimation_err;
-              solve_skipped = false;
-              gt_data;
-            }
-            :: !results
+          Telemetry.begin_interval tele telemetry_rng ~interval:interval_idx
+            input.Te_types.topo;
+          Estimator.observe est (Telemetry.observe_demands tele telemetry_rng demands);
+          let sl, sv = Telemetry.suspect_counts tele in
+          (sl, sv, Estimator.staleness est)
         end
-      end)
-    demand_series;
-  let stats = List.rev !results in
+      in
+      let view = Estimator.envelope est in
+      ( view,
+        suspect_links,
+        suspect_switches,
+        view_staleness,
+        Estimator.mean_rel_error ~view ~truth:demands )
+    end
+  in
+  (* Decide where the interval's target comes from, then push it — or, with
+     nothing new to install, hold the standing configuration. *)
+  let decide ~down ~recovery ~recovered input_t ~real_prev ~view =
+    let hold () = Southbound.hold st.engine ~interval_s:cfg.interval_s in
+    let of_step source (step : Controller.step) report =
+      {
+        source;
+        target = step.Controller.alloc;
+        kc = Controller.step_kc step;
+        edge = Controller.step_edge step;
+        report;
+      }
+    in
+    if down then
+      (* No step, no push: hosts keep enforcing the last granted rates,
+         switches keep their installed splits, and the network coasts on
+         that standing mixture, at the last verified kc, while demands
+         drift. *)
+      { source = Coast; target = real_prev; kc = st.last_kc; edge = (0, 0); report = hold () }
+    else begin
+      (* Staleness feedback: the controller solves against what the network
+         actually imposes (enforced rates split by installed weights), and
+         escalates kc when more ingresses are stale than the configured
+         protection covers. A cold-restarted controller is blind on its
+         recovery interval: no journal means no record of the installed
+         state, so it plans from a zero previous allocation and an
+         assumed-clean switch fleet (from the next interval the push
+         reports have re-synced its view). *)
+      let blind = recovery && not recovered in
+      let stale_before =
+        if blind then 0 else List.length (Southbound.stale_switches st.engine)
+      in
+      match st.last_solve with
+      | Some (last, step)
+        when sensing && stale_before = 0 && (not recovery)
+             && Estimator.within_dead_band est_cfg ~view ~last ->
+        (* Dead-band hysteresis: the estimated view barely moved since the
+           last solve, so the controller skips the re-solve and the push.
+           Guarantee-safe: the installed allocation's fault certificates do
+           not depend on the demand values, and the kc check is re-asserted
+           against the live engine. *)
+        of_step (Reuse step) step (hold ())
+      | _ ->
+        (* The controller plans on its (possibly estimated) view; the
+           sampled guarantee auditor is pointed at ground truth, so audit
+           verdicts stay statements about the real network. *)
+        let step =
+          Controller.step st.ctrl ?pool:cfg.pool ~stale:stale_before
+            ?audit_input:(if sensing then Some input_t else None)
+            (if sensing then { input_t with Te_types.demands = view } else input_t)
+            ~prev:(if blind then Te_types.zero_allocation input_t else real_prev)
+        in
+        if sensing then st.last_solve <- Some (Array.copy view, step);
+        of_step (Solve step) step
+          (Southbound.push st.engine update_rng input_t ~target:step.Controller.alloc
+             ~interval_s:cfg.interval_s)
+    end
+  in
+  let interval interval_idx base_demands =
+    let t_start = float_of_int interval_idx *. cfg.interval_s in
+    crash interval_idx t_start;
+    let down = t_start +. 1e-9 < st.down_until in
+    let recovery = (not down) && st.was_down in
+    st.was_down <- down;
+    let recovered = recovery && restart interval_idx t_start in
+    let demands =
+      Array.init nflows (fun f -> base_demands.(f) +. (st.backlog.(f) /. cfg.interval_s))
+    in
+    let input_t = { input with Te_types.demands } in
+    (* What the network actually imposes right now, and which links were
+       already overloaded before any new target (those get unprotected
+       moves from the formulation, §4.5, so the live checker skips exactly
+       those). Always computed from the real engine — even a blind
+       controller is judged against the network's true state. *)
+    let real_prev = Southbound.imposed_mix st.engine input_t ~rates:st.enforced_bf in
+    let prev_loads = Te_types.link_loads input_t real_prev in
+    let grandfathered lid = prev_loads.(lid) > links.(lid).Topology.capacity +. 1e-6 in
+    (* Nobody is listening while the controller is down: the view freezes
+       (no reports consumed, no suspicion raised). *)
+    let view, suspect_links, suspect_switches, view_staleness, estimation_err =
+      if down then (demands, 0, 0, (if sensing then Estimator.staleness est else 0), 0.)
+      else sense interval_idx ~recovery demands
+    in
+    let plan = decide ~down ~recovery ~recovered input_t ~real_prev ~view in
+    let { target; kc; edge; report; _ } = plan in
+    (* Live configuration-fault guarantee check on the post-push state. *)
+    let kc_verdict =
+      Southbound.check_guarantee st.engine ~grandfathered input_t ~target ~kc
+    in
+    st.last_kc <- kc;
+    (* Journal the post-step state — everything a restarted controller
+       needs to resume as if it never died. Snapshots are taken every up
+       interval (not lazily at crash time): a real controller cannot
+       journal after it has crashed. *)
+    (match cfg.outage with
+    | Some { recovery = Journaled_restart; _ } when not down ->
+      st.journal <- Some (Controller.snapshot st.ctrl, Southbound.snapshot st.engine)
+    | _ -> ());
+    let faults = sample_faults interval_idx in
+    if sensing && not down then
+      Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
+    let stale = report.Southbound.stale in
+    let sent, (lost_congestion, lost_blackhole, max_oversub, reacted), gt_data =
+      if down then
+        (* Faults still arrive (same fault stream — timelines stay
+           identical across recovery strategies) but nobody reacts, and no
+           ground-truth assertion is made for the coasted configuration. *)
+        ( target,
+          play input_t ~target ~stuck_set:(fun _ -> false) ~react:None faults,
+          Gt_not_asserted )
+      else begin
+        let sent = if sensing then cap_allocation input_t target else target in
+        (* Reaction rule uses the protection the controller actually
+           delivered, further tightened by suspect elements, which are
+           charged against the budget before confirmation. *)
+        let eke, ekv = edge in
+        let react_edge = (max 0 (eke - suspect_links), max 0 (ekv - suspect_switches)) in
+        let any_grandfathered =
+          Array.exists (fun (l : Topology.link) -> grandfathered l.Topology.id) links
+        in
+        ( sent,
+          play input_t ~target:sent
+            ~stuck_set:(fun v -> List.mem v stale)
+            ~react:(Some react_edge) faults,
+          gt_verdict_of input_t ~target ~faults ~stale ~any_grandfathered ~edge )
+      end
+    in
+    st.enforced_bf <- sent.Te_types.bf;
+    Array.iteri
+      (fun f d -> st.backlog.(f) <- max 0. ((d -. sent.Te_types.bf.(f)) *. cfg.interval_s))
+      demands;
+    let step = match plan.source with Solve step -> Some step | Coast | Reuse _ -> None in
+    let rung, rung_label, stale_alloc =
+      match plan.source with
+      | Coast -> (-1, "controller-down", true)
+      | Reuse step -> (step.Controller.rung, "dead-band-skip", false)
+      | Solve step -> (step.Controller.rung, step.Controller.label, step.Controller.stale)
+    in
+    let of_step f default = match step with Some s -> f s | None -> default in
+    let audit_cases, audit_violations =
+      match Option.bind step (fun s -> s.Controller.audit) with
+      | Some a -> (a.Controller.audit_cases, a.Controller.audit_violations)
+      | None -> (0, 0)
+    in
+    {
+      per_class =
+        class_totals input_t ~demands
+          ~granted_of:(fun f -> sent.Te_types.bf.(f))
+          lost_congestion lost_blackhole;
+      max_oversub_pct = max_oversub;
+      control_faults = List.length stale;
+      data_faults = List.length faults;
+      reacted;
+      solver_fallbacks = of_step (fun s -> s.Controller.fallbacks) 0;
+      rung;
+      rung_label;
+      deadline_hits = of_step (fun s -> s.Controller.deadline_hits) 0;
+      stale_alloc;
+      audit_cases;
+      audit_violations;
+      ladder = of_step (fun s -> s.Controller.attempts) [];
+      southbound = report;
+      kc_verdict;
+      kc_checked = kc;
+      escalated = of_step (fun s -> s.Controller.escalated) false;
+      controller_down = down;
+      recovered_from_journal = recovered;
+      recovery_interval = recovery;
+      view_staleness;
+      suspect_links;
+      suspect_switches;
+      estimation_err;
+      solve_skipped = (match plan.source with Reuse _ -> true | Coast | Solve _ -> false);
+      gt_data;
+    }
+  in
+  let stats =
+    Array.to_list
+      (Array.mapi
+         (fun interval_idx base_demands ->
+           Obs.with_span "interval" (fun () -> interval interval_idx base_demands))
+         demand_series)
+  in
   if Obs.enabled () then
     List.iter
-      (fun st ->
+      (fun s ->
         Obs.incr m_intervals;
-        if st.controller_down then Obs.incr m_down;
-        if st.recovery_interval then Obs.incr m_recoveries;
-        if st.solve_skipped then Obs.incr m_skips;
-        Obs.add m_data_faults (float_of_int st.data_faults);
-        Obs.add m_control_faults (float_of_int st.control_faults);
-        if st.reacted then Obs.incr m_reactions;
-        Obs.add m_audit_cases (float_of_int st.audit_cases);
-        Obs.add m_audit_violations (float_of_int st.audit_violations);
-        (match st.gt_data with Gt_violation _ -> Obs.incr m_gt_violations | _ -> ());
-        Obs.observe m_lost_gb (total_lost st);
-        Obs.observe m_oversub st.max_oversub_pct;
-        if sensing then Obs.observe m_est_err st.estimation_err)
+        if s.controller_down then Obs.incr m_down;
+        if s.recovery_interval then Obs.incr m_recoveries;
+        if s.solve_skipped then Obs.incr m_skips;
+        Obs.add m_data_faults (float_of_int s.data_faults);
+        Obs.add m_control_faults (float_of_int s.control_faults);
+        if s.reacted then Obs.incr m_reactions;
+        Obs.add m_audit_cases (float_of_int s.audit_cases);
+        Obs.add m_audit_violations (float_of_int s.audit_violations);
+        (match s.gt_data with Gt_violation _ -> Obs.incr m_gt_violations | _ -> ());
+        Obs.observe m_lost_gb (total_lost s);
+        Obs.observe m_oversub s.max_oversub_pct;
+        if sensing then Obs.observe m_est_err s.estimation_err)
       stats;
   stats

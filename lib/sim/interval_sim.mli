@@ -4,7 +4,9 @@
     proactive FFC per priority class) against the {e installed} mixture
     reported by the stateful {!Southbound} engine, push it through that
     engine (bounded retries with backoff; failures may be persistent
-    outages, leaving switches stale across epochs), then play out randomly
+    outages, leaving switches stale across epochs) — or, while the
+    controller is down or skips a re-solve, hold the standing
+    configuration — then check the live kc guarantee and play out randomly
     injected data-plane faults as a piecewise-constant timeline of tunnel
     rates:
 
@@ -209,12 +211,14 @@ val stats_json_line : interval_stats -> string
     mechanically. Floats are printed with full precision. *)
 
 val reaction_delay : Ffc_util.Rng.t -> config -> int -> float
-(** Latency of a corrective mid-interval update across [n] ingresses, each
-    on its own retry timeline under [config.retry] (mirroring
-    {!Southbound.push}: immediate failure detection plus backoff,
-    stragglers abandoned at the per-attempt timeout). Always finite: an
-    ingress that never lands pins its completion at the interval end — the
-    next interval's re-plan supersedes it. Exposed for testing. *)
+(** Latency of a corrective mid-interval update across [n] ingresses:
+    [compute_s] plus the slowest ingress's landing time, each ingress on
+    {!Southbound.retry_timeline} under [config.retry] with attempts drawn
+    from [config.update_model] (without the engine's persistent outages).
+    Always at most [compute_s + interval_s]: an ingress that never lands
+    inside the interval, including one whose attempt completes past the
+    edge, pins its completion at the interval end — the next interval's
+    re-plan supersedes it. Exposed for testing. *)
 
 val run :
   rng:Ffc_util.Rng.t ->

@@ -94,7 +94,6 @@ let state t v =
 let running t v = (state t v).running
 let epoch_lag t v = t.target_epoch - (state t v).epoch
 let now_s t = t.now
-let target_epoch t = t.target_epoch
 
 (* The polymorphic [compare] in the switch-list sorts of this module is
    intentional: switch ids are plain ints (no NaN hazards), and the
@@ -244,10 +243,58 @@ let needs_push (input : Te_types.input) (st : switch_state) v ~target =
       Array.exists2 (fun a b -> abs_float (a -. b) > 1e-6) w_new w_old)
     input.Te_types.flows
 
-let backoff_delay p rng ~attempt =
-  let base = p.backoff_base_s *. (p.backoff_mult ** float_of_int (attempt - 1)) in
-  let capped = min p.backoff_max_s base in
-  capped *. (1. +. (if p.jitter > 0. then p.jitter *. Rng.float rng 1. else 0.))
+type timeline = { landed_at : float option; tries : int; failed : int; timed_out : int }
+
+(* The retry timeline of one switch inside one interval: attempt, and on a
+   failure (detected immediately) or a straggler (abandoned at the
+   timeout) back off by min(max, base * mult^(n-1)) scaled by the jitter,
+   until an attempt lands, the attempts run out or the interval ends. An
+   attempt that completes past the interval edge has not landed: the
+   interval ran on the old configuration throughout. The only draws of
+   its own are the jitter, after each failed attempt. *)
+let retry_timeline p rng ~interval_s attempt =
+  let backoff n =
+    let base = p.backoff_base_s *. (p.backoff_mult ** float_of_int (n - 1)) in
+    min p.backoff_max_s base
+    *. (1. +. (if p.jitter > 0. then p.jitter *. Rng.float rng 1. else 0.))
+  in
+  let rec go n tl failed timed_out =
+    if n >= p.max_attempts || tl >= interval_s then
+      { landed_at = None; tries = n; failed; timed_out }
+    else
+      let n = n + 1 in
+      match attempt ~at_s:tl with
+      | Update_model.Failed -> go n (tl +. backoff n) (failed + 1) timed_out
+      | Update_model.Completed d when d > p.attempt_timeout_s ->
+        go n (tl +. p.attempt_timeout_s +. backoff n) failed (timed_out + 1)
+      | Update_model.Completed d when tl +. d > interval_s ->
+        { landed_at = None; tries = n; failed; timed_out = timed_out + 1 }
+      | Update_model.Completed d -> { landed_at = Some (tl +. d); tries = n; failed; timed_out }
+  in
+  go 0 0. 0 0
+
+(* The report of an interval in which nothing was (yet) attempted: the
+   standing epochs as they are. *)
+let standing t =
+  {
+    epoch = t.target_epoch;
+    pushed = 0;
+    applied = [];
+    stale = stale_switches t;
+    max_epoch_lag =
+      Hashtbl.fold (fun _ (s : switch_state) acc -> max acc (t.target_epoch - s.epoch))
+        t.switches 0;
+    attempts = 0;
+    retries = 0;
+    retry_successes = 0;
+    failures = 0;
+    timeouts = 0;
+    outages_started = 0;
+  }
+
+let hold t ~interval_s =
+  tick t ~interval_s;
+  standing t
 
 let push t rng (input : Te_types.input) ~target ~interval_s =
   Obs.with_span "southbound.push" @@ fun () ->
@@ -261,9 +308,6 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
   let failures = ref 0 in
   let timeouts = ref 0 in
   let outages_started = ref 0 in
-  let switches =
-    List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.switches [])
-  in
   List.iter
     (fun v ->
       let st = state t v in
@@ -275,70 +319,56 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
       end
       else begin
         incr pushed;
-        (* All pushes start at the interval edge and run concurrently; each
-           switch has its own retry timeline within [0, interval_s). *)
-        let tl = ref 0. in
-        let attempt = ref 0 in
-        let had_failure = ref false in
-        let done_ = ref false in
-        while (not !done_) && !attempt < t.retry.max_attempts && !tl < interval_s do
-          incr attempt;
-          incr attempts;
-          if !attempt > 1 then incr retries;
-          let in_outage = t.now +. !tl < st.outage_until in
-          let result =
-            if in_outage then Update_model.Failed
-            else Update_model.attempt_update rng t.model
-          in
-          match result with
-          | Update_model.Failed ->
-            incr failures;
-            had_failure := true;
-            (* A fresh failure may be the onset of a persistent control-plane
-               outage; while one lasts every retry fails (correlated). *)
-            if (not in_outage) && Rng.bernoulli rng t.model.Update_model.outage_prob
-            then begin
-              incr outages_started;
-              st.outage_until <-
-                t.now +. !tl +. t.model.Update_model.outage_duration_s rng;
-              Obs.event ~level:Obs.Debug "southbound.outage_started"
-                [
-                  ("switch", Obs.Int v);
-                  ("at_s", Obs.Float (t.now +. !tl));
-                  ("until_s", Obs.Float st.outage_until);
-                ]
-            end;
-            (* Failures are detected immediately (RPC error); back off. *)
-            tl := !tl +. backoff_delay t.retry rng ~attempt:!attempt
-          | Update_model.Completed d ->
-            if d > t.retry.attempt_timeout_s then begin
-              (* Straggler: abandoned at the timeout, then backed off. *)
-              incr timeouts;
-              had_failure := true;
-              tl :=
-                !tl +. t.retry.attempt_timeout_s
-                +. backoff_delay t.retry rng ~attempt:!attempt
-            end
-            else if !tl +. d > interval_s then begin
-              (* Completed, but past the interval edge: the interval ran on
-                 the old configuration throughout — still stale. *)
-              incr timeouts;
-              done_ := true
-            end
-            else begin
-              st.running <- target;
-              st.epoch <- epoch;
-              applied := { switch = v; at_s = !tl +. d; attempts = !attempt } :: !applied;
-              if !had_failure || !attempt > 1 then incr retry_successes;
-              done_ := true
-            end
-        done
+        (* All pushes start at the interval edge and run concurrently, each
+           on its own retry timeline. An attempt during a control-plane
+           outage fails without a draw; a fresh failure may be the onset of
+           one, and while it lasts every retry fails (correlated). *)
+        let attempt ~at_s =
+          let now = t.now +. at_s in
+          if now < st.outage_until then Update_model.Failed
+          else
+            match Update_model.attempt_update rng t.model with
+            | Update_model.Failed ->
+              if Rng.bernoulli rng t.model.Update_model.outage_prob then begin
+                incr outages_started;
+                st.outage_until <- now +. t.model.Update_model.outage_duration_s rng;
+                Obs.event ~level:Obs.Debug "southbound.outage_started"
+                  [
+                    ("switch", Obs.Int v);
+                    ("at_s", Obs.Float now);
+                    ("until_s", Obs.Float st.outage_until);
+                  ]
+              end;
+              Update_model.Failed
+            | completed -> completed
+        in
+        let tl = retry_timeline t.retry rng ~interval_s attempt in
+        attempts := !attempts + tl.tries;
+        retries := !retries + max 0 (tl.tries - 1);
+        failures := !failures + tl.failed;
+        timeouts := !timeouts + tl.timed_out;
+        match tl.landed_at with
+        | None -> ()
+        | Some at_s ->
+          st.running <- target;
+          st.epoch <- epoch;
+          applied := { switch = v; at_s; attempts = tl.tries } :: !applied;
+          if tl.tries > 1 then incr retry_successes
       end)
-    switches;
+    (sorted_switches t);
   t.now <- t.now +. interval_s;
-  let stale = stale_switches t in
-  let max_lag =
-    Hashtbl.fold (fun _ (s : switch_state) acc -> max acc (epoch - s.epoch)) t.switches 0
+  let report =
+    {
+      (standing t) with
+      pushed = !pushed;
+      applied = List.rev !applied;
+      attempts = !attempts;
+      retries = !retries;
+      retry_successes = !retry_successes;
+      failures = !failures;
+      timeouts = !timeouts;
+      outages_started = !outages_started;
+    }
   in
   t.total_attempts <- t.total_attempts + !attempts;
   t.total_retries <- t.total_retries + !retries;
@@ -354,28 +384,16 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
     Obs.add m_failures (float_of_int !failures);
     Obs.add m_timeouts (float_of_int !timeouts);
     Obs.add m_outages (float_of_int !outages_started);
-    Obs.add m_stale (float_of_int (List.length stale));
+    Obs.add m_stale (float_of_int (List.length report.stale));
     (* Per-switch retry timelines: when each apply landed inside the
        interval and how many attempts it took. *)
     List.iter
       (fun a ->
         Obs.observe m_apply_s a.at_s;
         Obs.observe m_attempts_per_apply (float_of_int a.attempts))
-      !applied
+      report.applied
   end;
-  {
-    epoch;
-    pushed = !pushed;
-    applied = List.rev !applied;
-    stale;
-    max_epoch_lag = max_lag;
-    attempts = !attempts;
-    retries = !retries;
-    retry_successes = !retry_successes;
-    failures = !failures;
-    timeouts = !timeouts;
-    outages_started = !outages_started;
-  }
+  report
 
 (* ------------------------------------------------------------------ *)
 (* Installed view                                                      *)
@@ -436,53 +454,32 @@ type violation = {
 
 type verdict = Ok_checked | Beyond_budget of Topology.switch list | Violation of violation
 
-(* The paper's configuration-fault semantics (§2.2): a stale ingress splits
-   the NEW rate [b_f] by its OLD weights — host rate limiters update even
-   when the switch's splits don't. *)
-let stale_load_alloc t (input : Te_types.input) ~target ~stale =
-  let is_stale v = List.mem v stale in
-  let n = Array.length input.Te_types.demands in
-  let bf = Array.copy target.Te_types.bf in
-  let af = Array.make n [||] in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      if is_stale f.Flow.src then begin
-        let w = Te_types.weights (state t f.Flow.src).running id in
-        af.(id) <- Array.map (fun wi -> wi *. target.Te_types.bf.(id)) w
-      end
-      else af.(id) <- Array.copy target.Te_types.af.(id))
-    input.Te_types.flows;
-  { Te_types.bf; af }
-
-let check_guarantee t ?(grandfathered = fun _ -> false) (input : Te_types.input) ~target
-    ~kc =
+(* The paper's configuration-fault semantics (§2.2) are Enumerate's
+   control-plane case (Eqn 5): a stale ingress splits the NEW rate [b_f]
+   by the weights it has installed — host rate limiters update even when
+   the switch's splits don't. *)
+let check_guarantee t ?grandfathered (input : Te_types.input) ~target ~kc =
   let stale = stale_switches t in
   if List.length stale > kc then Beyond_budget stale
-  else begin
-    let mixed = stale_load_alloc t input ~target ~stale in
-    let per_link = Formulation.crossings_by_link input in
-    let loads = Update_plan.ingress_loads per_link mixed in
-    let links = Topology.links input.Te_types.topo in
-    let bad = ref None in
-    Array.iter
-      (fun (l : Topology.link) ->
-        (* §4.5: a link already overloaded before this target was computed
-           (e.g. by beyond-budget staleness in an earlier epoch) is granted
-           unprotected moves by the formulation — the guarantee makes no
-           promise there until the overload clears. *)
-        if !bad = None && not (grandfathered l.Topology.id) then begin
-          let total =
-            List.fold_left (fun acc (_, x) -> acc +. x) 0. loads.(l.Topology.id)
-          in
-          if total > l.Topology.capacity +. 1e-6 then
-            bad :=
-              Some
-                { link = l; load = total; capacity = l.Topology.capacity; stale_set = stale }
-        end)
-      links;
-    match !bad with None -> Ok_checked | Some v -> Violation v
-  end
+  else
+    let loads =
+      Enumerate.stuck_loads input ~old_alloc:(installed_mix t input) ~new_alloc:target
+        ~stuck:stale
+    in
+    (* §4.5: a link already overloaded before this target was computed
+       (e.g. by beyond-budget staleness in an earlier epoch) is granted
+       unprotected moves by the formulation — the guarantee makes no
+       promise there until the overload clears. *)
+    match Enumerate.first_overloaded ?skip:grandfathered input loads with
+    | None -> Ok_checked
+    | Some link ->
+      Violation
+        {
+          link;
+          load = loads.(link.Topology.id);
+          capacity = link.Topology.capacity;
+          stale_set = stale;
+        }
 
 let pp_verdict fmt = function
   | Ok_checked -> Format.fprintf fmt "ok"

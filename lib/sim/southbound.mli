@@ -8,19 +8,20 @@
     failures are persistent outages that keep a switch stale across whole TE
     intervals ({!Update_model.t.outage_prob}). This engine tracks, per
     ingress switch, which configuration {e epoch} it actually runs, pushes
-    each new target with bounded retries (exponential backoff with jitter,
-    per-attempt timeout, all inside the TE interval), and exposes the
-    resulting mixture of installed allocations so the data plane and the
-    controller both see the truth:
+    each new target with bounded retries on the one {!retry_timeline}
+    (exponential backoff with jitter, per-attempt timeout, all inside the TE
+    interval), and exposes the resulting mixture of installed allocations
+    so the data plane and the controller both see the truth:
 
-    - {!installed_mix} — the controller's honest [prev]: each flow's row
-      from the allocation its ingress switch actually runs;
+    - {!imposed_mix} — the controller's honest [prev]: enforced rates split
+      by each ingress switch's installed weights;
     - {!running} — per-switch installed allocation, for the data plane's
       stale-split computation ([Rescale.rescale ~old_alloc_of]);
     - {!check_guarantee} — the always-on checker of the FFC configuration
       guarantee: whenever at most [kc] switches are stale, no link may
       exceed capacity under the paper's stuck-switch semantics (new rate
-      [b_f] split by old weights).
+      [b_f] split by old weights), computed with the load model of the
+      controller's auditor ({!Ffc_core.Enumerate.stuck_loads}).
 
     All engine state persists across {!push} calls, so an outage longer
     than one interval yields multi-epoch staleness. All randomness comes
@@ -84,16 +85,50 @@ type report = {
   outages_started : int;
 }
 
+type timeline = {
+  landed_at : float option;
+      (** seconds after the interval edge at which an attempt landed;
+          [None] if none did inside the interval *)
+  tries : int;  (** attempts made *)
+  failed : int;  (** attempts that failed *)
+  timed_out : int;
+      (** stragglers abandoned at the timeout, plus a completion past the
+          interval edge *)
+}
+
+val retry_timeline :
+  retry_policy ->
+  Ffc_util.Rng.t ->
+  interval_s:float ->
+  (at_s:float -> Update_model.attempt) ->
+  timeline
+(** One switch's retry timeline within an interval, the only one in the
+    simulator: {!push} runs it per switch and the simulator's mid-interval
+    reaction per ingress. [attempt ~at_s] makes the attempt that starts
+    [at_s] seconds after the edge. A failure is detected at once and backed
+    off by [min backoff_max (base * mult^(n-1))], scaled by
+    [1 + jitter * U(0,1)] (one draw from the rng when [jitter > 0]); a
+    completion slower than the per-attempt timeout is abandoned there and
+    backed off the same way. The timeline ends when an attempt lands,
+    after [max_attempts] attempts, or at [interval_s]; an attempt that
+    completes past [interval_s] has not landed. *)
+
 val push : t -> Ffc_util.Rng.t -> Te_types.input -> target:Te_types.allocation ->
   interval_s:float -> report
 (** Advance to the next epoch and push [target] to every switch whose
     installed splits differ (a pure rate change needs no switch update:
     rate limiters live at the hosts). Pushes run concurrently from the
-    interval edge, each on its own retry timeline bounded by [interval_s];
-    an attempt during a control-plane outage fails deterministically, and a
-    fresh failure starts an outage with probability
+    interval edge, each on its own {!retry_timeline} bounded by
+    [interval_s]; an attempt during a control-plane outage fails without a
+    draw, and a fresh failure starts an outage with probability
     {!Update_model.t.outage_prob}. Advances the engine clock by
     [interval_s]. *)
+
+val hold : t -> interval_s:float -> report
+(** An interval without a push (the controller is down, or it skipped the
+    re-solve): {!tick}, then report the standing state — the current
+    target epoch, no attempts, the stale switches and the worst epoch
+    lag. *)
 
 val running : t -> Ffc_net.Topology.switch -> Te_types.allocation
 (** Allocation the switch actually runs. *)
@@ -124,19 +159,11 @@ val force_outage : t -> Ffc_net.Topology.switch -> until_s:float -> unit
     time ({!now_s} starts at 0 and advances by [interval_s] per push). *)
 
 val now_s : t -> float
-val target_epoch : t -> int
 
 val tick : t -> interval_s:float -> unit
 (** Advance the engine clock without pushing anything — an interval during
     which the controller is down. The network coasts: installed splits,
     epochs and outage deadlines (absolute times) all keep their meaning. *)
-
-val backoff_delay : retry_policy -> Ffc_util.Rng.t -> attempt:int -> float
-(** The delay inserted after failed attempt number [attempt] (1-based):
-    [min backoff_max (base * mult^(attempt-1))], scaled by the jitter
-    factor. Exposed so other components replaying a retry timeline (e.g.
-    the simulator's reaction-delay model) use exactly the engine's
-    policy. *)
 
 (** {2 Crash-recovery journal} *)
 
@@ -178,14 +205,19 @@ val check_guarantee :
   target:Te_types.allocation ->
   kc:int ->
   verdict
-(** Assert Eqn 5 on the live state: compute every link's load under the
-    mixture where each stale ingress splits the {e new} rate by its {e old}
-    (installed) weights, everyone else runs [target], and compare against
-    capacity. [kc] must be the {e effective} protection level
-    ({!Controller.step_kc}), not the requested one. [grandfathered]
-    (by link id; default none) marks links that were already over capacity
-    before this target was computed — the formulation grants those
-    unprotected moves (§4.5), so the checker skips them. The aggregate
+(** Assert Eqn 5 on the live state. With more than [kc] stale switches the
+    guarantee makes no promise ([Beyond_budget]). Otherwise the loads are
+    the auditor's control-plane case ({!Ffc_core.Enumerate.stuck_loads}) on
+    the engine's installed weights ({!installed_mix}): each stale ingress
+    splits the {e new} rate by its {e old} weights, everyone else is charged
+    [target]'s tunnel allocations. The verdict names the first link, in id
+    order, over capacity by more than the auditor's 1e-6 tolerance
+    ({!Ffc_core.Enumerate.first_overloaded}). [kc] must be the {e effective}
+    protection level ({!Controller.step_kc}), not the requested one.
+    [grandfathered] (by link id; default none) marks links that were
+    already over capacity before this target was computed — the
+    formulation grants those unprotected moves (§4.5), so the checker skips
+    them. The aggregate
     load comparison coincides with the paper's per-class guarantee when
     all flows share one priority class; with multiple classes the
     deliberate headroom sharing of §5.1 means a within-budget aggregate

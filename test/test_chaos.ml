@@ -272,7 +272,16 @@ let test_reaction_delay_finite () =
     if not (Float.is_finite d) then Alcotest.failf "seed %d: infinite reaction delay" seed;
     if d > c.Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s +. 1e-9 then
       Alcotest.failf "seed %d: reaction delay %g exceeds the interval" seed d
-  done
+  done;
+  (* Every attempt completes in 8 s, inside the 10 s timeout but past the
+     edge of a 5 s interval: as for a push, that attempt has not landed,
+     so the reaction pins at the interval end. *)
+  let late = { instant_model with Sim.Update_model.rpc_s = (fun _ -> 8.) } in
+  let c = { (cfg late) with Sim.Interval_sim.interval_s = 5. } in
+  let d = Sim.Interval_sim.reaction_delay (Rng.create 9) c 3 in
+  Alcotest.(check (float 1e-9)) "completion past the edge pins at interval end"
+    (c.Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s)
+    d
 
 (* ------------------------------------------------------------------ *)
 (* Availability model in the interval simulator                        *)

@@ -140,6 +140,40 @@ let test_completion_past_interval_edge_is_stale () =
   Alcotest.(check int) "counted as timeouts" 2 r.Sim.Southbound.timeouts;
   Alcotest.(check (list int)) "both stale" [ 0; 1 ] r.Sim.Southbound.stale
 
+(* The one retry timeline: attempts start where the previous one's
+   failure detection (immediate) or timeout plus the backoff left off. *)
+let test_retry_timeline_schedule () =
+  let p =
+    Sim.Southbound.retry_policy ~max_attempts:5 ~attempt_timeout_s:10. ~backoff_base_s:1.
+      ~backoff_mult:2. ~backoff_max_s:4. ~jitter:0. ()
+  in
+  let outcomes =
+    ref Sim.Update_model.[ Failed; Failed; Completed 20.; Failed; Completed 3. ]
+  in
+  let starts = ref [] in
+  let attempt ~at_s =
+    starts := at_s :: !starts;
+    match !outcomes with
+    | o :: rest ->
+      outcomes := rest;
+      o
+    | [] -> Alcotest.fail "attempted past max_attempts"
+  in
+  let tl = Sim.Southbound.retry_timeline p (Rng.create 1) ~interval_s:300. attempt in
+  (* Backoffs 1, 2, 4 (capped), 4: failures at 0 and 1, a straggler at 3
+     abandoned at 13, a failure at 17, the landing attempt at 21. *)
+  Alcotest.(check (list (float 1e-9))) "attempt starts" [ 0.; 1.; 3.; 17.; 21. ]
+    (List.rev !starts);
+  Alcotest.(check (option (float 1e-9))) "landed" (Some 24.) tl.Sim.Southbound.landed_at;
+  Alcotest.(check int) "tries" 5 tl.Sim.Southbound.tries;
+  Alcotest.(check int) "failed" 3 tl.Sim.Southbound.failed;
+  Alcotest.(check int) "timed out" 1 tl.Sim.Southbound.timed_out;
+  (* The same attempt landing past a 22 s interval edge has not landed. *)
+  outcomes := Sim.Update_model.[ Failed; Failed; Completed 20.; Failed; Completed 3. ];
+  let tl = Sim.Southbound.retry_timeline p (Rng.create 1) ~interval_s:22. attempt in
+  Alcotest.(check (option (float 1e-9))) "past the edge" None tl.Sim.Southbound.landed_at;
+  Alcotest.(check int) "counted as a timeout" 2 tl.Sim.Southbound.timed_out
+
 (* ------------------------------------------------------------------ *)
 (* Mixed-epoch load accounting                                         *)
 (* ------------------------------------------------------------------ *)
@@ -194,6 +228,16 @@ let test_installed_mix_is_raw_config () =
   check_float "flow 0 row from the stale epoch" 8. mix.Te_types.bf.(0);
   check_float "flow 0 split from the stale epoch" 8. mix.Te_types.af.(0).(0);
   check_float "flow 1 row from the current epoch" 2. mix.Te_types.bf.(1)
+
+let test_hold_reports_standing_state () =
+  let _, eng = mixed_engine safe_target in
+  let r = Sim.Southbound.hold eng ~interval_s:300. in
+  Alcotest.(check int) "same epoch" 2 r.Sim.Southbound.epoch;
+  Alcotest.(check int) "nothing pushed" 0 r.Sim.Southbound.pushed;
+  Alcotest.(check int) "no attempts" 0 r.Sim.Southbound.attempts;
+  Alcotest.(check (list int)) "switch 0 still stale" [ 0 ] r.Sim.Southbound.stale;
+  Alcotest.(check int) "lag 1" 1 r.Sim.Southbound.max_epoch_lag;
+  check_float "clock advanced" 900. (Sim.Southbound.now_s eng)
 
 (* ------------------------------------------------------------------ *)
 (* kc-guarantee checker                                                *)
@@ -335,6 +379,7 @@ let () =
           case "long outage leaves multi-epoch staleness"
             test_outage_outlasting_interval_leaves_stale;
           case "stragglers abandoned at the timeout" test_stragglers_time_out;
+          case "retry timeline schedule" test_retry_timeline_schedule;
           case "completion past the edge counts stale"
             test_completion_past_interval_edge_is_stale;
         ] );
@@ -344,6 +389,7 @@ let () =
           case "zero-rate flows keep installed weights"
             test_imposed_mix_preserves_weights_at_zero_rate;
           case "installed mix is the raw config" test_installed_mix_is_raw_config;
+          case "hold reports the standing state" test_hold_reports_standing_state;
         ] );
       ( "checker",
         [
