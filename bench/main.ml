@@ -19,6 +19,8 @@ module Rng = Ffc_util.Rng
 module Stats = Ffc_util.Stats
 module Table = Ffc_util.Table
 module Pool = Ffc_util.Pool
+module Clock = Ffc_util.Clock
+module Json = Ffc_util.Json
 
 let fast = ref false
 
@@ -37,24 +39,66 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n%!"
 
-(* Every BENCH_*.json artifact carries the same provenance header (bench
-   name, seed, jobs, quick mode, compiler) so CI can attribute any artifact
-   to its exact configuration. [json] must be an object literal starting
-   with '{'; the header is spliced in right after the brace so existing
-   emitters keep building their body unchanged. *)
-let write_bench_json ~name ?(seed = 42) json =
-  assert (String.length json > 1 && json.[0] = '{');
+(* A bench contract failed. Raised by [report] and by [fuzz]'s gates with
+   the failed contracts' labels; only the driver catches it, and exits 1. *)
+exception Contract_failed of string
+
+(* The one exit of every contract experiment. Each contract is named twice,
+   as its artifact key and its printed label, and judged once: [report]
+   prints it PASS or FAIL, writes BENCH_<name>.json (the provenance header
+   CI attributes every artifact by, then [fields], then a [contracts] object
+   of the verdicts) and raises [Contract_failed] if any contract failed. *)
+let report ~name fields contracts =
+  List.iter
+    (fun (_, label, ok) -> Printf.printf "  %-52s %s\n" label (if ok then "PASS" else "FAIL"))
+    contracts;
   let header =
-    Printf.sprintf
-      "  \"header\": { \"bench\": %S, \"seed\": %d, \"jobs\": %d, \"fast\": %b, \
-       \"ocaml\": %S },"
-      name seed !jobs !fast Sys.ocaml_version
+    Json.Obj
+      [
+        ("bench", String name); ("seed", Int 42); ("jobs", Int !jobs); ("fast", Bool !fast);
+        ("ocaml", String Sys.ocaml_version);
+      ]
   in
+  let verdicts = List.map (fun (key, _, ok) -> (key, Json.Bool ok)) contracts in
+  let doc = Json.Obj ((("header", header) :: fields) @ [ ("contracts", Obj verdicts) ]) in
   let path = Printf.sprintf "BENCH_%s.json" name in
   let oc = open_out path in
-  output_string oc ("{\n" ^ header ^ String.sub json 1 (String.length json - 1));
+  output_string oc (Json.to_string_indented doc ^ "\n");
   close_out oc;
-  Printf.printf "wrote %s\n" path
+  Printf.printf "wrote %s\n%!" path;
+  match List.filter (fun (_, _, ok) -> not ok) contracts with
+  | [] -> ()
+  | failed -> raise (Contract_failed (String.concat "; " (List.map (fun (_, l, _) -> l) failed)))
+
+(* The experiment identity every contract artifact opens with. *)
+let identity (sc : Sim.Scenario.t) ~scale (p : Te_types.protection) =
+  [
+    ("scenario", Json.String sc.Sim.Scenario.name); ("scale", Float scale);
+    ( "protection",
+      String (Printf.sprintf "kc=%d,ke=%d,kv=%d" p.Te_types.kc p.Te_types.ke p.Te_types.kv) );
+  ]
+
+(* A phase or arm summary is a row of named fields (key, label, value):
+   [print_rows] shows each as a table cell under its label and [row_json]
+   writes it to the artifact under its key. *)
+let print_rows = function
+  | [] -> ()
+  | first :: _ as rows ->
+    let rec cell = function
+      | Json.Null -> "-"
+      | Float f -> Printf.sprintf "%.2f" f
+      | String s -> s
+      | Obj kvs -> String.concat "/" (List.map (fun (_, v) -> cell v) kvs)
+      | v -> Json.to_string v
+    in
+    let t = Table.create (List.map (fun (_, label, _) -> label) first) in
+    List.iter (fun row -> Table.add_row t (List.map (fun (_, _, v) -> cell v) row)) rows;
+    Table.print t
+
+let row_json row = Json.Obj (List.map (fun (key, _, v) -> (key, v)) row)
+
+let count pred stats = List.length (List.filter pred stats)
+let total f stats = List.fold_left (fun a s -> a + f s) 0 stats
 
 (* Scenarios are deterministic and shared across experiments. *)
 let lnet = lazy (Sim.Scenario.lnet_sim (Rng.create 42))
@@ -189,9 +233,9 @@ let figure6 () =
 (* ------------------------------------------------------------------ *)
 
 let time_solve f =
-  let t0 = Unix.gettimeofday () in
-  (match f () with Ok () -> () | Error e -> Printf.printf "  solver error: %s\n" e);
-  Unix.gettimeofday () -. t0
+  let r, ms = Clock.time_ms f in
+  (match r with Ok () -> () | Error e -> Printf.printf "  solver error: %s\n" e);
+  ms /. 1000.
 
 let table2 () =
   section "Table 2: TE computation time with and without FFC";
@@ -207,11 +251,6 @@ let table2 () =
             match Ffc.solve ~config ~prev input with
             | Ok r ->
               stats := (r.Ffc.stats.Ffc.lp_vars, r.Ffc.stats.Ffc.lp_rows);
-              (match r.Ffc.stats.Ffc.solver with
-              | Some s when Sys.getenv_opt "LP_DEBUG" <> None ->
-                Format.printf "  [%s] build=%.0fms solve=%.0fms %a@." label
-                  r.Ffc.stats.Ffc.build_ms r.Ffc.stats.Ffc.solve_ms Ffc_lp.Problem.pp_stats s
-              | _ -> ());
               Ok ()
             | Error e -> Error e)
       in
@@ -1000,24 +1039,29 @@ let warm_bench () =
      (remapped %d, repaired %d)\n"
     (med !cold_ms) (med !cold_iters) (med !warm_ms) (med !warm_iters) !warm_used !compared
     !remapped !repaired;
-  Printf.sprintf
-    "{\n\
-    \    \"config\": \"kc=2,ke=1,duality,prev=chained\",\n\
-    \    \"compared_intervals\": %d,\n\
-    \    \"cold\": { \"median_ms\": %.3f, \"p95_ms\": %.3f, \"median_iters\": %.0f, \"p95_iters\": %.0f },\n\
-    \    \"warm\": { \"median_ms\": %.3f, \"p95_ms\": %.3f, \"median_iters\": %.0f, \"p95_iters\": %.0f,\n\
-    \               \"warm_started\": %d, \"remapped\": %d, \"repaired\": %d,\n\
-    \               \"cold_fallbacks\": %d, \"restarts\": %d },\n\
-    \    \"iter_reduction_median\": %.3f\n\
-    \  }"
-    !compared (med !cold_ms) (p95 !cold_ms) (med !cold_iters)
-    (p95 !cold_iters) (med !warm_ms) (p95 !warm_ms) (med !warm_iters) (p95 !warm_iters)
-    !warm_used !remapped !repaired
-    (!compared - !warm_used)
-    !restarts
-    (if med !cold_iters > 0. then 1. -. (med !warm_iters /. med !cold_iters) else 0.)
+  let times ms iters =
+    [
+      ("median_ms", Json.Float (med ms)); ("p95_ms", Float (p95 ms));
+      ("median_iters", Float (med iters)); ("p95_iters", Float (p95 iters));
+    ]
+  in
+  Json.Obj
+    [
+      ("config", String "kc=2,ke=1,duality,prev=chained"); ("compared_intervals", Int !compared);
+      ("cold", Obj (times !cold_ms !cold_iters));
+      ( "warm",
+        Obj
+          (times !warm_ms !warm_iters
+          @ [
+              ("warm_started", Int !warm_used); ("remapped", Int !remapped);
+              ("repaired", Int !repaired); ("cold_fallbacks", Int (!compared - !warm_used));
+              ("restarts", Int !restarts);
+            ]) );
+      ( "iter_reduction_median",
+        Float (if med !cold_iters > 0. then 1. -. (med !warm_iters /. med !cold_iters) else 0.) );
+    ]
 
-let lp_warm () = ignore (warm_bench () : string)
+let lp_warm () = ignore (warm_bench () : Json.t)
 
 (* The solver-perf tracking bench behind the sparse-LU rework: the Table 2
    hot rows (L-Net FFC (2,1,0), both encodings) timed against the recorded
@@ -1041,10 +1085,9 @@ let lp_bench () =
   let solve encoding backend =
     let name = match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality" in
     let config = Ffc.config ~protection ~encoding ~backend () in
-    let t0 = Unix.gettimeofday () in
-    match Ffc.solve ~config ~prev input with
-    | Ok r -> (r, Unix.gettimeofday () -. t0)
-    | Error e -> failwith (Printf.sprintf "bench lp (%s): %s" name e)
+    match Clock.time_ms (fun () -> Ffc.solve ~config ~prev input) with
+    | Ok r, ms -> (r, ms /. 1000.)
+    | Error e, _ -> failwith (Printf.sprintf "bench lp (%s): %s" name e)
   in
   (* Both encodings express the same TE optimum (the test suite verifies
      their equivalence), so one dense-tableau solve of the smaller duality
@@ -1058,20 +1101,11 @@ let lp_bench () =
     if !fast then None
     else Some (Te_types.throughput (fst (solve `Duality `Dense_tableau)).Ffc.alloc)
   in
+  let agrees obj oracle = abs_float (obj -. oracle) <= 1e-6 *. (1. +. abs_float oracle) in
   let row encoding =
     let name = match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality" in
     let r, secs = solve encoding `Revised in
     let obj = Te_types.throughput r.Ffc.alloc in
-    let oracle_cell, oracle_json =
-      match oracle_obj with
-      | None -> ("(oracle skipped: quick)", "null")
-      | Some oracle_obj ->
-        if abs_float (obj -. oracle_obj) > 1e-6 *. (1. +. abs_float oracle_obj) then
-          failwith
-            (Printf.sprintf "bench lp (%s): objective %.9f disagrees with oracle %.9f" name obj
-               oracle_obj);
-        ("(= oracle)", Printf.sprintf "%.9f" oracle_obj)
-    in
     let iters, refactors =
       match r.Ffc.stats.Ffc.solver with
       | Some s -> (s.Problem.phase1_iterations + s.Problem.phase2_iterations, s.Problem.refactorisations)
@@ -1087,51 +1121,51 @@ let lp_bench () =
         Printf.sprintf "%.1fx" (baseline_s encoding /. secs);
         string_of_int iters;
         string_of_int refactors;
-        Printf.sprintf "%.3f %s" obj oracle_cell;
+        Printf.sprintf "%.3f %s" obj
+          (match oracle_obj with
+          | None -> "(oracle skipped: quick)"
+          | Some o -> if agrees obj o then "(= oracle)" else Printf.sprintf "(oracle %.9f)" o);
       ];
-    ( Printf.sprintf
-        "{\n\
-        \    \"time_s\": %.4f,\n\
-        \    \"baseline_s\": %.2f,\n\
-        \    \"speedup\": %.2f,\n\
-        \    \"lp_vars\": %d,\n\
-        \    \"lp_rows\": %d,\n\
-        \    \"iterations\": %d,\n\
-        \    \"refactorisations\": %d,\n\
-        \    \"objective\": %.9f,\n\
-        \    \"oracle_objective\": %s\n\
-        \  }"
-        secs (baseline_s encoding)
-        (baseline_s encoding /. secs)
-        r.Ffc.stats.Ffc.lp_vars r.Ffc.stats.Ffc.lp_rows iters refactors obj oracle_json,
-      secs )
+    ( obj,
+      secs,
+      Json.Obj
+        [
+          ("time_s", Float secs); ("baseline_s", Float (baseline_s encoding));
+          ("speedup", Float (baseline_s encoding /. secs));
+          ("lp_vars", Int r.Ffc.stats.Ffc.lp_vars); ("lp_rows", Int r.Ffc.stats.Ffc.lp_rows);
+          ("iterations", Int iters); ("refactorisations", Int refactors); ("objective", Float obj);
+          ("oracle_objective", match oracle_obj with Some o -> Float o | None -> Null);
+        ] )
   in
-  let sorting_json, _ = row `Sorting_network in
-  let duality_json, duality_secs = row `Duality in
+  let sorting_obj, _, sorting_json = row `Sorting_network in
+  let duality_obj, duality_secs, duality_json = row `Duality in
   Table.print t;
   if !fast then Printf.printf "(quick mode: dense-tableau oracle cross-check skipped)\n"
   else
     Printf.printf
       "(objectives certified to 1e-6 relative against the dense-tableau oracle,\n\
       \ solved on the equivalent duality encoding)\n";
-  (* The CI smoke's regression tripwire: the duality row solved in ~0.08 s
-     at the time of writing; 2 s means something is badly wrong. *)
-  if duality_secs > 2.0 then
-    failwith
-      (Printf.sprintf "bench lp: duality row took %.2f s (> 2 s regression threshold)" duality_secs);
   let warm_json = warm_bench () in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": \"%s\",\n\
-      \  \"config\": \"kc=2,ke=1\",\n\
-      \  \"sorting_net\": %s,\n\
-      \  \"duality\": %s,\n\
-      \  \"warm\": %s\n\
-       }\n"
-      sc.Sim.Scenario.name sorting_json duality_json warm_json
+  (* A skipped oracle is no contract at all, not a passed one. *)
+  let oracle_contract =
+    match oracle_obj with
+    | None -> []
+    | Some o ->
+      [
+        ( "oracle_agreement",
+          "objectives agree with the dense-tableau oracle (1e-6)",
+          agrees sorting_obj o && agrees duality_obj o );
+      ]
   in
-  write_bench_json ~name:"lp" json
+  report ~name:"lp"
+    [
+      ("scenario", String sc.Sim.Scenario.name); ("config", String "kc=2,ke=1");
+      ("sorting_net", sorting_json); ("duality", duality_json); ("warm", warm_json);
+    ]
+    (* The CI smoke's regression tripwire: the duality row solved in ~0.08 s
+       at the time of writing; 2 s means something is badly wrong. *)
+    (oracle_contract
+    @ [ ("duality_under_2s", "duality row solved in under 2 s", duality_secs <= 2.0) ])
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: degradation ladder, solve deadlines, guarantee auditing *)
@@ -1169,11 +1203,9 @@ let resilience () =
   let scaled_input = Sim.Scenario.scaled sc scale in
   let prev = match Basic_te.solve scaled_input with Ok a -> a | Error e -> failwith e in
   let time_of prot =
-    let t0 = Unix.gettimeofday () in
-    (match Ffc.solve ~config:(ffc_config prot) ~prev scaled_input with
-    | Ok _ -> ()
-    | Error e -> failwith ("resilience reference solve: " ^ e));
-    1000. *. (Unix.gettimeofday () -. t0)
+    match Clock.time_ms (fun () -> Ffc.solve ~config:(ffc_config prot) ~prev scaled_input) with
+    | Ok _, ms -> ms
+    | Error e, _ -> failwith ("resilience reference solve: " ^ e)
   in
   let t_full = time_of protection in
   let t_red = time_of (Controller.degrade 1 protection) in
@@ -1196,6 +1228,31 @@ let resilience () =
          (links @ switches))
   in
   let series = Sim.Scenario.demand_series (Rng.create 777) sc ~scale ~intervals:n in
+  (* Collapse rung labels to the four schema-stable categories. *)
+  let category label =
+    if label = "full" then `Full
+    else if String.length label >= 7 && String.sub label 0 7 = "reduced" then `Reduced
+    else if label = "basic-te" then `Basic
+    else `Last_good
+  in
+  let rungs cat = count (fun s -> category s.Sim.Interval_sim.rung_label = cat) in
+  let silent_stale =
+    count (fun s ->
+        s.Sim.Interval_sim.stale_alloc <> (category s.Sim.Interval_sim.rung_label = `Last_good))
+  in
+  let audit_violations = total (fun s -> s.Sim.Interval_sim.audit_violations) in
+  (* Worst wall time over budget of a deadline-killed attempt; 0 if none. *)
+  let max_overrun stats =
+    let overrun acc (a : Controller.attempt) =
+      match (a.Controller.budget_ms, a.Controller.outcome) with
+      | Some b, Error { Te_types.kind = `Deadline; _ } when b > 0. ->
+        max acc (a.Controller.solve_ms /. b)
+      | _ -> acc
+    in
+    List.fold_left (fun acc s -> List.fold_left overrun acc s.Sim.Interval_sim.ladder) 0. stats
+  in
+  let ratio r = if r > 0. then Json.Float r else Null in
+  let opt f = function Some x -> f x | None -> Json.Null in
   let run_phase name ?deadline_ms ?max_iterations () =
     let cfg =
       {
@@ -1206,7 +1263,28 @@ let resilience () =
       }
     in
     let stats = Sim.Interval_sim.run ~rng:(Rng.create 901) cfg input ~demand_series:series in
-    (name, deadline_ms, max_iterations, stats)
+    let sum f = total f stats in
+    ( stats,
+      [
+        ("name", "phase", Json.String name);
+        ("deadline_ms", "deadline (ms)", opt (fun d -> Json.Float d) deadline_ms);
+        ("max_iterations", "max iters", opt (fun i -> Json.Int i) max_iterations);
+        ("intervals", "intervals", Int n);
+        ( "rungs",
+          "full/reduced/basic/last-good",
+          Obj
+            [
+              ("full", Int (rungs `Full stats)); ("reduced", Int (rungs `Reduced stats));
+              ("basic_te", Int (rungs `Basic stats)); ("last_good", Int (rungs `Last_good stats));
+            ] );
+        ("fallbacks", "fallbacks", Int (sum (fun s -> s.Sim.Interval_sim.solver_fallbacks)));
+        ("deadline_hits", "ddl hits", Int (sum (fun s -> s.Sim.Interval_sim.deadline_hits)));
+        ("stale_intervals", "stale", Int (count (fun s -> s.Sim.Interval_sim.stale_alloc) stats));
+        ("silent_stale", "silent", Int (silent_stale stats));
+        ("audit_cases", "audits", Int (sum (fun s -> s.Sim.Interval_sim.audit_cases)));
+        ("audit_violations", "audit viol", Int (audit_violations stats));
+        ("max_overrun_ratio", "max overrun", ratio (max_overrun stats));
+      ] )
   in
   let phases =
     [
@@ -1215,131 +1293,53 @@ let resilience () =
       run_phase "starved" ~max_iterations:0 ();
     ]
   in
-  (* Collapse rung labels to the four schema-stable categories. *)
-  let category label =
-    if label = "full" then `Full
-    else if String.length label >= 7 && String.sub label 0 7 = "reduced" then `Reduced
-    else if label = "basic-te" then `Basic
-    else `Last_good
-  in
-  let phase_summary (_, deadline_ms, _, stats) =
-    let count pred = List.fold_left (fun a s -> if pred s then a + 1 else a) 0 stats in
-    let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
-    let rungs cat =
-      count (fun (s : Sim.Interval_sim.interval_stats) ->
-          category s.Sim.Interval_sim.rung_label = cat)
-    in
-    let silent_stale =
-      count (fun (s : Sim.Interval_sim.interval_stats) ->
-          s.Sim.Interval_sim.stale_alloc <> (category s.Sim.Interval_sim.rung_label = `Last_good))
-    in
-    let max_overrun =
-      List.fold_left
-        (fun acc (s : Sim.Interval_sim.interval_stats) ->
-          List.fold_left
-            (fun acc (a : Controller.attempt) ->
-              match (a.Controller.budget_ms, a.Controller.outcome) with
-              | Some b, Error { Te_types.kind = `Deadline; _ } when b > 0. ->
-                max acc (a.Controller.solve_ms /. b)
-              | _ -> acc)
-            acc s.Sim.Interval_sim.ladder)
-        0. stats
-    in
-    ignore deadline_ms;
-    ( (rungs `Full, rungs `Reduced, rungs `Basic, rungs `Last_good),
-      sum (fun s -> s.Sim.Interval_sim.solver_fallbacks),
-      sum (fun s -> s.Sim.Interval_sim.deadline_hits),
-      count (fun s -> s.Sim.Interval_sim.stale_alloc),
-      silent_stale,
-      sum (fun s -> s.Sim.Interval_sim.audit_cases),
-      sum (fun s -> s.Sim.Interval_sim.audit_violations),
-      max_overrun )
-  in
-  let t =
-    Table.create
-      [
-        "phase"; "deadline (ms)"; "full"; "reduced"; "basic"; "last-good"; "fallbacks";
-        "ddl hits"; "stale"; "audit"; "max overrun";
-      ]
-  in
-  let summaries = List.map (fun p -> (p, phase_summary p)) phases in
-  List.iter
-    (fun ((name, deadline_ms, _, _), ((f, r, b, lg), fb, dh, st, _, ac, av, ovr)) ->
-      Table.add_row t
-        [
-          name;
-          (match deadline_ms with Some d -> Printf.sprintf "%.0f" d | None -> "-");
-          string_of_int f;
-          string_of_int r;
-          string_of_int b;
-          string_of_int lg;
-          string_of_int fb;
-          string_of_int dh;
-          string_of_int st;
-          Printf.sprintf "%d/%d" av ac;
-          (if ovr > 0. then Printf.sprintf "%.2fx" ovr else "-");
-        ])
-    summaries;
-  Table.print t;
-  (* --- robustness contract --- *)
-  let tot f = List.fold_left (fun a (_, s) -> a + f s) 0 summaries in
-  let full_tot = tot (fun ((f, _, _, _), _, _, _, _, _, _, _) -> f) in
-  let red_tot = tot (fun ((_, r, _, _), _, _, _, _, _, _, _) -> r) in
-  let lg_tot = tot (fun ((_, _, _, lg), _, _, _, _, _, _, _) -> lg) in
-  let silent_tot = tot (fun (_, _, _, _, sil, _, _, _) -> sil) in
-  let violations_tot = tot (fun (_, _, _, _, _, _, av, _) -> av) in
-  let max_overrun =
-    List.fold_left (fun acc (_, (_, _, _, _, _, _, _, o)) -> max acc o) 0. summaries
-  in
-  let check name ok = Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL") in
-  let ok1 = full_tot >= 1 && red_tot >= 1 && lg_tot >= 1 in
-  let ok2 = silent_tot = 0 in
-  let ok3 = max_overrun <= 2.0 in
-  let ok4 = violations_tot = 0 in
-  check "rung distribution covers full/reduced/last-good" ok1;
-  check "no silently-kept stale allocation" ok2;
-  check "deadline-killed attempts within 2x budget" ok3;
-  check "zero sampled audit violations" ok4;
-  let json =
-    let phase_json ((name, deadline_ms, max_iterations, _), ((f, r, b, lg), fb, dh, st, sil, ac, av, ovr))
-        =
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"deadline_ms\": %s, \"max_iterations\": %s, \"intervals\": %d,\n\
-        \      \"rungs\": { \"full\": %d, \"reduced\": %d, \"basic_te\": %d, \"last_good\": %d },\n\
-        \      \"fallbacks\": %d, \"deadline_hits\": %d, \"stale_intervals\": %d,\n\
-        \      \"silent_stale\": %d, \"audit_cases\": %d, \"audit_violations\": %d,\n\
-        \      \"max_overrun_ratio\": %s }"
-        name
-        (match deadline_ms with Some d -> Printf.sprintf "%.3f" d | None -> "null")
-        (match max_iterations with Some i -> string_of_int i | None -> "null")
-        n f r b lg fb dh st sil ac av
-        (if ovr > 0. then Printf.sprintf "%.3f" ovr else "null")
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": \"%s\",\n\
-      \  \"scale\": %.1f,\n\
-      \  \"protection\": \"kc=%d,ke=%d,kv=%d\",\n\
-      \  \"reference_ms\": { \"full\": %.3f, \"reduced1\": %.3f },\n\
-      \  \"phases\": [\n%s\n  ],\n\
-      \  \"totals\": { \"intervals\": %d, \"full\": %d, \"reduced\": %d, \"last_good\": %d,\n\
-      \               \"silent_stale\": %d, \"audit_violations\": %d,\n\
-      \               \"max_overrun_ratio\": %s, \"deadline_compliance_2x\": %b,\n\
-      \               \"rung_coverage\": %b, \"audit_clean\": %b }\n\
-       }\n"
-      sc.Sim.Scenario.name scale protection.Te_types.kc protection.Te_types.ke
-      protection.Te_types.kv t_full t_red
-      (String.concat ",\n" (List.map phase_json summaries))
-      (3 * n) full_tot red_tot lg_tot silent_tot violations_tot
-      (if max_overrun > 0. then Printf.sprintf "%.3f" max_overrun else "null")
-      ok3 ok1 ok4
-  in
-  write_bench_json ~name:"resilience" json;
-  if not (ok1 && ok2 && ok3 && ok4) then failwith "resilience: robustness contract violated"
+  print_rows (List.map snd phases);
+  (* --- robustness contract, judged over all three phases --- *)
+  let all = List.concat_map fst phases in
+  let full = rungs `Full all and reduced = rungs `Reduced all in
+  let last_good = rungs `Last_good all and silent = silent_stale all in
+  let violations = audit_violations all and max_overrun = max_overrun all in
+  report ~name:"resilience"
+    (identity sc ~scale protection
+    @ [
+        ("reference_ms", Obj [ ("full", Float t_full); ("reduced1", Float t_red) ]);
+        ("phases", List (List.map (fun (_, row) -> row_json row) phases));
+        ( "totals",
+          Obj
+            [
+              ("intervals", Int (List.length all)); ("full", Int full); ("reduced", Int reduced);
+              ("last_good", Int last_good); ("silent_stale", Int silent);
+              ("audit_violations", Int violations); ("max_overrun_ratio", ratio max_overrun);
+            ] );
+      ])
+    [
+      ( "rung_coverage",
+        "rung distribution covers full/reduced/last-good",
+        full >= 1 && reduced >= 1 && last_good >= 1 );
+      ("no_silent_stale", "no silently-kept stale allocation", silent = 0);
+      ("deadline_compliance_2x", "deadline-killed attempts within 2x budget", max_overrun <= 2.0);
+      ("audit_clean", "zero sampled audit violations", violations = 0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Southbound engine: staleness, retries and the kc contract           *)
 (* ------------------------------------------------------------------ *)
+
+(* The live kc checker's verdicts. *)
+let kc_ok s = s.Sim.Interval_sim.kc_verdict = Sim.Southbound.Ok_checked
+
+let kc_beyond s =
+  match s.Sim.Interval_sim.kc_verdict with Sim.Southbound.Beyond_budget _ -> true | _ -> false
+
+let kc_violation s =
+  match s.Sim.Interval_sim.kc_verdict with Sim.Southbound.Violation _ -> true | _ -> false
+
+let kc_fields stats =
+  [
+    ("kc_ok", "kc ok", Json.Int (count kc_ok stats));
+    ("kc_beyond_budget", "kc beyond", Int (count kc_beyond stats));
+    ("kc_violations", "kc viol", Int (count kc_violation stats));
+  ]
 
 (* Over-subscribed L-Net under the Realistic switch model (§2.3): pushes
    fail, straggle past the per-attempt timeout and sometimes turn into
@@ -1378,114 +1378,54 @@ let southbound () =
       run_phase "retrying" Sim.Southbound.default_retry;
     ]
   in
+  let stale s = List.length s.Sim.Interval_sim.southbound.Sim.Southbound.stale in
+  let sb f = total (fun s -> f s.Sim.Interval_sim.southbound) in
+  let retry_successes = sb (fun r -> r.Sim.Southbound.retry_successes) in
+  let escalated s = s.Sim.Interval_sim.escalated in
   let summary (name, stats) =
-    let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
-    let count pred = List.fold_left (fun a s -> if pred s then a + 1 else a) 0 stats in
-    let sb f = sum (fun s -> f s.Sim.Interval_sim.southbound) in
-    let stale_intervals =
-      count (fun s -> s.Sim.Interval_sim.southbound.Sim.Southbound.stale <> [])
-    in
-    let max_stale =
-      List.fold_left
-        (fun a s ->
-          max a (List.length s.Sim.Interval_sim.southbound.Sim.Southbound.stale))
-        0 stats
-    in
-    let verdicts pred = count (fun s -> pred s.Sim.Interval_sim.kc_verdict) in
-    ( name,
-      sb (fun r -> r.Sim.Southbound.pushed),
-      sb (fun r -> r.Sim.Southbound.attempts),
-      sb (fun r -> r.Sim.Southbound.retries),
-      sb (fun r -> r.Sim.Southbound.retry_successes),
-      sb (fun r -> r.Sim.Southbound.failures),
-      sb (fun r -> r.Sim.Southbound.timeouts),
-      sb (fun r -> r.Sim.Southbound.outages_started),
-      (stale_intervals, max_stale),
-      ( verdicts (function Sim.Southbound.Ok_checked -> true | _ -> false),
-        verdicts (function Sim.Southbound.Beyond_budget _ -> true | _ -> false),
-        verdicts (function Sim.Southbound.Violation _ -> true | _ -> false) ),
-      count (fun s -> s.Sim.Interval_sim.escalated) )
+    [
+      ("name", "phase", Json.String name); ("intervals", "intervals", Int n);
+      ("pushed", "pushed", Int (sb (fun r -> r.Sim.Southbound.pushed) stats));
+      ("attempts", "attempts", Int (sb (fun r -> r.Sim.Southbound.attempts) stats));
+      ("retries", "retries", Int (sb (fun r -> r.Sim.Southbound.retries) stats));
+      ("retry_successes", "retry ok", Int (retry_successes stats));
+      ("failures", "failures", Int (sb (fun r -> r.Sim.Southbound.failures) stats));
+      ("timeouts", "timeouts", Int (sb (fun r -> r.Sim.Southbound.timeouts) stats));
+      ("outages", "outages", Int (sb (fun r -> r.Sim.Southbound.outages_started) stats));
+      ("stale_intervals", "stale ivals", Int (count (fun s -> stale s > 0) stats));
+      ("max_stale", "max stale", Int (List.fold_left (fun a s -> max a (stale s)) 0 stats));
+    ]
+    @ kc_fields stats
+    @ [ ("escalated_intervals", "escalated", Int (count escalated stats)) ]
   in
-  let summaries = List.map summary phases in
-  let t =
-    Table.create
-      [
-        "phase"; "pushed"; "attempts"; "retries"; "retry ok"; "failures"; "timeouts";
-        "outages"; "stale ivals"; "max stale"; "kc ok/beyond/viol"; "escalated";
-      ]
-  in
-  List.iter
-    (fun (name, pu, at, re, rs, fa, ti, ou, (si, ms), (ok, bb, vi), esc) ->
-      Table.add_row t
-        [
-          name; string_of_int pu; string_of_int at; string_of_int re; string_of_int rs;
-          string_of_int fa; string_of_int ti; string_of_int ou; string_of_int si;
-          string_of_int ms;
-          Printf.sprintf "%d/%d/%d" ok bb vi;
-          string_of_int esc;
-        ])
-    summaries;
-  Table.print t;
+  let rows = List.map summary phases in
+  print_rows rows;
   (* Surface any violation verbatim — this is the contract the engine exists
      to uphold. *)
   List.iter
     (fun (name, stats) ->
       List.iteri
         (fun i s ->
-          match s.Sim.Interval_sim.kc_verdict with
-          | Sim.Southbound.Violation _ ->
+          if kc_violation s then
             Printf.printf "  %s interval %d: %s\n" name i
-              (Format.asprintf "%a" Sim.Southbound.pp_verdict s.Sim.Interval_sim.kc_verdict)
-          | _ -> ())
+              (Format.asprintf "%a" Sim.Southbound.pp_verdict s.Sim.Interval_sim.kc_verdict))
         stats)
     phases;
-  let tot f = List.fold_left (fun a s -> a + f s) 0 summaries in
-  let violations =
-    tot (fun (_, _, _, _, _, _, _, _, _, (_, _, vi), _) -> vi)
-  in
-  let retry_successes =
-    List.fold_left
-      (fun acc (name, _, _, _, rs, _, _, _, _, _, _) ->
-        if name = "retrying" then acc + rs else acc)
-      0 summaries
-  in
-  let checked =
-    tot (fun (_, _, _, _, _, _, _, _, _, (ok, _, _), _) -> ok)
-  in
-  let check name ok = Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL") in
-  let ok1 = violations = 0 in
-  let ok2 = retry_successes > 0 in
-  let ok3 = checked >= 1 in
-  check "zero kc-guarantee violations when |stale| <= kc" ok1;
-  check "retried updates eventually applied (> 0)" ok2;
-  check "checker exercised on at least one interval" ok3;
-  let json =
-    let phase_json (name, pu, at, re, rs, fa, ti, ou, (si, ms), (ok, bb, vi), esc) =
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"intervals\": %d, \"pushed\": %d, \"attempts\": %d,\n\
-        \      \"retries\": %d, \"retry_successes\": %d, \"failures\": %d, \"timeouts\": %d,\n\
-        \      \"outages\": %d, \"stale_intervals\": %d, \"max_stale\": %d,\n\
-        \      \"kc_ok\": %d, \"kc_beyond_budget\": %d, \"kc_violations\": %d,\n\
-        \      \"escalated_intervals\": %d }"
-        name n pu at re rs fa ti ou si ms ok bb vi esc
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": \"%s\",\n\
-      \  \"scale\": %.1f,\n\
-      \  \"protection\": \"kc=%d,ke=%d,kv=%d\",\n\
-      \  \"switch_model\": \"%s\",\n\
-      \  \"phases\": [\n%s\n  ],\n\
-      \  \"totals\": { \"kc_violations\": %d, \"retry_successes\": %d,\n\
-      \               \"contract_zero_violations\": %b, \"contract_retries_applied\": %b }\n\
-       }\n"
-      sc.Sim.Scenario.name scale protection.Te_types.kc protection.Te_types.ke
-      protection.Te_types.kv um.Sim.Update_model.name
-      (String.concat ",\n" (List.map phase_json summaries))
-      violations retry_successes ok1 ok2
-  in
-  write_bench_json ~name:"southbound" json;
-  if not (ok1 && ok2 && ok3) then failwith "southbound: kc/retry contract violated"
+  let all = List.concat_map snd phases in
+  let violations = count kc_violation all in
+  let retried = retry_successes (List.assoc "retrying" phases) in
+  report ~name:"southbound"
+    (identity sc ~scale protection
+    @ [
+        ("switch_model", String um.Sim.Update_model.name);
+        ("phases", List (List.map row_json rows));
+        ("totals", Obj [ ("kc_violations", Int violations); ("retry_successes", Int retried) ]);
+      ])
+    [
+      ("zero_violations", "zero kc-guarantee violations when |stale| <= kc", violations = 0);
+      ("retries_applied", "retried updates eventually applied (> 0)", retried > 0);
+      ("checker_exercised", "checker exercised on at least one interval", count kc_ok all >= 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz smoke (CI gate)                                   *)
@@ -1513,22 +1453,17 @@ let fuzz () =
   (match Fuzz.failures r with
   | [] -> ()
   | fs ->
-    let oc = open_out "FUZZ_repro.ml" in
-    List.iteri
-      (fun i (f : Fuzz.finding) ->
-        Printf.fprintf oc "(* finding %d: oracle %s, seed %d, instance %d\n   %s *)\n%s\n" i
-          f.Fuzz.f_oracle f.Fuzz.f_seed f.Fuzz.f_index f.Fuzz.min_message f.Fuzz.repro)
-      fs;
-    close_out oc;
+    Fuzz.write_repros "FUZZ_repro.ml" fs;
     Printf.printf "wrote FUZZ_repro.ml (%d findings)\n" (List.length fs));
   if starved <> [] then
-    failwith
-      (Printf.sprintf "fuzz: oracle(s) never exercised: %s"
-         (String.concat ", " (List.map (fun (o : Fuzz.oracle_report) -> o.Fuzz.o_name) starved)));
+    raise
+      (Contract_failed
+         ("oracle(s) never exercised: "
+         ^ String.concat ", " (List.map (fun (o : Fuzz.oracle_report) -> o.Fuzz.o_name) starved)));
   if Fuzz.failures r <> [] then
-    failwith
-      (Printf.sprintf "fuzz: %d finding(s), repros in FUZZ_repro.ml"
-         (List.length (Fuzz.failures r)))
+    raise
+      (Contract_failed
+         (Printf.sprintf "%d finding(s), repros in FUZZ_repro.ml" (List.length (Fuzz.failures r))))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: crash-recovery journal and adversarial guarantee hunting     *)
@@ -1599,51 +1534,28 @@ let chaos () =
       run_arm "journaled" Sim.Interval_sim.Journaled_restart;
     ]
   in
+  let down s = s.Sim.Interval_sim.controller_down in
+  let recovering s = s.Sim.Interval_sim.recovery_interval in
+  let from_journal s = s.Sim.Interval_sim.recovered_from_journal in
+  let lost pred stats =
+    List.fold_left (fun a s -> if pred s then a +. Sim.Interval_sim.total_lost s else a) 0. stats
+  in
   let summary (name, stats) =
-    let count pred = List.fold_left (fun a s -> if pred s then a + 1 else a) 0 stats in
-    let sumf f = List.fold_left (fun a s -> a +. f s) 0. stats in
-    let down = count (fun s -> s.Sim.Interval_sim.controller_down) in
-    let recov = count (fun s -> s.Sim.Interval_sim.recovery_interval) in
-    let journaled = count (fun s -> s.Sim.Interval_sim.recovered_from_journal) in
-    let lost = sumf Sim.Interval_sim.total_lost in
-    let window_lost =
-      sumf (fun s ->
-          if s.Sim.Interval_sim.controller_down || s.Sim.Interval_sim.recovery_interval
-          then Sim.Interval_sim.total_lost s
-          else 0.)
-    in
-    let verdicts pred = count (fun s -> pred s.Sim.Interval_sim.kc_verdict) in
-    ( name,
-      down,
-      recov,
-      journaled,
-      lost,
-      window_lost,
-      ( verdicts (function Sim.Southbound.Ok_checked -> true | _ -> false),
-        verdicts (function Sim.Southbound.Beyond_budget _ -> true | _ -> false),
-        verdicts (function Sim.Southbound.Violation _ -> true | _ -> false) ) )
+    [
+      ("name", "arm", Json.String name); ("intervals", "intervals", Int n);
+      ("down_intervals", "down ivals", Int (count down stats));
+      ("recovery_intervals", "recovery", Int (count recovering stats));
+      ("journal_recoveries", "from journal", Int (count from_journal stats));
+      ("lost_gb", "lost Gb", Float (lost (fun _ -> true) stats));
+      ( "outage_window_lost_gb",
+        "window lost Gb",
+        Float (lost (fun s -> down s || recovering s) stats) );
+    ]
+    @ kc_fields stats
   in
-  let summaries = List.map summary arms in
-  let t =
-    Table.create
-      [
-        "arm"; "down ivals"; "recovery"; "from journal"; "lost Gb"; "window lost Gb";
-        "kc ok/beyond/viol";
-      ]
-  in
-  List.iter
-    (fun (name, down, recov, j, lost, wlost, (ok, bb, vi)) ->
-      Table.add_row t
-        [
-          name; string_of_int down; string_of_int recov; string_of_int j;
-          Printf.sprintf "%.2f" lost; Printf.sprintf "%.2f" wlost;
-          Printf.sprintf "%d/%d/%d" ok bb vi;
-        ])
-    summaries;
-  Table.print t;
-  let find name = List.find (fun (a, _, _, _, _, _, _) -> a = name) summaries in
-  let _, c_down, c_recov, _, c_lost, _, _ = find "cold" in
-  let _, j_down, j_recov, j_journal, j_lost, _, (_, _, j_viol) = find "journaled" in
+  let rows = List.map summary arms in
+  print_rows rows;
+  let cold = List.assoc "cold" arms and journaled = List.assoc "journaled" arms in
   (* The adversarial hunter at the same protection level, budget-bounded so
      CI cost stays fixed; a finding fails the bench with a shrunk repro. *)
   let hunt_budget = if !fast then 10 else 40 in
@@ -1658,56 +1570,40 @@ let chaos () =
       ~ke:protection.Te_types.ke ~kv:protection.Te_types.kv ()
   in
   Format.printf "%a@." Ffc_check.Chaos.pp_report hr;
-  (match hr.Ffc_check.Chaos.h_finding with
-  | None -> ()
-  | Some f ->
-    let oc = open_out "CHAOS_repro.ml" in
-    Printf.fprintf oc "(* chaos finding, hunt seed 42\n   %s *)\n%s\n"
-      f.Ffc_check.Chaos.c_min_message f.Ffc_check.Chaos.c_repro;
-    close_out oc;
-    Printf.printf "wrote CHAOS_repro.ml\n");
-  let check name ok = Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL") in
-  let ok1 = c_down >= 1 && j_down >= 1 && c_recov >= 1 && j_recov >= 1 && j_journal >= 1 in
-  let ok2 = j_lost <= c_lost +. (1e-6 *. (1. +. c_lost)) in
-  let ok3 = j_viol = 0 in
-  let ok4 = hr.Ffc_check.Chaos.h_finding = None in
-  check "downtime + recovery exercised, journal restored" ok1;
-  check "journaled recovery loses no more than cold" ok2;
-  check "zero kc-guarantee violations (journaled arm)" ok3;
-  check "hunter finds no violation within protection" ok4;
-  let json =
-    let arm_json (name, down, recov, j, lost, wlost, (ok, bb, vi)) =
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"intervals\": %d, \"down_intervals\": %d,\n\
-        \      \"recovery_intervals\": %d, \"journal_recoveries\": %d,\n\
-        \      \"lost_gb\": %.6f, \"outage_window_lost_gb\": %.6f,\n\
-        \      \"kc_ok\": %d, \"kc_beyond_budget\": %d, \"kc_violations\": %d }"
-        name n down recov j lost wlost ok bb vi
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": \"%s\",\n\
-      \  \"scale\": %.1f,\n\
-      \  \"protection\": \"kc=%d,ke=%d,kv=%d\",\n\
-      \  \"switch_model\": \"%s\",\n\
-      \  \"crash_interval\": %d,\n\
-      \  \"downtime_s\": %.0f,\n\
-      \  \"arms\": [\n%s\n  ],\n\
-      \  \"hunter\": { \"budget\": %d, \"evaluated\": %d, \"best_score\": %.6f,\n\
-      \              \"violation_found\": %b },\n\
-      \  \"contracts\": { \"recovery_exercised\": %b, \"journal_no_worse\": %b,\n\
-      \                 \"zero_violations\": %b, \"hunter_clean\": %b }\n\
-       }\n"
-      sc.Sim.Scenario.name scale protection.Te_types.kc protection.Te_types.ke
-      protection.Te_types.kv um.Sim.Update_model.name crash_at downtime_s
-      (String.concat ",\n" (List.map arm_json summaries))
-      hunt_budget hr.Ffc_check.Chaos.h_evaluated hr.Ffc_check.Chaos.h_best_score
-      (hr.Ffc_check.Chaos.h_finding <> None)
-      ok1 ok2 ok3 ok4
-  in
-  write_bench_json ~name:"chaos" json;
-  if not (ok1 && ok2 && ok3 && ok4) then
-    failwith "chaos: crash-recovery / guarantee-hunt contract violated"
+  Option.iter
+    (fun f ->
+      Ffc_check.Chaos.write_repro "CHAOS_repro.ml" ~seed:42 f;
+      Printf.printf "wrote CHAOS_repro.ml\n")
+    hr.Ffc_check.Chaos.h_finding;
+  let exercised stats = count down stats >= 1 && count recovering stats >= 1 in
+  let cold_lost = lost (fun _ -> true) cold in
+  report ~name:"chaos"
+    (identity sc ~scale protection
+    @ [
+        ("switch_model", String um.Sim.Update_model.name); ("crash_interval", Int crash_at);
+        ("downtime_s", Float downtime_s); ("arms", List (List.map row_json rows));
+        ( "hunter",
+          Obj
+            [
+              ("budget", Int hunt_budget); ("evaluated", Int hr.Ffc_check.Chaos.h_evaluated);
+              ("best_score", Float hr.Ffc_check.Chaos.h_best_score);
+              ("violation_found", Bool (hr.Ffc_check.Chaos.h_finding <> None));
+            ] );
+      ])
+    [
+      ( "recovery_exercised",
+        "downtime + recovery exercised, journal restored",
+        exercised cold && exercised journaled && count from_journal journaled >= 1 );
+      ( "journal_no_worse",
+        "journaled recovery loses no more than cold",
+        lost (fun _ -> true) journaled <= cold_lost +. (1e-6 *. (1. +. cold_lost)) );
+      ( "zero_violations",
+        "zero kc-guarantee violations (journaled arm)",
+        count kc_violation journaled = 0 );
+      ( "hunter_clean",
+        "hunter finds no violation within protection",
+        hr.Ffc_check.Chaos.h_finding = None );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Imperfect sensing: lossy telemetry vs perfect visibility            *)
@@ -1782,55 +1678,42 @@ let telemetry () =
         (Some (Estimator.config ~headroom:0.2 ()));
     ]
   in
+  let gt_ok s = s.Sim.Interval_sim.gt_data = Sim.Interval_sim.Gt_ok in
+  let gt_not_asserted s = s.Sim.Interval_sim.gt_data = Sim.Interval_sim.Gt_not_asserted in
+  let gt_violation s =
+    match s.Sim.Interval_sim.gt_data with Sim.Interval_sim.Gt_violation _ -> true | _ -> false
+  in
+  let peak_staleness = List.fold_left (fun a s -> max a s.Sim.Interval_sim.view_staleness) 0 in
+  let suspects =
+    total (fun s -> s.Sim.Interval_sim.suspect_links + s.Sim.Interval_sim.suspect_switches)
+  in
   let summary (name, stats) =
-    let count pred = List.fold_left (fun a s -> if pred s then a + 1 else a) 0 stats in
     let sumf f = List.fold_left (fun a s -> a +. f s) 0. stats in
-    let maxi f = List.fold_left (fun a s -> max a (f s)) 0 stats in
-    let sumi f = List.fold_left (fun a s -> a + f s) 0 stats in
-    let granted =
-      sumf (fun s ->
-          Array.fold_left
-            (fun a (c : Sim.Interval_sim.class_stats) -> a +. c.Sim.Interval_sim.granted_gb)
-            0. s.Sim.Interval_sim.per_class)
+    let granted s =
+      Array.fold_left
+        (fun a (c : Sim.Interval_sim.class_stats) -> a +. c.Sim.Interval_sim.granted_gb)
+        0. s.Sim.Interval_sim.per_class
     in
-    let kc_viol =
-      count (fun s ->
-          match s.Sim.Interval_sim.kc_verdict with Sim.Southbound.Violation _ -> true | _ -> false)
-    in
-    let gt pred = count (fun s -> pred s.Sim.Interval_sim.gt_data) in
-    let err_mean =
-      sumf (fun s -> s.Sim.Interval_sim.estimation_err) /. float_of_int (max 1 (List.length stats))
-    in
-    ( name,
-      granted,
-      sumf Sim.Interval_sim.total_lost,
-      kc_viol,
-      ( gt (function Sim.Interval_sim.Gt_ok -> true | _ -> false),
-        gt (function Sim.Interval_sim.Gt_not_asserted -> true | _ -> false),
-        gt (function Sim.Interval_sim.Gt_violation _ -> true | _ -> false) ),
-      maxi (fun s -> s.Sim.Interval_sim.view_staleness),
-      sumi (fun s -> s.Sim.Interval_sim.suspect_links + s.Sim.Interval_sim.suspect_switches),
-      count (fun s -> s.Sim.Interval_sim.solve_skipped),
-      err_mean )
+    [
+      ("name", "arm", Json.String name); ("intervals", "intervals", Int n);
+      ("granted_gb", "granted Gb", Float (sumf granted));
+      ("lost_gb", "lost Gb", Float (sumf Sim.Interval_sim.total_lost));
+      ("kc_violations", "kc viol", Int (count kc_violation stats));
+      ("gt_ok", "gt ok", Int (count gt_ok stats));
+      ("gt_not_asserted", "gt n/a", Int (count gt_not_asserted stats));
+      ("gt_violations", "gt viol", Int (count gt_violation stats));
+      ("peak_view_staleness", "peak stale", Int (peak_staleness stats));
+      ("suspect_charges", "suspect charges", Int (suspects stats));
+      ("skipped_solves", "skipped", Int (count (fun s -> s.Sim.Interval_sim.solve_skipped) stats));
+      ( "mean_estimation_err",
+        "mean est err",
+        Float
+          (sumf (fun s -> s.Sim.Interval_sim.estimation_err)
+          /. float_of_int (max 1 (List.length stats))) );
+    ]
   in
-  let summaries = List.map summary arms in
-  let t =
-    Table.create
-      [
-        "arm"; "granted Gb"; "lost Gb"; "kc viol"; "gt ok/n-a/viol"; "peak stale";
-        "suspect charges"; "skipped"; "mean est err";
-      ]
-  in
-  List.iter
-    (fun (name, g, l, kcv, (gok, gna, gvi), st, su, sk, err) ->
-      Table.add_row t
-        [
-          name; Printf.sprintf "%.1f" g; Printf.sprintf "%.2f" l; string_of_int kcv;
-          Printf.sprintf "%d/%d/%d" gok gna gvi; string_of_int st; string_of_int su;
-          string_of_int sk; Printf.sprintf "%.1f%%" (100. *. err);
-        ])
-    summaries;
-  Table.print t;
+  let rows = List.map summary arms in
+  print_rows rows;
   (* Bit-identity: neutral telemetry parameters must not perturb a single
      RNG draw or float anywhere in the pipeline. *)
   let stats_of name = List.assoc name arms in
@@ -1847,51 +1730,31 @@ let telemetry () =
     }
   in
   let identical = List.map strip (stats_of "perfect") = List.map strip (stats_of "neutral") in
-  let find name = List.find (fun (a, _, _, _, _, _, _, _, _) -> a = name) summaries in
-  let _, _, _, l_kcv, (l_gok, _, l_gvi), l_stale, l_susp, _, _ = find "lossy" in
-  let check name ok = Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL") in
-  let ok1 = identical in
-  let ok2 = l_kcv = 0 in
-  let ok3 = l_gvi = 0 in
-  let ok4 = l_gok >= 1 in
-  let ok5 = l_stale > 0 || l_susp > 0 in
-  check "neutral sensing bit-identical to no sensing" ok1;
-  check "zero live kc violations under lossy sensing" ok2;
-  check "zero ground-truth guarantee violations (faults <= ke)" ok3;
-  check "ground-truth verdict asserted on >= 1 interval" ok4;
-  check "loss actually exercised (staleness or suspects > 0)" ok5;
-  let json =
-    let arm_json (name, g, l, kcv, (gok, gna, gvi), st, su, sk, err) =
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"intervals\": %d, \"granted_gb\": %.6f, \"lost_gb\": \
-         %.6f,\n\
-        \      \"kc_violations\": %d, \"gt_ok\": %d, \"gt_not_asserted\": %d, \
-         \"gt_violations\": %d,\n\
-        \      \"peak_view_staleness\": %d, \"suspect_charges\": %d, \
-         \"skipped_solves\": %d,\n\
-        \      \"mean_estimation_err\": %.6f }"
-        name n g l kcv gok gna gvi st su sk err
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": \"%s\",\n\
-      \  \"scale\": %.1f,\n\
-      \  \"protection\": \"kc=%d,ke=%d,kv=%d\",\n\
-      \  \"lossy\": { \"loss\": %.2f, \"delay_intervals\": %d, \"demand_noise\": %.2f,\n\
-      \             \"headroom\": 0.2 },\n\
-      \  \"arms\": [\n%s\n  ],\n\
-      \  \"contracts\": { \"neutral_bit_identical\": %b, \"zero_kc_violations\": %b,\n\
-      \                 \"zero_groundtruth_violations\": %b, \"gt_asserted\": %b,\n\
-      \                 \"loss_exercised\": %b }\n\
-       }\n"
-      sc.Sim.Scenario.name scale protection.Te_types.kc protection.Te_types.ke
-      protection.Te_types.kv loss delay noise
-      (String.concat ",\n" (List.map arm_json summaries))
-      ok1 ok2 ok3 ok4 ok5
-  in
-  write_bench_json ~name:"telemetry" json;
-  if not (ok1 && ok2 && ok3 && ok4 && ok5) then
-    failwith "telemetry: imperfect-sensing contract violated"
+  let lossy = List.assoc "lossy" arms in
+  report ~name:"telemetry"
+    (identity sc ~scale protection
+    @ [
+        ( "lossy",
+          Obj
+            [
+              ("loss", Float loss); ("delay_intervals", Int delay); ("demand_noise", Float noise);
+              ("headroom", Float 0.2);
+            ] );
+        ("arms", List (List.map row_json rows));
+      ])
+    [
+      ("neutral_bit_identical", "neutral sensing bit-identical to no sensing", identical);
+      ( "zero_kc_violations",
+        "zero live kc violations under lossy sensing",
+        count kc_violation lossy = 0 );
+      ( "zero_groundtruth_violations",
+        "zero ground-truth guarantee violations (faults <= ke)",
+        count gt_violation lossy = 0 );
+      ("gt_asserted", "ground-truth verdict asserted on >= 1 interval", count gt_ok lossy >= 1);
+      ( "loss_exercised",
+        "loss actually exercised (staleness or suspects > 0)",
+        peak_staleness lossy > 0 || suspects lossy > 0 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1935,10 +1798,8 @@ let obs_bench () =
     Obs.observe h 1.5
   done;
   let minor_delta = Gc.minor_words () -. w0 in
-  let alloc_free = minor_delta = 0.0 in
-  Printf.printf "  disabled path: %d x (incr+add+set+observe), minor words %+.0f  %s\n"
-    rounds minor_delta
-    (if alloc_free then "PASS" else "FAIL");
+  Printf.printf "  disabled path: %d x (incr+add+set+observe), minor words %+.0f\n" rounds
+    minor_delta;
   (* 2. Enabled-registry overhead on instrumented hot paths. *)
   let sc = Lazy.force snet in
   let input = sc.Sim.Scenario.input in
@@ -1982,13 +1843,9 @@ let obs_bench () =
     let best_ratio = ref infinity in
     for _ = 1 to reps do
       Obs.disable ();
-      let t0 = Unix.gettimeofday () in
-      workload ();
-      let off = Unix.gettimeofday () -. t0 in
+      let (), off = Clock.time_ms workload in
       Obs.enable ~tracing:true ();
-      let t0 = Unix.gettimeofday () in
-      workload ();
-      let on_ = Unix.gettimeofday () -. t0 in
+      let (), on_ = Clock.time_ms workload in
       Obs.disable ();
       best_off := min !best_off off;
       best_on := min !best_on on_;
@@ -1996,13 +1853,18 @@ let obs_bench () =
     done;
     Obs.reset ();
     let pct = 100. *. (!best_ratio -. 1.) in
+    let off_s = !best_off /. 1000. and on_s = !best_on /. 1000. in
     Printf.printf "  %-10s disabled %.4f s, enabled %.4f s, overhead %+.2f%% (gate < 5%%)\n"
-      name !best_off !best_on pct;
-    (name, !best_off, !best_on, pct)
+      name off_s on_s pct;
+    ( pct,
+      Json.Obj
+        [
+          ("workload", String name); ("disabled_s", Float off_s); ("enabled_s", Float on_s);
+          ("overhead_pct", Float pct);
+        ] )
   in
-  let lp_name, lp_off, lp_on, lp_pct = overhead "lp" lp_workload in
-  let sim_name, sim_off, sim_on, sim_pct = overhead "simulate" sim_workload in
-  let overhead_ok = lp_pct < 5.0 && sim_pct < 5.0 in
+  let lp_pct, lp_json = overhead "lp" lp_workload in
+  let sim_pct, sim_json = overhead "simulate" sim_workload in
   (* 3. Shard-merge identity across pool widths. *)
   let items = Array.init 4096 (fun i -> i) in
   let shard_snapshot jobs =
@@ -2027,36 +1889,24 @@ let obs_bench () =
     snap
   in
   let merge_identical = shard_snapshot 1 = shard_snapshot 4 in
-  Printf.printf "  shard merge j=1 vs j=4 (%d items): %s\n" (Array.length items)
-    (if merge_identical then "PASS" else "FAIL");
   Obs.reset ();
   if was_enabled then Obs.enable ~tracing:was_tracing ();
-  let wl_json (name, off, on_, pct) =
-    Printf.sprintf
-      "    { \"workload\": %S, \"disabled_s\": %.6f, \"enabled_s\": %.6f, \
-       \"overhead_pct\": %.3f }"
-      name off on_ pct
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"obs\",\n\
-      \  \"alloc_probe\": { \"rounds\": %d, \"minor_words_delta\": %.0f },\n\
-      \  \"reps\": %d,\n\
-      \  \"workloads\": [\n%s\n  ],\n\
-      \  \"shard_items\": %d,\n\
-      \  \"contracts\": { \"disabled_alloc_free\": %b, \"overhead_under_5pct\": %b, \
-       \"shard_merge_identical\": %b }\n\
-       }\n"
-      rounds minor_delta reps
-      (String.concat ",\n"
-         [ wl_json (lp_name, lp_off, lp_on, lp_pct);
-           wl_json (sim_name, sim_off, sim_on, sim_pct) ])
-      (Array.length items) alloc_free overhead_ok merge_identical
-  in
-  write_bench_json ~name:"obs" json;
-  if not (alloc_free && overhead_ok && merge_identical) then
-    failwith "obs: instrumentation contract violated"
+  report ~name:"obs"
+    [
+      ("experiment", String "obs");
+      ("alloc_probe", Obj [ ("rounds", Int rounds); ("minor_words_delta", Float minor_delta) ]);
+      ("reps", Int reps); ("workloads", List [ lp_json; sim_json ]);
+      ("shard_items", Int (Array.length items));
+    ]
+    [
+      ("disabled_alloc_free", "disabled recording path allocates nothing", minor_delta = 0.0);
+      ( "overhead_under_5pct",
+        "enabled registry costs < 5% on lp and simulate",
+        lp_pct < 5.0 && sim_pct < 5.0 );
+      ( "shard_merge_identical",
+        Printf.sprintf "shard merge j=1 vs j=4 identical (%d items)" (Array.length items),
+        merge_identical );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign engine: determinism and speedup                   *)
@@ -2075,11 +1925,9 @@ let parallel_bench () =
   let count = if !fast then 40 else 120 in
   let hunt_budget = if !fast then 8 else 24 in
   let time name f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "  %-24s %.2f s\n%!" name dt;
-    (r, dt)
+    let r, ms = Clock.time_ms f in
+    Printf.printf "  %-24s %.2f s\n%!" name (ms /. 1000.);
+    (r, ms /. 1000.)
   in
   (* No time budget: truncation granularity is the one sanctioned j-dependent
      difference, so an identity assertion must not involve it. *)
@@ -2125,39 +1973,25 @@ let parallel_bench () =
   let cores = Pool.recommended_jobs () in
   let speedup = t1 /. max 1e-9 t4 in
   let speedup_checked = cores >= 2 in
-  let speedup_ok = (not speedup_checked) || speedup >= 1.8 in
   if not speedup_checked then
     Printf.printf "  single-core runner (%d recommended domain(s)): speedup gate skipped\n"
       cores
   else Printf.printf "  fuzz speedup j=4 vs j=1: %.2fx (gate: >= 1.8x)\n" speedup;
-  let check name ok = Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL") in
-  check "fuzz campaign bit-identical across j" fuzz_identical;
-  check "chaos hunt bit-identical across j" hunt_identical;
-  check "merged campaign metrics identical across j" metrics_identical;
-  check
-    (if speedup_checked then "parallel campaign >= 1.8x faster"
-     else "parallel campaign speedup (skipped: 1 core)")
-    speedup_ok;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"parallel\",\n\
-      \  \"count\": %d,\n\
-      \  \"hunt_budget\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"fuzz_s_j1\": %.3f,\n\
-      \  \"fuzz_s_j4\": %.3f,\n\
-      \  \"speedup\": %.3f,\n\
-      \  \"speedup_checked\": %b,\n\
-      \  \"contracts\": { \"fuzz_identical\": %b, \"hunt_identical\": %b, \
-       \"metrics_identical\": %b, \"speedup_ok\": %b }\n\
-       }\n"
-      count hunt_budget cores t1 t4 speedup speedup_checked fuzz_identical
-      hunt_identical metrics_identical speedup_ok
-  in
-  write_bench_json ~name:"parallel" json;
-  if not (fuzz_identical && hunt_identical && metrics_identical && speedup_ok) then
-    failwith "parallel: determinism/speedup contract violated"
+  report ~name:"parallel"
+    [
+      ("experiment", String "parallel"); ("count", Int count); ("hunt_budget", Int hunt_budget);
+      ("cores", Int cores); ("fuzz_s_j1", Float t1); ("fuzz_s_j4", Float t4);
+      ("speedup", Float speedup); ("speedup_checked", Bool speedup_checked);
+    ]
+    [
+      ("fuzz_identical", "fuzz campaign bit-identical across j", fuzz_identical);
+      ("hunt_identical", "chaos hunt bit-identical across j", hunt_identical);
+      ("metrics_identical", "merged campaign metrics identical across j", metrics_identical);
+      ( "speedup_ok",
+        (if speedup_checked then "parallel campaign >= 1.8x faster"
+         else "parallel campaign speedup (skipped: 1 core)"),
+        (not speedup_checked) || speedup >= 1.8 );
+    ]
 
 let experiments =
   [
@@ -2228,18 +2062,25 @@ let () =
         else true)
       args
   in
+  (* A misspelt name must not turn a CI step into a run of nothing. *)
+  (match List.filter (fun a -> not (List.mem_assoc a experiments)) args with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment(s): %s; available:\n" (String.concat ", " unknown);
+    List.iter (fun (n, _) -> Printf.eprintf "  %s\n" n) experiments;
+    exit 2);
   let selected =
     if args = [] then experiments else List.filter (fun (name, _) -> List.mem name args) experiments
   in
-  if selected = [] then begin
-    Printf.printf "unknown experiment; available:\n";
-    List.iter (fun (n, _) -> Printf.printf "  %s\n" n) experiments
-  end
-  else begin
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun (_, f) -> f ()) selected;
-    Printf.printf "\nAll selected experiments finished in %.1f s.\n%!" (Unix.gettimeofday () -. t0)
-  end;
+  let t0 = Clock.now_ms () in
+  List.iter
+    (fun (name, f) ->
+      try f ()
+      with Contract_failed failed ->
+        Printf.eprintf "bench %s: contract failed: %s\n" name failed;
+        exit 1)
+    selected;
+  Printf.printf "\nAll selected experiments finished in %.1f s.\n%!" (Clock.since_ms t0 /. 1000.);
   Option.iter
     (fun p ->
       Ffc_obs.Obs.write_metrics p;

@@ -38,12 +38,9 @@ let obs_dump ~metrics_out ~trace_out =
       Printf.printf "trace written to %s\n" p)
     trace_out
 
-let scenario_of_name ?sites name seed =
+let scenario_of_name ?sites network seed =
   let rng = Rng.create seed in
-  match name with
-  | "lnet" -> Sim.Scenario.lnet_sim ?sites rng
-  | "snet" -> Sim.Scenario.snet rng
-  | _ -> failwith (Printf.sprintf "unknown network %S (use lnet or snet)" name)
+  match network with `Lnet -> Sim.Scenario.lnet_sim ?sites rng | `Snet -> Sim.Scenario.snet rng
 
 (* ------------------------------------------------------------------ *)
 (* topo                                                                *)
@@ -82,7 +79,6 @@ let print_alloc (input : Te_types.input) (alloc : Te_types.allocation) =
 let solve_cmd network seed scale kc ke kv encoding objective =
   let sc = scenario_of_name network seed in
   let input = Sim.Scenario.scaled sc scale in
-  let encoding = if encoding = "duality" then `Duality else `Sorting_network in
   let protection = Te_types.protection ~kc ~ke ~kv () in
   let prev =
     match Basic_te.solve input with
@@ -91,7 +87,7 @@ let solve_cmd network seed scale kc ke kv encoding objective =
   in
   let config = Ffc.config ~protection ~encoding () in
   match objective with
-  | "throughput" -> (
+  | `Throughput -> (
     match Ffc.solve ~config ~prev input with
     | Ok r ->
       print_alloc input r.Ffc.alloc;
@@ -102,13 +98,13 @@ let solve_cmd network seed scale kc ke kv encoding objective =
         (fun s -> Format.printf "simplex: %a@." Ffc_lp.Problem.pp_stats s)
         r.Ffc.stats.Ffc.solver
     | Error e -> failwith e)
-  | "fairness" -> (
+  | `Fairness -> (
     match Fairness.solve ~config ~prev input with
     | Ok (alloc, iters) ->
       print_alloc input alloc;
       Printf.printf "max-min fairness: %d alpha-iterations\n" iters
     | Error e -> failwith e)
-  | "mlu" -> (
+  | `Mlu -> (
     match Mlu_te.solve ~config ~prev input with
     | Ok r ->
       print_alloc input r.Mlu_te.alloc;
@@ -117,7 +113,6 @@ let solve_cmd network seed scale kc ke kv encoding objective =
         | Some uf -> Printf.sprintf " (fault-case MLU: %.3f)" uf
         | None -> "")
     | Error e -> failwith e)
-  | other -> failwith (Printf.sprintf "unknown objective %S" other)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -137,12 +132,14 @@ let simulate_cmd network seed scale mode intervals model kc ke kv deadline_ms au
     (100. *. sc.Sim.Scenario.calibration_achieved)
     (if sc.Sim.Scenario.calibrated then "" else " (UNCALIBRATED)");
   let um =
-    if model = "optimistic" then Sim.Update_model.optimistic () else Sim.Update_model.realistic ()
+    match model with
+    | `Optimistic -> Sim.Update_model.optimistic ()
+    | `Realistic -> Sim.Update_model.realistic ()
   in
   let mode =
     match mode with
-    | "reactive" -> Sim.Interval_sim.Reactive
-    | "ffc" ->
+    | `Reactive -> Sim.Interval_sim.Reactive
+    | `Ffc ->
       (* Exact formulation (no mice/ingress-skip shortcuts) so the live
          kc-guarantee checker's verdict reflects the real contract. *)
       Sim.Interval_sim.Proactive
@@ -150,7 +147,6 @@ let simulate_cmd network seed scale mode intervals model kc ke kv deadline_ms au
           Ffc.config
             ~protection:(Te_types.protection ~kc ~ke ~kv ())
             ~encoding:`Duality ~mice_fraction:0. ~ingress_skip_fraction:0. ())
-    | other -> failwith (Printf.sprintf "unknown mode %S (reactive or ffc)" other)
   in
   let fm = Sim.Fault_model.lnet_like input.Te_types.topo in
   let retry =
@@ -376,14 +372,7 @@ let fuzz_cmd seed count budget_ms oracles repro_out metrics_out trace_out jobs =
   | [] -> ()
   | findings ->
     (* Minimal repros as a runnable file for bug reports / CI artifacts. *)
-    let oc = open_out repro_out in
-    List.iteri
-      (fun i (f : Fuzz.finding) ->
-        Printf.fprintf oc
-          "(* finding %d: oracle %s, seed %d, instance %d\n   %s *)\n%s\n" i f.Fuzz.f_oracle
-          f.Fuzz.f_seed f.Fuzz.f_index f.Fuzz.min_message f.Fuzz.repro)
-      findings;
-    close_out oc;
+    Fuzz.write_repros repro_out findings;
     Printf.printf "%d finding(s); minimal repros written to %s\n" (List.length findings)
       repro_out;
     exit 1
@@ -412,10 +401,7 @@ let chaos_cmd seed budget sites intervals scale realistic kc ke kv repro_out met
   match report.Chaos.h_finding with
   | None -> ()
   | Some f ->
-    let oc = open_out repro_out in
-    Printf.fprintf oc "(* chaos finding, hunt seed %d\n   %s *)\n%s\n" seed
-      f.Chaos.c_min_message f.Chaos.c_repro;
-    close_out oc;
+    Chaos.write_repro repro_out ~seed f;
     Printf.printf "minimal repro written to %s\n" repro_out;
     exit 1
 
@@ -437,7 +423,14 @@ let pos_float what = wrap (Validate.pos_float ~what) pp_float
 let nonneg_int what = wrap (Validate.nonneg_int ~what) Format.pp_print_int
 let pos_int what = wrap (Validate.pos_int ~what) Format.pp_print_int
 
-let network = Arg.(value & opt string "lnet" & info [ "network"; "n" ] ~doc:"lnet or snet")
+(* String-valued options are enums, so a misspelt value is a parse error
+   (exit 124 with a usage line) before any work is done. *)
+let network =
+  Arg.(
+    value
+    & opt (enum [ ("lnet", `Lnet); ("snet", `Snet) ]) `Lnet
+    & info [ "network"; "n" ] ~doc:"lnet or snet")
+
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed")
 
 let scale =
@@ -471,12 +464,14 @@ let jobs =
 
 let encoding =
   Arg.(
-    value & opt string "sorting-network"
+    value
+    & opt (enum [ ("sorting-network", `Sorting_network); ("duality", `Duality) ]) `Sorting_network
     & info [ "encoding" ] ~doc:"Bounded M-sum encoding: sorting-network or duality")
 
 let objective =
   Arg.(
-    value & opt string "throughput"
+    value
+    & opt (enum [ ("throughput", `Throughput); ("fairness", `Fairness); ("mlu", `Mlu) ]) `Throughput
     & info [ "objective" ] ~doc:"throughput, fairness or mlu")
 
 let topo_t = Term.(const topo_cmd $ network $ seed)
@@ -484,7 +479,11 @@ let topo_t = Term.(const topo_cmd $ network $ seed)
 let solve_t =
   Term.(const solve_cmd $ network $ seed $ scale $ kc $ ke $ kv $ encoding $ objective)
 
-let mode = Arg.(value & opt string "ffc" & info [ "mode" ] ~doc:"ffc or reactive")
+let mode =
+  Arg.(
+    value
+    & opt (enum [ ("ffc", `Ffc); ("reactive", `Reactive) ]) `Ffc
+    & info [ "mode" ] ~doc:"ffc or reactive")
 
 let intervals =
   Arg.(
@@ -493,7 +492,10 @@ let intervals =
     & info [ "intervals" ] ~doc:"Number of 5-min intervals")
 
 let model =
-  Arg.(value & opt string "realistic" & info [ "model" ] ~doc:"Switch model: realistic or optimistic")
+  Arg.(
+    value
+    & opt (enum [ ("realistic", `Realistic); ("optimistic", `Optimistic) ]) `Realistic
+    & info [ "model" ] ~doc:"Switch model: realistic or optimistic")
 
 let kc_sim =
   Arg.(value & opt (nonneg_int "--kc") 2 & info [ "kc" ] ~doc:"Config-fault protection")

@@ -559,6 +559,11 @@ let hunt ?pool ?(seed = 42) ?(budget = 48) ?(sites = 4) ?(intervals = 6)
   end;
   { h_evaluated = !evaluated; h_best_score = !best; h_finding = finding }
 
+let write_repro path ~seed f =
+  let oc = open_out path in
+  Printf.fprintf oc "(* chaos finding, hunt seed %d\n   %s *)\n%s\n" seed f.c_min_message f.c_repro;
+  close_out oc
+
 let pp_report fmt r =
   match r.h_finding with
   | None ->

@@ -152,4 +152,9 @@ val hunt :
     sequential hunt's. A crash inside the simulator is converted into a
     ["crash:"] finding — shrunk like any other — never silently scored. *)
 
+val write_repro : string -> seed:int -> finding -> unit
+(** [write_repro path ~seed f] writes [f]'s shrunk repro snippet to [path]
+    behind a comment naming the hunt seed and the minimal message: a
+    runnable [CHAOS_repro.ml]. *)
+
 val pp_report : Format.formatter -> hunt_report -> unit

@@ -237,6 +237,15 @@ let pp_finding ppf (f : finding) =
      --- minimal repro ---@,%s@]"
     f.f_oracle f.f_seed f.f_index f.message f.shrink_steps f.min_message f.repro
 
+let write_repros path findings =
+  let oc = open_out path in
+  List.iteri
+    (fun i f ->
+      Printf.fprintf oc "(* finding %d: oracle %s, seed %d, instance %d\n   %s *)\n%s\n" i
+        f.f_oracle f.f_seed f.f_index f.min_message f.repro)
+    findings;
+  close_out oc
+
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>fuzz seed %d (%.0f ms)@," r.r_seed r.elapsed_ms;
   List.iter

@@ -88,6 +88,11 @@ val failures : report -> finding list
 
 val pp_finding : Format.formatter -> finding -> unit
 
+val write_repros : string -> finding list -> unit
+(** [write_repros path findings] writes each finding's shrunk repro snippet
+    to [path], behind a comment naming its oracle, seed, instance and
+    minimal message: a runnable [FUZZ_repro.ml]. *)
+
 val pp_report : Format.formatter -> report -> unit
 (** Per-oracle exercised/skipped/failure counts followed by every finding
     with its minimal repro snippet. *)

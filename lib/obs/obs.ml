@@ -1,4 +1,5 @@
 module Clock = Ffc_util.Clock
+module Json = Ffc_util.Json
 module Table = Ffc_util.Table
 
 (* ------------------------------------------------------------------ *)
@@ -471,85 +472,49 @@ let reset () =
   Mutex.unlock events_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Export: JSON helpers                                                *)
+(* Export: JSON metrics snapshot                                       *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON has no IEEE specials; histograms of an empty sample set carry
-   infinities in min/max, which serialise as null. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-
-let field_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Float f -> json_float f
-  | Int i -> string_of_int i
-  | Bool b -> string_of_bool b
-
 let metrics_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"metrics\": {";
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\": " (json_escape name));
-      (match v with
-      | Counter_v x ->
-        Buffer.add_string b (Printf.sprintf "{\"type\":\"counter\",\"value\":%s}" (json_float x))
-      | Gauge_v x ->
-        Buffer.add_string b (Printf.sprintf "{\"type\":\"gauge\",\"value\":%s}" (json_float x))
-      | Hist_v h ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"count\":%s,\"sum\":%s,\"min\":%s,\"max\":%s,\"buckets\":["
-             (json_float h.Hist.count) (json_float h.Hist.sum) (json_float h.Hist.hmin)
-             (json_float h.Hist.hmax));
-        let bfirst = ref true in
-        Array.iteri
-          (fun i c ->
-            if c > 0. then begin
-              if !bfirst then bfirst := false else Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf "{\"le\":%s,\"count\":%s}"
-                   (if Float.is_finite (bucket_upper i) then json_float (bucket_upper i)
-                    else "\"+Inf\"")
-                   (json_float c))
-            end)
-          h.Hist.buckets;
-        Buffer.add_string b "]}"))
-    (snapshot ());
-  Buffer.add_string b "\n  },\n  \"events\": [";
-  let first = ref true in
-  List.iter
-    (fun ev ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n    {\"level\":\"%s\",\"name\":\"%s\",\"ts_ms\":%s,\"fields\":{"
-           (level_name ev.ev_level) (json_escape ev.ev_name) (json_float ev.ev_ms));
-      Buffer.add_string b
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (field_json v))
-              ev.ev_fields));
-      Buffer.add_string b "}}")
-    (events ());
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b (Printf.sprintf "  \"dropped_spans\": %d\n}\n" (dropped_spans ()));
-  Buffer.contents b
+  let metric = function
+    | Counter_v x -> Json.Obj [ ("type", String "counter"); ("value", Float x) ]
+    | Gauge_v x -> Json.Obj [ ("type", String "gauge"); ("value", Float x) ]
+    | Hist_v h ->
+      let bucket i c =
+        let le = bucket_upper i in
+        let le = if Float.is_finite le then Json.Float le else String "+Inf" in
+        if c > 0. then Some (Json.Obj [ ("le", le); ("count", Float c) ]) else None
+      in
+      let buckets = List.filter_map Fun.id (List.mapi bucket (Array.to_list h.Hist.buckets)) in
+      (* An empty histogram's infinite min/max print as null. *)
+      Json.Obj
+        [
+          ("type", String "histogram"); ("count", Float h.Hist.count); ("sum", Float h.Hist.sum);
+          ("min", Float h.Hist.hmin); ("max", Float h.Hist.hmax); ("buckets", List buckets);
+        ]
+  in
+  let field = function
+    | Str s -> Json.String s
+    | Float f -> Json.Float f
+    | Int i -> Json.Int i
+    | Bool b -> Json.Bool b
+  in
+  let event ev =
+    Json.Obj
+      [
+        ("level", String (level_name ev.ev_level)); ("name", String ev.ev_name);
+        ("ts_ms", Float ev.ev_ms);
+        ("fields", Obj (List.map (fun (k, v) -> (k, field v)) ev.ev_fields));
+      ]
+  in
+  Json.to_string_indented
+    (Json.Obj
+       [
+         ("metrics", Obj (List.map (fun (name, v) -> (name, metric v)) (snapshot ())));
+         ("events", List (List.map event (events ())));
+         ("dropped_spans", Int (dropped_spans ()));
+       ])
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Export: Prometheus text format                                      *)
@@ -606,19 +571,16 @@ let metrics_prometheus () =
 (* ------------------------------------------------------------------ *)
 
 let trace_json () =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"ffc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
-           (json_escape s.name) (s.start_ms *. 1000.) (s.dur_ms *. 1000.) s.dom))
-    (spans ());
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let event s =
+    Json.Obj
+      [
+        ("name", String s.name); ("cat", String "ffc"); ("ph", String "X");
+        ("ts", Float (s.start_ms *. 1000.)); ("dur", Float (s.dur_ms *. 1000.)); ("pid", Int 1);
+        ("tid", Int s.dom);
+      ]
+  in
+  let events = Json.List (List.map event (spans ())) in
+  Json.to_string_indented (Obj [ ("displayTimeUnit", String "ms"); ("traceEvents", events) ]) ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Export: self-time flame summary                                     *)

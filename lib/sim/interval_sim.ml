@@ -137,85 +137,76 @@ let total_lost s =
 
 (* One interval as a JSON-lines record, for `ffc simulate --stats-json`:
    the machine-readable twin of the human table, so bench/CI can diff two
-   runs field by field. Hand-rolled like the bench emitters (no JSON dep);
-   every float uses %.17g so records round-trip exactly. *)
+   runs field by field. Printed compactly by [Ffc_util.Json], the one JSON
+   writer, which also prints the Obs exports and (through bench's [report])
+   every BENCH artifact; its %.17g floats round-trip exactly. *)
 let stats_json_line (s : interval_stats) =
-  let b = Buffer.create 512 in
-  let fstr x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null" in
-  let str s' =
-    let e = Buffer.create (String.length s') in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string e "\\\""
-        | '\\' -> Buffer.add_string e "\\\\"
-        | '\n' -> Buffer.add_string e "\\n"
-        | c -> Buffer.add_char e c)
-      s';
-    Buffer.contents e
-  in
-  Buffer.add_char b '{';
-  Buffer.add_string b "\"per_class\":[";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"offered_gb\":%s,\"granted_gb\":%s,\"delivered_gb\":%s,\"lost_congestion_gb\":%s,\"lost_blackhole_gb\":%s}"
-           (fstr c.offered_gb) (fstr c.granted_gb) (fstr c.delivered_gb)
-           (fstr c.lost_congestion_gb) (fstr c.lost_blackhole_gb)))
-    s.per_class;
-  Buffer.add_string b "],";
-  Buffer.add_string b (Printf.sprintf "\"max_oversub_pct\":%s," (fstr s.max_oversub_pct));
-  Buffer.add_string b (Printf.sprintf "\"control_faults\":%d," s.control_faults);
-  Buffer.add_string b (Printf.sprintf "\"data_faults\":%d," s.data_faults);
-  Buffer.add_string b (Printf.sprintf "\"reacted\":%b," s.reacted);
-  Buffer.add_string b (Printf.sprintf "\"solver_fallbacks\":%d," s.solver_fallbacks);
-  Buffer.add_string b (Printf.sprintf "\"rung\":%d," s.rung);
-  Buffer.add_string b (Printf.sprintf "\"rung_label\":\"%s\"," (str s.rung_label));
-  Buffer.add_string b (Printf.sprintf "\"deadline_hits\":%d," s.deadline_hits);
-  Buffer.add_string b (Printf.sprintf "\"stale_alloc\":%b," s.stale_alloc);
-  Buffer.add_string b (Printf.sprintf "\"audit_cases\":%d," s.audit_cases);
-  Buffer.add_string b (Printf.sprintf "\"audit_violations\":%d," s.audit_violations);
+  let open Ffc_util.Json in
   let sb = s.southbound in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"southbound\":{\"epoch\":%d,\"pushed\":%d,\"applied\":%d,\"stale\":%d,\"max_epoch_lag\":%d,\"attempts\":%d,\"retries\":%d,\"retry_successes\":%d,\"failures\":%d,\"timeouts\":%d,\"outages_started\":%d},"
-       sb.Southbound.epoch sb.Southbound.pushed
-       (List.length sb.Southbound.applied)
-       (List.length sb.Southbound.stale)
-       sb.Southbound.max_epoch_lag sb.Southbound.attempts sb.Southbound.retries
-       sb.Southbound.retry_successes sb.Southbound.failures sb.Southbound.timeouts
-       sb.Southbound.outages_started);
-  (match s.kc_verdict with
-  | Southbound.Ok_checked -> Buffer.add_string b "\"kc_verdict\":\"ok\","
-  | Southbound.Beyond_budget l ->
-    Buffer.add_string b
-      (Printf.sprintf "\"kc_verdict\":\"beyond_budget\",\"kc_beyond\":%d," (List.length l))
-  | Southbound.Violation v ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"kc_verdict\":\"violation\",\"kc_violation\":{\"link\":%d,\"load\":%s,\"capacity\":%s},"
-         v.Southbound.link.Topology.id (fstr v.Southbound.load)
-         (fstr v.Southbound.capacity)));
-  Buffer.add_string b (Printf.sprintf "\"kc_checked\":%d," s.kc_checked);
-  Buffer.add_string b (Printf.sprintf "\"escalated\":%b," s.escalated);
-  Buffer.add_string b (Printf.sprintf "\"controller_down\":%b," s.controller_down);
-  Buffer.add_string b
-    (Printf.sprintf "\"recovered_from_journal\":%b," s.recovered_from_journal);
-  Buffer.add_string b (Printf.sprintf "\"recovery_interval\":%b," s.recovery_interval);
-  Buffer.add_string b (Printf.sprintf "\"view_staleness\":%d," s.view_staleness);
-  Buffer.add_string b (Printf.sprintf "\"suspect_links\":%d," s.suspect_links);
-  Buffer.add_string b (Printf.sprintf "\"suspect_switches\":%d," s.suspect_switches);
-  Buffer.add_string b (Printf.sprintf "\"estimation_err\":%s," (fstr s.estimation_err));
-  Buffer.add_string b (Printf.sprintf "\"solve_skipped\":%b," s.solve_skipped);
-  (match s.gt_data with
-  | Gt_ok -> Buffer.add_string b "\"gt_data\":\"ok\""
-  | Gt_not_asserted -> Buffer.add_string b "\"gt_data\":\"not_asserted\""
-  | Gt_violation m ->
-    Buffer.add_string b (Printf.sprintf "\"gt_data\":\"violation\",\"gt_message\":\"%s\"" (str m)));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let class_json c =
+    Obj
+      [
+        ("offered_gb", Float c.offered_gb); ("granted_gb", Float c.granted_gb);
+        ("delivered_gb", Float c.delivered_gb); ("lost_congestion_gb", Float c.lost_congestion_gb);
+        ("lost_blackhole_gb", Float c.lost_blackhole_gb);
+      ]
+  in
+  let kc_verdict =
+    match s.kc_verdict with
+    | Southbound.Ok_checked -> [ ("kc_verdict", String "ok") ]
+    | Southbound.Beyond_budget l ->
+      [ ("kc_verdict", String "beyond_budget"); ("kc_beyond", Int (List.length l)) ]
+    | Southbound.Violation v ->
+      [
+        ("kc_verdict", String "violation");
+        ( "kc_violation",
+          Obj
+            [
+              ("link", Int v.Southbound.link.Topology.id); ("load", Float v.Southbound.load);
+              ("capacity", Float v.Southbound.capacity);
+            ] );
+      ]
+  in
+  let gt_data =
+    match s.gt_data with
+    | Gt_ok -> [ ("gt_data", String "ok") ]
+    | Gt_not_asserted -> [ ("gt_data", String "not_asserted") ]
+    | Gt_violation m -> [ ("gt_data", String "violation"); ("gt_message", String m) ]
+  in
+  to_string
+    (Obj
+       ([
+          ("per_class", List (Array.to_list (Array.map class_json s.per_class)));
+          ("max_oversub_pct", Float s.max_oversub_pct); ("control_faults", Int s.control_faults);
+          ("data_faults", Int s.data_faults); ("reacted", Bool s.reacted);
+          ("solver_fallbacks", Int s.solver_fallbacks); ("rung", Int s.rung);
+          ("rung_label", String s.rung_label); ("deadline_hits", Int s.deadline_hits);
+          ("stale_alloc", Bool s.stale_alloc); ("audit_cases", Int s.audit_cases);
+          ("audit_violations", Int s.audit_violations);
+          ( "southbound",
+            Obj
+              [
+                ("epoch", Int sb.Southbound.epoch); ("pushed", Int sb.Southbound.pushed);
+                ("applied", Int (List.length sb.Southbound.applied));
+                ("stale", Int (List.length sb.Southbound.stale));
+                ("max_epoch_lag", Int sb.Southbound.max_epoch_lag);
+                ("attempts", Int sb.Southbound.attempts); ("retries", Int sb.Southbound.retries);
+                ("retry_successes", Int sb.Southbound.retry_successes);
+                ("failures", Int sb.Southbound.failures); ("timeouts", Int sb.Southbound.timeouts);
+                ("outages_started", Int sb.Southbound.outages_started);
+              ] );
+        ]
+       @ kc_verdict
+       @ [
+           ("kc_checked", Int s.kc_checked); ("escalated", Bool s.escalated);
+           ("controller_down", Bool s.controller_down);
+           ("recovered_from_journal", Bool s.recovered_from_journal);
+           ("recovery_interval", Bool s.recovery_interval);
+           ("view_staleness", Int s.view_staleness); ("suspect_links", Int s.suspect_links);
+           ("suspect_switches", Int s.suspect_switches); ("estimation_err", Float s.estimation_err);
+           ("solve_skipped", Bool s.solve_skipped);
+         ]
+       @ gt_data))
 
 let total_delivered s = Array.fold_left (fun acc c -> acc +. c.delivered_gb) 0. s.per_class
 

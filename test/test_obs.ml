@@ -14,6 +14,7 @@ module Stats = Ffc_util.Stats
 module Table = Ffc_util.Table
 module Pool = Ffc_util.Pool
 module Obs = Ffc_obs.Obs
+module Json = Ffc_util.Json
 
 (* Every test leaves the registry the way it found it: disabled and empty. *)
 let pristine f () =
@@ -167,6 +168,48 @@ let test_table_edges () =
   in
   Alcotest.(check bool) "add_floats prints 2 decimal places" true
     (has_sub "1.50" s && has_sub "2.25" s)
+
+(* The one JSON writer behind --stats-json, the Obs exports and every
+   BENCH artifact: both layouts of one value using every constructor,
+   string escaping and the number format. *)
+let test_json () =
+  let v =
+    Json.Obj
+      [
+        ("null", Null); ("bool", Bool true); ("int", Int (-3)); ("float", Float 1.5);
+        ("string", String "s"); ("flat", List [ Int 1; Float 0.25; String "x" ]);
+        ("rows", List [ Obj [ ("a", Int 1) ]; List [ Null ] ]);
+        ("nested", Obj [ ("empty", List []); ("obj", Obj [ ("k", Bool false) ]) ]);
+      ]
+  in
+  Alcotest.(check string) "compact"
+    "{\"null\":null,\"bool\":true,\"int\":-3,\"float\":1.5,\"string\":\"s\",\"flat\":[1,0.25,\"x\"],\
+     \"rows\":[{\"a\":1},[null]],\"nested\":{\"empty\":[],\"obj\":{\"k\":false}}}"
+    (Json.to_string v);
+  Alcotest.(check string) "indented; containers of scalars stay on one line"
+    "{\n\
+    \  \"null\": null,\n\
+    \  \"bool\": true,\n\
+    \  \"int\": -3,\n\
+    \  \"float\": 1.5,\n\
+    \  \"string\": \"s\",\n\
+    \  \"flat\": [1,0.25,\"x\"],\n\
+    \  \"rows\": [\n\
+    \    {\"a\":1},\n\
+    \    [null]\n\
+    \  ],\n\
+    \  \"nested\": {\n\
+    \    \"empty\": [],\n\
+    \    \"obj\": {\"k\":false}\n\
+    \  }\n\
+     }"
+    (Json.to_string_indented v);
+  Alcotest.(check string) "quote, backslash, newline, tab and control bytes escaped"
+    "\"q\\\"b\\\\n\\nt\\t\\u0001\""
+    (Json.to_string (String "q\"b\\n\nt\t\x01"));
+  Alcotest.(check string) "non-finite floats are null; %.17g round-trips"
+    "[null,null,null,0.10000000000000001]"
+    (Json.to_string (List [ Float nan; Float infinity; Float neg_infinity; Float 0.1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Registry semantics                                                  *)
@@ -397,6 +440,7 @@ let () =
             (pristine test_stats_single_sample);
           Alcotest.test_case "table edges" `Quick (pristine test_table_edges);
         ] );
+      ("json", [ Alcotest.test_case "printers, escaping, numbers" `Quick test_json ]);
       ( "registry",
         [
           Alcotest.test_case "counters, gauges, histograms" `Quick
