@@ -2,7 +2,7 @@
    evaluation (see DESIGN.md's experiment index and EXPERIMENTS.md for the
    paper-vs-measured record).
 
-   Usage:  dune exec bench/main.exe [-- fast] [figure1a table2 ...]
+   Usage:  dune exec bench/main.exe [-- fast] [figure1a lp ...]
    With no arguments every experiment runs. `fast` quarters the interval
    counts (CI smoke mode).
 
@@ -10,7 +10,7 @@
    from-scratch LP solver); the series *shapes* are the reproduction target.
    Long sweeps use the duality encoding of the bounded M-sum (provably and
    test-verifiedly the same optimum as the paper's sorting-network encoding;
-   Table 2 benchmarks the sorting networks themselves). *)
+   Table 2, the [lp] experiment, times both). *)
 
 open Ffc_net
 open Ffc_core
@@ -39,8 +39,8 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n%!"
 
-(* A bench contract failed. Raised by [report] and by [fuzz]'s gates with
-   the failed contracts' labels; only the driver catches it, and exits 1. *)
+(* A bench contract failed. Raised only by [report], with the failed
+   contracts' labels; only the main loop catches it, and exits 1. *)
 exception Contract_failed of string
 
 (* The one exit of every contract experiment. Each contract is named twice,
@@ -99,6 +99,13 @@ let row_json row = Json.Obj (List.map (fun (key, _, v) -> (key, v)) row)
 
 let count pred stats = List.length (List.filter pred stats)
 let total f stats = List.fold_left (fun a s -> a + f s) 0 stats
+
+(* n choose k, as a float: fault-case counts overflow int quickly. *)
+let choose n k =
+  let rec go acc i =
+    if i > k then acc else go (acc *. float_of_int (n - i + 1) /. float_of_int i) (i + 1)
+  in
+  go 1. 1
 
 (* Scenarios are deterministic and shared across experiments. *)
 let lnet = lazy (Sim.Scenario.lnet_sim (Rng.create 42))
@@ -227,139 +234,6 @@ let figure6 () =
   row "full update (Optimistic)" (sample_cdf (fun rng -> Sim.Update_model.delay_sample rng o));
   Table.print t;
   Printf.printf "(paper 6(b): per-rule median 10 ms, worst case > 200 ms)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Table 2: TE computation time                                        *)
-(* ------------------------------------------------------------------ *)
-
-let time_solve f =
-  let r, ms = Clock.time_ms f in
-  (match r with Ok () -> () | Error e -> Printf.printf "  solver error: %s\n" e);
-  ms /. 1000.
-
-let table2 () =
-  section "Table 2: TE computation time with and without FFC";
-  let t = Table.create [ "network"; "config"; "encoding"; "LP vars"; "LP rows"; "time (s)" ] in
-  let bench (sc : Sim.Scenario.t) =
-    let input = sc.Sim.Scenario.input in
-    let prev = match Basic_te.solve input with Ok a -> a | Error e -> failwith e in
-    let run label protection encoding =
-      let config = Ffc.config ~protection ~encoding () in
-      let stats = ref (0, 0) in
-      let secs =
-        time_solve (fun () ->
-            match Ffc.solve ~config ~prev input with
-            | Ok r ->
-              stats := (r.Ffc.stats.Ffc.lp_vars, r.Ffc.stats.Ffc.lp_rows);
-              Ok ()
-            | Error e -> Error e)
-      in
-      let vars, rows = !stats in
-      Table.add_row t
-        [
-          sc.Sim.Scenario.name;
-          label;
-          (match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality");
-          string_of_int vars;
-          string_of_int rows;
-          Printf.sprintf "%.2f" secs;
-        ]
-    in
-    let basic_secs = time_solve (fun () -> Result.map (fun _ -> ()) (Basic_te.solve input)) in
-    Table.add_row t
-      [ sc.Sim.Scenario.name; "non-FFC"; "-"; "-"; "-"; Printf.sprintf "%.3f" basic_secs ];
-    run "FFC (2,1,0)" (Te_types.protection ~kc:2 ~ke:1 ()) `Sorting_network;
-    run "FFC (2,1,0)" (Te_types.protection ~kc:2 ~ke:1 ()) `Duality;
-    run "FFC (3,3,0)u(3,0,1)" (Te_types.protection ~kc:3 ~ke:3 ()) `Sorting_network;
-    run "FFC (3,3,0)u(3,0,1)" (Te_types.protection ~kc:3 ~ke:3 ()) `Duality;
-    (* The naive enumerated formulation: constraint counts show why the
-       paper reports > 12 h — we only count, we do not solve. *)
-    let cc = Enumerate.control_constraint_count input ~kc:3 in
-    let dc = Enumerate.data_constraint_count input ~ke:3 ~kv:0 in
-    Table.add_row t
-      [
-        sc.Sim.Scenario.name;
-        "naive enumeration";
-        "explicit";
-        "-";
-        string_of_int (cc + dc);
-        "(not solved)";
-      ]
-  in
-  bench (Lazy.force lnet);
-  bench (Lazy.force snet);
-  Table.print t;
-  let input = (Lazy.force lnet).Sim.Scenario.input in
-  let nlinks = Topology.num_links input.Te_types.topo in
-  let choose n k =
-    let rec go acc i = if i > k then acc else go (acc *. float_of_int (n - i + 1) /. float_of_int i) (i + 1) in
-    go 1. 1
-  in
-  let cases = choose nlinks 1 +. choose nlinks 2 +. choose nlinks 3 in
-  Printf.printf
-    "naive fault-case count for ke<=3 over %d links: %.2e cases (x %d links of constraints);\n\
-    \ the explicit rows above already prune to each flow's own elements\n"
-    nlinks cases nlinks;
-  Printf.printf "(paper: 1.2 s for L-Net high protection vs 0.05 s non-FFC; naive > 12 h)\n"
-
-(* Bechamel micro-benchmarks backing Table 2's small kernels. *)
-let table2_bechamel () =
-  section "Table 2 (Bechamel micro-kernels)";
-  let open Bechamel in
-  let open Toolkit in
-  let fig2_input () =
-    let topo = Topo_gen.fig2 () in
-    let t id hops =
-      let rec links = function
-        | a :: (b :: _ as rest) -> (
-          match Topology.find_link topo a b with
-          | Some l -> l :: links rest
-          | None -> assert false)
-        | _ -> []
-      in
-      Tunnel.create ~id (links hops)
-    in
-    let flows =
-      [
-        Flow.create ~id:0 ~src:1 ~dst:3 [ t 0 [ 1; 3 ]; t 1 [ 1; 0; 3 ] ];
-        Flow.create ~id:1 ~src:2 ~dst:3 [ t 2 [ 2; 3 ]; t 3 [ 2; 0; 3 ] ];
-      ]
-    in
-    { Te_types.topo; flows; demands = [| 10.; 10. |] }
-  in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"partial_bubble(100,3) construction"
-          (Staged.stage (fun () -> ignore (Ffc_sortnet.Sorting_network.partial_bubble 100 3)));
-        Test.make ~name:"basic TE LP (fig2)"
-          (Staged.stage (fun () -> ignore (Basic_te.solve (fig2_input ()))));
-        Test.make ~name:"FFC ke=1 LP (fig2, sorting-net)"
-          (Staged.stage (fun () ->
-               let config =
-                 Ffc.config ~protection:(Te_types.protection ~ke:1 ()) ~mice_fraction:0. ()
-               in
-               ignore (Ffc.solve ~config (fig2_input ()))));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-45s %12.0f ns/run\n" name est)
-    (List.sort compare !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 12: throughput overhead of FFC                               *)
@@ -837,72 +711,12 @@ let ablation_baseline () =
       ]);
   Table.print t;
   let nf = List.length (Topology.fibres topo) in
-  let choose n k =
-    let rec go acc i =
-      if i > k then acc else go (acc *. float_of_int (n - i + 1) /. float_of_int i) (i + 1)
-    in
-    go 1. 1
-  in
   Printf.printf
     "fault cases the per-state scheme must pre-compute and store in switches:\n\
     \  ke=1: %.0f   ke=2: %.0f   ke=3: %.0f   (FFC stays at one split regardless)\n"
     (choose nf 1)
     (choose nf 1 +. choose nf 2)
     (choose nf 1 +. choose nf 2 +. choose nf 3)
-
-(* Scalability: FFC computation time as the network grows (the paper's
-   practicality claim — the formulation is O(kn), so solve time should grow
-   polynomially, staying far inside a 5-minute TE interval). *)
-let scaling () =
-  section "Scaling: FFC (2,1,0) computation time vs network size (duality encoding)";
-  let t =
-    Table.create
-      [ "sites"; "links"; "flows"; "LP vars"; "LP rows"; "basic (s)"; "FFC (s)" ]
-  in
-  List.iter
-    (fun sites ->
-      let sc = Sim.Scenario.lnet_sim ~sites (Rng.create 42) in
-      let input = sc.Sim.Scenario.input in
-      let basic = ref None in
-      let basic_s =
-        time_solve (fun () ->
-            match Basic_te.solve input with
-            | Ok a ->
-              basic := Some a;
-              Ok ()
-            | Error e -> Error e)
-      in
-      let config =
-        Ffc.config
-          ~protection:(Te_types.protection ~kc:2 ~ke:1 ())
-          ~encoding:`Duality ()
-      in
-      let stats = ref None in
-      let ffc_s =
-        time_solve (fun () ->
-            match Ffc.solve ~config ?prev:!basic input with
-            | Ok r ->
-              stats := Some r.Ffc.stats;
-              Ok ()
-            | Error e -> Error e)
-      in
-      match !stats with
-      | None -> ()
-      | Some st ->
-        Table.add_row t
-          [
-            string_of_int sites;
-            string_of_int (Topology.num_links input.Te_types.topo);
-            string_of_int (List.length input.Te_types.flows);
-            string_of_int st.Ffc.lp_vars;
-            string_of_int st.Ffc.lp_rows;
-            Printf.sprintf "%.3f" basic_s;
-            Printf.sprintf "%.2f" ffc_s;
-          ])
-    (if !fast then [ 10; 14 ] else [ 10; 14; 20; 26 ]);
-  Table.print t;
-  Printf.printf
-    "(constraint count grows as O(k n); every size fits far inside a 5-minute TE interval)\n"
 
 (* The §3.3 second use case (not evaluated in the paper): the exact link
    capacities a protection level requires for a given demand. *)
@@ -942,7 +756,7 @@ let capacity_planning () =
     "(today operators over-provision blindly; FFC computes the exact requirement, §3.3)\n"
 
 (* ------------------------------------------------------------------ *)
-(* LP warm-start: cold vs warm-started revised simplex                 *)
+(* Table 2 (lp): TE computation time and LP warm starts                *)
 (* ------------------------------------------------------------------ *)
 
 (* Re-solving the FFC LP interval after interval is the controller's hot
@@ -970,7 +784,7 @@ let warm_bench () =
     let input_t = { input with Te_types.demands } in
     match Ffc.solve ~config ~prev ~presolve:false ?warm_start input_t with
     | Ok r -> r
-    | Error e -> failwith ("lp-warm: " ^ e)
+    | Error e -> failwith ("bench lp (warm): " ^ e)
   in
   let iters (r : Ffc.result) =
     match r.Ffc.stats.Ffc.solver with
@@ -1061,111 +875,173 @@ let warm_bench () =
         Float (if med !cold_iters > 0. then 1. -. (med !warm_iters /. med !cold_iters) else 0.) );
     ]
 
-let lp_warm () = ignore (warm_bench () : Json.t)
-
-(* The solver-perf tracking bench behind the sparse-LU rework: the Table 2
-   hot rows (L-Net FFC (2,1,0), both encodings) timed against the recorded
-   pre-LU dense-inverse baselines, objectives certified against the
-   dense-tableau oracle, plus the warm-start interval loop. Writes the
-   combined BENCH_lp.json. *)
+(* Table 2, each row solved once: L-Net and S-Net non-FFC and with FFC
+   (2,1,0) and (3,3,0)u(3,0,1) in both encodings of the bounded M-sum, plus
+   the naive enumeration's constraint count (counted, not solved: the paper
+   reports > 12 h), then L-Net (2,1,0) at other sizes with the duality
+   encoding (the 20-site point is L-Net itself). Every FFC row plans against
+   its network's non-FFC allocation and is timed build + solve, which is how
+   the two L-Net (2,1,0) rows' pre-LU baselines were recorded. Then the
+   warm-start interval loop; writes BENCH_lp.json. *)
 let lp_bench () =
-  section "LP solver: sparse-LU revised simplex vs recorded baseline (L-Net FFC (2,1,0))";
+  section "Table 2: TE computation time with and without FFC (sparse-LU revised simplex)";
   let module Problem = Ffc_lp.Problem in
-  let sc = Lazy.force lnet in
-  let input = sc.Sim.Scenario.input in
-  let prev = match Basic_te.solve input with Ok a -> a | Error e -> failwith e in
-  let protection = Te_types.protection ~kc:2 ~ke:1 () in
-  (* Whole-solve wall clock (build + solve), matching how the baselines on
-     this machine were recorded before the LU rework. *)
-  let baseline_s = function `Sorting_network -> 2.04 | `Duality -> 0.27 in
-  let t =
-    Table.create
-      [ "encoding"; "LP vars"; "LP rows"; "time (s)"; "baseline (s)"; "speedup"; "iters"; "refactors"; "objective" ]
+  let p210 = ("FFC (2,1,0)", Te_types.protection ~kc:2 ~ke:1 ())
+  and p330 = ("FFC (3,3,0)u(3,0,1)", Te_types.protection ~kc:3 ~ke:3 ()) in
+  let both p = [ (p, `Sorting_network, `Revised); (p, `Duality, `Revised) ] in
+  (* Both encodings express the same TE optimum, so one dense-tableau solve
+     of the smaller duality LP certifies both L-Net (2,1,0) objectives. The
+     tableau cannot price the sorting-net LP in reasonable time (its
+     degenerate comparator rows stall dense full-scan pivoting for hours),
+     and quick (CI) mode skips the oracle (about a minute) entirely. *)
+  let oracle = if !fast then [] else [ (p210, `Duality, `Dense_tableau) ] in
+  let instances =
+    [
+      (20, Lazy.force lnet, both p210 @ both p330 @ oracle, true);
+      (* S-Net: 12 sites of two switches each. *)
+      (12, Lazy.force snet, both p210 @ both p330, true);
+    ]
+    @ List.map
+        (fun sites ->
+          let sc = Sim.Scenario.lnet_sim ~sites (Rng.create 42) in
+          (sites, sc, [ (p210, `Duality, `Revised) ], false))
+        (if !fast then [ 10; 14 ] else [ 10; 14; 26 ])
   in
-  let solve encoding backend =
-    let name = match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality" in
-    let config = Ffc.config ~protection ~encoding ~backend () in
-    match Clock.time_ms (fun () -> Ffc.solve ~config ~prev input) with
-    | Ok r, ms -> (r, ms /. 1000.)
-    | Error e, _ -> failwith (Printf.sprintf "bench lp (%s): %s" name e)
+  let encoding_name encoding backend =
+    (match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality")
+    ^ match backend with `Revised -> "" | `Dense_tableau -> " (dense tableau)"
   in
-  (* Both encodings express the same TE optimum (the test suite verifies
-     their equivalence), so one dense-tableau solve of the smaller duality
-     LP certifies both rows' objectives. The tableau cannot price the
-     sorting-net LP directly in reasonable time — its heavily degenerate
-     comparator rows stall the dense full-scan pivoting for hours; the
-     randomized backend-agreement tests cover revised-vs-tableau on
-     sorting-net structures at tractable sizes. Quick (CI) mode skips the
-     oracle solve entirely (still ~2 minutes). *)
-  let oracle_obj =
-    if !fast then None
-    else Some (Te_types.throughput (fst (solve `Duality `Dense_tableau)).Ffc.alloc)
+  (* Whole-solve wall clock of the L-Net (2,1,0) rows before the LU rework. *)
+  let baseline_ms =
+    [ (("L-Net", 20, fst p210, "sorting-net"), 2040.); (("L-Net", 20, fst p210, "duality"), 270.) ]
   in
-  let agrees obj oracle = abs_float (obj -. oracle) <= 1e-6 *. (1. +. abs_float oracle) in
-  let row encoding =
-    let name = match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality" in
-    let r, secs = solve encoding `Revised in
-    let obj = Te_types.throughput r.Ffc.alloc in
-    let iters, refactors =
-      match r.Ffc.stats.Ffc.solver with
-      | Some s -> (s.Problem.phase1_iterations + s.Problem.phase2_iterations, s.Problem.refactorisations)
-      | None -> (0, 0)
-    in
-    Table.add_row t
-      [
-        name;
-        string_of_int r.Ffc.stats.Ffc.lp_vars;
-        string_of_int r.Ffc.stats.Ffc.lp_rows;
-        Printf.sprintf "%.2f" secs;
-        Printf.sprintf "%.2f" (baseline_s encoding);
-        Printf.sprintf "%.1fx" (baseline_s encoding /. secs);
-        string_of_int iters;
-        string_of_int refactors;
-        Printf.sprintf "%.3f %s" obj
-          (match oracle_obj with
-          | None -> "(oracle skipped: quick)"
-          | Some o -> if agrees obj o then "(= oracle)" else Printf.sprintf "(oracle %.9f)" o);
-      ];
-    ( obj,
-      secs,
-      Json.Obj
-        [
-          ("time_s", Float secs); ("baseline_s", Float (baseline_s encoding));
-          ("speedup", Float (baseline_s encoding /. secs));
-          ("lp_vars", Int r.Ffc.stats.Ffc.lp_vars); ("lp_rows", Int r.Ffc.stats.Ffc.lp_rows);
-          ("iterations", Int iters); ("refactorisations", Int refactors); ("objective", Float obj);
-          ("oracle_objective", match oracle_obj with Some o -> Float o | None -> Null);
-        ] )
+  let columns =
+    [
+      ("lp_vars", "LP vars"); ("lp_rows", "LP rows"); ("time_ms", "time (ms)");
+      ("iterations", "iters"); ("refactorisations", "refactors"); ("objective", "objective");
+      ("baseline_ms", "baseline (ms)"); ("speedup", "speedup");
+    ]
   in
-  let sorting_obj, _, sorting_json = row `Sorting_network in
-  let duality_obj, duality_secs, duality_json = row `Duality in
-  Table.print t;
-  if !fast then Printf.printf "(quick mode: dense-tableau oracle cross-check skipped)\n"
-  else
-    Printf.printf
-      "(objectives certified to 1e-6 relative against the dense-tableau oracle,\n\
-      \ solved on the equivalent duality encoding)\n";
-  let warm_json = warm_bench () in
+  let rows = ref [] and solved = ref [] in
+  let add ~sites (sc : Sim.Scenario.t) config encoding measured =
+    let input = sc.Sim.Scenario.input in
+    let value key = Option.value (List.assoc_opt key measured) ~default:Json.Null in
+    rows :=
+      ([
+         ("network", "network", Json.String sc.Sim.Scenario.name); ("sites", "sites", Int sites);
+         ("links", "links", Int (Topology.num_links input.Te_types.topo));
+         ("flows", "flows", Int (List.length input.Te_types.flows));
+         ("config", "config", String config); ("encoding", "encoding", String encoding);
+       ]
+      @ List.map (fun (key, label) -> (key, label, value key)) columns)
+      :: !rows
+  in
+  List.iter
+    (fun (sites, (sc : Sim.Scenario.t), solves, naive) ->
+      let input = sc.Sim.Scenario.input in
+      let prev, basic_ms = Clock.time_ms (fun () -> Basic_te.solve input) in
+      let prev = match prev with Ok a -> a | Error e -> failwith ("bench lp (non-FFC): " ^ e) in
+      add ~sites sc "non-FFC" "-"
+        [ ("time_ms", Float basic_ms); ("objective", Float (Te_types.throughput prev)) ];
+      List.iter
+        (fun ((label, protection), encoding, backend) ->
+          let name = encoding_name encoding backend in
+          let config = Ffc.config ~protection ~encoding ~backend () in
+          let r, ms =
+            match Clock.time_ms (fun () -> Ffc.solve ~config ~prev input) with
+            | Ok r, ms -> (r, ms)
+            | Error e, _ ->
+              failwith (Printf.sprintf "bench lp (%s %s %s): %s" sc.Sim.Scenario.name label name e)
+          in
+          let key = (sc.Sim.Scenario.name, sites, label, name) in
+          let obj = Te_types.throughput r.Ffc.alloc in
+          solved := (key, (obj, ms)) :: !solved;
+          let st = r.Ffc.stats in
+          (* The dense tableau counts no iterations. *)
+          let solver =
+            match (backend, st.Ffc.solver) with
+            | `Revised, Some s ->
+              [
+                ( "iterations",
+                  Json.Int (s.Problem.phase1_iterations + s.Problem.phase2_iterations) );
+                ("refactorisations", Int s.Problem.refactorisations);
+              ]
+            | _ -> []
+          in
+          let baseline =
+            match List.assoc_opt key baseline_ms with
+            | Some b -> [ ("baseline_ms", Json.Float b); ("speedup", Float (b /. ms)) ]
+            | None -> []
+          in
+          add ~sites sc label name
+            ([
+               ("lp_vars", Json.Int st.Ffc.lp_vars); ("lp_rows", Int st.Ffc.lp_rows);
+               ("time_ms", Float ms); ("objective", Float obj);
+             ]
+            @ solver @ baseline))
+        solves;
+      if naive then
+        add ~sites sc "naive enumeration" "explicit"
+          [
+            ( "lp_rows",
+              Int
+                (Enumerate.control_constraint_count input ~kc:3
+                + Enumerate.data_constraint_count input ~ke:3 ~kv:0) );
+          ])
+    instances;
+  let rows = List.rev !rows in
+  print_rows rows;
+  let nlinks = Topology.num_links (Lazy.force lnet).Sim.Scenario.input.Te_types.topo in
+  Printf.printf
+    "naive fault-case count for ke<=3 over %d links: %.2e cases (x %d links of constraints);\n\
+    \ the explicit rows above already prune to each flow's own elements\n"
+    nlinks
+    (choose nlinks 1 +. choose nlinks 2 +. choose nlinks 3)
+    nlinks;
+  Printf.printf "(paper: 1.2 s for L-Net high protection vs 0.05 s non-FFC; naive > 12 h)\n";
+  let objective key = fst (List.assoc key !solved) in
+  let gap a b = abs_float (a -. b) /. (1. +. abs_float b) in
+  let agrees a b = gap a b <= 1e-6 in
+  let pairs =
+    List.filter_map
+      (fun ((network, sites, label, name), (obj, _)) ->
+        if name = "sorting-net" then Some (obj, objective (network, sites, label, "duality"))
+        else None)
+      !solved
+  in
+  Printf.printf "sorting-net vs duality objectives: max relative gap %.1e over %d pairs\n"
+    (List.fold_left (fun m (a, b) -> max m (gap a b)) 0. pairs)
+    (List.length pairs);
+  let lnet_210 name = ("L-Net", 20, fst p210, name) in
   (* A skipped oracle is no contract at all, not a passed one. *)
   let oracle_contract =
-    match oracle_obj with
-    | None -> []
-    | Some o ->
+    match List.assoc_opt (lnet_210 "duality (dense tableau)") !solved with
+    | None ->
+      Printf.printf "(quick mode: dense-tableau oracle cross-check skipped)\n";
+      []
+    | Some (o, _) ->
       [
         ( "oracle_agreement",
           "objectives agree with the dense-tableau oracle (1e-6)",
-          agrees sorting_obj o && agrees duality_obj o );
+          agrees (objective (lnet_210 "sorting-net")) o
+          && agrees (objective (lnet_210 "duality")) o );
       ]
   in
+  let warm_json = warm_bench () in
   report ~name:"lp"
-    [
-      ("scenario", String sc.Sim.Scenario.name); ("config", String "kc=2,ke=1");
-      ("sorting_net", sorting_json); ("duality", duality_json); ("warm", warm_json);
-    ]
-    (* The CI smoke's regression tripwire: the duality row solved in ~0.08 s
-       at the time of writing; 2 s means something is badly wrong. *)
+    [ ("rows", List (List.map row_json rows)); ("warm", warm_json) ]
     (oracle_contract
-    @ [ ("duality_under_2s", "duality row solved in under 2 s", duality_secs <= 2.0) ])
+    @ [
+        ( "encodings_agree",
+          "sorting-net and duality objectives agree (1e-6)",
+          pairs <> [] && List.for_all (fun (a, b) -> agrees a b) pairs );
+        (* The CI smoke's regression tripwire: the L-Net (2,1,0) duality row
+           solved in ~0.1 s at the time of writing; 2 s means something is
+           badly wrong. *)
+        ( "duality_under_2s",
+          "duality row solved in under 2 s",
+          snd (List.assoc (lnet_210 "duality") !solved) <= 2000. );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: degradation ladder, solve deadlines, guarantee auditing *)
@@ -1434,36 +1310,53 @@ let southbound () =
 (* Seeded differential-fuzzing campaign over every oracle in lib/check.
    The seed is fixed so CI failures are reproducible with
    `ffc fuzz --seed 42`; on a finding the minimal repro snippets are
-   written to FUZZ_repro.ml and the run fails. *)
+   written to FUZZ_repro.ml and the run fails. Emits BENCH_fuzz.json: the
+   campaign's per-oracle counts, with no wall-clock field. *)
 let fuzz () =
   section "fuzz: seeded differential campaign (lib/check oracles)";
   let module Fuzz = Ffc_check.Fuzz in
   with_bench_pool @@ fun pool ->
-  let count = if !fast then 60 else 300 in
+  let seed = 42 and count = if !fast then 60 else 300 in
   let time_budget_ms = if !fast then 20_000. else 120_000. in
   let r =
-    Fuzz.run ?pool ~seed:42 ~count ~time_budget_ms
-      ~oracles:(Ffc_check.Oracles.all ?pool ())
-      ()
+    Fuzz.run ?pool ~seed ~count ~time_budget_ms ~oracles:(Ffc_check.Oracles.all ?pool ()) ()
   in
   Format.printf "%a@." Fuzz.pp_report r;
+  let findings = Fuzz.failures r in
+  if findings <> [] then begin
+    Fuzz.write_repros "FUZZ_repro.ml" findings;
+    Printf.printf "wrote FUZZ_repro.ml (%d findings)\n" (List.length findings)
+  end;
   let starved =
-    List.filter (fun (o : Fuzz.oracle_report) -> o.Fuzz.exercised = 0) r.Fuzz.oracles
+    List.filter_map
+      (fun (o : Fuzz.oracle_report) -> if o.Fuzz.exercised = 0 then Some o.Fuzz.o_name else None)
+      r.Fuzz.oracles
   in
-  (match Fuzz.failures r with
-  | [] -> ()
-  | fs ->
-    Fuzz.write_repros "FUZZ_repro.ml" fs;
-    Printf.printf "wrote FUZZ_repro.ml (%d findings)\n" (List.length fs));
-  if starved <> [] then
-    raise
-      (Contract_failed
-         ("oracle(s) never exercised: "
-         ^ String.concat ", " (List.map (fun (o : Fuzz.oracle_report) -> o.Fuzz.o_name) starved)));
-  if Fuzz.failures r <> [] then
-    raise
-      (Contract_failed
-         (Printf.sprintf "%d finding(s), repros in FUZZ_repro.ml" (List.length (Fuzz.failures r))))
+  report ~name:"fuzz"
+    [
+      ("seed", Int seed); ("count", Int count);
+      ( "oracles",
+        Obj
+          (List.map
+             (fun (o : Fuzz.oracle_report) ->
+               ( o.Fuzz.o_name,
+                 Json.Obj
+                   [
+                     ("exercised", Int o.Fuzz.exercised); ("skipped", Int o.Fuzz.skipped);
+                     ("findings", Int (List.length o.Fuzz.findings));
+                   ] ))
+             r.Fuzz.oracles) );
+    ]
+    [
+      ( "oracles_exercised",
+        (if starved = [] then "every oracle exercised"
+         else "every oracle exercised (never: " ^ String.concat ", " starved ^ ")"),
+        starved = [] );
+      ( "zero_findings",
+        (if findings = [] then "zero findings"
+         else Printf.sprintf "zero findings (%d, repros in FUZZ_repro.ml)" (List.length findings)),
+        findings = [] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: crash-recovery journal and adversarial guarantee hunting     *)
@@ -1922,7 +1815,10 @@ let parallel_bench () =
   section "parallel: domain-pool determinism (j=1 vs j=4) and campaign speedup";
   let module Fuzz = Ffc_check.Fuzz in
   let module Chaos = Ffc_check.Chaos in
-  let count = if !fast then 40 else 120 in
+  (* Instances per oracle, sized so the j=1 campaign runs for about a
+     second in quick mode (2-core Xeon VM): that amortises domain start-up,
+     so the speedup gate times campaign throughput. *)
+  let count = if !fast then 2000 else 6000 in
   let hunt_budget = if !fast then 8 else 24 in
   let time name f =
     let r, ms = Clock.time_ms f in
@@ -1998,8 +1894,6 @@ let experiments =
     ("figure1a", figure1a);
     ("figure1b", figure1b);
     ("figure6", figure6);
-    ("table2", table2);
-    ("table2-bechamel", table2_bechamel);
     ("figure12", figure12);
     ("figure13", figure13);
     ("figure14", figure14);
@@ -2009,9 +1903,7 @@ let experiments =
     ("ablation-rescale-aware", ablation_rescale_aware);
     ("ablation-baseline", ablation_baseline);
     ("capacity-planning", capacity_planning);
-    ("scaling", scaling);
     ("lp", lp_bench);
-    ("lp-warm", lp_warm);
     ("resilience", resilience);
     ("southbound", southbound);
     ("fuzz", fuzz);

@@ -19,12 +19,7 @@ let solve_checked ?backend ?reserved ?presolve ?max_iterations ?deadline_ms ?war
   | Model.Iteration_limit -> fail `Iteration_limit "iteration limit reached"
   | Model.Deadline_exceeded -> fail `Deadline "deadline exceeded"
 
-let solve_full ?backend ?reserved ?presolve ?max_iterations ?deadline_ms ?warm_start
-    (input : Te_types.input) =
-  Result.map_error
-    (fun (f : Te_types.solve_failure) -> f.Te_types.message)
-    (solve_checked ?backend ?reserved ?presolve ?max_iterations ?deadline_ms ?warm_start
-       input)
-
 let solve ?backend ?reserved (input : Te_types.input) =
-  Result.map fst (solve_full ?backend ?reserved input)
+  match solve_checked ?backend ?reserved input with
+  | Ok (alloc, _) -> Ok alloc
+  | Error f -> Error f.Te_types.message

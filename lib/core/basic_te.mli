@@ -11,20 +11,6 @@ val solve :
     message (infeasibility cannot occur here — zero is always feasible — so
     an [Error] indicates a solver failure). *)
 
-val solve_full :
-  ?backend:Ffc_lp.Model.backend ->
-  ?reserved:float array ->
-  ?presolve:bool ->
-  ?max_iterations:int ->
-  ?deadline_ms:float ->
-  ?warm_start:Ffc_lp.Problem.basis ->
-  Te_types.input ->
-  (Te_types.allocation * Ffc_lp.Problem.basis option, string) result
-(** Like {!solve} but also returns the final simplex basis, and accepts one
-    from a previous interval's solve to warm-start (mapped by key onto this
-    build, see {!Ffc_lp.Model.solve}). [max_iterations] / [deadline_ms]
-    bound the underlying LP solve. *)
-
 val solve_checked :
   ?backend:Ffc_lp.Model.backend ->
   ?reserved:float array ->
@@ -34,6 +20,9 @@ val solve_checked :
   ?warm_start:Ffc_lp.Problem.basis ->
   Te_types.input ->
   (Te_types.allocation * Ffc_lp.Problem.basis option, Te_types.solve_failure) result
-(** Like {!solve_full} but failures keep their machine-readable
+(** Like {!solve} but also returns the final simplex basis, and accepts one
+    from a previous interval's solve to warm-start (mapped by key onto this
+    build, see {!Ffc_lp.Model.solve}). [max_iterations] / [deadline_ms]
+    bound the underlying LP solve. Failures keep their machine-readable
     {!Te_types.failure_kind} so callers (the degradation ladder) can react
     to deadline expiry and iteration limits differently from infeasibility. *)

@@ -21,13 +21,11 @@ type config = {
   max_iterations : int option;
   audit_budget : int;
   audit_seed : int;
-  presolve : bool;
 }
 
-let config ?deadline_ms ?max_iterations ?(audit_budget = 8) ?(audit_seed = 0x5eed)
-    ?(presolve = false) mode =
+let config ?deadline_ms ?max_iterations ?(audit_budget = 8) ?(audit_seed = 0x5eed) mode =
   if audit_budget < 0 then invalid_arg "Controller.config: negative audit_budget";
-  { mode; deadline_ms; max_iterations; audit_budget; audit_seed; presolve }
+  { mode; deadline_ms; max_iterations; audit_budget; audit_seed }
 
 type rung_kind = Full_protection | Reduced of int | Basic_te | Last_good
 
@@ -370,12 +368,14 @@ type attempt_result =
   | Accepted of Te_types.allocation * (int * Ffc.stats) list * (unit -> unit)
   | Failed of Te_types.solve_failure
 
+(* Every LP rung solves with presolve off, so its warm-start bases stay
+   applicable. *)
 let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
   match kind with
   | Last_good -> Accepted (rescale_last_good input prev, [], fun () -> ())
   | Basic_te -> (
     match
-      Basic_te.solve_checked ~presolve:t.cfg.presolve
+      Basic_te.solve_checked ~presolve:false
         ?max_iterations:t.cfg.max_iterations ?deadline_ms:t.cfg.deadline_ms
         ?warm_start:(get_basis t ~rung ~cls:(-1)) input
     with
@@ -405,7 +405,7 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
     in
     match
       Priority_te.solve_warm_checked ~config_of:config_of' ~prev
-        ~presolve:t.cfg.presolve ?max_iterations:t.cfg.max_iterations
+        ~presolve:false ?max_iterations:t.cfg.max_iterations
         ?deadline_ms:t.cfg.deadline_ms ~warm_starts input
     with
     | Ok (alloc, per_class) ->

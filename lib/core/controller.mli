@@ -38,7 +38,6 @@ type config = {
   max_iterations : int option;  (** simplex pivot cap per LP *)
   audit_budget : int;  (** sampled audit cases per accepted solve; 0 = off *)
   audit_seed : int;
-  presolve : bool;  (** keep [false] so warm-start bases stay applicable *)
 }
 
 val config :
@@ -46,10 +45,9 @@ val config :
   ?max_iterations:int ->
   ?audit_budget:int ->
   ?audit_seed:int ->
-  ?presolve:bool ->
   mode ->
   config
-(** Defaults: no deadline, no iteration cap, audit budget 8, presolve off. *)
+(** Defaults: no deadline, no iteration cap, audit budget 8. *)
 
 type rung_kind =
   | Full_protection

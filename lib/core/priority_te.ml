@@ -71,12 +71,7 @@ let solve_warm_checked ~config_of ?prev ?presolve ?max_iterations ?deadline_ms
   in
   go [] classes
 
-let solve_warm ~config_of ?prev ?presolve ?warm_starts (input : Te_types.input) =
-  Result.map_error
-    (fun ((_prio, f) : int * Te_types.solve_failure) -> f.Te_types.message)
-    (solve_warm_checked ~config_of ?prev ?presolve ?warm_starts input)
-
 let solve ~config_of ?prev (input : Te_types.input) =
-  Result.map
-    (fun (alloc, per_class) -> (alloc, List.map (fun (_, st, _) -> st) per_class))
-    (solve_warm ~config_of ?prev input)
+  match solve_warm_checked ~config_of ?prev input with
+  | Ok (alloc, per_class) -> Ok (alloc, List.map (fun (_, st, _) -> st) per_class)
+  | Error (_prio, f) -> Error f.Te_types.message
