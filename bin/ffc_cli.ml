@@ -333,9 +333,12 @@ let verify_cmd network seed sites scale kc ke kv rescale_aware =
   match Ffc.solve ~config ~prev input with
   | Error e -> failwith e
   | Ok r ->
+    let failed = ref false in
     let report name = function
       | Ok () -> Printf.printf "%-28s PASS\n" name
-      | Error e -> Printf.printf "%-28s FAIL: %s\n" name e
+      | Error e ->
+        failed := true;
+        Printf.printf "%-28s FAIL: %s\n" name e
     in
     Printf.printf "FFC %s solved: %.1f Gbps granted\n"
       (Format.asprintf "%a" Te_types.pp_protection protection)
@@ -347,7 +350,8 @@ let verify_cmd network seed sites scale kc ke kv rescale_aware =
         (Enumerate.verify_control_plane input ~old_alloc:prev ~new_alloc:r.Ffc.alloc ~kc);
     if kc > 0 && (ke > 0 || kv > 0) then
       report "combined (exhaustive)"
-        (Enumerate.verify_combined input ~old_alloc:prev ~new_alloc:r.Ffc.alloc ~protection)
+        (Enumerate.verify_combined input ~old_alloc:prev ~new_alloc:r.Ffc.alloc ~protection);
+    if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -708,7 +712,9 @@ let cmds =
       plan_t;
     Cmd.v
       (Cmd.info "verify"
-         ~doc:"Solve FFC and exhaustively verify the guarantee on a small network")
+         ~doc:
+           "Solve FFC and exhaustively verify the guarantee on a small network; exits 1 if \
+            a check fails")
       verify_t;
     Cmd.v
       (Cmd.info "fuzz"

@@ -22,7 +22,9 @@ val solve_checked :
   (Te_types.allocation * Ffc_lp.Problem.basis option, Te_types.solve_failure) result
 (** Like {!solve} but also returns the final simplex basis, and accepts one
     from a previous interval's solve to warm-start (mapped by key onto this
-    build, see {!Ffc_lp.Model.solve}). [max_iterations] / [deadline_ms]
-    bound the underlying LP solve. Failures keep their machine-readable
-    {!Te_types.failure_kind} so callers (the degradation ladder) can react
-    to deadline expiry and iteration limits differently from infeasibility. *)
+    build, see {!Ffc_lp.Model.solve}). [max_iterations] caps the simplex
+    pivots and [deadline_ms] bounds build and solve together. Failures keep
+    their machine-readable {!Te_types.failure_kind} so callers (the
+    degradation ladder) can react to deadline expiry and iteration limits
+    differently from infeasibility; their messages read
+    ["basic TE: <what> (<reason>)"] (see {!Formulation.solve}). *)

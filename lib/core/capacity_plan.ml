@@ -10,7 +10,7 @@ type result = {
 
 let solve ?(config = Ffc.config ()) ?prev ?(cost = fun _ -> 1.)
     ?(min_capacity = fun _ -> 0.) (input : Te_types.input) =
-  let t0 = Ffc_util.Clock.now_ms () in
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"capacity-plan" () in
   let vars = Formulation.make_vars ~fixed_demand:true model input in
   Formulation.demand_constraints vars input;
@@ -44,25 +44,21 @@ let solve ?(config = Ffc.config ()) ?prev ?(cost = fun _ -> 1.)
          (Array.to_list (Topology.links input.Te_types.topo)))
   in
   Model.minimize model objective;
-  let build_ms = Ffc_util.Clock.since_ms t0 in
-  let t1 = Ffc_util.Clock.now_ms () in
-  match Model.solve ~backend:config.Ffc.backend model with
-  | Model.Optimal sol ->
+  match Formulation.solve ~label:"capacity plan" ~backend:config.Ffc.backend ~started_ms model with
+  | Ok (sol, stats) ->
     let capacities = Array.map (fun v -> max 0. (Model.value sol v)) cap_vars in
     Ok
       {
         capacities;
         alloc = Formulation.alloc_of_solution vars input sol;
         total_capacity = Model.objective_value sol;
-        stats = Ffc.mk_stats ~build_ms ~solve_ms:(Ffc_util.Clock.since_ms t1) model;
+        stats;
       }
-  | Model.Infeasible ->
+  | Error { Te_types.kind = `Infeasible; _ } ->
     Error
       "capacity plan: infeasible (a flow has tau <= 0: this protection level cannot be met \
        with its tunnel set at full demand)"
-  | Model.Unbounded -> Error "capacity plan: unbounded (unexpected)"
-  | Model.Iteration_limit -> Error "capacity plan: iteration limit"
-  | Model.Deadline_exceeded -> Error "capacity plan: deadline exceeded"
+  | Error f -> Error f.Te_types.message
 
 let provisioning_factor (input : Te_types.input) planned =
   match solve ~config:(Ffc.config ()) input with

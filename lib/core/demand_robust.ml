@@ -11,7 +11,7 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
       if peaks.(id) < input.Te_types.demands.(id) -. 1e-9 then
         invalid_arg "Demand_robust.solve: peak below nominal demand")
     input.Te_types.flows;
-  let t0 = Ffc_util.Clock.now_ms () in
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"demand-robust" () in
   (* Provision tunnels for the peaks: b_f pinned to dhat_f. *)
   let peak_input = { input with Te_types.demands = Array.copy peaks } in
@@ -52,20 +52,17 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
           (Expr.add !nominal excess))
     (Topology.links input.Te_types.topo);
   Model.minimize model (Expr.var u);
-  let build_ms = Ffc_util.Clock.since_ms t0 in
-  let t1 = Ffc_util.Clock.now_ms () in
-  match Model.solve ~backend:config.Ffc.backend model with
-  | Model.Optimal sol ->
+  match
+    Formulation.solve ~label:"demand-robust TE" ~backend:config.Ffc.backend ~started_ms model
+  with
+  | Ok (sol, stats) ->
     Ok
       {
         alloc = Formulation.alloc_of_solution vars peak_input sol;
         mlu = Model.value sol u;
-        stats = Ffc.mk_stats ~build_ms ~solve_ms:(Ffc_util.Clock.since_ms t1) model;
+        stats;
       }
-  | Model.Infeasible -> Error "demand-robust TE: infeasible (unexpected)"
-  | Model.Unbounded -> Error "demand-robust TE: unbounded (unexpected)"
-  | Model.Iteration_limit -> Error "demand-robust TE: iteration limit"
-  | Model.Deadline_exceeded -> Error "demand-robust TE: deadline exceeded"
+  | Error f -> Error f.Te_types.message
 
 let worst_case_utilisation (input : Te_types.input) ~peaks ~gamma
     (alloc : Te_types.allocation) =

@@ -47,7 +47,7 @@ let data_constraint_count (input : Te_types.input) ~ke ~kv =
 
 let solve ?(backend = `Revised) ?(rl_mode = Ffc.Rl_assumed_reliable)
     ~(protection : Te_types.protection) ?prev ?reserved (input : Te_types.input) =
-  let t0 = Ffc_util.Clock.now_ms () in
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"ffc-enumerated" () in
   let vars = Formulation.make_vars model input in
   Formulation.capacity_constraints ?reserved vars input;
@@ -149,20 +149,15 @@ let solve ?(backend = `Revised) ?(rl_mode = Ffc.Rl_assumed_reliable)
            end)
          (Topology.links input.Te_types.topo));
   Model.maximize model (Formulation.total_rate_expr vars);
-  let build_ms = Ffc_util.Clock.since_ms t0 in
-  let t1 = Ffc_util.Clock.now_ms () in
-  match Model.solve ~backend model with
-  | Model.Optimal sol ->
+  match Formulation.solve ~label:"enumerated FFC" ~backend ~started_ms model with
+  | Ok (sol, stats) ->
     Ok
       {
         Ffc.alloc = Formulation.alloc_of_solution vars input sol;
-        stats = Ffc.mk_stats ~build_ms ~solve_ms:(Ffc_util.Clock.since_ms t1) model;
+        stats;
         basis = Model.solution_basis sol;
       }
-  | Model.Infeasible -> Error "enumerated FFC: infeasible"
-  | Model.Unbounded -> Error "enumerated FFC: unbounded"
-  | Model.Iteration_limit -> Error "enumerated FFC: iteration limit"
-  | Model.Deadline_exceeded -> Error "enumerated FFC: deadline exceeded"
+  | Error f -> Error f.Te_types.message
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                         *)

@@ -16,6 +16,7 @@ let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) ?b0
        keep at least that much — this is what bounds the result within a
        factor alpha of true max-min fairness. *)
     let iteration ~floor_cap ~cap =
+      let started_ms = Ffc_util.Clock.now_ms () in
       let vars = Ffc.build ~config ?prev ?reserved input in
       let model = vars.Formulation.model in
       let unfrozen_rate = ref Expr.zero in
@@ -31,12 +32,12 @@ let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) ?b0
             unfrozen_rate := Expr.add !unfrozen_rate bf)
         input.Te_types.flows;
       Model.maximize model !unfrozen_rate;
-      match Model.solve ~backend:config.Ffc.backend model with
-      | Model.Optimal sol -> Ok (Formulation.alloc_of_solution vars input sol)
-      | Model.Infeasible -> Error "fairness iteration: infeasible"
-      | Model.Unbounded -> Error "fairness iteration: unbounded"
-      | Model.Iteration_limit -> Error "fairness iteration: LP iteration limit"
-  | Model.Deadline_exceeded -> Error "fairness iteration: deadline exceeded"
+      match
+        Formulation.solve ~label:"fairness iteration" ~backend:config.Ffc.backend ~started_ms
+          model
+      with
+      | Ok (sol, _) -> Ok (Formulation.alloc_of_solution vars input sol)
+      | Error f -> Error f.Te_types.message
     in
     let rec loop floor_cap cap iters last =
       let all_frozen =

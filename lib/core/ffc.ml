@@ -19,7 +19,7 @@ let config ?(protection = Te_types.no_protection) ?(encoding = `Sorting_network)
     ?(rescale_aware = false) ?(backend = `Revised) () =
   { protection; encoding; rl_mode; mice_fraction; ingress_skip_fraction; rescale_aware; backend }
 
-type stats = {
+type stats = Formulation.stats = {
   lp_vars : int;
   lp_rows : int;
   build_ms : float;
@@ -28,17 +28,6 @@ type stats = {
 }
 
 type result = { alloc : Te_types.allocation; stats : stats; basis : Problem.basis option }
-
-(* Shared by the formulation variants (MLU, demand-robust, ...): package the
-   model dimensions, wall-clock split and solver instrumentation. *)
-let mk_stats ~build_ms ~solve_ms model =
-  {
-    lp_vars = Model.num_vars model;
-    lp_rows = Model.num_constraints model;
-    build_ms;
-    solve_ms;
-    solver = Model.last_stats model;
-  }
 
 (* Flows collectively carrying at most [fraction] of total demand, smallest
    first (§6 mice optimisation). *)
@@ -65,7 +54,7 @@ let mice_flows (input : Te_types.input) fraction =
 (* Data-plane FFC (§4.3/Eqn 15). Keys: per flow; a flow's mice and
    sorting-network forms (which one depends on the demands) sit in sibling
    scopes 0 and 1, their tunnels in the network's element scopes. *)
-let add_data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.input) =
+let data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.input) =
   let { Te_types.ke; kv; _ } = cfg.protection in
   let model = vars.Formulation.model in
   if ke > 0 || kv > 0 then begin
@@ -109,12 +98,15 @@ let add_data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.i
    in child scopes 0 and 1 of it; the §4.5 and §6 rules decide per link
    and per ingress which rows exist, so the safety row lives in its link's
    scope and the M-sum over ingresses names each element by its ingress
-   switch. *)
-let add_control_plane_constraints_gen cfg (vars : Formulation.vars) (input : Te_types.input)
-    ~(prev : Te_types.allocation) ~(prev2 : Te_types.allocation option)
-    ~(uncertain : (int, unit) Hashtbl.t) ~(rhs : Topology.link -> Expr.t) () =
+   switch. Every caller adds these rows only when [kc > 0], the one case
+   that needs [prev]. *)
+let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.input)
+    ~(prev : Te_types.allocation) ?prev2 ?(uncertain_flows = [])
+    ~(rhs : Topology.link -> Expr.t) () =
   let kc = cfg.protection.Te_types.kc in
   let model = vars.Formulation.model in
+  let uncertain = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.add uncertain id ()) uncertain_flows;
   (* beta_{f,t} variables (Eqn 8 / Eqn 18 / §5.6). *)
   let beta = Array.map (Array.map (fun _ -> -1)) vars.Formulation.af in
   Model.scope model Formulation.scope_beta (fun () ->
@@ -226,24 +218,6 @@ let add_control_plane_constraints_gen cfg (vars : Formulation.vars) (input : Te_
       end)
     (Topology.links input.Te_types.topo)
 
-let add_control_plane_constraints cfg vars input ~prev ~prev2 ~uncertain ?reserved () =
-  let rhs (l : Topology.link) =
-    let cap =
-      l.Topology.capacity -. (match reserved with None -> 0. | Some r -> r.(l.Topology.id))
-    in
-    Expr.const (max 0. cap)
-  in
-  add_control_plane_constraints_gen cfg vars input ~prev ~prev2 ~uncertain ~rhs ()
-
-let data_plane_constraints = add_data_plane_constraints
-
-let control_plane_constraints cfg vars input ~prev ?prev2 ?(uncertain_flows = []) ~rhs () =
-  if cfg.protection.Te_types.kc > 0 then begin
-    let uncertain = Hashtbl.create 8 in
-    List.iter (fun id -> Hashtbl.add uncertain id ()) uncertain_flows;
-    add_control_plane_constraints_gen cfg vars input ~prev ~prev2 ~uncertain ~rhs ()
-  end
-
 let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
     (input : Te_types.input) =
   let cfg = config in
@@ -251,8 +225,6 @@ let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
   let vars = Formulation.make_vars model input in
   Formulation.capacity_constraints ?reserved vars input;
   Formulation.demand_constraints vars input;
-  let uncertain = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.add uncertain id ()) uncertain_flows;
   (* §5.6: freeze uncertain flows at their last commanded configuration. *)
   if uncertain_flows <> [] then begin
     match (prev, prev2) with
@@ -274,58 +246,33 @@ let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
     match prev with
     | None -> invalid_arg "Ffc.build: control-plane protection (kc > 0) requires prev"
     | Some prev ->
-      add_control_plane_constraints cfg vars input ~prev ~prev2 ~uncertain ?reserved ()
+      let rhs (l : Topology.link) =
+        let cap =
+          l.Topology.capacity -. (match reserved with None -> 0. | Some r -> r.(l.Topology.id))
+        in
+        Expr.const (max 0. cap)
+      in
+      control_plane_constraints cfg vars input ~prev ?prev2 ~uncertain_flows ~rhs ()
   end;
-  add_data_plane_constraints cfg vars input;
+  data_plane_constraints cfg vars input;
   vars
 
 let solve_checked ?(config = config ()) ?prev ?prev2 ?uncertain_flows ?reserved ?presolve
     ?max_iterations ?deadline_ms ?warm_start (input : Te_types.input) =
-  let t0 = Ffc_util.Clock.now_ms () in
+  let started_ms = Ffc_util.Clock.now_ms () in
   match build ~config ?prev ?prev2 ?uncertain_flows ?reserved input with
   | exception Invalid_argument msg -> Error (Te_types.failure `Infeasible msg)
-  | vars -> (
+  | vars ->
     let model = vars.Formulation.model in
     Model.maximize model (Formulation.total_rate_expr vars);
-    let build_ms = Ffc_util.Clock.since_ms t0 in
-    let t1 = Ffc_util.Clock.now_ms () in
-    (* A warm basis from an earlier interval carries across this build's
-       shape changes (the §4.5 and §6 rules make the row set depend on
-       [prev]; presolve reductions depend on the data): [Model.solve] maps
-       it onto the new rows and columns by key. *)
-    (* The deadline covers the whole attempt: model build time is deducted
-       from the solver's budget (a budget exhausted by the build fails the
-       attempt immediately rather than granting the simplex a fresh one). *)
-    let remaining_ms = Option.map (fun d -> d -. build_ms) deadline_ms in
-    let fail kind what =
-      let msg =
-        match Model.last_stats model with
-        | Some st when st.Problem.status_reason <> "" ->
-          Printf.sprintf "FFC TE: %s (%s)" what st.Problem.status_reason
-        | _ -> Printf.sprintf "FFC TE: %s" what
-      in
-      Error (Te_types.failure kind msg)
-    in
-    if (match remaining_ms with Some r -> r <= 0. | None -> false) then
-      fail `Deadline "deadline exceeded (model build)"
-    else
-    let outcome =
-      Model.solve ~backend:config.backend ?presolve ?max_iterations
-        ?deadline_ms:remaining_ms ?warm_start model
-    in
-    let solve_ms = Ffc_util.Clock.since_ms t1 in
-    match outcome with
-    | Model.Optimal sol ->
-      Ok
-        {
-          alloc = Formulation.alloc_of_solution vars input sol;
-          stats = mk_stats ~build_ms ~solve_ms model;
-          basis = Model.solution_basis sol;
-        }
-    | Model.Infeasible -> fail `Infeasible "infeasible"
-    | Model.Unbounded -> fail `Unbounded "unbounded (unexpected)"
-    | Model.Iteration_limit -> fail `Iteration_limit "iteration limit reached"
-    | Model.Deadline_exceeded -> fail `Deadline "deadline exceeded")
+    Formulation.solve ~label:"FFC TE" ~backend:config.backend ?presolve ?max_iterations
+      ?deadline_ms ?warm_start ~started_ms model
+    |> Result.map (fun (sol, stats) ->
+           {
+             alloc = Formulation.alloc_of_solution vars input sol;
+             stats;
+             basis = Model.solution_basis sol;
+           })
 
 let solve ?config ?prev ?prev2 ?uncertain_flows ?reserved ?presolve ?warm_start
     (input : Te_types.input) =

@@ -60,15 +60,15 @@ val config :
     limiters, paper-faithful (non-rescale-aware) combined protection,
     revised-simplex backend. *)
 
-type stats = {
+type stats = Formulation.stats = {
   lp_vars : int;
   lp_rows : int;
-  build_ms : float;  (** wall-clock time constructing the model *)
-  solve_ms : float;  (** wall-clock time inside the LP solver *)
+  build_ms : float;
+  solve_ms : float;
   solver : Ffc_lp.Problem.solver_stats option;
-      (** simplex instrumentation (iterations, refactorisations, warm-start
-          outcome, ...) when the backend reports it *)
 }
+(** The dimensions, wall-clock split and solver instrumentation of one
+    solve; see {!Formulation.stats}. *)
 
 type result = {
   alloc : Te_types.allocation;
@@ -77,10 +77,6 @@ type result = {
       (** final simplex basis; feed to the next [solve ?warm_start] of the
           same formulation (e.g. the following TE interval) *)
 }
-
-val mk_stats : build_ms:float -> solve_ms:float -> Ffc_lp.Model.t -> stats
-(** Package model dimensions, the wall-clock split and the backend's last
-    solver instrumentation; shared by the formulation variants. *)
 
 (** {2 Constraint builders}
 
@@ -102,8 +98,10 @@ val control_plane_constraints :
   rhs:(Ffc_net.Topology.link -> Ffc_lp.Expr.t) ->
   unit ->
   unit
-(** Eqn 14 per link, with a caller-supplied right-hand side (capacity
-    constant, or [uf * c_e] for MLU). No-op when [kc = 0]. *)
+(** Eqn 14 per link, with a caller-supplied right-hand side (the residual
+    capacity in {!build}, [uf * c_e] for MLU, a capacity variable for
+    capacity planning). Add it only when [kc > 0]: with [kc = 0] it still
+    adds the [beta] rows and a plain capacity row per link. *)
 
 val build :
   ?config:config ->
@@ -157,4 +155,7 @@ val solve_checked :
     {!Te_types.failure_kind} (so the degradation ladder in {!Controller} can
     distinguish deadline expiry and iteration limits from infeasibility),
     and the underlying LP solve can be bounded by [max_iterations] pivots
-    and/or a [deadline_ms] wall-clock budget. *)
+    and/or a [deadline_ms] wall-clock budget that the model build counts
+    against. Solver failures read ["FFC TE: <what> (<reason>)"] (see
+    {!Formulation.solve}); an [Invalid_argument] from {!build} is returned
+    as an [`Infeasible] failure carrying its message. *)

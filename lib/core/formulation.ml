@@ -102,3 +102,47 @@ let alloc_of_solution vars (input : Te_types.input) sol =
       af.(id) <- Array.map (fun v -> max 0. (Model.value sol v)) vars.af.(id))
     input.Te_types.flows;
   { Te_types.bf; af }
+
+type stats = {
+  lp_vars : int;
+  lp_rows : int;
+  build_ms : float;
+  solve_ms : float;
+  solver : Problem.solver_stats option;
+}
+
+let solve ~label ?backend ?presolve ?max_iterations ?deadline_ms ?warm_start ~started_ms
+    model =
+  let t1 = Ffc_util.Clock.now_ms () in
+  let build_ms = t1 -. started_ms in
+  let fail kind what reason =
+    let msg =
+      if reason = "" then Printf.sprintf "%s: %s" label what
+      else Printf.sprintf "%s: %s (%s)" label what reason
+    in
+    Error (Te_types.failure kind msg)
+  in
+  match Option.map (fun d -> d -. build_ms) deadline_ms with
+  | Some remaining when remaining <= 0. -> fail `Deadline "deadline exceeded" "model build"
+  | remaining_ms -> (
+    let outcome =
+      Model.solve ?backend ?presolve ?max_iterations ?deadline_ms:remaining_ms ?warm_start
+        model
+    in
+    let solver = Model.last_stats model in
+    let reason = match solver with Some st -> st.Problem.status_reason | None -> "" in
+    match outcome with
+    | Model.Optimal sol ->
+      Ok
+        ( sol,
+          {
+            lp_vars = Model.num_vars model;
+            lp_rows = Model.num_constraints model;
+            build_ms;
+            solve_ms = Ffc_util.Clock.since_ms t1;
+            solver;
+          } )
+    | Model.Infeasible -> fail `Infeasible "infeasible" reason
+    | Model.Unbounded -> fail `Unbounded "unbounded" reason
+    | Model.Iteration_limit -> fail `Iteration_limit "iteration limit" reason
+    | Model.Deadline_exceeded -> fail `Deadline "deadline exceeded" reason)

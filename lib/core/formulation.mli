@@ -1,6 +1,7 @@
 (** Internal shared scaffolding for the TE linear programs: variable
-    creation, the link/tunnel crossing structure, and the basic constraints
-    (Eqns 2-4 of the paper) reused by every formulation. *)
+    creation, the link/tunnel crossing structure, the basic constraints
+    (Eqns 2-4 of the paper) reused by every formulation, and the one
+    {!solve} through which every TE linear program reaches the LP solver. *)
 
 open Ffc_net
 open Ffc_lp
@@ -64,3 +65,36 @@ val total_rate_expr : vars -> Expr.t
 val alloc_of_solution : vars -> Te_types.input -> Model.solution -> Te_types.allocation
 (** Read the solved variables back into an {!Te_types.allocation}; clamps
     within numerical tolerance to be non-negative. *)
+
+(** {2 Solving} *)
+
+type stats = {
+  lp_vars : int;
+  lp_rows : int;
+  build_ms : float;  (** wall-clock time constructing the model *)
+  solve_ms : float;  (** wall-clock time inside the LP solver *)
+  solver : Problem.solver_stats option;
+      (** simplex instrumentation (iterations, refactorisations, warm-start
+          outcome, ...) when the backend reports it *)
+}
+
+val solve :
+  label:string ->
+  ?backend:Model.backend ->
+  ?presolve:bool ->
+  ?max_iterations:int ->
+  ?deadline_ms:float ->
+  ?warm_start:Problem.basis ->
+  started_ms:float ->
+  Model.t ->
+  (Model.solution * stats, Te_types.solve_failure) result
+(** Solve a built model: the one place where an LP outcome becomes a TE
+    result. [started_ms] is the {!Ffc_util.Clock.now_ms} reading taken when
+    the build began. The build time counts against [deadline_ms]: a budget
+    the build used up fails with [`Deadline] before the solver starts, and
+    the solver gets what is left. Every other option goes to {!Model.solve}
+    unchanged. A failure's message reads
+    [<label>: infeasible|unbounded|iteration limit|deadline exceeded],
+    followed by [" (<reason>)"] when the solver gave a
+    [Problem.status_reason] (["model build"] when the build used the
+    budget up). *)

@@ -9,7 +9,7 @@ type result = {
 }
 
 let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input) =
-  let t0 = Ffc_util.Clock.now_ms () in
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"mlu-te" () in
   let vars = Formulation.make_vars ~fixed_demand:true model input in
   Formulation.demand_constraints vars input;
@@ -45,18 +45,15 @@ let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input)
     | Some uf -> Expr.add (Expr.var u) (Expr.var ~coeff:sigma uf)
   in
   Model.minimize model objective;
-  let build_ms = Ffc_util.Clock.since_ms t0 in
-  let t1 = Ffc_util.Clock.now_ms () in
-  match Model.solve ~backend:config.Ffc.backend model with
-  | Model.Optimal sol ->
+  match Formulation.solve ~label:"MLU TE" ~backend:config.Ffc.backend ~started_ms model with
+  | Ok (sol, stats) ->
     Ok
       {
         alloc = Formulation.alloc_of_solution vars input sol;
         mlu = Model.value sol u;
         fault_mlu = Option.map (Model.value sol) uf;
-        stats = Ffc.mk_stats ~build_ms ~solve_ms:(Ffc_util.Clock.since_ms t1) model;
+        stats;
       }
-  | Model.Infeasible -> Error "MLU TE: infeasible (check tau_f > 0 for all flows)"
-  | Model.Unbounded -> Error "MLU TE: unbounded (unexpected)"
-  | Model.Iteration_limit -> Error "MLU TE: iteration limit"
-  | Model.Deadline_exceeded -> Error "MLU TE: deadline exceeded"
+  | Error { Te_types.kind = `Infeasible; _ } ->
+    Error "MLU TE: infeasible (check tau_f > 0 for all flows)"
+  | Error f -> Error f.Te_types.message

@@ -2,9 +2,8 @@ open Ffc_net
 open Ffc_lp
 module Bounded_sum = Ffc_sortnet.Bounded_sum
 
-let solve_checked ?(config = Ffc.config ()) ?presolve ?max_iterations ?deadline_ms
-    ~(prev : Te_types.allocation) (input : Te_types.input) =
-  let t0 = Ffc_util.Clock.now_ms () in
+let solve ?(config = Ffc.config ()) ~(prev : Te_types.allocation) (input : Te_types.input) =
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"ffc-rl-unordered" () in
   (* vars.af here are the reservations ahat (provisioned for r_f). *)
   let vars = Formulation.make_vars model input in
@@ -68,40 +67,14 @@ let solve_checked ?(config = Ffc.config ()) ?presolve ?max_iterations ?deadline_
        (Topology.links input.Te_types.topo)
    end);
   Model.maximize model (Formulation.total_rate_expr vars);
-  let build_ms = Ffc_util.Clock.since_ms t0 in
-  let t1 = Ffc_util.Clock.now_ms () in
-  (* Deduct model-construction time from the wall-clock budget, like the
-     other solver entry points. *)
-  let remaining_ms = Option.map (fun d -> d -. build_ms) deadline_ms in
-  let fail kind what =
-    let what =
-      match Model.last_stats model with
-      | Some st when st.Problem.status_reason <> "" ->
-        Printf.sprintf "%s (%s)" what st.Problem.status_reason
-      | _ -> what
-    in
-    Error (Te_types.failure kind ("rate-limiter FFC: " ^ what))
-  in
-  if (match remaining_ms with Some r -> r <= 0. | None -> false) then
-    fail `Deadline "deadline exceeded while building the model"
-  else
-    match
-      Model.solve ~backend:config.Ffc.backend ?presolve ?max_iterations
-        ?deadline_ms:remaining_ms model
-    with
-    | Model.Optimal sol ->
-      Ok
-        {
-          Ffc.alloc = Formulation.alloc_of_solution vars input sol;
-          stats = Ffc.mk_stats ~build_ms ~solve_ms:(Ffc_util.Clock.since_ms t1) model;
-          basis = Model.solution_basis sol;
-        }
-    | Model.Infeasible -> fail `Infeasible "infeasible"
-    | Model.Unbounded -> fail `Unbounded "unbounded"
-    | Model.Iteration_limit -> fail `Iteration_limit "iteration limit"
-    | Model.Deadline_exceeded -> fail `Deadline "deadline exceeded"
-
-let solve ?config ?presolve ?max_iterations ?deadline_ms ~prev input =
-  Result.map_error
-    (fun (f : Te_types.solve_failure) -> f.Te_types.message)
-    (solve_checked ?config ?presolve ?max_iterations ?deadline_ms ~prev input)
+  match
+    Formulation.solve ~label:"rate-limiter FFC" ~backend:config.Ffc.backend ~started_ms model
+  with
+  | Ok (sol, stats) ->
+    Ok
+      {
+        Ffc.alloc = Formulation.alloc_of_solution vars input sol;
+        stats;
+        basis = Model.solution_basis sol;
+      }
+  | Error f -> Error f.Te_types.message

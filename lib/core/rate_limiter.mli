@@ -14,28 +14,13 @@
     interleaving of switch and limiter updates (at the cost of reserving for
     [max(b, b')] rather than [b]). *)
 
-val solve_checked :
-  ?config:Ffc.config ->
-  ?presolve:bool ->
-  ?max_iterations:int ->
-  ?deadline_ms:float ->
-  prev:Te_types.allocation ->
-  Te_types.input ->
-  (Ffc.result, Te_types.solve_failure) result
-(** The returned allocation's [af] holds the reservations [ahat] (the upper
-    bounds to install as weights); [bf] is the granted new rate. Protection
-    levels from [config] apply: [kc] counts faults across switches and
-    limiters combined, [ke]/[kv] as usual. Failures carry a machine-readable
-    {!Te_types.failure_kind}; [deadline_ms] bounds build + solve wall-clock
-    and [max_iterations] caps simplex pivots, like the other solver entry
-    points. *)
-
 val solve :
   ?config:Ffc.config ->
-  ?presolve:bool ->
-  ?max_iterations:int ->
-  ?deadline_ms:float ->
   prev:Te_types.allocation ->
   Te_types.input ->
   (Ffc.result, string) result
-(** {!solve_checked} with the failure flattened to its message string. *)
+(** The returned allocation's [af] holds the reservations [ahat] (the upper
+    bounds to install as weights); [bf] is the granted new rate. Protection
+    levels from [config] apply: [kc] counts faults across switches and
+    limiters combined, [ke]/[kv] as usual. A failure reads
+    ["rate-limiter FFC: <what>"] (see {!Formulation.solve}). *)

@@ -25,6 +25,7 @@ let residual_positions (f : Flow.t) failed_links =
          else None)
 
 let solve ?(backend = `Revised) ~ke (input : Te_types.input) =
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"residual-weights" () in
   let nflows = Array.length input.Te_types.demands in
   let bf = Array.make nflows (-1) in
@@ -88,8 +89,8 @@ let solve ?(backend = `Revised) ~ke (input : Te_types.input) =
   Model.maximize model
     (Expr.sum
        (List.map (fun (f : Flow.t) -> Expr.var bf.(f.Flow.id)) input.Te_types.flows));
-  match Model.solve ~backend model with
-  | Model.Optimal sol ->
+  match Formulation.solve ~label:"residual-weights TE" ~backend ~started_ms model with
+  | Ok (sol, stats) ->
     let rates = Array.make nflows 0. in
     List.iter
       (fun (f : Flow.t) -> rates.(f.Flow.id) <- max 0. (Model.value sol bf.(f.Flow.id)))
@@ -106,11 +107,8 @@ let solve ?(backend = `Revised) ~ke (input : Te_types.input) =
                 Array.map (fun v -> if v < 0 then 0. else max 0. (Model.value sol v)) vars ))
             all_cases)
       input.Te_types.flows;
-    Ok { bf = rates; splits; lp_rows = Model.num_constraints model }
-  | Model.Infeasible -> Error "residual-weights TE: infeasible (unexpected)"
-  | Model.Unbounded -> Error "residual-weights TE: unbounded (unexpected)"
-  | Model.Iteration_limit -> Error "residual-weights TE: iteration limit"
-  | Model.Deadline_exceeded -> Error "residual-weights TE: deadline exceeded"
+    Ok { bf = rates; splits; lp_rows = stats.Formulation.lp_rows }
+  | Error f -> Error f.Te_types.message
 
 let verify (input : Te_types.input) result ~ke =
   let tol = 1e-6 in

@@ -2,8 +2,6 @@ open Ffc_net
 
 type input = { topo : Topology.t; flows : Flow.t list; demands : float array }
 
-let input_flow input id = List.find (fun (f : Flow.t) -> f.Flow.id = id) input.flows
-
 type allocation = { bf : float array; af : float array array }
 
 let zero_allocation input =

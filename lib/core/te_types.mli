@@ -9,9 +9,6 @@ type input = {
   demands : float array; (* indexed by Flow.id; Gbps per TE interval *)
 }
 
-val input_flow : input -> int -> Flow.t
-(** Flow by id. Raises [Not_found] for unknown ids. *)
-
 type allocation = {
   bf : float array; (* granted rate per flow id *)
   af : float array array; (* per flow id, per tunnel position: tunnel rate *)

@@ -42,6 +42,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.in
     ~to_ =
   if steps < 1 then invalid_arg "Update_plan.plan: steps must be >= 1";
   let kc = config.Ffc.protection.Te_types.kc in
+  let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"update-plan" () in
   let nf = Array.length input.Te_types.demands in
   let min_rate = Array.make nf 0. in
@@ -151,8 +152,11 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.in
          inter)
   in
   Model.maximize model objective;
-  match Model.solve ~backend:config.Ffc.backend ?warm_start model with
-  | Model.Optimal sol ->
+  match
+    Formulation.solve ~label:"update plan" ~backend:config.Ffc.backend ?warm_start ~started_ms
+      model
+  with
+  | Ok (sol, _) ->
     let read af =
       let bf = Array.make nf 0. in
       let out = Array.make nf [||] in
@@ -165,9 +169,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.in
       { Te_types.bf; af = out }
     in
     Ok { steps = List.map read inter; min_rate; basis = Model.solution_basis sol }
-  | Model.Infeasible ->
+  | Error { Te_types.kind = `Infeasible; _ } ->
     Error
       (Printf.sprintf "no congestion-free %d-step update plan exists (try more steps)" steps)
-  | Model.Unbounded -> Error "update plan: unbounded (unexpected)"
-  | Model.Iteration_limit -> Error "update plan: iteration limit"
-  | Model.Deadline_exceeded -> Error "update plan: deadline exceeded"
+  | Error f -> Error f.Te_types.message

@@ -87,11 +87,6 @@ let add_var ?(lb = 0.) ?(ub = infinity) ?name t =
   t.var_ord <- t.var_ord + 1;
   i
 
-let add_vars ?lb ?ub ?name t k =
-  List.init k (fun i ->
-      let name = Option.map (fun stem -> Printf.sprintf "%s_%d" stem i) name in
-      add_var ?lb ?ub ?name t)
-
 let add_row t lhs rhs sense =
   let diff = Expr.sub lhs rhs in
   let terms = Expr.terms diff in
@@ -195,8 +190,6 @@ let solution_stats sol = sol.stats
 let solution_basis sol = sol.basis
 
 let value sol j = sol.x.(j)
-
-let value_expr sol e = Expr.eval (fun j -> sol.x.(j)) e
 
 let objective_value sol = sol.obj
 

@@ -25,9 +25,6 @@ val add_var : ?lb:float -> ?ub:float -> ?name:string -> t -> var
 (** New variable. [lb] defaults to [0.], [ub] to [infinity]. Use
     [~lb:neg_infinity] for free variables. *)
 
-val add_vars : ?lb:float -> ?ub:float -> ?name:string -> t -> int -> var list
-(** [add_vars t k] adds [k] variables sharing bounds and a name stem. *)
-
 val le : t -> Expr.t -> Expr.t -> unit
 (** [le t lhs rhs] adds [lhs <= rhs]. *)
 
@@ -82,8 +79,6 @@ val last_stats : t -> Problem.solver_stats option
 
 val value : solution -> var -> float
 (** Value of a variable in the solution. *)
-
-val value_expr : solution -> Expr.t -> float
 
 val objective_value : solution -> float
 (** Objective in the user's sense (maximisation objectives are reported as

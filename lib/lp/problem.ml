@@ -147,9 +147,6 @@ type result = {
   basis : basis option;
 }
 
-let eval_row _p terms x =
-  List.fold_left (fun acc (j, v) -> acc +. (v *. x.(j))) 0. terms
-
 let max_violation p x =
   let viol = ref 0. in
   (* Bounds. *)

@@ -118,9 +118,6 @@ type result = {
           [Revised.solve ~basis] to warm-start a related solve *)
 }
 
-val eval_row : t -> (int * float) list -> float array -> float
-(** [eval_row p terms x] evaluates a row's left-hand side at [x]. *)
-
 val max_violation : t -> float array -> float
 (** Maximum absolute constraint/bound violation of [x]; for checking
     solutions independently of any solver state. *)

@@ -32,9 +32,6 @@ let p_q t =
   let mids = List.concat_map Tunnel.intermediate_switches t.tunnels in
   (max_multiplicity link_ids, max_multiplicity mids)
 
-let residual_tunnels t ~failed_links ~failed_switches =
-  List.filter (fun tn -> Tunnel.survives tn ~failed_links ~failed_switches) t.tunnels
-
 let num_tunnels t = List.length t.tunnels
 
 let tau t ~ke ~kv =

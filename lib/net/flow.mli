@@ -20,10 +20,6 @@ val p_q : t -> int * int
     [p] tunnels share any link and at most [q] share any intermediate
     switch (§4.3). *)
 
-val residual_tunnels :
-  t -> failed_links:(int -> bool) -> failed_switches:(Topology.switch -> bool) -> Tunnel.t list
-(** Tunnels that survive the given fault case ([T_f^{mu,eta}]). *)
-
 val num_tunnels : t -> int
 
 val tau : t -> ke:int -> kv:int -> int

@@ -28,8 +28,6 @@ let create ~id links =
 let uses_link t (e : Topology.link) =
   List.exists (fun (l : Topology.link) -> l.Topology.id = e.Topology.id) t.links
 
-let uses_link_id t id = List.exists (fun (l : Topology.link) -> l.Topology.id = id) t.links
-
 let switches t =
   t.src :: List.map (fun (l : Topology.link) -> l.Topology.dst) t.links
 

@@ -18,8 +18,6 @@ val create : id:int -> Topology.link list -> t
 val uses_link : t -> Topology.link -> bool
 (** [L[t,e]] of the paper. *)
 
-val uses_link_id : t -> int -> bool
-
 val intermediate_switches : t -> Topology.switch list
 (** Switches strictly inside the path (excludes [src] and [dst]); the
     relevant set for switch-failure disjointness since all of a flow's

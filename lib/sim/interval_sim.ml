@@ -44,12 +44,15 @@ let controller_outage ?(crash_per_interval = 0.) ?(downtime_median_s = 600.)
     forced_crashes;
   { crash_per_interval; downtime_median_s; downtime_sigma; forced_crashes; recovery }
 
+(* Reaction timing: fault detection, controller notification, and the
+   controller's TE computation. *)
+let detect_s = 0.005
+let notify_s = 0.05
+let compute_s = 0.5
+
 type config = {
   mode : mode;
   interval_s : float;
-  detect_s : float;
-  notify_s : float;
-  compute_s : float;
   update_model : Update_model.t;
   fault_model : Fault_model.t;
   forced_faults : (Rng.t -> int -> Fault_model.fault list) option;
@@ -69,9 +72,6 @@ let default_config ?deadline_ms ?max_iterations ?(audit_budget = 8)
   {
     mode;
     interval_s = 300.;
-    detect_s = 0.005;
-    notify_s = 0.05;
-    compute_s = 0.5;
     update_model;
     fault_model;
     forced_faults = None;
@@ -241,7 +241,7 @@ let reaction_delay rng cfg n_switches =
     in
     worst := max !worst (Option.value tl.Southbound.landed_at ~default:cfg.interval_s)
   done;
-  cfg.compute_s +. !worst
+  compute_s +. !worst
 
 (* How an interval got its target: the one thing intervals differ in. *)
 type source =
@@ -350,7 +350,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let schedule_reaction now =
       reacted := true;
       let d = reaction_delay update_rng cfg (List.length ingresses) in
-      let at = now +. cfg.detect_s +. cfg.notify_s +. d in
+      let at = now +. detect_s +. notify_s +. d in
       reaction_done := min at cfg.interval_s
     in
     let rates = ref (current_rates ()) in
@@ -420,7 +420,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
                 then burst.(f.Flow.priority) <- burst.(f.Flow.priority) +. r)
               f.Flow.tunnels)
           input.Te_types.flows;
-        let burst_dur = min (cfg.detect_s +. cfg.notify_s) (cfg.interval_s -. t) in
+        let burst_dur = min (detect_s +. notify_s) (cfg.interval_s -. t) in
         Array.iteri
           (fun cls b -> lost_blackhole.(cls) <- lost_blackhole.(cls) +. (b *. burst_dur))
           burst;

@@ -68,12 +68,13 @@ val controller_outage :
 (** Validated constructor. Defaults: no random crashes, median downtime
     600 s (two intervals), sigma 0.6, no forced crashes. *)
 
+val compute_s : float
+(** Controller TE computation time when reacting to a fault: 500 ms. A
+    reaction also waits 5 ms for detection and 50 ms for notification. *)
+
 type config = {
   mode : mode;
   interval_s : float;
-  detect_s : float;
-  notify_s : float;
-  compute_s : float;  (** controller TE computation time when reacting *)
   update_model : Update_model.t;
   fault_model : Fault_model.t;
   forced_faults : (Ffc_util.Rng.t -> int -> Fault_model.fault list) option;
@@ -118,9 +119,8 @@ val default_config :
   update_model:Update_model.t ->
   Fault_model.t ->
   config
-(** 300 s intervals, 5 ms detection, 50 ms notification, 500 ms compute, no
-    solve deadline, audit budget 8, {!Southbound.default_retry}, no
-    controller outages, perfect sensing. *)
+(** 300 s intervals, no solve deadline, audit budget 8,
+    {!Southbound.default_retry}, no controller outages, perfect sensing. *)
 
 type gt_verdict =
   | Gt_ok

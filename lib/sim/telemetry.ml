@@ -25,8 +25,6 @@ let config ?(loss = 0.) ?(delay = 0) ?(demand_noise = 0.) () =
   if demand_noise < 0. then invalid_arg "Telemetry.config: negative demand_noise";
   { loss; delay; demand_noise }
 
-let is_neutral c = c.loss = 0. && c.delay = 0 && c.demand_noise = 0.
-
 (* A fault notification in flight: the elements it names become suspect on
    the interval edge it is delivered at. *)
 type pending = {

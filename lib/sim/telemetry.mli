@@ -32,8 +32,6 @@ val config : ?loss:float -> ?delay:int -> ?demand_noise:float -> unit -> config
 val neutral : config
 (** The perfect channel: no loss, no delay, no noise. *)
 
-val is_neutral : config -> bool
-
 type t
 
 val create : config -> t

@@ -78,13 +78,6 @@ let cdf_inverse c q =
     (c.(lo) *. (1. -. frac)) +. (c.(hi) *. frac)
   end
 
-let cdf_points ?(steps = 20) c =
-  List.init (steps + 1) (fun i ->
-      let q = float_of_int i /. float_of_int steps in
-      (cdf_inverse c q, q))
-
-let cdf_samples c = Array.copy c
-
 let fraction_above x xs =
   match xs with
   | [] -> 0.

@@ -34,12 +34,5 @@ val cdf_eval : cdf -> float -> float
 val cdf_inverse : cdf -> float -> float
 (** [cdf_inverse c q] with [q] in [\[0,1\]] is the [q]-quantile. *)
 
-val cdf_points : ?steps:int -> cdf -> (float * float) list
-(** Evenly spaced [(value, fraction)] pairs for plotting/printing, including
-    the extremes. Default 20 steps. *)
-
-val cdf_samples : cdf -> float array
-(** The sorted underlying samples. *)
-
 val fraction_above : float -> float list -> float
 (** [fraction_above x xs] is the fraction of samples strictly above [x]. *)

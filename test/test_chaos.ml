@@ -261,7 +261,7 @@ let test_reaction_delay_finite () =
   let c = cfg always_fail_model in
   let d = Sim.Interval_sim.reaction_delay (Rng.create 4) c 5 in
   Alcotest.(check (float 1e-9)) "never-landing ingress pins at interval end"
-    (c.Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s)
+    (Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s)
     d;
   (* Mixed success/failure over many seeds: always finite, always within
      compute + interval. *)
@@ -270,7 +270,7 @@ let test_reaction_delay_finite () =
   for seed = 0 to 199 do
     let d = Sim.Interval_sim.reaction_delay (Rng.create seed) c 8 in
     if not (Float.is_finite d) then Alcotest.failf "seed %d: infinite reaction delay" seed;
-    if d > c.Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s +. 1e-9 then
+    if d > Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s +. 1e-9 then
       Alcotest.failf "seed %d: reaction delay %g exceeds the interval" seed d
   done;
   (* Every attempt completes in 8 s, inside the 10 s timeout but past the
@@ -280,7 +280,7 @@ let test_reaction_delay_finite () =
   let c = { (cfg late) with Sim.Interval_sim.interval_s = 5. } in
   let d = Sim.Interval_sim.reaction_delay (Rng.create 9) c 3 in
   Alcotest.(check (float 1e-9)) "completion past the edge pins at interval end"
-    (c.Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s)
+    (Sim.Interval_sim.compute_s +. c.Sim.Interval_sim.interval_s)
     d
 
 (* ------------------------------------------------------------------ *)

@@ -162,6 +162,32 @@ let test_deadline_exceeded_tiny () =
       (Te_types.failure_kind_label f.Te_types.kind)
   | Ok _ -> Alcotest.fail "expected deadline failure"
 
+(* Every TE linear program fails through one path: basic TE and FFC on the
+   same input report the same kind and, past their labels, the same
+   message. *)
+let test_failures_one_shape () =
+  let input = small_input () in
+  let strip label (f : Te_types.solve_failure) =
+    let prefix = label ^ ": " and m = f.Te_types.message in
+    let n = String.length prefix in
+    if String.starts_with ~prefix m then String.sub m n (String.length m - n)
+    else Alcotest.failf "%S does not start with %S" m prefix
+  in
+  let both ?max_iterations ?deadline_ms kind =
+    match
+      ( Basic_te.solve_checked ?max_iterations ?deadline_ms input,
+        Ffc.solve_checked ?max_iterations ?deadline_ms input )
+    with
+    | Error b, Error f ->
+      Alcotest.(check string) "basic TE kind" kind (Te_types.failure_kind_label b.Te_types.kind);
+      Alcotest.(check string) "FFC kind" kind (Te_types.failure_kind_label f.Te_types.kind);
+      Alcotest.(check string) "same message past the label" (strip "basic TE" b)
+        (strip "FFC TE" f)
+    | _ -> Alcotest.fail "expected both solves to fail"
+  in
+  both ~max_iterations:0 "iteration-limit";
+  both ~deadline_ms:0. "deadline"
+
 let test_deadline_generous_matches_oracle () =
   let input = small_input () in
   let revised =
@@ -345,6 +371,7 @@ let () =
       ( "deadline",
         [
           case "tiny budget fails fast" test_deadline_exceeded_tiny;
+          case "basic TE and FFC fail alike" test_failures_one_shape;
           case "generous budget reaches oracle optimum" test_deadline_generous_matches_oracle;
         ] );
       ( "auditor", [ case "valid passes, corrupt flagged" test_auditor_accepts_valid_flags_corrupt ] );
