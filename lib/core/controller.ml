@@ -83,26 +83,9 @@ type t = {
      protection level. Class [-1] holds the basic-TE rung's single joint
      LP. *)
   mutable bases : ((int * int) * Problem.basis) list;
-  mutable steps : int;
-  mutable total_fallbacks : int;
-  mutable total_deadline_hits : int;
-  mutable total_audit_cases : int;
-  mutable total_audit_violations : int;
-  mutable deepest_rung : int;
 }
 
-let create cfg =
-  {
-    cfg;
-    audit_rng = Rng.create cfg.audit_seed;
-    bases = [];
-    steps = 0;
-    total_fallbacks = 0;
-    total_deadline_hits = 0;
-    total_audit_cases = 0;
-    total_audit_violations = 0;
-    deepest_rung = 0;
-  }
+let create cfg = { cfg; audit_rng = Rng.create cfg.audit_seed; bases = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery journal                                              *)
@@ -115,51 +98,25 @@ let create cfg =
    rung's LP and repopulates the cache — a one-interval warm-up cost.
    Journaling them would drag the simplex's internal representation into
    the serialization compatibility contract for state that carries no
-   guarantee. What matters for continuity is journaled: the lifetime
-   telemetry counters (so operators see one controller lifetime across
-   restarts) and the audit RNG state (so the sampled-guarantee audit stream
-   continues bit-for-bit instead of replaying the same cases). *)
+   guarantee. What matters for continuity is journaled: the audit RNG
+   state, so the sampled-guarantee audit stream continues bit-for-bit
+   instead of replaying the same cases. *)
 
 let snapshot t =
   let w = Journal.writer "controller" in
-  Journal.put_int w "steps" t.steps;
-  Journal.put_int w "total_fallbacks" t.total_fallbacks;
-  Journal.put_int w "total_deadline_hits" t.total_deadline_hits;
-  Journal.put_int w "total_audit_cases" t.total_audit_cases;
-  Journal.put_int w "total_audit_violations" t.total_audit_violations;
-  Journal.put_int w "deepest_rung" t.deepest_rung;
   Journal.put_int64 w "audit_rng" (Rng.to_state t.audit_rng);
   Journal.to_string w
 
 let restore cfg s =
   let ( let* ) = Result.bind in
   let* r = Journal.expect "controller" (Journal.of_string s) in
-  let* steps = Journal.get_int r "steps" in
-  let* total_fallbacks = Journal.get_int r "total_fallbacks" in
-  let* total_deadline_hits = Journal.get_int r "total_deadline_hits" in
-  let* total_audit_cases = Journal.get_int r "total_audit_cases" in
-  let* total_audit_violations = Journal.get_int r "total_audit_violations" in
-  let* deepest_rung = Journal.get_int r "deepest_rung" in
   let* audit_state = Journal.get_int64 r "audit_rng" in
   Ok
     {
       cfg;
       audit_rng = Rng.of_state audit_state;
       bases = [] (* dropped on purpose; see the note above *);
-      steps;
-      total_fallbacks;
-      total_deadline_hits;
-      total_audit_cases;
-      total_audit_violations;
-      deepest_rung;
     }
-
-let total_fallbacks t = t.total_fallbacks
-let total_deadline_hits t = t.total_deadline_hits
-let total_audit_cases t = t.total_audit_cases
-let total_audit_violations t = t.total_audit_violations
-let deepest_rung t = t.deepest_rung
-let steps_taken t = t.steps
 
 let set_basis t ~rung ~cls basis =
   match basis with
@@ -327,33 +284,23 @@ let class_input (input : Te_types.input) prio =
 
 let audit_step t (input : Te_types.input) ~prev ~alloc ~kind ~protections =
   if t.cfg.audit_budget = 0 then None
-  else begin
-    let report =
-      match (kind, protections) with
-      | (Full_protection | Reduced _), _ :: _ ->
-        let per_class = max 1 (t.cfg.audit_budget / List.length protections) in
-        List.fold_left
-          (fun acc (prio, prot) ->
-            let r =
-              audit_class t.audit_rng ~budget:per_class (class_input input prio) ~prev
-                ~alloc prot
-            in
-            match acc with None -> Some r | Some a -> Some (merge_audits a r))
-          None protections
-      | _ ->
-        (* Basic TE / last-good carry no fault guarantee: audit the no-fault
-           capacity + deliverability case so a corrupt or overscaled
-           allocation is still flagged every interval. *)
-        Some
-          (audit_class t.audit_rng ~budget:1 input ~prev ~alloc Te_types.no_protection)
-    in
-    (match report with
-    | Some r ->
-      t.total_audit_cases <- t.total_audit_cases + r.audit_cases;
-      t.total_audit_violations <- t.total_audit_violations + r.audit_violations
-    | None -> ());
-    report
-  end
+  else
+    match (kind, protections) with
+    | (Full_protection | Reduced _), _ :: _ ->
+      let per_class = max 1 (t.cfg.audit_budget / List.length protections) in
+      List.fold_left
+        (fun acc (prio, prot) ->
+          let r =
+            audit_class t.audit_rng ~budget:per_class (class_input input prio) ~prev ~alloc
+              prot
+          in
+          match acc with None -> Some r | Some a -> Some (merge_audits a r))
+        None protections
+    | _ ->
+      (* Basic TE / last-good carry no fault guarantee: audit the no-fault
+         capacity + deliverability case so a corrupt or overscaled
+         allocation is still flagged every interval. *)
+      Some (audit_class t.audit_rng ~budget:1 input ~prev ~alloc Te_types.no_protection)
 
 (* ------------------------------------------------------------------ *)
 (* The step driver                                                     *)
@@ -494,10 +441,6 @@ let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
         ~protections
     in
     let fallbacks = List.length attempts - 1 in
-    t.steps <- t.steps + 1;
-    t.total_fallbacks <- t.total_fallbacks + fallbacks;
-    t.total_deadline_hits <- t.total_deadline_hits + deadline_hits;
-    if rung > t.deepest_rung then t.deepest_rung <- rung;
     if Obs.enabled () then begin
       Obs.incr m_steps;
       Obs.add m_fallbacks (float_of_int fallbacks);

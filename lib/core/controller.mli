@@ -98,12 +98,14 @@ type step = {
 }
 
 type t
-(** Mutable controller state: warm-start basis caches keyed by
-    (rung, priority class) — each rung re-solves from its own previous
-    optimum, the closest start for its protection level — plus lifetime
-    telemetry counters. *)
+(** Mutable controller state: the sampled auditor's RNG and warm-start
+    basis caches keyed by (rung, priority class) — each rung re-solves from
+    its own previous optimum, the closest start for its protection level.
+    Lifetime counts live in the [controller.*] Obs counters. *)
 
 val create : config -> t
+(** A controller with empty basis caches and the audit RNG seeded from
+    [config.audit_seed]. *)
 
 val step :
   t ->
@@ -189,8 +191,8 @@ val audit_class :
 
 val snapshot : t -> string
 (** Serialize the controller's guarantee-relevant state to a {!Journal}
-    document: lifetime telemetry counters and the audit RNG state (so the
-    sampled-guarantee audit stream continues bit-for-bit after a restart).
+    document: the audit RNG state (so the sampled-guarantee audit stream
+    continues bit-for-bit after a restart), its only key.
     The warm-start basis caches are deliberately dropped — they are
     solver-internal, large, and re-derivable, so a restored controller
     pays a one-interval cold-start on each rung's LP instead of dragging
@@ -202,18 +204,3 @@ val restore : config -> string -> (t, string) result
     restarted binary brings its own configuration). [Error] on a version
     mismatch, a different component's document, or a missing/corrupt
     field — never a silently-partial restore. *)
-
-(** {2 Lifetime telemetry} *)
-
-val steps_taken : t -> int
-
-val total_fallbacks : t -> int
-(** Failed ladder attempts across all steps. *)
-
-val total_deadline_hits : t -> int
-
-val total_audit_cases : t -> int
-
-val total_audit_violations : t -> int
-
-val deepest_rung : t -> int

@@ -35,7 +35,6 @@ val passthrough : config
 type t
 
 val create : config -> nflows:int -> t
-val nflows : t -> int
 
 val observe : t -> float option array -> unit
 (** Feed one interval's reports; [None] marks a dropped report (the flow's

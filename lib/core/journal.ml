@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 
 let header_magic = "ffc-journal"
 

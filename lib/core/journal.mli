@@ -5,8 +5,7 @@
     [snapshot] function and read back by its [restore]:
 
     {v
-    ffc-journal 1 controller
-    steps 12
+    ffc-journal 2 controller
     audit_rng 9e3779b97f4a7c15
     v}
 

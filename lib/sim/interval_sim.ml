@@ -23,26 +23,24 @@ type recovery = Cold_restart | Journaled_restart
 
 type outage_model = {
   crash_per_interval : float;
-  downtime_median_s : float;
-  downtime_sigma : float;
   forced_crashes : (int * float) list;
   recovery : recovery;
 }
 
-let controller_outage ?(crash_per_interval = 0.) ?(downtime_median_s = 600.)
-    ?(downtime_sigma = 0.6) ?(forced_crashes = []) recovery =
+let controller_outage ?(crash_per_interval = 0.) ?(forced_crashes = []) recovery =
   if crash_per_interval < 0. || crash_per_interval > 1. then
     invalid_arg "Interval_sim.controller_outage: crash_per_interval outside [0, 1]";
-  if downtime_median_s <= 0. then
-    invalid_arg "Interval_sim.controller_outage: downtime_median_s <= 0";
-  if downtime_sigma < 0. then
-    invalid_arg "Interval_sim.controller_outage: negative downtime_sigma";
   List.iter
     (fun (i, d) ->
       if i < 0 then invalid_arg "Interval_sim.controller_outage: negative interval";
       if d <= 0. then invalid_arg "Interval_sim.controller_outage: downtime <= 0")
     forced_crashes;
-  { crash_per_interval; downtime_median_s; downtime_sigma; forced_crashes; recovery }
+  { crash_per_interval; forced_crashes; recovery }
+
+(* The lognormal downtime of a random crash, by median (two intervals)
+   and shape. *)
+let downtime_median_s = 600.
+let downtime_sigma = 0.6
 
 (* Reaction timing: fault detection, controller notification, and the
    controller's TE computation. *)
@@ -550,8 +548,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
         | None ->
           if om.crash_per_interval > 0. && Rng.bernoulli chaos_rng om.crash_per_interval then
             Some
-              (Rng.lognormal chaos_rng ~mu:(log om.downtime_median_s)
-                 ~sigma:om.downtime_sigma)
+              (Rng.lognormal chaos_rng ~mu:(log downtime_median_s) ~sigma:downtime_sigma)
           else None
       in
       match downtime with Some d -> st.down_until <- t_start +. d | None -> ())

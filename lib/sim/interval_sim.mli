@@ -48,9 +48,9 @@ type recovery =
 
 type outage_model = {
   crash_per_interval : float;
-      (** probability an up controller crashes at a given interval edge *)
-  downtime_median_s : float;  (** lognormal downtime, by median... *)
-  downtime_sigma : float;  (** ...and shape *)
+      (** probability an up controller crashes at a given interval edge,
+          for a lognormal downtime of median 600 s (two intervals) and
+          shape 0.6 *)
   forced_crashes : (int * float) list;
       (** [(interval, downtime_s)]: deterministic crashes, taking precedence
           over the random process for that interval (and consuming no
@@ -60,13 +60,11 @@ type outage_model = {
 
 val controller_outage :
   ?crash_per_interval:float ->
-  ?downtime_median_s:float ->
-  ?downtime_sigma:float ->
   ?forced_crashes:(int * float) list ->
   recovery ->
   outage_model
-(** Validated constructor. Defaults: no random crashes, median downtime
-    600 s (two intervals), sigma 0.6, no forced crashes. *)
+(** Validated constructor. Defaults: no random crashes, no forced
+    crashes. *)
 
 val compute_s : float
 (** Controller TE computation time when reacting to a fault: 500 ms. A

@@ -45,7 +45,6 @@ let retry_policy ?(max_attempts = default_retry.max_attempts)
 
 type switch_state = {
   mutable epoch : int;
-  mutable running : Te_types.allocation;
   mutable outage_until : float;  (** absolute simulation time *)
 }
 
@@ -53,37 +52,27 @@ type t = {
   retry : retry_policy;
   model : Update_model.t;
   switches : (Topology.switch, switch_state) Hashtbl.t;
+  installed : Te_types.allocation;
+      (* row f: the configuration flow f's ingress switch runs. A switch's
+         rows for other ingresses' flows are never read, so none are kept. *)
   mutable target_epoch : int;
   mutable now : float;
-  (* lifetime counters *)
-  mutable total_attempts : int;
-  mutable total_retries : int;
-  mutable total_retry_successes : int;
-  mutable total_failures : int;
-  mutable total_timeouts : int;
-  mutable total_outages : int;
 }
 
 let create ?(retry = default_retry) model (input : Te_types.input) =
   let switches = Hashtbl.create 16 in
-  let zero = Te_types.zero_allocation input in
   List.iter
     (fun (f : Flow.t) ->
       if not (Hashtbl.mem switches f.Flow.src) then
-        Hashtbl.add switches f.Flow.src { epoch = 0; running = zero; outage_until = 0. })
+        Hashtbl.add switches f.Flow.src { epoch = 0; outage_until = 0. })
     input.Te_types.flows;
   {
     retry;
     model;
     switches;
+    installed = Te_types.zero_allocation input;
     target_epoch = 0;
     now = 0.;
-    total_attempts = 0;
-    total_retries = 0;
-    total_retry_successes = 0;
-    total_failures = 0;
-    total_timeouts = 0;
-    total_outages = 0;
   }
 
 let state t v =
@@ -91,7 +80,10 @@ let state t v =
   | Some s -> s
   | None -> invalid_arg "Southbound: unknown ingress switch"
 
-let running t v = (state t v).running
+let running t v =
+  ignore (state t v);
+  t.installed
+
 let epoch_lag t v = t.target_epoch - (state t v).epoch
 let now_s t = t.now
 
@@ -104,13 +96,6 @@ let stale_switches t =
   |> List.sort compare
 
 let force_outage t v ~until_s = (state t v).outage_until <- until_s
-
-let total_attempts t = t.total_attempts
-let total_retries t = t.total_retries
-let total_retry_successes t = t.total_retry_successes
-let total_failures t = t.total_failures
-let total_timeouts t = t.total_timeouts
-let total_outages t = t.total_outages
 
 (* Coasting: the network clock advances even when no push happens — a
    crashed controller cannot stop time, and switch outage deadlines are
@@ -128,22 +113,16 @@ let snapshot t =
   let w = Journal.writer "southbound" in
   Journal.put_int w "target_epoch" t.target_epoch;
   Journal.put_float w "now" t.now;
-  Journal.put_int w "total_attempts" t.total_attempts;
-  Journal.put_int w "total_retries" t.total_retries;
-  Journal.put_int w "total_retry_successes" t.total_retry_successes;
-  Journal.put_int w "total_failures" t.total_failures;
-  Journal.put_int w "total_timeouts" t.total_timeouts;
-  Journal.put_int w "total_outages" t.total_outages;
   let ids = sorted_switches t in
   Journal.put w "switches" (String.concat "," (List.map string_of_int ids));
+  Journal.put_floats w "bf" t.installed.Te_types.bf;
+  Journal.put_float_rows w "af" t.installed.Te_types.af;
   List.iter
     (fun v ->
       let st = state t v in
       let key f = Printf.sprintf "switch.%d.%s" v f in
       Journal.put_int w (key "epoch") st.epoch;
-      Journal.put_float w (key "outage_until") st.outage_until;
-      Journal.put_floats w (key "bf") st.running.Te_types.bf;
-      Journal.put_float_rows w (key "af") st.running.Te_types.af)
+      Journal.put_float w (key "outage_until") st.outage_until)
     ids;
   Journal.to_string w
 
@@ -153,13 +132,9 @@ let restore ?retry model (input : Te_types.input) s =
   let t = create ?retry model input in
   let* target_epoch = Journal.get_int r "target_epoch" in
   let* now = Journal.get_float r "now" in
-  let* total_attempts = Journal.get_int r "total_attempts" in
-  let* total_retries = Journal.get_int r "total_retries" in
-  let* total_retry_successes = Journal.get_int r "total_retry_successes" in
-  let* total_failures = Journal.get_int r "total_failures" in
-  let* total_timeouts = Journal.get_int r "total_timeouts" in
-  let* total_outages = Journal.get_int r "total_outages" in
   let* ids = Journal.get r "switches" in
+  let* bf = Journal.get_floats r "bf" in
+  let* af = Journal.get_float_rows r "af" in
   let journal_ids =
     if ids = "" then Some []
     else
@@ -167,48 +142,45 @@ let restore ?retry model (input : Te_types.input) s =
       let out = List.filter_map int_of_string_opt parts in
       if List.length out = List.length parts then Some out else None
   in
+  let nflows = Array.length input.Te_types.demands in
   match journal_ids with
   | None -> Error (Printf.sprintf "journal: unreadable switch list %S" ids)
-  | Some journal_ids ->
-    (* The journal must describe exactly this input's ingress set: a
-       snapshot from a different topology restored here would silently run
-       the wrong switches. *)
+  | Some journal_ids -> (
+    (* The journal must describe exactly this input's ingress set and
+       allocation shape: a snapshot from a different topology restored here
+       would silently run the wrong switches, or fail the first push. *)
     if journal_ids <> sorted_switches t then
       Error "journal: switch set does not match the input's ingresses"
-    else begin
-      let nflows = Array.length input.Te_types.demands in
-      let rec fill = function
-        | [] ->
-          t.target_epoch <- target_epoch;
-          t.now <- now;
-          t.total_attempts <- total_attempts;
-          t.total_retries <- total_retries;
-          t.total_retry_successes <- total_retry_successes;
-          t.total_failures <- total_failures;
-          t.total_timeouts <- total_timeouts;
-          t.total_outages <- total_outages;
-          Ok t
-        | v :: rest ->
-          let key f = Printf.sprintf "switch.%d.%s" v f in
-          let* epoch = Journal.get_int r (key "epoch") in
-          let* outage_until = Journal.get_float r (key "outage_until") in
-          let* bf = Journal.get_floats r (key "bf") in
-          let* af = Journal.get_float_rows r (key "af") in
-          if Array.length bf <> nflows || Array.length af <> nflows then
-            Error
-              (Printf.sprintf
-                 "journal: switch %d allocation has %d/%d rows, input has %d flows" v
-                 (Array.length bf) (Array.length af) nflows)
-          else begin
+    else if Array.length bf <> nflows || Array.length af <> nflows then
+      Error
+        (Printf.sprintf "journal: allocation has %d/%d rows, input has %d flows"
+           (Array.length bf) (Array.length af) nflows)
+    else
+      match
+        List.find_opt
+          (fun (f : Flow.t) -> Array.length af.(f.Flow.id) <> Flow.num_tunnels f)
+          input.Te_types.flows
+      with
+      | Some f ->
+        Error
+          (Printf.sprintf "journal: flow %d has %d tunnel allocations, input has %d tunnels"
+             f.Flow.id (Array.length af.(f.Flow.id)) (Flow.num_tunnels f))
+      | None ->
+        let rec fill = function
+          | [] ->
+            t.target_epoch <- target_epoch;
+            t.now <- now;
+            Ok { t with installed = { Te_types.bf; af } }
+          | v :: rest ->
+            let key f = Printf.sprintf "switch.%d.%s" v f in
+            let* epoch = Journal.get_int r (key "epoch") in
+            let* outage_until = Journal.get_float r (key "outage_until") in
             let st = state t v in
             st.epoch <- epoch;
             st.outage_until <- outage_until;
-            st.running <- { Te_types.bf; af };
             fill rest
-          end
-      in
-      fill journal_ids
-    end
+        in
+        fill journal_ids)
 
 (* ------------------------------------------------------------------ *)
 (* Push                                                                *)
@@ -233,15 +205,27 @@ type report = {
 (* A switch needs a push iff some flow it sources would change its installed
    split (weights) or gain rules it doesn't have. Rate limits live at the
    hosts, not the switch, so a pure [bf] change needs no switch update. *)
-let needs_push (input : Te_types.input) (st : switch_state) v ~target =
+let needs_push t (input : Te_types.input) v ~target =
   List.exists
     (fun (f : Flow.t) ->
       f.Flow.src = v
       &&
       let w_new = Te_types.weights target f.Flow.id in
-      let w_old = Te_types.weights st.running f.Flow.id in
+      let w_old = Te_types.weights t.installed f.Flow.id in
       Array.exists2 (fun a b -> abs_float (a -. b) > 1e-6) w_new w_old)
     input.Te_types.flows
+
+(* Switch [v] now runs [target] at [epoch]: its own flows' rows change. *)
+let install t (input : Te_types.input) v ~target epoch =
+  List.iter
+    (fun (f : Flow.t) ->
+      if f.Flow.src = v then begin
+        let id = f.Flow.id in
+        t.installed.Te_types.bf.(id) <- target.Te_types.bf.(id);
+        t.installed.Te_types.af.(id) <- target.Te_types.af.(id)
+      end)
+    input.Te_types.flows;
+  (state t v).epoch <- epoch
 
 type timeline = { landed_at : float option; tries : int; failed : int; timed_out : int }
 
@@ -311,12 +295,10 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
   List.iter
     (fun v ->
       let st = state t v in
-      if not (needs_push input st v ~target) then begin
+      if not (needs_push t input v ~target) then
         (* Nothing to install: the switch's splits already match the target,
            so it silently runs the new epoch. *)
-        st.running <- target;
-        st.epoch <- epoch
-      end
+        install t input v ~target epoch
       else begin
         incr pushed;
         (* All pushes start at the interval edge and run concurrently, each
@@ -350,8 +332,7 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
         match tl.landed_at with
         | None -> ()
         | Some at_s ->
-          st.running <- target;
-          st.epoch <- epoch;
+          install t input v ~target epoch;
           applied := { switch = v; at_s; attempts = tl.tries } :: !applied;
           if tl.tries > 1 then incr retry_successes
       end)
@@ -370,12 +351,6 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
       outages_started = !outages_started;
     }
   in
-  t.total_attempts <- t.total_attempts + !attempts;
-  t.total_retries <- t.total_retries + !retries;
-  t.total_retry_successes <- t.total_retry_successes + !retry_successes;
-  t.total_failures <- t.total_failures + !failures;
-  t.total_timeouts <- t.total_timeouts + !timeouts;
-  t.total_outages <- t.total_outages + !outages_started;
   if Obs.enabled () then begin
     Obs.incr m_pushes;
     Obs.add m_attempts (float_of_int !attempts);
@@ -399,22 +374,12 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
 (* Installed view                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* What the network as a whole runs: each flow's row comes from whatever
-   allocation its ingress switch has actually installed. A raw
-   configuration view — rows from different epochs mix old rates with old
-   splits. *)
-let installed_mix t (input : Te_types.input) =
-  let n = Array.length input.Te_types.demands in
-  let bf = Array.make n 0. in
-  let af = Array.make n [||] in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      let src = (state t f.Flow.src).running in
-      bf.(id) <- src.Te_types.bf.(id);
-      af.(id) <- Array.copy src.Te_types.af.(id))
-    input.Te_types.flows;
-  { Te_types.bf; af }
+(* What the network as a whole runs, as a copy: each flow's row is what
+   its ingress switch has actually installed. A raw configuration view —
+   rows from different epochs mix old rates with old splits. *)
+let installed_mix t (_ : Te_types.input) =
+  { Te_types.bf = Array.copy t.installed.Te_types.bf;
+    af = Array.map Array.copy t.installed.Te_types.af }
 
 (* The load the network actually imposes: host rate limiters enforce
    [rates] (they always update), while each ingress switch splits by its
@@ -431,7 +396,7 @@ let imposed_mix t (input : Te_types.input) ~rates =
   List.iter
     (fun (f : Flow.t) ->
       let id = f.Flow.id in
-      let w = Te_types.weights (state t f.Flow.src).running id in
+      let w = Te_types.weights t.installed id in
       (* A flow currently granted zero rate still has its splits installed
          at the switch; a later target that re-grants it must protect
          against those weights. Keep them visible through an epsilon rate
@@ -463,7 +428,7 @@ let check_guarantee t ?grandfathered (input : Te_types.input) ~target ~kc =
   if List.length stale > kc then Beyond_budget stale
   else
     let loads =
-      Enumerate.stuck_loads input ~old_alloc:(installed_mix t input) ~new_alloc:target
+      Enumerate.stuck_loads input ~old_alloc:t.installed ~new_alloc:target
         ~stuck:stale
     in
     (* §4.5: a link already overloaded before this target was computed

@@ -10,13 +10,14 @@
     ingress switch, which configuration {e epoch} it actually runs, pushes
     each new target with bounded retries on the one {!retry_timeline}
     (exponential backoff with jitter, per-attempt timeout, all inside the TE
-    interval), and exposes the resulting mixture of installed allocations
-    so the data plane and the controller both see the truth:
+    interval), and exposes the resulting mixture of installed
+    configurations so the data plane and the controller both see the
+    truth:
 
     - {!imposed_mix} — the controller's honest [prev]: enforced rates split
       by each ingress switch's installed weights;
-    - {!running} — per-switch installed allocation, for the data plane's
-      stale-split computation ([Rescale.rescale ~old_alloc_of]);
+    - {!running} — the installed view, for the data plane's stale-split
+      computation ([Rescale.rescale ~old_alloc_of]);
     - {!check_guarantee} — the always-on checker of the FFC configuration
       guarantee: whenever at most [kc] switches are stale, no link may
       exceed capacity under the paper's stuck-switch semantics (new rate
@@ -55,13 +56,15 @@ val retry_policy :
 (** {!default_retry} with overrides; validates the fields. *)
 
 type t
-(** Mutable engine state: per-ingress-switch epoch, installed allocation and
-    outage deadline, plus lifetime counters. *)
+(** Mutable engine state: the engine clock and target epoch, each ingress
+    switch's epoch and outage deadline, and one installed allocation whose
+    row f is the configuration flow f's ingress switch runs. Lifetime
+    counts live in the [southbound.*] Obs counters. *)
 
 val create : ?retry:retry_policy -> Update_model.t -> Te_types.input -> t
-(** One state per ingress switch of [input] (epoch 0, running the zero
-    allocation — an unconfigured switch blackholes, as in the pre-engine
-    semantics). *)
+(** One state per ingress switch of [input] (epoch 0), every switch running
+    the zero allocation — an unconfigured switch blackholes, as in the
+    pre-engine semantics. *)
 
 type apply_event = {
   switch : Ffc_net.Topology.switch;
@@ -131,7 +134,11 @@ val hold : t -> interval_s:float -> report
     lag. *)
 
 val running : t -> Ffc_net.Topology.switch -> Te_types.allocation
-(** Allocation the switch actually runs. *)
+(** The installed view, for an ingress switch: the rows of the flows the
+    switch sources are what it actually runs (the other rows belong to
+    other switches). The engine's own allocation, not a copy — valid until
+    the next {!push}. [Invalid_argument] if the switch is not an ingress
+    of the engine's input. *)
 
 val stale_switches : t -> Ffc_net.Topology.switch list
 (** Switches running an older epoch than the current target (sorted). *)
@@ -139,8 +146,8 @@ val stale_switches : t -> Ffc_net.Topology.switch list
 val epoch_lag : t -> Ffc_net.Topology.switch -> int
 
 val installed_mix : t -> Te_types.input -> Te_types.allocation
-(** Network-wide installed {e configuration}: each flow's [bf]/[af] row
-    taken verbatim from its ingress switch's running allocation. An
+(** Network-wide installed {e configuration}, as a copy: each flow's
+    [bf]/[af] row as its ingress switch runs it. An
     inspection view; rows from different epochs mix old rates with old
     splits, so its implied link loads are not the actual current loads —
     use {!imposed_mix} for the controller. *)
@@ -169,9 +176,10 @@ val tick : t -> interval_s:float -> unit
 
 val snapshot : t -> string
 (** Serialize the full engine state to a {!Ffc_core.Journal} document:
-    target epoch, engine clock, lifetime counters, and per ingress switch
-    its epoch, outage deadline and installed allocation (floats encoded
-    exactly, so a restored engine behaves bit-for-bit like the original). *)
+    target epoch, engine clock, the switch set, the installed allocation
+    (one [bf] and one [af] line), and per ingress switch its epoch and
+    outage deadline (floats encoded exactly, so a restored engine behaves
+    bit-for-bit like the original). *)
 
 val restore :
   ?retry:retry_policy -> Update_model.t -> Te_types.input -> string -> (t, string) result
@@ -179,7 +187,8 @@ val restore :
     policy and update model come from the caller's configuration, as on a
     real restart. [Error] on a journal version mismatch, a different
     component's document, a switch set that does not match [input]'s
-    ingresses, or any missing/corrupt field. *)
+    ingresses, an installed allocation whose shape does not match
+    [input]'s flows and tunnels, or any missing/corrupt field. *)
 
 (** {2 kc-guarantee checker} *)
 
@@ -208,7 +217,7 @@ val check_guarantee :
 (** Assert Eqn 5 on the live state. With more than [kc] stale switches the
     guarantee makes no promise ([Beyond_budget]). Otherwise the loads are
     the auditor's control-plane case ({!Ffc_core.Enumerate.stuck_loads}) on
-    the engine's installed weights ({!installed_mix}): each stale ingress
+    the engine's installed weights (as {!installed_mix}): each stale ingress
     splits the {e new} rate by its {e old} weights, everyone else is charged
     [target]'s tunnel allocations. The verdict names the first link, in id
     order, over capacity by more than the auditor's 1e-6 tolerance
@@ -225,12 +234,3 @@ val check_guarantee :
     conservatively. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-(** {2 Lifetime counters} *)
-
-val total_attempts : t -> int
-val total_retries : t -> int
-val total_retry_successes : t -> int
-val total_failures : t -> int
-val total_timeouts : t -> int
-val total_outages : t -> int

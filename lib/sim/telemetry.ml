@@ -42,9 +42,6 @@ type t = {
 
 let create cfg = { cfg; queue = []; suspect_fibres = []; suspect_switches = [] }
 
-let suspect_fibres t = t.suspect_fibres
-let suspect_switches t = t.suspect_switches
-
 let suspect_counts t = (List.length t.suspect_fibres, List.length t.suspect_switches)
 
 (* Keepalives are cheap and repeated within an interval, so one lost packet

@@ -57,11 +57,6 @@ val reconcile : t -> unit
 (** Full-view resynchronisation (controller recovery): drops queued stale
     news and current suspicions. *)
 
-val suspect_fibres : t -> int list list
-(** Currently-suspect fibres, as directed-link-id groups. *)
-
-val suspect_switches : t -> Ffc_net.Topology.switch list
-
 val suspect_counts : t -> int * int
 (** [(fibres, switches)] currently suspect. *)
 

@@ -64,10 +64,6 @@ let gaussian t ~mu ~sigma =
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 
-let exponential t ~mean =
-  let u = max 1e-300 (float t 1.0) in
-  -.mean *. log u
-
 let shuffle t xs =
   for i = Array.length xs - 1 downto 1 do
     let j = int t (i + 1) in

@@ -49,9 +49,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [exp] of a normal deviate; heavy-tailed positive values. *)
 
-val exponential : t -> mean:float -> float
-(** Exponential deviate with the given mean. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

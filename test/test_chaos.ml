@@ -108,10 +108,6 @@ let test_controller_roundtrip_identity () =
     | Error e -> Alcotest.failf "controller restore: %s" e
   in
   Alcotest.(check string) "snapshot fixpoint" snap (Controller.snapshot ctrl');
-  Alcotest.(check int) "steps carried" (Controller.steps_taken ctrl)
-    (Controller.steps_taken ctrl');
-  Alcotest.(check int) "audit cases carried" (Controller.total_audit_cases ctrl)
-    (Controller.total_audit_cases ctrl');
   (* The restored controller continues bit-for-bit: same next step, same
      audit stream, byte-identical snapshots afterwards. *)
   let s2 = Controller.step ctrl input ~prev:s1.Controller.alloc in
@@ -178,6 +174,46 @@ let test_southbound_restore_checks_switch_set () =
   in
   Alcotest.(check bool) "switch-set mismatch rejected" true
     (Result.is_error (Sim.Southbound.restore instant_model other snap))
+
+let test_southbound_restore_checks_allocation_shape () =
+  let input = small_input () in
+  let snap = Sim.Southbound.snapshot (Sim.Southbound.create instant_model input) in
+  (* The same ingresses and flow count, but flow 0 has one tunnel fewer: the
+     journal's two-entry row for it must not be restored. *)
+  let other =
+    match input.Te_types.flows with
+    | [ f0; f1 ] ->
+      let f0' = Flow.create ~id:0 ~src:0 ~dst:2 [ List.hd f0.Flow.tunnels ] in
+      { input with Te_types.flows = [ f0'; f1 ] }
+    | _ -> assert false
+  in
+  Alcotest.(check (result reject string))
+    "mis-shaped row rejected, naming the flow"
+    (Error "journal: flow 0 has 2 tunnel allocations, input has 1 tunnels")
+    (Sim.Southbound.restore instant_model other snap)
+
+(* Journals hold decision state only: the controller's audit RNG, and one
+   installed allocation for the whole engine rather than one per switch. *)
+let test_journals_hold_decision_state () =
+  let keys doc =
+    List.filter_map
+      (fun line -> Option.map (String.sub line 0) (String.index_opt line ' '))
+      (List.tl (String.split_on_char '\n' doc))
+  in
+  let cdoc = Controller.snapshot (Controller.create (ladder_cfg ())) in
+  Alcotest.(check (list string)) "controller keys" [ "audit_rng" ] (keys cdoc);
+  let sc = Sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Sim.Scenario.input in
+  let target =
+    match Basic_te.solve input with Ok a -> a | Error e -> Alcotest.failf "basic TE: %s" e
+  in
+  let engine = Sim.Southbound.create instant_model input in
+  ignore (Sim.Southbound.push engine (Rng.create 1) input ~target ~interval_s:300.);
+  let sdoc = Sim.Southbound.snapshot engine in
+  let count k = List.length (List.filter (String.equal k) (keys sdoc)) in
+  Alcotest.(check (pair int int)) "one bf and one af line" (1, 1) (count "bf", count "af");
+  if String.length sdoc >= 5000 then
+    Alcotest.failf "L-Net southbound journal is %d bytes" (String.length sdoc)
 
 (* ------------------------------------------------------------------ *)
 (* Correlated fault injection                                          *)
@@ -383,6 +419,61 @@ let test_fault_timeline_identical_across_recovery_arms () =
   Alcotest.(check bool) "journaled arm restored" true
     (List.exists (fun s -> s.Sim.Interval_sim.recovered_from_journal) warm)
 
+(* Obs is the one home of lifetime counts: across a journaled restart its
+   controller.* and southbound.* counters equal the sums of the matching
+   per-interval stats. An update model that fails half its attempts moves
+   the retry counters, and a pivot cap that fails some ladder rungs moves
+   the fallback counter. *)
+let test_obs_counts_lifetime_across_restart () =
+  let module Obs = Ffc_obs.Obs in
+  Obs.disable ();
+  Obs.reset ();
+  Obs.enable ~tracing:false ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  let sc = Sim.Scenario.lnet_sim ~sites:5 (Rng.create 21) in
+  let input = sc.Sim.Scenario.input in
+  let series = Sim.Scenario.demand_series (Rng.create 22) sc ~scale:0.8 ~intervals:8 in
+  let ffc _ =
+    Ffc.config ~protection:(Te_types.protection ~kc:1 ~ke:1 ()) ~encoding:`Duality ()
+  in
+  let realistic = Sim.Update_model.realistic () in
+  let cfg =
+    Sim.Interval_sim.default_config ~audit_budget:2 ~max_iterations:40
+      ~outage:
+        (Sim.Interval_sim.controller_outage ~forced_crashes:[ (2, 500.) ]
+           Sim.Interval_sim.Journaled_restart)
+      ~mode:(Sim.Interval_sim.Proactive ffc)
+      ~update_model:{ realistic with Sim.Update_model.config_fail_prob = 0.5 }
+      Sim.Fault_model.none
+  in
+  let stats = Sim.Interval_sim.run ~rng:(Rng.create 9) cfg input ~demand_series:series in
+  let counter name =
+    match List.assoc_opt name (Obs.snapshot ()) with
+    | Some (Obs.Counter_v v) -> int_of_float v
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let open Sim.Interval_sim in
+  let sb f = sum (fun s -> f s.southbound) in
+  let check name expected = Alcotest.(check int) name expected (counter name) in
+  check "southbound.attempts" (sb (fun r -> r.Sim.Southbound.attempts));
+  check "southbound.retries" (sb (fun r -> r.Sim.Southbound.retries));
+  check "southbound.retry_successes" (sb (fun r -> r.Sim.Southbound.retry_successes));
+  check "southbound.failures" (sb (fun r -> r.Sim.Southbound.failures));
+  check "southbound.timeouts" (sb (fun r -> r.Sim.Southbound.timeouts));
+  check "southbound.outages_started" (sb (fun r -> r.Sim.Southbound.outages_started));
+  check "controller.fallbacks" (sum (fun s -> s.solver_fallbacks));
+  check "controller.deadline_hits" (sum (fun s -> s.deadline_hits));
+  check "controller.steps"
+    (sum (fun s -> if s.controller_down || s.solve_skipped then 0 else 1));
+  Alcotest.(check bool) "a retry happened" true (counter "southbound.retries" > 0);
+  Alcotest.(check bool) "a fallback happened" true (counter "controller.fallbacks" > 0);
+  Alcotest.(check bool) "the journal was used" true
+    (List.exists (fun s -> s.recovered_from_journal) stats)
+
 (* ------------------------------------------------------------------ *)
 (* Hunter machinery                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -482,6 +573,8 @@ let () =
           case "snapshot/restore round-trip, byte-identical push"
             test_southbound_roundtrip_continuation;
           case "switch-set mismatch rejected" test_southbound_restore_checks_switch_set;
+          case "mis-shaped allocation rejected" test_southbound_restore_checks_allocation_shape;
+          case "journals hold decision state only" test_journals_hold_decision_state;
         ] );
       ( "faults",
         [
@@ -498,6 +591,7 @@ let () =
           case "plans run deterministically and pass" test_run_plan_deterministic;
           case "fault timeline identical across recovery arms"
             test_fault_timeline_identical_across_recovery_arms;
+          case "Obs counts lifetimes across a restart" test_obs_counts_lifetime_across_restart;
         ] );
       ( "hunter",
         [
