@@ -141,7 +141,7 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
         Array.iteri
           (fun ti a ->
             Model.scope model ti @@ fun () ->
-            let b = Model.add_var ~name:(Printf.sprintf "beta_f%d_t%d" id ti) model in
+            let b = Model.add_var model in
             beta.(id).(ti) <- b;
             Model.ge model (Expr.var b) (Expr.var a);
             (match amplification with

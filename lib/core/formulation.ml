@@ -25,10 +25,8 @@ let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
           let d = input.Te_types.demands.(id) in
           let lb = if fixed_demand then d else 0. in
           Model.scope model id (fun () ->
-              bf.(id) <- Model.add_var ~lb ~ub:d ~name:(Printf.sprintf "b_f%d" id) model;
-              af.(id) <-
-                Array.init (Flow.num_tunnels f) (fun ti ->
-                    Model.add_var ~name:(Printf.sprintf "a_f%d_t%d" id ti) model)))
+              bf.(id) <- Model.add_var ~lb ~ub:d model;
+              af.(id) <- Array.init (Flow.num_tunnels f) (fun _ -> Model.add_var model)))
         input.Te_types.flows);
   { model; bf; af }
 

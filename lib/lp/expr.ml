@@ -23,16 +23,17 @@ let sum es = List.fold_left add zero es
 
 let add_term e c i = { e with raw = (i, c) :: e.raw }
 
+(* A stable sort by index keeps each variable's terms in list order, so
+   summing a run left to right adds them in the order they were built. *)
 let terms e =
-  let tbl = Hashtbl.create (List.length e.raw) in
-  let bump (i, c) =
-    match Hashtbl.find_opt tbl i with
-    | None -> Hashtbl.add tbl i c
-    | Some c0 -> Hashtbl.replace tbl i (c0 +. c)
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (i, c) :: rest -> run acc i c rest
+  and run acc i c = function
+    | (j, d) :: rest when j = i -> run acc i (c +. d) rest
+    | rest -> merge (if c = 0. then acc else (i, c) :: acc) rest
   in
-  List.iter bump e.raw;
-  Hashtbl.fold (fun i c acc -> if c = 0. then acc else (i, c) :: acc) tbl []
-  |> List.sort (fun (i, _) (j, _) -> compare i j)
+  merge [] (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) e.raw)
 
 let constant e = e.constant
 

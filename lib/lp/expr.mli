@@ -3,7 +3,7 @@
     An expression is [sum_i coeff_i * x_i + const]. Variables are plain
     integer indices handed out by {!Model}; this module knows nothing about
     their bounds or names. Expressions are immutable; building is O(size) and
-    terms on the same variable are merged by {!normalise} (called internally
+    terms on the same variable are merged by {!terms} (called internally
     before use in constraints). *)
 
 type t

@@ -131,18 +131,18 @@ let to_problem ?(presolve = true) t =
   let obj = Array.make t.nvars 0. in
   let sign = if t.sense_max then -1. else 1. in
   List.iter (fun (j, c) -> obj.(j) <- obj.(j) +. (sign *. c)) (Expr.terms t.objective);
-  let model_rows = Array.of_list (List.rev t.rows) in
-  let rows = Array.to_list (Array.map (fun r -> (r.terms, r.sense, r.rhs)) model_rows) in
+  let rows = List.rev_map (fun r -> (r.terms, r.sense, r.rhs)) t.rows in
+  let row_keys = Array.of_list (List.rev_map (fun r -> r.key) t.rows) in
   let var_keys = Array.of_list (List.rev t.var_keys) in
-  let build ~lb ~ub rows kept =
-    ( Problem.build ~nstruct:t.nvars ~lb ~ub ~obj ~rows,
-      Array.append var_keys (Array.map (fun i -> model_rows.(i).key) kept) )
+  let build ~lb ~ub rows row_keys =
+    (Problem.build ~nstruct:t.nvars ~lb ~ub ~obj ~rows, Array.append var_keys row_keys)
   in
   if presolve then
     match Presolve.reduce ~lb ~ub ~rows with
     | Presolve.Infeasible _ -> None
-    | Presolve.Reduced { lb; ub; rows; kept } -> Some (build ~lb ~ub rows kept)
-  else Some (build ~lb ~ub rows (Array.init (Array.length model_rows) Fun.id))
+    | Presolve.Reduced { lb; ub; rows; kept } ->
+      Some (build ~lb ~ub rows (Array.map (fun i -> row_keys.(i)) kept))
+  else Some (build ~lb ~ub rows row_keys)
 
 let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_start t =
   match to_problem ?presolve t with

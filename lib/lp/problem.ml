@@ -22,22 +22,19 @@ let build ~nstruct ~lb ~ub ~obj ~rows =
       if Float.is_nan l || Float.is_nan ub.(i) then invalid_arg "Problem.build: NaN bound";
       if l > ub.(i) then invalid_arg "Problem.build: lb > ub")
     lb;
+  Array.iter (fun c -> if Float.is_nan c then invalid_arg "Problem.build: NaN objective") obj;
   let lb' = Array.make ncols 0. and ub' = Array.make ncols 0. in
   Array.blit lb 0 lb' 0 nstruct;
   Array.blit ub 0 ub' 0 nstruct;
   let obj' = Array.make ncols 0. in
   Array.blit obj 0 obj' 0 nstruct;
   let rhs = Array.make nrows 0. in
-  (* Accumulate column nonzeros; duplicate (row, var) terms are merged. *)
-  let acc : (int, float) Hashtbl.t array = Array.init ncols (fun _ -> Hashtbl.create 4) in
-  let add_entry col row v =
-    if v <> 0. then begin
-      let tbl = acc.(col) in
-      match Hashtbl.find_opt tbl row with
-      | None -> Hashtbl.add tbl row v
-      | Some v0 -> Hashtbl.replace tbl row (v0 +. v)
-    end
-  in
+  (* Columns by counting sort. The first pass validates, counts each
+     structural column's nonzero terms and sets each row's unit slack
+     column; the second, in row order, fills arrays of those sizes, so every
+     column comes out sorted by row. *)
+  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
+  let count = Array.make nstruct 0 in
   List.iteri
     (fun i (terms, sense, b) ->
       if Float.is_nan b then invalid_arg "Problem.build: NaN rhs";
@@ -46,24 +43,54 @@ let build ~nstruct ~lb ~ub ~obj ~rows =
         (fun (j, v) ->
           if j < 0 || j >= nstruct then invalid_arg "Problem.build: variable index out of range";
           if Float.is_nan v then invalid_arg "Problem.build: NaN coefficient";
-          add_entry j i v)
+          if v <> 0. then count.(j) <- count.(j) + 1)
         terms;
       let slack = nstruct + i in
-      add_entry slack i 1.;
+      col_rows.(slack) <- [| i |];
+      col_vals.(slack) <- [| 1. |];
       let slo, shi =
         match sense with Le -> (0., infinity) | Ge -> (neg_infinity, 0.) | Eq -> (0., 0.)
       in
       lb'.(slack) <- slo;
       ub'.(slack) <- shi)
     rows;
-  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
-  for j = 0 to ncols - 1 do
-    let entries =
-      Hashtbl.fold (fun r v l -> if v = 0. then l else (r, v) :: l) acc.(j) []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    col_rows.(j) <- Array.of_list (List.map fst entries);
-    col_vals.(j) <- Array.of_list (List.map snd entries)
+  for j = 0 to nstruct - 1 do
+    col_rows.(j) <- Array.make count.(j) 0;
+    col_vals.(j) <- Array.make count.(j) 0.
+  done;
+  let fill = Array.make nstruct 0 in
+  List.iteri
+    (fun i (terms, _, _) ->
+      List.iter
+        (fun (j, v) ->
+          if v <> 0. then begin
+            let k = fill.(j) and rs = col_rows.(j) and vs = col_vals.(j) in
+            (* A repeated (row, var) term finds its row as the column's last
+               entry and is summed into it, in input order. *)
+            if k > 0 && rs.(k - 1) = i then vs.(k - 1) <- vs.(k - 1) +. v
+            else begin
+              rs.(k) <- i;
+              vs.(k) <- v;
+              fill.(j) <- k + 1
+            end
+          end)
+        terms)
+    rows;
+  (* Only a merged column can be short or hold a sum of 0: trim it. *)
+  for j = 0 to nstruct - 1 do
+    if fill.(j) < count.(j) then begin
+      let rs = col_rows.(j) and vs = col_vals.(j) in
+      let keep = ref 0 in
+      for k = 0 to fill.(j) - 1 do
+        if vs.(k) <> 0. then begin
+          rs.(!keep) <- rs.(k);
+          vs.(!keep) <- vs.(k);
+          incr keep
+        end
+      done;
+      col_rows.(j) <- Array.sub rs 0 !keep;
+      col_vals.(j) <- Array.sub vs 0 !keep
+    end
   done;
   { nstruct; ncols; nrows; col_rows; col_vals; lb = lb'; ub = ub'; obj = obj'; rhs }
 
@@ -75,6 +102,15 @@ type basis = { statuses : col_status array; keys : int array }
 
 let basis_of_statuses statuses = { statuses; keys = [||] }
 
+(* Column keys are already mixed hashes ({!Model}), so their own bits
+   index the table: no polymorphic hashing or comparison. *)
+module Key_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 let remap_basis (b : basis) ~nstruct ~keys =
   let n = Array.length keys in
   if Array.length b.keys = n && Array.for_all2 Int.equal b.keys keys then
@@ -82,11 +118,11 @@ let remap_basis (b : basis) ~nstruct ~keys =
        columns do not depend on the data), kept free of hashing. *)
     ({ b with keys }, false)
   else begin
-    let old = Hashtbl.create (Array.length b.keys) in
-    Array.iteri (fun j k -> Hashtbl.replace old k b.statuses.(j)) b.keys;
+    let old = Key_table.create (Array.length b.keys) in
+    Array.iteri (fun j k -> Key_table.replace old k b.statuses.(j)) b.keys;
     let statuses =
       Array.init n (fun j ->
-          match Hashtbl.find_opt old keys.(j) with
+          match Key_table.find_opt old keys.(j) with
           | Some s -> s
           | None -> if j < nstruct then Bs_lower else Bs_basic)
     in

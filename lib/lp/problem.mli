@@ -1,7 +1,7 @@
 (** Standard computational form shared by the simplex implementations.
 
     A problem is [minimise obj . x] subject to [A x + s = rhs] and
-    [lb <= x <= lb], where one slack variable [s_i] is appended per row with
+    [lb <= x <= ub], where one slack variable [s_i] is appended per row with
     bounds encoding the row sense ([<=] gives [0 <= s], [>=] gives [s <= 0],
     [=] gives [s = 0]). Columns are stored sparsely. Infinite bounds are
     [neg_infinity] / [infinity]. *)

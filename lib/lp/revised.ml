@@ -102,7 +102,7 @@ type state = {
   vstat : vstat array;
   xval : float array;
   mutable lu : Sparse_lu.t option; (* None only before the first factorisation *)
-  ws : Sparse_lu.workspace; (* factorisation scratch owned by this solve *)
+  ws : Sparse_lu.workspace; (* factorisation scratch: this domain's [workspace] *)
   work : float array; (* scratch, length m *)
   rwork : float array;
   cand : int array; (* candidate-list pricing: variable indices *)
@@ -256,21 +256,33 @@ let refactorise st = refactorise_cols st (Array.to_list st.basic) ~complete:fals
 (* Pricing and pivoting                                                *)
 (* ------------------------------------------------------------------ *)
 
-let reduced_cost st y j =
-  let rows = col_rows st j and vals = col_vals st j in
-  let acc = ref st.cost.(j) in
-  for k = 0 to Array.length rows - 1 do
-    acc := !acc -. (Array.unsafe_get vals k *. Array.unsafe_get y (Array.unsafe_get rows k))
-  done;
-  !acc
+(* Reduced cost of column [j] under duals [y]. An artificial column is its
+   sign in its own row, priced without building its arrays; the arithmetic
+   is the loop's for that one entry. Inlined, so pricing never boxes it. *)
+let[@inline] reduced_cost st y j =
+  let ncols = st.p.Problem.ncols in
+  if j >= ncols then st.cost.(j) -. (st.art_sign.(j - ncols) *. y.(j - ncols))
+  else begin
+    let rows = st.p.Problem.col_rows.(j) and vals = st.p.Problem.col_vals.(j) in
+    let acc = ref st.cost.(j) in
+    for k = 0 to Array.length rows - 1 do
+      acc := !acc -. (Array.unsafe_get vals k *. Array.unsafe_get y (Array.unsafe_get rows k))
+    done;
+    !acc
+  end
 
 type pricing_result = No_candidate | Enter of int * float (* variable, direction *)
 
-(* Direction in which variable [j] may profitably enter; 0. if none. *)
-let entering_dir st j d =
+(* Only a nonbasic column that is not fixed can enter, so every scan tests
+   this before computing a reduced cost: a warm start pins all artificials
+   to [0, 0]. *)
+let[@inline] can_enter st j = st.vstat.(j) <> Basic && st.lb.(j) <> st.ub.(j)
+
+(* Direction in which a column that [can_enter] may profitably enter; 0. if
+   none. *)
+let[@inline] entering_dir st j d =
   match st.vstat.(j) with
   | Basic -> 0.
-  | _ when st.lb.(j) = st.ub.(j) -> 0. (* fixed: cannot move *)
   | At_lower -> if d < -.opt_tol then 1. else 0.
   | At_upper -> if d > opt_tol then -1. else 0.
   | Free_nonbasic -> if d < -.opt_tol then 1. else if d > opt_tol then -1. else 0.
@@ -278,30 +290,33 @@ let entering_dir st j d =
 (* Full Dantzig scan. Returns the best eligible column and refills the
    candidate list with the [candidate_list_size] most attractive eligible
    columns (smallest-score slot replaced as better ones appear), so the next
-   iterations can price the short list only. In Bland mode the first
-   eligible index is returned and the list is left alone. *)
+   iterations can price the short list only. Restoration always prices by
+   full scan ([price]), so there the list is only emptied. In Bland mode the
+   first eligible index is returned and the list is left alone. *)
 let price_full st y =
   if st.bland then begin
     let best = ref No_candidate in
     (try
        for j = 0 to st.n - 1 do
-         let dir = entering_dir st j (reduced_cost st y j) in
-         if dir <> 0. then begin
-           best := Enter (j, dir);
-           raise Exit
+         if can_enter st j then begin
+           let dir = entering_dir st j (reduced_cost st y j) in
+           if dir <> 0. then begin
+             best := Enter (j, dir);
+             raise Exit
+           end
          end
        done
      with Exit -> ());
     !best
   end
   else begin
-    let k = Array.length st.cand in
+    let k = if st.restoring then 0 else Array.length st.cand in
     let scores = Array.make k 0. in
     st.ncand <- 0;
     let min_pos = ref 0 in
     let best = ref No_candidate and best_score = ref opt_tol in
     for j = 0 to st.n - 1 do
-      if st.vstat.(j) <> Basic then begin
+      if can_enter st j then begin
         let d = reduced_cost st y j in
         let dir = entering_dir st j d in
         if dir <> 0. then begin
@@ -316,7 +331,7 @@ let price_full st y =
             if score < scores.(!min_pos) then min_pos := st.ncand;
             st.ncand <- st.ncand + 1
           end
-          else if score > scores.(!min_pos) then begin
+          else if k > 0 && score > scores.(!min_pos) then begin
             st.cand.(!min_pos) <- j;
             scores.(!min_pos) <- score;
             for i = 0 to k - 1 do
@@ -338,7 +353,7 @@ let price_minor st y =
   let keep = ref 0 in
   for i = 0 to st.ncand - 1 do
     let j = st.cand.(i) in
-    if st.vstat.(j) <> Basic then begin
+    if can_enter st j then begin
       let d = reduced_cost st y j in
       let dir = entering_dir st j d in
       if dir <> 0. then begin
@@ -367,18 +382,20 @@ type ratio_result =
   | Bound_flip of float
   | Pivot of int * float * float (* leaving row, theta, target bound of leaver *)
 
-(* Effective movement range of a basic variable. In feasibility-restoration
+(* The effective bound a basic variable moves toward: its lower bound when
+   it decreases ([delta > 0.]), else its upper. In feasibility-restoration
    mode a variable beyond a bound may only travel back to that bound (where
    it becomes feasible and leaves the basis); movement further away is
-   unblocked -- the phase objective, not the bounds, discourages it. *)
-let basic_range st j =
-  if st.restoring then begin
-    let x = st.xval.(j) in
-    if x > st.ub.(j) +. feas_tol then (st.ub.(j), infinity)
-    else if x < st.lb.(j) -. feas_tol then (neg_infinity, st.lb.(j))
-    else (st.lb.(j), st.ub.(j))
-  end
-  else (st.lb.(j), st.ub.(j))
+   unblocked -- the phase objective, not the bounds, discourages it. Inlined
+   and returning one float, so the ratio test allocates nothing. *)
+let[@inline] blocking_bound st j delta =
+  let x = st.xval.(j) and lb = st.lb.(j) and ub = st.ub.(j) in
+  let above = st.restoring && x > ub +. feas_tol in
+  let below = st.restoring && x < lb -. feas_tol in
+  if delta > 0. then if above then ub else if below then neg_infinity else lb
+  else if above then infinity
+  else if below then lb
+  else ub
 
 let ratio_test st enter dir w =
   (* The entering variable increases by theta along [dir]; basic variable in
@@ -395,17 +412,12 @@ let ratio_test st enter dir w =
     let wi = Array.unsafe_get w i in
     if abs_float wi > pivot_tol then begin
       let bvar = st.basic.(i) in
-      let lo, hi = basic_range st bvar in
       let delta = dir *. wi in
-      let limit, bound =
-        if delta > 0. then
-          (* basic decreases toward its (effective) lower bound *)
-          if Float.is_finite lo then ((st.xval.(bvar) -. lo) /. delta, lo)
-          else (infinity, 0.)
-        else if Float.is_finite hi then ((st.xval.(bvar) -. hi) /. delta, hi)
-        else (infinity, 0.)
-      in
-      let limit = max limit 0. in
+      let b = blocking_bound st bvar delta in
+      (* No bound that way: the variable never blocks. *)
+      let limit = if Float.is_finite b then (st.xval.(bvar) -. b) /. delta else infinity in
+      let bound = if Float.is_finite b then b else 0. in
+      let limit = if limit >= 0. then limit else 0. in
       if
         limit < !theta -. 1e-12
         || (limit <= !theta +. 1e-12 && !leave_row >= 0 && abs_float wi > abs_float !leave_piv)
@@ -883,18 +895,34 @@ let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
       let phase1 = st.iterations in
       Some (run_phase2 st ~max_iterations ~phase1 ~warm:true)
 
+(* The factorisation workspace of the last solve on this domain, with its
+   size. Allocating one costs about a millisecond at L-Net size, so a solve
+   reuses it when it is large enough: solves on one domain never overlap, a
+   factorisation resets the scratch it reads, and no factorisation aliases
+   it. *)
+let workspace_cache : (int * Sparse_lu.workspace) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let workspace need =
+  let cache = Domain.DLS.get workspace_cache in
+  match !cache with
+  | Some (size, ws) when size >= need -> ws
+  | _ ->
+    let ws = Sparse_lu.workspace need in
+    cache := Some (need, ws);
+    ws
+
 let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   let acc = fresh_acc () in
   let m = p.Problem.nrows in
-  (* One factorisation workspace per solve, shared by the warm attempt and
-     any cold fallback; dropped with the solve (no global cache). A mapped
-     warm basis may hold more basic columns than rows. *)
+  (* One factorisation workspace, shared by the warm attempt and any cold
+     fallback. A mapped warm basis may hold more basic columns than rows. *)
   let nbasic =
     match basis with
     | Some b -> Array.fold_left (fun k s -> if s = Problem.Bs_basic then k + 1 else k) 0 b.Problem.statuses
     | None -> 0
   in
-  let ws = Sparse_lu.workspace (max m nbasic) in
+  let ws = workspace (max m nbasic) in
   let n = p.Problem.ncols + m in
   let max_iterations =
     match max_iterations with Some k -> k | None -> (20 * (m + n)) + 10_000

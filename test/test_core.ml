@@ -485,6 +485,53 @@ let test_ffc_warm_across_skip_change () =
   let obj (r : Ffc.result) = Te_types.throughput r.Ffc.alloc in
   Alcotest.(check (float 1e-6)) "warm optimum = cold optimum" (obj cold) (obj warm)
 
+(* The warm path's pivots, pinned. Default L-Net (20 sites, 40 flows) at
+   traffic scale 0.6, FFC (2,1,0) with the duality encoding, chained the
+   way the controller chains it: each interval plans against the previous
+   allocation, warm-started from the previous keyed basis, presolve off.
+   Each solve's phase iterations, refactorisations and throughput bits are
+   pinned. A change here moves a pivot: that is a behaviour change, never a
+   pin to update. *)
+let test_ffc_warm_chain_pinned () =
+  let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Ffc_sim.Scenario.input in
+  let series = Ffc_sim.Scenario.demand_series (Rng.create 7) sc ~scale:0.6 ~intervals:5 in
+  let config =
+    Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Duality
+      ~mice_fraction:0. ~ingress_skip_fraction:0. ()
+  in
+  let prev =
+    ref
+      (match Basic_te.solve { input with Te_types.demands = series.(0) } with
+      | Ok a -> a
+      | Error e -> Alcotest.fail e)
+  in
+  let basis = ref None in
+  let solve demands =
+    match
+      Ffc.solve ~config ~prev:!prev ~presolve:false ?warm_start:!basis
+        { input with Te_types.demands }
+    with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      prev := r.Ffc.alloc;
+      basis := r.Ffc.basis;
+      let s = Option.get r.Ffc.stats.Ffc.solver in
+      ( (s.Ffc_lp.Problem.phase1_iterations, s.Ffc_lp.Problem.phase2_iterations),
+        ( s.Ffc_lp.Problem.refactorisations,
+          Int64.bits_of_float (Te_types.throughput r.Ffc.alloc) ) )
+  in
+  Alcotest.(check (list (pair (pair int int) (pair int int64))))
+    "phase 1, phase 2, refactorisations, throughput bits"
+    [
+      ((0, 1106), (11, 4652760651352402517L));
+      ((255, 55), (4, 4652953962213402050L));
+      ((350, 43), (4, 4653135005362256305L));
+      ((134, 0), (2, 4653065376728097434L));
+      ((99, 35), (2, 4653123179205537652L));
+    ]
+    (List.map solve (Array.to_list series))
+
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -516,7 +563,10 @@ let () =
         ] );
       ("instrumentation", [ case "timing is positive wall-clock" test_stats_wall_clock ]);
       ( "warm-start",
-        [ case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change ] );
+        [
+          case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change;
+          case "pinned pivot counts along a warm chain" test_ffc_warm_chain_pinned;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_data_ffc_robust;

@@ -33,6 +33,61 @@ let test_expr_neg () =
   check_float "const" (-3.) (Expr.constant e);
   Alcotest.(check (list (pair int (float 1e-12)))) "terms" [ (5, -2.) ] (Expr.terms e)
 
+(* Terms on one variable are summed in the order of the expression's term
+   list ([add_term] puts its term first), and a sum of 0 is dropped. In
+   floating point 1e16 + 1 = 1e16, so the order decides the result. *)
+let test_expr_merge_order () =
+  let of_list ts = List.fold_right (fun (i, c) e -> Expr.add_term e c i) ts Expr.zero in
+  let exact = Alcotest.(list (pair int (float 0.))) in
+  Alcotest.check exact "1e16, 1, -1e16 cancel" []
+    (Expr.terms (of_list [ (0, 1e16); (0, 1.); (0, -1e16) ]));
+  Alcotest.check exact "1e16, -1e16, 1 leave 1" [ (0, 1.) ]
+    (Expr.terms (of_list [ (0, 1e16); (0, -1e16); (0, 1.) ]));
+  Alcotest.check exact "other variables do not reorder a run" [ (0, 1.); (1, 5.) ]
+    (Expr.terms (of_list [ (0, 1e16); (1, 5.); (0, -1e16); (0, 1.) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Computational form                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Columns come out sorted by row. A repeated (row, var) term is summed
+   into one entry in input order (1e16, -1e16, 1 gives 1; in reverse order
+   it gives 0), a pair that cancels leaves no entry, a zero term is
+   ignored, and each slack is its row's unit column. *)
+let test_problem_columns () =
+  let p =
+    Problem.build ~nstruct:2 ~lb:[| 0.; 0. |] ~ub:[| 1.; 1. |] ~obj:[| 1.; 1. |]
+      ~rows:
+        [
+          ([ (0, 1e16); (1, 4.); (0, -1e16); (0, 1.) ], Problem.Ge, 1.);
+          ([ (1, 3.); (0, 2.); (1, -3.) ], Problem.Le, 5.);
+          ([ (1, 7.); (0, 0.) ], Problem.Eq, 0.);
+        ]
+  in
+  let rows = Alcotest.(array int) and vals = Alcotest.(array (float 0.)) in
+  Alcotest.check rows "x0 rows" [| 0; 1 |] p.Problem.col_rows.(0);
+  Alcotest.check vals "x0 values" [| 1.; 2. |] p.Problem.col_vals.(0);
+  Alcotest.check rows "x1 rows" [| 0; 2 |] p.Problem.col_rows.(1);
+  Alcotest.check vals "x1 values" [| 4.; 7. |] p.Problem.col_vals.(1);
+  for i = 0 to 2 do
+    Alcotest.check rows "slack rows" [| i |] p.Problem.col_rows.(2 + i);
+    Alcotest.check vals "slack values" [| 1. |] p.Problem.col_vals.(2 + i)
+  done
+
+(* [Problem.build] rejects NaN input, the objective included: a NaN cost
+   used to solve to [Optimal] with objective [nan]. *)
+let test_problem_nan_objective () =
+  let nan_objective = Invalid_argument "Problem.build: NaN objective" in
+  Alcotest.check_raises "Problem.build" nan_objective (fun () ->
+      ignore
+        (Problem.build ~nstruct:1 ~lb:[| 0. |] ~ub:[| 1. |] ~obj:[| nan |]
+           ~rows:[ ([ (0, 1.) ], Problem.Le, 1.) ]));
+  let m = Model.create () in
+  let x = Model.add_var m in
+  Model.le m (Expr.var x) (Expr.const 1.);
+  Model.maximize m (Expr.var ~coeff:nan x);
+  Alcotest.check_raises "Model.solve" nan_objective (fun () -> ignore (Model.solve m))
+
 (* ------------------------------------------------------------------ *)
 (* Hand-checked LPs on both backends                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1089,6 +1144,12 @@ let () =
           case "scale by zero" test_expr_scale_zero;
           case "sum of many" test_expr_sum;
           case "negation" test_expr_neg;
+          case "terms merge in list order" test_expr_merge_order;
+        ] );
+      ( "problem",
+        [
+          case "columns by counting sort" test_problem_columns;
+          case "NaN objective rejected" test_problem_nan_objective;
         ] );
       ( "simplex",
         List.concat
