@@ -1319,7 +1319,7 @@ let fuzz () =
   let seed = 42 and count = if !fast then 60 else 300 in
   let time_budget_ms = if !fast then 20_000. else 120_000. in
   let r =
-    Fuzz.run ?pool ~seed ~count ~time_budget_ms ~oracles:(Ffc_check.Oracles.all ?pool ()) ()
+    Fuzz.run ?pool ~seed ~count ~time_budget_ms ~oracles:(Ffc_check.Oracles.all ()) ()
   in
   Format.printf "%a@." Fuzz.pp_report r;
   let findings = Fuzz.failures r in
@@ -1828,7 +1828,7 @@ let parallel_bench () =
   (* No time budget: truncation granularity is the one sanctioned j-dependent
      difference, so an identity assertion must not involve it. *)
   let campaign pool () =
-    Fuzz.run ?pool ~seed:42 ~count ~oracles:(Ffc_check.Oracles.all ?pool ()) ()
+    Fuzz.run ?pool ~seed:42 ~count ~oracles:(Ffc_check.Oracles.all ()) ()
   in
   let hunt pool () =
     Chaos.hunt ?pool ~seed:42 ~budget:hunt_budget ~sites:4 ~intervals:4

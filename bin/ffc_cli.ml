@@ -120,9 +120,8 @@ let solve_cmd network seed scale kc ke kv encoding objective =
 
 let simulate_cmd network seed scale mode intervals model kc ke kv deadline_ms audit_budget
     retries retry_timeout retry_backoff telemetry_loss telemetry_delay demand_noise
-    headroom dead_band metrics_out trace_out stats_json jobs =
+    headroom dead_band metrics_out trace_out stats_json =
   obs_setup ~metrics_out ~trace_out;
-  with_jobs jobs @@ fun pool ->
   let sc = scenario_of_name network seed in
   let input = sc.Sim.Scenario.input in
   (* Machine-readable calibration result (the stderr warning, if any, was
@@ -166,7 +165,7 @@ let simulate_cmd network seed scale mode intervals model kc ke kv deadline_ms au
   in
   let cfg =
     Sim.Interval_sim.default_config ?deadline_ms ~audit_budget ~retry ?telemetry
-      ?estimator ?pool ~mode ~update_model:um fm
+      ?estimator ~mode ~update_model:um fm
   in
   let series = Sim.Scenario.demand_series (Rng.create (seed + 1)) sc ~scale ~intervals in
   let stats = Sim.Interval_sim.run ~rng:(Rng.create (seed + 2)) cfg input ~demand_series:series in
@@ -363,9 +362,9 @@ let fuzz_cmd seed count budget_ms oracles repro_out metrics_out trace_out jobs =
   with_jobs jobs @@ fun pool ->
   let oracles =
     match oracles with
-    | [] -> Ffc_check.Oracles.all ?pool ()
+    | [] -> Ffc_check.Oracles.all ()
     | names -> (
-      match Ffc_check.Oracles.select ?pool names with
+      match Ffc_check.Oracles.select names with
       | Ok os -> os
       | Error e -> failwith e)
   in
@@ -463,8 +462,9 @@ let jobs =
     & opt (pos_int "--jobs") 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Worker domains for parallel execution (1 = sequential; results are \
-           bit-identical at any value)")
+          "Worker domains for parallel execution (1 = sequential). Reports are \
+           bit-identical at any value, except under fuzz's --budget-ms: a time budget \
+           truncates a sharded campaign at chunk granularity, not per instance")
 
 let encoding =
   Arg.(
@@ -613,7 +613,7 @@ let simulate_t =
     const simulate_cmd $ network $ seed $ scale $ mode $ intervals $ model $ kc_sim $ ke_sim
     $ kv_sim $ deadline_ms $ audit_budget $ retries $ retry_timeout $ retry_backoff
     $ telemetry_loss $ telemetry_delay $ demand_noise $ headroom $ dead_band $ metrics_out
-    $ trace_out $ stats_json $ jobs)
+    $ trace_out $ stats_json)
 
 let plan_t = Term.(const plan_cmd $ network $ seed $ scale $ kc $ ke $ kv)
 

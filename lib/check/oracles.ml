@@ -11,17 +11,8 @@ open Ffc_lp
 open Ffc_net
 open Ffc_core
 module Rng = Ffc_util.Rng
-module Pool = Ffc_util.Pool
 
 let failf fmt = Printf.ksprintf (fun s -> Fuzz.Fail s) fmt
-
-(* Run independent oracle legs, concurrently when a pool with more than one
-   job is supplied. Results come back in listing order either way, so
-   downstream adjudication (first-error-wins, named tuples) is unchanged. *)
-let run_legs pool thunks =
-  match pool with
-  | Some p when Pool.jobs p > 1 -> Pool.map_list p (fun f -> f ()) thunks
-  | _ -> List.map (fun f -> f ()) thunks
 
 (* ------------------------------------------------------------------ *)
 (* LP: revised (with and without presolve) vs dense tableau            *)
@@ -102,20 +93,11 @@ let budget_outcome = function
    solve, adjudicated like the cold legs: a disagreement counts only with a
    strict witness for the better value (or against an infeasible verdict),
    never on tolerance ambiguity near a huge optimum. *)
-let warm_leg pool basis ?row_ids category what (t' : Gen.lp) =
+let warm_leg basis ?row_ids category what (t' : Gen.lp) =
   let m1, xs1 = Gen.lp_model ?row_ids t' in
   let m2, _ = Gen.lp_model ?row_ids t' in
-  let w1, w2 =
-    match
-      run_legs pool
-        [
-          (fun () -> Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis m1);
-          (fun () -> Model.solve ~backend:`Dense_tableau m2);
-        ]
-    with
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
-  in
+  let w1 = Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis m1 in
+  let w2 = Model.solve ~backend:`Dense_tableau m2 in
   if budget_outcome w1 || budget_outcome w2 then Fuzz.Pass
   else
     match (w1, w2) with
@@ -143,28 +125,19 @@ let warm_leg pool basis ?row_ids category what (t' : Gen.lp) =
       else Fuzz.Skip "ill-conditioned (warm leg)"
     | _ -> Fuzz.Pass
 
-let lp_test ?pool (t : Gen.lp) =
+let lp_test (t : Gen.lp) =
   (* Variable handles are structural — identical across models built from the
      same instance (the warm leg below has always relied on this) — but
-     [Model.solve] caches stats on the model, so each leg, concurrent or not,
-     solves its own freshly built copy. *)
+     [Model.solve] caches stats on the model, so each leg solves its own
+     freshly built copy. *)
   let _, xs = Gen.lp_model t in
-  let solve_fresh backend ~presolve () =
+  let solve_fresh backend ~presolve =
     let m, _ = Gen.lp_model t in
     Model.solve ~backend ~presolve m
   in
-  let o_rev, o_raw, o_dense =
-    match
-      run_legs pool
-        [
-          solve_fresh `Revised ~presolve:true;
-          solve_fresh `Revised ~presolve:false;
-          solve_fresh `Dense_tableau ~presolve:true;
-        ]
-    with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
+  let o_rev = solve_fresh `Revised ~presolve:true in
+  let o_raw = solve_fresh `Revised ~presolve:false in
+  let o_dense = solve_fresh `Dense_tableau ~presolve:true in
   if budget_outcome o_rev || budget_outcome o_raw || budget_outcome o_dense then
     Fuzz.Skip "budget outcome"
   else begin
@@ -237,10 +210,10 @@ let lp_test ?pool (t : Gen.lp) =
              (match Model.solution_basis s2 with
               | None -> Fuzz.Pass
               | Some basis -> (
-                match warm_leg pool basis "warm-mismatch" "after rhs relaxation" (relax_lp t) with
+                match warm_leg basis "warm-mismatch" "after rhs relaxation" (relax_lp t) with
                 | Fuzz.Pass ->
                   let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
-                  warm_leg pool basis ~row_ids "warm-shape-mismatch" "after row set change" t'
+                  warm_leg basis ~row_ids "warm-shape-mismatch" "after row set change" t'
                 | verdict -> verdict)))
       | _ -> Fuzz.Pass (* statuses agree on infeasible/unbounded *)
   end
@@ -416,7 +389,7 @@ let make_lu_test () =
 
 let enumeration_cap = 20_000
 
-let ffc_test ?pool (t : Gen.te) =
+let ffc_test (t : Gen.te) =
   let input = Gen.te_input t in
   if input.Te_types.flows = [] then Fuzz.Skip "no flows"
   else begin
@@ -442,14 +415,8 @@ let ffc_test ?pool (t : Gen.te) =
         in
         Ffc.solve_checked ~config ~prev input
       in
-      let r_sort, r_dual =
-        match
-          run_legs pool
-            [ (fun () -> solve `Sorting_network); (fun () -> solve `Duality) ]
-        with
-        | [ a; b ] -> (a, b)
-        | _ -> assert false
-      in
+      let r_sort = solve `Sorting_network in
+      let r_dual = solve `Duality in
       match (r_sort, r_dual) with
       | Error f, _ | _, Error f ->
         (* Zero allocation is always feasible and bf <= demand bounds the
@@ -491,20 +458,11 @@ let ffc_test ?pool (t : Gen.te) =
                        ~protection));
               ]
             in
-            (* Parallel legs evaluate every active enumeration and then take
-               the first error in listing order — the same answer the lazy
-               sequential scan produces, since each leg is deterministic. *)
             let run_check (active, run) =
               if active then (match run () with Ok () -> None | Error e -> Some e)
               else None
             in
-            let bad =
-              match pool with
-              | Some p when Pool.jobs p > 1 ->
-                List.find_map Fun.id (Pool.map_list p run_check checks)
-              | _ -> List.find_map run_check checks
-            in
-            (match bad with
+            (match List.find_map run_check checks with
              | Some e -> failf "guarantee: %s" e
              | None -> Fuzz.Pass)
         end
@@ -614,13 +572,13 @@ let sim_test (s : Gen.sim) =
 
 (* ------------------------------------------------------------------ *)
 
-let all ?pool () =
+let all () =
   [
-    Fuzz.oracle ~name:"lp" ~generate:Gen.lp_instance ~test:(lp_test ?pool)
+    Fuzz.oracle ~name:"lp" ~generate:Gen.lp_instance ~test:lp_test
       ~shrink:Gen.shrink_lp ~repro:Gen.lp_snippet;
     Fuzz.oracle ~name:"lu" ~generate:Gen.lu_instance ~test:(make_lu_test ())
       ~shrink:Gen.shrink_lu ~repro:Gen.lu_snippet;
-    Fuzz.oracle ~name:"ffc" ~generate:Gen.te_instance ~test:(ffc_test ?pool)
+    Fuzz.oracle ~name:"ffc" ~generate:Gen.te_instance ~test:ffc_test
       ~shrink:Gen.shrink_te ~repro:Gen.te_snippet;
     Fuzz.oracle ~name:"sim" ~generate:Gen.sim_instance ~test:sim_test ~shrink:Gen.shrink_sim
       ~repro:Gen.sim_snippet;
@@ -629,10 +587,10 @@ let all ?pool () =
 (* The chaos oracle is selectable but not part of the default campaign: one
    instance costs a multi-interval simulation, and the fuzz time budget is
    shared across oracles, so it would starve the cheap ones. *)
-let available ?pool () = all ?pool () @ [ Chaos.oracle () ]
+let available () = all () @ [ Chaos.oracle () ]
 
-let select ?pool names =
-  let avail = available ?pool () in
+let select names =
+  let avail = available () in
   let unknown =
     List.filter (fun n -> not (List.exists (fun o -> Fuzz.oracle_name o = n) avail)) names
   in

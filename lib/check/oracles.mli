@@ -22,29 +22,24 @@
       reference for strict-priority drops, whose total equals the capacity
       overflow. *)
 
-val lp_test : ?pool:Ffc_util.Pool.t -> Gen.lp -> Fuzz.verdict
+val lp_test : Gen.lp -> Fuzz.verdict
 val make_lu_test : unit -> Gen.lu -> Fuzz.verdict
-val ffc_test : ?pool:Ffc_util.Pool.t -> Gen.te -> Fuzz.verdict
+val ffc_test : Gen.te -> Fuzz.verdict
 val sim_test : Gen.sim -> Fuzz.verdict
 
-val all : ?pool:Ffc_util.Pool.t -> unit -> Fuzz.oracle list
+val all : unit -> Fuzz.oracle list
 (** The four default-campaign oracles, in the listing order that fixes
-    their seed streams: ["lp"], ["lu"], ["ffc"], ["sim"]. With [pool], the
-    lp cross-check legs (three cold solves, then the warm pair) and the ffc
-    legs (two encodings, then the active exhaustive enumerations) each run
-    concurrently; every leg is deterministic and results are adjudicated in
-    listing order, so verdicts are identical to the sequential ones. A pool
-    passed here composes with a pooled {!Fuzz.run}: leg-level [map] calls
-    issued from inside a campaign task degrade to inline sequential
-    execution (see {!Ffc_util.Pool}). *)
+    their seed streams: ["lp"], ["lu"], ["ffc"], ["sim"]. Each oracle runs
+    its legs one after another in listing order; a pooled {!Fuzz.run}
+    parallelises across instances, not within one. *)
 
-val available : ?pool:Ffc_util.Pool.t -> unit -> Fuzz.oracle list
+val available : unit -> Fuzz.oracle list
 (** {!all} plus the opt-in ["chaos"] oracle ({!Chaos.oracle}) — selectable
     by name but excluded from default campaigns, where one multi-interval
     simulation per instance would starve the cheap oracles under the shared
     time budget. *)
 
-val select : ?pool:Ffc_util.Pool.t -> string list -> (Fuzz.oracle list, string) result
+val select : string list -> (Fuzz.oracle list, string) result
 (** Subset of {!available} by name, kept in listing order. Unknown names
     yield [Error]. Note that {!Fuzz.run} splits seed streams by list
     position, so a subset run draws different instances than the same

@@ -1,15 +1,12 @@
 open Ffc_lp
 module Rng = Ffc_util.Rng
 module Clock = Ffc_util.Clock
-module Pool = Ffc_util.Pool
 module Obs = Ffc_obs.Obs
 
 let m_steps = Obs.counter "controller.steps"
 let m_fallbacks = Obs.counter "controller.fallbacks"
 let m_deadline_hits = Obs.counter "controller.deadline_hits"
 let m_escalations = Obs.counter "controller.escalations"
-let m_rungs_raced = Obs.counter "controller.rungs_raced"
-let m_wasted_ms = Obs.counter "controller.speculative_wasted_ms"
 let m_step_ms = Obs.histogram "controller.step_ms"
 let m_rung_ms = Obs.histogram "controller.rung_ms"
 
@@ -71,8 +68,6 @@ type step = {
   effective : (int -> Te_types.protection) option;
   per_class_stats : (int * Ffc.stats) list;
   audit : audit_report option;
-  rungs_raced : int;
-  speculative_wasted_ms : float;
 }
 
 type t = {
@@ -306,20 +301,16 @@ let audit_step t (input : Te_types.input) ~prev ~alloc ~kind ~protections =
 (* The step driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [Accepted] carries a deferred basis-cache commit instead of mutating the
-   controller inside the solve: when rungs are raced speculatively, every
-   rung reads the (frozen) cache but only the winning rung's commit runs —
-   on the caller's domain, after the race settles — so raced and sequential
-   steps leave identical controller state. *)
 type attempt_result =
-  | Accepted of Te_types.allocation * (int * Ffc.stats) list * (unit -> unit)
+  | Accepted of Te_types.allocation * (int * Ffc.stats) list
   | Failed of Te_types.solve_failure
 
 (* Every LP rung solves with presolve off, so its warm-start bases stay
-   applicable. *)
+   applicable. An accepted rung commits its own bases; a failed one leaves
+   the cache as it found it. *)
 let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
   match kind with
-  | Last_good -> Accepted (rescale_last_good input prev, [], fun () -> ())
+  | Last_good -> Accepted (rescale_last_good input prev, [])
   | Basic_te -> (
     match
       Basic_te.solve_checked ~presolve:false
@@ -327,7 +318,8 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
         ?warm_start:(get_basis t ~rung ~cls:(-1)) input
     with
     | Ok (alloc, basis) ->
-      Accepted (alloc, [], fun () -> set_basis t ~rung ~cls:(-1) basis)
+      set_basis t ~rung ~cls:(-1) basis;
+      Accepted (alloc, [])
     | Error f -> Failed f)
   | Full_protection | Reduced _ -> (
     let config_of =
@@ -356,16 +348,12 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
         ?deadline_ms:t.cfg.deadline_ms ~warm_starts input
     with
     | Ok (alloc, per_class) ->
-      let commit () =
-        if use_bases then
-          List.iter
-            (fun (prio, _, basis) -> set_basis t ~rung ~cls:prio basis)
-            per_class
-      in
-      Accepted (alloc, List.map (fun (prio, st, _) -> (prio, st)) per_class, commit)
+      if use_bases then
+        List.iter (fun (prio, _, basis) -> set_basis t ~rung ~cls:prio basis) per_class;
+      Accepted (alloc, List.map (fun (prio, st, _) -> (prio, st)) per_class)
     | Error (_prio, f) -> Failed f)
 
-let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
+let step t ?(stale = 0) ?audit_input (input : Te_types.input)
     ~(prev : Te_types.allocation) =
   let rungs = ladder t input in
   (* The step escalates when the reported stale-ingress count exceeds what
@@ -390,9 +378,6 @@ let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
       escalate_protection ~stale ~max_kc
     else fun p -> p
   in
-  (* One rung evaluation: read-only against the controller (the basis cache
-     is only read; commits are deferred closures), so evaluations can run
-     concurrently. *)
   let eval rung kind =
     let protections = protections_at t input ~boost kind in
     let t0 = Clock.now_ms () in
@@ -406,12 +391,9 @@ let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
     ( { rung; kind; protections; outcome; solve_ms; budget_ms = t.cfg.deadline_ms },
       result )
   in
-  (* Shared tail: telemetry counters, sampled audit and the step record,
-     identical for the sequential descent and the speculative race. The
-     [attempts] list is in rung order and ends at the accepted rung. *)
-  let finish ~attempts ~rung ~kind ~alloc ~per_class_stats ~commit ~rungs_raced
-      ~speculative_wasted_ms =
-    commit ();
+  (* Telemetry counters, sampled audit and the step record. [attempts] is
+     in rung order and ends at the accepted rung. *)
+  let finish ~attempts ~rung ~kind ~alloc ~per_class_stats =
     let protections =
       match List.rev attempts with a :: _ -> a.protections | [] -> []
     in
@@ -446,8 +428,6 @@ let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
       Obs.add m_fallbacks (float_of_int fallbacks);
       Obs.add m_deadline_hits (float_of_int deadline_hits);
       if escalated then Obs.incr m_escalations;
-      Obs.add m_rungs_raced (float_of_int rungs_raced);
-      Obs.add m_wasted_ms speculative_wasted_ms;
       Obs.observe m_step_ms
         (List.fold_left (fun acc (a : attempt) -> acc +. a.solve_ms) 0. attempts)
     end;
@@ -464,57 +444,19 @@ let step t ?pool ?(stale = 0) ?audit_input (input : Te_types.input)
       effective;
       per_class_stats;
       audit;
-      rungs_raced;
-      speculative_wasted_ms;
     }
   in
-  let sequential () =
-    let attempts = ref [] in
-    let rec descend rung = function
-      | [] -> invalid_arg "Controller.step: ladder exhausted (missing last-good rung)"
-      | kind :: rest -> (
-        let attempt, result = eval rung kind in
-        attempts := attempt :: !attempts;
-        match result with
-        | Failed _ -> descend (rung + 1) rest
-        | Accepted (alloc, per_class_stats, commit) ->
-          finish ~attempts:(List.rev !attempts) ~rung ~kind ~alloc ~per_class_stats
-            ~commit ~rungs_raced:0 ~speculative_wasted_ms:0.)
-    in
-    descend 0 rungs
+  let rec descend rung attempts = function
+    | [] -> invalid_arg "Controller.step: ladder exhausted (missing last-good rung)"
+    | kind :: rest -> (
+      let attempt, result = eval rung kind in
+      let attempts = attempt :: attempts in
+      match result with
+      | Failed _ -> descend (rung + 1) attempts rest
+      | Accepted (alloc, per_class_stats) ->
+        finish ~attempts:(List.rev attempts) ~rung ~kind ~alloc ~per_class_stats)
   in
-  (* Speculative race: evaluate every rung concurrently and accept the
-     highest-priority (lowest-index) success — the same rung the sequential
-     descent would have reached, fed the same frozen basis cache, so the
-     accepted allocation is identical. Only the winner's attempt prefix
-     enters the step record (the sequential descent never saw the rest);
-     the off-path work is accounted as [speculative_wasted_ms]. The ladder
-     ends in last-good, which always accepts, so a winner exists. *)
-  let raced pool =
-    let arr = Array.of_list (List.mapi (fun i k -> (i, k)) rungs) in
-    let results = Pool.map pool (fun (i, k) -> eval i k) arr in
-    let rec winner i =
-      if i >= Array.length results then
-        invalid_arg "Controller.step: ladder exhausted (missing last-good rung)"
-      else
-        match results.(i) with
-        | _, Accepted (alloc, per_class_stats, commit) -> (i, alloc, per_class_stats, commit)
-        | _, Failed _ -> winner (i + 1)
-    in
-    let rung, alloc, per_class_stats, commit = winner 0 in
-    let attempts = List.init (rung + 1) (fun i -> fst results.(i)) in
-    let speculative_wasted_ms = ref 0. in
-    for i = rung + 1 to Array.length results - 1 do
-      speculative_wasted_ms := !speculative_wasted_ms +. (fst results.(i)).solve_ms
-    done;
-    finish ~attempts ~rung ~kind:(List.nth rungs rung) ~alloc ~per_class_stats
-      ~commit ~rungs_raced:(Array.length results)
-      ~speculative_wasted_ms:!speculative_wasted_ms
-  in
-  Obs.with_span "controller.step" (fun () ->
-      match pool with
-      | Some p when Pool.jobs p > 1 && List.length rungs > 1 -> raced p
-      | _ -> sequential ())
+  Obs.with_span "controller.step" (fun () -> descend 0 [] rungs)
 
 (* Protection edge actually guaranteed by this step (minimum ke/kv across
    classes): the reaction rule must use the degraded level, not the

@@ -91,10 +91,6 @@ type step = {
           rung carries no fault guarantee (basic TE / last-good) *)
   per_class_stats : (int * Ffc.stats) list;  (** accepted FFC rung only *)
   audit : audit_report option;  (** [None] iff auditing is disabled *)
-  rungs_raced : int;
-      (** rungs evaluated speculatively in parallel; [0] on a sequential step *)
-  speculative_wasted_ms : float;
-      (** solve time spent on raced rungs below the accepted one *)
 }
 
 type t
@@ -109,23 +105,17 @@ val create : config -> t
 
 val step :
   t ->
-  ?pool:Ffc_util.Pool.t ->
   ?stale:int ->
   ?audit_input:Te_types.input ->
   Te_types.input ->
   prev:Te_types.allocation ->
   step
-(** Compute this interval's target allocation, descending the ladder until a
-    rung succeeds.
+(** Compute this interval's target allocation, descending the ladder rung
+    by rung until one succeeds. Each LP rung warm-starts from its own cached
+    bases; only the accepted rung refreshes them, so a rung that failed
+    keeps the bases of its last success.
 
-    With [pool] (of more than one job) the ladder's rungs are raced
-    speculatively: every rung solves concurrently against the same frozen
-    warm-basis cache and the highest-priority success wins — the same rung,
-    allocation and basis-cache commit the sequential descent produces, since
-    rung evaluations are independent and only the winner's deferred commit
-    runs. The step record then carries the prefix of attempts the sequential
-    descent would have made, with [rungs_raced] and [speculative_wasted_ms]
-    accounting for the off-path work. [prev] is the currently-installed allocation (used for
+    [prev] is the currently-installed allocation (used for
     control-plane constraints, warm context and the last-good rung; pass
     {!Te_types.zero_allocation} initially). With a southbound engine in the
     loop, [prev] should be the {e mixed} installed allocation (each flow's
@@ -138,10 +128,10 @@ val step :
     {e escalates}: every kc-protected class is solved at
     [kc = max configured (min stale #ingresses)], so the new target is
     provably safe against the switches that are actually stuck; the step is
-    marked [escalated] and bypasses the basis caches, neither reading nor
-    refreshing them, so the next normal step still starts from the last
-    normal optimum. Never raises on solver failure — the last-good rung
-    always succeeds.
+    marked [escalated] and its FFC rungs bypass the basis caches, neither
+    reading nor refreshing them, so the next normal step still starts from
+    the last normal optimum. Never raises on solver failure — the last-good
+    rung always succeeds.
 
     [audit_input] (default: the planning input itself) is the view the
     sampled guarantee auditor verifies the accepted allocation against.

@@ -5,7 +5,6 @@ module Bounded_sum = Ffc_sortnet.Bounded_sum
 type plan = {
   steps : Te_types.allocation list;
   min_rate : float array;
-  basis : Problem.basis option;
 }
 
 (* Per-link, per-ingress load of a concrete allocation. *)
@@ -38,8 +37,7 @@ let transition_safe (input : Te_types.input) a0 a1 =
       total <= l.Topology.capacity +. 1e-6)
     (Topology.links input.Te_types.topo)
 
-let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.input) ~from_
-    ~to_ =
+let plan ?(config = Ffc.config ()) ?(steps = 2) (input : Te_types.input) ~from_ ~to_ =
   if steps < 1 then invalid_arg "Update_plan.plan: steps must be >= 1";
   let kc = config.Ffc.protection.Te_types.kc in
   let started_ms = Ffc_util.Clock.now_ms () in
@@ -153,8 +151,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.in
   in
   Model.maximize model objective;
   match
-    Formulation.solve ~label:"update plan" ~backend:config.Ffc.backend ?warm_start ~started_ms
-      model
+    Formulation.solve ~label:"update plan" ~backend:config.Ffc.backend ~started_ms model
   with
   | Ok (sol, _) ->
     let read af =
@@ -168,7 +165,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) ?warm_start (input : Te_types.in
         input.Te_types.flows;
       { Te_types.bf; af = out }
     in
-    Ok { steps = List.map read inter; min_rate; basis = Model.solution_basis sol }
+    Ok { steps = List.map read inter; min_rate }
   | Error { Te_types.kind = `Infeasible; _ } ->
     Error
       (Printf.sprintf "no congestion-free %d-step update plan exists (try more steps)" steps)

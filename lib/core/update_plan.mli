@@ -18,16 +18,11 @@ type plan = {
       (** intermediate configurations [A1 .. Am-1]; the endpoints are the
           caller's [from_] and [to_] *)
   min_rate : float array;  (** per-flow rate guaranteed throughout the update *)
-  basis : Ffc_lp.Problem.basis option;
-      (** final simplex basis of the planning LP; reusable as [warm_start]
-          for a later plan (keyed: {!Ffc_lp.Model.solve} maps it onto that
-          plan's rows and columns) *)
 }
 
 val plan :
   ?config:Ffc.config ->
   ?steps:int ->
-  ?warm_start:Ffc_lp.Problem.basis ->
   Te_types.input ->
   from_:Te_types.allocation ->
   to_:Te_types.allocation ->
@@ -36,8 +31,7 @@ val plan :
     i.e. one intermediate). Every configuration in the chain carries at
     least [min(b0_f, bm_f)] for each flow. [Error] if no such chain exists
     with the given number of steps (callers may retry with more). Only the
-    [kc] component of [config.protection] is used here. [warm_start] seeds
-    the solver with a previous plan's [basis]. *)
+    [kc] component of [config.protection] is used here. *)
 
 val transition_safe :
   Te_types.input -> Te_types.allocation -> Te_types.allocation -> bool

@@ -61,11 +61,10 @@ type config = {
   outage : outage_model option;
   telemetry : Telemetry.config option;
   estimator : Estimator.config option;
-  pool : Ffc_util.Pool.t option;
 }
 
 let default_config ?deadline_ms ?max_iterations ?(audit_budget = 8)
-    ?(retry = Southbound.default_retry) ?outage ?telemetry ?estimator ?pool ~mode
+    ?(retry = Southbound.default_retry) ?outage ?telemetry ?estimator ~mode
     ~update_model fault_model =
   {
     mode;
@@ -80,7 +79,6 @@ let default_config ?deadline_ms ?max_iterations ?(audit_budget = 8)
     outage;
     telemetry;
     estimator;
-    pool;
   }
 
 type class_stats = {
@@ -669,7 +667,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
            sampled guarantee auditor is pointed at ground truth, so audit
            verdicts stay statements about the real network. *)
         let step =
-          Controller.step st.ctrl ?pool:cfg.pool ~stale:stale_before
+          Controller.step st.ctrl ~stale:stale_before
             ?audit_input:(if sensing then Some input_t else None)
             (if sensing then { input_t with Te_types.demands = view } else input_t)
             ~prev:(if blind then Te_types.zero_allocation input_t else real_prev)

@@ -98,10 +98,6 @@ type config = {
           telemetry on = the raw view (last report, no headroom, no
           damping). Setting only the estimator implies a neutral channel:
           envelope planning on exact measurements. *)
-  pool : Ffc_util.Pool.t option;
-      (** domain pool for speculative ladder racing inside
-          {!Ffc_core.Controller.step}; [None] = sequential descent
-          (identical results either way — see {!Ffc_util.Pool}) *)
 }
 
 val default_config :
@@ -112,7 +108,6 @@ val default_config :
   ?outage:outage_model ->
   ?telemetry:Telemetry.config ->
   ?estimator:Ffc_core.Estimator.config ->
-  ?pool:Ffc_util.Pool.t ->
   mode:mode ->
   update_model:Update_model.t ->
   Fault_model.t ->

@@ -374,16 +374,10 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
 (* Installed view                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* What the network as a whole runs, as a copy: each flow's row is what
-   its ingress switch has actually installed. A raw configuration view —
-   rows from different epochs mix old rates with old splits. *)
-let installed_mix t (_ : Te_types.input) =
-  { Te_types.bf = Array.copy t.installed.Te_types.bf;
-    af = Array.map Array.copy t.installed.Te_types.af }
-
 (* The load the network actually imposes: host rate limiters enforce
    [rates] (they always update), while each ingress switch splits by its
-   installed weights. This — not {!installed_mix} — is the honest [prev]
+   installed weights. This — not the raw installed rows, where rows from
+   different epochs mix old rates with old splits — is the honest [prev]
    for the controller: its per-link loads are the real current loads, so
    the formulation's already-overloaded escape (§4.5) and near-zero-load
    ingress skip (§6) fire exactly when the network is actually in those

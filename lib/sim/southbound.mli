@@ -145,13 +145,6 @@ val stale_switches : t -> Ffc_net.Topology.switch list
 
 val epoch_lag : t -> Ffc_net.Topology.switch -> int
 
-val installed_mix : t -> Te_types.input -> Te_types.allocation
-(** Network-wide installed {e configuration}, as a copy: each flow's
-    [bf]/[af] row as its ingress switch runs it. An
-    inspection view; rows from different epochs mix old rates with old
-    splits, so its implied link loads are not the actual current loads —
-    use {!imposed_mix} for the controller. *)
-
 val imposed_mix : t -> Te_types.input -> rates:float array -> Te_types.allocation
 (** The load the network actually imposes: per flow, [rates] (the per-flow
     sending rate the host rate limiters currently enforce — the last
@@ -217,7 +210,7 @@ val check_guarantee :
 (** Assert Eqn 5 on the live state. With more than [kc] stale switches the
     guarantee makes no promise ([Beyond_budget]). Otherwise the loads are
     the auditor's control-plane case ({!Ffc_core.Enumerate.stuck_loads}) on
-    the engine's installed weights (as {!installed_mix}): each stale ingress
+    the engine's installed weights (as {!running}): each stale ingress
     splits the {e new} rate by its {e old} weights, everyone else is charged
     [target]'s tunnel allocations. The verdict names the first link, in id
     order, over capacity by more than the auditor's 1e-6 tolerance

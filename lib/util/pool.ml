@@ -149,8 +149,3 @@ let map t f arr =
         (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
         results
   end
-
-let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
-
-let map_reduce t ~f ~reduce ~init arr =
-  Array.fold_left reduce init (map t f arr)

@@ -7,8 +7,8 @@
     input index, and if any task raises, the exception of the {e lowest}
     failing index is re-raised (with its backtrace) after the whole batch
     settles — so output, including failure behaviour, is independent of
-    scheduling. This is what makes split-stream-seeded campaigns (fuzz,
-    chaos, bench arms) bit-identical at any [-j].
+    scheduling. This is what makes the split-stream-seeded campaigns
+    ([Fuzz.run] and [Chaos.hunt]) bit-identical at any [-j].
 
     Nested use is supported by degradation: a [map] issued from inside a
     pool task runs sequentially inline (no deadlock, same results). A pool
@@ -32,14 +32,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     but results land at their input index; on task exceptions, the lowest
     failing index's exception is re-raised after all tasks settle.
     Raises [Invalid_argument] on a {!shutdown} pool. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list. *)
-
-val map_reduce :
-  t -> f:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a array -> 'acc
-(** Parallel map, then a {e sequential} left fold in index order — the
-    reduction order is deterministic even for non-commutative [reduce]. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent; outstanding batches are

@@ -202,7 +202,7 @@ let test_parallel_identity_synthetic () =
 let test_parallel_identity_real_oracles () =
   let seq = Fuzz.run ~seed:42 ~count:40 ~oracles:(Oracles.all ()) () in
   Pool.with_pool ~jobs:4 (fun p ->
-      let par = Fuzz.run ~pool:p ~seed:42 ~count:40 ~oracles:(Oracles.all ~pool:p ()) () in
+      let par = Fuzz.run ~pool:p ~seed:42 ~count:40 ~oracles:(Oracles.all ()) () in
       Alcotest.(check bool) "full campaign identical" true
         (seq.Fuzz.oracles = par.Fuzz.oracles))
 

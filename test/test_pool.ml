@@ -1,7 +1,7 @@
 (* Tests for the domain pool (lib/util/pool.ml): the Array.map-exact
    contract (order, lowest-index exception selection), nested degradation,
-   shutdown semantics, deterministic map_reduce, and the Validate parsers
-   the CLI builds its range-checked converters from. *)
+   shutdown semantics, and the Validate parsers the CLI builds its
+   range-checked converters from. *)
 
 module Pool = Ffc_util.Pool
 module Validate = Ffc_util.Validate
@@ -32,11 +32,9 @@ let test_map_order () =
         (Array.init n (fun i -> i * 2))
         out)
 
-let test_map_empty_and_list () =
+let test_map_empty () =
   Pool.with_pool ~jobs:3 (fun p ->
-      Alcotest.(check (array int)) "empty array" [||] (Pool.map p (fun x -> x) [||]);
-      Alcotest.(check (list int)) "map_list" [ 2; 4; 6 ]
-        (Pool.map_list p (fun x -> 2 * x) [ 1; 2; 3 ]))
+      Alcotest.(check (array int)) "empty array" [||] (Pool.map p (fun x -> x) [||]))
 
 let test_lowest_index_exception () =
   Pool.with_pool ~jobs:4 (fun p ->
@@ -87,19 +85,6 @@ let test_shutdown () =
   Alcotest.check_raises "create ~jobs:0" (Invalid_argument "Pool.create: jobs must be >= 1")
     (fun () -> ignore (Pool.create ~jobs:0))
 
-let test_map_reduce_order () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      (* Non-commutative reduction: string concatenation must come back in
-         index order no matter how tasks were scheduled. *)
-      let s =
-        Pool.map_reduce p
-          ~f:(fun i -> string_of_int i)
-          ~reduce:(fun acc x -> acc ^ x)
-          ~init:""
-          (Array.init 12 (fun i -> i))
-      in
-      Alcotest.(check string) "ordered concat" "01234567891011" s)
-
 let test_validate () =
   let ok = function Ok v -> v | Error e -> Alcotest.fail e in
   Alcotest.(check (float 0.)) "probability" 0.25 (ok (Validate.probability "0.25"));
@@ -134,7 +119,7 @@ let () =
       ( "map",
         [
           Alcotest.test_case "order-preserving under skew" `Quick test_map_order;
-          Alcotest.test_case "empty and list variants" `Quick test_map_empty_and_list;
+          Alcotest.test_case "empty input" `Quick test_map_empty;
           Alcotest.test_case "lowest failing index wins" `Quick test_lowest_index_exception;
           Alcotest.test_case "nested map degrades inline" `Quick test_nested_map_degrades;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs_one_inline;
@@ -142,7 +127,6 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "shutdown is idempotent and final" `Quick test_shutdown;
-          Alcotest.test_case "map_reduce folds in index order" `Quick test_map_reduce_order;
         ] );
       ("validate", [ Alcotest.test_case "range parsers" `Quick test_validate ]);
     ]

@@ -1,6 +1,6 @@
 (* Tests for the resilient controller layer: the degradation ladder, LP
-   solve deadlines, the sampled guarantee auditor, fault deduplication and
-   calibration failure reporting. *)
+   solve deadlines, the sampled guarantee auditor, the warm-basis cache
+   policy, fault deduplication and calibration failure reporting. *)
 
 open Ffc_net
 open Ffc_core
@@ -301,61 +301,59 @@ let test_calibrate_reports_failure () =
   Alcotest.(check bool) "failure visible in achieved ratio" true (achieved' < 0.99)
 
 (* ------------------------------------------------------------------ *)
-(* Speculative ladder racing                                           *)
+(* Warm-basis cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A raced step must be observably identical to a sequential one — same
-   accepted rung, allocation, attempt outcomes, audit stream — everywhere
-   except the wall-clock fields and the new racing telemetry. *)
-let timeless (st : Ffc.stats) =
-  ( st.Ffc.lp_vars,
-    st.Ffc.lp_rows,
-    Option.map
-      (fun (ss : Ffc_lp.Problem.solver_stats) -> { ss with Ffc_lp.Problem.ftran_ms = 0. })
-      st.Ffc.solver )
+(* Each class's solver record of an accepted FFC step. *)
+let class_solvers (s : Controller.step) =
+  List.map
+    (fun (cls, (st : Ffc.stats)) ->
+      match st.Ffc.solver with
+      | Some ss -> (cls, ss)
+      | None -> Alcotest.failf "class %d has no solver record" cls)
+    s.Controller.per_class_stats
 
-let step_key (s : Controller.step) =
-  ( ( s.Controller.alloc,
-      s.Controller.rung,
-      s.Controller.kind,
-      s.Controller.label,
-      s.Controller.fallbacks ),
-    ( s.Controller.stale,
-      s.Controller.escalated,
-      Option.map (fun f -> f 0) s.Controller.effective,
-      List.map (fun (cls, st) -> (cls, timeless st)) s.Controller.per_class_stats,
-      s.Controller.audit ),
-    List.map
-      (fun (a : Controller.attempt) ->
-        (a.Controller.rung, a.Controller.kind, a.Controller.protections, a.Controller.outcome))
-      s.Controller.attempts )
-
-let test_raced_step_identity () =
+(* A normal step warm-starts from the previous normal optimum; an escalated
+   step neither reads the cache nor refreshes it, so the normal step after
+   it solves exactly as it would have without the escalation. *)
+let test_basis_cache_policy () =
   let input = small_input () in
   let prev = basic_prev input in
-  Ffc_util.Pool.with_pool ~jobs:3 (fun pool ->
-      (* Accepting run: rung 0 wins, so the race discards nothing visible.
-         Two consecutive steps also exercise the winner-only warm-basis
-         commit (step 2 reuses step 1's basis in both arms). *)
-      let seq_c = controller (prot ~kc:1 ~ke:1 ()) in
-      let par_c = controller (prot ~kc:1 ~ke:1 ()) in
-      let s1 = Controller.step seq_c input ~prev in
-      let p1 = Controller.step par_c ~pool input ~prev in
-      Alcotest.(check bool) "accepting step identical" true (step_key s1 = step_key p1);
-      Alcotest.(check int) "sequential step does not race" 0 s1.Controller.rungs_raced;
-      let s2 = Controller.step seq_c input ~prev:s1.Controller.alloc in
-      let p2 = Controller.step par_c ~pool input ~prev:p1.Controller.alloc in
-      Alcotest.(check bool) "warm second step identical" true (step_key s2 = step_key p2);
-      (* Collapsing run: pivot budget 0 kills every LP rung, both arms must
-         walk the whole ladder to the same deterministic last-good. *)
-      let seq_f = controller ~max_iterations:0 (prot ~kc:1 ~ke:1 ()) in
-      let par_f = controller ~max_iterations:0 (prot ~kc:1 ~ke:1 ()) in
-      let sf = Controller.step seq_f input ~prev in
-      let pf = Controller.step par_f ~pool input ~prev in
-      Alcotest.(check bool) "collapsed step identical" true (step_key sf = step_key pf);
-      Alcotest.(check string) "both land on last-good" "last-good" pf.Controller.label;
-      Alcotest.(check bool) "race telemetry populated" true
-        (pf.Controller.rungs_raced > 1 && pf.Controller.speculative_wasted_ms >= 0.))
+  let protection = prot ~kc:1 ~ke:1 () in
+  let c = controller protection and control = controller protection in
+  let s1 = Controller.step c input ~prev in
+  let s2 = Controller.step c input ~prev:s1.Controller.alloc in
+  Alcotest.(check string) "second step on the full rung" "full" s2.Controller.label;
+  let warm_flags s =
+    List.map (fun (_, ss) -> ss.Ffc_lp.Problem.warm_started) (class_solvers s)
+  in
+  Alcotest.(check bool) "second step reports classes" true (warm_flags s2 <> []);
+  Alcotest.(check bool) "second step warm in every class" true
+    (List.for_all Fun.id (warm_flags s2));
+  let esc = Controller.step c ~stale:2 input ~prev:s2.Controller.alloc in
+  Alcotest.(check bool) "stale 2 > kc 1 escalates" true esc.Controller.escalated;
+  (* On rung 0 a wrongful commit would overwrite the cache the next normal
+     step reads. *)
+  Alcotest.(check string) "escalated step on the full rung" "full" esc.Controller.label;
+  Alcotest.(check bool) "escalated step reports classes" true (warm_flags esc <> []);
+  Alcotest.(check bool) "escalated step cold in every class" true
+    (List.for_all not (warm_flags esc));
+  let next = Controller.step c input ~prev:esc.Controller.alloc in
+  let c1 = Controller.step control input ~prev in
+  let c2 = Controller.step control input ~prev:c1.Controller.alloc in
+  Alcotest.(check bool) "control matches the normal steps" true
+    (c2.Controller.alloc = s2.Controller.alloc);
+  let expected = Controller.step control input ~prev:esc.Controller.alloc in
+  Alcotest.(check bool) "same allocation as without the escalation" true
+    (next.Controller.alloc = expected.Controller.alloc);
+  let pivots s =
+    List.map
+      (fun (cls, ss) ->
+        (cls, (ss.Ffc_lp.Problem.phase1_iterations, ss.Ffc_lp.Problem.phase2_iterations)))
+      (class_solvers s)
+  in
+  Alcotest.(check (list (pair int (pair int int))))
+    "same pivots as without the escalation" (pivots expected) (pivots next)
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -375,8 +373,7 @@ let () =
           case "generous budget reaches oracle optimum" test_deadline_generous_matches_oracle;
         ] );
       ( "auditor", [ case "valid passes, corrupt flagged" test_auditor_accepts_valid_flags_corrupt ] );
-      ( "racing",
-        [ case "raced step identical to sequential descent" test_raced_step_identity ] );
+      ( "warm basis", [ case "escalations neither read nor write it" test_basis_cache_policy ] );
       ( "faults", [ case "switch-down dedupes link faults" test_fault_dedup ] );
       ( "calibration", [ case "failure reported" test_calibrate_reports_failure ] );
     ]

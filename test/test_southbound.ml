@@ -222,12 +222,12 @@ let test_imposed_mix_preserves_weights_at_zero_rate () =
   Alcotest.(check bool) "carrier load negligible" true
     ((Te_types.link_loads input mix).(0) < 1e-8)
 
-let test_installed_mix_is_raw_config () =
-  let input, eng = mixed_engine safe_target in
-  let mix = Sim.Southbound.installed_mix eng input in
-  check_float "flow 0 row from the stale epoch" 8. mix.Te_types.bf.(0);
-  check_float "flow 0 split from the stale epoch" 8. mix.Te_types.af.(0).(0);
-  check_float "flow 1 row from the current epoch" 2. mix.Te_types.bf.(1)
+let test_running_rows_are_raw_config () =
+  let _, eng = mixed_engine safe_target in
+  let stale = Sim.Southbound.running eng 0 and current = Sim.Southbound.running eng 1 in
+  check_float "flow 0 row from the stale epoch" 8. stale.Te_types.bf.(0);
+  check_float "flow 0 split from the stale epoch" 8. stale.Te_types.af.(0).(0);
+  check_float "flow 1 row from the current epoch" 2. current.Te_types.bf.(1)
 
 let test_hold_reports_standing_state () =
   let _, eng = mixed_engine safe_target in
@@ -388,7 +388,7 @@ let () =
           case "imposed mix = rates x installed splits" test_imposed_mix_loads;
           case "zero-rate flows keep installed weights"
             test_imposed_mix_preserves_weights_at_zero_rate;
-          case "installed mix is the raw config" test_installed_mix_is_raw_config;
+          case "installed mix is the raw config" test_running_rows_are_raw_config;
           case "hold reports the standing state" test_hold_reports_standing_state;
         ] );
       ( "checker",
