@@ -879,10 +879,11 @@ let warm_bench () =
    (2,1,0) and (3,3,0)u(3,0,1) in both encodings of the bounded M-sum, plus
    the naive enumeration's constraint count (counted, not solved: the paper
    reports > 12 h), then L-Net (2,1,0) at other sizes with the duality
-   encoding (the 20-site point is L-Net itself). Every FFC row plans against
-   its network's non-FFC allocation and is timed build + solve, which is how
-   the two L-Net (2,1,0) rows' pre-LU baselines were recorded. Then the
-   warm-start interval loop; writes BENCH_lp.json. *)
+   encoding (the 20-site point is L-Net itself), and one dense-tableau
+   oracle row. Every FFC row plans against its network's non-FFC allocation
+   and is timed build + solve, which is how the two L-Net (2,1,0) rows'
+   pre-LU baselines were recorded. Then the warm-start interval loop;
+   writes BENCH_lp.json. *)
 let lp_bench () =
   section "Table 2: TE computation time with and without FFC (sparse-LU revised simplex)";
   let module Problem = Ffc_lp.Problem in
@@ -890,22 +891,50 @@ let lp_bench () =
   and p330 = ("FFC (3,3,0)u(3,0,1)", Te_types.protection ~kc:3 ~ke:3 ()) in
   let both p = [ (p, `Sorting_network, `Revised); (p, `Duality, `Revised) ] in
   (* Both encodings express the same TE optimum, so one dense-tableau solve
-     of the smaller duality LP certifies both L-Net (2,1,0) objectives. The
-     tableau cannot price the sorting-net LP in reasonable time (its
-     degenerate comparator rows stall dense full-scan pivoting for hours),
-     and quick (CI) mode skips the oracle (about a minute) entirely. *)
-  let oracle = if !fast then [] else [ (p210, `Duality, `Dense_tableau) ] in
+     of the smaller duality LP certifies every L-Net (2,1,0) objective of
+     its size. The tableau cannot price the sorting-net LP in reasonable
+     time (its degenerate comparator rows stall dense full-scan pivoting
+     for hours). The oracle solves the 20-site row in full mode (about a
+     minute) and the 10-site row in quick (CI) mode (about a second). *)
+  let oracle_sites = if !fast then 10 else 20 in
+  let oracle sites = if sites = oracle_sites then [ (p210, `Duality, `Dense_tableau) ] else [] in
   let instances =
     [
-      (20, Lazy.force lnet, both p210 @ both p330 @ oracle, true);
+      (20, Lazy.force lnet, both p210 @ both p330 @ oracle 20, true);
       (* S-Net: 12 sites of two switches each. *)
       (12, Lazy.force snet, both p210 @ both p330, true);
     ]
     @ List.map
         (fun sites ->
           let sc = Sim.Scenario.lnet_sim ~sites (Rng.create 42) in
-          (sites, sc, [ (p210, `Duality, `Revised) ], false))
+          (sites, sc, (p210, `Duality, `Revised) :: oracle sites, false))
         (if !fast then [ 10; 14 ] else [ 10; 14; 26 ])
+  in
+  (* The revised simplex through [Ffc.solve]; the dense-tableau oracle on
+     the same build through [Model.solve], where the reference solver
+     lives. Either gives the allocation, the LP's size and the simplex
+     stats (the dense tableau counts no iterations). *)
+  let solve config backend ~prev input =
+    match backend with
+    | `Revised ->
+      Result.map
+        (fun (r : Ffc.result) ->
+          let st = r.Ffc.stats in
+          (r.Ffc.alloc, st.Ffc.lp_vars, st.Ffc.lp_rows, st.Ffc.solver))
+        (Ffc.solve ~config ~prev input)
+    | `Dense_tableau -> (
+      let module Model = Ffc_lp.Model in
+      let vars = Ffc.build ~config ~prev input in
+      let model = vars.Formulation.model in
+      Model.maximize model (Formulation.total_rate_expr vars);
+      match Model.solve ~backend:`Dense_tableau model with
+      | Model.Optimal sol ->
+        Ok
+          ( Formulation.alloc_of_solution vars input sol,
+            Model.num_vars model,
+            Model.num_constraints model,
+            None )
+      | _ -> Error "dense tableau: not optimal")
   in
   let encoding_name encoding backend =
     (match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality")
@@ -946,27 +975,25 @@ let lp_bench () =
       List.iter
         (fun ((label, protection), encoding, backend) ->
           let name = encoding_name encoding backend in
-          let config = Ffc.config ~protection ~encoding ~backend () in
-          let r, ms =
-            match Clock.time_ms (fun () -> Ffc.solve ~config ~prev input) with
+          let config = Ffc.config ~protection ~encoding () in
+          let (alloc, lp_vars, lp_rows, solver), ms =
+            match Clock.time_ms (fun () -> solve config backend ~prev input) with
             | Ok r, ms -> (r, ms)
             | Error e, _ ->
               failwith (Printf.sprintf "bench lp (%s %s %s): %s" sc.Sim.Scenario.name label name e)
           in
           let key = (sc.Sim.Scenario.name, sites, label, name) in
-          let obj = Te_types.throughput r.Ffc.alloc in
+          let obj = Te_types.throughput alloc in
           solved := (key, (obj, ms)) :: !solved;
-          let st = r.Ffc.stats in
-          (* The dense tableau counts no iterations. *)
           let solver =
-            match (backend, st.Ffc.solver) with
-            | `Revised, Some s ->
+            match solver with
+            | Some s ->
               [
                 ( "iterations",
                   Json.Int (s.Problem.phase1_iterations + s.Problem.phase2_iterations) );
                 ("refactorisations", Int s.Problem.refactorisations);
               ]
-            | _ -> []
+            | None -> []
           in
           let baseline =
             match List.assoc_opt key baseline_ms with
@@ -975,7 +1002,7 @@ let lp_bench () =
           in
           add ~sites sc label name
             ([
-               ("lp_vars", Json.Int st.Ffc.lp_vars); ("lp_rows", Int st.Ffc.lp_rows);
+               ("lp_vars", Json.Int lp_vars); ("lp_rows", Int lp_rows);
                ("time_ms", Float ms); ("objective", Float obj);
              ]
             @ solver @ baseline))
@@ -1012,36 +1039,35 @@ let lp_bench () =
   Printf.printf "sorting-net vs duality objectives: max relative gap %.1e over %d pairs\n"
     (List.fold_left (fun m (a, b) -> max m (gap a b)) 0. pairs)
     (List.length pairs);
-  let lnet_210 name = ("L-Net", 20, fst p210, name) in
-  (* A skipped oracle is no contract at all, not a passed one. *)
-  let oracle_contract =
-    match List.assoc_opt (lnet_210 "duality (dense tableau)") !solved with
-    | None ->
-      Printf.printf "(quick mode: dense-tableau oracle cross-check skipped)\n";
-      []
-    | Some (o, _) ->
-      [
-        ( "oracle_agreement",
-          "objectives agree with the dense-tableau oracle (1e-6)",
-          agrees (objective (lnet_210 "sorting-net")) o
-          && agrees (objective (lnet_210 "duality")) o );
-      ]
+  let lnet_210 ?(sites = 20) name = ("L-Net", sites, fst p210, name) in
+  let oracle_name = "duality (dense tableau)" in
+  (* Every revised objective of the oracle's network, size and protection. *)
+  let oracle_checked =
+    List.filter_map
+      (fun ((network, sites, label, name), (obj, _)) ->
+        if (network, sites, label) = ("L-Net", oracle_sites, fst p210) && name <> oracle_name
+        then Some obj
+        else None)
+      !solved
   in
   let warm_json = warm_bench () in
   report ~name:"lp"
     [ ("rows", List (List.map row_json rows)); ("warm", warm_json) ]
-    (oracle_contract
-    @ [
-        ( "encodings_agree",
-          "sorting-net and duality objectives agree (1e-6)",
-          pairs <> [] && List.for_all (fun (a, b) -> agrees a b) pairs );
-        (* The CI smoke's regression tripwire: the L-Net (2,1,0) duality row
-           solved in ~0.1 s at the time of writing; 2 s means something is
-           badly wrong. *)
-        ( "duality_under_2s",
-          "duality row solved in under 2 s",
-          snd (List.assoc (lnet_210 "duality") !solved) <= 2000. );
-      ])
+    [
+      ( "oracle_agreement",
+        "objectives agree with the dense-tableau oracle (1e-6)",
+        let o = objective (lnet_210 ~sites:oracle_sites oracle_name) in
+        oracle_checked <> [] && List.for_all (fun a -> agrees a o) oracle_checked );
+      ( "encodings_agree",
+        "sorting-net and duality objectives agree (1e-6)",
+        pairs <> [] && List.for_all (fun (a, b) -> agrees a b) pairs );
+      (* The CI smoke's regression tripwire: the L-Net (2,1,0) duality row
+         solved in ~0.1 s at the time of writing; 2 s means something is
+         badly wrong. *)
+      ( "duality_under_2s",
+        "duality row solved in under 2 s",
+        snd (List.assoc (lnet_210 "duality") !solved) <= 2000. );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: degradation ladder, solve deadlines, guarantee auditing *)
@@ -1505,10 +1531,10 @@ let chaos () =
 (* Three arms on the over-subscribed L-Net with one forced fibre cut per
    interval (2 directed link ids, within ke = 2):
 
-   - perfect: no sensing plane at all (pre-PR controller input path);
-   - neutral: the telemetry plane at neutral parameters — the per-interval
-     stats must be bit-identical to the perfect arm (stream-compatibility
-     contract of the sensing layer);
+   - perfect: the default config, whose sensing plane is neutral (perfect
+     sensing has no code path of its own);
+   - neutral: [Telemetry.neutral] passed explicitly — the per-interval
+     stats must be bit-identical to the perfect arm;
    - lossy: >= 20% report/notification loss, 2-interval fault-notification
      delay and multiplicative demand noise, with the robust estimator
      planning on a head-roomed envelope.

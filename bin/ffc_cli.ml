@@ -13,8 +13,9 @@ module Pool = Ffc_util.Pool
 module Validate = Ffc_util.Validate
 module Obs = Ffc_obs.Obs
 
-(* [jobs = 1] means no pool at all: the sequential code paths run exactly as
-   they always have, rather than through a degenerate one-domain pool. *)
+(* [jobs = 1] means no pool at all: a campaign then runs one instance (or
+   restart) per chunk, so a time budget is checked before every instance,
+   where a one-domain pool would chunk by 8. *)
 let with_jobs jobs f =
   if jobs <= 1 then f None else Pool.with_pool ~jobs (fun p -> f (Some p))
 

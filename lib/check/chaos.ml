@@ -5,9 +5,9 @@ module Rng = Ffc_util.Rng
 module Pool = Ffc_util.Pool
 module Obs = Ffc_obs.Obs
 
-(* Hunt totals come from the deterministic prefix combine (identical for
-   sequential and pool runs); per-plan counters would differ because the
-   parallel hunt races ahead of the first finding. *)
+(* Hunt totals come from the deterministic prefix combine (the same at any
+   pool size); per-plan counters would differ because a pooled chunk may
+   run restarts past the first finding. *)
 let m_plans = Obs.counter "chaos.plans_evaluated"
 let m_hunt_findings = Obs.counter "chaos.findings"
 let m_hunt_shrink_steps = Obs.counter "chaos.shrink_steps"
@@ -491,34 +491,31 @@ let hunt ?pool ?(seed = 42) ?(budget = 48) ?(sites = 4) ?(intervals = 6)
   let master = Rng.create seed in
   let restarts = max 1 ((budget + evals_per_restart - 1) / evals_per_restart) in
   (* Restart r's stream is the r-th split of the master — a pure function of
-     (seed, r) — and its evaluation allowance is the slice of the budget the
-     sequential hunt would have left it, so sequential and parallel hunts
-     explore the same plans with the same budgets. *)
+     (seed, r) — and its evaluation allowance is its slice of the budget, so
+     a hunt explores the same plans with the same budgets at any pool size. *)
   let rngs = Array.init restarts (fun _ -> Rng.split master) in
   let allowance r = max 0 (min evals_per_restart (budget - (r * evals_per_restart))) in
   let run r =
     run_restart ~sites ~intervals ~scale ~realistic ~telemetry ~kc ~ke ~kv rngs.(r)
       ~allowance:(allowance r)
   in
-  let outs =
-    match pool with
-    | Some p when Pool.jobs p > 1 -> Pool.map p run (Array.init restarts Fun.id)
-    | _ ->
-      let outs =
-        Array.make restarts { ro_evaluated = 0; ro_best = 0.; ro_found = None }
-      in
-      (try
-         for r = 0 to restarts - 1 do
-           outs.(r) <- run r;
-           if outs.(r).ro_found <> None then raise Exit
-         done
-       with Exit -> ());
-      outs
+  (* Restarts run in chunks of the pool size (one at a time without a
+     pool); no chunk starts after one that found a violation. *)
+  let chunk, map =
+    match pool with Some p -> (Pool.jobs p, Pool.map p) | None -> (1, Array.map)
   in
+  let chunks = ref [] and next = ref 0 and found_any = ref false in
+  while !next < restarts && not !found_any do
+    let hi = min restarts (!next + chunk) in
+    let outs = map run (Array.init (hi - !next) (fun k -> !next + k)) in
+    found_any := Array.exists (fun o -> o.ro_found <> None) outs;
+    chunks := outs :: !chunks;
+    next := hi
+  done;
+  let outs = Array.concat (List.rev !chunks) in
   (* Deterministic combine: only the prefix up to and including the first
-     restart with a finding counts, so the parallel hunt — which may have
-     raced ahead and found later violations too — reports exactly what the
-     sequential one does. *)
+     restart with a finding counts, so a pooled chunk that found later
+     violations too reports exactly what one restart at a time does. *)
   let evaluated = ref 0 and best = ref 0. and found = ref None in
   (try
      Array.iter

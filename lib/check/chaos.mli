@@ -145,12 +145,13 @@ val hunt :
     1.2, optimistic update model.
 
     Each restart draws from its own split of the master stream — a pure
-    function of (seed, restart index) — and owns the budget slice the
-    sequential schedule would give it, so with [pool] the restarts run as
-    parallel climbers and the report (first finding by restart index,
-    evaluation count, best score over the same prefix) is identical to the
-    sequential hunt's. A crash inside the simulator is converted into a
-    ["crash:"] finding — shrunk like any other — never silently scored. *)
+    function of (seed, restart index) — and owns a fixed slice of the
+    budget. Restarts run in chunks of the pool's size (one at a time
+    without [pool]), and no chunk starts after one that found a violation,
+    so the report (first finding by restart index, evaluation count, best
+    score over the same prefix) is the same at any pool size. A crash
+    inside the simulator is converted into a ["crash:"] finding — shrunk
+    like any other — never silently scored. *)
 
 val write_repro : string -> seed:int -> finding -> unit
 (** [write_repro path ~seed f] writes [f]'s shrunk repro snippet to [path]

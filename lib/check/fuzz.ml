@@ -3,10 +3,10 @@ module Clock = Ffc_util.Clock
 module Pool = Ffc_util.Pool
 module Obs = Ffc_obs.Obs
 
-(* Campaign totals are recorded from the replayed (deterministic) verdict
-   accounting, never from raw worker-side execution counts: the parallel
-   path may over-execute a chunk past the finding cap, so only the replay
-   is bit-identical between j=1 and j=N. *)
+(* Campaign totals are recorded from the (deterministic) verdict
+   accounting, never from raw worker-side execution counts: a pooled chunk
+   may over-execute past the finding cap, so only the accounting is the
+   same at every pool size. *)
 let m_exercised = Obs.counter "fuzz.exercised"
 let m_skipped = Obs.counter "fuzz.skipped"
 let m_findings = Obs.counter "fuzz.findings"
@@ -108,85 +108,54 @@ let finding_of ~seed s (i, x, message) =
     repro = s.repro xmin;
   }
 
-let run_oracle_seq ~seed ~count ~out_of_time (Oracle s) stream =
+(* The campaign loop over one oracle, in chunks: one instance without a
+   pool, [max 8 (4 * jobs)] fanned out over the pool with one. Instance i
+   is a pure function of (seed, oracle, i): the rngs are split off the
+   oracle's stream in index order. Verdicts are folded in index order up
+   to the finding cap, and the chunk's findings are shrunk (one pool task
+   each) before the budget and the cap are checked for the next chunk. So
+   the report is the same at any pool size unless a budget truncates it,
+   at a chunk boundary. *)
+let run_oracle ?pool ~seed ~count ~out_of_time (Oracle s) stream =
+  let chunk = match pool with Some p -> max 8 (4 * Pool.jobs p) | None -> 1 in
+  let map f xs = match pool with Some p -> Pool.map p f xs | None -> Array.map f xs in
   let exercised = ref 0 and skipped = ref 0 in
-  let findings = ref [] in
-  (try
-     for i = 0 to count - 1 do
-       if out_of_time () || List.length !findings >= max_findings_per_oracle then
-         raise Exit;
-       let rng = Rng.split stream in
-       let x = s.generate rng in
-       match run_test s.test x with
-       | Pass -> incr exercised
-       | Skip _ -> incr skipped
-       | Fail message ->
-         incr exercised;
-         findings := finding_of ~seed s (i, x, message) :: !findings
-     done
-   with Exit -> ());
+  let findings = ref [] and nfound = ref 0 in
+  let i = ref 0 in
+  while !i < count && (not (out_of_time ())) && !nfound < max_findings_per_oracle do
+    let hi = min count (!i + chunk) in
+    let rngs = Array.init (hi - !i) (fun _ -> Rng.split stream) in
+    let verdicts =
+      map
+        (fun rng ->
+          let x = s.generate rng in
+          match run_test s.test x with
+          | Pass -> `Pass
+          | Skip _ -> `Skip
+          | Fail m -> `Fail (x, m))
+        rngs
+    in
+    let raw = ref [] in
+    Array.iteri
+      (fun k v ->
+        if !nfound < max_findings_per_oracle then
+          match v with
+          | `Pass -> incr exercised
+          | `Skip -> incr skipped
+          | `Fail (x, m) ->
+            incr exercised;
+            incr nfound;
+            raw := (!i + k, x, m) :: !raw)
+      verdicts;
+    let shrunk = map (finding_of ~seed s) (Array.of_list (List.rev !raw)) in
+    findings := List.rev_append (Array.to_list shrunk) !findings;
+    i := hi
+  done;
   {
     o_name = s.name;
     exercised = !exercised;
     skipped = !skipped;
     findings = List.rev !findings;
-  }
-
-(* Parallel campaign over one oracle: instances are sharded across the pool
-   in chunks, but every instance is still the pure function of
-   (seed, oracle, index) fixed by the split-stream discipline — the rngs are
-   pre-split in index order below — and the Pass/Skip/Fail accounting is
-   replayed over the chunk's verdicts in index order, stopping exactly where
-   the sequential loop would (the finding cap applies before an index is
-   processed). Shrinking is a deterministic per-instance function, so the
-   surviving findings are shrunk concurrently without affecting output.
-   With no time budget, the report is bit-identical to the sequential one
-   (modulo wall-clock [elapsed_ms]); a time budget truncates at chunk
-   granularity instead of per instance, which — like sequential truncation —
-   only shortens the stream, never changes what an index denotes. *)
-let run_oracle_par pool ~seed ~count ~out_of_time (Oracle s) stream =
-  let rngs = Array.init count (fun _ -> Rng.split stream) in
-  let exercised = ref 0 and skipped = ref 0 in
-  let raw = ref [] and nraw = ref 0 in
-  let stop = ref false in
-  let chunk = max 8 (4 * Pool.jobs pool) in
-  let i = ref 0 in
-  while (not !stop) && !i < count && not (out_of_time ()) do
-    let hi = min count (!i + chunk) in
-    let idx = Array.init (hi - !i) (fun k -> !i + k) in
-    let verdicts =
-      Pool.map pool
-        (fun j ->
-          let x = s.generate rngs.(j) in
-          match run_test s.test x with
-          | Pass -> `Pass
-          | Skip _ -> `Skip
-          | Fail m -> `Fail (x, m))
-        idx
-    in
-    Array.iteri
-      (fun k v ->
-        if not !stop then
-          if !nraw >= max_findings_per_oracle then stop := true
-          else
-            match v with
-            | `Pass -> incr exercised
-            | `Skip -> incr skipped
-            | `Fail (x, m) ->
-              incr exercised;
-              raw := (idx.(k), x, m) :: !raw;
-              incr nraw)
-      verdicts;
-    i := hi
-  done;
-  let findings =
-    Pool.map pool (finding_of ~seed s) (Array.of_list (List.rev !raw))
-  in
-  {
-    o_name = s.name;
-    exercised = !exercised;
-    skipped = !skipped;
-    findings = Array.to_list findings;
   }
 
 let run ?pool ?(seed = 42) ?(count = 100) ?time_budget_ms ~oracles () =
@@ -202,15 +171,11 @@ let run ?pool ?(seed = 42) ?(count = 100) ?time_budget_ms ~oracles () =
     | Some b -> Clock.since_ms t0 > b
     | None -> false
   in
-  let run_oracle =
-    match pool with
-    | Some p when Pool.jobs p > 1 -> run_oracle_par p ~seed ~count ~out_of_time
-    | _ -> run_oracle_seq ~seed ~count ~out_of_time
-  in
   let oracles =
     List.map
       (fun (o, stream) ->
-        Obs.with_span "fuzz.oracle" (fun () -> run_oracle o stream))
+        Obs.with_span "fuzz.oracle" (fun () ->
+            run_oracle ?pool ~seed ~count ~out_of_time o stream))
       streams
   in
   let r = { r_seed = seed; elapsed_ms = Clock.since_ms t0; oracles } in

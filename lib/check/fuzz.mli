@@ -71,18 +71,22 @@ val run :
   oracles:oracle list ->
   unit ->
   report
-(** Run up to [count] instances per oracle (default 100, seed 42). With
-    [time_budget_ms] the campaign stops drawing new instances once the
-    budget elapses — truncation only shortens each oracle's instance
-    stream, it never changes which instance a given (seed, oracle, index)
-    denotes. Each oracle stops after a few findings (shrinking dominates
-    cost, and further failures are almost always the same bug).
+(** Run up to [count] instances per oracle (default 100, seed 42). Each
+    oracle stops after a few findings (shrinking dominates cost, and
+    further failures are almost always the same bug).
 
-    With [pool] (of more than one job) instances are sharded across the
-    pool's domains in chunks; because every instance is a pure function of
-    (seed, oracle, index) and verdicts are folded back in index order, the
-    report is bit-identical to the sequential run whenever no time budget
-    truncates the stream (and [elapsed_ms] aside). *)
+    Instances run in chunks: one instance without [pool], [max 8 (4 * jobs)]
+    instances sharded across the pool's domains with it. Each chunk's
+    findings are shrunk before the next chunk starts. Every instance is a
+    pure function of (seed, oracle, index) and verdicts are folded back in
+    index order, so without a time budget the report is the same at any
+    pool size ([elapsed_ms] aside).
+
+    With [time_budget_ms] the campaign starts no chunk once the budget has
+    elapsed, shrinking time included: without a pool it is checked before
+    every instance, with one the report is a prefix of the unbudgeted
+    report that ends on a chunk boundary. Truncation never changes which
+    instance a given (seed, oracle, index) denotes. *)
 
 val failures : report -> finding list
 

@@ -2,17 +2,15 @@
     subject to link capacities and tunnel-sum constraints (Eqns 1-4). *)
 
 val solve :
-  ?backend:Ffc_lp.Model.backend ->
   ?reserved:float array ->
   Te_types.input ->
   (Te_types.allocation, string) result
 (** [reserved] subtracts already-committed capacity per link id (used by the
     multi-priority cascade). Errors are returned as a human-readable
     message (infeasibility cannot occur here — zero is always feasible — so
-    an [Error] indicates a solver failure). *)
+    an [Error] indicates a solver failure or a malformed input). *)
 
 val solve_checked :
-  ?backend:Ffc_lp.Model.backend ->
   ?reserved:float array ->
   ?presolve:bool ->
   ?max_iterations:int ->
@@ -27,4 +25,7 @@ val solve_checked :
     their machine-readable {!Te_types.failure_kind} so callers (the
     degradation ladder) can react to deadline expiry and iteration limits
     differently from infeasibility; their messages read
-    ["basic TE: <what> (<reason>)"] (see {!Formulation.solve}). *)
+    ["basic TE: <what> (<reason>)"] (see {!Formulation.solve}). A malformed
+    input that fails the model build (a negative or NaN demand) is an
+    [`Infeasible] failure carrying the build's message, which names the
+    flow. *)

@@ -8,8 +8,7 @@ type result = {
   stats : Ffc.stats;
 }
 
-let solve ?(config = Ffc.config ()) ?prev ?(cost = fun _ -> 1.)
-    ?(min_capacity = fun _ -> 0.) (input : Te_types.input) =
+let solve ?(config = Ffc.config ()) ?prev (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"capacity-plan" () in
   let vars = Formulation.make_vars ~fixed_demand:true model input in
@@ -19,11 +18,7 @@ let solve ?(config = Ffc.config ()) ?prev ?(cost = fun _ -> 1.)
   let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
-      let c =
-        Model.add_var ~lb:(min_capacity l)
-          ~name:(Printf.sprintf "cap_e%d" l.Topology.id)
-          model
-      in
+      let c = Model.add_var ~name:(Printf.sprintf "cap_e%d" l.Topology.id) model in
       cap_vars.(l.Topology.id) <- c;
       match per_link.(l.Topology.id) with
       | [] -> ()
@@ -40,11 +35,11 @@ let solve ?(config = Ffc.config ()) ?prev ?(cost = fun _ -> 1.)
   let objective =
     Expr.sum
       (List.map
-         (fun (l : Topology.link) -> Expr.var ~coeff:(cost l) cap_vars.(l.Topology.id))
+         (fun (l : Topology.link) -> Expr.var cap_vars.(l.Topology.id))
          (Array.to_list (Topology.links input.Te_types.topo)))
   in
   Model.minimize model objective;
-  match Formulation.solve ~label:"capacity plan" ~backend:config.Ffc.backend ~started_ms model with
+  match Formulation.solve ~label:"capacity plan" ~started_ms model with
   | Ok (sol, stats) ->
     let capacities = Array.map (fun v -> max 0. (Model.value sol v)) cap_vars in
     Ok

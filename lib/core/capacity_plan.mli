@@ -2,8 +2,8 @@
     traffic demand and protection level, compute the link capacities needed
     to guarantee freedom from fault-induced congestion.
 
-    Capacities become LP variables: minimise the total (cost-weighted)
-    capacity subject to the full FFC constraint system with every demand
+    Capacities become LP variables: minimise the total capacity subject
+    to the full FFC constraint system with every demand
     carried in full ([b_f = d_f]). The result tells an operator exactly how
     much provisioning a protection level costs — today they over-provision
     by a blanket factor "and even that does not provide any guarantee"
@@ -12,20 +12,17 @@
 type result = {
   capacities : float array; (* required capacity per link id *)
   alloc : Te_types.allocation; (* a witness allocation achieving them *)
-  total_capacity : float; (* cost-weighted sum *)
+  total_capacity : float; (* sum of [capacities] *)
   stats : Ffc.stats;
 }
 
 val solve :
   ?config:Ffc.config ->
   ?prev:Te_types.allocation ->
-  ?cost:(Ffc_net.Topology.link -> float) ->
-  ?min_capacity:(Ffc_net.Topology.link -> float) ->
   Te_types.input ->
   (result, string) Stdlib.result
-(** [cost] weights each link's capacity in the objective (default 1;
-    e.g. use fibre length). [min_capacity] lower-bounds each link (default
-    0). Existing capacities in the topology are ignored by the optimisation
+(** Minimise total link capacity (every link weighs 1; none has a floor).
+    Existing capacities in the topology are ignored by the optimisation
     — this computes what they {e should} be — though the §6/§4.5 heuristics
     still consult them for skip thresholds, so prefer
     [~ingress_skip_fraction:0.] in [config] when planning. [prev] is

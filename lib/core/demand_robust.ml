@@ -52,9 +52,7 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
           (Expr.add !nominal excess))
     (Topology.links input.Te_types.topo);
   Model.minimize model (Expr.var u);
-  match
-    Formulation.solve ~label:"demand-robust TE" ~backend:config.Ffc.backend ~started_ms model
-  with
+  match Formulation.solve ~label:"demand-robust TE" ~started_ms model with
   | Ok (sol, stats) ->
     Ok
       {

@@ -27,8 +27,8 @@ val solve :
   Te_types.input ->
   (result, string) Stdlib.result
 (** Minimise the guaranteed MLU. [peaks.(f) >= input.demands.(f)] is the
-    flow's worst-case demand. [config] supplies the M-sum encoding and LP
-    backend; its protection level is ignored (combine with FFC by composing
+    flow's worst-case demand. [config] supplies the M-sum encoding; its
+    protection level is ignored (combine with FFC by composing
     constraints in a custom model if needed). Raises [Invalid_argument] if
     a peak is below its nominal demand. *)
 

@@ -45,7 +45,7 @@ let data_constraint_count (input : Te_types.input) ~ke ~kv =
       acc + (List.length (subsets_upto links ke) * List.length (subsets_upto mids kv)))
     0 input.Te_types.flows
 
-let solve ?(backend = `Revised) ?(rl_mode = Ffc.Rl_assumed_reliable)
+let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
     ~(protection : Te_types.protection) ?prev ?reserved (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"ffc-enumerated" () in
@@ -149,7 +149,7 @@ let solve ?(backend = `Revised) ?(rl_mode = Ffc.Rl_assumed_reliable)
            end)
          (Topology.links input.Te_types.topo));
   Model.maximize model (Formulation.total_rate_expr vars);
-  match Formulation.solve ~label:"enumerated FFC" ~backend ~started_ms model with
+  match Formulation.solve ~label:"enumerated FFC" ~started_ms model with
   | Ok (sol, stats) ->
     Ok
       {

@@ -19,7 +19,6 @@ val data_constraint_count : Te_types.input -> ke:int -> kv:int -> int
 (** Number of explicit constraints Eqn 9 requires across flows. *)
 
 val solve :
-  ?backend:Ffc_lp.Model.backend ->
   ?rl_mode:Ffc.rl_mode ->
   protection:Te_types.protection ->
   ?prev:Te_types.allocation ->

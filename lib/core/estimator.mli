@@ -30,7 +30,7 @@ val config :
 val passthrough : config
 (** The identity estimator (alpha 1, no peak memory, no headroom, no
     dead-band): planning view = last report. Over a lossless, noiseless
-    channel this reproduces perfect sensing bit for bit. *)
+    channel this is perfect sensing, the simulator's default. *)
 
 type t
 

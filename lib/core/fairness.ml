@@ -1,13 +1,12 @@
 open Ffc_net
 open Ffc_lp
 
-let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) ?b0
-    (input : Te_types.input) =
+let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) (input : Te_types.input) =
   if alpha <= 1. then invalid_arg "Fairness.solve: alpha must be > 1";
   let max_demand = Array.fold_left max 0. input.Te_types.demands in
   if max_demand <= 0. then Ok (Te_types.zero_allocation input, 0)
   else begin
-    let b0 = match b0 with Some b -> b | None -> max_demand /. 64. in
+    let b0 = max_demand /. 64. in
     let n = Array.length input.Te_types.demands in
     let frozen = Array.make n None in
     let eps = 1e-7 *. max_demand in
@@ -32,10 +31,7 @@ let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) ?b0
             unfrozen_rate := Expr.add !unfrozen_rate bf)
         input.Te_types.flows;
       Model.maximize model !unfrozen_rate;
-      match
-        Formulation.solve ~label:"fairness iteration" ~backend:config.Ffc.backend ~started_ms
-          model
-      with
+      match Formulation.solve ~label:"fairness iteration" ~started_ms model with
       | Ok (sol, _) -> Ok (Formulation.alloc_of_solution vars input sol)
       | Error f -> Error f.Te_types.message
     in

@@ -10,8 +10,7 @@ val solve :
   ?prev:Te_types.allocation ->
   ?reserved:float array ->
   ?alpha:float ->
-  ?b0:float ->
   Te_types.input ->
   (Te_types.allocation * int, string) result
 (** Returns the allocation and the number of iterations used. [alpha]
-    defaults to 2, [b0] (the first cap) to [max demand / 64]. *)
+    defaults to 2; the first cap is [max demand / 64]. *)

@@ -11,13 +11,12 @@ type config = {
   mice_fraction : float;
   ingress_skip_fraction : float;
   rescale_aware : bool;
-  backend : Model.backend;
 }
 
 let config ?(protection = Te_types.no_protection) ?(encoding = `Sorting_network)
     ?(rl_mode = Rl_assumed_reliable) ?(mice_fraction = 0.01) ?(ingress_skip_fraction = 1e-5)
-    ?(rescale_aware = false) ?(backend = `Revised) () =
-  { protection; encoding; rl_mode; mice_fraction; ingress_skip_fraction; rescale_aware; backend }
+    ?(rescale_aware = false) () =
+  { protection; encoding; rl_mode; mice_fraction; ingress_skip_fraction; rescale_aware }
 
 type stats = Formulation.stats = {
   lp_vars : int;
@@ -265,8 +264,8 @@ let solve_checked ?(config = config ()) ?prev ?prev2 ?uncertain_flows ?reserved 
   | vars ->
     let model = vars.Formulation.model in
     Model.maximize model (Formulation.total_rate_expr vars);
-    Formulation.solve ~label:"FFC TE" ~backend:config.backend ?presolve ?max_iterations
-      ?deadline_ms ?warm_start ~started_ms model
+    Formulation.solve ~label:"FFC TE" ?presolve ?max_iterations ?deadline_ms ?warm_start
+      ~started_ms model
     |> Result.map (fun (sol, stats) ->
            {
              alloc = Formulation.alloc_of_solution vars input sol;

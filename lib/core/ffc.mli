@@ -43,7 +43,6 @@ type config = {
           cases. Setting this flag amplifies the [w' b] bound by that
           per-flow constant, making the simultaneous (kc, ke, kv) guarantee
           hold. Default [false] (paper-faithful). *)
-  backend : Ffc_lp.Model.backend;
 }
 
 val config :
@@ -53,12 +52,10 @@ val config :
   ?mice_fraction:float ->
   ?ingress_skip_fraction:float ->
   ?rescale_aware:bool ->
-  ?backend:Ffc_lp.Model.backend ->
   unit ->
   config
 (** Defaults: no protection, sorting-network encoding, reliable rate
-    limiters, paper-faithful (non-rescale-aware) combined protection,
-    revised-simplex backend. *)
+    limiters, paper-faithful (non-rescale-aware) combined protection. *)
 
 type stats = Formulation.stats = {
   lp_vars : int;
@@ -157,5 +154,6 @@ val solve_checked :
     and the underlying LP solve can be bounded by [max_iterations] pivots
     and/or a [deadline_ms] wall-clock budget that the model build counts
     against. Solver failures read ["FFC TE: <what> (<reason>)"] (see
-    {!Formulation.solve}); an [Invalid_argument] from {!build} is returned
-    as an [`Infeasible] failure carrying its message. *)
+    {!Formulation.solve}); an [Invalid_argument] from {!build} (including
+    a negative or NaN demand, see {!Formulation.make_vars}) is returned as
+    an [`Infeasible] failure carrying its message. *)

@@ -23,6 +23,10 @@ let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
         (fun (f : Flow.t) ->
           let id = f.Flow.id in
           let d = input.Te_types.demands.(id) in
+          if not (d >= 0.) then
+            invalid_arg
+              (Printf.sprintf "Formulation.make_vars: flow %d has demand %g (negative or NaN)"
+                 id d);
           let lb = if fixed_demand then d else 0. in
           Model.scope model id (fun () ->
               bf.(id) <- Model.add_var ~lb ~ub:d model;
@@ -109,8 +113,7 @@ type stats = {
   solver : Problem.solver_stats option;
 }
 
-let solve ~label ?backend ?presolve ?max_iterations ?deadline_ms ?warm_start ~started_ms
-    model =
+let solve ~label ?presolve ?max_iterations ?deadline_ms ?warm_start ~started_ms model =
   let t1 = Ffc_util.Clock.now_ms () in
   let build_ms = t1 -. started_ms in
   let fail kind what reason =
@@ -124,8 +127,7 @@ let solve ~label ?backend ?presolve ?max_iterations ?deadline_ms ?warm_start ~st
   | Some remaining when remaining <= 0. -> fail `Deadline "deadline exceeded" "model build"
   | remaining_ms -> (
     let outcome =
-      Model.solve ?backend ?presolve ?max_iterations ?deadline_ms:remaining_ms ?warm_start
-        model
+      Model.solve ?presolve ?max_iterations ?deadline_ms:remaining_ms ?warm_start model
     in
     let solver = Model.last_stats model in
     let reason = match solver with Some st -> st.Problem.status_reason | None -> "" in

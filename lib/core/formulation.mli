@@ -38,7 +38,8 @@ val scope_data_plane : int  (** Eqn 15: per flow, then tunnel *)
 
 val make_vars : ?fixed_demand:bool -> Model.t -> Te_types.input -> vars
 (** Creates [b_f] in [\[0, d_f\]] and [a_{f,t} >= 0]. With [~fixed_demand]
-    (the §5.4 no-rate-control setting) [b_f] is pinned to [d_f]. *)
+    (the §5.4 no-rate-control setting) [b_f] is pinned to [d_f]. Raises
+    [Invalid_argument] naming the flow if a demand is negative or NaN. *)
 
 type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
 (** One (flow, tunnel) pair traversing a given link. *)
@@ -75,12 +76,11 @@ type stats = {
   solve_ms : float;  (** wall-clock time inside the LP solver *)
   solver : Problem.solver_stats option;
       (** simplex instrumentation (iterations, refactorisations, warm-start
-          outcome, ...) when the backend reports it *)
+          outcome, ...) when the solver reports it *)
 }
 
 val solve :
   label:string ->
-  ?backend:Model.backend ->
   ?presolve:bool ->
   ?max_iterations:int ->
   ?deadline_ms:float ->
@@ -93,7 +93,9 @@ val solve :
     the build began. The build time counts against [deadline_ms]: a budget
     the build used up fails with [`Deadline] before the solver starts, and
     the solver gets what is left. Every other option goes to {!Model.solve}
-    unchanged. A failure's message reads
+    unchanged. Every TE LP is solved by the revised simplex; the dense
+    tableau, the reference solver, is reached only through {!Model.solve}
+    itself. A failure's message reads
     [<label>: infeasible|unbounded|iteration limit|deadline exceeded],
     followed by [" (<reason>)"] when the solver gave a
     [Problem.status_reason] (["model build"] when the build used the

@@ -45,7 +45,7 @@ let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input)
     | Some uf -> Expr.add (Expr.var u) (Expr.var ~coeff:sigma uf)
   in
   Model.minimize model objective;
-  match Formulation.solve ~label:"MLU TE" ~backend:config.Ffc.backend ~started_ms model with
+  match Formulation.solve ~label:"MLU TE" ~started_ms model with
   | Ok (sol, stats) ->
     Ok
       {

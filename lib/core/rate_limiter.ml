@@ -67,9 +67,7 @@ let solve ?(config = Ffc.config ()) ~(prev : Te_types.allocation) (input : Te_ty
        (Topology.links input.Te_types.topo)
    end);
   Model.maximize model (Formulation.total_rate_expr vars);
-  match
-    Formulation.solve ~label:"rate-limiter FFC" ~backend:config.Ffc.backend ~started_ms model
-  with
+  match Formulation.solve ~label:"rate-limiter FFC" ~started_ms model with
   | Ok (sol, stats) ->
     Ok
       {

@@ -24,7 +24,7 @@ let residual_positions (f : Flow.t) failed_links =
          then Some ti
          else None)
 
-let solve ?(backend = `Revised) ~ke (input : Te_types.input) =
+let solve ~ke (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
   let model = Model.create ~name:"residual-weights" () in
   let nflows = Array.length input.Te_types.demands in
@@ -89,7 +89,7 @@ let solve ?(backend = `Revised) ~ke (input : Te_types.input) =
   Model.maximize model
     (Expr.sum
        (List.map (fun (f : Flow.t) -> Expr.var bf.(f.Flow.id)) input.Te_types.flows));
-  match Formulation.solve ~label:"residual-weights TE" ~backend ~started_ms model with
+  match Formulation.solve ~label:"residual-weights TE" ~started_ms model with
   | Ok (sol, stats) ->
     let rates = Array.make nflows 0. in
     List.iter

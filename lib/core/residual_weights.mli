@@ -22,7 +22,6 @@ type result = {
 }
 
 val solve :
-  ?backend:Ffc_lp.Model.backend ->
   ke:int ->
   Te_types.input ->
   (result, string) Stdlib.result

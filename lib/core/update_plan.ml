@@ -150,9 +150,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) (input : Te_types.input) ~from_ 
          inter)
   in
   Model.maximize model objective;
-  match
-    Formulation.solve ~label:"update plan" ~backend:config.Ffc.backend ~started_ms model
-  with
+  match Formulation.solve ~label:"update plan" ~started_ms model with
   | Ok (sol, _) ->
     let read af =
       let bf = Array.make nf 0. in

@@ -12,8 +12,8 @@
    Pricing is candidate-list (partial) Dantzig: a full reduced-cost scan
    fills a short list of the most attractive nonbasic columns, and subsequent
    iterations price only that list; optimality is only ever declared by an
-   empty *full* scan. Bland's rule (first eligible index, full scan) takes
-   over on long degenerate runs.
+   empty *full* scan. Bland's rule (first eligible index, full scan; ratio
+   ties leave by smallest basic index) takes over on long degenerate runs.
 
    Variable layout: columns [0, ncols) are the problem's structural + slack
    columns; columns [ncols, ncols + nrows) are artificial variables, one per
@@ -397,6 +397,10 @@ let[@inline] blocking_bound st j delta =
   else if below then lb
   else ub
 
+(* Ties within 1e-12 go to the largest |pivot| for numerical stability,
+   except in Bland mode, where the basic variable with the smallest index
+   leaves: Bland's rule needs both halves (smallest entering index, smallest
+   leaving index among ties) to rule out cycling. *)
 let ratio_test st enter dir w =
   (* The entering variable increases by theta along [dir]; basic variable in
      row i changes by [-dir * w_i * theta]. *)
@@ -420,7 +424,11 @@ let ratio_test st enter dir w =
       let limit = if limit >= 0. then limit else 0. in
       if
         limit < !theta -. 1e-12
-        || (limit <= !theta +. 1e-12 && !leave_row >= 0 && abs_float wi > abs_float !leave_piv)
+        || limit <= !theta +. 1e-12
+           && !leave_row >= 0
+           &&
+           if st.bland then bvar < st.basic.(!leave_row)
+           else abs_float wi > abs_float !leave_piv
       then begin
         theta := limit;
         leave_row := i;

@@ -44,7 +44,10 @@ let make_flows ?(tunnels_per_flow = 6) ?(p = 1) ?(q = 3) ?nflows
   end;
   { flows; base_demand = demands }
 
-let series ?(relative_sigma = 0.08) ?(diurnal_amplitude = 0.25) rng ~intervals spec =
+let diurnal_amplitude = 0.25
+let relative_sigma = 0.08
+
+let series rng ~intervals spec =
   let nf = Array.length spec.base_demand in
   let phase = Array.init nf (fun _ -> Rng.float rng (2. *. Float.pi)) in
   Array.init intervals (fun t ->

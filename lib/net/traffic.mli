@@ -27,16 +27,10 @@ val make_flows :
     normalised so their sum is 30% of total network link capacity (rescale
     with {!scale} / the simulator's calibration). *)
 
-val series :
-  ?relative_sigma:float ->
-  ?diurnal_amplitude:float ->
-  Ffc_util.Rng.t ->
-  intervals:int ->
-  spec ->
-  float array array
+val series : Ffc_util.Rng.t -> intervals:int -> spec -> float array array
 (** [series rng ~intervals spec] produces one demand array per interval:
-    base demand x diurnal factor (sinusoid over 288 intervals = 24 h of
-    5-minute intervals, per-flow phase) x lognormal noise (default relative
+    base demand x diurnal factor (1 + 0.25 sin, over 288 intervals = 24 h
+    of 5-minute intervals, per-flow phase) x lognormal noise (relative
     sigma 0.08 — adjacent 5-minute intervals are similar, as in the paper's
     production traces). *)
 

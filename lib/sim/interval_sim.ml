@@ -59,13 +59,13 @@ type config = {
   audit_budget : int;
   retry : Southbound.retry_policy;
   outage : outage_model option;
-  telemetry : Telemetry.config option;
-  estimator : Estimator.config option;
+  telemetry : Telemetry.config;
+  estimator : Estimator.config;
 }
 
 let default_config ?deadline_ms ?max_iterations ?(audit_budget = 8)
-    ?(retry = Southbound.default_retry) ?outage ?telemetry ?estimator ~mode
-    ~update_model fault_model =
+    ?(retry = Southbound.default_retry) ?outage ?(telemetry = Telemetry.neutral)
+    ?(estimator = Estimator.passthrough) ~mode ~update_model fault_model =
   {
     mode;
     interval_s = 300.;
@@ -289,8 +289,8 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
   let update_rng = Rng.split rng in
   let audit_rng = Rng.split rng in
   let chaos_rng = Rng.split rng in
-  (* The telemetry stream is split last, after the other four: enabling the
-     sensing layer must not move the fault/update/audit/chaos timelines a
+  (* The telemetry stream is split last, after the other four: a lossy
+     sensing plane must not move the fault/update/audit/chaos timelines a
      seed produces, and at neutral telemetry parameters the stream itself
      consumes no draws (see {!Telemetry}). *)
   let telemetry_rng = Rng.split rng in
@@ -302,11 +302,9 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
        ints, and the float-keyed sorts elsewhere use [Float.compare]. *)
     List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
   in
-  (* --- imperfect sensing (off by default: the controller sees truth) --- *)
-  let sensing = cfg.telemetry <> None || cfg.estimator <> None in
-  let tele = Telemetry.create (Option.value cfg.telemetry ~default:Telemetry.neutral) in
-  let est_cfg = Option.value cfg.estimator ~default:Estimator.passthrough in
-  let est = Estimator.create est_cfg ~nflows in
+  (* --- sensing (neutral by default: the controller sees truth) --- *)
+  let tele = Telemetry.create cfg.telemetry in
+  let est = Estimator.create cfg.estimator ~nflows in
   let ccfg = controller_config cfg (Rng.int audit_rng 0x3FFFFFFF) in
   let st =
     {
@@ -458,9 +456,9 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
      demand. Under perfect sensing the LP's demand constraints already keep
      bf <= demand, but a controller planning on an inflated envelope can
      grant more than a flow has to send — the excess must not be charged as
-     granted (or played) traffic. The relative guard keeps the no-sensing
-     and neutral-sensing paths bit-identical: an LP solution's feasibility
-     slack (bf over demand by a rounding hair) is left untouched. *)
+     granted (or played) traffic. The relative guard leaves an LP
+     solution's feasibility slack (bf over demand by a rounding hair)
+     untouched, so under perfect sensing the grant is sent as planned. *)
   let cap_allocation (input_t : Te_types.input) (alloc : Te_types.allocation) =
     let d = input_t.Te_types.demands in
     let needs_cap = ref false in
@@ -596,29 +594,26 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
      and suspicions are void, the demand view snaps to an exact
      measurement. *)
   let sense interval_idx ~recovery demands =
-    if not sensing then (demands, 0, 0, 0, 0.)
-    else begin
-      let suspect_links, suspect_switches, view_staleness =
-        if recovery then begin
-          Telemetry.reconcile tele;
-          Estimator.observe_exact est demands;
-          (0, 0, 0)
-        end
-        else begin
-          Telemetry.begin_interval tele telemetry_rng ~interval:interval_idx
-            input.Te_types.topo;
-          Estimator.observe est (Telemetry.observe_demands tele telemetry_rng demands);
-          let sl, sv = Telemetry.suspect_counts tele in
-          (sl, sv, Estimator.staleness est)
-        end
-      in
-      let view = Estimator.envelope est in
-      ( view,
-        suspect_links,
-        suspect_switches,
-        view_staleness,
-        Estimator.mean_rel_error ~view ~truth:demands )
-    end
+    let suspect_links, suspect_switches, view_staleness =
+      if recovery then begin
+        Telemetry.reconcile tele;
+        Estimator.observe_exact est demands;
+        (0, 0, 0)
+      end
+      else begin
+        Telemetry.begin_interval tele telemetry_rng ~interval:interval_idx
+          input.Te_types.topo;
+        Estimator.observe est (Telemetry.observe_demands tele telemetry_rng demands);
+        let sl, sv = Telemetry.suspect_counts tele in
+        (sl, sv, Estimator.staleness est)
+      end
+    in
+    let view = Estimator.envelope est in
+    ( view,
+      suspect_links,
+      suspect_switches,
+      view_staleness,
+      Estimator.mean_rel_error ~view ~truth:demands )
   in
   (* Decide where the interval's target comes from, then push it — or, with
      nothing new to install, hold the standing configuration. *)
@@ -654,8 +649,8 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       in
       match st.last_solve with
       | Some (last, step)
-        when sensing && stale_before = 0 && (not recovery)
-             && Estimator.within_dead_band est_cfg ~view ~last ->
+        when stale_before = 0 && (not recovery)
+             && Estimator.within_dead_band cfg.estimator ~view ~last ->
         (* Dead-band hysteresis: the estimated view barely moved since the
            last solve, so the controller skips the re-solve and the push.
            Guarantee-safe: the installed allocation's fault certificates do
@@ -667,12 +662,11 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
            sampled guarantee auditor is pointed at ground truth, so audit
            verdicts stay statements about the real network. *)
         let step =
-          Controller.step st.ctrl ~stale:stale_before
-            ?audit_input:(if sensing then Some input_t else None)
-            (if sensing then { input_t with Te_types.demands = view } else input_t)
+          Controller.step st.ctrl ~stale:stale_before ~audit_input:input_t
+            { input_t with Te_types.demands = view }
             ~prev:(if blind then Te_types.zero_allocation input_t else real_prev)
         in
-        if sensing then st.last_solve <- Some (Array.copy view, step);
+        st.last_solve <- Some (Array.copy view, step);
         of_step (Solve step) step
           (Southbound.push st.engine update_rng input_t ~target:step.Controller.alloc
              ~interval_s:cfg.interval_s)
@@ -700,7 +694,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     (* Nobody is listening while the controller is down: the view freezes
        (no reports consumed, no suspicion raised). *)
     let view, suspect_links, suspect_switches, view_staleness, estimation_err =
-      if down then (demands, 0, 0, (if sensing then Estimator.staleness est else 0), 0.)
+      if down then (demands, 0, 0, Estimator.staleness est, 0.)
       else sense interval_idx ~recovery demands
     in
     let plan = decide ~down ~recovery ~recovered input_t ~real_prev ~view in
@@ -719,8 +713,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       st.journal <- Some (Controller.snapshot st.ctrl, Southbound.snapshot st.engine)
     | _ -> ());
     let faults = sample_faults interval_idx in
-    if sensing && not down then
-      Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
+    if not down then Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
     let stale = report.Southbound.stale in
     let sent, (lost_congestion, lost_blackhole, max_oversub, reacted), gt_data =
       if down then
@@ -731,7 +724,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           play input_t ~target ~stuck_set:(fun _ -> false) ~react:None faults,
           Gt_not_asserted )
       else begin
-        let sent = if sensing then cap_allocation input_t target else target in
+        let sent = cap_allocation input_t target in
         (* Reaction rule uses the protection the controller actually
            delivered, further tightened by suspect elements, which are
            charged against the budget before confirmation. *)
@@ -818,6 +811,6 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
         (match s.gt_data with Gt_violation _ -> Obs.incr m_gt_violations | _ -> ());
         Obs.observe m_lost_gb (total_lost s);
         Obs.observe m_oversub s.max_oversub_pct;
-        if sensing then Obs.observe m_est_err s.estimation_err)
+        Obs.observe m_est_err s.estimation_err)
       stats;
   stats

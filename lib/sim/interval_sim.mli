@@ -88,16 +88,15 @@ type config = {
       (** southbound push retry/timeout/backoff parameters *)
   outage : outage_model option;
       (** controller crash process; [None] = an always-up controller *)
-  telemetry : Telemetry.config option;
+  telemetry : Telemetry.config;
       (** the sensing channel the controller's view passes through;
-          [None] = perfect sensing (the pre-telemetry simulator,
-          bit-identical — as is [Some Telemetry.neutral] with no
-          estimator) *)
-  estimator : Ffc_core.Estimator.config option;
-      (** robust demand estimation over the sensed reports; [None] with
-          telemetry on = the raw view (last report, no headroom, no
-          damping). Setting only the estimator implies a neutral channel:
-          envelope planning on exact measurements. *)
+          {!Telemetry.neutral} (lossless, undelayed, noiseless) with
+          {!Ffc_core.Estimator.passthrough} is perfect sensing: the
+          controller plans on the true demands *)
+  estimator : Ffc_core.Estimator.config;
+      (** demand estimation over the sensed reports;
+          {!Ffc_core.Estimator.passthrough} plans on the last report (no
+          headroom, no damping, no dead band) *)
 }
 
 val default_config :
@@ -113,7 +112,8 @@ val default_config :
   Fault_model.t ->
   config
 (** 300 s intervals, no solve deadline, audit budget 8,
-    {!Southbound.default_retry}, no controller outages, perfect sensing. *)
+    {!Southbound.default_retry}, no controller outages, perfect sensing
+    ({!Telemetry.neutral} and {!Ffc_core.Estimator.passthrough}). *)
 
 type gt_verdict =
   | Gt_ok

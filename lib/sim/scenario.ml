@@ -11,12 +11,15 @@ type t = {
   calibrated : bool;
 }
 
-(* Largest uniform demand scale at which basic TE satisfies [target]
-   (99%) of total demand: bisection on the (monotone) satisfaction ratio.
-   Returns the scale together with the satisfaction ratio achieved there, so
-   callers can tell a calibrated scenario from one where even the smallest
-   scale in range cannot reach the target (the ratio then sits below it). *)
-let calibrate ?(target = 0.99) (input : Te_types.input) =
+let calibration_target = 0.99
+
+(* Largest uniform demand scale at which basic TE satisfies
+   [calibration_target] (99%) of total demand: bisection on the (monotone)
+   satisfaction ratio. Returns the scale together with the satisfaction
+   ratio achieved there, so callers can tell a calibrated scenario from one
+   where even the smallest scale in range cannot reach the target (the
+   ratio then sits below it). *)
+let calibrate (input : Te_types.input) =
   let satisfied scale =
     let demands = Traffic.scale scale input.Te_types.demands in
     match Basic_te.solve { input with Te_types.demands } with
@@ -27,22 +30,20 @@ let calibrate ?(target = 0.99) (input : Te_types.input) =
   in
   let lo = ref 0.05 and hi = ref 50. in
   let at_lo = satisfied !lo in
-  if at_lo < target then (!lo, at_lo)
+  if at_lo < calibration_target then (!lo, at_lo)
   else begin
     for _ = 1 to 22 do
       let mid = sqrt (!lo *. !hi) in
-      if satisfied mid >= target then lo := mid else hi := mid
+      if satisfied mid >= calibration_target then lo := mid else hi := mid
     done;
     (!lo, satisfied !lo)
   end
-
-let calibration_target = 0.99
 
 let build name topo spec =
   let input =
     { Te_types.topo; flows = spec.Traffic.flows; demands = spec.Traffic.base_demand }
   in
-  let k, achieved = calibrate ~target:calibration_target input in
+  let k, achieved = calibrate input in
   (* Structured replacement for the old ad-hoc eprintf: still mirrored to
      stderr at the default Warn threshold, but machine-readable in the
      event log (`--metrics-out` exports it). *)

@@ -41,10 +41,10 @@ val with_priorities : fractions:float list -> t -> t
 (** Split each flow into one flow per priority class (§8.4); demands are
     re-calibrated against the same total. *)
 
-val calibrate : ?target:float -> Ffc_core.Te_types.input -> float * float
+val calibrate : Ffc_core.Te_types.input -> float * float
 (** [calibrate input] is [(scale, achieved)]: the largest uniform demand
-    scale at which basic TE satisfies [target] (default 0.99) of total
-    demand, and the satisfaction ratio actually achieved at that scale.
-    [achieved < target] means calibration {e failed} — even the smallest
+    scale at which basic TE satisfies 0.99 of total demand, and the
+    satisfaction ratio actually achieved at that scale.
+    [achieved < 0.99] means calibration {e failed} — even the smallest
     scale in range cannot reach the target — and the scenario builders log a
     warning to stderr instead of silently using the floor scale. *)

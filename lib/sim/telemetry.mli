@@ -18,7 +18,8 @@
     All randomness comes from the caller's dedicated RNG stream, and every
     draw is conditional on the corresponding imperfection being configured
     (the discipline of {!Fault_model.correlated}): a {!neutral} channel
-    consumes no randomness and reproduces perfect sensing bit for bit. *)
+    consumes no randomness. With {!Ffc_core.Estimator.passthrough} it is
+    perfect sensing, the simulator's default. *)
 
 type config = {
   loss : float;  (** drop probability for reports and notifications, in [0, 1) *)

@@ -26,11 +26,13 @@ let synthetic_shrink xs =
   in
   drops @ halves
 
-let synthetic_oracle =
+let synthetic_oracle_with test =
   Fuzz.oracle ~name:"synthetic"
     ~generate:(fun rng -> List.init (3 + Rng.int rng 8) (fun _ -> Rng.int rng 40))
-    ~test:synthetic_test ~shrink:synthetic_shrink
+    ~test ~shrink:synthetic_shrink
     ~repro:(fun xs -> String.concat ";" (List.map string_of_int xs))
+
+let synthetic_oracle = synthetic_oracle_with synthetic_test
 
 let counts r =
   List.map
@@ -206,6 +208,92 @@ let test_parallel_identity_real_oracles () =
       Alcotest.(check bool) "full campaign identical" true
         (seq.Fuzz.oracles = par.Fuzz.oracles))
 
+(* The campaign time budget, under a mock clock that advances one
+   millisecond per oracle test call, instances and shrink attempts alike.
+   Two oracles in listing order, the synthetic one and one that always
+   passes, so the budget can run out inside either. *)
+let ticks = Atomic.make 0
+
+let ticking test x =
+  Atomic.incr ticks;
+  test x
+
+let budget_oracles =
+  [
+    synthetic_oracle_with (ticking synthetic_test);
+    Fuzz.oracle ~name:"pass"
+      ~generate:(fun rng -> Rng.int rng 100)
+      ~test:(ticking (fun _ -> Fuzz.Pass))
+      ~shrink:(fun _ -> [])
+      ~repro:string_of_int;
+  ]
+
+let budgeted ?pool ?time_budget_ms () =
+  Atomic.set ticks 0;
+  Ffc_util.Clock.with_hook
+    (fun () -> float_of_int (Atomic.get ticks))
+    (fun () -> Fuzz.run ?pool ~seed:7 ~count:60 ?time_budget_ms ~oracles:budget_oracles ())
+
+(* Without a pool the budget is checked before every instance, and a
+   finding is shrunk before the next instance starts. *)
+let test_budget_sequential () =
+  List.iter
+    (fun (budget, expected) ->
+      Alcotest.(check (list (pair string (pair int int))))
+        (Printf.sprintf "budget %g ms: exercised, findings" budget)
+        expected
+        (List.map
+           (fun (name, ex, _, nf) -> (name, (ex, nf)))
+           (counts (budgeted ~time_budget_ms:budget ()))))
+    [
+      (10., [ ("synthetic", (1, 1)); ("pass", (0, 0)) ]);
+      (20., [ ("synthetic", (2, 2)); ("pass", (0, 0)) ]);
+      (100., [ ("synthetic", (3, 3)); ("pass", (49, 0)) ]);
+    ]
+
+(* With a pool, a budgeted report is a prefix of the unbudgeted one that
+   ends on a chunk boundary: each oracle either ran as far as unbudgeted,
+   or stopped at a multiple of the chunk (8 instances at 2 jobs) with its
+   findings a prefix of the unbudgeted ones, and no later oracle ran. *)
+let test_budget_pooled () =
+  let chunk = 8 in
+  let findings (o : Fuzz.oracle_report) =
+    List.map (fun (f : Fuzz.finding) -> (f.Fuzz.f_index, f.Fuzz.min_message, f.Fuzz.repro))
+      o.Fuzz.findings
+  in
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a', y :: b' -> x = y && is_prefix a' b'
+    | _ :: _, [] -> false
+  in
+  Pool.with_pool ~jobs:2 (fun p ->
+      let full = budgeted ~pool:p () in
+      Alcotest.(check bool) "unbudgeted: same as without a pool" true
+        (full.Fuzz.oracles = (budgeted ()).Fuzz.oracles);
+      let truncated = ref 0 in
+      List.iter
+        (fun budget ->
+          let r = budgeted ~pool:p ~time_budget_ms:budget () in
+          let stopped = ref false in
+          List.iter2
+            (fun (o : Fuzz.oracle_report) (u : Fuzz.oracle_report) ->
+              let n = o.Fuzz.exercised + o.Fuzz.skipped
+              and nu = u.Fuzz.exercised + u.Fuzz.skipped in
+              let label what = Printf.sprintf "budget %g ms, %s: %s" budget o.Fuzz.o_name what in
+              if !stopped then Alcotest.(check int) (label "nothing after the stop") 0 n
+              else if o = u then ()
+              else begin
+                stopped := true;
+                if n > 0 && n < nu then incr truncated;
+                Alcotest.(check int) (label "ends on a chunk boundary") 0 (n mod chunk);
+                Alcotest.(check bool) (label "a prefix") true
+                  (n <= nu && is_prefix (findings o) (findings u))
+              end)
+            r.Fuzz.oracles full.Fuzz.oracles)
+        [ 5.; 20.; 60.; 100.; 120. ];
+      Alcotest.(check bool) "some budget truncated an oracle mid-stream" true (!truncated > 0))
+
 let test_oracle_selection () =
   (match Oracles.select [ "lp"; "sim" ] with
   | Ok os ->
@@ -227,6 +315,11 @@ let () =
           case "crash captured as failure" test_crash_becomes_failure;
         ] );
       ("shrinking", [ case "category-preserving convergence" test_shrinker_converges ]);
+      ( "budget",
+        [
+          case "stops at the same instance without a pool" test_budget_sequential;
+          case "pooled report is a chunk-aligned prefix" test_budget_pooled;
+        ] );
       ( "generators",
         [
           case "well-formed over many seeds" test_generators_well_formed;

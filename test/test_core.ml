@@ -159,6 +159,50 @@ let test_reserved_capacity () =
       (Topology.links input.Te_types.topo)
   | Error e -> Alcotest.fail e
 
+(* A negative or NaN demand fails the model build: both checked entry
+   points return an [`Infeasible] error naming the flow instead of raising.
+   An infinite demand is well-formed (the network caps the flow). *)
+let test_malformed_demand () =
+  let input = (Ffc_sim.Scenario.snet (Rng.create 42)).Ffc_sim.Scenario.input in
+  let flow = 3 in
+  let with_demand d =
+    let demands = Array.copy input.Te_types.demands in
+    demands.(flow) <- d;
+    { input with Te_types.demands }
+  in
+  let config = Ffc.config ~protection:(Te_types.protection ~ke:1 ()) () in
+  let entry_points =
+    [
+      ("basic TE", fun i -> Result.map ignore (Basic_te.solve_checked i));
+      ("FFC", fun i -> Result.map ignore (Ffc.solve_checked ~config i));
+    ]
+  in
+  let names_flow msg =
+    let needle = Printf.sprintf "flow %d " flow in
+    let n = String.length needle in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (name, solve) ->
+      List.iter
+        (fun d ->
+          match solve (with_demand d) with
+          | Ok () -> Alcotest.failf "%s: demand %g accepted" name d
+          | Error (f : Te_types.solve_failure) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, demand %g: kind" name d)
+              "infeasible"
+              (Te_types.failure_kind_label f.Te_types.kind);
+            if not (names_flow f.Te_types.message) then
+              Alcotest.failf "%s, demand %g: %S does not name flow %d" name d
+                f.Te_types.message flow)
+        [ -1.; nan ];
+      match solve (with_demand infinity) with
+      | Ok () -> ()
+      | Error f -> Alcotest.failf "%s, infinite demand: %s" name f.Te_types.message)
+    entry_points
+
 (* ------------------------------------------------------------------ *)
 (* Allocation helpers                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -524,13 +568,62 @@ let test_ffc_warm_chain_pinned () =
   Alcotest.(check (list (pair (pair int int) (pair int int64))))
     "phase 1, phase 2, refactorisations, throughput bits"
     [
-      ((0, 1106), (11, 4652760651352402517L));
-      ((255, 55), (4, 4652953962213402050L));
-      ((350, 43), (4, 4653135005362256305L));
-      ((134, 0), (2, 4653065376728097434L));
-      ((99, 35), (2, 4653123179205537652L));
+      ((0, 1326), (14, 4652760651352402517L));
+      ((227, 77), (4, 4652953962213402050L));
+      ((136, 0), (2, 4653135005362256305L));
+      ((103, 7), (2, 4653065376728097434L));
+      ((71, 59), (2, 4653122790205372196L));
     ]
     (List.map solve (Array.to_list series))
+
+(* Bland mode's leaving rule. The model [ffc solve --network snet --kc 1
+   --objective mlu] builds (S-Net seed 42, basic TE as [prev]) is rebuilt
+   here with the same calls as {!Mlu_te.solve}. Solved with presolve off,
+   as every controller rung solves, its phase 1 is degenerate enough to
+   run in Bland mode, and it cycles there unless ratio ties leave by the
+   smallest basic index. *)
+let test_bland_terminates () =
+  let open Ffc_lp in
+  let input = (Ffc_sim.Scenario.snet (Rng.create 42)).Ffc_sim.Scenario.input in
+  let prev = match Basic_te.solve input with Ok a -> a | Error e -> Alcotest.fail e in
+  let config = Ffc.config ~protection:(Te_types.protection ~kc:1 ()) () in
+  let build () =
+    let model = Model.create () in
+    let vars = Formulation.make_vars ~fixed_demand:true model input in
+    Formulation.demand_constraints vars input;
+    let u = Model.add_var model in
+    let per_link = Formulation.crossings_by_link input in
+    Array.iter
+      (fun (l : Topology.link) ->
+        match per_link.(l.Topology.id) with
+        | [] -> ()
+        | crossings ->
+          Model.ge model
+            (Expr.var ~coeff:l.Topology.capacity u)
+            (Formulation.load_expr vars crossings))
+      (Topology.links input.Te_types.topo);
+    Ffc.data_plane_constraints config vars input;
+    let uf = Model.add_var model in
+    Ffc.control_plane_constraints config vars input ~prev
+      ~rhs:(fun (l : Topology.link) -> Expr.var ~coeff:l.Topology.capacity uf)
+      ();
+    Model.minimize model (Expr.add (Expr.var u) (Expr.var uf));
+    model
+  in
+  let objective ?presolve ?max_iterations () =
+    match Model.solve ?presolve ?max_iterations (build ()) with
+    | Model.Optimal sol -> Model.objective_value sol
+    | Model.Iteration_limit -> Alcotest.fail "iteration limit"
+    | _ -> Alcotest.fail "not optimal"
+  in
+  let reference = objective () in
+  (match Mlu_te.solve ~config ~prev input with
+  | Ok r ->
+    Alcotest.(check (float 1e-6)) "the model Mlu_te.solve builds" reference
+      (r.Mlu_te.mlu +. Option.get r.Mlu_te.fault_mlu)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (float 1e-6)) "presolve off reaches the presolve-on optimum" reference
+    (objective ~presolve:false ~max_iterations:20_000 ())
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -547,6 +640,7 @@ let () =
         [
           case "serves light demand fully" test_basic_te_serves_light_demand;
           case "reserved capacity honoured" test_reserved_capacity;
+          case "malformed demand is an Infeasible error" test_malformed_demand;
         ] );
       ( "helpers",
         [
@@ -567,6 +661,7 @@ let () =
           case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change;
           case "pinned pivot counts along a warm chain" test_ffc_warm_chain_pinned;
         ] );
+      ("simplex", [ case "Bland mode terminates on a degenerate MLU" test_bland_terminates ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_data_ffc_robust;

@@ -195,10 +195,16 @@ let test_deadline_generous_matches_oracle () =
     | Ok (a, _) -> Te_types.throughput a
     | Error f -> Alcotest.fail f.Te_types.message
   in
+  (* Basic TE is FFC with no protection; the reference solver lives in
+     [Model.solve]. *)
   let oracle =
-    match Basic_te.solve_checked ~backend:`Dense_tableau input with
-    | Ok (a, _) -> Te_types.throughput a
-    | Error f -> Alcotest.fail f.Te_types.message
+    let module Model = Ffc_lp.Model in
+    let vars = Ffc.build input in
+    let model = vars.Formulation.model in
+    Model.maximize model (Formulation.total_rate_expr vars);
+    match Model.solve ~backend:`Dense_tableau model with
+    | Model.Optimal sol -> Te_types.throughput (Formulation.alloc_of_solution vars input sol)
+    | _ -> Alcotest.fail "dense tableau: not optimal"
   in
   Alcotest.(check (float 1e-6)) "generous deadline reaches the optimum" oracle revised
 
