@@ -1834,7 +1834,8 @@ let obs_bench () =
 (* The domain-pool contract, asserted end to end: a fuzz campaign and a
    chaos hunt at j=4 must be bit-identical to j=1 (same instances, same
    verdicts, same shrunk findings — elapsed wall-clock aside), and on a
-   multicore host the campaign must actually go faster. The speedup gate is
+   multicore host the campaign must actually go faster. The j=4 pool runs
+   at most one domain per core (two on a 2-core host). The speedup gate is
    skipped (identity still asserted) when the runner exposes a single core.
    Emits BENCH_parallel.json. *)
 let parallel_bench () =
@@ -1944,7 +1945,7 @@ let trace_out = ref None
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* -j N / --jobs N / -j4-style: worker domains for pool-aware experiments.
+  (* -j N / --jobs N / -j4-style: pool width for pool-aware experiments.
      --metrics-out/--trace-out enable the observability registry for the
      whole run and export it at the end (the obs/parallel experiments manage
      the registry themselves; what they leave behind is what gets written). *)

@@ -463,9 +463,10 @@ let jobs =
     & opt (pos_int "--jobs") 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Worker domains for parallel execution (1 = sequential). Reports are \
-           bit-identical at any value, except under fuzz's --budget-ms: a time budget \
-           truncates a sharded campaign at chunk granularity, not per instance")
+          "Parallel width (1 = sequential): work is chunked by it and run on at most \
+           one domain per core. Reports are bit-identical at any value, except under \
+           fuzz's --budget-ms: a time budget truncates a sharded campaign at chunk \
+           granularity, not per instance")
 
 let encoding =
   Arg.(

@@ -316,15 +316,16 @@ let shrink p =
   @ (if p.p_sites > 3 then [ { p with p_sites = p.p_sites - 1 } ] else [])
   @ (if p.p_realistic then [ { p with p_realistic = false } ] else [])
 
-let plan_code p =
+(* The plan as an OCaml record literal, floats in bit-exact [%h]. *)
+let plan_literal p =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "  let plan = {\n";
+  Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf
-       "    Ffc_check.Chaos.p_seed = %d; p_sites = %d; p_intervals = %d;\n    p_scale \
-        = %h; p_kc = %d; p_ke = %d; p_kv = %d; p_realistic = %b;\n"
+       "  Ffc_check.Chaos.p_seed = %d; p_sites = %d; p_intervals = %d;\n  p_scale = %h; \
+        p_kc = %d; p_ke = %d; p_kv = %d; p_realistic = %b;\n"
        p.p_seed p.p_sites p.p_intervals p.p_scale p.p_kc p.p_ke p.p_kv p.p_realistic);
-  Buffer.add_string b "    p_faults = [\n";
+  Buffer.add_string b "  p_faults = [\n";
   List.iter
     (fun f ->
       let elem =
@@ -334,39 +335,28 @@ let plan_code p =
       in
       Buffer.add_string b
         (Printf.sprintf
-           "      { Ffc_check.Chaos.fs_interval = %d; fs_time = %h; fs_elem = %s };\n"
+           "    { Ffc_check.Chaos.fs_interval = %d; fs_time = %h; fs_elem = %s };\n"
            f.fs_interval f.fs_time elem))
     p.p_faults;
-  Buffer.add_string b "    ];\n";
+  Buffer.add_string b "  ];\n";
   (match p.p_crash with
-  | None -> Buffer.add_string b "    p_crash = None;\n"
+  | None -> Buffer.add_string b "  p_crash = None;\n"
   | Some c ->
     Buffer.add_string b
       (Printf.sprintf
-         "    p_crash = Some { Ffc_check.Chaos.cr_interval = %d; cr_downtime = %h };\n"
+         "  p_crash = Some { Ffc_check.Chaos.cr_interval = %d; cr_downtime = %h };\n"
          c.cr_interval c.cr_downtime));
   (match p.p_telemetry with
-  | None -> Buffer.add_string b "    p_telemetry = None;\n"
+  | None -> Buffer.add_string b "  p_telemetry = None;\n"
   | Some t ->
     Buffer.add_string b
       (Printf.sprintf
-         "    p_telemetry = Some { Ffc_check.Chaos.t_loss = %h; t_delay = %d; t_noise \
-          = %h };\n"
+         "  p_telemetry = Some { Ffc_check.Chaos.t_loss = %h; t_delay = %d; t_noise = %h };\n"
          t.t_loss t.t_delay t.t_noise));
-  Buffer.add_string b "  } in\n";
+  Buffer.add_string b "}";
   Buffer.contents b
 
-let repro p =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "let () =\n";
-  Buffer.add_string b (plan_code p);
-  Buffer.add_string b
-    {|  match Ffc_check.Fuzz.run_test Ffc_check.Chaos.test plan with
-  | Ffc_check.Fuzz.Fail m -> print_endline ("FAIL " ^ m)
-  | Ffc_check.Fuzz.Skip m -> print_endline ("SKIP " ^ m)
-  | Ffc_check.Fuzz.Pass -> print_endline "PASS"
-|};
-  Buffer.contents b
+let repro = Fuzz.repro_program ~test:"Ffc_check.Chaos.test" plan_literal
 
 let oracle () = Fuzz.oracle ~name:"chaos" ~generate ~test ~shrink ~repro
 

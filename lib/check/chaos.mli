@@ -97,7 +97,8 @@ val generate : Ffc_util.Rng.t -> plan
 
 val shrink : plan -> plan list
 val repro : plan -> string
-(** Standalone OCaml snippet re-running [test] on the plan. *)
+(** {!Fuzz.repro_program} of the plan: its record literal (floats in
+    bit-exact [%h]) judged by [Ffc_check.Chaos.test]. *)
 
 val oracle : unit -> Fuzz.oracle
 (** The ["chaos"] oracle. Not part of {!Oracles.all} — one instance costs a
@@ -111,7 +112,7 @@ type finding = {
   c_min_plan : plan;  (** shrunk, same failure category *)
   c_min_message : string;
   c_shrink_steps : int;
-  c_repro : string;  (** runnable snippet for [c_min_plan] *)
+  c_repro : string;  (** {!repro} of [c_min_plan] *)
 }
 
 type hunt_report = {
@@ -154,8 +155,8 @@ val hunt :
     like any other — never silently scored. *)
 
 val write_repro : string -> seed:int -> finding -> unit
-(** [write_repro path ~seed f] writes [f]'s shrunk repro snippet to [path]
-    behind a comment naming the hunt seed and the minimal message: a
-    runnable [CHAOS_repro.ml]. *)
+(** [write_repro path ~seed f] writes [f]'s repro to [path] behind a
+    comment naming the hunt seed and the minimal message: a runnable
+    [CHAOS_repro.ml]. *)
 
 val pp_report : Format.formatter -> hunt_report -> unit

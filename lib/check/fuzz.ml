@@ -63,6 +63,23 @@ let category msg =
   | Some i -> String.sub msg 0 i
   | None -> msg
 
+(* The one repro template: the shrunk instance as a literal, judged by the
+   oracle's own test. Each program is a [let ()] item, so several concatenate
+   into one compilable file. *)
+let repro_program ~test literal x =
+  Printf.sprintf
+    {|let () =
+  let instance =
+    %s
+  in
+  match Ffc_check.Fuzz.run_test %s instance with
+  | Ffc_check.Fuzz.Fail m -> print_endline ("FAIL " ^ m)
+  | Ffc_check.Fuzz.Skip m -> print_endline ("SKIP " ^ m)
+  | Ffc_check.Fuzz.Pass -> print_endline "PASS"
+|}
+    (String.concat "\n    " (String.split_on_char '\n' (literal x)))
+    test
+
 (* Greedy shrinking: take the first candidate that still fails *in the same
    category* (message prefix up to ':'), recurse from there. Category
    preservation matters: dropping, say, the zero column from an instance

@@ -1,11 +1,11 @@
 (** Differential fuzzing driver.
 
     An {!oracle} packages an instance generator, a property test returning a
-    {!verdict}, a shrinker and a repro-snippet printer for one instance
-    family. {!run} draws deterministic instance streams (one
-    {!Ffc_util.Rng.split} per oracle off a master seed, one split per
-    instance), executes each oracle, and greedily shrinks every failure to a
-    minimal reproducer while preserving the failure category.
+    {!verdict}, a shrinker and a repro printer for one instance family.
+    {!run} draws deterministic instance streams (one {!Ffc_util.Rng.split}
+    per oracle off a master seed, one split per instance), executes each
+    oracle, and greedily shrinks every failure to a minimal reproducer while
+    preserving the failure category.
 
     Failure messages are namespaced by category: everything before the first
     [':'] (e.g. ["crash"], ["residual"], ["guarantee"]) identifies the kind
@@ -37,7 +37,9 @@ type finding = {
   message : string;  (** failure message of the original instance *)
   min_message : string;  (** failure message of the shrunk instance *)
   shrink_steps : int;
-  repro : string;  (** runnable OCaml snippet reproducing the shrunk failure *)
+  repro : string;
+      (** the oracle's [repro] of the shrunk instance: for every oracle in
+          {!Oracles.available}, a {!repro_program} *)
 }
 
 type oracle_report = {
@@ -52,6 +54,15 @@ type report = { r_seed : int; elapsed_ms : float; oracles : oracle_report list }
 val run_test : ('a -> verdict) -> 'a -> verdict
 (** Apply a property test, converting an escaped exception into
     [Fail "crash: ..."]. *)
+
+val repro_program : test:string -> ('a -> string) -> 'a -> string
+(** [repro_program ~test literal x] is a standalone OCaml program that
+    rebuilds [x] from the expression [literal x] and prints
+    [Fuzz.run_test test x] as [PASS], [SKIP <reason>] or [FAIL <message>].
+    [test] is OCaml source naming the oracle's own test, e.g.
+    ["Ffc_check.Oracles.ffc_test"]; an oracle's [repro] is this program,
+    so a repro is judged by the code that found it. Programs are [let ()]
+    items: several compile together in one file ({!write_repros}). *)
 
 val category : string -> string
 (** Failure category: prefix up to the first [':']. *)
@@ -93,10 +104,10 @@ val failures : report -> finding list
 val pp_finding : Format.formatter -> finding -> unit
 
 val write_repros : string -> finding list -> unit
-(** [write_repros path findings] writes each finding's shrunk repro snippet
-    to [path], behind a comment naming its oracle, seed, instance and
-    minimal message: a runnable [FUZZ_repro.ml]. *)
+(** [write_repros path findings] writes each finding's repro to [path],
+    behind a comment naming its oracle, seed, instance and minimal message:
+    a runnable [FUZZ_repro.ml]. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Per-oracle exercised/skipped/failure counts followed by every finding
-    with its minimal repro snippet. *)
+    with its repro. *)

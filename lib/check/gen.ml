@@ -1,10 +1,11 @@
-(* Deterministic random-instance generators, shrinkers and repro emitters
-   for the fuzzing harness.
+(* Deterministic random-instance generators, shrinkers and literal
+   printers for the fuzzing harness.
 
    Every instance is plain data (arrays of numbers), so a failing case can
-   be (a) greedily shrunk by structural edits and (b) printed back out as a
-   runnable OCaml snippet. Generators draw only from the [Ffc_util.Rng]
-   stream they are handed, so an instance is fully determined by its seed. *)
+   be (a) greedily shrunk by structural edits and (b) printed back out as
+   an OCaml literal that a repro hands to its oracle's test. Generators
+   draw only from the [Ffc_util.Rng] stream they are handed, so an instance
+   is fully determined by its seed. *)
 
 module Rng = Ffc_util.Rng
 open Ffc_lp
@@ -23,11 +24,33 @@ let fl v =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
     else s ^ "."
 
-let float_array a =
-  "[| " ^ String.concat "; " (Array.to_list (Array.map fl a)) ^ " |]"
+(* [s] with every line after the first indented by [n] spaces. *)
+let indent n s = String.concat ("\n" ^ String.make n ' ') (String.split_on_char '\n' s)
 
-let int_array a =
-  "[| " ^ String.concat "; " (Array.to_list (Array.map string_of_int a)) ^ " |]"
+(* A list or array literal: on one line, or one element per line. *)
+let seq ?(lines = false) opn cls = function
+  | [] -> opn ^ cls
+  | items ->
+    let n = String.length opn + 1 in
+    let sep = if lines then ";\n" ^ String.make n ' ' else "; " in
+    opn ^ " " ^ String.concat sep (List.map (indent n) items) ^ " " ^ cls
+
+let float_array a = seq "[|" "|]" (Array.to_list (Array.map fl a))
+let int_array a = seq "[|" "|]" (Array.to_list (Array.map string_of_int a))
+
+(* A record literal whose first label carries the module path, so the rest
+   resolve without an [open]; one field per line once any value spans
+   lines. *)
+let record fields =
+  let fields =
+    List.mapi
+      (fun i (label, v) ->
+        let label = if i = 0 then "Ffc_check.Gen." ^ label else label in
+        label ^ " = " ^ indent (String.length label + 5) v)
+      fields
+  in
+  let sep = if List.exists (fun f -> String.contains f '\n') fields then ";\n  " else "; " in
+  "{ " ^ String.concat sep fields ^ " }"
 
 (* ------------------------------------------------------------------ *)
 (* LP instances                                                        *)
@@ -47,7 +70,7 @@ type lp = {
 let lp_nvars t = Array.length t.obj
 
 let lp_model ?row_ids (t : lp) =
-  let m = Model.create ~name:"fuzz-lp" () in
+  let m = Model.create () in
   let n = lp_nvars t in
   let xs = Array.init n (fun j -> Model.add_var ~lb:t.lb.(j) ~ub:t.ub.(j) m) in
   let expr_of coeffs =
@@ -154,88 +177,23 @@ let shrink_lp t =
   if t.obj <> zero_obj then push { t with obj = zero_obj };
   List.rev !cands
 
-let lp_snippet (t : lp) =
-  let b = Buffer.create 1024 in
-  let sense_tag = function Le -> -1 | Ge -> 1 | Eq -> 0 in
-  Buffer.add_string b "let () =\n  let open Ffc_lp in\n";
-  Buffer.add_string b (Printf.sprintf "  let lb = %s in\n" (float_array t.lb));
-  Buffer.add_string b (Printf.sprintf "  let ub = %s in\n" (float_array t.ub));
-  Buffer.add_string b (Printf.sprintf "  let obj = %s in\n" (float_array t.obj));
-  Buffer.add_string b "  (* (coefficients, sense: -1 le / 0 eq / +1 ge, rhs) *)\n";
-  Buffer.add_string b "  let rows =\n    [\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "      (%s, %d, %s);\n" (float_array r.coeffs) (sense_tag r.sense)
-           (fl r.rhs)))
-    t.rows;
-  Buffer.add_string b "    ]\n  in\n";
-  Buffer.add_string b
-    {|  (* Row i is added in scope i, or in the i-th of [ids], as the fuzz
-     oracle does, so a warm basis maps onto a reshaped copy by key. *)
-  let build ?ids rows =
-    let m = Model.create () in
-    let xs = Array.init (Array.length obj) (fun j -> Model.add_var ~lb:lb.(j) ~ub:ub.(j) m) in
-    let expr_of cs =
-      let e = ref Expr.zero in
-      Array.iteri (fun j c -> if c <> 0. then e := Expr.add_term !e c xs.(j)) cs;
-      !e
-    in
-    List.iteri
-      (fun i (cs, s, rhs) ->
-        let id = match ids with Some ids -> List.nth ids i | None -> i in
-        Model.scope m id (fun () ->
-            (match s with -1 -> Model.le | 0 -> Model.eq | _ -> Model.ge) m (expr_of cs)
-              (Expr.const rhs)))
-      rows;
-    Model.maximize m (expr_of obj);
-    m
+let lp_literal (t : lp) =
+  let sense = function Le -> "Le" | Ge -> "Ge" | Eq -> "Eq" in
+  let row r =
+    record
+      [
+        ("coeffs", float_array r.coeffs);
+        ("sense", "Ffc_check.Gen." ^ sense r.sense);
+        ("rhs", fl r.rhs);
+      ]
   in
-  let show = function
-    | Model.Optimal s -> Printf.sprintf "optimal %.9g" (Model.objective_value s)
-    | Model.Infeasible -> "infeasible"
-    | Model.Unbounded -> "unbounded"
-    | Model.Iteration_limit -> "iteration-limit"
-    | Model.Deadline_exceeded -> "deadline"
-  in
-  Printf.printf "revised:           %s\n" (show (Model.solve ~backend:`Revised (build rows)));
-  let raw = Model.solve ~backend:`Revised ~presolve:false (build rows) in
-  Printf.printf "revised-nopresolve: %s\n" (show raw);
-  Printf.printf "dense-tableau:     %s\n" (show (Model.solve ~backend:`Dense_tableau (build rows)));
-  (* Warm-start legs from the final cold basis, each against a cold dense
-     solve: the inequality right-hand sides relaxed a little, then the
-     middle row dropped and an objective cut just below the optimum added. *)
-  match raw with
-  | Model.Optimal s ->
-    (match Model.solution_basis s with
-    | None -> ()
-    | Some basis ->
-      let relaxed =
-        List.map
-          (fun (cs, s, rhs) ->
-            (cs, s, if s < 0 then rhs +. 0.125 else if s > 0 then rhs -. 0.125 else rhs))
-          rows
-      in
-      Printf.printf "warm revised:      %s\n"
-        (show (Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis (build relaxed)));
-      Printf.printf "relaxed dense:     %s\n"
-        (show (Model.solve ~backend:`Dense_tableau (build relaxed)));
-      let v = Model.objective_value s in
-      let n = List.length rows in
-      let keep = List.filter (fun i -> i <> n / 2) (List.init n Fun.id) in
-      let reshaped =
-        List.map (List.nth rows) keep @ [ (obj, -1, v -. (0.125 *. (1. +. abs_float v))) ]
-      in
-      let ids = keep @ [ n ] in
-      Printf.printf "warm reshaped:     %s\n"
-        (show
-           (Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis
-              (build ~ids reshaped)));
-      Printf.printf "reshaped dense:    %s\n"
-        (show (Model.solve ~backend:`Dense_tableau (build ~ids reshaped))))
-  | _ -> ()
-|};
-  Buffer.contents b
+  record
+    [
+      ("lb", float_array t.lb);
+      ("ub", float_array t.ub);
+      ("obj", float_array t.obj);
+      ("rows", seq ~lines:true "[" "]" (List.map row t.rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-LU instances                                                 *)
@@ -392,61 +350,18 @@ let lu_repair_cols (t : lu) =
       [| axpy_col t.cols.(0) 1. t.cols.(n - 1); axpy_col t.cols.(n / 2) (-2.) t.cols.(0) |]
   else t.cols
 
-let lu_snippet (t : lu) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "let () =\n";
-  Buffer.add_string b (Printf.sprintf "  let m = %d in\n" t.lu_m);
-  Buffer.add_string b "  let cols =\n    [|\n";
-  Array.iter
-    (fun (rows, vals) ->
-      Buffer.add_string b
-        (Printf.sprintf "      (%s, %s);\n" (int_array rows) (float_array vals)))
-    t.cols;
-  Buffer.add_string b "    |]\n  in\n";
-  Buffer.add_string b "  (* The repair leg's columns: the above plus any it appends. *)\n";
-  Buffer.add_string b "  let repair_cols =\n    [|\n";
-  Array.iter
-    (fun (rows, vals) ->
-      Buffer.add_string b
-        (Printf.sprintf "      (%s, %s);\n" (int_array rows) (float_array vals)))
-    (lu_repair_cols t);
-  Buffer.add_string b "    |]\n  in\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  (match Ffc_lp.Sparse_lu.factorise ~repair:true ~m ~complete:%b repair_cols with\n"
-       t.complete);
-  Buffer.add_string b
-    {|  | None -> print_endline "repair: None"
-  | Some r ->
-    let ints l = String.concat " " (List.map string_of_int l) in
-    Printf.printf "repair: rejected [%s] completed [%s]\n" (ints r.Ffc_lp.Sparse_lu.rejected)
-      (ints r.Ffc_lp.Sparse_lu.completed_rows));
-|};
-  Buffer.add_string b "  let updates =\n    [\n";
-  List.iter
-    (fun (r, a) ->
-      Buffer.add_string b (Printf.sprintf "      (%d, %s);\n" r (float_array a)))
-    t.lu_updates;
-  Buffer.add_string b "    ]\n  in\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  match Ffc_lp.Sparse_lu.factorise ~m ~complete:%b cols with\n" t.complete);
-  Buffer.add_string b
-    {|  | None -> print_endline "rejected (None)"
-  | Some { Ffc_lp.Sparse_lu.lu; _ } ->
-    print_endline "factorised";
-    List.iter
-      (fun (r, a) ->
-        let w = Array.copy a in
-        Ffc_lp.Sparse_lu.ftran lu w;
-        if abs_float w.(r) > 1e-3 then Ffc_lp.Sparse_lu.update lu ~r ~w)
-      updates;
-    let x = Array.make m 1. in
-    Ffc_lp.Sparse_lu.ftran lu x;
-    Array.iter (fun v -> Printf.printf "%.6g " v) x;
-    print_newline ()
-|};
-  Buffer.contents b
+let lu_literal (t : lu) =
+  let col (rows, vals) = Printf.sprintf "(%s, %s)" (int_array rows) (float_array vals) in
+  let update (r, a) = Printf.sprintf "(%d, %s)" r (float_array a) in
+  record
+    [
+      ("lu_m", string_of_int t.lu_m);
+      ("cols", seq ~lines:true "[|" "|]" (Array.to_list (Array.map col t.cols)));
+      ("complete", string_of_bool t.complete);
+      ("must_factor", string_of_bool t.must_factor);
+      ("must_reject", string_of_bool t.must_reject);
+      ("lu_updates", seq ~lines:true "[" "]" (List.map update t.lu_updates));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* TE instances (topology + tunnels + demands + protection)            *)
@@ -577,90 +492,22 @@ let shrink_te t =
   if rounded <> t.demands then push { t with demands = rounded };
   List.rev !cands
 
-(* The topology/flow construction code shared by the TE and simulator
-   snippets: binds [input] from the data literals. *)
-let te_build_code (t : te) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "  let nswitches = %d in\n" t.nswitches);
-  Buffer.add_string b "  let links =\n    [|\n";
-  Array.iter
-    (fun (u, v, c) -> Buffer.add_string b (Printf.sprintf "      (%d, %d, %s);\n" u v (fl c)))
-    t.te_links;
-  Buffer.add_string b "    |]\n  in\n";
-  Buffer.add_string b "  (* (src, dst, priority, tunnels as link-id paths) *)\n";
-  Buffer.add_string b "  let flows =\n    [|\n";
-  Array.iter
-    (fun (src, dst, prio, tuns) ->
-      let paths =
-        String.concat "; " (Array.to_list (Array.map int_array tuns))
-      in
-      Buffer.add_string b
-        (Printf.sprintf "      (%d, %d, %d, [| %s |]);\n" src dst prio paths))
-    t.te_flows;
-  Buffer.add_string b "    |]\n  in\n";
-  Buffer.add_string b (Printf.sprintf "  let demands = %s in\n" (float_array t.demands));
-  Buffer.add_string b
-    {|  let topo = Topology.create nswitches in
-  Array.iter (fun (u, v, c) -> ignore (Topology.add_link topo u v c)) links;
-  let next = ref 0 in
-  let flow_list =
-    Array.to_list
-      (Array.mapi
-         (fun i (src, dst, prio, tuns) ->
-           let tl =
-             Array.to_list
-               (Array.map
-                  (fun path ->
-                    let id = !next in
-                    incr next;
-                    Tunnel.create ~id
-                      (Array.to_list (Array.map (Topology.link topo) path)))
-                  tuns)
-           in
-           Flow.create ~id:i ~priority:prio ~src ~dst tl)
-         flows)
+let te_literal (t : te) =
+  let link (u, v, c) = Printf.sprintf "(%d, %d, %s)" u v (fl c) in
+  let flow (src, dst, prio, tuns) =
+    Printf.sprintf "(%d, %d, %d, %s)" src dst prio
+      (seq "[|" "|]" (Array.to_list (Array.map int_array tuns)))
   in
-  let input = { Ffc_core.Te_types.topo; flows = flow_list; demands } in
-|};
-  Buffer.contents b
-
-let te_snippet (t : te) =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "let () =\n  let open Ffc_net in\n";
-  Buffer.add_string b (te_build_code t);
-  Buffer.add_string b
-    (Printf.sprintf "  let kc, ke, kv = %d, %d, %d in\n" t.kc t.ke t.kv);
-  Buffer.add_string b
-    {|  let open Ffc_core in
-  let protection = Te_types.protection ~kc ~ke ~kv () in
-  let prev =
-    match Basic_te.solve input with
-    | Ok alloc -> alloc
-    | Error _ -> Te_types.zero_allocation input
-  in
-  let config =
-    Ffc.config ~protection ~mice_fraction:0. ~ingress_skip_fraction:0.
-      ~rescale_aware:(kc > 0 && ke + kv > 0) ()
-  in
-  match Ffc.solve_checked ~config ~prev input with
-  | Error f -> Printf.printf "solve failed: %s\n" f.Te_types.message
-  | Ok r ->
-    let alloc = r.Ffc.alloc in
-    Printf.printf "throughput %.6g\n" (Te_types.throughput alloc);
-    (if ke + kv > 0 then
-       match Enumerate.verify_data_plane input alloc ~ke ~kv with
-       | Ok () -> print_endline "data-plane guarantee holds"
-       | Error e -> Printf.printf "DATA-PLANE VIOLATION: %s\n" e);
-    (if kc > 0 then
-       match Enumerate.verify_control_plane input ~old_alloc:prev ~new_alloc:alloc ~kc with
-       | Ok () -> print_endline "control-plane guarantee holds"
-       | Error e -> Printf.printf "CONTROL-PLANE VIOLATION: %s\n" e);
-    if kc > 0 && ke + kv > 0 then
-      match Enumerate.verify_combined input ~old_alloc:prev ~new_alloc:alloc ~protection with
-      | Ok () -> print_endline "combined guarantee holds"
-      | Error e -> Printf.printf "COMBINED VIOLATION: %s\n" e
-|};
-  Buffer.contents b
+  record
+    [
+      ("nswitches", string_of_int t.nswitches);
+      ("te_links", seq ~lines:true "[|" "|]" (Array.to_list (Array.map link t.te_links)));
+      ("te_flows", seq ~lines:true "[|" "|]" (Array.to_list (Array.map flow t.te_flows)));
+      ("demands", float_array t.demands);
+      ("kc", string_of_int t.kc);
+      ("ke", string_of_int t.ke);
+      ("kv", string_of_int t.kv);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Simulator instances: a TE instance plus a concrete fault case       *)
@@ -713,43 +560,12 @@ let shrink_sim s =
   List.iter (fun te -> push { s with sim_te = te }) (shrink_te s.sim_te);
   List.rev !cands
 
-let sim_snippet (s : sim) =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "let () =\n  let open Ffc_net in\n";
-  Buffer.add_string b (te_build_code s.sim_te);
-  Buffer.add_string b
-    (Printf.sprintf "  let failed_links = %s in\n" (int_array s.failed_links));
-  Buffer.add_string b
-    (Printf.sprintf "  let failed_switches = %s in\n" (int_array s.failed_switches));
-  Buffer.add_string b (Printf.sprintf "  let stuck = %s in\n" (int_array s.stuck));
-  Buffer.add_string b (Printf.sprintf "  let old_zero = %b in\n" s.old_zero);
-  Buffer.add_string b
-    {|  let open Ffc_core in
-  let alloc =
-    match Basic_te.solve input with
-    | Ok alloc -> alloc
-    | Error _ -> Te_types.zero_allocation input
-  in
-  let old_alloc =
-    if old_zero then Te_types.zero_allocation input
-    else
-      match Basic_te.solve { input with Te_types.demands = Array.map (fun d -> 0.7 *. d) input.Te_types.demands } with
-      | Ok a -> a
-      | Error _ -> Te_types.zero_allocation input
-  in
-  let mem a x = Array.exists (fun y -> y = x) a in
-  let rates =
-    Rescale.rescale input alloc ~stuck:(mem stuck) ~old_alloc_of:(fun _ -> old_alloc)
-      ~failed_links:(mem failed_links) ~failed_switches:(mem failed_switches) ()
-  in
-  List.iter
-    (fun (f : Flow.t) ->
-      let id = f.Flow.id in
-      let sent = Array.fold_left ( +. ) 0. rates.Rescale.tunnel_rates.(id) in
-      Printf.printf "flow %d: rate %.6g sent %.6g undeliverable %.6g\n" id
-        alloc.Te_types.bf.(id) sent rates.Rescale.undeliverable.(id))
-    input.Te_types.flows;
-  let dropped = Ffc_sim.Loss.congestion_rates input rates.Rescale.tunnel_rates in
-  Array.iteri (fun cls d -> Printf.printf "class %d dropped %.6g\n" cls d) dropped
-|};
-  Buffer.contents b
+let sim_literal (s : sim) =
+  record
+    [
+      ("sim_te", te_literal s.sim_te);
+      ("failed_links", int_array s.failed_links);
+      ("failed_switches", int_array s.failed_switches);
+      ("stuck", int_array s.stuck);
+      ("old_zero", string_of_bool s.old_zero);
+    ]

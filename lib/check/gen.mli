@@ -4,8 +4,10 @@
     from the supplied {!Ffc_util.Rng.t}; shrinkers ([shrink_*]) propose
     structurally smaller candidates in decreasing-impact order (the fuzz
     driver greedily recurses on the first candidate that still fails); and
-    snippet emitters ([*_snippet]) print the instance back as a standalone,
-    runnable OCaml program for bug reports. *)
+    literal printers ([*_literal]) print the instance back as an OCaml
+    expression of its type. Floats print as round-trip [%.17g] and record
+    labels carry the [Ffc_check.Gen] path, so a repro ({!Fuzz.repro_program})
+    rebuilds the exact instance without an [open]. *)
 
 (** {2 LP instances}
 
@@ -40,7 +42,7 @@ val lp_reshape : lp -> cap:float -> lp * int array
 
 val lp_instance : Ffc_util.Rng.t -> lp
 val shrink_lp : lp -> lp list
-val lp_snippet : lp -> string
+val lp_literal : lp -> string
 
 (** {2 Sparse-LU instances}
 
@@ -70,7 +72,7 @@ val lu_repair_cols : lu -> (int array * float array) array
 
 val lu_instance : Ffc_util.Rng.t -> lu
 val shrink_lu : lu -> lu list
-val lu_snippet : lu -> string
+val lu_literal : lu -> string
 
 (** {2 TE instances}
 
@@ -94,7 +96,7 @@ val te_input : te -> Ffc_core.Te_types.input
 
 val te_instance : Ffc_util.Rng.t -> te
 val shrink_te : te -> te list
-val te_snippet : te -> string
+val te_literal : te -> string
 
 (** {2 Simulator instances}
 
@@ -112,4 +114,4 @@ type sim = {
 
 val sim_instance : Ffc_util.Rng.t -> sim
 val shrink_sim : sim -> sim list
-val sim_snippet : sim -> string
+val sim_literal : sim -> string

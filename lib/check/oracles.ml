@@ -572,16 +572,22 @@ let sim_test (s : Gen.sim) =
 
 (* ------------------------------------------------------------------ *)
 
+(* Each repro names its oracle's test here, and only here. *)
+let lp_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.lp_test" Gen.lp_literal
+let lu_repro = Fuzz.repro_program ~test:"(Ffc_check.Oracles.make_lu_test ())" Gen.lu_literal
+let ffc_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.ffc_test" Gen.te_literal
+let sim_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.sim_test" Gen.sim_literal
+
 let all () =
   [
-    Fuzz.oracle ~name:"lp" ~generate:Gen.lp_instance ~test:lp_test
-      ~shrink:Gen.shrink_lp ~repro:Gen.lp_snippet;
+    Fuzz.oracle ~name:"lp" ~generate:Gen.lp_instance ~test:lp_test ~shrink:Gen.shrink_lp
+      ~repro:lp_repro;
     Fuzz.oracle ~name:"lu" ~generate:Gen.lu_instance ~test:(make_lu_test ())
-      ~shrink:Gen.shrink_lu ~repro:Gen.lu_snippet;
-    Fuzz.oracle ~name:"ffc" ~generate:Gen.te_instance ~test:ffc_test
-      ~shrink:Gen.shrink_te ~repro:Gen.te_snippet;
+      ~shrink:Gen.shrink_lu ~repro:lu_repro;
+    Fuzz.oracle ~name:"ffc" ~generate:Gen.te_instance ~test:ffc_test ~shrink:Gen.shrink_te
+      ~repro:ffc_repro;
     Fuzz.oracle ~name:"sim" ~generate:Gen.sim_instance ~test:sim_test ~shrink:Gen.shrink_sim
-      ~repro:Gen.sim_snippet;
+      ~repro:sim_repro;
   ]
 
 (* The chaos oracle is selectable but not part of the default campaign: one

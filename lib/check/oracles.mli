@@ -27,6 +27,16 @@ val make_lu_test : unit -> Gen.lu -> Fuzz.verdict
 val ffc_test : Gen.te -> Fuzz.verdict
 val sim_test : Gen.sim -> Fuzz.verdict
 
+(** {2 Repros}
+
+    Each oracle's [repro]: {!Fuzz.repro_program} over the instance's
+    [Gen.*_literal], calling the test above. *)
+
+val lp_repro : Gen.lp -> string
+val lu_repro : Gen.lu -> string
+val ffc_repro : Gen.te -> string
+val sim_repro : Gen.sim -> string
+
 val all : unit -> Fuzz.oracle list
 (** The four default-campaign oracles, in the listing order that fixes
     their seed streams: ["lp"], ["lu"], ["ffc"], ["sim"]. Each oracle runs

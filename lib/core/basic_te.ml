@@ -1,7 +1,7 @@
 open Ffc_lp
 
 let build ?reserved (input : Te_types.input) =
-  let model = Model.create ~name:"basic-te" () in
+  let model = Model.create () in
   let vars = Formulation.make_vars model input in
   Formulation.capacity_constraints ?reserved vars input;
   Formulation.demand_constraints vars input;

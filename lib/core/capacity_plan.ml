@@ -10,7 +10,7 @@ type result = {
 
 let solve ?(config = Ffc.config ()) ?prev (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"capacity-plan" () in
+  let model = Model.create () in
   let vars = Formulation.make_vars ~fixed_demand:true model input in
   Formulation.demand_constraints vars input;
   let nlinks = Topology.num_links input.Te_types.topo in
@@ -18,7 +18,7 @@ let solve ?(config = Ffc.config ()) ?prev (input : Te_types.input) =
   let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
-      let c = Model.add_var ~name:(Printf.sprintf "cap_e%d" l.Topology.id) model in
+      let c = Model.add_var model in
       cap_vars.(l.Topology.id) <- c;
       match per_link.(l.Topology.id) with
       | [] -> ()

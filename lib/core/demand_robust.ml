@@ -12,12 +12,12 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
         invalid_arg "Demand_robust.solve: peak below nominal demand")
     input.Te_types.flows;
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"demand-robust" () in
+  let model = Model.create () in
   (* Provision tunnels for the peaks: b_f pinned to dhat_f. *)
   let peak_input = { input with Te_types.demands = Array.copy peaks } in
   let vars = Formulation.make_vars ~fixed_demand:true model peak_input in
   Formulation.demand_constraints vars peak_input;
-  let u = Model.add_var ~name:"robust-mlu" model in
+  let u = Model.add_var model in
   let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->

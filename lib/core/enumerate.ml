@@ -48,7 +48,7 @@ let data_constraint_count (input : Te_types.input) ~ke ~kv =
 let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
     ~(protection : Te_types.protection) ?prev ?reserved (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"ffc-enumerated" () in
+  let model = Model.create () in
   let vars = Formulation.make_vars model input in
   Formulation.capacity_constraints ?reserved vars input;
   Formulation.demand_constraints vars input;

@@ -220,7 +220,7 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
 let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
     (input : Te_types.input) =
   let cfg = config in
-  let model = Model.create ~name:"ffc-te" () in
+  let model = Model.create () in
   let vars = Formulation.make_vars model input in
   Formulation.capacity_constraints ?reserved vars input;
   Formulation.demand_constraints vars input;

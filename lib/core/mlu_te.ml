@@ -10,10 +10,10 @@ type result = {
 
 let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"mlu-te" () in
+  let model = Model.create () in
   let vars = Formulation.make_vars ~fixed_demand:true model input in
   Formulation.demand_constraints vars input;
-  let u = Model.add_var ~name:"mlu" model in
+  let u = Model.add_var model in
   let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
@@ -31,7 +31,7 @@ let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input)
       match prev with
       | None -> invalid_arg "Mlu_te.solve: kc > 0 requires prev"
       | Some prev ->
-        let uf = Model.add_var ~name:"fault-mlu" model in
+        let uf = Model.add_var model in
         Ffc.control_plane_constraints config vars input ~prev
           ~rhs:(fun (l : Topology.link) -> Expr.var ~coeff:l.Topology.capacity uf)
           ();

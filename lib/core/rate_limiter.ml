@@ -4,14 +4,14 @@ module Bounded_sum = Ffc_sortnet.Bounded_sum
 
 let solve ?(config = Ffc.config ()) ~(prev : Te_types.allocation) (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"ffc-rl-unordered" () in
+  let model = Model.create () in
   (* vars.af here are the reservations ahat (provisioned for r_f). *)
   let vars = Formulation.make_vars model input in
   let r = Array.make (Array.length input.Te_types.demands) (-1) in
   List.iter
     (fun (f : Flow.t) ->
       let id = f.Flow.id in
-      let rv = Model.add_var ~name:(Printf.sprintf "r_f%d" id) model in
+      let rv = Model.add_var model in
       r.(id) <- rv;
       Model.ge model (Expr.var rv) (Expr.var vars.Formulation.bf.(id));
       Model.ge model (Expr.var rv) (Expr.const prev.Te_types.bf.(id));

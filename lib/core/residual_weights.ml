@@ -26,7 +26,7 @@ let residual_positions (f : Flow.t) failed_links =
 
 let solve ~ke (input : Te_types.input) =
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"residual-weights" () in
+  let model = Model.create () in
   let nflows = Array.length input.Te_types.demands in
   let bf = Array.make nflows (-1) in
   List.iter

@@ -41,7 +41,7 @@ let plan ?(config = Ffc.config ()) ?(steps = 2) (input : Te_types.input) ~from_ 
   if steps < 1 then invalid_arg "Update_plan.plan: steps must be >= 1";
   let kc = config.Ffc.protection.Te_types.kc in
   let started_ms = Ffc_util.Clock.now_ms () in
-  let model = Model.create ~name:"update-plan" () in
+  let model = Model.create () in
   let nf = Array.length input.Te_types.demands in
   let min_rate = Array.make nf 0. in
   List.iter

@@ -7,11 +7,9 @@ type var = int
 type row = { terms : (int * float) list; sense : Problem.sense; rhs : float; key : int }
 
 type t = {
-  name : string;
   mutable nvars : int;
   mutable lbs : float list; (* reversed *)
   mutable ubs : float list; (* reversed *)
-  mutable names : string option list; (* reversed *)
   mutable var_keys : int list; (* reversed *)
   mutable rows : row list; (* reversed *)
   mutable nrows : int;
@@ -41,13 +39,11 @@ let child_scope = mix 0x3C6EF372FE94F82B
 let var_key = mix 0x1F83D9ABFB41BD6B
 let row_key = mix 0x2BD9D3E8A4C6F3A1
 
-let create ?(name = "lp") () =
+let create () =
   {
-    name;
     nvars = 0;
     lbs = [];
     ubs = [];
-    names = [];
     var_keys = [];
     rows = [];
     nrows = 0;
@@ -77,12 +73,11 @@ let scope t id f =
     restore ();
     raise e
 
-let add_var ?(lb = 0.) ?(ub = infinity) ?name t =
+let add_var ?(lb = 0.) ?(ub = infinity) t =
   let i = t.nvars in
   t.nvars <- i + 1;
   t.lbs <- lb :: t.lbs;
   t.ubs <- ub :: t.ubs;
-  t.names <- name :: t.names;
   t.var_keys <- var_key t.scope t.var_ord :: t.var_keys;
   t.var_ord <- t.var_ord + 1;
   i
@@ -195,11 +190,3 @@ let objective_value sol = sol.obj
 
 let num_vars t = t.nvars
 let num_constraints t = t.nrows
-
-let var_name t j =
-  match List.nth_opt t.names (t.nvars - 1 - j) with
-  | Some (Some n) -> n
-  | Some None | None -> Printf.sprintf "x%d" j
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%s: vars=%d rows=%d" t.name t.nvars t.nrows

@@ -8,7 +8,7 @@ type t
 type var = int
 (** Variables are indices into the model; use them with {!Expr.var}. *)
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
 val scope : t -> int -> (unit -> 'a) -> 'a
 (** [scope t id f] runs [f] inside the child scope [id] of the current
@@ -21,7 +21,7 @@ val scope : t -> int -> (unit -> 'a) -> 'a
     {!solve} can carry a warm basis across the change. Ids must be distinct
     among the children of one scope; the root scope is the model itself. *)
 
-val add_var : ?lb:float -> ?ub:float -> ?name:string -> t -> var
+val add_var : ?lb:float -> ?ub:float -> t -> var
 (** New variable. [lb] defaults to [0.], [ub] to [infinity]. Use
     [~lb:neg_infinity] for free variables. *)
 
@@ -94,9 +94,3 @@ val solution_basis : solution -> Problem.basis option
 
 val num_vars : t -> int
 val num_constraints : t -> int
-
-val var_name : t -> var -> string
-(** The name given at creation, or ["x<i>"]. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line [vars=… rows=…] summary. *)

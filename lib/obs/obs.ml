@@ -1,6 +1,5 @@
 module Clock = Ffc_util.Clock
 module Json = Ffc_util.Json
-module Table = Ffc_util.Table
 
 (* ------------------------------------------------------------------ *)
 (* Enablement                                                          *)
@@ -581,80 +580,6 @@ let trace_json () =
   in
   let events = Json.List (List.map event (spans ())) in
   Json.to_string_indented (Obj [ ("displayTimeUnit", String "ms"); ("traceEvents", events) ]) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Export: self-time flame summary                                     *)
-(* ------------------------------------------------------------------ *)
-
-type flame_row = {
-  mutable fr_calls : int;
-  mutable fr_total : float;
-  mutable fr_self : float;
-}
-
-let flame_table () =
-  let by_name : (string, flame_row) Hashtbl.t = Hashtbl.create 32 in
-  let row name =
-    match Hashtbl.find_opt by_name name with
-    | Some r -> r
-    | None ->
-      let r = { fr_calls = 0; fr_total = 0.; fr_self = 0. } in
-      Hashtbl.add by_name name r;
-      r
-  in
-  let all = spans () in
-  let doms = List.sort_uniq compare (List.map (fun s -> s.dom) all) in
-  List.iter
-    (fun d ->
-      let sp =
-        List.filter (fun s -> s.dom = d) all
-        |> List.sort (fun a b ->
-               match Float.compare a.start_ms b.start_ms with
-               | 0 -> compare a.depth b.depth (* parent (lower depth) first on ties *)
-               | c -> c)
-        |> Array.of_list
-      in
-      (* Stack of enclosing spans by depth; a span's duration is charged
-         against the self time of its innermost live ancestor. Ring
-         wrap-around can drop early children, inflating a parent's
-         apparent self time; the summary is best-effort by design. *)
-      let stack = Array.make 256 None in
-      Array.iter
-        (fun s ->
-          let d = min s.depth 255 in
-          let r = row s.name in
-          r.fr_calls <- r.fr_calls + 1;
-          r.fr_total <- r.fr_total +. s.dur_ms;
-          r.fr_self <- r.fr_self +. s.dur_ms;
-          if d > 0 then begin
-            match stack.(d - 1) with
-            | Some (pname, pstart, pdur)
-              when s.start_ms >= pstart -. 1e-9
-                   && s.start_ms +. s.dur_ms <= pstart +. pdur +. 1e-6 ->
-              let pr = row pname in
-              pr.fr_self <- pr.fr_self -. s.dur_ms
-            | _ -> ()
-          end;
-          stack.(d) <- Some (s.name, s.start_ms, s.dur_ms))
-        sp)
-    doms;
-  let rows =
-    Hashtbl.fold (fun name r acc -> (name, r) :: acc) by_name []
-    |> List.sort (fun (_, a) (_, b) -> Float.compare b.fr_self a.fr_self)
-  in
-  let t = Table.create [ "span"; "calls"; "total ms"; "self ms"; "mean ms" ] in
-  List.iter
-    (fun (name, r) ->
-      Table.add_row t
-        [
-          name;
-          string_of_int r.fr_calls;
-          Printf.sprintf "%.3f" r.fr_total;
-          Printf.sprintf "%.3f" (Float.max 0. r.fr_self);
-          Printf.sprintf "%.4f" (r.fr_total /. float_of_int (max 1 r.fr_calls));
-        ])
-    rows;
-  Table.to_string t
 
 (* ------------------------------------------------------------------ *)
 (* File output                                                         *)

@@ -12,8 +12,7 @@
       allocating, so instrumented hot paths cost nothing in normal runs.
     - {b spans} — [with_span "revised.ftran" f] captures nested begin/end
       plus duration into a fixed-size per-domain ring buffer, exportable as
-      Chrome [trace_event] JSON ([write_trace]) and as a self-time flame
-      summary table ([flame_table]).
+      Chrome [trace_event] JSON ([write_trace]).
     - {b events} — levelled, machine-readable records replacing ad-hoc
       stderr warnings. Events are always retained (bounded) and mirrored to
       stderr at [Warn] and above by default, so disabling the registry never
@@ -173,10 +172,6 @@ val trace_json : unit -> string
 (** Retained spans as Chrome [trace_event] JSON ("X" complete events,
     microsecond timestamps; [tid] is the recording domain). Loadable in
     [chrome://tracing] / Perfetto. *)
-
-val flame_table : unit -> string
-(** Self-time summary: per span name, call count, total and self wall-clock
-    (total minus direct children), sorted by self time. *)
 
 val write_metrics : string -> unit
 (** Write [metrics_json] to the path — unless it ends in [.prom] or [.txt],

@@ -1,15 +1,15 @@
 (* Fixed-size domain pool with order-preserving fan-out.
 
-   The pool owns [jobs - 1] worker domains; the caller's domain is the
-   remaining worker, so [map] on a [jobs]-sized pool runs at most [jobs]
-   evaluations concurrently and a 1-sized pool never spawns a domain at
-   all. Work distribution is a shared atomic index over the input array, so
-   scheduling is dynamic, but results land at their input index and
-   exceptions are re-raised for the lowest failing index — the observable
-   behaviour of [map] is exactly that of [Array.map], whatever the
-   interleaving. Nested [map] calls (from inside a task) degrade to plain
-   sequential evaluation instead of deadlocking on the pool's own
-   capacity. *)
+   The pool owns [min jobs (recommended_jobs ()) - 1] worker domains; the
+   caller's domain is the remaining worker, so [map] runs at most one
+   evaluation per core however wide the pool was asked to be, and a
+   1-sized pool never spawns a domain at all. Work distribution is a
+   shared atomic index over the input array, so scheduling is dynamic, but
+   results land at their input index and exceptions are re-raised for the
+   lowest failing index — the observable behaviour of [map] is exactly
+   that of [Array.map], whatever the interleaving. Nested [map] calls (from
+   inside a task) degrade to plain sequential evaluation instead of
+   deadlocking on the pool's own capacity. *)
 
 type t = {
   jobs : int;
@@ -45,6 +45,10 @@ let worker_loop t =
     end
   done
 
+let recommended_jobs () = Domain.recommended_domain_count ()
+
+(* More domains than cores only contend, for the cores and in every
+   stop-the-world minor collection. *)
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
@@ -57,13 +61,11 @@ let create ~jobs =
       shut = false;
     }
   in
-  if jobs > 1 then
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  let domains = min jobs (recommended_jobs ()) in
+  t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.jobs
-
-let recommended_jobs () = Domain.recommended_domain_count ()
 
 let shutdown t =
   Mutex.lock t.m;
@@ -88,7 +90,7 @@ let map t f arr =
   if t.shut then invalid_arg "Pool.map: pool is shut down";
   let n = Array.length arr in
   if n = 0 then [||]
-  else if t.jobs = 1 || n = 1 || !(Domain.DLS.get inside) then map_seq f arr
+  else if t.workers = [] || n = 1 || !(Domain.DLS.get inside) then map_seq f arr
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -123,9 +125,7 @@ let map t f arr =
       flag := saved
     in
     Mutex.lock t.m;
-    for _ = 2 to t.jobs do
-      Queue.push participate t.queue
-    done;
+    List.iter (fun _ -> Queue.push participate t.queue) t.workers;
     Condition.broadcast t.work;
     Mutex.unlock t.m;
     participate ();

@@ -1,31 +1,34 @@
 (** Fixed-size domain pool with deterministic, order-preserving fan-out.
 
-    A pool of size [jobs] evaluates at most [jobs] tasks concurrently:
-    [jobs - 1] persistent worker domains plus the calling domain, which
-    participates in every {!map} instead of blocking. The contract of
-    {!map} is {e exactly} [Array.map]'s: results are returned at their
-    input index, and if any task raises, the exception of the {e lowest}
-    failing index is re-raised (with its backtrace) after the whole batch
-    settles — so output, including failure behaviour, is independent of
-    scheduling. This is what makes the split-stream-seeded campaigns
+    A pool of size [jobs] evaluates at most [min jobs (recommended_jobs ())]
+    tasks concurrently, one domain per core: that many minus one persistent
+    worker domains plus the calling domain, which participates in every
+    {!map} instead of blocking. The contract of {!map} is {e exactly}
+    [Array.map]'s: results are returned at their input index, and if any
+    task raises, the exception of the {e lowest} failing index is re-raised
+    (with its backtrace) after the whole batch settles — so output,
+    including failure behaviour, is independent of scheduling. This is what makes the split-stream-seeded campaigns
     ([Fuzz.run] and [Chaos.hunt]) bit-identical at any [-j].
 
     Nested use is supported by degradation: a [map] issued from inside a
     pool task runs sequentially inline (no deadlock, same results). A pool
-    of size 1 never spawns a domain and runs everything inline. *)
+    of size 1, or on a single core, never spawns a domain and runs
+    everything inline. *)
 
 type t
 
 val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains ([jobs >= 1], else
-    [Invalid_argument]). [jobs = 1] is the degenerate sequential pool. *)
+(** [create ~jobs] spawns [min jobs (recommended_jobs ()) - 1] worker
+    domains ([jobs >= 1], else [Invalid_argument]). [jobs = 1] is the
+    degenerate sequential pool. *)
 
 val jobs : t -> int
-(** The parallelism degree the pool was created with. *)
+(** The width the pool was created with, even where fewer domains run it.
+    Campaigns chunk their work by it, so a time-budgeted report truncates
+    at the same chunk boundaries on any host. *)
 
 val recommended_jobs : unit -> int
-(** {!Domain.recommended_domain_count} — what [-j] defaults should not
-    exceed. *)
+(** {!Domain.recommended_domain_count}: the most domains a pool runs. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel [Array.map]. Tasks are claimed dynamically

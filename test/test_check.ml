@@ -1,6 +1,6 @@
 (* Tests for the differential fuzzing harness itself (lib/check): runner
-   determinism, category-preserving shrinking, crash capture, generator
-   well-formedness over many seeds, and repro-snippet shape. The real
+   determinism, category-preserving shrinking, crash capture and generator
+   well-formedness over many seeds. test/repro compiles the repros. The real
    solver-facing campaign runs as the [fuzz] experiment in bench/. *)
 
 module Fuzz = Ffc_check.Fuzz
@@ -131,34 +131,6 @@ let test_generators_well_formed () =
     let sim = Gen.sim_instance (Rng.split rng) in
     ignore (Gen.te_input sim.Gen.sim_te)
   done
-
-let test_snippets_runnable_shape () =
-  let rng = Rng.create 4 in
-  let lp = Gen.lp_snippet (Gen.lp_instance (Rng.split rng)) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " in lp snippet") true (contains lp needle))
-    [
-      "let () =";
-      "Model.solve ~backend:`Dense_tableau";
-      "warm_start";
-      "Model.maximize";
-      "build ~ids reshaped";
-    ];
-  let lus = Gen.lu_snippet (Gen.lu_instance (Rng.split rng)) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " in lu snippet") true (contains lus needle))
-    [ "Sparse_lu.factorise"; "let () ="; "~repair:true" ];
-  let tes = Gen.te_snippet (Gen.te_instance (Rng.split rng)) in
-  Alcotest.(check bool) "te snippet solves" true (contains tes "solve");
-  let sims = Gen.sim_snippet (Gen.sim_instance (Rng.split rng)) in
-  Alcotest.(check bool) "sim snippet" true (String.length sims > 0)
 
 (* The composed campaign over the real oracles: a short seeded run must
    exercise every oracle and find nothing (regressions show up as findings
@@ -323,7 +295,6 @@ let () =
       ( "generators",
         [
           case "well-formed over many seeds" test_generators_well_formed;
-          case "snippets have runnable shape" test_snippets_runnable_shape;
         ] );
       ( "oracles",
         [

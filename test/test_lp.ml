@@ -1121,12 +1121,8 @@ let test_revised_phase2_primal_feasibility () =
     [ true; false ]
 
 let test_printers () =
-  let m = Model.create ~name:"demo" () in
-  let x = Model.add_var ~name:"rate" m in
-  Model.le m (Expr.var x) (Expr.const 1.);
-  Alcotest.(check string) "var name" "rate" (Model.var_name m x);
-  let s = Format.asprintf "%a" Model.pp_stats m in
-  Alcotest.(check bool) "stats mention rows" true (String.length s > 0);
+  let m = Model.create () in
+  let x = Model.add_var m in
   let e = Format.asprintf "%a" Expr.pp (Expr.add (Expr.var ~coeff:2. x) (Expr.const 3.)) in
   Alcotest.(check bool) "expr printed" true (String.length e > 0)
 
@@ -1207,5 +1203,5 @@ let () =
           case "row-set change remaps by key" test_warm_presolve_row_set_remap;
           case "keys distinct across kinds and scopes" test_keys_distinct;
         ] );
-      ("printers", [ case "names and formatters" test_printers ]);
+      ("printers", [ case "expression printer" test_printers ]);
     ]

@@ -4,6 +4,7 @@
    range-checked converters from. *)
 
 module Pool = Ffc_util.Pool
+module Clock = Ffc_util.Clock
 module Validate = Ffc_util.Validate
 
 exception Boom of int
@@ -73,6 +74,32 @@ let test_jobs_one_inline () =
       Alcotest.(check (array int)) "inline map" [| 1; 4; 9 |]
         (Pool.map p (fun i -> i * i) [| 1; 2; 3 |]))
 
+(* A pool runs at most one domain per core, whatever width it was asked
+   for: tasks that busy-wait about 2 ms never overlap more than that, and
+   [jobs] still reports the requested width. *)
+let test_one_domain_per_core () =
+  let running = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak now =
+    let p = Atomic.get peak in
+    if now > p && not (Atomic.compare_and_set peak p now) then raise_peak now
+  in
+  let task _ =
+    raise_peak (1 + Atomic.fetch_and_add running 1);
+    let t0 = Clock.now_ms () in
+    while Clock.now_ms () -. t0 < 2. do
+      ()
+    done;
+    Atomic.decr running
+  in
+  Pool.with_pool ~jobs:4 (fun p ->
+      ignore (Pool.map p task (Array.make 32 ()));
+      Alcotest.(check int) "jobs is the requested width" 4 (Pool.jobs p));
+  let cap = min 4 (Pool.recommended_jobs ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d concurrent tasks <= %d" (Atomic.get peak) cap)
+    true
+    (Atomic.get peak <= cap)
+
 let test_shutdown () =
   let p = Pool.create ~jobs:3 in
   Alcotest.(check (array int)) "before shutdown" [| 0; 2; 4 |]
@@ -123,6 +150,7 @@ let () =
           Alcotest.test_case "lowest failing index wins" `Quick test_lowest_index_exception;
           Alcotest.test_case "nested map degrades inline" `Quick test_nested_map_degrades;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs_one_inline;
+          Alcotest.test_case "at most one domain per core" `Quick test_one_domain_per_core;
         ] );
       ( "lifecycle",
         [
