@@ -764,8 +764,11 @@ let capacity_planning () =
    optimal basis buys. [prev] is chained as the controller chains it: each
    interval plans against the allocation the previous one installed, so
    the §4.5 and §6 rules move the LP's row set from interval to interval
-   and the warm basis has to be mapped by key. Returns the warm-start
-   section of BENCH_lp.json (written by the [lp] experiment). *)
+   and the warm basis has to be mapped by key. A warm solve's iterations
+   split into dual pivots (phase 1 on a warm start) and primal ones.
+   Returns the warm-start section of BENCH_lp.json (written by the [lp]
+   experiment) and its two verdicts: median warm iterations below median
+   cold, and every warm objective equal to the cold one (1e-6). *)
 let warm_bench () =
   section "LP warm-start: cold vs warm revised simplex across a demand series (L-Net)";
   let module Problem = Ffc_lp.Problem in
@@ -786,17 +789,22 @@ let warm_bench () =
     | Ok r -> r
     | Error e -> failwith ("bench lp (warm): " ^ e)
   in
-  let iters (r : Ffc.result) =
+  let phases (r : Ffc.result) =
     match r.Ffc.stats.Ffc.solver with
-    | Some s -> s.Problem.phase1_iterations + s.Problem.phase2_iterations
-    | None -> 0
+    | Some s -> (s.Problem.phase1_iterations, s.Problem.phase2_iterations)
+    | None -> (0, 0)
   in
+  let iters r = let p1, p2 = phases r in p1 + p2 in
   let t =
     Table.create
-      [ "interval"; "LP rows"; "cold ms"; "cold iters"; "warm ms"; "warm iters"; "warm used" ]
+      [
+        "interval"; "LP rows"; "cold ms"; "cold iters"; "warm ms"; "warm dual"; "warm primal";
+        "warm used";
+      ]
   in
   let cold_ms = ref [] and warm_ms = ref [] in
   let cold_iters = ref [] and warm_iters = ref [] in
+  let per_interval = ref [] and max_gap = ref 0. in
   let warm_used = ref 0 and restarts = ref 0 and compared = ref 0 in
   let remapped = ref 0 and repaired = ref 0 in
   (* Interval 0 seeds the chain from basic TE's allocation; from interval 1
@@ -834,6 +842,21 @@ let warm_bench () =
         Option.iter
           (fun s -> Format.printf "  warm %d: %a@." i Ffc_lp.Problem.pp_stats s)
           warm.Ffc.stats.Ffc.solver;
+        let dual, primal = phases warm in
+        let cold_obj = Te_types.throughput cold.Ffc.alloc in
+        let gap =
+          abs_float (Te_types.throughput warm.Ffc.alloc -. cold_obj) /. (1. +. abs_float cold_obj)
+        in
+        max_gap := Float.max !max_gap gap;
+        per_interval :=
+          Json.Obj
+            [
+              ("interval", Int i); ("lp_rows", Int warm.Ffc.stats.Ffc.lp_rows);
+              ("cold_ms", Float cold.Ffc.stats.Ffc.solve_ms); ("cold_iters", Int (iters cold));
+              ("warm_ms", Float warm.Ffc.stats.Ffc.solve_ms); ("warm_dual_iters", Int dual);
+              ("warm_primal_iters", Int primal); ("objective_gap", Float gap);
+            ]
+          :: !per_interval;
         Table.add_row t
           [
             string_of_int i;
@@ -841,7 +864,8 @@ let warm_bench () =
             Printf.sprintf "%.1f" cold.Ffc.stats.Ffc.solve_ms;
             string_of_int (iters cold);
             Printf.sprintf "%.1f" warm.Ffc.stats.Ffc.solve_ms;
-            string_of_int (iters warm);
+            string_of_int dual;
+            string_of_int primal;
             (if used then "yes" else "no (cold fallback)");
           ]
       end)
@@ -850,18 +874,19 @@ let warm_bench () =
   let med = Stats.median and p95 = Stats.percentile 95. in
   Printf.printf
     "cold: median %.1f ms / %.0f iters;  warm: median %.1f ms / %.0f iters;  warm used %d/%d \
-     (remapped %d, repaired %d)\n"
+     (remapped %d, repaired %d); warm vs cold objective: max relative gap %.1e\n"
     (med !cold_ms) (med !cold_iters) (med !warm_ms) (med !warm_iters) !warm_used !compared
-    !remapped !repaired;
+    !remapped !repaired !max_gap;
   let times ms iters =
     [
       ("median_ms", Json.Float (med ms)); ("p95_ms", Float (p95 ms));
       ("median_iters", Float (med iters)); ("p95_iters", Float (p95 iters));
     ]
   in
-  Json.Obj
+  ( Json.Obj
     [
       ("config", String "kc=2,ke=1,duality,prev=chained"); ("compared_intervals", Int !compared);
+      ("intervals", List (List.rev !per_interval));
       ("cold", Obj (times !cold_ms !cold_iters));
       ( "warm",
         Obj
@@ -873,7 +898,9 @@ let warm_bench () =
             ]) );
       ( "iter_reduction_median",
         Float (if med !cold_iters > 0. then 1. -. (med !warm_iters /. med !cold_iters) else 0.) );
-    ]
+    ],
+    !compared > 0 && med !warm_iters < med !cold_iters,
+    !compared > 0 && !max_gap <= 1e-6 )
 
 (* Table 2, each row solved once: L-Net and S-Net non-FFC and with FFC
    (2,1,0) and (3,3,0)u(3,0,1) in both encodings of the bounded M-sum, plus
@@ -1050,7 +1077,7 @@ let lp_bench () =
         else None)
       !solved
   in
-  let warm_json = warm_bench () in
+  let warm_json, warm_fewer, warm_agrees = warm_bench () in
   report ~name:"lp"
     [ ("rows", List (List.map row_json rows)); ("warm", warm_json) ]
     [
@@ -1067,6 +1094,12 @@ let lp_bench () =
       ( "duality_under_2s",
         "duality row solved in under 2 s",
         snd (List.assoc (lnet_210 "duality") !solved) <= 2000. );
+      ( "warm_fewer_iterations",
+        "warm solves take fewer iterations than cold (medians)",
+        warm_fewer );
+      ( "warm_objectives_agree",
+        "every warm objective equals the cold one (1e-6)",
+        warm_agrees );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -85,6 +85,11 @@ let relax_lp (t : Gen.lp) =
         t.Gen.rows;
   }
 
+(* Move every objective coefficient by 1.5, alternately up and down, so a
+   warm basis from the original objective usually starts dual infeasible. *)
+let reweigh_lp (t : Gen.lp) =
+  { t with Gen.obj = Array.mapi (fun j c -> if j land 1 = 0 then c +. 1.5 else c -. 1.5) t.Gen.obj }
+
 let budget_outcome = function
   | Model.Iteration_limit | Model.Deadline_exceeded -> true
   | _ -> false
@@ -205,16 +210,28 @@ let lp_test (t : Gen.lp) =
            else
              (* Warm-start legs, each seeded with the final cold basis and
                 checked against a cold dense solve: a relaxed copy (same
-                shape), then a reshaped one (a row dropped, an objective
-                cut added) whose basis must be mapped by key. *)
+                shape), a reshaped one (a row dropped, an objective cut
+                that the old optimum violates added) whose basis must be
+                mapped by key, and the reshaped one under a moved
+                objective, whose warm start is then usually primal and
+                dual infeasible. *)
              (match Model.solution_basis s2 with
               | None -> Fuzz.Pass
               | Some basis -> (
-                match warm_leg basis "warm-mismatch" "after rhs relaxation" (relax_lp t) with
-                | Fuzz.Pass ->
-                  let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
-                  warm_leg basis ~row_ids "warm-shape-mismatch" "after row set change" t'
-                | verdict -> verdict)))
+                let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
+                let legs =
+                  [
+                    (fun () -> warm_leg basis "warm-mismatch" "after rhs relaxation" (relax_lp t));
+                    (fun () ->
+                      warm_leg basis ~row_ids "warm-shape-mismatch" "after row set change" t');
+                    (fun () ->
+                      warm_leg basis ~row_ids "warm-cost-mismatch"
+                        "after row set and objective change" (reweigh_lp t'));
+                  ]
+                in
+                List.fold_left
+                  (fun verdict leg -> match verdict with Fuzz.Pass -> leg () | v -> v)
+                  Fuzz.Pass legs)))
       | _ -> Fuzz.Pass (* statuses agree on infeasible/unbounded *)
   end
 

@@ -73,14 +73,22 @@ val remap_basis : basis -> nstruct:int -> keys:int array -> basis * bool
     repairs both. *)
 
 type solver_stats = {
-  phase1_iterations : int;  (** iterations spent finding a feasible basis *)
-  phase2_iterations : int;  (** iterations optimising the real objective *)
+  phase1_iterations : int;
+      (** iterations spent finding a feasible basis: primal phase-1 pivots
+          on a cold start, dual pivots on a warm start, plus the iterations
+          of an abandoned warm attempt *)
+  phase2_iterations : int;
+      (** primal iterations optimising the real objective, including any
+          dual pivots that repaired a primally infeasible phase-2 optimum *)
   refactorisations : int;  (** basis factorisations (initial + recovery) *)
-  degenerate_pivots : int;  (** pivots with step length ~0 *)
+  degenerate_pivots : int;
+      (** pivots with step length ~0: the primal step for a primal pivot,
+          the dual step for a dual one *)
   bland_activations : int;  (** times anti-cycling (Bland's rule) engaged *)
   restarts : int;
-      (** numerical restarts: warm-start fallbacks to a cold basis and
-          phase-1 retries after a spurious unbounded ray *)
+      (** numerical restarts: warm-start fallbacks to a cold basis,
+          phase-1 retries after a spurious unbounded ray, and dual repairs
+          of a primally infeasible phase-2 optimum *)
   ftran_ms : float;  (** wall-clock time inside FTRAN solves *)
   factor_nnz : int;  (** nonzeros of the final LU basis factorisation *)
   factor_fill : int;
@@ -96,9 +104,17 @@ type solver_stats = {
           factorisation could not pivot (dependent, or more of them than
           rows) and moved to a bound *)
   status_reason : string;
-      (** human-readable reason for the final status, e.g.
-          ["phase1-unbounded (numerical)"] when a phase-1 unbounded ray was
-          mapped to [Infeasible] *)
+      (** human-readable reason for the final status. {!Revised} gives
+          ["optimal"], ["infeasible"], ["unbounded"],
+          ["phase1-unbounded (numerical trouble; reported infeasible)"],
+          ["iteration-limit (warm dual)"], ["iteration-limit (phase 1)"],
+          ["iteration-limit (phase 2)"], ["deadline (warm dual)"],
+          ["deadline (phase 1)"], ["deadline (phase 2)"],
+          ["phase-2 optimum primally infeasible (numerical trouble)"] or
+          ["phase-2 dual repair stuck (numerical trouble)"]; after a cold
+          fallback the reason is followed by [" (cold fallback: <why>)"],
+          where [<why>] is ["warm dual found no entering column"],
+          ["warm dual stalled"] or ["basis of another dimension"] *)
 }
 (** Instrumentation emitted by the revised simplex; the dense-tableau oracle
     fills in {!default_stats}. *)

@@ -1,4 +1,5 @@
-(* Bounded-variable revised primal simplex over a factorised basis.
+(* Bounded-variable revised simplex over a factorised basis: primal phases
+   for cold solves and optimisation, a dual phase for warm re-solves.
 
    The basis inverse is never formed explicitly: the basis matrix is held as
    a sparse LU factorisation ({!Sparse_lu}) built with Markowitz ordering and
@@ -28,12 +29,21 @@
    repair mode: a column that cannot be pivoted moves to a bound (counted
    in [stats.warm_repairs]) and uncovered rows are completed with
    artificials pinned to [0,0], so a badly mapped basis costs iterations,
-   never the warm start. If the implied point violates bounds, a primal
-   feasibility-restoration phase (minimise the sum of bound violations,
-   with the ratio test relaxed so violated basic variables block only at
-   the bound they are violating) runs before phase 2; if restoration gets
-   stuck numerically, the solve falls back to a cold start, counted in
-   [stats.restarts].
+   never the warm start. If the implied point violates bounds, a dual
+   simplex phase under the real costs runs before phase 2: the basic
+   variable that violates its bounds most leaves at that bound, a Harris
+   two-pass ratio test over its pivot row (BTRAN of e_r, then the rows of A
+   it reaches, from a row-wise copy the phase builds when it starts) picks
+   the entering column, and the reduced costs follow the pivot row instead
+   of being priced again. A remapped optimal basis is usually dual feasible
+   (right-hand sides moved, costs did not); a nonbasic column that is not
+   gets its cost shifted until it is, and phase 2, which prices the true
+   costs, removes the shifts and certifies optimality. A dual phase that
+   finds no entering column (which proves nothing once costs are shifted)
+   or stalls ends the warm attempt: the solve starts cold, counted in
+   [stats.restarts], and its [status_reason] names the warm failure. The
+   same dual phase repairs a phase-2 optimum that turns out primally
+   infeasible after a refactorisation.
 
    Invariants maintained across iterations:
    - [basic.(i)] is the variable basic in position/row i; [vstat.(j)] tracks
@@ -74,6 +84,7 @@ type acc = {
   mutable lu_updates : int;
   mutable warm_repairs : int;
   mutable spent_iterations : int; (* iterations of abandoned attempts *)
+  mutable fallback : string option; (* why a warm basis was abandoned *)
 }
 
 let fresh_acc () =
@@ -86,6 +97,7 @@ let fresh_acc () =
     lu_updates = 0;
     warm_repairs = 0;
     spent_iterations = 0;
+    fallback = None;
   }
 
 type vstat = Basic | At_lower | At_upper | Free_nonbasic
@@ -110,7 +122,6 @@ type state = {
   mutable bland : bool;
   mutable degenerate_run : int;
   mutable iterations : int;
-  mutable restoring : bool; (* feasibility-restoration ratio-test mode *)
   mutable deadline_at : float; (* absolute Clock.now_ms deadline; infinity = none *)
   acc : acc;
 }
@@ -164,11 +175,8 @@ let ftran st j w =
   done;
   ftran_vec st w
 
-(* y^T = cB^T B^-1: BTRAN. *)
-let duals st y =
-  for i = 0 to st.m - 1 do
-    y.(i) <- st.cost.(st.basic.(i))
-  done;
+(* y := B^-T y. *)
+let btran_vec st y =
   match st.lu with
   | None -> ()
   | Some lu ->
@@ -178,6 +186,13 @@ let duals st y =
       Obs.span_event "revised.btran" ~start_ms:t0 ~dur_ms:(Clock.since_ms t0)
     end
     else Sparse_lu.btran lu y
+
+(* y^T = cB^T B^-1: BTRAN. *)
+let duals st y =
+  for i = 0 to st.m - 1 do
+    y.(i) <- st.cost.(st.basic.(i))
+  done;
+  btran_vec st y
 
 (* Recompute basic variable values from the factorisation; returns max
    change seen (numerical drift indicator). *)
@@ -290,9 +305,8 @@ let[@inline] entering_dir st j d =
 (* Full Dantzig scan. Returns the best eligible column and refills the
    candidate list with the [candidate_list_size] most attractive eligible
    columns (smallest-score slot replaced as better ones appear), so the next
-   iterations can price the short list only. Restoration always prices by
-   full scan ([price]), so there the list is only emptied. In Bland mode the
-   first eligible index is returned and the list is left alone. *)
+   iterations can price the short list only. In Bland mode the first
+   eligible index is returned and the list is left alone. *)
 let price_full st y =
   if st.bland then begin
     let best = ref No_candidate in
@@ -310,7 +324,7 @@ let price_full st y =
     !best
   end
   else begin
-    let k = if st.restoring then 0 else Array.length st.cand in
+    let k = Array.length st.cand in
     let scores = Array.make k 0. in
     st.ncand <- 0;
     let min_pos = ref 0 in
@@ -371,7 +385,7 @@ let price_minor st y =
   !best
 
 let price st y =
-  if st.bland || st.restoring then price_full st y
+  if st.bland then price_full st y
   else
     match price_minor st y with
     | Enter _ as e -> e
@@ -381,21 +395,6 @@ type ratio_result =
   | Unbounded_dir
   | Bound_flip of float
   | Pivot of int * float * float (* leaving row, theta, target bound of leaver *)
-
-(* The effective bound a basic variable moves toward: its lower bound when
-   it decreases ([delta > 0.]), else its upper. In feasibility-restoration
-   mode a variable beyond a bound may only travel back to that bound (where
-   it becomes feasible and leaves the basis); movement further away is
-   unblocked -- the phase objective, not the bounds, discourages it. Inlined
-   and returning one float, so the ratio test allocates nothing. *)
-let[@inline] blocking_bound st j delta =
-  let x = st.xval.(j) and lb = st.lb.(j) and ub = st.ub.(j) in
-  let above = st.restoring && x > ub +. feas_tol in
-  let below = st.restoring && x < lb -. feas_tol in
-  if delta > 0. then if above then ub else if below then neg_infinity else lb
-  else if above then infinity
-  else if below then lb
-  else ub
 
 (* Ties within 1e-12 go to the largest |pivot| for numerical stability,
    except in Bland mode, where the basic variable with the smallest index
@@ -417,7 +416,8 @@ let ratio_test st enter dir w =
     if abs_float wi > pivot_tol then begin
       let bvar = st.basic.(i) in
       let delta = dir *. wi in
-      let b = blocking_bound st bvar delta in
+      (* A decreasing variable ([delta > 0.]) blocks at its lower bound. *)
+      let b = if delta > 0. then st.lb.(bvar) else st.ub.(bvar) in
       (* No bound that way: the variable never blocks. *)
       let limit = if Float.is_finite b then (st.xval.(bvar) -. b) /. delta else infinity in
       let bound = if Float.is_finite b then b else 0. in
@@ -470,11 +470,6 @@ let pivot st enter dir w = function
       (if Float.is_finite bound then if bound = st.lb.(leaver) then At_lower else At_upper
        else Free_nonbasic);
     st.xval.(leaver) <- bound;
-    (* Restoration: a variable that leaves the basis sits at a true bound and
-       is feasible; drop its violation cost immediately, otherwise pricing
-       would pull it back in to overshoot past the bound (trading violation
-       between variables instead of removing it). *)
-    if st.restoring then st.cost.(leaver) <- 0.;
     st.basic.(r) <- enter;
     st.vstat.(enter) <- Basic;
     (* B' = B E with E's column r = w: one product-form update eta on the
@@ -486,23 +481,6 @@ let pivot st enter dir w = function
     | None -> raise Numerical_restart);
     theta
   | Unbounded_dir -> invalid_arg "pivot: unbounded"
-
-(* Keep the restoration objective equal to the current sum of bound
-   violations. A penalised basic variable pulled back inside its bounds while
-   still basic must stop being penalised immediately: its feasible range can
-   be unbounded in the cost-decreasing direction (e.g. a [>=]-row slack with
-   [lb = -inf]), and a stale +-1 cost there turns the restoration phase into
-   a genuinely unbounded ray. Refreshing per iteration makes the phase the
-   standard piecewise-linear composite phase 1. *)
-let refresh_restore_costs st =
-  for i = 0 to st.m - 1 do
-    let j = st.basic.(i) in
-    let x = st.xval.(j) in
-    st.cost.(j) <-
-      (if x > st.ub.(j) +. feas_tol then 1.
-       else if x < st.lb.(j) -. feas_tol then -1.
-       else 0.)
-  done
 
 (* Run simplex iterations with the current [st.cost] until optimal, unbounded,
    iteration budget exhausted, or wall-clock deadline expired. *)
@@ -518,19 +496,30 @@ let deadline_expired st =
   && st.iterations land (deadline_check_interval - 1) = 0
   && Clock.now_ms () >= st.deadline_at
 
+(* Every [drift_check_interval] pivots the basic values are recomputed from
+   the factorisation, which is rebuilt if they drifted; it is also rebuilt
+   once the eta file passes [lu_update_limit]. Both return whether a
+   refactorisation ran. *)
+let drift_check_interval = 128
+
+let check_drift st =
+  st.iterations mod drift_check_interval = drift_check_interval - 1
+  && recompute_basics st > 1e-6
+  && refactorise st
+
+let refactorise_if_full st =
+  match st.lu with
+  | Some lu when Sparse_lu.updates lu > lu_update_limit -> refactorise st
+  | _ -> false
+
 let run_phase st ~max_iterations =
   let y = Array.make st.m 0. in
   let w = st.work in
-  let check_interval = 128 in
   let rec loop () =
     if st.iterations >= max_iterations then Phase_iterlimit
     else if deadline_expired st then Phase_deadline
     else begin
-      if st.iterations mod check_interval = check_interval - 1 then begin
-        let drift = recompute_basics st in
-        if drift > 1e-6 then ignore (refactorise st)
-      end;
-      if st.restoring then refresh_restore_costs st;
+      ignore (check_drift st);
       duals st y;
       match price st y with
       | No_candidate ->
@@ -555,9 +544,7 @@ let run_phase st ~max_iterations =
               0.
           in
           st.iterations <- st.iterations + 1;
-          (match st.lu with
-          | Some lu when Sparse_lu.updates lu > lu_update_limit -> ignore (refactorise st)
-          | _ -> ());
+          ignore (refactorise_if_full st);
           if theta <= 1e-10 then begin
             st.degenerate_run <- st.degenerate_run + 1;
             st.acc.degenerate_pivots <- st.acc.degenerate_pivots + 1;
@@ -602,7 +589,6 @@ let make_state acc ws (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
     bland = false;
     degenerate_run = 0;
     iterations = 0;
-    restoring = false;
     deadline_at = infinity;
     acc;
   }
@@ -680,7 +666,7 @@ let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
   st
 
 (* ------------------------------------------------------------------ *)
-(* Feasibility restoration (warm-start phase 1)                        *)
+(* Dual simplex (warm starts; a primally infeasible phase-2 optimum)   *)
 (* ------------------------------------------------------------------ *)
 
 let violation st j =
@@ -689,47 +675,267 @@ let violation st j =
   else if x < st.lb.(j) -. feas_tol then st.lb.(j) -. x
   else 0.
 
-let total_infeasibility st =
-  let s = ref 0. in
+(* The row whose basic variable violates its bounds the most (-1 if none
+   does by more than [feas_tol]), and the sum of the violations. *)
+let leaving_row st =
+  let r = ref (-1) and worst = ref 0. and sum = ref 0. in
   for i = 0 to st.m - 1 do
-    s := !s +. violation st st.basic.(i)
+    let v = violation st st.basic.(i) in
+    sum := !sum +. v;
+    if v > !worst then begin
+      worst := v;
+      r := i
+    end
   done;
-  !s
+  (!r, !sum)
 
-(* Minimise the sum of bound violations of basic variables: set cost +-1 on
-   the violated ones, run the phase with relaxed ratio-test bounds, refresh
-   the violation pattern, repeat. Any stagnation or numerical surprise is
-   reported as [`Stuck] and the caller falls back to a cold start. *)
-let restore_feasibility st ~max_iterations =
-  let rec rounds k prev_inf stagnant =
-    let inf = total_infeasibility st in
-    if inf <= feas_tol *. float_of_int (st.m + 1) then `Feasible
-    else if k > 50 || stagnant >= 3 then `Stuck
+(* Scratch of one dual phase. [alpha] is 0 outside the columns listed in
+   [touched] by the last [pivot_row]. The structural part of A is kept by
+   rows too: row [i]'s entries are [row_start.(i) .. row_start.(i + 1) - 1]
+   of [row_cols] and [row_vals]. *)
+type dual_work = {
+  y : float array; (* duals, length m *)
+  rho : float array; (* B^-T e_r, length m *)
+  d : float array; (* reduced costs, length n; 0 on basic columns *)
+  alpha : float array; (* pivot row, length n *)
+  touched : int array;
+  row_start : int array;
+  row_cols : int array;
+  row_vals : float array;
+}
+
+(* The rows come from one counting sort over the columns, each row sorted
+   by column. Only a dual phase reads them, so a cold solve never builds
+   them. *)
+let dual_work st =
+  let p = st.p and m = st.m in
+  let row_start = Array.make (m + 1) 0 in
+  for j = 0 to p.Problem.nstruct - 1 do
+    Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) p.Problem.col_rows.(j)
+  done;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+  done;
+  let nnz = row_start.(m) in
+  let row_cols = Array.make nnz 0 and row_vals = Array.make nnz 0. in
+  let next = Array.sub row_start 0 m in
+  for j = 0 to p.Problem.nstruct - 1 do
+    let rs = p.Problem.col_rows.(j) and vs = p.Problem.col_vals.(j) in
+    for k = 0 to Array.length rs - 1 do
+      let t = next.(rs.(k)) in
+      row_cols.(t) <- j;
+      row_vals.(t) <- vs.(k);
+      next.(rs.(k)) <- t + 1
+    done
+  done;
+  {
+    y = Array.make m 0.;
+    rho = Array.make m 0.;
+    d = Array.make st.n 0.;
+    alpha = Array.make st.n 0.;
+    touched = Array.make st.n 0;
+    row_start;
+    row_cols;
+    row_vals;
+  }
+
+(* Reduced costs of every nonbasic column under the current costs; a column
+   that could enter in its improving direction is dual infeasible and gets
+   its cost shifted so that its reduced cost is 0. The primal phase 2 that
+   follows prices the true objective again. *)
+let price_shifted st dw =
+  duals st dw.y;
+  for j = 0 to st.n - 1 do
+    if st.vstat.(j) = Basic then dw.d.(j) <- 0.
     else begin
-      Array.fill st.cost 0 st.n 0.;
-      for i = 0 to st.m - 1 do
-        let j = st.basic.(i) in
-        let x = st.xval.(j) in
-        if x > st.ub.(j) +. feas_tol then st.cost.(j) <- 1.
-        else if x < st.lb.(j) -. feas_tol then st.cost.(j) <- -1.
+      let dj = reduced_cost st dw.y j in
+      if can_enter st j && entering_dir st j dj <> 0. then begin
+        st.cost.(j) <- st.cost.(j) -. dj;
+        dw.d.(j) <- 0.
+      end
+      else dw.d.(j) <- dj
+    end
+  done
+
+(* Row [r] of B^-1 A from the rows of A that [rho] = B^-T e_r reaches:
+   fills [alpha] and lists its nonzero columns in [touched], returning
+   their count. A slack is a unit column; artificials are pinned and never
+   enter, so they are left out. *)
+let pivot_row st dw =
+  let p = st.p and alpha = dw.alpha in
+  let nt = ref 0 in
+  let add j v =
+    if alpha.(j) = 0. then begin
+      dw.touched.(!nt) <- j;
+      incr nt
+    end;
+    (* A sum that cancels to exactly 0 must stay listed once. *)
+    let a = alpha.(j) +. v in
+    alpha.(j) <- (if a = 0. then Float.min_float else a)
+  in
+  for i = 0 to st.m - 1 do
+    let ri = dw.rho.(i) in
+    if ri <> 0. then begin
+      for k = dw.row_start.(i) to dw.row_start.(i + 1) - 1 do
+        add dw.row_cols.(k) (ri *. dw.row_vals.(k))
       done;
-      st.bland <- false;
-      st.degenerate_run <- 0;
-      match run_phase st ~max_iterations with
-      | Phase_iterlimit -> `Iterlimit
-      | Phase_deadline -> `Deadline
-      | Phase_unbounded ->
-        (* The restoration objective is bounded below: numerical trouble. *)
-        `Stuck
-      | Phase_optimal ->
-        let stagnant = if inf < prev_inf -. 1e-9 then 0 else stagnant + 1 in
-        rounds (k + 1) inf stagnant
+      add (p.Problem.nstruct + i) ri
+    end
+  done;
+  !nt
+
+(* Whether column [j], with pivot-row entry [a] signed so that entering
+   along it moves the leaving variable toward its bound, can enter. *)
+let[@inline] dual_eligible st j a =
+  can_enter st j
+  &&
+  match st.vstat.(j) with
+  | At_lower -> a > pivot_tol
+  | At_upper -> a < -.pivot_tol
+  | Free_nonbasic -> abs_float a > pivot_tol
+  | Basic -> false
+
+(* Harris two-pass dual ratio test over the [nt] touched columns. [s] is
+   1. when the leaving variable rises to its lower bound, -1. when it falls
+   to its upper. Pass 1 finds the largest dual step that keeps every
+   reduced cost within [opt_tol] of feasible; pass 2 takes, among the
+   columns whose exact ratio is within that step, the one with the largest
+   pivot. Returns -1 if no column can enter. *)
+let dual_ratio_test st dw nt s =
+  let bound = ref infinity in
+  for t = 0 to nt - 1 do
+    let j = dw.touched.(t) in
+    let a = -.s *. dw.alpha.(j) in
+    if dual_eligible st j a then
+      bound := Float.min !bound ((dw.d.(j) /. a) +. (opt_tol /. abs_float a))
+  done;
+  let q = ref (-1) and best = ref 0. in
+  for t = 0 to nt - 1 do
+    let j = dw.touched.(t) in
+    let a = -.s *. dw.alpha.(j) in
+    if dual_eligible st j a && dw.d.(j) /. a <= !bound && abs_float a > !best then begin
+      q := j;
+      best := abs_float a
+    end
+  done;
+  !q
+
+type dual_pivot_result =
+  | Pivoted of float (* the dual step *)
+  | No_entering
+  | Mismatch (* the row and the FTRAN'd column disagree on the pivot *)
+
+(* One dual pivot: the basic variable of row [r] leaves at the bound it
+   violates, the ratio test's column enters, and the reduced costs move
+   along the pivot row. *)
+let dual_pivot st dw r =
+  let leaver = st.basic.(r) in
+  let below = st.xval.(leaver) < st.lb.(leaver) in
+  let bound = if below then st.lb.(leaver) else st.ub.(leaver) in
+  let s = if below then 1. else -1. in
+  Array.fill dw.rho 0 st.m 0.;
+  dw.rho.(r) <- 1.;
+  btran_vec st dw.rho;
+  let nt = pivot_row st dw in
+  let q = dual_ratio_test st dw nt s in
+  let result =
+    if q < 0 then No_entering
+    else begin
+      let w = st.work in
+      ftran st q w;
+      let wr = w.(r) and aq = dw.alpha.(q) in
+      if abs_float wr < pivot_tol || abs_float (wr -. aq) > 1e-6 *. (1. +. abs_float wr) then
+        Mismatch
+      else begin
+        (* A step of the wrong sign means [d.(q)] is within tolerance of
+           feasible on the wrong side: shift it to 0 and step by 0. *)
+        let theta_d = dw.d.(q) /. aq in
+        let theta_d =
+          if s *. theta_d > 0. then begin
+            st.cost.(q) <- st.cost.(q) -. dw.d.(q);
+            0.
+          end
+          else theta_d
+        in
+        if theta_d <> 0. then
+          for t = 0 to nt - 1 do
+            let j = dw.touched.(t) in
+            if st.vstat.(j) <> Basic then dw.d.(j) <- dw.d.(j) -. (theta_d *. dw.alpha.(j))
+          done;
+        dw.d.(leaver) <- -.theta_d;
+        dw.d.(q) <- 0.;
+        let theta_p = (st.xval.(leaver) -. bound) /. wr in
+        ignore (pivot st q 1. w (Pivot (r, theta_p, bound)));
+        Pivoted theta_d
+      end
     end
   in
-  st.restoring <- true;
-  let r = rounds 0 infinity 0 in
-  st.restoring <- false;
-  r
+  for t = 0 to nt - 1 do
+    dw.alpha.(dw.touched.(t)) <- 0.
+  done;
+  result
+
+type dual_outcome = Dual_feasible | Dual_no_entering | Dual_stalled | Dual_iterlimit | Dual_deadline
+
+(* The phase has stalled after [dual_stall_limit] pivots without a new low
+   in the sum of bound violations, or after [dual_retry_limit] pivots in a
+   row that refactorising did not mend. *)
+let dual_stall_limit = 1000
+let dual_retry_limit = 3
+
+(* Dual simplex from a basis that may violate bounds, with [st.cost] the
+   phase-2 costs: the row that violates its bounds most leaves. Dual
+   infeasibilities are removed by shifting costs ([price_shifted]) before
+   the first pivot and after every refactorisation, so the phase needs no
+   dual feasible start. [Dual_feasible] leaves a primal feasible basis,
+   optimal for the shifted costs; a start that is already primal feasible
+   returns it at once. *)
+let dual_phase st ~max_iterations =
+  if fst (leaving_row st) < 0 then Dual_feasible
+  else begin
+    let dw = dual_work st in
+    let priced = ref false and retries = ref 0 in
+    let best = ref infinity and since_best = ref 0 in
+    let rec loop () =
+      if st.iterations >= max_iterations then Dual_iterlimit
+      else if deadline_expired st then Dual_deadline
+      else begin
+        if check_drift st then priced := false;
+        let r, inf = leaving_row st in
+        if inf < !best then begin
+          best := inf;
+          since_best := 0
+        end
+        else incr since_best;
+        if r < 0 then Dual_feasible
+        else if !since_best > dual_stall_limit then Dual_stalled
+        else begin
+          if not !priced then begin
+            price_shifted st dw;
+            priced := true
+          end;
+          match dual_pivot st dw r with
+          | No_entering -> Dual_no_entering
+          | Mismatch ->
+            incr retries;
+            if !retries >= dual_retry_limit then Dual_stalled
+            else begin
+              ignore (refactorise st);
+              priced := false;
+              loop ()
+            end
+          | Pivoted theta_d ->
+            retries := 0;
+            st.iterations <- st.iterations + 1;
+            if abs_float theta_d <= 1e-12 then
+              st.acc.degenerate_pivots <- st.acc.degenerate_pivots + 1;
+            if refactorise_if_full st then priced := false;
+            loop ()
+        end
+      end
+    in
+    loop ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -770,7 +976,10 @@ let finish st ~phase1 ~warm status reason =
       warm_started = warm;
       warm_remapped = false;
       warm_repairs = a.warm_repairs;
-      status_reason = reason;
+      status_reason =
+        (match a.fallback with
+        | None -> reason
+        | Some why -> Printf.sprintf "%s (cold fallback: %s)" reason why);
     }
   in
   {
@@ -815,23 +1024,26 @@ let run_phase2 st ~max_iterations ~phase1 ~warm =
          sits far outside the bounds even though the working values only
          drifted by rounding. Without this check "optimal" could return a
          point violating a constraint by a macroscopic amount. *)
-      if total_infeasibility st <= feas_tol *. float_of_int (st.m + 1) then
+      let _, infeasibility = leaving_row st in
+      if infeasibility <= feas_tol *. float_of_int (st.m + 1) then
         finish st ~phase1 ~warm Problem.Optimal "optimal"
       else if tries >= 3 then
         finish st ~phase1 ~warm Problem.Iteration_limit
           "phase-2 optimum primally infeasible (numerical trouble)"
       else begin
+        (* The basis is (nearly) dual feasible: the dual phase removes the
+           violations, then phase 2 prices the true costs again. *)
         st.acc.restarts <- st.acc.restarts + 1;
-        match restore_feasibility st ~max_iterations with
-        | `Feasible ->
+        match dual_phase st ~max_iterations with
+        | Dual_feasible ->
           enter_phase2 st;
           attempt (tries + 1)
-        | `Stuck ->
+        | Dual_no_entering | Dual_stalled ->
           finish st ~phase1 ~warm Problem.Iteration_limit
-            "phase-2 restoration stuck (numerical trouble)"
-        | `Iterlimit ->
+            "phase-2 dual repair stuck (numerical trouble)"
+        | Dual_iterlimit ->
           finish st ~phase1 ~warm Problem.Iteration_limit "iteration-limit (phase 2)"
-        | `Deadline ->
+        | Dual_deadline ->
           finish st ~phase1 ~warm Problem.Deadline_exceeded "deadline (phase 2)"
       end
     | Phase_unbounded -> finish st ~phase1 ~warm Problem.Unbounded "unbounded"
@@ -881,27 +1093,33 @@ let cold_solve acc ws (p : Problem.t) ~max_iterations ~deadline_at =
       run_phase2 st ~max_iterations ~phase1 ~warm:false
     end
 
+(* The warm basis with the real costs goes through the dual phase, then
+   phase 2. A dual phase that finds no entering column (a dual ray, which
+   would prove infeasibility only if no cost were shifted) or stalls
+   abandons the basis: [None] hands the problem to a cold solve. *)
 let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
   let st = warm_state acc ws p b in
   st.deadline_at <- deadline_at;
-  match restore_feasibility st ~max_iterations with
-    | `Iterlimit ->
-      Some
-        (finish st ~phase1:st.iterations ~warm:true Problem.Iteration_limit
-           "iteration-limit (warm restore)")
-    | `Deadline ->
-      (* No wall-clock budget left for a cold fallback either: report. *)
-      Some
-        (finish st ~phase1:st.iterations ~warm:true Problem.Deadline_exceeded
-           "deadline (warm restore)")
-    | `Stuck ->
-      (* Numerical trouble restoring feasibility: abandon the warm basis. *)
-      acc.restarts <- acc.restarts + 1;
-      acc.spent_iterations <- acc.spent_iterations + st.iterations;
-      None
-    | `Feasible ->
-      let phase1 = st.iterations in
-      Some (run_phase2 st ~max_iterations ~phase1 ~warm:true)
+  enter_phase2 st;
+  let abandon why =
+    acc.restarts <- acc.restarts + 1;
+    acc.spent_iterations <- acc.spent_iterations + st.iterations;
+    acc.fallback <- Some why;
+    None
+  in
+  match dual_phase st ~max_iterations with
+  | Dual_feasible -> Some (run_phase2 st ~max_iterations ~phase1:st.iterations ~warm:true)
+  | Dual_iterlimit ->
+    Some
+      (finish st ~phase1:st.iterations ~warm:true Problem.Iteration_limit
+         "iteration-limit (warm dual)")
+  | Dual_deadline ->
+    (* No wall-clock budget left for a cold fallback either: report. *)
+    Some
+      (finish st ~phase1:st.iterations ~warm:true Problem.Deadline_exceeded
+         "deadline (warm dual)")
+  | Dual_no_entering -> abandon "warm dual found no entering column"
+  | Dual_stalled -> abandon "warm dual stalled"
 
 (* The factorisation workspace of the last solve on this domain, with its
    size. Allocating one costs about a millisecond at L-Net size, so a solve
@@ -946,6 +1164,7 @@ let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
       (* A bare positional snapshot of another layout; keyed ones arrive
          here already mapped onto this problem by [Model.solve]. *)
       acc.restarts <- acc.restarts + 1;
+      acc.fallback <- Some "basis of another dimension";
       None
     | None -> None
   in

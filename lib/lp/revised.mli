@@ -1,4 +1,5 @@
-(** Bounded-variable revised primal simplex over a factorised basis.
+(** Bounded-variable revised simplex over a factorised basis: primal
+    phases for cold solves, a dual phase for warm re-solves.
 
     The basis inverse is held as a sparse LU factorisation ({!Sparse_lu}):
     refactorisation runs Markowitz-ordered elimination with threshold
@@ -19,11 +20,14 @@
     {!Problem.remap_basis}). Basic columns beyond the row count, or
     dependent on the others, are moved to a bound by a repair-mode
     factorisation ([result.stats.warm_repairs]); uncovered rows are
-    completed with pinned artificials; a primal-infeasible start goes
-    through a bound-violation restoration phase before the real objective
-    is optimised. Only a restoration that gets stuck numerically, or a bare
+    completed with pinned artificials. A start that violates bounds goes
+    through a dual simplex phase (largest violation leaves, Harris ratio
+    test over a pivot row built from a row-wise copy of A); a nonbasic
+    column that starts dual infeasible has its cost shifted first, and the
+    primal phase 2 that follows prices the true costs, removing the shifts.
+    Only a dual phase that finds no entering column or stalls, or a bare
     snapshot of the wrong dimension, falls back to a cold start, counted in
-    [result.stats.restarts]. *)
+    [result.stats.restarts] and named in [result.stats.status_reason]. *)
 
 val solve :
   ?max_iterations:int ->
@@ -34,9 +38,11 @@ val solve :
 (** Solve a problem. [max_iterations] defaults to
     [20 * (nrows + ncols) + 10_000]. [deadline_ms] is a wall-clock budget for
     this solve: the clock is sampled every few pivots ({!Ffc_util.Clock}) in
-    every phase — warm restore, phase 1 and phase 2 — and expiry yields
+    every phase — the warm dual phase, phase 1 and phase 2 — and expiry yields
     [Problem.Deadline_exceeded] promptly (within a handful of pivots past the
-    budget) with [stats.status_reason] naming the phase that was cut. A
+    budget) with [stats.status_reason] naming the phase that was cut
+    (["deadline (warm dual)"], ["deadline (phase 1)"] or
+    ["deadline (phase 2)"]). A
     non-positive budget fails before the first pivot. On [Optimal] the
     returned [x] (one entry per structural and slack column) satisfies all
     constraints and bounds to working tolerance. [result.basis] is always

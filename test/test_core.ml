@@ -569,10 +569,10 @@ let test_ffc_warm_chain_pinned () =
     "phase 1, phase 2, refactorisations, throughput bits"
     [
       ((0, 1326), (14, 4652760651352402517L));
-      ((227, 77), (4, 4652953962213402050L));
-      ((136, 0), (2, 4653135005362256305L));
-      ((103, 7), (2, 4653065376728097434L));
-      ((71, 59), (2, 4653122790205372196L));
+      ((109, 54), (2, 4652953962213402050L));
+      ((35, 0), (1, 4653135005362256305L));
+      ((41, 0), (1, 4653065376728097434L));
+      ((46, 0), (1, 4653123179205537652L));
     ]
     (List.map solve (Array.to_list series))
 

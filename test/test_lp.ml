@@ -937,6 +937,110 @@ let test_warm_presolve_row_set_remap () =
       (start.Problem.statuses.(2) = Problem.Bs_basic)
   | _ -> Alcotest.fail "model B not optimal"
 
+(* Warm re-solves by dual simplex. [blocks k ~cap ~weight] is [k] copies of
+   one small LP: maximise [3x + weight y] subject to [x + y <= cap],
+   [x + 3y <= 9] and [x <= 3] (a row, so presolve stays off). At [cap = 4],
+   [weight = 2] the optimum is x = 3, y = 1 with basic x, y and the slack
+   of the middle row; lowering [cap] to 2 leaves that basis dual feasible
+   but puts y at -1. *)
+let blocks k ~cap ~weight =
+  let m = Model.create () in
+  for _ = 1 to k do
+    let x = Model.add_var m and y = Model.add_var m in
+    Model.le m (Expr.add (Expr.var x) (Expr.var y)) (Expr.const cap);
+    Model.le m (Expr.add (Expr.var x) (Expr.var ~coeff:3. y)) (Expr.const 9.);
+    Model.le m (Expr.var x) (Expr.const 3.)
+  done;
+  Model.maximize m
+    (Expr.sum
+       (List.init (2 * k) (fun j -> Expr.var ~coeff:(if j mod 2 = 0 then 3. else weight) j)));
+  m
+
+let optimal_basis m =
+  match Model.solve ~presolve:false m with
+  | Model.Optimal s -> Option.get (Model.solution_basis s)
+  | _ -> Alcotest.fail "base solve not optimal"
+
+let dense_objective m =
+  match Model.solve ~backend:`Dense_tableau ~presolve:false m with
+  | Model.Optimal s -> Model.objective_value s
+  | _ -> Alcotest.fail "dense tableau not optimal"
+
+(* Only right-hand sides move: the dual phase alone reaches the optimum,
+   with no restart and nothing left for phase 2. *)
+let test_dual_rhs_change () =
+  let basis = optimal_basis (blocks 1 ~cap:4. ~weight:2.) in
+  match Model.solve ~presolve:false ~warm_start:basis (blocks 1 ~cap:2. ~weight:2.) with
+  | Model.Optimal s ->
+    let st = Model.solution_stats s in
+    Alcotest.(check bool) "warm started" true st.Problem.warm_started;
+    Alcotest.(check int) "no restart" 0 st.Problem.restarts;
+    Alcotest.(check bool) "dual pivots" true (st.Problem.phase1_iterations > 0);
+    Alcotest.(check int) "no phase-2 pivot" 0 st.Problem.phase2_iterations;
+    check_float "tableau objective" (dense_objective (blocks 1 ~cap:2. ~weight:2.))
+      (Model.objective_value s)
+  | _ -> Alcotest.fail "warm re-solve not optimal"
+
+(* The objective moves too: at [weight = 12] the old basis is dual
+   infeasible (the slack of [x <= 3] has reduced cost -9 at its lower
+   bound), so the dual phase starts from a shifted cost and phase 2 takes
+   the shift out again. *)
+let test_dual_cost_shift () =
+  let basis = optimal_basis (blocks 1 ~cap:4. ~weight:2.) in
+  let changed () = blocks 1 ~cap:2. ~weight:12. in
+  let cold =
+    match Model.solve ~presolve:false (changed ()) with
+    | Model.Optimal s -> Model.objective_value s
+    | _ -> Alcotest.fail "cold solve not optimal"
+  in
+  match Model.solve ~presolve:false ~warm_start:basis (changed ()) with
+  | Model.Optimal s ->
+    let st = Model.solution_stats s in
+    Alcotest.(check bool) "warm started" true st.Problem.warm_started;
+    Alcotest.(check int) "no restart" 0 st.Problem.restarts;
+    Alcotest.(check bool) "dual pivots" true (st.Problem.phase1_iterations > 0);
+    Alcotest.(check bool) "phase 2 removes the shift" true (st.Problem.phase2_iterations > 0);
+    check_float "cold objective" cold (Model.objective_value s);
+    check_float "tableau objective" (dense_objective (changed ())) (Model.objective_value s)
+  | _ -> Alcotest.fail "warm re-solve not optimal"
+
+(* A right-hand side no point satisfies: the dual phase finds no entering
+   column, the warm attempt ends, and the cold solve proves infeasibility. *)
+let test_dual_infeasible_falls_back () =
+  let basis = optimal_basis (blocks 1 ~cap:4. ~weight:2.) in
+  let m = blocks 1 ~cap:(-1.) ~weight:2. in
+  match Model.solve ~presolve:false ~warm_start:basis m with
+  | Model.Infeasible ->
+    let st = Option.get (Model.last_stats m) in
+    Alcotest.(check int) "one restart" 1 st.Problem.restarts;
+    Alcotest.(check bool) "cold" false st.Problem.warm_started;
+    Alcotest.(check string) "reason"
+      "infeasible (cold fallback: warm dual found no entering column)"
+      st.Problem.status_reason
+  | _ -> Alcotest.fail "expected Infeasible"
+
+(* Twenty blocks need twenty dual pivots. A clock that advances a
+   millisecond per reading lets the first deadline check pass and a later
+   one fail, so the budget runs out between dual pivots. *)
+let test_dual_deadline () =
+  let basis = optimal_basis (blocks 20 ~cap:4. ~weight:2.) in
+  let m = blocks 20 ~cap:2. ~weight:2. in
+  let now = ref 0. in
+  let outcome =
+    Ffc_util.Clock.with_hook
+      (fun () ->
+        now := !now +. 1.;
+        !now)
+      (fun () -> Model.solve ~presolve:false ~deadline_ms:10. ~warm_start:basis m)
+  in
+  match outcome with
+  | Model.Deadline_exceeded ->
+    let st = Option.get (Model.last_stats m) in
+    Alcotest.(check string) "reason" "deadline (warm dual)" st.Problem.status_reason;
+    Alcotest.(check bool) "cut between dual pivots" true
+      (st.Problem.phase1_iterations > 0 && st.Problem.phase1_iterations < 20)
+  | _ -> Alcotest.fail "expected Deadline_exceeded"
+
 (* Keys must never collide across kinds or scopes: a variable and a row
    ordinal 0 of the root and of child scope 0 (the case a naive mixer maps
    to one key), nested scopes, and a scope re-entered after siblings. *)
@@ -1202,6 +1306,10 @@ let () =
           case "warm survives LU refactorisation" test_warm_survives_refactor;
           case "row-set change remaps by key" test_warm_presolve_row_set_remap;
           case "keys distinct across kinds and scopes" test_keys_distinct;
+          case "dual re-solve after a rhs change" test_dual_rhs_change;
+          case "dual re-solve shifts dual-infeasible costs" test_dual_cost_shift;
+          case "dual re-solve of an infeasible rhs falls back cold" test_dual_infeasible_falls_back;
+          case "deadline inside the dual phase" test_dual_deadline;
         ] );
       ("printers", [ case "expression printer" test_printers ]);
     ]

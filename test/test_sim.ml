@@ -508,7 +508,7 @@ let test_engine_pinned_streams () =
     [
       "1a98d8f5f69167917e53d0e56a355e3d";
       "40bdf41c6889c17ea4dff9b7c330add1";
-      "e3909e171cf2bcf632272d382a5b110d";
+      "1d67181f3a4ae69b6650afbfe7c4f98b";
     ]
     [ stream_digest journaled; stream_digest cold; stream_digest single ]
 
