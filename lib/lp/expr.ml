@@ -1,6 +1,6 @@
 (* Terms are kept as an unordered list and merged lazily: building large sums
-   stays O(n) and normalisation happens once, when the expression is consumed
-   by the model. *)
+   stays O(n), [Model] consumes the list unmerged, and normalisation happens
+   only where [terms] is asked for. *)
 type t = { raw : (int * float) list; constant : float }
 
 let zero = { raw = []; constant = 0. }
@@ -19,9 +19,28 @@ let neg e = scale (-1.) e
 
 let sub a b = add a (neg b)
 
-let sum es = List.fold_left add zero es
+(* One pass: each summand's terms are consed onto the accumulator, which is
+   never copied (a fold of [add] would copy it at every step). *)
+let sum es =
+  let rec go raw constant = function
+    | [] -> { raw; constant }
+    | e :: es -> go (List.rev_append e.raw raw) (constant +. e.constant) es
+  in
+  go [] 0. es
 
 let add_term e c i = { e with raw = (i, c) :: e.raw }
+
+(* The terms of [sub a b] in its order, [a]'s reversed and then [b]'s
+   negated, without building the difference. *)
+let iter_sub f a b =
+  let rec rev_iter = function
+    | [] -> ()
+    | (i, c) :: rest ->
+      rev_iter rest;
+      f i c
+  in
+  rev_iter a.raw;
+  List.iter (fun (i, c) -> f i (-1. *. c)) b.raw
 
 (* A stable sort by index keeps each variable's terms in list order, so
    summing a run left to right adds them in the order they were built. *)

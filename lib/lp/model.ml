@@ -4,15 +4,24 @@ let m_remaps = Obs.counter "model.basis_remaps"
 
 type var = int
 
-type row = { terms : (int * float) list; sense : Problem.sense; rhs : float; key : int }
-
+(* Variables and rows live in growable arrays whose first [nvars] / [nrows]
+   slots are in use. Row [i]'s terms are the slots [row_start.(i)] to
+   [row_start.(i + 1) - 1] of one row-major buffer, unmerged and in the
+   order [Expr.iter_sub] lists [lhs - rhs]; [Problem.of_rows] (or, for
+   presolve, [Problem.merged_rows]) merges them. *)
 type t = {
   mutable nvars : int;
-  mutable lbs : float list; (* reversed *)
-  mutable ubs : float list; (* reversed *)
-  mutable var_keys : int list; (* reversed *)
-  mutable rows : row list; (* reversed *)
+  mutable lbs : float array;
+  mutable ubs : float array;
+  mutable var_keys : int array;
   mutable nrows : int;
+  mutable senses : Problem.sense array;
+  mutable rhs : float array;
+  mutable row_keys : int array;
+  mutable row_start : int array; (* one slot more than the rows in use *)
+  mutable nterms : int;
+  mutable term_var : int array;
+  mutable term_coef : float array;
   mutable objective : Expr.t;
   mutable sense_max : bool;
   mutable last_stats : Problem.solver_stats option;
@@ -21,6 +30,15 @@ type t = {
   mutable var_ord : int; (* variables added directly in the current scope *)
   mutable row_ord : int; (* rows added directly in the current scope *)
 }
+
+(* The arrays grow by doubling: [a] copied into [n] slots, padded with
+   [x]. *)
+let resize a n x =
+  let b = Array.make n x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grown n = max 16 (2 * n)
 
 (* Keys: a scope is a hash of its path from the root (the root is 0), and
    a variable's or row's key hashes its scope with its ordinal there, so no
@@ -42,11 +60,17 @@ let row_key = mix 0x2BD9D3E8A4C6F3A1
 let create () =
   {
     nvars = 0;
-    lbs = [];
-    ubs = [];
-    var_keys = [];
-    rows = [];
+    lbs = [||];
+    ubs = [||];
+    var_keys = [||];
     nrows = 0;
+    senses = [||];
+    rhs = [||];
+    row_keys = [||];
+    row_start = [||];
+    nterms = 0;
+    term_var = [||];
+    term_coef = [||];
     objective = Expr.zero;
     sense_max = true;
     last_stats = None;
@@ -75,20 +99,43 @@ let scope t id f =
 
 let add_var ?(lb = 0.) ?(ub = infinity) t =
   let i = t.nvars in
+  if i = Array.length t.lbs then begin
+    t.lbs <- resize t.lbs (grown i) 0.;
+    t.ubs <- resize t.ubs (grown i) 0.;
+    t.var_keys <- resize t.var_keys (grown i) 0
+  end;
+  t.lbs.(i) <- lb;
+  t.ubs.(i) <- ub;
+  t.var_keys.(i) <- var_key t.scope t.var_ord;
   t.nvars <- i + 1;
-  t.lbs <- lb :: t.lbs;
-  t.ubs <- ub :: t.ubs;
-  t.var_keys <- var_key t.scope t.var_ord :: t.var_keys;
   t.var_ord <- t.var_ord + 1;
   i
 
+let add_term t j c =
+  let k = t.nterms in
+  if k = Array.length t.term_var then begin
+    t.term_var <- resize t.term_var (grown k) 0;
+    t.term_coef <- resize t.term_coef (grown k) 0.
+  end;
+  t.term_var.(k) <- j;
+  t.term_coef.(k) <- c;
+  t.nterms <- k + 1
+
 let add_row t lhs rhs sense =
-  let diff = Expr.sub lhs rhs in
-  let terms = Expr.terms diff in
-  let b = -.Expr.constant diff in
-  t.rows <- { terms; sense; rhs = b; key = row_key t.scope t.row_ord } :: t.rows;
+  let i = t.nrows in
+  if i = Array.length t.senses then begin
+    t.senses <- resize t.senses (grown i) Problem.Le;
+    t.rhs <- resize t.rhs (grown i) 0.;
+    t.row_keys <- resize t.row_keys (grown i) 0;
+    t.row_start <- resize t.row_start (grown i + 1) 0
+  end;
+  Expr.iter_sub (add_term t) lhs rhs;
+  t.senses.(i) <- sense;
+  t.rhs.(i) <- -.(Expr.constant lhs -. Expr.constant rhs);
+  t.row_keys.(i) <- row_key t.scope t.row_ord;
+  t.row_start.(i + 1) <- t.nterms;
   t.row_ord <- t.row_ord + 1;
-  t.nrows <- t.nrows + 1
+  t.nrows <- i + 1
 
 let le t lhs rhs = add_row t lhs rhs Problem.Le
 let ge t lhs rhs = add_row t lhs rhs Problem.Ge
@@ -121,23 +168,27 @@ type backend = [ `Revised | `Dense_tableau ]
 (* The computational form plus the key of each of its columns: the
    variables' keys, then the keys of the rows presolve kept (their slacks). *)
 let to_problem ?(presolve = true) t =
-  let lb = Array.of_list (List.rev t.lbs) in
-  let ub = Array.of_list (List.rev t.ubs) in
+  let lb = Array.sub t.lbs 0 t.nvars and ub = Array.sub t.ubs 0 t.nvars in
   let obj = Array.make t.nvars 0. in
   let sign = if t.sense_max then -1. else 1. in
   List.iter (fun (j, c) -> obj.(j) <- obj.(j) +. (sign *. c)) (Expr.terms t.objective);
-  let rows = List.rev_map (fun r -> (r.terms, r.sense, r.rhs)) t.rows in
-  let row_keys = Array.of_list (List.rev_map (fun r -> r.key) t.rows) in
-  let var_keys = Array.of_list (List.rev t.var_keys) in
-  let build ~lb ~ub rows row_keys =
-    (Problem.build ~nstruct:t.nvars ~lb ~ub ~obj ~rows, Array.append var_keys row_keys)
-  in
+  let keys row_keys = Array.append (Array.sub t.var_keys 0 t.nvars) row_keys in
   if presolve then
+    let rows =
+      Problem.merged_rows ~nstruct:t.nvars ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
+        ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef
+    in
     match Presolve.reduce ~lb ~ub ~rows with
     | Presolve.Infeasible _ -> None
     | Presolve.Reduced { lb; ub; rows; kept } ->
-      Some (build ~lb ~ub rows (Array.map (fun i -> row_keys.(i)) kept))
-  else Some (build ~lb ~ub rows row_keys)
+      Some
+        ( Problem.build ~nstruct:t.nvars ~lb ~ub ~obj ~rows,
+          keys (Array.map (fun i -> t.row_keys.(i)) kept) )
+  else
+    Some
+      ( Problem.of_rows ~nstruct:t.nvars ~lb ~ub ~obj ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
+          ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef,
+        keys (Array.sub t.row_keys 0 t.nrows) )
 
 let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_start t =
   match to_problem ?presolve t with

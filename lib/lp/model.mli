@@ -26,7 +26,12 @@ val add_var : ?lb:float -> ?ub:float -> t -> var
     [~lb:neg_infinity] for free variables. *)
 
 val le : t -> Expr.t -> Expr.t -> unit
-(** [le t lhs rhs] adds [lhs <= rhs]. *)
+(** [le t lhs rhs] adds [lhs <= rhs], as the row [lhs - rhs <= 0], its
+    terms kept unmerged. A variable that occurs more than once in the row
+    has its coefficients summed when the model is solved, in the order the
+    row was built (the order {!Expr.terms} sums them in for
+    [Expr.sub lhs rhs]), and drops out of the row if they sum to 0. The
+    same holds for {!ge} and {!eq}. *)
 
 val ge : t -> Expr.t -> Expr.t -> unit
 val eq : t -> Expr.t -> Expr.t -> unit

@@ -37,7 +37,7 @@ let reduce ~lb ~ub ~rows =
   in
   (* One simplification pass over a row; [None] means the row is gone
      (absorbed into bounds or trivially satisfied). *)
-  let simplify (terms, sense, rhs) =
+  let rebuild (terms, sense, rhs) =
     let kept = ref [] and moved = ref 0. in
     List.iter
       (fun (j, c) ->
@@ -71,6 +71,14 @@ let reduce ~lb ~ub ~rows =
         tighten_ub j v);
       None
     | kept -> Some (List.rev kept, sense, rhs)
+  in
+  (* A row of two or more terms, none of them zero or on a fixed variable,
+     comes back as it is: [rebuild] would copy it unchanged. *)
+  let untouched (j, c) = j >= 0 && j < n && c <> 0. && not (fixed j) in
+  let simplify ((terms, _, _) as row) =
+    match terms with
+    | _ :: _ :: _ when List.for_all untouched terms -> Some row
+    | _ -> rebuild row
   in
   try
     (* Fixpoint: re-simplify as long as new variables get fixed. Rows carry

@@ -12,70 +12,46 @@ type t = {
   rhs : float array;
 }
 
-let build ~nstruct ~lb ~ub ~obj ~rows =
-  let nrows = List.length rows in
-  let ncols = nstruct + nrows in
-  if Array.length lb <> nstruct || Array.length ub <> nstruct || Array.length obj <> nstruct
-  then invalid_arg "Problem.build: bound/objective arrays must have length nstruct";
-  Array.iteri
-    (fun i l ->
-      if Float.is_nan l || Float.is_nan ub.(i) then invalid_arg "Problem.build: NaN bound";
-      if l > ub.(i) then invalid_arg "Problem.build: lb > ub")
-    lb;
-  Array.iter (fun c -> if Float.is_nan c then invalid_arg "Problem.build: NaN objective") obj;
-  let lb' = Array.make ncols 0. and ub' = Array.make ncols 0. in
-  Array.blit lb 0 lb' 0 nstruct;
-  Array.blit ub 0 ub' 0 nstruct;
-  let obj' = Array.make ncols 0. in
-  Array.blit obj 0 obj' 0 nstruct;
-  let rhs = Array.make nrows 0. in
-  (* Columns by counting sort. The first pass validates, counts each
-     structural column's nonzero terms and sets each row's unit slack
-     column; the second, in row order, fills arrays of those sizes, so every
-     column comes out sorted by row. *)
-  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
+(* The one column fill, by counting sort, into the first [nstruct] slots
+   of [col_rows] / [col_vals]. The first pass validates and counts each
+   column's nonzero terms; the second, in row order, fills arrays of those
+   sizes, so every column comes out sorted by row. *)
+let fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals =
   let count = Array.make nstruct 0 in
-  List.iteri
-    (fun i (terms, sense, b) ->
-      if Float.is_nan b then invalid_arg "Problem.build: NaN rhs";
-      rhs.(i) <- b;
-      List.iter
-        (fun (j, v) ->
-          if j < 0 || j >= nstruct then invalid_arg "Problem.build: variable index out of range";
-          if Float.is_nan v then invalid_arg "Problem.build: NaN coefficient";
-          if v <> 0. then count.(j) <- count.(j) + 1)
-        terms;
-      let slack = nstruct + i in
-      col_rows.(slack) <- [| i |];
-      col_vals.(slack) <- [| 1. |];
-      let slo, shi =
-        match sense with Le -> (0., infinity) | Ge -> (neg_infinity, 0.) | Eq -> (0., 0.)
-      in
-      lb'.(slack) <- slo;
-      ub'.(slack) <- shi)
-    rows;
+  for i = 0 to nrows - 1 do
+    if Float.is_nan rhs.(i) then invalid_arg "Problem.build: NaN rhs";
+    for k = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = term_var.(k) and v = term_coef.(k) in
+      if j < 0 || j >= nstruct then invalid_arg "Problem.build: variable index out of range";
+      if Float.is_nan v then invalid_arg "Problem.build: NaN coefficient";
+      if v <> 0. then count.(j) <- count.(j) + 1
+    done
+  done;
   for j = 0 to nstruct - 1 do
     col_rows.(j) <- Array.make count.(j) 0;
     col_vals.(j) <- Array.make count.(j) 0.
   done;
   let fill = Array.make nstruct 0 in
-  List.iteri
-    (fun i (terms, _, _) ->
-      List.iter
-        (fun (j, v) ->
-          if v <> 0. then begin
-            let k = fill.(j) and rs = col_rows.(j) and vs = col_vals.(j) in
-            (* A repeated (row, var) term finds its row as the column's last
-               entry and is summed into it, in input order. *)
-            if k > 0 && rs.(k - 1) = i then vs.(k - 1) <- vs.(k - 1) +. v
-            else begin
-              rs.(k) <- i;
-              vs.(k) <- v;
-              fill.(j) <- k + 1
-            end
-          end)
-        terms)
-    rows;
+  for i = 0 to nrows - 1 do
+    for e = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = term_var.(e) and v = term_coef.(e) in
+      if v <> 0. then begin
+        let k = fill.(j) and rs = col_rows.(j) and vs = col_vals.(j) in
+        (* A repeated (row, var) term finds its row as the column's last
+           entry and is summed into it, in input order. *)
+        if k > 0 && rs.(k - 1) = i then begin
+          let s = vs.(k - 1) +. v in
+          if Float.is_nan s then invalid_arg "Problem.build: NaN coefficient";
+          vs.(k - 1) <- s
+        end
+        else begin
+          rs.(k) <- i;
+          vs.(k) <- v;
+          fill.(j) <- k + 1
+        end
+      end
+    done
+  done;
   (* Only a merged column can be short or hold a sum of 0: trim it. *)
   for j = 0 to nstruct - 1 do
     if fill.(j) < count.(j) then begin
@@ -91,8 +67,73 @@ let build ~nstruct ~lb ~ub ~obj ~rows =
       col_rows.(j) <- Array.sub rs 0 !keep;
       col_vals.(j) <- Array.sub vs 0 !keep
     end
+  done
+
+let of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef =
+  let ncols = nstruct + nrows in
+  if Array.length lb <> nstruct || Array.length ub <> nstruct || Array.length obj <> nstruct
+  then invalid_arg "Problem.build: bound/objective arrays must have length nstruct";
+  Array.iteri
+    (fun i l ->
+      if Float.is_nan l || Float.is_nan ub.(i) then invalid_arg "Problem.build: NaN bound";
+      if l > ub.(i) then invalid_arg "Problem.build: lb > ub")
+    lb;
+  Array.iter (fun c -> if Float.is_nan c then invalid_arg "Problem.build: NaN objective") obj;
+  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
+  fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals;
+  let lb' = Array.make ncols 0. and ub' = Array.make ncols 0. in
+  Array.blit lb 0 lb' 0 nstruct;
+  Array.blit ub 0 ub' 0 nstruct;
+  let obj' = Array.make ncols 0. in
+  Array.blit obj 0 obj' 0 nstruct;
+  (* Each row's slack is its unit column, bounded by the row's sense. *)
+  for i = 0 to nrows - 1 do
+    let slack = nstruct + i in
+    col_rows.(slack) <- [| i |];
+    col_vals.(slack) <- [| 1. |];
+    let slo, shi =
+      match sense.(i) with Le -> (0., infinity) | Ge -> (neg_infinity, 0.) | Eq -> (0., 0.)
+    in
+    lb'.(slack) <- slo;
+    ub'.(slack) <- shi
   done;
+  let rhs = Array.sub rhs 0 nrows in
   { nstruct; ncols; nrows; col_rows; col_vals; lb = lb'; ub = ub'; obj = obj'; rhs }
+
+(* The filled columns read back by row: each row's terms come out sorted by
+   variable. *)
+let merged_rows ~nstruct ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef =
+  let col_rows = Array.make nstruct [||] and col_vals = Array.make nstruct [||] in
+  fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals;
+  let terms = Array.make nrows [] in
+  for j = nstruct - 1 downto 0 do
+    let rs = col_rows.(j) and vs = col_vals.(j) in
+    for k = 0 to Array.length rs - 1 do
+      terms.(rs.(k)) <- (j, vs.(k)) :: terms.(rs.(k))
+    done
+  done;
+  List.init nrows (fun i -> (terms.(i), sense.(i), rhs.(i)))
+
+let build ~nstruct ~lb ~ub ~obj ~rows =
+  let nrows = List.length rows in
+  let nterms = List.fold_left (fun n (terms, _, _) -> n + List.length terms) 0 rows in
+  let term_var = Array.make nterms 0 and term_coef = Array.make nterms 0. in
+  let sense = Array.make nrows Le and rhs = Array.make nrows 0. in
+  let row_start = Array.make (nrows + 1) 0 in
+  let k = ref 0 in
+  List.iteri
+    (fun i (terms, s, b) ->
+      sense.(i) <- s;
+      rhs.(i) <- b;
+      List.iter
+        (fun (j, v) ->
+          term_var.(!k) <- j;
+          term_coef.(!k) <- v;
+          incr k)
+        terms;
+      row_start.(i + 1) <- !k)
+    rows;
+  of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Deadline_exceeded
 

@@ -20,6 +20,45 @@ type t = private {
   rhs : float array;
 }
 
+val of_rows :
+  nstruct:int ->
+  lb:float array ->
+  ub:float array ->
+  obj:float array ->
+  nrows:int ->
+  sense:sense array ->
+  rhs:float array ->
+  row_start:int array ->
+  term_var:int array ->
+  term_coef:float array ->
+  t
+(** [of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var
+    ~term_coef] assembles the computational form from rows held in one flat
+    row-major buffer: row [i < nrows] has sense [sense.(i)], right-hand
+    side [rhs.(i)] and the terms at positions [row_start.(i)] to
+    [row_start.(i + 1) - 1] of [term_var] (variable indices in
+    [0..nstruct-1]) and [term_coef]. The row arrays may be longer than
+    [nrows] needs; none of the arrays is kept.
+
+    One counting sort fills every column, sorted by row. A variable
+    repeated in a row is summed into one entry in input order, and dropped
+    if the sum is 0; a zero term is ignored. Raises [Invalid_argument] on
+    malformed input (bad index, [lb > ub], NaN). *)
+
+val merged_rows :
+  nstruct:int ->
+  nrows:int ->
+  sense:sense array ->
+  rhs:float array ->
+  row_start:int array ->
+  term_var:int array ->
+  term_coef:float array ->
+  ((int * float) list * sense * float) list
+(** The same rows as {!of_rows} reads them, each as [(terms, sense, rhs)]
+    with its terms merged by the same fill and sorted by variable: the form
+    {!Presolve} takes. Raises [Invalid_argument] on a bad index or a NaN
+    coefficient or right-hand side. *)
+
 val build :
   nstruct:int ->
   lb:float array ->
@@ -27,10 +66,8 @@ val build :
   obj:float array ->
   rows:((int * float) list * sense * float) list ->
   t
-(** [build ~nstruct ~lb ~ub ~obj ~rows] assembles the computational form.
-    Each row is [(terms, sense, rhs)] with variable indices in
-    [0..nstruct-1]. Raises [Invalid_argument] on malformed input (bad index,
-    [lb > ub], NaN). *)
+(** [build ~nstruct ~lb ~ub ~obj ~rows] is {!of_rows} over rows given as a
+    list of [(terms, sense, rhs)]. *)
 
 type status =
   | Optimal

@@ -240,9 +240,11 @@ let rest_at_bound ~lb ~ub vstat xval j =
    never reports. *)
 let refactorise_cols ?(repair = false) st cols ~complete =
   let cols = Array.of_list cols in
-  let sparse =
-    Array.map (fun j -> (col_rows st j, col_vals st j)) cols
-  in
+  (* Filled in place: [Array.map] would seed the array with its first
+     (young) pair, and the runtime empties the minor heap before it
+     allocates an array longer than 256 words around a young block. *)
+  let sparse = Array.make (Array.length cols) ([||], [||]) in
+  Array.iteri (fun k j -> sparse.(k) <- (col_rows st j, col_vals st j)) cols;
   match
     Obs.with_span "revised.refactor" (fun () ->
         Sparse_lu.factorise ~ws:st.ws ~repair ~m:st.m ~complete sparse)
@@ -1122,7 +1124,7 @@ let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
   | Dual_stalled -> abandon "warm dual stalled"
 
 (* The factorisation workspace of the last solve on this domain, with its
-   size. Allocating one costs about a millisecond at L-Net size, so a solve
+   size. Allocating one costs about 0.3 ms at L-Net size, so a solve
    reuses it when it is large enough: solves on one domain never overlap, a
    factorisation resets the scratch it reads, and no factorisation aliases
    it. *)

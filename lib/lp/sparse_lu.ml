@@ -134,13 +134,27 @@ type workspace = {
   mutable w_visit : int; (* pivot-row walk generation *)
 }
 
+(* [m] fresh growable arrays, in an array made around [placeholder] and
+   then filled: [Array.init] would seed it with a young block, and the
+   runtime empties the minor heap before it allocates an array longer than
+   256 words around one. *)
+let fresh m placeholder make =
+  let a = Array.make m placeholder in
+  for i = 0 to m - 1 do
+    a.(i) <- make 4
+  done;
+  a
+
+let no_dyn = dyn_make 0
+let no_idyn = idyn_make 0
+
 let workspace m =
   {
     size = m;
-    w_col = Array.init m (fun _ -> dyn_make 4);
-    w_ufix = Array.init m (fun _ -> dyn_make 4);
+    w_col = fresh m no_dyn dyn_make;
+    w_ufix = fresh m no_dyn dyn_make;
     w_rowcnt = Array.make m 0;
-    w_rowcols = Array.init m (fun _ -> idyn_make 4);
+    w_rowcols = fresh m no_idyn idyn_make;
     w_row_pivoted = Array.make m false;
     w_col_pivoted = Array.make m false;
     w_head = Array.make (m + 1) (-1);

@@ -8,12 +8,16 @@ type t = private {
   dst : Topology.switch;
   tunnels : Tunnel.t list;
   priority : int; (* 0 = highest; single-priority networks use 0 *)
+  ntunnels : int; (* List.length tunnels *)
+  p : int; (* at most p tunnels share any link *)
+  q : int; (* at most q tunnels share any intermediate switch *)
 }
 
 val create :
   id:int -> ?priority:int -> src:Topology.switch -> dst:Topology.switch -> Tunnel.t list -> t
-(** Raises [Invalid_argument] if any tunnel's endpoints disagree with
-    [src]/[dst] or the tunnel list is empty. *)
+(** Computes the tunnel count and [p] and [q] once, for {!num_tunnels},
+    {!p_q} and {!tau}. Raises [Invalid_argument] if any tunnel's endpoints
+    disagree with [src]/[dst] or the tunnel list is empty. *)
 
 val p_q : t -> int * int
 (** The actual [(p, q)] link-switch disjointness of the tunnel set: at most

@@ -24,9 +24,17 @@ let test_expr_scale_zero () =
   Alcotest.(check (list (pair int (float 1e-12)))) "no terms" [] (Expr.terms e);
   check_float "const 0" 0. (Expr.constant e)
 
+(* [Expr.sum] is one pass: a fold of [add] copied the accumulated list at
+   every step, 150 million minor words for these 10,000 summands. *)
 let test_expr_sum () =
-  let e = Expr.sum (List.init 10 (fun i -> Expr.var i)) in
-  Alcotest.(check int) "10 terms" 10 (List.length (Expr.terms e))
+  let n = 10_000 in
+  let es = List.init n (fun i -> Expr.var i) in
+  let before = Gc.minor_words () in
+  let e = Expr.sum es in
+  let words = Gc.minor_words () -. before in
+  if words > float_of_int (20 * n) then
+    Alcotest.failf "%.0f minor words for %d summands, budget %d" words n (20 * n);
+  Alcotest.(check int) "every term survives" n (List.length (Expr.terms e))
 
 let test_expr_neg () =
   let e = Expr.(neg (add_term (const 3.) 2. 5)) in
@@ -87,6 +95,63 @@ let test_problem_nan_objective () =
   Model.le m (Expr.var x) (Expr.const 1.);
   Model.maximize m (Expr.var ~coeff:nan x);
   Alcotest.check_raises "Model.solve" nan_objective (fun () -> ignore (Model.solve m))
+
+(* A model row sums a repeated variable's coefficients in the order
+   [Expr.terms] sums them for [lhs - rhs]; with the terms on the right,
+   that is [e]'s list order. 1e16, -1e16, 1 leaves coefficient 1 and the
+   row binds x; 1e16, 1, -1e16 cancels and the row drops x. Presolve, which
+   turns the singleton row into a bound, must see the same row. *)
+let test_model_repeated_variable () =
+  List.iter
+    (fun (coeffs, expect) ->
+      let label = String.concat ", " (List.map (Printf.sprintf "%g") coeffs) in
+      List.iter
+        (fun presolve ->
+          let m = Model.create () in
+          let x = Model.add_var ~ub:10. m in
+          let e = List.fold_right (fun c e -> Expr.add_term e c x) coeffs Expr.zero in
+          Alcotest.(check (list (pair int (float 0.))))
+            (label ^ ": merged terms")
+            (if expect = 1. then [ (x, -1.) ] else [])
+            (Expr.terms (Expr.sub (Expr.const 1.) e));
+          Model.ge m (Expr.const 1.) e;
+          Model.maximize m (Expr.var x);
+          let sol =
+            match Model.solve ~presolve m with
+            | Model.Optimal s -> s
+            | _ -> Alcotest.fail "expected optimal"
+          in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s (presolve %b): x" label presolve)
+            expect (Model.value sol x))
+        [ true; false ])
+    [ ([ 1e16; -1e16; 1. ], 1.); ([ 1e16; 1.; -1e16 ], 10.) ]
+
+(* Malformed rows are rejected whether presolve runs or not: a NaN
+   coefficient (alone in its row, which presolve would absorb into a
+   bound), a NaN right-hand side, and variable 2 of a three-variable model
+   in a model of one. *)
+let test_model_malformed_rows () =
+  let other = Model.create () in
+  let foreign = List.nth (List.init 3 (fun _ -> Model.add_var other)) 2 in
+  List.iter
+    (fun (label, row) ->
+      List.iter
+        (fun presolve ->
+          let m = Model.create () in
+          let x = Model.add_var ~ub:1. m in
+          Model.maximize m (Expr.var x);
+          row m x;
+          match Model.solve ~presolve m with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s (presolve %b): accepted" label presolve)
+        [ true; false ])
+    [
+      ("NaN coefficient", fun m x -> Model.le m (Expr.var ~coeff:nan x) (Expr.const 1.));
+      ("NaN rhs", fun m x -> Model.le m (Expr.var x) (Expr.const nan));
+      ( "foreign variable",
+        fun m x -> Model.le m (Expr.add (Expr.var x) (Expr.var foreign)) (Expr.const 1.) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Hand-checked LPs on both backends                                   *)
@@ -1250,6 +1315,11 @@ let () =
         [
           case "columns by counting sort" test_problem_columns;
           case "NaN objective rejected" test_problem_nan_objective;
+        ] );
+      ( "model",
+        [
+          case "repeated variable merged in term order" test_model_repeated_variable;
+          case "malformed rows rejected" test_model_malformed_rows;
         ] );
       ( "simplex",
         List.concat
