@@ -293,6 +293,63 @@ let lu_residuals ~tol m dense lu =
   | Some msg -> Some msg
   | None -> check "btran" (Sparse_lu.btran lu) btx
 
+(* Residuals of a factorised basis, then, after the column replacements
+   [updates] (tracked densely in [dense]), again at a looser tolerance. *)
+let lu_residuals_updated m dense lu updates =
+  match lu_residuals ~tol:1e-6 m dense lu with
+  | Some msg -> Some msg
+  | None -> (
+    List.iter
+      (fun (r, a) ->
+        let w = Array.copy a in
+        Sparse_lu.ftran lu w;
+        if abs_float w.(r) > 1e-3 then begin
+          Sparse_lu.update lu ~r ~w;
+          for i = 0 to m - 1 do
+            dense.(i).(r) <- a.(i)
+          done
+        end)
+      updates;
+    match lu_residuals ~tol:1e-5 m dense lu with
+    | Some msg -> Some ("residual: after updates, " ^ String.sub msg 10 (String.length msg - 10))
+    | None -> None)
+
+(* Slack leg: a basis made mostly of identity steps, as warm simplex bases
+   are. Even column [k] becomes the unit column at row [k], -1 at [k = 0]
+   and 1 elsewhere; odd column [k] is divided by its first nonzero entry on
+   row [k], so that its diagonal is exactly 1. The triangular solves skip
+   the steps with no multipliers, no U entries and pivot 1, and the
+   diagonally dominant bases (diagonals 4 to 6) only make such steps of
+   completed rows; here a -1 unit pivot and pivot-1 steps with U entries
+   meet the skip too. The leg draws nothing from the RNG, and an instance
+   with no nonzero diagonal entry in an odd column is left to the other
+   legs. *)
+let lu_slack_leg ws (t : Gen.lu) =
+  let m = t.Gen.lu_m in
+  let diagonal k (rows, vals) =
+    let d = ref 0. in
+    Array.iteri (fun u r -> if !d = 0. && r = k then d := vals.(u)) rows;
+    !d
+  in
+  let cols =
+    Array.mapi
+      (fun k ((rows, vals) as col) ->
+        if k mod 2 = 0 then Some ([| k |], [| (if k = 0 then -1. else 1.) |])
+        else
+          let d = diagonal k col in
+          if d = 0. then None else Some (rows, Array.map (fun v -> v /. d) vals))
+      t.Gen.cols
+  in
+  if not (t.Gen.must_factor && Array.for_all Option.is_some cols) then Fuzz.Pass
+  else
+    let cols = Array.map Option.get cols in
+    match Sparse_lu.factorise ~ws ~m ~complete:t.Gen.complete cols with
+    | None -> failf "slack: factorise returned None on a unit-diagonal basis (m=%d)" m
+    | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } -> (
+      match lu_residuals_updated m (dense_of_lu m cols row_of_col completed_rows) lu t.Gen.lu_updates with
+      | Some msg -> Fuzz.Fail ("slack: " ^ msg)
+      | None -> Fuzz.Pass)
+
 (* Repair leg: the factorisation a mapped warm basis gets. On a basis built
    nonsingular, two columns dependent on the supplied ones are appended
    (often more columns than rows); repair mode must then reject exactly
@@ -377,28 +434,15 @@ let make_lu_test () =
              (* near-singular: accepting is fine, no residual contract *)
            else begin
              let dense = dense_of_lu m t.Gen.cols row_of_col completed_rows in
-             match lu_residuals ~tol:1e-6 m dense lu with
+             match lu_residuals_updated m dense lu t.Gen.lu_updates with
              | Some msg -> Fuzz.Fail msg
-             | None ->
-               (* Column-replacement updates, tracked densely. *)
-               List.iter
-                 (fun (r, a) ->
-                   let w = Array.copy a in
-                   Sparse_lu.ftran lu w;
-                   if abs_float w.(r) > 1e-3 then begin
-                     Sparse_lu.update lu ~r ~w;
-                     for i = 0 to m - 1 do
-                       dense.(i).(r) <- a.(i)
-                     done
-                   end)
-                 t.Gen.lu_updates;
-               (match lu_residuals ~tol:1e-5 m dense lu with
-                | Some msg -> Fuzz.Fail ("residual: after updates, " ^ String.sub msg 10 (String.length msg - 10))
-                | None -> Fuzz.Pass)
+             | None -> Fuzz.Pass
            end
        end
     in
-    match main with Fuzz.Pass -> lu_repair_leg ws t | other -> other
+    List.fold_left
+      (fun verdict leg -> match verdict with Fuzz.Pass -> leg ws t | v -> v)
+      main [ lu_slack_leg; lu_repair_leg ]
 
 (* ------------------------------------------------------------------ *)
 (* FFC: encoding agreement + exhaustive guarantee audit                *)

@@ -9,8 +9,11 @@
       residuals (also after random column-replacement updates), exactly
       singular bases must be rejected, near-singular ones may go either way
       but must never crash, and the pivot assignment must be structurally
-      sound. The oracle owns one growable workspace per domain across
-      instances, exercising the scratch reuse path.
+      sound. Each diagonally dominant basis also yields a slack-heavy one
+      (unit columns, one with value -1, and columns scaled to diagonal 1),
+      checked the same way, and a repair-mode factorisation with dependent
+      columns appended. The oracle owns one growable workspace per domain
+      across instances, exercising the scratch reuse path.
     - ["ffc"]: the sorting-network and duality encodings must agree on
       throughput; any solver failure is a bug (zero allocation is always
       feasible); accepted allocations are audited against the exhaustive

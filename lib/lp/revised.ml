@@ -671,18 +671,14 @@ let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
 (* Dual simplex (warm starts; a primally infeasible phase-2 optimum)   *)
 (* ------------------------------------------------------------------ *)
 
-let violation st j =
-  let x = st.xval.(j) in
-  if x > st.ub.(j) +. feas_tol then x -. st.ub.(j)
-  else if x < st.lb.(j) -. feas_tol then st.lb.(j) -. x
-  else 0.
-
 (* The row whose basic variable violates its bounds the most (-1 if none
    does by more than [feas_tol]), and the sum of the violations. *)
 let leaving_row st =
   let r = ref (-1) and worst = ref 0. and sum = ref 0. in
   for i = 0 to st.m - 1 do
-    let v = violation st st.basic.(i) in
+    let j = st.basic.(i) in
+    let x = st.xval.(j) and lb = st.lb.(j) and ub = st.ub.(j) in
+    let v = if x > ub +. feas_tol then x -. ub else if x < lb -. feas_tol then lb -. x else 0. in
     sum := !sum +. v;
     if v > !worst then begin
       worst := v;
@@ -701,6 +697,7 @@ type dual_work = {
   d : float array; (* reduced costs, length n; 0 on basic columns *)
   alpha : float array; (* pivot row, length n *)
   touched : int array;
+  eligible : int array; (* the ratio test's eligible columns *)
   row_start : int array;
   row_cols : int array;
   row_vals : float array;
@@ -736,6 +733,7 @@ let dual_work st =
     d = Array.make st.n 0.;
     alpha = Array.make st.n 0.;
     touched = Array.make st.n 0;
+    eligible = Array.make st.n 0;
     row_start;
     row_cols;
     row_vals;
@@ -764,24 +762,28 @@ let price_shifted st dw =
    their count. A slack is a unit column; artificials are pinned and never
    enter, so they are left out. *)
 let pivot_row st dw =
-  let p = st.p and alpha = dw.alpha in
+  let alpha = dw.alpha and touched = dw.touched in
+  let row_start = dw.row_start and row_cols = dw.row_cols and row_vals = dw.row_vals in
   let nt = ref 0 in
-  let add j v =
-    if alpha.(j) = 0. then begin
-      dw.touched.(!nt) <- j;
-      incr nt
-    end;
-    (* A sum that cancels to exactly 0 must stay listed once. *)
-    let a = alpha.(j) +. v in
-    alpha.(j) <- (if a = 0. then Float.min_float else a)
-  in
   for i = 0 to st.m - 1 do
     let ri = dw.rho.(i) in
     if ri <> 0. then begin
-      for k = dw.row_start.(i) to dw.row_start.(i + 1) - 1 do
-        add dw.row_cols.(k) (ri *. dw.row_vals.(k))
+      for k = row_start.(i) to row_start.(i + 1) - 1 do
+        let j = row_cols.(k) in
+        let aj = alpha.(j) in
+        if aj = 0. then begin
+          touched.(!nt) <- j;
+          incr nt
+        end;
+        (* A sum that cancels to exactly 0 must stay listed once. *)
+        let a = aj +. (ri *. row_vals.(k)) in
+        alpha.(j) <- (if a = 0. then Float.min_float else a)
       done;
-      add (p.Problem.nstruct + i) ri
+      (* Row [i]'s slack appears in no other row: its entry is [ri]. *)
+      let j = st.p.Problem.nstruct + i in
+      touched.(!nt) <- j;
+      incr nt;
+      alpha.(j) <- ri
     end
   done;
   !nt
@@ -799,23 +801,29 @@ let[@inline] dual_eligible st j a =
 
 (* Harris two-pass dual ratio test over the [nt] touched columns. [s] is
    1. when the leaving variable rises to its lower bound, -1. when it falls
-   to its upper. Pass 1 finds the largest dual step that keeps every
-   reduced cost within [opt_tol] of feasible; pass 2 takes, among the
-   columns whose exact ratio is within that step, the one with the largest
-   pivot. Returns -1 if no column can enter. *)
+   to its upper. Pass 1 lists the eligible columns and finds the largest
+   dual step that keeps every reduced cost within [opt_tol] of feasible;
+   pass 2 takes, among those columns whose exact ratio is within that
+   step, the one with the largest pivot. Returns -1 if no column can
+   enter. *)
 let dual_ratio_test st dw nt s =
+  let eligible = dw.eligible in
+  let ne = ref 0 in
   let bound = ref infinity in
   for t = 0 to nt - 1 do
     let j = dw.touched.(t) in
     let a = -.s *. dw.alpha.(j) in
-    if dual_eligible st j a then
+    if dual_eligible st j a then begin
+      eligible.(!ne) <- j;
+      incr ne;
       bound := Float.min !bound ((dw.d.(j) /. a) +. (opt_tol /. abs_float a))
+    end
   done;
   let q = ref (-1) and best = ref 0. in
-  for t = 0 to nt - 1 do
-    let j = dw.touched.(t) in
+  for t = 0 to !ne - 1 do
+    let j = eligible.(t) in
     let a = -.s *. dw.alpha.(j) in
-    if dual_eligible st j a && dw.d.(j) /. a <= !bound && abs_float a > !best then begin
+    if dw.d.(j) /. a <= !bound && abs_float a > !best then begin
       q := j;
       best := abs_float a
     end

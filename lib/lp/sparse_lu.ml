@@ -10,10 +10,15 @@
    actually created, not m^2.
 
    FTRAN solves L then U (back substitution over the pivot-step order);
-   BTRAN runs the transposed solves in reverse. Simplex column replacements
-   are held as sparse product-form update etas applied after (FTRAN) /
-   before (BTRAN) the triangular solves; the caller refactorises when the
-   file grows past its policy limit.
+   BTRAN runs the transposed solves in reverse. Both visit only the steps
+   that can change a vector: the L solves the steps with multipliers, the
+   U solves the steps with above-diagonal U entries or a pivot other than
+   1. Every other step is an identity step -- a slack, a completed row, or
+   any unit pivot without fill -- whose whole work is [x /. 1.], exactly [x]
+   in IEEE arithmetic, so skipping it changes no bit. Simplex column
+   replacements are held as sparse product-form update etas applied after
+   (FTRAN) / before (BTRAN) the triangular solves; the caller refactorises
+   when the file grows past its policy limit.
 
    Repair mode (warm starts) accepts any number of columns and never fails:
    a column that cannot be pivoted -- empty, or reduced to (near) zero by
@@ -44,6 +49,8 @@ type t = {
   u_off : int array; (* step -> range of above-diagonal U entries *)
   u_rows : int array;
   u_vals : float array;
+  l_steps : int array; (* steps with L multipliers, ascending *)
+  u_steps : int array; (* steps with U entries or a pivot other than 1, ascending *)
   lu_nnz : int;
   fill : int;
   (* product-form update etas (column replacements since factorisation) *)
@@ -126,6 +133,8 @@ type workspace = {
   w_lcnt : int array; (* count the column is currently linked under *)
   w_ldyn : dyn;
   w_udyn : dyn;
+  w_lsteps : idyn;
+  w_usteps : idyn;
   w_spa_val : float array;
   w_spa_stamp : int array;
   w_spa_rows : idyn;
@@ -163,6 +172,8 @@ let workspace m =
     w_lcnt = Array.make m 0;
     w_ldyn = dyn_make (4 * m);
     w_udyn = dyn_make (4 * m);
+    w_lsteps = idyn_make m;
+    w_usteps = idyn_make m;
     w_spa_val = Array.make m 0.;
     w_spa_stamp = Array.make m (-1);
     w_spa_rows = idyn_make 16;
@@ -264,6 +275,15 @@ let factorise ?ws ?(repair = false) ~m ~complete cols =
   let ldyn = ws.w_ldyn and udyn = ws.w_udyn in
   ldyn.len <- 0;
   udyn.len <- 0;
+  (* The triangular solves visit only the steps listed here. A step left
+     out of [lsteps] has no multipliers, so its L and L^T steps do nothing.
+     A step left out of [usteps] has no U entries and pivot 1, so its U
+     step sets [x] to [x /. 1.] and its U^T step [y] to [y /. 1.]: IEEE
+     division by 1 returns its operand exactly, signed zeros and
+     subnormals included. Completed rows are such steps. *)
+  let lsteps = ws.w_lsteps and usteps = ws.w_usteps in
+  lsteps.n <- 0;
+  usteps.n <- 0;
   let row_of_col = Array.make ncols (-1) in
   let nsteps = ref 0 in
   (* Sparse accumulator for column updates. *)
@@ -353,6 +373,8 @@ let factorise ?ws ?(repair = false) ~m ~complete cols =
     for t = 0 to u.len - 1 do
       dyn_push udyn u.ir.(t) u.fr.(t)
     done;
+    if l_end > l_start then idyn_push lsteps k;
+    if u.len > 0 || piv <> 1. then idyn_push usteps k;
     l_off.(k + 1) <- l_end;
     u_off.(k + 1) <- udyn.len;
     c.len <- 0;
@@ -467,6 +489,8 @@ let factorise ?ws ?(repair = false) ~m ~complete cols =
           u_off;
           u_rows = Array.sub udyn.ir 0 udyn.len;
           u_vals = Array.sub udyn.fr 0 udyn.len;
+          l_steps = Array.sub lsteps.a 0 lsteps.n;
+          u_steps = Array.sub usteps.a 0 usteps.n;
           lu_nnz = ldyn.len + udyn.len + m;
           fill = ldyn.len + udyn.len + m - !orig_nnz;
           e_r = [||];
@@ -492,9 +516,10 @@ let factorise ?ws ?(repair = false) ~m ~complete cols =
 (* ------------------------------------------------------------------ *)
 
 let ftran t w =
-  let m = t.m in
   (* L: apply elimination etas in step order. *)
-  for k = 0 to m - 1 do
+  let ls = t.l_steps in
+  for p = 0 to Array.length ls - 1 do
+    let k = Array.unsafe_get ls p in
     let wpr = Array.unsafe_get w (Array.unsafe_get t.prow k) in
     if wpr <> 0. then
       for i = t.l_off.(k) to t.l_off.(k + 1) - 1 do
@@ -503,7 +528,9 @@ let ftran t w =
       done
   done;
   (* U: back substitution over the pivot-step order. *)
-  for k = m - 1 downto 0 do
+  let us = t.u_steps in
+  for p = Array.length us - 1 downto 0 do
+    let k = Array.unsafe_get us p in
     let r = Array.unsafe_get t.prow k in
     let wr = Array.unsafe_get w r in
     if wr <> 0. then begin
@@ -531,7 +558,6 @@ let ftran t w =
   done
 
 let btran t y =
-  let m = t.m in
   (* Update etas transposed, newest to oldest. *)
   for e = t.nupd - 1 downto 0 do
     let er = Array.unsafe_get t.e_r e in
@@ -543,7 +569,9 @@ let btran t y =
     Array.unsafe_set y er (!s /. Array.unsafe_get t.e_piv e)
   done;
   (* U^T: forward substitution in step order. *)
-  for k = 0 to m - 1 do
+  let us = t.u_steps in
+  for p = 0 to Array.length us - 1 do
+    let k = Array.unsafe_get us p in
     let r = Array.unsafe_get t.prow k in
     let s = ref (Array.unsafe_get y r) in
     for i = t.u_off.(k) to t.u_off.(k + 1) - 1 do
@@ -552,7 +580,9 @@ let btran t y =
     Array.unsafe_set y r (!s /. Array.unsafe_get t.upiv k)
   done;
   (* L^T: reverse step order. *)
-  for k = m - 1 downto 0 do
+  let ls = t.l_steps in
+  for p = Array.length ls - 1 downto 0 do
+    let k = Array.unsafe_get ls p in
     let r = Array.unsafe_get t.prow k in
     let s = ref (Array.unsafe_get y r) in
     for i = t.l_off.(k) to t.l_off.(k + 1) - 1 do
@@ -565,24 +595,29 @@ let btran t y =
 (* Updates                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [update]'s scratch, one pair per domain, grown to the largest [m] seen.
+   An update fills it and copies the eta out before it returns, so nothing
+   live is kept in it between calls, and solves on different domains never
+   share it. *)
+let eta_scratch : (int array * float array) ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref ([||], [||]))
+
 let update t ~r ~w =
-  (* Count the eta's nonzeros, then copy into exact-size arrays owned by the
-     eta file. Two passes over [w] keep this allocation-exact without any
-     module-level buffer (which would make concurrent solves unsafe). *)
+  (* One pass over [w] collects the eta's entries, rows ascending, into the
+     scratch; exact-size copies go into the eta file. *)
+  let cell = Domain.DLS.get eta_scratch in
+  if Array.length (fst !cell) < t.m then cell := (Array.make t.m 0, Array.make t.m 0.);
+  let sidx, sval = !cell in
   let nz = ref 0 in
-  for i = 0 to t.m - 1 do
-    if i <> r && abs_float (Array.unsafe_get w i) > drop_tol then incr nz
-  done;
-  let idx = Array.make !nz 0 and vals = Array.make !nz 0. in
-  let p = ref 0 in
   for i = 0 to t.m - 1 do
     let v = Array.unsafe_get w i in
     if i <> r && abs_float v > drop_tol then begin
-      idx.(!p) <- i;
-      vals.(!p) <- v;
-      incr p
+      Array.unsafe_set sidx !nz i;
+      Array.unsafe_set sval !nz v;
+      incr nz
     end
   done;
+  let idx = Array.sub sidx 0 !nz and vals = Array.sub sval 0 !nz in
   if t.nupd = Array.length t.e_r then begin
     let cap = max 16 (2 * t.nupd) in
     let grow_i a = Array.init cap (fun i -> if i < t.nupd then a.(i) else 0) in

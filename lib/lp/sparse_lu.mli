@@ -7,7 +7,8 @@
     (an entry qualifies only if its magnitude is at least [tau] times the
     largest in its column), so fill-in stays close to the structural minimum
     while staying numerically safe. FTRAN/BTRAN are sparse triangular
-    solves over the factors; simplex column replacements are absorbed as
+    solves over the factors that skip identity steps; simplex column
+    replacements are absorbed as
     sparse product-form update etas layered on top of the fixed factors
     ({!update}), capped by the caller's refactorisation policy.
 
@@ -24,9 +25,10 @@ type workspace
     [m] serves any factorisation with [m' <= m]; reusing one across the
     dozens of refactorisations of a simplex solve avoids re-allocating the
     per-column/per-row growable arrays each time. Ownership is the
-    caller's: there is no module-level cache, so distinct solver states
-    (or threads/domains) each hold their own workspace and [factorise] is
-    reentrant. Nothing in a returned factorisation aliases the workspace. *)
+    caller's: there is no module-level cache of workspaces, so distinct
+    solver states (or threads/domains) each hold their own workspace and
+    [factorise] is reentrant. Nothing in a returned factorisation aliases
+    the workspace. *)
 
 val workspace : int -> workspace
 (** [workspace m] allocates scratch for factorising up to [m x m] bases. *)
@@ -76,20 +78,27 @@ val factorise :
 val ftran : t -> float array -> unit
 (** [ftran t w] overwrites the dense vector [w] (length [m]) with
     [B^-1 w], applying the LU triangular solves and then any update etas
-    oldest-to-newest. Cost follows the factor fill and the nonzero pattern
-    of [w]. *)
+    oldest-to-newest. The L solve visits only the pivot steps with
+    multipliers and the U solve only those with above-diagonal U entries
+    or a pivot other than 1; every other step (a slack, a completed row,
+    any unit pivot without fill) would compute [x /. 1.], which is [x]
+    exactly. Cost follows the factor fill plus the eta file's length, not
+    [m]. *)
 
 val btran : t -> float array -> unit
 (** [btran t y] overwrites [y] with [B^-T y]: update etas transposed
-    newest-to-oldest, then the transposed triangular solves. *)
+    newest-to-oldest, then the transposed triangular solves, over the same
+    steps as {!ftran} and bit-identical to visiting every step. *)
 
 val update : t -> r:int -> w:float array -> unit
 (** [update t ~r ~w] records the simplex column replacement at pivot row
     [r], where [w] is the FTRAN'd entering column under the current
-    (updated) factorisation. Appends one sparse product-form eta; the
-    caller's refactorisation policy bounds how many accumulate (see
-    {!updates}). Requires [abs_float w.(r)] comfortably above the pivot
-    tolerance — the caller checks before pivoting. *)
+    (updated) factorisation. Appends one sparse product-form eta, read off
+    [w] in one pass into scratch kept per domain and copied out at its
+    exact size, rows ascending; the caller's refactorisation policy bounds
+    how many accumulate (see {!updates}). Requires [abs_float w.(r)]
+    comfortably above the pivot tolerance — the caller checks before
+    pivoting. *)
 
 val updates : t -> int
 (** Number of update etas accumulated since factorisation. *)

@@ -744,6 +744,105 @@ let test_sparse_lu_repair () =
   | Some r -> Alcotest.(check (list int)) "healthy basis intact" [] r.Sparse_lu.rejected
   | None -> Alcotest.fail "repair mode returned None (healthy)"
 
+(* Identity steps (no multipliers, no U entries, pivot 1) are skipped by
+   the triangular solves, which is exact only because x /. 1. = x. A
+   permutation of unit columns is all identity steps: each column pivots on
+   its one entry, so in the slot convention the basis is the identity, and
+   FTRAN and BTRAN must hand back the input bit for bit -- a -0.0 and a
+   subnormal entry included. *)
+let test_sparse_lu_unit_permutation () =
+  let perm = [| 3; 0; 6; 1; 7; 2; 5; 4 |] in
+  let m = Array.length perm in
+  let cols = Array.map (fun r -> ([| r |], [| 1. |])) perm in
+  match Sparse_lu.factorise ~m ~complete:false cols with
+  | None -> Alcotest.fail "permutation of unit columns reported singular"
+  | Some { Sparse_lu.lu; row_of_col; _ } ->
+    Alcotest.(check (array int)) "each column pivots on its entry" perm row_of_col;
+    let subnormal = Int64.float_of_bits 1L in
+    let rhs = [| 1.5; -0.; subnormal; -2.25; 0.; 1e300; -7.; 0.1 |] in
+    let bits = Array.map Int64.bits_of_float in
+    let x = Array.copy rhs in
+    Sparse_lu.ftran lu x;
+    (* Column k's coefficient sits at its slot, the row of its entry. *)
+    Array.iteri
+      (fun k r ->
+        Alcotest.(check int64) (Printf.sprintf "ftran column %d" k) (bits rhs).(r)
+          (bits x).(row_of_col.(k)))
+      perm;
+    let y = Array.copy rhs in
+    Sparse_lu.btran lu y;
+    Alcotest.(check (array int64)) "btran returns its input" (bits rhs) (bits y)
+
+(* A slack-heavy basis, shaped like a warm simplex basis: unit columns of
+   value 1 and -1, some on rows that structural columns also touch, and
+   structural columns whose pivot is exactly 1 above U entries (the unit
+   columns pivot first, moving the structural entries on their rows into
+   U). Residuals must stay small before and after column replacements that
+   bring in more such columns. *)
+let test_sparse_lu_slack_heavy () =
+  let m = 10 in
+  let unit r v = ([| r |], [| v |]) in
+  let cols =
+    [|
+      unit 0 1.;
+      unit 1 (-1.);
+      unit 2 1.;
+      unit 3 (-1.);
+      unit 4 1.;
+      ([| 2; 5 |], [| 0.5; 1. |]);
+      ([| 3; 5; 6 |], [| 2.; -0.25; 1. |]);
+      ([| 7; 8 |], [| 3.; 1. |]);
+      ([| 7; 8; 9 |], [| 1.; 4.; 0.5 |]);
+      ([| 0; 8; 9 |], [| 0.25; 1.; 2. |]);
+    |]
+  in
+  match Sparse_lu.factorise ~m ~complete:false cols with
+  | None -> Alcotest.fail "slack-heavy basis reported singular"
+  | Some { Sparse_lu.lu; row_of_col; _ } ->
+    let b = dense_of_cols m cols row_of_col in
+    let rng = Ffc_util.Rng.create 23 in
+    let check what =
+      for _ = 1 to 5 do
+        let rhs =
+          Array.init m (fun _ ->
+              if Ffc_util.Rng.bool rng then 0. else Ffc_util.Rng.uniform rng (-5.) 5.)
+        in
+        let x = Array.copy rhs in
+        Sparse_lu.ftran lu x;
+        Alcotest.(check bool) (what ^ ": ftran residual") true (residual_inf b x rhs < 1e-9);
+        let y = Array.copy rhs in
+        Sparse_lu.btran lu y;
+        Alcotest.(check bool) (what ^ ": btran residual") true (residual_inf_t b y rhs < 1e-9)
+      done
+    in
+    check "factorised";
+    (* (slot, replacement column): unit columns of either sign, a column
+       with pivot entry 1 and off-pivot entries, and a general one. *)
+    let replacements =
+      [
+        (5, [ (5, -1.) ]);
+        (0, [ (0, 1.); (3, 0.5) ]);
+        (8, [ (8, 1.); (2, -2.); (9, 0.75) ]);
+        (1, [ (1, 1.) ]);
+        (6, [ (6, 2.5); (4, 1.); (7, -0.5) ]);
+        (9, [ (9, -1.); (0, 0.125) ]);
+      ]
+    in
+    List.iteri
+      (fun i (r, entries) ->
+        let a = Array.make m 0. in
+        List.iter (fun (row, v) -> a.(row) <- v) entries;
+        let w = Array.copy a in
+        Sparse_lu.ftran lu w;
+        Alcotest.(check bool) (Printf.sprintf "update %d pivot" i) true (abs_float w.(r) > 1e-3);
+        Sparse_lu.update lu ~r ~w;
+        for row = 0 to m - 1 do
+          b.(row).(r) <- a.(row)
+        done;
+        check (Printf.sprintf "after %d updates" (i + 1)))
+      replacements;
+    Alcotest.(check int) "eta file length" (List.length replacements) (Sparse_lu.updates lu)
+
 (* Degenerate shapes: duplicated rows, zero right-hand sides and parallel
    constraints produce heavily degenerate bases; the LU-backed revised
    simplex must still agree with the tableau oracle. *)
@@ -1360,6 +1459,8 @@ let () =
           case "rejects singular bases" test_sparse_lu_rejects_singular;
           case "zero-length columns" test_sparse_lu_zero_length_column;
           case "repair skips dependent columns" test_sparse_lu_repair;
+          case "unit permutation solves bit for bit" test_sparse_lu_unit_permutation;
+          case "slack-heavy basis under updates" test_sparse_lu_slack_heavy;
         ] );
       ( "fuzz-regressions",
         [
