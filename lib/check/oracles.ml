@@ -324,7 +324,7 @@ let lu_residuals_updated m dense lu updates =
    meet the skip too. The leg draws nothing from the RNG, and an instance
    with no nonzero diagonal entry in an odd column is left to the other
    legs. *)
-let lu_slack_leg ws (t : Gen.lu) =
+let lu_slack_leg (t : Gen.lu) =
   let m = t.Gen.lu_m in
   let diagonal k (rows, vals) =
     let d = ref 0. in
@@ -343,7 +343,7 @@ let lu_slack_leg ws (t : Gen.lu) =
   if not (t.Gen.must_factor && Array.for_all Option.is_some cols) then Fuzz.Pass
   else
     let cols = Array.map Option.get cols in
-    match Sparse_lu.factorise ~ws ~m ~complete:t.Gen.complete cols with
+    match Sparse_lu.factorise ~m ~complete:t.Gen.complete cols with
     | None -> failf "slack: factorise returned None on a unit-diagonal basis (m=%d)" m
     | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } -> (
       match lu_residuals_updated m (dense_of_lu m cols row_of_col completed_rows) lu t.Gen.lu_updates with
@@ -357,11 +357,11 @@ let lu_slack_leg ws (t : Gen.lu) =
    exactly singular it must reject at least one, and the rest must solve.
    Always: it succeeds, rejected columns get no slot, and every row is
    covered once. *)
-let lu_repair_leg ws (t : Gen.lu) =
+let lu_repair_leg (t : Gen.lu) =
   let m = t.Gen.lu_m and n = Array.length t.Gen.cols in
   let cols = Gen.lu_repair_cols t in
   let extra = Array.length cols - n in
-  match Sparse_lu.factorise ~ws ~repair:true ~m ~complete:t.Gen.complete cols with
+  match Sparse_lu.factorise ~repair:true ~m ~complete:t.Gen.complete cols with
   | None -> failf "repair: repair-mode factorise returned None (m=%d, %d columns)" m (Array.length cols)
   | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
     let cover = Array.make m 0 in
@@ -383,66 +383,60 @@ let lu_repair_leg ws (t : Gen.lu) =
       | Some msg -> Fuzz.Fail ("repair: " ^ msg)
       | None -> Fuzz.Pass
 
-(* The LU oracle owns one growable workspace per domain across all its
-   instances, exercising the scratch reset/reuse path the way a long-lived
-   simplex state does. Domain-local storage (rather than a plain ref) keeps
-   the workspace private when the campaign shards instances across a pool;
-   the workspace only affects allocation, never results. *)
-let make_lu_test () =
-  let key = Domain.DLS.new_key (fun () -> ref (4, Sparse_lu.workspace 4)) in
-  fun (t : Gen.lu) ->
-    let m = t.Gen.lu_m in
-    let cell = Domain.DLS.get key in
-    (if m > fst !cell then cell := (m, Sparse_lu.workspace m));
-    let ws = snd !cell in
-    let main =
-      match Sparse_lu.factorise ~ws ~m ~complete:t.Gen.complete t.Gen.cols with
-     | None ->
-       if t.Gen.must_factor then
-         failf "rejected-nonsingular: factorise returned None on a diagonally dominant basis (m=%d)"
-           m
-       else Fuzz.Pass
-     | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
-       if t.Gen.must_reject then
-         failf "accepted-singular: factorise accepted an exactly singular basis (m=%d)" m
-       else begin
-         (* Structural invariants of the pivot assignment. *)
-         let ncols = Array.length t.Gen.cols in
-         let used = Array.make m false in
-         let structural = ref None in
-         if Array.length row_of_col <> ncols then
-           structural := Some "row_of_col length differs from column count"
-         else
-           Array.iter
-             (fun r ->
-               if r < 0 || r >= m then structural := Some "pivot row out of range"
-               else if used.(r) then structural := Some "pivot row assigned twice"
-               else used.(r) <- true)
-             row_of_col;
-         List.iter
-           (fun r ->
-             if r < 0 || r >= m || used.(r) then
-               structural := Some "completed row clashes with a pivot row"
-             else used.(r) <- true)
-           completed_rows;
-         if t.Gen.complete && Array.exists not used then
-           structural := Some "complete factorisation left a row uncovered";
-         match !structural with
-         | Some what -> failf "structure: %s (m=%d)" what m
-         | None ->
-           if not t.Gen.must_factor then Fuzz.Pass
-             (* near-singular: accepting is fine, no residual contract *)
-           else begin
-             let dense = dense_of_lu m t.Gen.cols row_of_col completed_rows in
-             match lu_residuals_updated m dense lu t.Gen.lu_updates with
-             | Some msg -> Fuzz.Fail msg
-             | None -> Fuzz.Pass
-           end
-       end
-    in
-    List.fold_left
-      (fun verdict leg -> match verdict with Fuzz.Pass -> leg ws t | v -> v)
-      main [ lu_slack_leg; lu_repair_leg ]
+(* Every factorisation here runs on its domain's {!Sparse_lu} scratch,
+   grown and reset across instances (and shared with any solve on that
+   domain), so the oracle exercises the scratch reuse path the way a
+   long-lived simplex does. *)
+let lu_test (t : Gen.lu) =
+  let m = t.Gen.lu_m in
+  let main =
+    match Sparse_lu.factorise ~m ~complete:t.Gen.complete t.Gen.cols with
+    | None ->
+      if t.Gen.must_factor then
+        failf "rejected-nonsingular: factorise returned None on a diagonally dominant basis (m=%d)"
+          m
+      else Fuzz.Pass
+    | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
+      if t.Gen.must_reject then
+        failf "accepted-singular: factorise accepted an exactly singular basis (m=%d)" m
+      else begin
+        (* Structural invariants of the pivot assignment. *)
+        let ncols = Array.length t.Gen.cols in
+        let used = Array.make m false in
+        let structural = ref None in
+        if Array.length row_of_col <> ncols then
+          structural := Some "row_of_col length differs from column count"
+        else
+          Array.iter
+            (fun r ->
+              if r < 0 || r >= m then structural := Some "pivot row out of range"
+              else if used.(r) then structural := Some "pivot row assigned twice"
+              else used.(r) <- true)
+            row_of_col;
+        List.iter
+          (fun r ->
+            if r < 0 || r >= m || used.(r) then
+              structural := Some "completed row clashes with a pivot row"
+            else used.(r) <- true)
+          completed_rows;
+        if t.Gen.complete && Array.exists not used then
+          structural := Some "complete factorisation left a row uncovered";
+        match !structural with
+        | Some what -> failf "structure: %s (m=%d)" what m
+        | None ->
+          if not t.Gen.must_factor then Fuzz.Pass
+            (* near-singular: accepting is fine, no residual contract *)
+          else begin
+            let dense = dense_of_lu m t.Gen.cols row_of_col completed_rows in
+            match lu_residuals_updated m dense lu t.Gen.lu_updates with
+            | Some msg -> Fuzz.Fail msg
+            | None -> Fuzz.Pass
+          end
+      end
+  in
+  List.fold_left
+    (fun verdict leg -> match verdict with Fuzz.Pass -> leg t | v -> v)
+    main [ lu_slack_leg; lu_repair_leg ]
 
 (* ------------------------------------------------------------------ *)
 (* FFC: encoding agreement + exhaustive guarantee audit                *)
@@ -635,7 +629,7 @@ let sim_test (s : Gen.sim) =
 
 (* Each repro names its oracle's test here, and only here. *)
 let lp_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.lp_test" Gen.lp_literal
-let lu_repro = Fuzz.repro_program ~test:"(Ffc_check.Oracles.make_lu_test ())" Gen.lu_literal
+let lu_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.lu_test" Gen.lu_literal
 let ffc_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.ffc_test" Gen.te_literal
 let sim_repro = Fuzz.repro_program ~test:"Ffc_check.Oracles.sim_test" Gen.sim_literal
 
@@ -643,7 +637,7 @@ let all () =
   [
     Fuzz.oracle ~name:"lp" ~generate:Gen.lp_instance ~test:lp_test ~shrink:Gen.shrink_lp
       ~repro:lp_repro;
-    Fuzz.oracle ~name:"lu" ~generate:Gen.lu_instance ~test:(make_lu_test ())
+    Fuzz.oracle ~name:"lu" ~generate:Gen.lu_instance ~test:lu_test
       ~shrink:Gen.shrink_lu ~repro:lu_repro;
     Fuzz.oracle ~name:"ffc" ~generate:Gen.te_instance ~test:ffc_test ~shrink:Gen.shrink_te
       ~repro:ffc_repro;

@@ -12,8 +12,8 @@
       sound. Each diagonally dominant basis also yields a slack-heavy one
       (unit columns, one with value -1, and columns scaled to diagonal 1),
       checked the same way, and a repair-mode factorisation with dependent
-      columns appended. The oracle owns one growable workspace per domain
-      across instances, exercising the scratch reuse path.
+      columns appended. Every factorisation runs on its domain's
+      {!Ffc_lp.Sparse_lu} scratch, reused across instances.
     - ["ffc"]: the sorting-network and duality encodings must agree on
       throughput; any solver failure is a bug (zero allocation is always
       feasible); accepted allocations are audited against the exhaustive
@@ -26,7 +26,7 @@
       overflow. *)
 
 val lp_test : Gen.lp -> Fuzz.verdict
-val make_lu_test : unit -> Gen.lu -> Fuzz.verdict
+val lu_test : Gen.lu -> Fuzz.verdict
 val ffc_test : Gen.te -> Fuzz.verdict
 val sim_test : Gen.sim -> Fuzz.verdict
 

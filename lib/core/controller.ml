@@ -65,7 +65,6 @@ type step = {
   deadline_hits : int;
   stale : bool;
   escalated : bool;
-  effective : (int -> Te_types.protection) option;
   per_class_stats : (int * Ffc.stats) list;
   audit : audit_report option;
 }
@@ -353,6 +352,12 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
       Accepted (alloc, List.map (fun (prio, st, _) -> (prio, st)) per_class)
     | Error (_prio, f) -> Failed f)
 
+(* The per-class protection the accepted (last) attempt guarantees; empty
+   on the basic-TE and last-good rungs, which guarantee nothing under
+   faults. *)
+let accepted_protections attempts =
+  match List.rev attempts with (a : attempt) :: _ -> a.protections | [] -> []
+
 let step t ?(stale = 0) ?audit_input (input : Te_types.input)
     ~(prev : Te_types.allocation) =
   let rungs = ladder t input in
@@ -394,9 +399,7 @@ let step t ?(stale = 0) ?audit_input (input : Te_types.input)
   (* Telemetry counters, sampled audit and the step record. [attempts] is
      in rung order and ends at the accepted rung. *)
   let finish ~attempts ~rung ~kind ~alloc ~per_class_stats =
-    let protections =
-      match List.rev attempts with a :: _ -> a.protections | [] -> []
-    in
+    let protections = accepted_protections attempts in
     let deadline_hits =
       List.fold_left
         (fun n (a : attempt) ->
@@ -406,13 +409,6 @@ let step t ?(stale = 0) ?audit_input (input : Te_types.input)
         0 attempts
     in
     let stale = kind = Last_good in
-    let effective =
-      match protections with
-      | [] -> None
-      | l ->
-        Some
-          (fun prio -> try List.assoc prio l with Not_found -> Te_types.no_protection)
-    in
     (* The sampled auditor checks the accepted allocation against the
        auditing view — ground truth when the controller planned on an
        estimated one. The Enumerate case checkers charge planned
@@ -441,7 +437,6 @@ let step t ?(stale = 0) ?audit_input (input : Te_types.input)
       deadline_hits;
       stale;
       escalated;
-      effective;
       per_class_stats;
       audit;
     }
@@ -462,12 +457,9 @@ let step t ?(stale = 0) ?audit_input (input : Te_types.input)
    classes): the reaction rule must use the degraded level, not the
    requested one. Basic TE and last-good guarantee nothing: edge (0, 0). *)
 let step_edge step =
-  let accepted_protections =
-    match List.rev step.attempts with a :: _ -> a.protections | [] -> []
-  in
-  match (step.effective, accepted_protections) with
-  | None, _ | _, [] -> (0, 0)
-  | Some _, l ->
+  match accepted_protections step.attempts with
+  | [] -> (0, 0)
+  | l ->
     List.fold_left
       (fun (ke, kv) (_, (p : Te_types.protection)) ->
         (min ke p.Te_types.ke, min kv p.Te_types.kv))
@@ -477,10 +469,6 @@ let step_edge step =
    provably tolerates network-wide (minimum kc across classes — a class at
    kc = 0 caps the whole network's configuration-fault guarantee). *)
 let step_kc step =
-  let accepted_protections =
-    match List.rev step.attempts with a :: _ -> a.protections | [] -> []
-  in
-  match (step.effective, accepted_protections) with
-  | None, _ | _, [] -> 0
-  | Some _, l ->
-    List.fold_left (fun kc (_, (p : Te_types.protection)) -> min kc p.Te_types.kc) max_int l
+  match accepted_protections step.attempts with
+  | [] -> 0
+  | l -> List.fold_left (fun kc (_, (p : Te_types.protection)) -> min kc p.Te_types.kc) max_int l

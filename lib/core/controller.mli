@@ -86,9 +86,6 @@ type step = {
   escalated : bool;
       (** [true] iff the reported stale-ingress count exceeded the configured
           kc and the step was solved at a raised kc (see {!step}) *)
-  effective : (int -> Te_types.protection) option;
-      (** per-class protection actually guaranteed; [None] when the accepted
-          rung carries no fault guarantee (basic TE / last-good) *)
   per_class_stats : (int * Ffc.stats) list;  (** accepted FFC rung only *)
   audit : audit_report option;  (** [None] iff auditing is disabled *)
 }

@@ -7,8 +7,7 @@ type var = int
 (* Variables and rows live in growable arrays whose first [nvars] / [nrows]
    slots are in use. Row [i]'s terms are the slots [row_start.(i)] to
    [row_start.(i + 1) - 1] of one row-major buffer, unmerged and in the
-   order [Expr.iter_sub] lists [lhs - rhs]; [Problem.of_rows] (or, for
-   presolve, [Problem.merged_rows]) merges them. *)
+   order [Expr.iter_sub] lists [lhs - rhs]; [Problem.of_rows] merges them. *)
 type t = {
   mutable nvars : int;
   mutable lbs : float array;
@@ -172,23 +171,17 @@ let to_problem ?(presolve = true) t =
   let obj = Array.make t.nvars 0. in
   let sign = if t.sense_max then -1. else 1. in
   List.iter (fun (j, c) -> obj.(j) <- obj.(j) +. (sign *. c)) (Expr.terms t.objective);
+  let p =
+    Problem.of_rows ~nstruct:t.nvars ~lb ~ub ~obj ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
+      ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef
+  in
   let keys row_keys = Array.append (Array.sub t.var_keys 0 t.nvars) row_keys in
-  if presolve then
-    let rows =
-      Problem.merged_rows ~nstruct:t.nvars ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
-        ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef
-    in
-    match Presolve.reduce ~lb ~ub ~rows with
-    | Presolve.Infeasible _ -> None
-    | Presolve.Reduced { lb; ub; rows; kept } ->
-      Some
-        ( Problem.build ~nstruct:t.nvars ~lb ~ub ~obj ~rows,
-          keys (Array.map (fun i -> t.row_keys.(i)) kept) )
+  if not presolve then Some (p, keys (Array.sub t.row_keys 0 t.nrows))
   else
-    Some
-      ( Problem.of_rows ~nstruct:t.nvars ~lb ~ub ~obj ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
-          ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef,
-        keys (Array.sub t.row_keys 0 t.nrows) )
+    match Presolve.reduce p with
+    | Presolve.Infeasible _ -> None
+    | Presolve.Reduced { problem; kept } ->
+      Some (problem, keys (Array.map (fun i -> t.row_keys.(i)) kept))
 
 let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_start t =
   match to_problem ?presolve t with

@@ -1,109 +1,133 @@
-type row = (int * float) list * Problem.sense * float
-
-type outcome =
-  | Reduced of { lb : float array; ub : float array; rows : row list; kept : int array }
-  | Infeasible of string
+type outcome = Reduced of { problem : Problem.t; kept : int array } | Infeasible of string
 
 let tol = 1e-9
 
 exception Found_infeasible of string
 
-let reduce ~lb ~ub ~rows =
-  let n = Array.length lb in
-  if Array.length ub <> n then invalid_arg "Presolve.reduce: bound length mismatch";
-  let lb = Array.copy lb and ub = Array.copy ub in
+let reduce (p : Problem.t) =
+  let n = p.Problem.nstruct and m = p.Problem.nrows in
+  let lb = Array.sub p.Problem.lb 0 n and ub = Array.sub p.Problem.ub 0 n in
+  let rhs = Array.copy p.Problem.rhs in
+  (* Each slack's bounds name its row's sense. *)
+  let sense =
+    Array.init m (fun i ->
+        let s = n + i in
+        if p.Problem.ub.(s) = infinity then Problem.Le
+        else if p.Problem.lb.(s) = neg_infinity then Problem.Ge
+        else Problem.Eq)
+  in
+  (* Row [i]'s terms are the first [len.(i)] of its segment of the
+     transpose, sorted by column; dropping a term shifts the rest down. *)
+  let { Problem.row_start; row_cols; row_vals } = Problem.rows p in
+  let len = Array.init m (fun i -> row_start.(i + 1) - row_start.(i)) in
+  let alive = Array.make m true in
+  let newly_fixed = ref true in
+  let fixed j = lb.(j) = ub.(j) in
   let check_bounds j =
     if lb.(j) > ub.(j) +. tol then
       raise
         (Found_infeasible
            (Printf.sprintf "variable %d has crossing bounds [%g, %g]" j lb.(j) ub.(j)))
   in
-  let fixed j = lb.(j) = ub.(j) in
   (* Within-tolerance crossings are snapped to a fixed variable so the
-     downstream strict [lb <= ub] check always holds. *)
+     strict [lb <= ub] check of {!Problem.of_rows} always holds. *)
   let tighten_ub j v =
     if v < ub.(j) then begin
+      let was_fixed = fixed j in
       ub.(j) <- v;
       check_bounds j;
-      if lb.(j) > ub.(j) then ub.(j) <- lb.(j)
+      if lb.(j) > ub.(j) then ub.(j) <- lb.(j);
+      if (not was_fixed) && fixed j then newly_fixed := true
     end
   in
   let tighten_lb j v =
     if v > lb.(j) then begin
+      let was_fixed = fixed j in
       lb.(j) <- v;
       check_bounds j;
-      if lb.(j) > ub.(j) then lb.(j) <- ub.(j)
+      if lb.(j) > ub.(j) then lb.(j) <- ub.(j);
+      if (not was_fixed) && fixed j then newly_fixed := true
     end
   in
-  (* One simplification pass over a row; [None] means the row is gone
-     (absorbed into bounds or trivially satisfied). *)
-  let rebuild (terms, sense, rhs) =
-    let kept = ref [] and moved = ref 0. in
-    List.iter
-      (fun (j, c) ->
-        if j < 0 || j >= n then invalid_arg "Presolve.reduce: variable index out of range";
-        if c <> 0. then
-          if fixed j then moved := !moved +. (c *. lb.(j)) else kept := (j, c) :: !kept)
-      terms;
-    let rhs = rhs -. !moved in
-    match !kept with
-    | [] ->
-      let ok =
-        match sense with
-        | Problem.Le -> rhs >= -.tol
-        | Problem.Ge -> rhs <= tol
-        | Problem.Eq -> abs_float rhs <= tol
-      in
-      if ok then None
-      else
-        raise
-          (Found_infeasible
-             (Printf.sprintf "constant row violated: 0 %s %g"
-                (match sense with Problem.Le -> "<=" | Problem.Ge -> ">=" | Problem.Eq -> "=")
-                rhs))
-    | [ (j, c) ] ->
-      let v = rhs /. c in
-      (match (sense, c > 0.) with
-      | Problem.Le, true | Problem.Ge, false -> tighten_ub j v
-      | Problem.Le, false | Problem.Ge, true -> tighten_lb j v
-      | Problem.Eq, _ ->
-        tighten_lb j v;
-        tighten_ub j v);
-      None
-    | kept -> Some (List.rev kept, sense, rhs)
-  in
-  (* A row of two or more terms, none of them zero or on a fixed variable,
-     comes back as it is: [rebuild] would copy it unchanged. *)
-  let untouched (j, c) = j >= 0 && j < n && c <> 0. && not (fixed j) in
-  let simplify ((terms, _, _) as row) =
-    match terms with
-    | _ :: _ :: _ when List.for_all untouched terms -> Some row
-    | _ -> rebuild row
+  (* One pass over row [i]. A row of two or more terms on no fixed variable
+     stays as it is. Otherwise the fixed-variable terms move to the
+     right-hand side, summed in column order, and a row left with no term
+     is checked and dropped, one left with a single term becomes a bound. *)
+  let simplify i =
+    let s = row_start.(i) and l = len.(i) in
+    let k = ref s in
+    while !k < s + l && not (fixed row_cols.(!k)) do
+      incr k
+    done;
+    if l < 2 || !k < s + l then begin
+      let keep = ref s and moved = ref 0. in
+      for k = s to s + l - 1 do
+        let j = row_cols.(k) and c = row_vals.(k) in
+        if fixed j then moved := !moved +. (c *. lb.(j))
+        else begin
+          row_cols.(!keep) <- j;
+          row_vals.(!keep) <- c;
+          incr keep
+        end
+      done;
+      let b = rhs.(i) -. !moved in
+      rhs.(i) <- b;
+      len.(i) <- !keep - s;
+      match len.(i) with
+      | 0 ->
+        let ok =
+          match sense.(i) with
+          | Problem.Le -> b >= -.tol
+          | Problem.Ge -> b <= tol
+          | Problem.Eq -> abs_float b <= tol
+        in
+        if not ok then
+          raise
+            (Found_infeasible
+               (Printf.sprintf "constant row violated: 0 %s %g"
+                  (match sense.(i) with Problem.Le -> "<=" | Problem.Ge -> ">=" | Problem.Eq -> "=")
+                  b));
+        alive.(i) <- false
+      | 1 ->
+        let j = row_cols.(s) and c = row_vals.(s) in
+        let v = b /. c in
+        (match (sense.(i), c > 0.) with
+        | Problem.Le, true | Problem.Ge, false -> tighten_ub j v
+        | Problem.Le, false | Problem.Ge, true -> tighten_lb j v
+        | Problem.Eq, _ ->
+          tighten_lb j v;
+          tighten_ub j v);
+        alive.(i) <- false
+      | _ -> ()
+    end
   in
   try
-    (* Fixpoint: re-simplify as long as new variables get fixed. Rows carry
-       their original index so callers can tell *which* rows survived, not
-       just how many (a warm-start basis keys each slack by its row). *)
-    let rows = ref (List.mapi (fun i r -> (i, r)) rows) in
-    let progress = ref true in
+    (* Rows in index order, bounds tightened as they go; another round
+       while a round fixes a new variable, at most 50. *)
     let rounds = ref 0 in
-    while !progress && !rounds < 50 do
+    while !newly_fixed && !rounds < 50 do
       incr rounds;
-      let fixed_before = Array.init n fixed in
-      rows :=
-        List.filter_map
-          (fun (i, r) -> Option.map (fun r' -> (i, r')) (simplify r))
-          !rows;
-      progress := false;
-      for j = 0 to n - 1 do
-        if fixed j && not fixed_before.(j) then progress := true
+      newly_fixed := false;
+      for i = 0 to m - 1 do
+        if alive.(i) then simplify i
       done
     done;
-    Reduced
-      {
-        lb;
-        ub;
-        rows = List.map snd !rows;
-        kept = Array.of_list (List.map fst !rows);
-      }
+    (* The surviving rows, packed to the front of the transpose in order. *)
+    let kept = List.filter (fun i -> alive.(i)) (List.init m Fun.id) |> Array.of_list in
+    let nk = Array.length kept in
+    let start = Array.make (nk + 1) 0 in
+    Array.iteri
+      (fun a i ->
+        let s = row_start.(i) and t = start.(a) in
+        Array.blit row_cols s row_cols t len.(i);
+        Array.blit row_vals s row_vals t len.(i);
+        start.(a + 1) <- t + len.(i))
+      kept;
+    let problem =
+      Problem.of_rows ~nstruct:n ~lb ~ub ~obj:(Array.sub p.Problem.obj 0 n) ~nrows:nk
+        ~sense:(Array.map (fun i -> sense.(i)) kept)
+        ~rhs:(Array.map (fun i -> rhs.(i)) kept)
+        ~row_start:start ~term_var:row_cols ~term_coef:row_vals
+    in
+    Reduced { problem; kept }
   with Found_infeasible msg -> Infeasible msg

@@ -12,18 +12,27 @@ type t = {
   rhs : float array;
 }
 
-(* The one column fill, by counting sort, into the first [nstruct] slots
-   of [col_rows] / [col_vals]. The first pass validates and counts each
-   column's nonzero terms; the second, in row order, fills arrays of those
-   sizes, so every column comes out sorted by row. *)
-let fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals =
+let of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef =
+  let ncols = nstruct + nrows in
+  if Array.length lb <> nstruct || Array.length ub <> nstruct || Array.length obj <> nstruct
+  then invalid_arg "Problem.of_rows: bound/objective arrays must have length nstruct";
+  Array.iteri
+    (fun i l ->
+      if Float.is_nan l || Float.is_nan ub.(i) then invalid_arg "Problem.of_rows: NaN bound";
+      if l > ub.(i) then invalid_arg "Problem.of_rows: lb > ub")
+    lb;
+  Array.iter (fun c -> if Float.is_nan c then invalid_arg "Problem.of_rows: NaN objective") obj;
+  (* The column fill, by counting sort. The first pass validates and
+     counts each column's nonzero terms; the second, in row order, fills
+     arrays of those sizes, so every column comes out sorted by row. *)
+  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
   let count = Array.make nstruct 0 in
   for i = 0 to nrows - 1 do
-    if Float.is_nan rhs.(i) then invalid_arg "Problem.build: NaN rhs";
+    if Float.is_nan rhs.(i) then invalid_arg "Problem.of_rows: NaN rhs";
     for k = row_start.(i) to row_start.(i + 1) - 1 do
       let j = term_var.(k) and v = term_coef.(k) in
-      if j < 0 || j >= nstruct then invalid_arg "Problem.build: variable index out of range";
-      if Float.is_nan v then invalid_arg "Problem.build: NaN coefficient";
+      if j < 0 || j >= nstruct then invalid_arg "Problem.of_rows: variable index out of range";
+      if Float.is_nan v then invalid_arg "Problem.of_rows: NaN coefficient";
       if v <> 0. then count.(j) <- count.(j) + 1
     done
   done;
@@ -41,7 +50,7 @@ let fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows c
            entry and is summed into it, in input order. *)
         if k > 0 && rs.(k - 1) = i then begin
           let s = vs.(k - 1) +. v in
-          if Float.is_nan s then invalid_arg "Problem.build: NaN coefficient";
+          if Float.is_nan s then invalid_arg "Problem.of_rows: NaN coefficient";
           vs.(k - 1) <- s
         end
         else begin
@@ -67,20 +76,7 @@ let fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows c
       col_rows.(j) <- Array.sub rs 0 !keep;
       col_vals.(j) <- Array.sub vs 0 !keep
     end
-  done
-
-let of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef =
-  let ncols = nstruct + nrows in
-  if Array.length lb <> nstruct || Array.length ub <> nstruct || Array.length obj <> nstruct
-  then invalid_arg "Problem.build: bound/objective arrays must have length nstruct";
-  Array.iteri
-    (fun i l ->
-      if Float.is_nan l || Float.is_nan ub.(i) then invalid_arg "Problem.build: NaN bound";
-      if l > ub.(i) then invalid_arg "Problem.build: lb > ub")
-    lb;
-  Array.iter (fun c -> if Float.is_nan c then invalid_arg "Problem.build: NaN objective") obj;
-  let col_rows = Array.make ncols [||] and col_vals = Array.make ncols [||] in
-  fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals;
+  done;
   let lb' = Array.make ncols 0. and ub' = Array.make ncols 0. in
   Array.blit lb 0 lb' 0 nstruct;
   Array.blit ub 0 ub' 0 nstruct;
@@ -100,40 +96,32 @@ let of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_
   let rhs = Array.sub rhs 0 nrows in
   { nstruct; ncols; nrows; col_rows; col_vals; lb = lb'; ub = ub'; obj = obj'; rhs }
 
-(* The filled columns read back by row: each row's terms come out sorted by
-   variable. *)
-let merged_rows ~nstruct ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef =
-  let col_rows = Array.make nstruct [||] and col_vals = Array.make nstruct [||] in
-  fill_columns ~nstruct ~nrows ~rhs ~row_start ~term_var ~term_coef col_rows col_vals;
-  let terms = Array.make nrows [] in
-  for j = nstruct - 1 downto 0 do
-    let rs = col_rows.(j) and vs = col_vals.(j) in
+(* The transpose of the structural columns, by one counting sort: the
+   columns are sorted by row, so each row comes out sorted by column. *)
+type rows = { row_start : int array; row_cols : int array; row_vals : float array }
+
+let rows p =
+  let m = p.nrows in
+  let row_start = Array.make (m + 1) 0 in
+  for j = 0 to p.nstruct - 1 do
+    Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) p.col_rows.(j)
+  done;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+  done;
+  let nnz = row_start.(m) in
+  let row_cols = Array.make nnz 0 and row_vals = Array.make nnz 0. in
+  let next = Array.sub row_start 0 m in
+  for j = 0 to p.nstruct - 1 do
+    let rs = p.col_rows.(j) and vs = p.col_vals.(j) in
     for k = 0 to Array.length rs - 1 do
-      terms.(rs.(k)) <- (j, vs.(k)) :: terms.(rs.(k))
+      let t = next.(rs.(k)) in
+      row_cols.(t) <- j;
+      row_vals.(t) <- vs.(k);
+      next.(rs.(k)) <- t + 1
     done
   done;
-  List.init nrows (fun i -> (terms.(i), sense.(i), rhs.(i)))
-
-let build ~nstruct ~lb ~ub ~obj ~rows =
-  let nrows = List.length rows in
-  let nterms = List.fold_left (fun n (terms, _, _) -> n + List.length terms) 0 rows in
-  let term_var = Array.make nterms 0 and term_coef = Array.make nterms 0. in
-  let sense = Array.make nrows Le and rhs = Array.make nrows 0. in
-  let row_start = Array.make (nrows + 1) 0 in
-  let k = ref 0 in
-  List.iteri
-    (fun i (terms, s, b) ->
-      sense.(i) <- s;
-      rhs.(i) <- b;
-      List.iter
-        (fun (j, v) ->
-          term_var.(!k) <- j;
-          term_coef.(!k) <- v;
-          incr k)
-        terms;
-      row_start.(i + 1) <- !k)
-    rows;
-  of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var ~term_coef
+  { row_start; row_cols; row_vals }
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Deadline_exceeded
 
@@ -223,25 +211,3 @@ type result = {
   stats : solver_stats;
   basis : basis option;
 }
-
-let max_violation p x =
-  let viol = ref 0. in
-  (* Bounds. *)
-  for j = 0 to p.ncols - 1 do
-    if x.(j) < p.lb.(j) then viol := max !viol (p.lb.(j) -. x.(j));
-    if x.(j) > p.ub.(j) then viol := max !viol (x.(j) -. p.ub.(j))
-  done;
-  (* Rows: A x + s = rhs. *)
-  let lhs = Array.make p.nrows 0. in
-  for j = 0 to p.ncols - 1 do
-    let rows = p.col_rows.(j) and vals = p.col_vals.(j) in
-    let xj = x.(j) in
-    if xj <> 0. then
-      for k = 0 to Array.length rows - 1 do
-        lhs.(rows.(k)) <- lhs.(rows.(k)) +. (vals.(k) *. xj)
-      done
-  done;
-  for i = 0 to p.nrows - 1 do
-    viol := max !viol (abs_float (lhs.(i) -. p.rhs.(i)))
-  done;
-  !viol

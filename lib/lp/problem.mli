@@ -33,41 +33,33 @@ val of_rows :
   term_coef:float array ->
   t
 (** [of_rows ~nstruct ~lb ~ub ~obj ~nrows ~sense ~rhs ~row_start ~term_var
-    ~term_coef] assembles the computational form from rows held in one flat
-    row-major buffer: row [i < nrows] has sense [sense.(i)], right-hand
-    side [rhs.(i)] and the terms at positions [row_start.(i)] to
-    [row_start.(i + 1) - 1] of [term_var] (variable indices in
-    [0..nstruct-1]) and [term_coef]. The row arrays may be longer than
-    [nrows] needs; none of the arrays is kept.
+    ~term_coef] is the one constructor of the computational form. It
+    assembles it from rows held in one flat row-major buffer: row
+    [i < nrows] has sense [sense.(i)], right-hand side [rhs.(i)] and the
+    terms at positions [row_start.(i)] to [row_start.(i + 1) - 1] of
+    [term_var] (variable indices in [0..nstruct-1]) and [term_coef]. The
+    row arrays may be longer than [nrows] needs; none of the arrays is
+    kept.
 
     One counting sort fills every column, sorted by row. A variable
     repeated in a row is summed into one entry in input order, and dropped
     if the sum is 0; a zero term is ignored. Raises [Invalid_argument] on
     malformed input (bad index, [lb > ub], NaN). *)
 
-val merged_rows :
-  nstruct:int ->
-  nrows:int ->
-  sense:sense array ->
-  rhs:float array ->
-  row_start:int array ->
-  term_var:int array ->
-  term_coef:float array ->
-  ((int * float) list * sense * float) list
-(** The same rows as {!of_rows} reads them, each as [(terms, sense, rhs)]
-    with its terms merged by the same fill and sorted by variable: the form
-    {!Presolve} takes. Raises [Invalid_argument] on a bad index or a NaN
-    coefficient or right-hand side. *)
+type rows = {
+  row_start : int array;  (** length [nrows + 1] *)
+  row_cols : int array;
+  row_vals : float array;
+}
+(** The structural part of A by rows: row [i]'s entries are positions
+    [row_start.(i)] to [row_start.(i + 1) - 1] of [row_cols] (column
+    indices, ascending) and [row_vals] (nonzero coefficients). *)
 
-val build :
-  nstruct:int ->
-  lb:float array ->
-  ub:float array ->
-  obj:float array ->
-  rows:((int * float) list * sense * float) list ->
-  t
-(** [build ~nstruct ~lb ~ub ~obj ~rows] is {!of_rows} over rows given as a
-    list of [(terms, sense, rhs)]. *)
+val rows : t -> rows
+(** [rows p] transposes [p]'s structural columns by one counting sort, into
+    fresh arrays the caller may overwrite. The dual simplex phase and
+    {!Presolve} read A by rows through it; each row holds the terms
+    {!of_rows} merged, in column order. *)
 
 type status =
   | Optimal
@@ -170,7 +162,3 @@ type result = {
       (** final basis when the solver maintains one ([Revised]); reuse via
           [Revised.solve ~basis] to warm-start a related solve *)
 }
-
-val max_violation : t -> float array -> float
-(** Maximum absolute constraint/bound violation of [x]; for checking
-    solutions independently of any solver state. *)

@@ -8,7 +8,8 @@
    triangular solves over the factors; each simplex pivot absorbs the column
    replacement as one sparse product-form update eta layered on the fixed
    factors. The factorisation is rebuilt after [lu_update_limit] updates or
-   when numerical drift is detected.
+   when numerical drift is detected; its scratch memory is {!Sparse_lu}'s
+   own, one workspace per domain, so a solve holds none.
 
    Pricing is candidate-list (partial) Dantzig: a full reduced-cost scan
    fills a short list of the most attractive nonbasic columns, and subsequent
@@ -33,17 +34,17 @@
    simplex phase under the real costs runs before phase 2: the basic
    variable that violates its bounds most leaves at that bound, a Harris
    two-pass ratio test over its pivot row (BTRAN of e_r, then the rows of A
-   it reaches, from a row-wise copy the phase builds when it starts) picks
-   the entering column, and the reduced costs follow the pivot row instead
-   of being priced again. A remapped optimal basis is usually dual feasible
-   (right-hand sides moved, costs did not); a nonbasic column that is not
-   gets its cost shifted until it is, and phase 2, which prices the true
-   costs, removes the shifts and certifies optimality. A dual phase that
-   finds no entering column (which proves nothing once costs are shifted)
-   or stalls ends the warm attempt: the solve starts cold, counted in
-   [stats.restarts], and its [status_reason] names the warm failure. The
-   same dual phase repairs a phase-2 optimum that turns out primally
-   infeasible after a refactorisation.
+   it reaches, read from the transpose {!Problem.rows} when the phase
+   starts) picks the entering column, and the reduced costs follow the
+   pivot row instead of being priced again. A remapped optimal basis is
+   usually dual feasible (right-hand sides moved, costs did not); a
+   nonbasic column that is not gets its cost shifted until it is, and
+   phase 2, which prices the true costs, removes the shifts and certifies
+   optimality. A dual phase that finds no entering column (which proves
+   nothing once costs are shifted) or stalls ends the warm attempt: the
+   solve starts cold, counted in [stats.restarts], and its [status_reason]
+   names the warm failure. The same dual phase repairs a phase-2 optimum
+   that turns out primally infeasible after a refactorisation.
 
    Invariants maintained across iterations:
    - [basic.(i)] is the variable basic in position/row i; [vstat.(j)] tracks
@@ -114,7 +115,6 @@ type state = {
   vstat : vstat array;
   xval : float array;
   mutable lu : Sparse_lu.t option; (* None only before the first factorisation *)
-  ws : Sparse_lu.workspace; (* factorisation scratch: this domain's [workspace] *)
   work : float array; (* scratch, length m *)
   rwork : float array;
   cand : int array; (* candidate-list pricing: variable indices *)
@@ -247,7 +247,7 @@ let refactorise_cols ?(repair = false) st cols ~complete =
   Array.iteri (fun k j -> sparse.(k) <- (col_rows st j, col_vals st j)) cols;
   match
     Obs.with_span "revised.refactor" (fun () ->
-        Sparse_lu.factorise ~ws:st.ws ~repair ~m:st.m ~complete sparse)
+        Sparse_lu.factorise ~repair ~m:st.m ~complete sparse)
   with
   | None -> false
   | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
@@ -568,7 +568,7 @@ let run_phase st ~max_iterations =
 (* State construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let make_state acc ws (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
+let make_state acc (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
   let m = p.Problem.nrows in
   let n = p.Problem.ncols + m in
   {
@@ -583,7 +583,6 @@ let make_state acc ws (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
     vstat;
     xval;
     lu = None;
-    ws;
     work = Array.make m 0.;
     rwork = Array.make m 0.;
     cand = Array.make candidate_list_size 0;
@@ -595,7 +594,7 @@ let make_state acc ws (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
     acc;
   }
 
-let initial_state acc ws (p : Problem.t) =
+let initial_state acc (p : Problem.t) =
   let m = p.Problem.nrows in
   let ncols = p.Problem.ncols in
   let n = ncols + m in
@@ -608,7 +607,7 @@ let initial_state acc ws (p : Problem.t) =
     rest_at_bound ~lb ~ub vstat xval j
   done;
   let art_sign = Array.make m 1. in
-  let st = make_state acc ws p ~lb ~ub ~vstat ~xval ~art_sign in
+  let st = make_state acc p ~lb ~ub ~vstat ~xval ~art_sign in
   (* Start from the slack basis where the slack bounds admit the residual;
      use an artificial (with a sign making its value >= 0) elsewhere. *)
   let r = st.rwork in
@@ -642,7 +641,7 @@ let initial_state acc ws (p : Problem.t) =
    basic columns are factorised in repair mode: too many of them, or a
    dependent set, costs the rejected columns their basic status, never the
    warm start. *)
-let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
+let warm_state acc (p : Problem.t) (b : Problem.basis) =
   let m = p.Problem.nrows in
   let ncols = p.Problem.ncols in
   let n = ncols + m in
@@ -662,7 +661,7 @@ let warm_state acc ws (p : Problem.t) (b : Problem.basis) =
       xval.(j) <- ub.(j)
     | Problem.Bs_upper | Problem.Bs_lower | Problem.Bs_free -> rest_at_bound ~lb ~ub vstat xval j
   done;
-  let st = make_state acc ws p ~lb ~ub ~vstat ~xval ~art_sign:(Array.make m 1.) in
+  let st = make_state acc p ~lb ~ub ~vstat ~xval ~art_sign:(Array.make m 1.) in
   let factorised = refactorise_cols st !cols ~complete:true ~repair:true in
   assert factorised;
   st
@@ -689,8 +688,8 @@ let leaving_row st =
 
 (* Scratch of one dual phase. [alpha] is 0 outside the columns listed in
    [touched] by the last [pivot_row]. The structural part of A is kept by
-   rows too: row [i]'s entries are [row_start.(i) .. row_start.(i + 1) - 1]
-   of [row_cols] and [row_vals]. *)
+   rows too ({!Problem.rows}): row [i]'s entries are [row_start.(i) ..
+   row_start.(i + 1) - 1] of [row_cols] and [row_vals]. *)
 type dual_work = {
   y : float array; (* duals, length m *)
   rho : float array; (* B^-T e_r, length m *)
@@ -703,30 +702,9 @@ type dual_work = {
   row_vals : float array;
 }
 
-(* The rows come from one counting sort over the columns, each row sorted
-   by column. Only a dual phase reads them, so a cold solve never builds
-   them. *)
+(* Only a dual phase reads the rows, so a cold solve never builds them. *)
 let dual_work st =
-  let p = st.p and m = st.m in
-  let row_start = Array.make (m + 1) 0 in
-  for j = 0 to p.Problem.nstruct - 1 do
-    Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) p.Problem.col_rows.(j)
-  done;
-  for i = 0 to m - 1 do
-    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
-  done;
-  let nnz = row_start.(m) in
-  let row_cols = Array.make nnz 0 and row_vals = Array.make nnz 0. in
-  let next = Array.sub row_start 0 m in
-  for j = 0 to p.Problem.nstruct - 1 do
-    let rs = p.Problem.col_rows.(j) and vs = p.Problem.col_vals.(j) in
-    for k = 0 to Array.length rs - 1 do
-      let t = next.(rs.(k)) in
-      row_cols.(t) <- j;
-      row_vals.(t) <- vs.(k);
-      next.(rs.(k)) <- t + 1
-    done
-  done;
+  let { Problem.row_start; row_cols; row_vals } = Problem.rows st.p and m = st.m in
   {
     y = Array.make m 0.;
     rho = Array.make m 0.;
@@ -1065,8 +1043,8 @@ let run_phase2 st ~max_iterations ~phase1 ~warm =
   enter_phase2 st;
   attempt 0
 
-let cold_solve acc ws (p : Problem.t) ~max_iterations ~deadline_at =
-  let st = initial_state acc ws p in
+let cold_solve acc (p : Problem.t) ~max_iterations ~deadline_at =
+  let st = initial_state acc p in
   st.deadline_at <- deadline_at;
   (* Phase 1: minimise the artificial sum. *)
   for i = 0 to st.m - 1 do
@@ -1107,8 +1085,8 @@ let cold_solve acc ws (p : Problem.t) ~max_iterations ~deadline_at =
    phase 2. A dual phase that finds no entering column (a dual ray, which
    would prove infeasibility only if no cost were shifted) or stalls
    abandons the basis: [None] hands the problem to a cold solve. *)
-let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
-  let st = warm_state acc ws p b in
+let warm_solve acc (p : Problem.t) b ~max_iterations ~deadline_at =
+  let st = warm_state acc p b in
   st.deadline_at <- deadline_at;
   enter_phase2 st;
   let abandon why =
@@ -1131,34 +1109,9 @@ let warm_solve acc ws (p : Problem.t) b ~max_iterations ~deadline_at =
   | Dual_no_entering -> abandon "warm dual found no entering column"
   | Dual_stalled -> abandon "warm dual stalled"
 
-(* The factorisation workspace of the last solve on this domain, with its
-   size. Allocating one costs about 0.3 ms at L-Net size, so a solve
-   reuses it when it is large enough: solves on one domain never overlap, a
-   factorisation resets the scratch it reads, and no factorisation aliases
-   it. *)
-let workspace_cache : (int * Sparse_lu.workspace) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let workspace need =
-  let cache = Domain.DLS.get workspace_cache in
-  match !cache with
-  | Some (size, ws) when size >= need -> ws
-  | _ ->
-    let ws = Sparse_lu.workspace need in
-    cache := Some (need, ws);
-    ws
-
 let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   let acc = fresh_acc () in
   let m = p.Problem.nrows in
-  (* One factorisation workspace, shared by the warm attempt and any cold
-     fallback. A mapped warm basis may hold more basic columns than rows. *)
-  let nbasic =
-    match basis with
-    | Some b -> Array.fold_left (fun k s -> if s = Problem.Bs_basic then k + 1 else k) 0 b.Problem.statuses
-    | None -> 0
-  in
-  let ws = workspace (max m nbasic) in
   let n = p.Problem.ncols + m in
   let max_iterations =
     match max_iterations with Some k -> k | None -> (20 * (m + n)) + 10_000
@@ -1169,7 +1122,7 @@ let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   let warm_result =
     match basis with
     | Some b when Array.length b.Problem.statuses = p.Problem.ncols ->
-      warm_solve acc ws p b ~max_iterations ~deadline_at
+      warm_solve acc p b ~max_iterations ~deadline_at
     | Some _ ->
       (* A bare positional snapshot of another layout; keyed ones arrive
          here already mapped onto this problem by [Model.solve]. *)
@@ -1188,7 +1141,7 @@ let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
       Obs.event ~level:Obs.Debug "revised.cold_fallback"
         [ ("rows", Obs.Int m); ("cols", Obs.Int p.Problem.ncols) ]
     end;
-    cold_solve acc ws p ~max_iterations ~deadline_at
+    cold_solve acc p ~max_iterations ~deadline_at
 
 let solve ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   Obs.with_span "revised.solve" (fun () ->

@@ -108,14 +108,15 @@ let idyn_push d i =
 
 exception Singular
 
-(* Reusable factorisation workspace. A factorisation allocates thousands of
-   small per-column/per-row growable arrays; simplex refactorises the same
-   basis dimension dozens of times per solve, so the caller owns the scratch
-   structures and passes them back in: they are reset (length fields and
-   pivot flags only -- O(m) writes, no re-allocation) instead of rebuilt.
-   Dedup markers survive resets by using stamps that only move forward.
-   Everything escaping into the returned [t] is still freshly allocated, so
-   a workspace never aliases live factors. *)
+(* Factorisation scratch. A factorisation allocates thousands of small
+   per-column/per-row growable arrays, and a simplex solve refactorises the
+   same basis dimension dozens of times, so the scratch structures outlive
+   a call: each domain keeps one workspace ([scratch] below), and a call
+   resets it (length fields and pivot flags only -- O(m) writes, no
+   re-allocation) instead of rebuilding it. Dedup markers survive resets by
+   using stamps that only move forward. Everything escaping into the
+   returned [t] is freshly allocated, so the workspace never aliases live
+   factors. *)
 type workspace = {
   size : int;
   w_col : dyn array;
@@ -182,7 +183,13 @@ let workspace m =
     w_visit = 0;
   }
 
-let factorise ?ws ?(repair = false) ~m ~complete cols =
+(* The workspace of this domain, grown to the largest [max m ncols] a
+   call has needed. A factorisation runs to completion before the next
+   one starts on its domain and resets what it reads, and solves on
+   different domains never share it. *)
+let scratch : workspace ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (workspace 0))
+
+let factorise ?(repair = false) ~m ~complete cols =
   let ncols = Array.length cols in
   let complete = complete || repair in
   if (not complete) && ncols <> m then invalid_arg "Sparse_lu.factorise: need m columns";
@@ -190,7 +197,9 @@ let factorise ?ws ?(repair = false) ~m ~complete cols =
   (* Per-column scratch is indexed by supplied column, per-row scratch by
      row: repair mode may supply more columns than rows. *)
   let need = max m ncols in
-  let ws = match ws with Some w when w.size >= need -> w | _ -> workspace need in
+  let cell = Domain.DLS.get scratch in
+  if !cell.size < need then cell := workspace need;
+  let ws = !cell in
   (* Active matrix, column-wise. *)
   let col = ws.w_col and ufix = ws.w_ufix in
   let rowcnt = ws.w_rowcnt and rowcols = ws.w_rowcols in

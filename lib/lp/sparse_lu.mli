@@ -20,19 +20,6 @@
 
 type t
 
-type workspace
-(** Reusable factorisation scratch memory. A workspace created for dimension
-    [m] serves any factorisation with [m' <= m]; reusing one across the
-    dozens of refactorisations of a simplex solve avoids re-allocating the
-    per-column/per-row growable arrays each time. Ownership is the
-    caller's: there is no module-level cache of workspaces, so distinct
-    solver states (or threads/domains) each hold their own workspace and
-    [factorise] is reentrant. Nothing in a returned factorisation aliases
-    the workspace. *)
-
-val workspace : int -> workspace
-(** [workspace m] allocates scratch for factorising up to [m x m] bases. *)
-
 type factor_result = {
   lu : t;
   row_of_col : int array;
@@ -47,7 +34,6 @@ type factor_result = {
 }
 
 val factorise :
-  ?ws:workspace ->
   ?repair:bool ->
   m:int ->
   complete:bool ->
@@ -71,9 +57,12 @@ val factorise :
     then always [Some]: the kept columns plus the completed unit columns
     form a nonsingular basis.
 
-    [ws] supplies caller-owned scratch (see {!workspace}); when absent, or
-    sized below [m] or the column count, a fresh workspace is allocated for
-    the call. *)
+    The factorisation's scratch is kept per domain and grown to the
+    largest [max m (Array.length cols)] a call has needed, so the dozens of
+    refactorisations of a simplex solve allocate it once. A call resets
+    what it reads and the returned factors never alias it, so a result
+    never depends on earlier calls; domains never share it, so
+    [factorise] may run on several domains at once. *)
 
 val ftran : t -> float array -> unit
 (** [ftran t w] overwrites the dense vector [w] (length [m]) with

@@ -25,7 +25,7 @@ let fixed_seed seed =
   let rng () = Rng.create seed in
   [
     case Oracles.lp_repro Oracles.lp_test (Gen.lp_instance (rng ()));
-    case Oracles.lu_repro (Oracles.make_lu_test ()) (Gen.lu_instance (rng ()));
+    case Oracles.lu_repro Oracles.lu_test (Gen.lu_instance (rng ()));
     case Oracles.ffc_repro Oracles.ffc_test (Gen.te_instance (rng ()));
     case Oracles.sim_repro Oracles.sim_test (Gen.sim_instance (rng ()));
     case Chaos.repro Chaos.test (Chaos.generate (rng ()));
@@ -64,7 +64,7 @@ let () =
     List.concat_map fixed_seed [ 1; 2; 3 ]
     @ [
         case Oracles.lp_repro Oracles.lp_test near_parallel_lp;
-        case Oracles.lu_repro (Oracles.make_lu_test ()) singular_lu;
+        case Oracles.lu_repro Oracles.lu_test singular_lu;
       ]
   in
   Fuzz.write_repros ml findings;

@@ -58,19 +58,32 @@ let test_expr_merge_order () =
 (* Computational form                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The computational form of rows given as [(terms, sense, rhs)]. *)
+let problem_of_rows ?obj ~lb ~ub rows =
+  let nstruct = Array.length lb in
+  let terms = Array.of_list (List.concat_map (fun (ts, _, _) -> ts) rows) in
+  let row_start = Array.make (List.length rows + 1) 0 in
+  List.iteri (fun i (ts, _, _) -> row_start.(i + 1) <- row_start.(i) + List.length ts) rows;
+  Problem.of_rows ~nstruct ~lb ~ub
+    ~obj:(Option.value obj ~default:(Array.make nstruct 0.))
+    ~nrows:(List.length rows)
+    ~sense:(Array.of_list (List.map (fun (_, s, _) -> s) rows))
+    ~rhs:(Array.of_list (List.map (fun (_, _, b) -> b) rows))
+    ~row_start ~term_var:(Array.map fst terms) ~term_coef:(Array.map snd terms)
+
 (* Columns come out sorted by row. A repeated (row, var) term is summed
    into one entry in input order (1e16, -1e16, 1 gives 1; in reverse order
    it gives 0), a pair that cancels leaves no entry, a zero term is
-   ignored, and each slack is its row's unit column. *)
+   ignored, and each slack is its row's unit column. [Problem.rows] reads
+   the same entries back by row, each row sorted by column. *)
 let test_problem_columns () =
   let p =
-    Problem.build ~nstruct:2 ~lb:[| 0.; 0. |] ~ub:[| 1.; 1. |] ~obj:[| 1.; 1. |]
-      ~rows:
-        [
-          ([ (0, 1e16); (1, 4.); (0, -1e16); (0, 1.) ], Problem.Ge, 1.);
-          ([ (1, 3.); (0, 2.); (1, -3.) ], Problem.Le, 5.);
-          ([ (1, 7.); (0, 0.) ], Problem.Eq, 0.);
-        ]
+    problem_of_rows ~lb:[| 0.; 0. |] ~ub:[| 1.; 1. |] ~obj:[| 1.; 1. |]
+      [
+        ([ (0, 1e16); (1, 4.); (0, -1e16); (0, 1.) ], Problem.Ge, 1.);
+        ([ (1, 3.); (0, 2.); (1, -3.) ], Problem.Le, 5.);
+        ([ (1, 7.); (0, 0.) ], Problem.Eq, 0.);
+      ]
   in
   let rows = Alcotest.(array int) and vals = Alcotest.(array (float 0.)) in
   Alcotest.check rows "x0 rows" [| 0; 1 |] p.Problem.col_rows.(0);
@@ -80,16 +93,20 @@ let test_problem_columns () =
   for i = 0 to 2 do
     Alcotest.check rows "slack rows" [| i |] p.Problem.col_rows.(2 + i);
     Alcotest.check vals "slack values" [| 1. |] p.Problem.col_vals.(2 + i)
-  done
+  done;
+  let { Problem.row_start; row_cols; row_vals } = Problem.rows p in
+  Alcotest.check rows "row starts" [| 0; 2; 3; 4 |] row_start;
+  Alcotest.check rows "row columns" [| 0; 1; 0; 1 |] row_cols;
+  Alcotest.check vals "row values" [| 1.; 4.; 2.; 7. |] row_vals
 
-(* [Problem.build] rejects NaN input, the objective included: a NaN cost
+(* [Problem.of_rows] rejects NaN input, the objective included: a NaN cost
    used to solve to [Optimal] with objective [nan]. *)
 let test_problem_nan_objective () =
-  let nan_objective = Invalid_argument "Problem.build: NaN objective" in
-  Alcotest.check_raises "Problem.build" nan_objective (fun () ->
+  let nan_objective = Invalid_argument "Problem.of_rows: NaN objective" in
+  Alcotest.check_raises "Problem.of_rows" nan_objective (fun () ->
       ignore
-        (Problem.build ~nstruct:1 ~lb:[| 0. |] ~ub:[| 1. |] ~obj:[| nan |]
-           ~rows:[ ([ (0, 1.) ], Problem.Le, 1.) ]));
+        (problem_of_rows ~lb:[| 0. |] ~ub:[| 1. |] ~obj:[| nan |]
+           [ ([ (0, 1.) ], Problem.Le, 1.) ]));
   let m = Model.create () in
   let x = Model.add_var m in
   Model.le m (Expr.var x) (Expr.const 1.);
@@ -385,6 +402,8 @@ let prop_feasible =
 (* Presolve                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let presolve ~lb ~ub rows = Presolve.reduce (problem_of_rows ~lb ~ub rows)
+
 let test_presolve_singleton_rows () =
   let lb = [| 0.; 0. |] and ub = [| 10.; 10. |] in
   let rows =
@@ -393,12 +412,12 @@ let test_presolve_singleton_rows () =
       ([ (1, -1.) ], Problem.Le, -3.); (* x1 >= 3 *)
     ]
   in
-  match Presolve.reduce ~lb ~ub ~rows with
-  | Presolve.Reduced { lb; ub; rows; kept } ->
-    Alcotest.(check int) "rows absorbed" 0 (List.length rows);
+  match presolve ~lb ~ub rows with
+  | Presolve.Reduced { problem = p; kept } ->
+    Alcotest.(check int) "rows absorbed" 0 p.Problem.nrows;
     Alcotest.(check int) "kept row set empty" 0 (Array.length kept);
-    check_float "ub tightened" 4. ub.(0);
-    check_float "lb tightened" 3. lb.(1)
+    check_float "ub tightened" 4. p.Problem.ub.(0);
+    check_float "lb tightened" 3. p.Problem.lb.(1)
   | Presolve.Infeasible m -> Alcotest.fail m
 
 let test_presolve_fixed_propagation () =
@@ -408,18 +427,51 @@ let test_presolve_fixed_propagation () =
   let rows =
     [ ([ (0, 1.) ], Problem.Eq, 5.); ([ (0, 1.); (1, 1.) ], Problem.Le, 7.) ]
   in
-  match Presolve.reduce ~lb ~ub ~rows with
-  | Presolve.Reduced { lb; ub; rows; _ } ->
-    Alcotest.(check int) "all rows absorbed" 0 (List.length rows);
-    check_float "x0 fixed" 5. lb.(0);
-    check_float "x0 fixed ub" 5. ub.(0);
-    check_float "x1 ub" 2. ub.(1)
+  match presolve ~lb ~ub rows with
+  | Presolve.Reduced { problem = p; _ } ->
+    Alcotest.(check int) "all rows absorbed" 0 p.Problem.nrows;
+    check_float "x0 fixed" 5. p.Problem.lb.(0);
+    check_float "x0 fixed ub" 5. p.Problem.ub.(0);
+    check_float "x1 ub" 2. p.Problem.ub.(1)
   | Presolve.Infeasible m -> Alcotest.fail m
+
+(* Row 0 loses a fixed-variable term in each of two rounds: x0 is fixed by
+   its bounds, and x1 by row 1, which becomes a singleton only once round 1
+   has moved x0 out of it, after row 0 was simplified. Each round moves
+   its terms to row 0's right-hand side: (1 - 0.1) - x1 is
+   0.7000000000000001, one bit above the 0.7 that 1 - (0.1 + x1) gives.
+   Row 2 holds no fixed variable and comes through as it is. *)
+let test_presolve_second_round () =
+  let lb = [| 0.1; 0.; 0.; 0. |] and ub = [| 0.1; 10.; 10.; 10. |] in
+  let rows =
+    [
+      ([ (0, 1.); (1, 1.); (2, 1.); (3, 1.) ], Problem.Le, 1.);
+      ([ (0, 1.); (1, 1.) ], Problem.Eq, 0.3);
+      ([ (2, 1.); (3, -1.) ], Problem.Ge, -5.);
+    ]
+  in
+  match presolve ~lb ~ub rows with
+  | Presolve.Infeasible m -> Alcotest.fail m
+  | Presolve.Reduced { problem = p; kept } ->
+    let bits = Alcotest.(array int64) and exact = Alcotest.(array (float 0.)) in
+    let x1 = 0.3 -. 0.1 in
+    Alcotest.(check (array int)) "kept" [| 0; 2 |] kept;
+    Alcotest.check exact "lb" [| 0.1; x1; 0.; 0. |] (Array.sub p.Problem.lb 0 4);
+    Alcotest.check exact "ub" [| 0.1; x1; 10.; 10. |] (Array.sub p.Problem.ub 0 4);
+    Alcotest.(check int64) "x1 bits" 0x3FC9999999999999L (Int64.bits_of_float x1);
+    Alcotest.check exact "slack lb" [| 0.; neg_infinity |] (Array.sub p.Problem.lb 4 2);
+    Alcotest.check exact "slack ub" [| infinity; 0. |] (Array.sub p.Problem.ub 4 2);
+    Alcotest.check bits "rhs bits" [| 0x3FE6666666666667L; Int64.bits_of_float (-5.) |]
+      (Array.map Int64.bits_of_float p.Problem.rhs);
+    let { Problem.row_start; row_cols; row_vals } = Problem.rows p in
+    Alcotest.(check (array int)) "row starts" [| 0; 2; 4 |] row_start;
+    Alcotest.(check (array int)) "row columns" [| 2; 3; 2; 3 |] row_cols;
+    Alcotest.check exact "row values" [| 1.; 1.; 1.; -1. |] row_vals
 
 let test_presolve_detects_infeasible () =
   let lb = [| 0. |] and ub = [| 3. |] in
   let rows = [ ([ (0, 1.) ], Problem.Ge, 5.) ] in
-  match Presolve.reduce ~lb ~ub ~rows with
+  match presolve ~lb ~ub rows with
   | Presolve.Infeasible _ -> ()
   | Presolve.Reduced _ -> Alcotest.fail "expected infeasible"
 
@@ -427,8 +479,8 @@ let test_presolve_constant_row () =
   let lb = [| 2.; 2. |] and ub = [| 2.; 5. |] in
   (* x0 fixed at 2: row becomes 0 <= 1, satisfied and dropped. *)
   let rows = [ ([ (0, 1.) ], Problem.Le, 3.) ] in
-  match Presolve.reduce ~lb ~ub ~rows with
-  | Presolve.Reduced { rows; _ } -> Alcotest.(check int) "dropped" 0 (List.length rows)
+  match presolve ~lb ~ub rows with
+  | Presolve.Reduced { problem = p; _ } -> Alcotest.(check int) "dropped" 0 p.Problem.nrows
   | Presolve.Infeasible m -> Alcotest.fail m
 
 let prop_presolve_preserves_solutions =
@@ -1254,17 +1306,22 @@ let test_sparse_lu_zero_length_column () =
   | Some { Sparse_lu.completed_rows = [ _ ]; _ } -> ()
   | Some _ -> Alcotest.fail "expected exactly one completed row"
   | None -> Alcotest.fail "under-complete basis should be rank-completed");
-  (* A caller-owned workspace is growable across factorisations of
-     different sizes. *)
-  let ws = Sparse_lu.workspace 2 in
-  (match Sparse_lu.factorise ~ws ~m:2 ~complete:false empty_col with
-  | None -> ()
-  | Some _ -> Alcotest.fail "empty column accepted (workspace)");
-  let rng = Ffc_util.Rng.create 11 in
+  (* Each domain's scratch is grown and reset from call to call: factors
+     made on this domain's reused scratch, after a smaller call, solve bit
+     for bit as those made on a new domain's fresh one. *)
   let m = 40 in
-  match Sparse_lu.factorise ~ws ~m ~complete:false (random_dd_cols rng m) with
-  | Some _ -> ()
-  | None -> Alcotest.fail "reused workspace rejected a dominant matrix"
+  let cols = random_dd_cols (Ffc_util.Rng.create 11) m in
+  let solve () =
+    match Sparse_lu.factorise ~m ~complete:false cols with
+    | Some { Sparse_lu.lu; _ } ->
+      let w = Array.init m float_of_int in
+      Sparse_lu.ftran lu w;
+      Array.map Int64.bits_of_float w
+    | None -> Alcotest.fail "dominant matrix rejected"
+  in
+  let fresh = Domain.join (Domain.spawn solve) in
+  ignore (Sparse_lu.factorise ~m:2 ~complete:false zero_col);
+  Alcotest.(check (array int64)) "reused scratch, same factors" fresh (solve ())
 
 (* Fuzzer-found solver regressions. Each of these once made a backend return
    a wrong verdict or an infeasible "optimal" point; the harness in
@@ -1440,6 +1497,7 @@ let () =
         [
           case "singleton rows become bounds" test_presolve_singleton_rows;
           case "fixed variables propagate" test_presolve_fixed_propagation;
+          case "fixed terms leave a row over two rounds" test_presolve_second_round;
           case "detects infeasibility" test_presolve_detects_infeasible;
           case "drops satisfied constant rows" test_presolve_constant_row;
           QCheck_alcotest.to_alcotest prop_presolve_preserves_solutions;

@@ -25,13 +25,14 @@ let controller ?deadline_ms ?max_iterations ?(audit_budget = 8) protection =
 let basic_prev input =
   match Basic_te.solve input with Ok a -> a | Error e -> Alcotest.fail e
 
-(* Verify an accepted step's allocation at the protection the controller
-   says it guarantees (which may be degraded), not the requested one. *)
+(* Verify an accepted step's allocation at the protection its accepted
+   (last) attempt guarantees (which may be degraded), not the requested
+   one. Basic TE and last-good attempts carry no protection. *)
 let verify_effective input ~prev (step : Controller.step) =
-  match step.Controller.effective with
+  let accepted = List.nth step.Controller.attempts (List.length step.Controller.attempts - 1) in
+  match List.assoc_opt 0 accepted.Controller.protections with
   | None -> ()
-  | Some prot_of ->
-    let { Te_types.kc; ke; kv } = prot_of 0 in
+  | Some { Te_types.kc; ke; kv } ->
     if ke > 0 || kv > 0 then begin
       match Enumerate.verify_data_plane input step.Controller.alloc ~ke ~kv with
       | Ok () -> ()

@@ -1,89 +1,12 @@
-(* Tests for value-level sorting networks and the bounded M-sum LP
-   encodings. The LP encodings are checked for *tightness* (optimising the
-   returned expression recovers the exact partial sum) and *soundness*
-   (bounding it enforces the bound on every subset), against brute-force
-   reference computations. *)
+(* Tests for the bounded M-sum LP encodings. They are checked for
+   *tightness* (optimising the returned expression recovers the exact
+   partial sum) and *soundness* (bounding it enforces the bound on every
+   subset), against brute-force reference computations. *)
 
 open Ffc_lp
-module Sn = Ffc_sortnet.Sorting_network
 module Bs = Ffc_sortnet.Bounded_sum
 
 let check_float = Alcotest.(check (float 1e-6))
-
-(* ------------------------------------------------------------------ *)
-(* Value-level networks                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_bubble_sorts () =
-  for n = 0 to 10 do
-    let net = Sn.bubble n in
-    Alcotest.(check bool) (Printf.sprintf "bubble %d sorts" n) true (Sn.sorts net)
-  done
-
-let test_odd_even_sorts () =
-  for n = 0 to 12 do
-    let net = Sn.odd_even_mergesort n in
-    Alcotest.(check bool) (Printf.sprintf "odd-even %d sorts" n) true (Sn.sorts net)
-  done
-
-let test_partial_bubble_selects () =
-  for n = 1 to 9 do
-    for m = 0 to n do
-      let net = Sn.partial_bubble n m in
-      Alcotest.(check bool)
-        (Printf.sprintf "partial %d/%d selects" n m)
-        true (Sn.selects_largest net m)
-    done
-  done
-
-let test_partial_bubble_size () =
-  (* m passes: (n-1) + (n-2) + ... comparators — O(nm), the paper's claim. *)
-  let net = Sn.partial_bubble 10 2 in
-  Alcotest.(check int) "comparators" (9 + 8) (Sn.num_comparators net)
-
-let test_bubble_smaller_than_full_sort_for_small_m () =
-  let n = 32 in
-  let partial = Sn.partial_bubble n 3 in
-  let full = Sn.odd_even_mergesort n in
-  Alcotest.(check bool) "partial beats full sort for small m" true
-    (Sn.num_comparators partial < Sn.num_comparators full)
-
-let test_apply_example () =
-  (* Figure 8(a): sorting 4 values. *)
-  let xs = [| 3.; 1.; 4.; 2. |] in
-  Sn.apply (Sn.odd_even_mergesort 4) xs;
-  Alcotest.(check (array (float 0.))) "sorted" [| 1.; 2.; 3.; 4. |] xs
-
-let test_depth () =
-  let net = Sn.bubble 4 in
-  Alcotest.(check bool) "depth positive and <= size" true
-    (Sn.depth net >= 3 && Sn.depth net <= Sn.num_comparators net)
-
-let prop_networks_sort_random =
-  QCheck.Test.make ~count:200 ~name:"odd-even mergesort sorts random arrays"
-    QCheck.(array_of_size Gen.(int_range 0 40) (float_range (-100.) 100.))
-    (fun xs ->
-      let xs = Array.copy xs in
-      let expect = Array.copy xs in
-      Array.sort compare expect;
-      Sn.apply (Sn.odd_even_mergesort (Array.length xs)) xs;
-      xs = expect)
-
-let prop_partial_bubble_top_m =
-  QCheck.Test.make ~count:200 ~name:"partial bubble puts top-m in place"
-    QCheck.(pair (int_range 0 6) (array_of_size Gen.(int_range 1 24) (float_range (-50.) 50.)))
-    (fun (m, xs) ->
-      let n = Array.length xs in
-      let m = min m n in
-      let sorted = Array.copy xs in
-      Array.sort compare sorted;
-      let work = Array.copy xs in
-      Sn.apply (Sn.partial_bubble n m) work;
-      let ok = ref true in
-      for k = 0 to m - 1 do
-        if work.(n - 1 - k) <> sorted.(n - 1 - k) then ok := false
-      done;
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded M-sum LP encodings                                          *)
@@ -242,18 +165,6 @@ let () =
   in
   Alcotest.run "sortnet"
     [
-      ( "networks",
-        [
-          case "bubble sorts (0-1 principle)" test_bubble_sorts;
-          case "odd-even mergesort sorts" test_odd_even_sorts;
-          case "partial bubble selects top-m" test_partial_bubble_selects;
-          case "partial bubble size O(nm)" test_partial_bubble_size;
-          case "partial smaller than full" test_bubble_smaller_than_full_sort_for_small_m;
-          case "apply example" test_apply_example;
-          case "depth" test_depth;
-          QCheck_alcotest.to_alcotest prop_networks_sort_random;
-          QCheck_alcotest.to_alcotest prop_partial_bubble_top_m;
-        ] );
       ( "lp-encoding",
         per_encoding "tight partial sums" test_tightness
         @ per_encoding "equivalent to explicit subsets" test_equiv_explicit

@@ -311,7 +311,8 @@ let test_escalation_raises_kc () =
   Alcotest.(check bool) "escalated" true s.Controller.escalated;
   Alcotest.(check bool) "kc raised above configured" true (Controller.step_kc s > 1);
   (* The escalated solve must still carry a real protection guarantee. *)
-  Alcotest.(check bool) "protected rung" true (s.Controller.effective <> None)
+  let accepted = List.nth s.Controller.attempts (List.length s.Controller.attempts - 1) in
+  Alcotest.(check bool) "protected rung" true (accepted.Controller.protections <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Update_sim censoring                                                *)
