@@ -54,6 +54,14 @@ type outcome =
 
 type backend = [ `Revised | `Dense_tableau ]
 
+val to_problem : ?presolve:bool -> t -> (Problem.t * int array) option
+(** The computational form {!solve} hands the solver, with the key of each
+    of its columns: the variables' keys, then the keys of the rows it kept
+    (their slacks). With [~presolve:true] (the default) the problem is
+    {!Presolve.reduce}d first and [None] means presolve proved it
+    infeasible. Raises [Invalid_argument] on a malformed model (see
+    {!Problem.of_rows}). *)
+
 val solve :
   ?backend:backend ->
   ?presolve:bool ->

@@ -576,6 +576,90 @@ let test_ffc_warm_chain_pinned () =
     ]
     (List.map solve (Array.to_list series))
 
+(* The computational form, pinned. Each of five formulations is chained
+   over 13 calibrated intervals of default L-Net (topology seed 42, 40
+   flows) the way the controller chains it (each interval plans against
+   the previous allocation, warm-started, presolve off), and every
+   interval's [Model.to_problem] output, presolve off and on, goes into
+   one MD5: each row as [Problem.rows] lists it, with [%h] coefficients
+   and right-hand side, every column's bounds and cost in [%h], and the
+   keys. The column layout itself is left out, so a change of how the
+   problem stores its columns keeps the digests, and a change of any
+   coefficient's bits, any row's order or any key moves them. *)
+let form_digest config =
+  let open Ffc_lp in
+  let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Ffc_sim.Scenario.input in
+  let series = Ffc_sim.Scenario.demand_series (Rng.create 7) sc ~scale:1.0 ~intervals:13 in
+  let buf = Buffer.create (1 lsl 20) in
+  let add_form presolve model =
+    match Model.to_problem ~presolve model with
+    | None -> Buffer.add_string buf "presolve-infeasible\n"
+    | Some (p, keys) ->
+      let { Problem.row_start; row_cols; row_vals } = Problem.rows p in
+      Printf.bprintf buf "%d %d\n" p.Problem.nstruct p.Problem.nrows;
+      for i = 0 to p.Problem.nrows - 1 do
+        for k = row_start.(i) to row_start.(i + 1) - 1 do
+          Printf.bprintf buf "%d:%h " row_cols.(k) row_vals.(k)
+        done;
+        Printf.bprintf buf "= %h\n" p.Problem.rhs.(i)
+      done;
+      for j = 0 to p.Problem.ncols - 1 do
+        Printf.bprintf buf "%h %h %h\n" p.Problem.lb.(j) p.Problem.ub.(j) p.Problem.obj.(j)
+      done;
+      Array.iter (fun k -> Printf.bprintf buf "%x " k) keys;
+      Buffer.add_char buf '\n'
+  in
+  let prev =
+    ref
+      (match Basic_te.solve { input with Te_types.demands = series.(0) } with
+      | Ok a -> a
+      | Error e -> Alcotest.fail e)
+  in
+  let basis = ref None in
+  Array.iter
+    (fun demands ->
+      let input = { input with Te_types.demands } in
+      let vars = Ffc.build ~config ~prev:!prev input in
+      let model = vars.Formulation.model in
+      Ffc_lp.Model.maximize model (Formulation.total_rate_expr vars);
+      add_form false model;
+      add_form true model;
+      match Ffc.solve ~config ~prev:!prev ~presolve:false ?warm_start:!basis input with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        prev := r.Ffc.alloc;
+        basis := r.Ffc.basis)
+    series;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_form_digests_pinned () =
+  let duality ?mice_fraction ?ingress_skip_fraction ?rescale_aware ~kc ~ke ~kv () =
+    Ffc.config
+      ~protection:(Te_types.protection ~kc ~ke ~kv ())
+      ~encoding:`Duality ?mice_fraction ?ingress_skip_fraction ?rescale_aware ()
+  in
+  Alcotest.(check (list (pair string string)))
+    "form digests"
+    [
+      ("basic TE", "fa8f467c1455464dde159336d74ada82");
+      ("FFC (2,1,0) duality, mice 0, skip 0", "f44bc5a5f3d6f0db88667cb1b164bfb4");
+      ("FFC (1,1,0) duality, defaults", "c6b3a14edd546bcb85d44e94efff9cbb");
+      ("FFC (3,0,1) duality, rescale-aware", "144b8e3ea6ddea7b1a9fbee5cd73ad45");
+      ("FFC (2,1,0) sorting network", "28c53c84b3a84c770b6bdf3984df70fd");
+    ]
+    (List.map
+       (fun (name, config) -> (name, form_digest config))
+       [
+         ("basic TE", Ffc.config ());
+         ( "FFC (2,1,0) duality, mice 0, skip 0",
+           duality ~mice_fraction:0. ~ingress_skip_fraction:0. ~kc:2 ~ke:1 ~kv:0 () );
+         ("FFC (1,1,0) duality, defaults", duality ~kc:1 ~ke:1 ~kv:0 ());
+         ("FFC (3,0,1) duality, rescale-aware", duality ~rescale_aware:true ~kc:3 ~ke:0 ~kv:1 ());
+         ( "FFC (2,1,0) sorting network",
+           Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Sorting_network () );
+       ])
+
 (* Bland mode's leaving rule. The model [ffc solve --network snet --kc 1
    --objective mlu] builds (S-Net seed 42, basic TE as [prev]) is rebuilt
    here with the same calls as {!Mlu_te.solve}. Solved with presolve off,
@@ -660,6 +744,7 @@ let () =
         [
           case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change;
           case "pinned pivot counts along a warm chain" test_ffc_warm_chain_pinned;
+          case "computational form pinned along a warm chain" test_form_digests_pinned;
         ] );
       ("simplex", [ case "Bland mode terminates on a degenerate MLU" test_bland_terminates ]);
       ( "properties",
