@@ -314,6 +314,16 @@ let lu_residuals_updated m dense lu updates =
     | Some msg -> Some ("residual: after updates, " ^ String.sub msg 10 (String.length msg - 10))
     | None -> None)
 
+(* An instance's columns, [(rows, values)] pairs, flattened into the form
+   {!Sparse_lu.factorise} takes. *)
+let factorise ?(repair = false) ~m ~complete cols =
+  let ncols = Array.length cols in
+  let col_start = Array.make (ncols + 1) 0 in
+  Array.iteri (fun k (rows, _) -> col_start.(k + 1) <- col_start.(k) + Array.length rows) cols;
+  let row_idx = Array.concat (Array.to_list (Array.map fst cols)) in
+  let col_val = Array.concat (Array.to_list (Array.map snd cols)) in
+  Sparse_lu.factorise ~repair ~m ~complete ~ncols ~col_start ~row_idx ~col_val
+
 (* Slack leg: a basis made mostly of identity steps, as warm simplex bases
    are. Even column [k] becomes the unit column at row [k], -1 at [k = 0]
    and 1 elsewhere; odd column [k] is divided by its first nonzero entry on
@@ -343,7 +353,7 @@ let lu_slack_leg (t : Gen.lu) =
   if not (t.Gen.must_factor && Array.for_all Option.is_some cols) then Fuzz.Pass
   else
     let cols = Array.map Option.get cols in
-    match Sparse_lu.factorise ~m ~complete:t.Gen.complete cols with
+    match factorise ~m ~complete:t.Gen.complete cols with
     | None -> failf "slack: factorise returned None on a unit-diagonal basis (m=%d)" m
     | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } -> (
       match lu_residuals_updated m (dense_of_lu m cols row_of_col completed_rows) lu t.Gen.lu_updates with
@@ -361,7 +371,7 @@ let lu_repair_leg (t : Gen.lu) =
   let m = t.Gen.lu_m and n = Array.length t.Gen.cols in
   let cols = Gen.lu_repair_cols t in
   let extra = Array.length cols - n in
-  match Sparse_lu.factorise ~repair:true ~m ~complete:t.Gen.complete cols with
+  match factorise ~repair:true ~m ~complete:t.Gen.complete cols with
   | None -> failf "repair: repair-mode factorise returned None (m=%d, %d columns)" m (Array.length cols)
   | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
     let cover = Array.make m 0 in
@@ -390,7 +400,7 @@ let lu_repair_leg (t : Gen.lu) =
 let lu_test (t : Gen.lu) =
   let m = t.Gen.lu_m in
   let main =
-    match Sparse_lu.factorise ~m ~complete:t.Gen.complete t.Gen.cols with
+    match factorise ~m ~complete:t.Gen.complete t.Gen.cols with
     | None ->
       if t.Gen.must_factor then
         failf "rejected-nonsingular: factorise returned None on a diagonally dominant basis (m=%d)"

@@ -166,17 +166,25 @@ let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
 let tol = 1e-6
 
 let first_overloaded ?(skip = fun _ -> false) (input : Te_types.input) loads =
-  Array.find_opt
-    (fun (l : Topology.link) ->
-      (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol)
-    (Topology.links input.Te_types.topo)
+  let topo = input.Te_types.topo in
+  let overloaded (l : Topology.link) =
+    (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol
+  in
+  (* A passing check walks the adjacency lists; only an overload builds the
+     link array, to report the lowest-id overloaded link. *)
+  let any = ref false in
+  for v = 0 to Topology.num_switches topo - 1 do
+    if not !any then any := List.exists overloaded (Topology.out_links topo v)
+  done;
+  if !any then Array.find_opt overloaded (Topology.links topo) else None
 
+(* [context] formats the fault case, only on a violation. *)
 let check_loads (input : Te_types.input) loads ~context =
   match first_overloaded input loads with
   | None -> Ok ()
   | Some l ->
     Error
-      (Printf.sprintf "%s: link %s->%s overloaded: %.6f > %.6f" context
+      (Printf.sprintf "%s: link %s->%s overloaded: %.6f > %.6f" (context ())
          (Topology.switch_name input.Te_types.topo l.Topology.src)
          (Topology.switch_name input.Te_types.topo l.Topology.dst)
          loads.(l.Topology.id) l.Topology.capacity)
@@ -209,26 +217,31 @@ let check_data_case (input : Te_types.input) alloc ~failed_links ~failed_switche
       ~failed_links:(fun l -> List.mem l failed_links)
       ~failed_switches:(fun v -> List.mem v failed_switches)
   in
-  let context =
+  let context () =
     Printf.sprintf "links=[%s] switches=[%s]"
       (String.concat "," (List.map string_of_int failed_links))
       (String.concat "," (List.map string_of_int failed_switches))
   in
   match blackholed with
-  | f :: _ -> Error (Printf.sprintf "%s: flow %d blackholed" context f)
+  | f :: _ -> Error (Printf.sprintf "%s: flow %d blackholed" (context ()) f)
   | [] -> check_loads input loads ~context
 
+(* Links any tunnel uses, ascending: marked by id, then listed. *)
 let data_fault_universe (input : Te_types.input) =
-  let all_links =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (f : Flow.t) ->
-           List.concat_map
-             (fun (t : Tunnel.t) -> List.map (fun (l : Topology.link) -> l.Topology.id) t.Tunnel.links)
-             f.Flow.tunnels)
-         input.Te_types.flows)
-  in
-  (all_links, Topology.switches input.Te_types.topo)
+  let topo = input.Te_types.topo in
+  let used = Array.make (Topology.num_links topo) false in
+  List.iter
+    (fun (f : Flow.t) ->
+      List.iter
+        (fun (t : Tunnel.t) ->
+          List.iter (fun (l : Topology.link) -> used.(l.Topology.id) <- true) t.Tunnel.links)
+        f.Flow.tunnels)
+    input.Te_types.flows;
+  let all_links = ref [] in
+  for id = Array.length used - 1 downto 0 do
+    if used.(id) then all_links := id :: !all_links
+  done;
+  (!all_links, Topology.switches topo)
 
 let control_fault_universe (input : Te_types.input) =
   List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
@@ -273,7 +286,7 @@ let verify_combined (input : Te_types.input) ~old_alloc ~new_alloc
         ()
     in
     let loads = Rescale.loads input rates.Rescale.tunnel_rates in
-    let context =
+    let context () =
       Printf.sprintf "stuck=[%s] links=[%s] switches=[%s]"
         (String.concat "," (List.map string_of_int stuck))
         (String.concat "," (List.map string_of_int fl))
@@ -295,7 +308,7 @@ let verify_combined (input : Te_types.input) ~old_alloc ~new_alloc
 (* One control-plane fault case, for the same sampled-audit use. *)
 let check_control_case (input : Te_types.input) ~old_alloc ~new_alloc ~stuck =
   let loads = stuck_loads input ~old_alloc ~new_alloc ~stuck in
-  let context =
+  let context () =
     Printf.sprintf "stuck=[%s]" (String.concat "," (List.map string_of_int stuck))
   in
   check_loads input loads ~context

@@ -64,27 +64,42 @@ let data_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.input
         let id = f.Flow.id in
         let tau = Flow.tau f ~ke ~kv in
         let nt = Flow.num_tunnels f in
+        let bf = vars.Formulation.bf.(id) and af = vars.Formulation.af.(id) in
         Model.scope model id @@ fun () ->
-        if tau <= 0 then
-          (* No guaranteed residual tunnel: the flow must be shut (§4.3). *)
-          Model.le model (Expr.var vars.Formulation.bf.(id)) Expr.zero
+        if tau <= 0 then begin
+          (* No guaranteed residual tunnel: the flow must be shut (§4.3):
+             le (var b_f) zero. *)
+          Model.term model bf 1.;
+          Model.close_row model Problem.Le ~lhs:0. ~rhs:0.
+        end
         else if tau < nt then begin
           if Hashtbl.mem mice id then
             (* §6: equal-split a_{f,t} = b_f / tau_f satisfies Eqn 15 without
-               a sorting network. *)
+               a sorting network: eq (var a) (var ~coeff:(1 / tau) b_f). *)
             Model.scope model 0 (fun () ->
                 Array.iter
                   (fun a ->
-                    Model.eq model (Expr.var a)
-                      (Expr.var ~coeff:(1. /. float_of_int tau) vars.Formulation.bf.(id)))
-                  vars.Formulation.af.(id))
+                    Model.term model a 1.;
+                    Model.term model bf (-1. *. (1. /. float_of_int tau));
+                    Model.close_row model Problem.Eq ~lhs:0. ~rhs:0.)
+                  af)
           else
             Model.scope model 1 (fun () ->
-                let af_exprs = Array.to_list (Array.map Expr.var vars.Formulation.af.(id)) in
-                let worst =
-                  Bounded_sum.sum_smallest ~encoding:cfg.encoding model af_exprs tau
+                (* ge (sum_smallest a_f tau) (var b_f) *)
+                let elements =
+                  {
+                    Bounded_sum.count = nt;
+                    id = Fun.id;
+                    iter = (fun t f -> f af.(t) 1.);
+                    constant = (fun _ -> 0.);
+                  }
                 in
-                Model.ge model worst (Expr.var vars.Formulation.bf.(id)))
+                let worst =
+                  Bounded_sum.emit_smallest ~encoding:cfg.encoding model elements tau
+                    ~emit:(Model.term model)
+                in
+                Model.term model bf (-1.);
+                Model.close_row model Problem.Ge ~lhs:worst ~rhs:0.)
         end)
       input.Te_types.flows
   end
@@ -106,8 +121,19 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
   let model = vars.Formulation.model in
   let uncertain = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.add uncertain id ()) uncertain_flows;
-  (* beta_{f,t} variables (Eqn 8 / Eqn 18 / §5.6). *)
+  (* beta_{f,t} variables (Eqn 8 / Eqn 18 / §5.6), each bounded below by
+     rows [at_least b c x] = ge (var b) (var ~coeff:c x) and
+     [at_least_const b v] = ge (var b) (const v). *)
   let beta = Array.map (Array.map (fun _ -> -1)) vars.Formulation.af in
+  let at_least b c x =
+    Model.term model b 1.;
+    Model.term model x (-1. *. c);
+    Model.close_row model Problem.Ge ~lhs:0. ~rhs:0.
+  in
+  let at_least_const b v =
+    Model.term model b 1.;
+    Model.close_row model Problem.Ge ~lhs:0. ~rhs:v
+  in
   Model.scope model Formulation.scope_beta (fun () ->
     List.iter
       (fun (f : Flow.t) ->
@@ -136,32 +162,28 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
           end
           else Some 1.
         in
+        let bf = vars.Formulation.bf.(id) in
         Model.scope model id @@ fun () ->
         Array.iteri
           (fun ti a ->
             Model.scope model ti @@ fun () ->
             let b = Model.add_var model in
             beta.(id).(ti) <- b;
-            Model.ge model (Expr.var b) (Expr.var a);
+            at_least b 1. a;
             (match amplification with
-            | Some k ->
-              Model.ge model (Expr.var b)
-                (Expr.var ~coeff:(k *. w'.(ti)) vars.Formulation.bf.(id))
-            | None ->
-              if w'.(ti) > 0. then
-                Model.ge model (Expr.var b) (Expr.var vars.Formulation.bf.(id)));
+            | Some k -> at_least b (k *. w'.(ti)) bf
+            | None -> if w'.(ti) > 0. then at_least b 1. bf);
             (match cfg.rl_mode with
             | Rl_ordered ->
-              Model.scope model 0 (fun () ->
-                  Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti)))
+              Model.scope model 0 (fun () -> at_least_const b prev.Te_types.af.(id).(ti))
             | Rl_assumed_reliable -> ());
             if Hashtbl.mem uncertain id then
               Model.scope model 1 (fun () ->
                   (* Plan for either of the last two configurations. *)
-                  Model.ge model (Expr.var b) (Expr.const prev.Te_types.af.(id).(ti));
+                  at_least_const b prev.Te_types.af.(id).(ti);
                   match prev2 with
                   | Some p2 when Array.length p2.Te_types.af.(id) > ti ->
-                    Model.ge model (Expr.var b) (Expr.const p2.Te_types.af.(id).(ti))
+                    at_least_const b p2.Te_types.af.(id).(ti)
                   | _ -> ()))
           vars.Formulation.af.(id))
       input.Te_types.flows);
@@ -194,25 +216,34 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
               (fun (_, cs) -> old_load_of cs > cfg.ingress_skip_fraction *. l.Topology.capacity)
               groups
           in
-          let d_exprs =
-            List.map
-              (fun (_, cs) ->
-                Expr.sum
-                  (List.map
-                     (fun (c : Formulation.crossing) ->
-                       let id = c.Formulation.flow.Flow.id and ti = c.Formulation.tidx in
-                       Expr.sub (Expr.var beta.(id).(ti))
-                         (Expr.var vars.Formulation.af.(id).(ti)))
-                     cs))
-              considered
+          (* Element [i] is ingress [i]'s increment
+             sum (sub (var beta_{f,t}) (var a_{f,t})) over its crossings. *)
+          let considered = Array.of_list considered in
+          let elements =
+            {
+              Bounded_sum.count = Array.length considered;
+              id = (fun i -> fst considered.(i));
+              iter =
+                (fun i f ->
+                  List.iter
+                    (fun (c : Formulation.crossing) ->
+                      let id = c.Formulation.flow.Flow.id and ti = c.Formulation.tidx in
+                      f beta.(id).(ti) 1.;
+                      f vars.Formulation.af.(id).(ti) (-1.))
+                    (snd considered.(i)));
+              constant = (fun _ -> 0.);
+            }
           in
           Model.scope model lid (fun () ->
+              (* le (add (load_expr crossings) excess) (rhs l) *)
               let excess =
-                Bounded_sum.sum_largest ~encoding:cfg.encoding
-                  ~ids:(List.map fst considered) model d_exprs kc
+                Bounded_sum.emit_largest ~encoding:cfg.encoding model elements kc
+                  ~emit:(Model.term model)
               in
-              let base_load = Formulation.load_expr vars crossings in
-              Model.le model (Expr.add base_load excess) (rhs l))
+              Formulation.append_load vars crossings;
+              let r = rhs l in
+              Expr.iter_sub (Model.term model) Expr.zero r;
+              Model.close_row model Problem.Le ~lhs:(0. +. excess) ~rhs:(Expr.constant r))
         end
       end)
     (Topology.links input.Te_types.topo)
@@ -232,12 +263,13 @@ let build ?(config = config ()) ?prev ?prev2 ?(uncertain_flows = []) ?reserved
           List.iter
             (fun id ->
               Model.scope model id (fun () ->
-                  Model.eq model (Expr.var vars.Formulation.bf.(id))
-                    (Expr.const p.Te_types.bf.(id));
-                  Array.iteri
-                    (fun ti a ->
-                      Model.eq model (Expr.var a) (Expr.const p.Te_types.af.(id).(ti)))
-                    vars.Formulation.af.(id)))
+                  (* eq (var x) (const v) *)
+                  let fix x v =
+                    Model.term model x 1.;
+                    Model.close_row model Problem.Eq ~lhs:0. ~rhs:v
+                  in
+                  fix vars.Formulation.bf.(id) p.Te_types.bf.(id);
+                  Array.iteri (fun ti a -> fix a p.Te_types.af.(id).(ti)) vars.Formulation.af.(id)))
             uncertain_flows)
     | _ -> invalid_arg "Ffc.build: uncertain_flows requires both prev and prev2"
   end;

@@ -51,27 +51,39 @@ let crossings_by_link (input : Te_types.input) =
     input.Te_types.flows;
   per_link
 
+(* Each crossing joins its ingress's group in a list kept sorted by
+   ingress, so a group lists its crossings last first. *)
+let rec join_group c (v : Topology.switch) = function
+  | [] -> [ (v, [ c ]) ]
+  | ((u, cs) as g) :: rest ->
+    if u = v then (u, c :: cs) :: rest
+    else if u > v then (v, [ c ]) :: g :: rest
+    else g :: join_group c v rest
+
 let by_ingress crossings =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      let v = c.flow.Flow.src in
-      Hashtbl.replace tbl v (c :: Option.value ~default:[] (Hashtbl.find_opt tbl v)))
-    crossings;
-  Hashtbl.fold (fun v cs acc -> (v, cs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.fold_left (fun groups c -> join_group c c.flow.Flow.src groups) [] crossings
+
+(* The rows below are streamed through [Model.term]/[Model.close_row]; each
+   comment gives the row's [Expr] form, which builds the same bits. *)
 
 let demand_constraints vars (input : Te_types.input) =
-  Model.scope vars.model scope_demand (fun () ->
+  let model = vars.model in
+  Model.scope model scope_demand (fun () ->
       List.iter
         (fun (f : Flow.t) ->
           let id = f.Flow.id in
-          let lhs = Expr.sum (Array.to_list (Array.map Expr.var vars.af.(id))) in
-          Model.scope vars.model id (fun () -> Model.ge vars.model lhs (Expr.var vars.bf.(id))))
+          Model.scope model id (fun () ->
+              (* ge (sum a_{f,t}) (var b_f) *)
+              Array.iter (fun a -> Model.term model a 1.) vars.af.(id);
+              Model.term model vars.bf.(id) (-1.);
+              Model.close_row model Problem.Ge ~lhs:0. ~rhs:0.))
         input.Te_types.flows)
 
 let load_expr vars crossings =
   Expr.sum (List.map (fun c -> Expr.var vars.af.(c.flow.Flow.id).(c.tidx)) crossings)
+
+let append_load vars crossings =
+  List.iter (fun c -> Model.term vars.model vars.af.(c.flow.Flow.id).(c.tidx) 1.) crossings
 
 let capacity_constraints ?reserved vars (input : Te_types.input) =
   let per_link = crossings_by_link input in
@@ -87,7 +99,9 @@ let capacity_constraints ?reserved vars (input : Te_types.input) =
               -. (match reserved with None -> 0. | Some r -> r.(id))
             in
             Model.scope vars.model id (fun () ->
-                Model.le vars.model (load_expr vars crossings) (Expr.const (max 0. cap))))
+                (* le (load_expr crossings) (const (max 0. cap)) *)
+                append_load vars crossings;
+                Model.close_row vars.model Problem.Le ~lhs:0. ~rhs:(max 0. cap)))
         (Topology.links input.Te_types.topo))
 
 let total_rate_expr vars =

@@ -60,6 +60,10 @@ val capacity_constraints : ?reserved:float array -> vars -> Te_types.input -> un
 val load_expr : vars -> crossing list -> Expr.t
 (** Sum of [a_{f,t}] over the given crossings. *)
 
+val append_load : vars -> crossing list -> unit
+(** Appends the terms of {!load_expr} to the model's row being built
+    ({!Ffc_lp.Model.term}), each [a_{f,t}] with coefficient 1. *)
+
 val total_rate_expr : vars -> Expr.t
 (** [sum_f b_f], the Eqn 1 objective. *)
 

@@ -24,23 +24,29 @@ let rescale (input : Te_types.input) (alloc : Te_types.allocation)
               | None -> invalid_arg "Rescale.rescale: stuck ingress requires old_alloc_of"
             else Te_types.weights alloc id
           in
-          let alive =
-            List.mapi
-              (fun ti t -> (ti, Tunnel.survives t ~failed_links ~failed_switches))
-              f.Flow.tunnels
-          in
-          let alive_weight =
-            List.fold_left
-              (fun acc (ti, ok) -> if ok then acc +. weights.(ti) else acc)
-              0. alive
-          in
-          if alive_weight <= 1e-12 then undeliverable.(id) <- rate
+          (* Survivors are marked with 1. in the flow's rates row, which
+             then takes their rates; the others stay 0. *)
+          let row = tunnel_rates.(id) in
+          let alive_weight = ref 0. and tunnels = ref f.Flow.tunnels in
+          for ti = 0 to nt - 1 do
+            match !tunnels with
+            | [] -> ()
+            | t :: rest ->
+              tunnels := rest;
+              if Tunnel.survives t ~failed_links ~failed_switches then begin
+                row.(ti) <- 1.;
+                alive_weight := !alive_weight +. weights.(ti)
+              end
+          done;
+          let alive_weight = !alive_weight in
+          if alive_weight <= 1e-12 then begin
+            Array.fill row 0 nt 0.;
+            undeliverable.(id) <- rate
+          end
           else
-            List.iter
-              (fun (ti, ok) ->
-                if ok then
-                  tunnel_rates.(id).(ti) <- rate *. weights.(ti) /. alive_weight)
-              alive
+            for ti = 0 to nt - 1 do
+              if row.(ti) = 1. then row.(ti) <- rate *. weights.(ti) /. alive_weight
+            done
         end
       end)
     input.Te_types.flows;

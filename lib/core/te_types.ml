@@ -14,28 +14,43 @@ let zero_allocation input =
 
 let weights alloc f =
   let a = alloc.af.(f) in
-  let total = Array.fold_left ( +. ) 0. a in
+  let n = Array.length a in
+  (* Loops rather than [Array.fold_left]/[Array.map], which box every
+     float they pass through a closure. *)
+  let total = ref 0. in
+  for t = 0 to n - 1 do
+    total := !total +. a.(t)
+  done;
+  let total = !total in
+  let w = Array.make n 0. in
   (* A flow with no installed allocation has no forwarding rules: it cannot
      emit traffic anywhere, so its weights are zero (not an even split). *)
-  if total <= 1e-12 then Array.make (Array.length a) 0.
-  else Array.map (fun v -> v /. total) a
+  if not (total <= 1e-12) then
+    for t = 0 to n - 1 do
+      w.(t) <- a.(t) /. total
+    done;
+  w
 
 let throughput alloc = Array.fold_left ( +. ) 0. alloc.bf
 
+(* Recursion over the lists rather than closures: a closure over a rate
+   would box it once per tunnel and build itself too. *)
+let rec add_links loads r = function
+  | [] -> ()
+  | (l : Topology.link) :: rest ->
+    loads.(l.Topology.id) <- loads.(l.Topology.id) +. r;
+    add_links loads r rest
+
+let rec add_tunnels loads rates ti = function
+  | [] -> ()
+  | (tn : Tunnel.t) :: rest ->
+    let r = rates.(ti) in
+    if r > 0. then add_links loads r tn.Tunnel.links;
+    add_tunnels loads rates (ti + 1) rest
+
 let loads_with input per_flow_rates =
   let loads = Array.make (Topology.num_links input.topo) 0. in
-  List.iter
-    (fun (f : Flow.t) ->
-      let rates = per_flow_rates f in
-      List.iteri
-        (fun ti (tn : Tunnel.t) ->
-          let r = rates.(ti) in
-          if r > 0. then
-            List.iter
-              (fun (l : Topology.link) -> loads.(l.Topology.id) <- loads.(l.Topology.id) +. r)
-              tn.Tunnel.links)
-        f.Flow.tunnels)
-    input.flows;
+  List.iter (fun (f : Flow.t) -> add_tunnels loads (per_flow_rates f) 0 f.Flow.tunnels) input.flows;
   loads
 
 let link_loads input alloc = loads_with input (fun f -> alloc.af.(f.Flow.id))

@@ -54,22 +54,27 @@ let standardise (p : Problem.t) =
   let b = Array.make nrows 0. in
   Array.blit p.Problem.rhs 0 b 0 p.Problem.nrows;
   let add_entry i j v = if v <> 0. then rows.(i) <- (j, v) :: rows.(i) in
-  for j = 0 to p.Problem.ncols - 1 do
-    let crows = p.Problem.col_rows.(j) and cvals = p.Problem.col_vals.(j) in
-    for k = 0 to Array.length crows - 1 do
-      let i = crows.(k) and v = cvals.(k) in
-      match mapping.(j) with
-      | Fixed value -> b.(i) <- b.(i) -. (v *. value)
-      | Shifted (idx, off) ->
-        add_entry i idx v;
-        b.(i) <- b.(i) -. (v *. off)
-      | Mirrored (idx, off) ->
-        add_entry i idx (-.v);
-        b.(i) <- b.(i) -. (v *. off)
-      | Split (pos, neg) ->
-        add_entry i pos v;
-        add_entry i neg (-.v)
+  let entry j i v =
+    match mapping.(j) with
+    | Fixed value -> b.(i) <- b.(i) -. (v *. value)
+    | Shifted (idx, off) ->
+      add_entry i idx v;
+      b.(i) <- b.(i) -. (v *. off)
+    | Mirrored (idx, off) ->
+      add_entry i idx (-.v);
+      b.(i) <- b.(i) -. (v *. off)
+    | Split (pos, neg) ->
+      add_entry i pos v;
+      add_entry i neg (-.v)
+  in
+  (* The structural columns, then each slack's unit column. *)
+  for j = 0 to p.Problem.nstruct - 1 do
+    for k = p.Problem.col_start.(j) to p.Problem.col_start.(j + 1) - 1 do
+      entry j p.Problem.row_idx.(k) p.Problem.col_val.(k)
     done
+  done;
+  for i = 0 to p.Problem.nrows - 1 do
+    entry (p.Problem.nstruct + i) i 1.
   done;
   List.iteri
     (fun k (terms, width) ->

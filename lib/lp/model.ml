@@ -7,7 +7,8 @@ type var = int
 (* Variables and rows live in growable arrays whose first [nvars] / [nrows]
    slots are in use. Row [i]'s terms are the slots [row_start.(i)] to
    [row_start.(i + 1) - 1] of one row-major buffer, unmerged and in the
-   order [Expr.iter_sub] lists [lhs - rhs]; [Problem.of_rows] merges them. *)
+   order they were appended; [Problem.of_rows] merges them. The slots from
+   [row_start.(nrows)] to [nterms - 1] are the row being built. *)
 type t = {
   mutable nvars : int;
   mutable lbs : float array;
@@ -80,20 +81,19 @@ let create () =
 
 let scope t id f =
   let outer = t.scope and var_ord = t.var_ord and row_ord = t.row_ord in
-  let restore () =
-    t.scope <- outer;
-    t.var_ord <- var_ord;
-    t.row_ord <- row_ord
-  in
   t.scope <- child_scope outer id;
   t.var_ord <- 0;
   t.row_ord <- 0;
   match f () with
   | v ->
-    restore ();
+    t.scope <- outer;
+    t.var_ord <- var_ord;
+    t.row_ord <- row_ord;
     v
   | exception e ->
-    restore ();
+    t.scope <- outer;
+    t.var_ord <- var_ord;
+    t.row_ord <- row_ord;
     raise e
 
 let add_var ?(lb = 0.) ?(ub = infinity) t =
@@ -110,7 +110,7 @@ let add_var ?(lb = 0.) ?(ub = infinity) t =
   t.var_ord <- t.var_ord + 1;
   i
 
-let add_term t j c =
+let term t j c =
   let k = t.nterms in
   if k = Array.length t.term_var then begin
     t.term_var <- resize t.term_var (grown k) 0;
@@ -120,7 +120,7 @@ let add_term t j c =
   t.term_coef.(k) <- c;
   t.nterms <- k + 1
 
-let add_row t lhs rhs sense =
+let close_row t sense ~lhs ~rhs =
   let i = t.nrows in
   if i = Array.length t.senses then begin
     t.senses <- resize t.senses (grown i) Problem.Le;
@@ -128,13 +128,18 @@ let add_row t lhs rhs sense =
     t.row_keys <- resize t.row_keys (grown i) 0;
     t.row_start <- resize t.row_start (grown i + 1) 0
   end;
-  Expr.iter_sub (add_term t) lhs rhs;
   t.senses.(i) <- sense;
-  t.rhs.(i) <- -.(Expr.constant lhs -. Expr.constant rhs);
+  t.rhs.(i) <- -.(lhs -. rhs);
   t.row_keys.(i) <- row_key t.scope t.row_ord;
   t.row_start.(i + 1) <- t.nterms;
   t.row_ord <- t.row_ord + 1;
   t.nrows <- i + 1
+
+(* The [Expr] front-end: a row's terms in the order [Expr.iter_sub] lists
+   [lhs - rhs], then both constants. *)
+let add_row t lhs rhs sense =
+  Expr.iter_sub (term t) lhs rhs;
+  close_row t sense ~lhs:(Expr.constant lhs) ~rhs:(Expr.constant rhs)
 
 let le t lhs rhs = add_row t lhs rhs Problem.Le
 let ge t lhs rhs = add_row t lhs rhs Problem.Ge

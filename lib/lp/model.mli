@@ -25,13 +25,47 @@ val add_var : ?lb:float -> ?ub:float -> t -> var
 (** New variable. [lb] defaults to [0.], [ub] to [infinity]. Use
     [~lb:neg_infinity] for free variables. *)
 
+(** {2 Rows}
+
+    A row is built by appending its terms ({!term}) and then closing it
+    ({!close_row}); the terms appended since the last close are the row
+    being built. {!le}, {!ge} and {!eq} do both for an [Expr] constraint.
+    A formulation that builds the same rows every interval may stream them
+    through the primitive instead, without building an [Expr]. Such a
+    stream builds the same problem as the [Expr] form, bit for bit, when it
+    keeps:
+    - the creation order and scopes: variables and rows are made in the
+      same order, each in the same {!scope}, so they get the same indices
+      and keys;
+    - the order of a repeated variable's terms: a variable that occurs
+      more than once in a row has its coefficients summed in the order
+      they were appended, so they must be appended in the order
+      {!Expr.iter_sub} lists them for [lhs - rhs] (the order of terms on
+      different variables does not matter);
+    - each coefficient's bits: a term of [rhs] goes in as [-1. *. c], as
+      {!Expr.iter_sub} negates it;
+    - both constants, with their signs of zero: the right-hand side is
+      [-.(lhs -. rhs)], so a constant of [-0.] and one of [0.] give
+      different rows. *)
+
+val term : t -> var -> float -> unit
+(** [term t x c] appends [c * x] to the row being built. *)
+
+val close_row : t -> Problem.sense -> lhs:float -> rhs:float -> unit
+(** [close_row t sense ~lhs ~rhs] closes the row being built as
+    [terms + lhs <sense> rhs], [lhs] and [rhs] being the constants of its
+    two sides; the stored right-hand side is [-.(lhs -. rhs)]. The row's
+    key comes from the current scope. A variable that occurs more than
+    once in the row has its coefficients summed when the model is solved,
+    in the order they were appended, and drops out of the row if they sum
+    to 0. *)
+
 val le : t -> Expr.t -> Expr.t -> unit
-(** [le t lhs rhs] adds [lhs <= rhs], as the row [lhs - rhs <= 0], its
-    terms kept unmerged. A variable that occurs more than once in the row
-    has its coefficients summed when the model is solved, in the order the
-    row was built (the order {!Expr.terms} sums them in for
-    [Expr.sub lhs rhs]), and drops out of the row if they sum to 0. The
-    same holds for {!ge} and {!eq}. *)
+(** [le t lhs rhs] adds [lhs <= rhs]: it appends the terms of
+    [lhs - rhs] unmerged, in the order {!Expr.iter_sub} lists them (the
+    order {!Expr.terms} sums a repeated variable in), and closes the row
+    with both expressions' constants. The same holds for {!ge} and
+    {!eq}. *)
 
 val ge : t -> Expr.t -> Expr.t -> unit
 val eq : t -> Expr.t -> Expr.t -> unit

@@ -3,8 +3,9 @@
     A problem is [minimise obj . x] subject to [A x + s = rhs] and
     [lb <= x <= ub], where one slack variable [s_i] is appended per row with
     bounds encoding the row sense ([<=] gives [0 <= s], [>=] gives [s <= 0],
-    [=] gives [s = 0]). Columns are stored sparsely. Infinite bounds are
-    [neg_infinity] / [infinity]. *)
+    [=] gives [s = 0]). The structural part of [A] is one flat compressed
+    sparse column (CSC) matrix; the slacks' unit columns are implicit.
+    Infinite bounds are [neg_infinity] / [infinity]. *)
 
 type sense = Le | Ge | Eq
 
@@ -12,8 +13,13 @@ type t = private {
   nstruct : int;  (** number of structural (user) variables *)
   ncols : int;  (** [nstruct + nrows]: structural then slack columns *)
   nrows : int;
-  col_rows : int array array;  (** per column: row indices of nonzeros *)
-  col_vals : float array array;  (** per column: matching coefficients *)
+  col_start : int array;
+      (** length [nstruct + 1]: structural column [j]'s nonzeros are
+          positions [col_start.(j)] to [col_start.(j + 1) - 1] of
+          [row_idx] and [col_val], sorted by row. Slack column
+          [nstruct + i] is row [i]'s unit column and is not stored. *)
+  row_idx : int array;  (** row index of each nonzero, length [col_start.(nstruct)] *)
+  col_val : float array;  (** coefficient of each nonzero, never 0 *)
   lb : float array;  (** length [ncols] *)
   ub : float array;
   obj : float array;  (** minimisation costs, length [ncols] (slacks are 0) *)
@@ -41,10 +47,11 @@ val of_rows :
     row arrays may be longer than [nrows] needs; none of the arrays is
     kept.
 
-    One counting sort fills every column, sorted by row. A variable
-    repeated in a row is summed into one entry in input order, and dropped
-    if the sum is 0; a zero term is ignored. Raises [Invalid_argument] on
-    malformed input (bad index, [lb > ub], NaN). *)
+    One counting sort fills the flat columns, each sorted by row, into
+    three arrays whatever the problem's size. A variable repeated in a row
+    is summed into one entry in input order, and dropped if the sum is 0; a
+    zero term is ignored. Raises [Invalid_argument] on malformed input (bad
+    index, [lb > ub], NaN). *)
 
 type rows = {
   row_start : int array;  (** length [nrows + 1] *)
@@ -97,9 +104,12 @@ val remap_basis : basis -> nstruct:int -> keys:int array -> basis * bool
     status, a new structural column starts nonbasic at a bound
     ([Bs_lower]) and a new row gets a basic slack. Columns are never
     matched by position. The flag is [true] when the layouts differ; equal
-    key arrays return [b] unchanged. The result may hold more or fewer
-    basic columns than rows, or a singular set of them: {!Revised.solve}
-    repairs both. *)
+    key arrays return [b] unchanged. A key [b] holds more than once maps
+    to its last occurrence. The old keys are looked up in one flat
+    open-addressing table (linear probing from the key's low bits), with
+    no per-key allocation. The result may hold more or fewer basic columns
+    than rows, or a singular set of them: {!Revised.solve} repairs
+    both. *)
 
 type solver_stats = {
   phase1_iterations : int;

@@ -115,6 +115,9 @@ type state = {
   vstat : vstat array;
   xval : float array;
   mutable lu : Sparse_lu.t option; (* None only before the first factorisation *)
+  mutable g_start : int array; (* the basis columns gathered for [Sparse_lu.factorise] *)
+  mutable g_idx : int array;
+  mutable g_val : float array;
   work : float array; (* scratch, length m *)
   rwork : float array;
   cand : int array; (* candidate-list pricing: variable indices *)
@@ -126,12 +129,11 @@ type state = {
   acc : acc;
 }
 
-let col_rows st j =
-  if j < st.p.Problem.ncols then st.p.Problem.col_rows.(j) else [| j - st.p.Problem.ncols |]
-
-let col_vals st j =
-  if j < st.p.Problem.ncols then st.p.Problem.col_vals.(j)
-  else [| st.art_sign.(j - st.p.Problem.ncols) |]
+(* Column [j] of [A I Art] is a structural column's segment of the
+   problem's flat CSC ([j < nstruct]), slack [nstruct + i]'s unit column
+   on row [i], or artificial [ncols + i]'s column on row [i] with entry
+   [art_sign.(i)]. Where a unit entry multiplies a value [x], the code
+   below writes [x]: [1. *. x] is [x] exactly. *)
 
 (* rhs - (sum of nonbasic columns at their values), the vector whose image
    under B^-1 gives the basic values. *)
@@ -141,12 +143,20 @@ let residual st out =
   for j = 0 to st.n - 1 do
     if st.vstat.(j) <> Basic then begin
       let xj = st.xval.(j) in
-      if xj <> 0. then begin
-        let rows = col_rows st j and vals = col_vals st j in
-        for k = 0 to Array.length rows - 1 do
-          out.(rows.(k)) <- out.(rows.(k)) -. (vals.(k) *. xj)
-        done
-      end
+      if xj <> 0. then
+        if j < p.Problem.nstruct then
+          for k = p.Problem.col_start.(j) to p.Problem.col_start.(j + 1) - 1 do
+            let i = p.Problem.row_idx.(k) in
+            out.(i) <- out.(i) -. (p.Problem.col_val.(k) *. xj)
+          done
+        else if j < p.Problem.ncols then begin
+          let i = j - p.Problem.nstruct in
+          out.(i) <- out.(i) -. xj
+        end
+        else begin
+          let i = j - p.Problem.ncols in
+          out.(i) <- out.(i) -. (st.art_sign.(i) *. xj)
+        end
     end
   done
 
@@ -169,10 +179,13 @@ let ftran_vec st w =
 (* w = B^-1 a_j: scatter the sparse column, then FTRAN. *)
 let ftran st j w =
   Array.fill w 0 st.m 0.;
-  let rows = col_rows st j and vals = col_vals st j in
-  for k = 0 to Array.length rows - 1 do
-    w.(rows.(k)) <- vals.(k)
-  done;
+  let p = st.p in
+  if j < p.Problem.nstruct then
+    for k = p.Problem.col_start.(j) to p.Problem.col_start.(j + 1) - 1 do
+      w.(p.Problem.row_idx.(k)) <- p.Problem.col_val.(k)
+    done
+  else if j < p.Problem.ncols then w.(j - p.Problem.nstruct) <- 1.
+  else w.(j - p.Problem.ncols) <- st.art_sign.(j - p.Problem.ncols);
   ftran_vec st w
 
 (* y := B^-T y. *)
@@ -227,6 +240,48 @@ let rest_at_bound ~lb ~ub vstat xval j =
     xval.(j) <- 0.
   end
 
+(* The first [ncols] columns of [cols], gathered into the state's flat
+   buffers (grown as needed, kept for the solve's later
+   refactorisations). *)
+let gather st cols ncols =
+  let p = st.p in
+  let nnz = ref 0 in
+  for k = 0 to ncols - 1 do
+    let j = cols.(k) in
+    nnz :=
+      !nnz
+      + if j < p.Problem.nstruct then p.Problem.col_start.(j + 1) - p.Problem.col_start.(j) else 1
+  done;
+  if Array.length st.g_start <= ncols then st.g_start <- Array.make (2 * (ncols + 1)) 0;
+  if Array.length st.g_idx < !nnz then begin
+    st.g_idx <- Array.make (2 * !nnz) 0;
+    st.g_val <- Array.make (2 * !nnz) 0.
+  end;
+  let g_idx = st.g_idx and g_val = st.g_val in
+  let t = ref 0 in
+  for k = 0 to ncols - 1 do
+    st.g_start.(k) <- !t;
+    let j = cols.(k) in
+    if j < p.Problem.nstruct then
+      for e = p.Problem.col_start.(j) to p.Problem.col_start.(j + 1) - 1 do
+        g_idx.(!t) <- p.Problem.row_idx.(e);
+        g_val.(!t) <- p.Problem.col_val.(e);
+        incr t
+      done
+    else begin
+      if j < p.Problem.ncols then begin
+        g_idx.(!t) <- j - p.Problem.nstruct;
+        g_val.(!t) <- 1.
+      end
+      else begin
+        g_idx.(!t) <- j - p.Problem.ncols;
+        g_val.(!t) <- st.art_sign.(j - p.Problem.ncols)
+      end;
+      incr t
+    end
+  done;
+  st.g_start.(ncols) <- !t
+
 (* Rebuild the LU factorisation from the basis columns [cols]. Markowitz
    ordering inside {!Sparse_lu} replaces the old fewest-nonzeros-first
    Gauss-Jordan sweep. With [~complete], rows left unpivoted by [cols] are
@@ -238,16 +293,13 @@ let rest_at_bound ~lb ~ub vstat xval j =
    Returns false -- leaving the previous factorisation and basis in place
    -- if the basis matrix is (numerically) singular, which repair mode
    never reports. *)
-let refactorise_cols ?(repair = false) st cols ~complete =
-  let cols = Array.of_list cols in
-  (* Filled in place: [Array.map] would seed the array with its first
-     (young) pair, and the runtime empties the minor heap before it
-     allocates an array longer than 256 words around a young block. *)
-  let sparse = Array.make (Array.length cols) ([||], [||]) in
-  Array.iteri (fun k j -> sparse.(k) <- (col_rows st j, col_vals st j)) cols;
+let refactorise_cols st cols ~complete ~repair =
+  let ncols = Array.length cols in
+  gather st cols ncols;
   match
     Obs.with_span "revised.refactor" (fun () ->
-        Sparse_lu.factorise ~repair ~m:st.m ~complete sparse)
+        Sparse_lu.factorise ~repair ~m:st.m ~complete ~ncols ~col_start:st.g_start
+          ~row_idx:st.g_idx ~col_val:st.g_val)
   with
   | None -> false
   | Some { Sparse_lu.lu; row_of_col; completed_rows; rejected } ->
@@ -267,26 +319,26 @@ let refactorise_cols ?(repair = false) st cols ~complete =
     ignore (recompute_basics st);
     true
 
-let refactorise st = refactorise_cols st (Array.to_list st.basic) ~complete:false
+let refactorise st = refactorise_cols st st.basic ~complete:false ~repair:false
 
 (* ------------------------------------------------------------------ *)
 (* Pricing and pivoting                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Reduced cost of column [j] under duals [y]. An artificial column is its
-   sign in its own row, priced without building its arrays; the arithmetic
-   is the loop's for that one entry. Inlined, so pricing never boxes it. *)
+(* Reduced cost of column [j] under duals [y]; a slack or artificial column
+   is its one entry. Inlined, so pricing never boxes it. *)
 let[@inline] reduced_cost st y j =
-  let ncols = st.p.Problem.ncols in
-  if j >= ncols then st.cost.(j) -. (st.art_sign.(j - ncols) *. y.(j - ncols))
-  else begin
-    let rows = st.p.Problem.col_rows.(j) and vals = st.p.Problem.col_vals.(j) in
+  let p = st.p in
+  if j < p.Problem.nstruct then begin
+    let row_idx = p.Problem.row_idx and col_val = p.Problem.col_val in
     let acc = ref st.cost.(j) in
-    for k = 0 to Array.length rows - 1 do
-      acc := !acc -. (Array.unsafe_get vals k *. Array.unsafe_get y (Array.unsafe_get rows k))
+    for k = p.Problem.col_start.(j) to p.Problem.col_start.(j + 1) - 1 do
+      acc := !acc -. (Array.unsafe_get col_val k *. Array.unsafe_get y (Array.unsafe_get row_idx k))
     done;
     !acc
   end
+  else if j < p.Problem.ncols then st.cost.(j) -. y.(j - p.Problem.nstruct)
+  else st.cost.(j) -. (st.art_sign.(j - p.Problem.ncols) *. y.(j - p.Problem.ncols))
 
 type pricing_result = No_candidate | Enter of int * float (* variable, direction *)
 
@@ -583,6 +635,9 @@ let make_state acc (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
     vstat;
     xval;
     lu = None;
+    g_start = [||];
+    g_idx = [||];
+    g_val = [||];
     work = Array.make m 0.;
     rwork = Array.make m 0.;
     cand = Array.make candidate_list_size 0;
@@ -650,19 +705,28 @@ let warm_state acc (p : Problem.t) (b : Problem.basis) =
   Array.blit p.Problem.ub 0 ub 0 ncols;
   let vstat = Array.make n At_lower in
   let xval = Array.make n 0. in
-  let cols = ref [] in
-  for j = ncols - 1 downto 0 do
+  let nbasic = ref 0 in
+  for j = 0 to ncols - 1 do
     match b.Problem.statuses.(j) with
     | Problem.Bs_basic ->
       vstat.(j) <- Basic;
-      cols := j :: !cols
+      incr nbasic
     | Problem.Bs_upper when Float.is_finite ub.(j) ->
       vstat.(j) <- At_upper;
       xval.(j) <- ub.(j)
     | Problem.Bs_upper | Problem.Bs_lower | Problem.Bs_free -> rest_at_bound ~lb ~ub vstat xval j
   done;
+  (* The basic columns in increasing order. *)
+  let cols = Array.make !nbasic 0 in
+  let k = ref 0 in
+  for j = 0 to ncols - 1 do
+    if vstat.(j) = Basic then begin
+      cols.(!k) <- j;
+      incr k
+    end
+  done;
   let st = make_state acc p ~lb ~ub ~vstat ~xval ~art_sign:(Array.make m 1.) in
-  let factorised = refactorise_cols st !cols ~complete:true ~repair:true in
+  let factorised = refactorise_cols st cols ~complete:true ~repair:true in
   assert factorised;
   st
 

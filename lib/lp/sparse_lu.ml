@@ -189,8 +189,7 @@ let workspace m =
    different domains never share it. *)
 let scratch : workspace ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (workspace 0))
 
-let factorise ?(repair = false) ~m ~complete cols =
-  let ncols = Array.length cols in
+let factorise ~repair ~m ~complete ~ncols ~col_start ~row_idx ~col_val =
   let complete = complete || repair in
   if (not complete) && ncols <> m then invalid_arg "Sparse_lu.factorise: need m columns";
   if ncols > m && not repair then invalid_arg "Sparse_lu.factorise: more columns than rows";
@@ -215,17 +214,17 @@ let factorise ?(repair = false) ~m ~complete cols =
     row_pivoted.(r) <- false
   done;
   let orig_nnz = ref 0 in
-  Array.iteri
-    (fun k (rows, vals) ->
-      for t = 0 to Array.length rows - 1 do
-        if vals.(t) <> 0. then begin
-          dyn_push col.(k) rows.(t) vals.(t);
-          rowcnt.(rows.(t)) <- rowcnt.(rows.(t)) + 1;
-          idyn_push rowcols.(rows.(t)) k;
-          incr orig_nnz
-        end
-      done)
-    cols;
+  for k = 0 to ncols - 1 do
+    for t = col_start.(k) to col_start.(k + 1) - 1 do
+      let r = row_idx.(t) and v = col_val.(t) in
+      if v <> 0. then begin
+        dyn_push col.(k) r v;
+        rowcnt.(r) <- rowcnt.(r) + 1;
+        idyn_push rowcols.(r) k;
+        incr orig_nnz
+      end
+    done
+  done;
   (* Exact count lists. [low]/[high] bound the nonempty range so the pivot
      search starts at the sparsest populated count. *)
   let head = ws.w_head and nxt = ws.w_nxt and prv = ws.w_prv and lcnt = ws.w_lcnt in
@@ -264,8 +263,9 @@ let factorise ?(repair = false) ~m ~complete cols =
     done;
     c.len <- 0;
     col_pivoted.(k) <- true;
-    let _, vals = cols.(k) in
-    Array.iter (fun v -> if v <> 0. then decr orig_nnz) vals;
+    for t = col_start.(k) to col_start.(k + 1) - 1 do
+      if col_val.(t) <> 0. then decr orig_nnz
+    done;
     rejected := k :: !rejected;
     decr remaining
   in

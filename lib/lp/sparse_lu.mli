@@ -34,22 +34,29 @@ type factor_result = {
 }
 
 val factorise :
-  ?repair:bool ->
+  repair:bool ->
   m:int ->
   complete:bool ->
-  (int array * float array) array ->
+  ncols:int ->
+  col_start:int array ->
+  row_idx:int array ->
+  col_val:float array ->
   factor_result option
-(** [factorise ~m ~complete cols] factorises the matrix whose [k]-th column
-    has the given sparse rows/values. With [~complete:false] exactly [m] columns must be supplied
-    and all must pivot; with [~complete:true] at most [m] columns are
-    supplied, all of them must pivot, and any rows left unpivoted are covered
-    by implicit unit columns (reported in [completed_rows]) — the
-    rank-completion used by warm starts. Returns [None] if any supplied
-    column cannot be pivoted (structurally or numerically singular basis) —
-    including columns with no entries at all (zero-nnz, or every value an
-    explicit [0.]); no exception escapes for any input of valid dimensions.
+(** [factorise ~repair:false ~m ~complete ~ncols ~col_start ~row_idx
+    ~col_val] factorises the matrix of [ncols] columns given in flat compressed
+    sparse column form: column [k]'s entries are positions [col_start.(k)]
+    to [col_start.(k + 1) - 1] of [row_idx] (rows) and [col_val] (values).
+    The arrays may be longer than the columns need, and none is kept. With
+    [~complete:false] exactly [m] columns must be supplied and all must
+    pivot; with [~complete:true] at most [m] columns are supplied, all of
+    them must pivot, and any rows left unpivoted are covered by implicit
+    unit columns (reported in [completed_rows]) — the rank-completion used
+    by warm starts. Returns [None] if any supplied column cannot be
+    pivoted (structurally or numerically singular basis) — including
+    columns with no entries at all (zero-nnz, or every value an explicit
+    [0.]); no exception escapes for any input of valid dimensions.
 
-    [~repair:true] (default [false]) is the mode for a warm-start basis
+    [~repair:true] is the mode for a warm-start basis
     mapped from another LP: any number of columns may be supplied, a column
     that cannot be pivoted — empty, or dependent on the columns pivoted
     before it — is skipped and listed in [rejected], and rank completion
@@ -58,7 +65,7 @@ val factorise :
     form a nonsingular basis.
 
     The factorisation's scratch is kept per domain and grown to the
-    largest [max m (Array.length cols)] a call has needed, so the dozens of
+    largest [max m ncols] a call has needed, so the dozens of
     refactorisations of a simplex solve allocate it once. A call resets
     what it reads and the returned factors never alias it, so a result
     never depends on earlier calls; domains never share it, so

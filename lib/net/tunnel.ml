@@ -37,9 +37,17 @@ let intermediate_switches t =
   | _dst :: rev_rest -> (
     match List.rev rev_rest with [] -> [] | _src :: mid -> mid)
 
+(* The path's switches are [src] and each link's [dst]: one walk over the
+   links checks both, with no list of switches built. *)
+let rec links_survive failed_links failed_switches = function
+  | [] -> true
+  | (l : Topology.link) :: rest ->
+    (not (failed_links l.Topology.id))
+    && (not (failed_switches l.Topology.dst))
+    && links_survive failed_links failed_switches rest
+
 let survives t ~failed_links ~failed_switches =
-  (not (List.exists (fun (l : Topology.link) -> failed_links l.Topology.id) t.links))
-  && not (List.exists failed_switches (switches t))
+  (not (failed_switches t.src)) && links_survive failed_links failed_switches t.links
 
 let latency_ms t =
   List.fold_left (fun acc (l : Topology.link) -> acc +. l.Topology.delay_ms) 0. t.links

@@ -12,9 +12,14 @@ type t = {
 }
 
 (* Lognormal by median and shape, clamped to a maximum (measured
-   distributions have bounded support in the paper's figures). *)
-let lognormal_clamped ~median ~sigma ~max_s rng =
-  min max_s (Rng.lognormal rng ~mu:(log median) ~sigma)
+   distributions have bounded support in the paper's figures). The
+   sampler takes [log median] once; [min max_s x] is written out, without
+   the polymorphic comparison's boxing. *)
+let lognormal_clamped ~median ~sigma ~max_s =
+  let mu = log median in
+  fun rng ->
+    let x = Rng.lognormal rng ~mu ~sigma in
+    if max_s <= x then max_s else x
 
 let realistic () =
   {

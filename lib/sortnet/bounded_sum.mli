@@ -29,6 +29,71 @@
 
 type encoding = [ `Sorting_network | `Duality ]
 
+(** {2 Streamed form}
+
+    The one implementation of each encoding. The elements are read through
+    closures and [Y]'s terms handed to [emit], so a formulation that
+    builds these rows every interval streams them through
+    {!Ffc_lp.Model.term} and {!Ffc_lp.Model.close_row} without building
+    an {!Ffc_lp.Expr.t}. *)
+
+type elements = {
+  count : int;
+  id : int -> int;  (** element [i]'s scope id (see Keys below) *)
+  iter : int -> (Ffc_lp.Model.var -> float -> unit) -> unit;
+      (** [iter i f] calls [f x c] on each term [c * x] of element [i]; a
+          variable repeated within an element has its terms summed in
+          this order in every row *)
+  constant : int -> float;  (** element [i]'s constant *)
+}
+(** [count] linear expressions [x_0 .. x_{count-1}]. *)
+
+val emit_largest :
+  ?encoding:encoding ->
+  Ffc_lp.Model.t ->
+  elements ->
+  int ->
+  emit:(Ffc_lp.Model.var -> float -> unit) ->
+  float
+(** [emit_largest model xs m ~emit] adds the encoding's auxiliary
+    variables and rows to [model], then calls [emit] on each term of an
+    expression [Y] with [Y >= sum of the m largest xs] in any feasible
+    point, tight at optimality, and returns [Y]'s constant. If
+    [m >= xs.count], [Y] is the plain sum (each element's terms in turn,
+    constants added up from [0.]); if [m <= 0], [Y] is [0.] with no term.
+    Default encoding is [`Sorting_network]. No row may be open when it is
+    called (its rows would take that row's terms); passing
+    [Model.term model] as [emit] then starts the caller's row with [Y].
+    The rows are bit-identical to the ones the [Expr] form below builds
+    (the same variables and rows in the same order and scopes, the same
+    coefficient and constant bits), except that a variable repeated
+    within one element is summed in [iter]'s order, where the [Expr] form
+    varies the order by row.
+
+    Keys ({!Ffc_lp.Model.scope}): the auxiliaries go into the current
+    scope, those built for element [i] into its child scope [id i] (the
+    sorting network nests them under one child scope per pass,
+    [0 .. m-1]). Naming elements by the entity they stand for keeps their
+    keys when other elements come and go between builds. Call it inside a
+    scope of its own when the surrounding scope has other children. *)
+
+val emit_smallest :
+  ?encoding:encoding ->
+  Ffc_lp.Model.t ->
+  elements ->
+  int ->
+  emit:(Ffc_lp.Model.var -> float -> unit) ->
+  float
+(** [emit_smallest model xs m ~emit] emits [Y <= sum of the m smallest
+    xs], tight at optimality; intended for [Y >= bound] constraints. As
+    {!emit_largest} otherwise. *)
+
+(** {2 Expression form}
+
+    A wrapper over the streamed form for formulations written with
+    {!Ffc_lp.Expr} ({!Rate_limiter}, {!Update_plan}, {!Demand_robust} in
+    [ffc_core]). *)
+
 val sum_largest :
   ?encoding:encoding ->
   ?ids:int list ->
@@ -38,17 +103,12 @@ val sum_largest :
   Ffc_lp.Expr.t
 (** [sum_largest model xs m] adds auxiliary variables/constraints to [model]
     and returns an expression [Y] with [Y >= sum of the m largest xs] in any
-    feasible point, tight at optimality. If [m >= length xs] the plain sum is
-    returned; if [m <= 0], the zero expression. Default encoding is
-    [`Sorting_network].
-
-    Keys ({!Ffc_lp.Model.scope}): the auxiliaries go into the current scope,
-    those built for element [x_i] into its child scope [ids_i] (default:
-    [i]; the sorting network nests them under one child scope per pass,
-    [0 .. m-1]). Naming elements by the entity they stand for keeps their
-    keys when other elements come and go between builds. Call it inside a
-    scope of its own when the surrounding scope has other children. Raises
-    [Invalid_argument] if [ids] and [xs] differ in length. *)
+    feasible point, tight at optimality. If [m >= length xs] the plain sum
+    ([Expr.sum xs]) is returned; if [m <= 0], the zero expression. Default
+    encoding is [`Sorting_network]. Element [x_i] is scoped by [ids_i]
+    (default: [i]) as in {!emit_largest}, and its terms are read in
+    {!Ffc_lp.Expr.iter_sub}'s order. Raises [Invalid_argument] if [ids] and
+    [xs] differ in length. *)
 
 val sum_smallest :
   ?encoding:encoding ->

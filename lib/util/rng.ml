@@ -1,34 +1,42 @@
-type t = { mutable state : int64 }
+(* The whole generator is one 64-bit word, held unboxed in an 8-byte
+   buffer: a draw reads and writes it in place, where a mutable [int64]
+   field would box a fresh state at every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+(* The generator is its one word, which is what makes crash-recovery
+   journaling of RNG-bearing components trivial: persist [to_state],
+   rebuild with [of_state], and the stream continues bit-for-bit. *)
+let to_state t = Bytes.get_int64_le t 0
+
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* SplitMix64 finaliser (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix state
 
 let split t =
   let seed = int64 t in
   let gamma = int64 t in
   (* Any odd gamma works; fold it into the state to decorrelate streams. *)
-  { state = Int64.logxor seed (Int64.logor gamma 1L) }
+  of_state (Int64.logxor seed (Int64.logor gamma 1L))
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
-(* The whole generator is one int64, which is what makes crash-recovery
-   journaling of RNG-bearing components trivial: persist [to_state],
-   rebuild with [of_state], and the stream continues bit-for-bit. *)
-let to_state t = t.state
-let of_state state = { state }
-
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits /. 9007199254740992. *. bound
@@ -58,7 +66,9 @@ let uniform t lo hi =
   if hi <= lo then lo else lo +. float t (hi -. lo)
 
 let gaussian t ~mu ~sigma =
-  let u1 = max 1e-300 (float t 1.0) in
+  (* [max 1e-300 u], without the polymorphic comparison's boxing. *)
+  let u = float t 1.0 in
+  let u1 = if 1e-300 >= u then 1e-300 else u in
   let u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
 

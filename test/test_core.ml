@@ -660,6 +660,68 @@ let test_form_digests_pinned () =
            Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Sorting_network () );
        ])
 
+(* Allocation tripwires: per-element allocation creeping back into the
+   warm re-solve path fails [dune runtest]. Minor words are counted with
+   [Gc.minor_words] around deterministic work on one domain; arrays longer
+   than 256 words are allocated outside the minor heap and do not count. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+(* [Model.to_problem] on the L-Net FFC (2,1,0) LP (edgebench's
+   configuration, calibrated demands, basic TE as the previous
+   allocation) allocates fewer minor words than the LP has columns: its
+   columns are three flat arrays whatever the LP's size. *)
+let test_to_problem_allocation () =
+  let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Ffc_sim.Scenario.input in
+  let prev = match Basic_te.solve input with Ok a -> a | Error e -> Alcotest.fail e in
+  let config =
+    Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Duality
+      ~mice_fraction:0. ~ingress_skip_fraction:0. ()
+  in
+  let vars = Ffc.build ~config ~prev input in
+  let model = vars.Formulation.model in
+  Ffc_lp.Model.maximize model (Formulation.total_rate_expr vars);
+  let p, words = minor_words (fun () -> Ffc_lp.Model.to_problem ~presolve:false model) in
+  let ncols = match p with Some (p, _) -> p.Ffc_lp.Problem.ncols | None -> Alcotest.fail "presolve off" in
+  Printf.printf "to_problem: %.0f minor words for %d columns\n" words ncols;
+  if not (words < float_of_int ncols) then
+    Alcotest.failf "to_problem allocated %.0f minor words for %d columns" words ncols
+
+(* Steps 20-30 of a seeded warm [Controller.step] chain on default L-Net
+   (calibrated demands, audit on) allocate at most [bound] minor words. *)
+let step_chain_words mode =
+  let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Ffc_sim.Scenario.input in
+  let series = Ffc_sim.Scenario.demand_series (Rng.create 7) sc ~scale:1.0 ~intervals:30 in
+  let ctrl = Controller.create (Controller.config ~audit_seed:1 mode) in
+  let prev = ref (Te_types.zero_allocation input) in
+  let step demands =
+    let s = Controller.step ctrl { input with Te_types.demands } ~prev:!prev in
+    prev := s.Controller.alloc
+  in
+  Array.iteri (fun i d -> if i < 20 then step d) series;
+  snd (minor_words (fun () -> Array.iteri (fun i d -> if i >= 20 then step d) series))
+
+let test_step_allocation () =
+  let ffc_210 _ =
+    Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Duality
+      ~mice_fraction:0. ~ingress_skip_fraction:0. ()
+  in
+  List.iter
+    (fun (name, mode, bound) ->
+      let words = step_chain_words mode in
+      Printf.printf "%s: %.0f minor words over steps 20-30 (bound %.0f)\n" name words bound;
+      if words > bound then
+        Alcotest.failf "%s: steps 20-30 allocated %.0f minor words, above %.0f" name words bound)
+    [
+      ("FFC (2,1,0) duality", Controller.Ffc_ladder ffc_210, infinity);
+      ("basic TE", Controller.Basic, infinity);
+    ]
+
 (* Bland mode's leaving rule. The model [ffc solve --network snet --kc 1
    --objective mlu] builds (S-Net seed 42, basic TE as [prev]) is rebuilt
    here with the same calls as {!Mlu_te.solve}. Solved with presolve off,
@@ -745,6 +807,11 @@ let () =
           case "basis carries across a skip-rule change" test_ffc_warm_across_skip_change;
           case "pinned pivot counts along a warm chain" test_ffc_warm_chain_pinned;
           case "computational form pinned along a warm chain" test_form_digests_pinned;
+        ] );
+      ( "allocation",
+        [
+          case "to_problem allocates less than a word per column" test_to_problem_allocation;
+          case "warm controller steps within their minor-word bounds" test_step_allocation;
         ] );
       ("simplex", [ case "Bland mode terminates on a degenerate MLU" test_bland_terminates ]);
       ( "properties",

@@ -74,7 +74,8 @@ let problem_of_rows ?obj ~lb ~ub rows =
 (* Columns come out sorted by row. A repeated (row, var) term is summed
    into one entry in input order (1e16, -1e16, 1 gives 1; in reverse order
    it gives 0), a pair that cancels leaves no entry, a zero term is
-   ignored, and each slack is its row's unit column. [Problem.rows] reads
+   ignored, and each slack is its row's implicit unit column, bounded by
+   the row's sense. [Problem.rows] reads
    the same entries back by row, each row sorted by column. *)
 let test_problem_columns () =
   let p =
@@ -86,14 +87,12 @@ let test_problem_columns () =
       ]
   in
   let rows = Alcotest.(array int) and vals = Alcotest.(array (float 0.)) in
-  Alcotest.check rows "x0 rows" [| 0; 1 |] p.Problem.col_rows.(0);
-  Alcotest.check vals "x0 values" [| 1.; 2. |] p.Problem.col_vals.(0);
-  Alcotest.check rows "x1 rows" [| 0; 2 |] p.Problem.col_rows.(1);
-  Alcotest.check vals "x1 values" [| 4.; 7. |] p.Problem.col_vals.(1);
-  for i = 0 to 2 do
-    Alcotest.check rows "slack rows" [| i |] p.Problem.col_rows.(2 + i);
-    Alcotest.check vals "slack values" [| 1. |] p.Problem.col_vals.(2 + i)
-  done;
+  Alcotest.check rows "column starts" [| 0; 2; 4 |] p.Problem.col_start;
+  Alcotest.check rows "x0 then x1 rows" [| 0; 1; 0; 2 |] p.Problem.row_idx;
+  Alcotest.check vals "x0 then x1 values" [| 1.; 2.; 4.; 7. |] p.Problem.col_val;
+  Alcotest.(check int) "slack columns" 5 p.Problem.ncols;
+  Alcotest.check vals "slack lower bounds" [| neg_infinity; 0.; 0. |] (Array.sub p.Problem.lb 2 3);
+  Alcotest.check vals "slack upper bounds" [| 0.; infinity; 0. |] (Array.sub p.Problem.ub 2 3);
   let { Problem.row_start; row_cols; row_vals } = Problem.rows p in
   Alcotest.check rows "row starts" [| 0; 2; 3; 4 |] row_start;
   Alcotest.check rows "row columns" [| 0; 1; 0; 1 |] row_cols;
@@ -534,6 +533,16 @@ let prop_backends_agree_larger =
 (* Sparse LU: FTRAN/BTRAN residuals under column-replacement updates   *)
 (* ------------------------------------------------------------------ *)
 
+(* The tests give columns as [(rows, values)] pairs and flatten them into
+   the form [Sparse_lu.factorise] takes at the call. *)
+let factorise ?(repair = false) ~m ~complete cols =
+  let ncols = Array.length cols in
+  let col_start = Array.make (ncols + 1) 0 in
+  Array.iteri (fun k (rows, _) -> col_start.(k + 1) <- col_start.(k) + Array.length rows) cols;
+  let row_idx = Array.concat (Array.to_list (Array.map fst cols)) in
+  let col_val = Array.concat (Array.to_list (Array.map snd cols)) in
+  Sparse_lu.factorise ~repair ~m ~complete ~ncols ~col_start ~row_idx ~col_val
+
 (* Random strictly diagonally dominant sparse columns: guaranteed
    nonsingular, so [factorise] must succeed and the triangular solves can be
    checked against the dense matrix directly. *)
@@ -592,7 +601,7 @@ let test_sparse_lu_residuals () =
   let rng = Ffc_util.Rng.create 7 in
   let m = 60 in
   let cols = random_dd_cols rng m in
-  match Sparse_lu.factorise ~m ~complete:false cols with
+  match factorise ~m ~complete:false cols with
   | None -> Alcotest.fail "diagonally dominant matrix reported singular"
   | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
     Alcotest.(check (list int)) "full rank, nothing completed" [] completed_rows;
@@ -614,7 +623,7 @@ let test_sparse_lu_update_residuals () =
   let rng = Ffc_util.Rng.create 11 in
   let m = 50 in
   let cols = random_dd_cols rng m in
-  match Sparse_lu.factorise ~m ~complete:false cols with
+  match factorise ~m ~complete:false cols with
   | None -> Alcotest.fail "factorise failed"
   | Some { Sparse_lu.lu; row_of_col; _ } ->
     let b = dense_of_cols m cols row_of_col in
@@ -668,7 +677,7 @@ let test_sparse_lu_rank_completion () =
   let m = 20 in
   let full = random_dd_cols rng m in
   let cols = Array.sub full 0 12 in
-  match Sparse_lu.factorise ~m ~complete:true cols with
+  match factorise ~m ~complete:true cols with
   | None -> Alcotest.fail "completion failed"
   | Some { Sparse_lu.lu; row_of_col; completed_rows; _ } ->
     Alcotest.(check int) "completed count" (m - 12) (List.length completed_rows);
@@ -689,11 +698,11 @@ let test_sparse_lu_rank_completion () =
 let test_sparse_lu_rejects_singular () =
   let dup = ([| 0; 1 |], [| 1.; 2. |]) in
   let cols = [| dup; dup; ([| 2 |], [| 1. |]) |] in
-  (match Sparse_lu.factorise ~m:3 ~complete:false cols with
+  (match factorise ~m:3 ~complete:false cols with
   | None -> ()
   | Some _ -> Alcotest.fail "duplicate columns accepted");
   let tiny = [| ([| 0 |], [| 1e-13 |]); ([| 1 |], [| 1. |]) |] in
-  match Sparse_lu.factorise ~m:2 ~complete:false tiny with
+  match factorise ~m:2 ~complete:false tiny with
   | None -> ()
   | Some _ -> Alcotest.fail "sub-tolerance pivot accepted"
 
@@ -762,7 +771,7 @@ let test_sparse_lu_repair () =
   let over =
     Array.append base [| add_cols base.(0) 1. base.(1); add_cols base.(2) (-3.) base.(3) |]
   in
-  (match Sparse_lu.factorise ~repair:true ~m ~complete:false over with
+  (match factorise ~repair:true ~m ~complete:false over with
   | None -> Alcotest.fail "repair mode returned None (over-full)"
   | Some r ->
     check_one_rejected_per_group r.Sparse_lu.rejected [ [ 0; 1; m ]; [ 2; 3; m + 1 ] ];
@@ -770,11 +779,11 @@ let test_sparse_lu_repair () =
     check_repaired ~m over r);
   Alcotest.check_raises "over-full without repair"
     (Invalid_argument "Sparse_lu.factorise: more columns than rows") (fun () ->
-      ignore (Sparse_lu.factorise ~m ~complete:true over));
+      ignore (factorise ~m ~complete:true over));
   (* A square singular set: c3 = c1 + c2. *)
   let square = Array.copy base in
   square.(3) <- add_cols base.(1) 1. base.(2);
-  (match Sparse_lu.factorise ~repair:true ~m ~complete:false square with
+  (match factorise ~repair:true ~m ~complete:false square with
   | None -> Alcotest.fail "repair mode returned None (singular)"
   | Some r ->
     check_one_rejected_per_group r.Sparse_lu.rejected [ [ 1; 2; 3 ] ];
@@ -782,17 +791,17 @@ let test_sparse_lu_repair () =
     check_repaired ~m square r);
   List.iter
     (fun complete ->
-      match Sparse_lu.factorise ~m ~complete square with
+      match factorise ~m ~complete square with
       | None -> ()
       | Some _ -> Alcotest.failf "singular set accepted without repair (complete=%b)" complete)
     [ false; true ];
   (* Empty columns are rejected too, and a healthy basis loses nothing. *)
-  (match Sparse_lu.factorise ~repair:true ~m:2 ~complete:false [| ([||], [||]); ([| 1 |], [| 1. |]) |] with
+  (match factorise ~repair:true ~m:2 ~complete:false [| ([||], [||]); ([| 1 |], [| 1. |]) |] with
   | Some r ->
     Alcotest.(check (list int)) "empty column rejected" [ 0 ] r.Sparse_lu.rejected;
     Alcotest.(check (list int)) "its row completed" [ 0 ] r.Sparse_lu.completed_rows
   | None -> Alcotest.fail "repair mode returned None (empty column)");
-  match Sparse_lu.factorise ~repair:true ~m ~complete:false base with
+  match factorise ~repair:true ~m ~complete:false base with
   | Some r -> Alcotest.(check (list int)) "healthy basis intact" [] r.Sparse_lu.rejected
   | None -> Alcotest.fail "repair mode returned None (healthy)"
 
@@ -806,7 +815,7 @@ let test_sparse_lu_unit_permutation () =
   let perm = [| 3; 0; 6; 1; 7; 2; 5; 4 |] in
   let m = Array.length perm in
   let cols = Array.map (fun r -> ([| r |], [| 1. |])) perm in
-  match Sparse_lu.factorise ~m ~complete:false cols with
+  match factorise ~m ~complete:false cols with
   | None -> Alcotest.fail "permutation of unit columns reported singular"
   | Some { Sparse_lu.lu; row_of_col; _ } ->
     Alcotest.(check (array int)) "each column pivots on its entry" perm row_of_col;
@@ -848,7 +857,7 @@ let test_sparse_lu_slack_heavy () =
       ([| 0; 8; 9 |], [| 0.25; 1.; 2. |]);
     |]
   in
-  match Sparse_lu.factorise ~m ~complete:false cols with
+  match factorise ~m ~complete:false cols with
   | None -> Alcotest.fail "slack-heavy basis reported singular"
   | Some { Sparse_lu.lu; row_of_col; _ } ->
     let b = dense_of_cols m cols row_of_col in
@@ -1153,6 +1162,54 @@ let test_warm_presolve_row_set_remap () =
       (start.Problem.statuses.(2) = Problem.Bs_basic)
   | _ -> Alcotest.fail "model B not optimal"
 
+(* [Problem.remap_basis]'s flat key table. A key the old basis holds twice
+   maps to its last occurrence. Keys equal in their low bits (the bits that
+   pick a slot) still find their own slots, and a key absent from the old
+   basis probes past them to a new column's start: nonbasic at a bound for
+   a structural column, a basic slack for a row. An identical layout is
+   returned unchanged and not remapped. *)
+let test_remap_flat_table () =
+  let status =
+    Alcotest.testable
+      (fun fmt s ->
+        Format.pp_print_string fmt
+          (match s with
+          | Problem.Bs_basic -> "basic"
+          | Problem.Bs_lower -> "lower"
+          | Problem.Bs_upper -> "upper"
+          | Problem.Bs_free -> "free"))
+      ( = )
+  in
+  let statuses = Alcotest.(array status) in
+  let hi = 1 lsl 40 in
+  let old =
+    {
+      Problem.statuses =
+        [| Problem.Bs_basic; Problem.Bs_upper; Problem.Bs_free; Problem.Bs_lower; Problem.Bs_upper;
+           Problem.Bs_basic |];
+      keys = [| 7; 7 + hi; 7 + (2 * hi); 7; -9; 100 |];
+    }
+  in
+  let remapped, moved =
+    Problem.remap_basis old ~nstruct:4
+      ~keys:[| 7 + (2 * hi); 7; 7 + (3 * hi); 7 + hi; 7 + (4 * hi); -9; 100 |]
+  in
+  Alcotest.(check bool) "remapped" true moved;
+  Alcotest.check statuses "statuses by key"
+    [|
+      Problem.Bs_free (* 7 + 2hi *);
+      Problem.Bs_lower (* 7: its last occurrence *);
+      Problem.Bs_lower (* new structural *);
+      Problem.Bs_upper (* 7 + hi *);
+      Problem.Bs_basic (* new slack *);
+      Problem.Bs_upper (* -9 *);
+      Problem.Bs_basic (* 100 *);
+    |]
+    remapped.Problem.statuses;
+  let same, moved = Problem.remap_basis old ~nstruct:4 ~keys:(Array.copy old.Problem.keys) in
+  Alcotest.(check bool) "identical layout not remapped" false moved;
+  Alcotest.check statuses "identical layout unchanged" old.Problem.statuses same.Problem.statuses
+
 (* Warm re-solves by dual simplex. [blocks k ~cap ~weight] is [k] copies of
    one small LP: maximise [3x + weight y] subject to [x + y <= cap],
    [x + 3y <= 9] and [x <= 3] (a row, so presolve stays off). At [cap = 4],
@@ -1290,19 +1347,19 @@ let test_keys_distinct () =
    access). *)
 let test_sparse_lu_zero_length_column () =
   let zero_col = [| ([| 0 |], [| 0. |]); ([| 1 |], [| 1. |]) |] in
-  (match Sparse_lu.factorise ~m:2 ~complete:false zero_col with
+  (match factorise ~m:2 ~complete:false zero_col with
   | None -> ()
   | Some _ -> Alcotest.fail "explicit-zero column accepted");
   let empty_col = [| ([||], [||]); ([| 1 |], [| 1. |]) |] in
-  (match Sparse_lu.factorise ~m:2 ~complete:false empty_col with
+  (match factorise ~m:2 ~complete:false empty_col with
   | None -> ()
   | Some _ -> Alcotest.fail "empty column accepted");
   (* Rank completion patches uncovered *rows* with unit columns, but a
      supplied zero-length column is singular under either mode. *)
-  (match Sparse_lu.factorise ~m:2 ~complete:true zero_col with
+  (match factorise ~m:2 ~complete:true zero_col with
   | None -> ()
   | Some _ -> Alcotest.fail "explicit-zero column accepted (complete)");
-  (match Sparse_lu.factorise ~m:2 ~complete:true [| ([| 1 |], [| 1. |]) |] with
+  (match factorise ~m:2 ~complete:true [| ([| 1 |], [| 1. |]) |] with
   | Some { Sparse_lu.completed_rows = [ _ ]; _ } -> ()
   | Some _ -> Alcotest.fail "expected exactly one completed row"
   | None -> Alcotest.fail "under-complete basis should be rank-completed");
@@ -1312,7 +1369,7 @@ let test_sparse_lu_zero_length_column () =
   let m = 40 in
   let cols = random_dd_cols (Ffc_util.Rng.create 11) m in
   let solve () =
-    match Sparse_lu.factorise ~m ~complete:false cols with
+    match factorise ~m ~complete:false cols with
     | Some { Sparse_lu.lu; _ } ->
       let w = Array.init m float_of_int in
       Sparse_lu.ftran lu w;
@@ -1320,7 +1377,7 @@ let test_sparse_lu_zero_length_column () =
     | None -> Alcotest.fail "dominant matrix rejected"
   in
   let fresh = Domain.join (Domain.spawn solve) in
-  ignore (Sparse_lu.factorise ~m:2 ~complete:false zero_col);
+  ignore (factorise ~m:2 ~complete:false zero_col);
   Alcotest.(check (array int64)) "reused scratch, same factors" fresh (solve ())
 
 (* Fuzzer-found solver regressions. Each of these once made a backend return
@@ -1534,6 +1591,7 @@ let () =
           case "dimension mismatch falls back" test_warm_dimension_mismatch;
           case "warm survives LU refactorisation" test_warm_survives_refactor;
           case "row-set change remaps by key" test_warm_presolve_row_set_remap;
+          case "remap's flat key table" test_remap_flat_table;
           case "keys distinct across kinds and scopes" test_keys_distinct;
           case "dual re-solve after a rhs change" test_dual_rhs_change;
           case "dual re-solve shifts dual-infeasible costs" test_dual_cost_shift;
