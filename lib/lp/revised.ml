@@ -241,8 +241,9 @@ let rest_at_bound ~lb ~ub vstat xval j =
   end
 
 (* The first [ncols] columns of [cols], gathered into the state's flat
-   buffers (grown as needed, kept for the solve's later
-   refactorisations). *)
+   buffers. They are kept for the solve's later refactorisations and
+   grown to the size a refactorisation needs: most warm solves
+   refactorise once, so a larger buffer would only cost its fill. *)
 let gather st cols ncols =
   let p = st.p in
   let nnz = ref 0 in
@@ -252,10 +253,10 @@ let gather st cols ncols =
       !nnz
       + if j < p.Problem.nstruct then p.Problem.col_start.(j + 1) - p.Problem.col_start.(j) else 1
   done;
-  if Array.length st.g_start <= ncols then st.g_start <- Array.make (2 * (ncols + 1)) 0;
+  if Array.length st.g_start <= ncols then st.g_start <- Array.make (ncols + 1) 0;
   if Array.length st.g_idx < !nnz then begin
-    st.g_idx <- Array.make (2 * !nnz) 0;
-    st.g_val <- Array.make (2 * !nnz) 0.
+    st.g_idx <- Array.make !nnz 0;
+    st.g_val <- Array.make !nnz 0.
   end;
   let g_idx = st.g_idx and g_val = st.g_val in
   let t = ref 0 in

@@ -35,7 +35,9 @@ type elements = {
 let network ~largest model xs m ~emit =
   let n = xs.count in
   let neg_term v c = Model.term model v (-1. *. c) in
-  let append_neg op = if op >= 0 then Model.term model op (-1. *. 1.) else xs.iter (-op - 1) neg_term in
+  let append_neg op =
+    if op >= 0 then Model.term model op (-1. *. 1.) else xs.iter (-op - 1) neg_term
+  in
   let constant op = if op >= 0 then 0. else xs.constant (-op - 1) in
   let sense = if largest then Problem.Ge else Problem.Le in
   let cur = Array.init n (fun i -> -(i + 1)) in
@@ -48,7 +50,7 @@ let network ~largest model xs m ~emit =
               let win = Model.add_var ~lb:neg_infinity model in
               let lose = Model.add_var ~lb:neg_infinity model in
               let a = !acc and x = cur.(i) in
-              (* ge win a, ge win x *)
+              (* ge win a, ge win x (le for the minimum) *)
               Model.term model win 1.;
               append_neg a;
               Model.close_row model sense ~lhs:0. ~rhs:(constant a);
@@ -151,7 +153,9 @@ let expr_sum ~largest ?encoding ?ids model xs m =
       }
     in
     let y = ref Expr.zero in
-    let c = emit_sum ~largest ?encoding model elements m ~emit:(fun v c -> y := Expr.add_term !y c v) in
+    let c =
+      emit_sum ~largest ?encoding model elements m ~emit:(fun v c -> y := Expr.add_term !y c v)
+    in
     Expr.add !y (Expr.const c)
   end
 

@@ -657,7 +657,9 @@ let test_form_digests_pinned () =
          ("FFC (1,1,0) duality, defaults", duality ~kc:1 ~ke:1 ~kv:0 ());
          ("FFC (3,0,1) duality, rescale-aware", duality ~rescale_aware:true ~kc:3 ~ke:0 ~kv:1 ());
          ( "FFC (2,1,0) sorting network",
-           Ffc.config ~protection:(Te_types.protection ~kc:2 ~ke:1 ()) ~encoding:`Sorting_network () );
+           Ffc.config
+             ~protection:(Te_types.protection ~kc:2 ~ke:1 ())
+             ~encoding:`Sorting_network () );
        ])
 
 (* Allocation tripwires: per-element allocation creeping back into the
@@ -686,13 +688,19 @@ let test_to_problem_allocation () =
   let model = vars.Formulation.model in
   Ffc_lp.Model.maximize model (Formulation.total_rate_expr vars);
   let p, words = minor_words (fun () -> Ffc_lp.Model.to_problem ~presolve:false model) in
-  let ncols = match p with Some (p, _) -> p.Ffc_lp.Problem.ncols | None -> Alcotest.fail "presolve off" in
+  let ncols =
+    match p with Some (p, _) -> p.Ffc_lp.Problem.ncols | None -> Alcotest.fail "presolve off"
+  in
   Printf.printf "to_problem: %.0f minor words for %d columns\n" words ncols;
   if not (words < float_of_int ncols) then
     Alcotest.failf "to_problem allocated %.0f minor words for %d columns" words ncols
 
 (* Steps 20-30 of a seeded warm [Controller.step] chain on default L-Net
-   (calibrated demands, audit on) allocate at most [bound] minor words. *)
+   (calibrated demands, audit on) allocate at most [bound] minor words:
+   1.5 times what they took on OCaml 5.1.1 when the bound was set
+   (2,154,881 for FFC (2,1,0), 309,459 for basic TE; the flat problem,
+   streamed rows and allocation-light fault checks halved them from
+   4,684,743 and 794,705). *)
 let step_chain_words mode =
   let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
   let input = sc.Ffc_sim.Scenario.input in
@@ -718,8 +726,8 @@ let test_step_allocation () =
       if words > bound then
         Alcotest.failf "%s: steps 20-30 allocated %.0f minor words, above %.0f" name words bound)
     [
-      ("FFC (2,1,0) duality", Controller.Ffc_ladder ffc_210, infinity);
-      ("basic TE", Controller.Basic, infinity);
+      ("FFC (2,1,0) duality", Controller.Ffc_ladder ffc_210, 3_232_000.);
+      ("basic TE", Controller.Basic, 464_000.);
     ]
 
 (* Bland mode's leaving rule. The model [ffc solve --network snet --kc 1
