@@ -9,7 +9,8 @@
    replacement as one sparse product-form update eta layered on the fixed
    factors. The factorisation is rebuilt after [lu_update_limit] updates or
    when numerical drift is detected; its scratch memory is {!Sparse_lu}'s
-   own, one workspace per domain, so a solve holds none.
+   own, one workspace per domain, and a solve holds only the flat buffers
+   its basis columns are gathered into for {!Sparse_lu.factorise}.
 
    Pricing is candidate-list (partial) Dantzig: a full reduced-cost scan
    fills a short list of the most attractive nonbasic columns, and subsequent
