@@ -25,6 +25,17 @@
       reference for strict-priority drops, whose total equals the capacity
       overflow. *)
 
+val factorise :
+  ?repair:bool ->
+  m:int ->
+  complete:bool ->
+  (int array * float array) array ->
+  Ffc_lp.Sparse_lu.factor_result option
+(** [factorise ~m ~complete cols] is {!Ffc_lp.Sparse_lu.factorise} on
+    columns given as [(rows, values)] pairs, the form of [Gen.lu]'s
+    instances, flattened into its column-start, row-index and value arrays
+    at the call. [repair] defaults to [false]. *)
+
 val lp_test : Gen.lp -> Fuzz.verdict
 val lu_test : Gen.lu -> Fuzz.verdict
 val ffc_test : Gen.te -> Fuzz.verdict

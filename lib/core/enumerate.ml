@@ -167,16 +167,19 @@ let tol = 1e-6
 
 let first_overloaded ?(skip = fun _ -> false) (input : Te_types.input) loads =
   let topo = input.Te_types.topo in
-  let overloaded (l : Topology.link) =
-    (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol
+  (* One walk over the adjacency lists keeps the lowest-id overloaded link;
+     no link array is built. *)
+  let first = ref None in
+  let visit (l : Topology.link) =
+    if (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol then
+      match !first with
+      | Some (f : Topology.link) when f.Topology.id < l.Topology.id -> ()
+      | _ -> first := Some l
   in
-  (* A passing check walks the adjacency lists; only an overload builds the
-     link array, to report the lowest-id overloaded link. *)
-  let any = ref false in
   for v = 0 to Topology.num_switches topo - 1 do
-    if not !any then any := List.exists overloaded (Topology.out_links topo v)
+    List.iter visit (Topology.out_links topo v)
   done;
-  if !any then Array.find_opt overloaded (Topology.links topo) else None
+  !first
 
 (* [context] formats the fault case, only on a violation. *)
 let check_loads (input : Te_types.input) loads ~context =

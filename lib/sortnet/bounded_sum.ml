@@ -77,15 +77,16 @@ let network ~largest model xs m ~emit =
    With s_v >= x_v - t, s_v >= 0 free to be larger, Y = M*t + sum s_v
    dominates the true value and the solver recovers equality by choosing
    t = x_(M). Symmetrically sum_smallest(x, M) >= Y = M*t - sum s_v with
-   s_v >= t - x_v. Model numbers variables in creation order, so slack
-   [i] is variable [t + 1 + i]. *)
+   s_v >= t - x_v. [slacks.(i)] is element [i]'s slack. *)
 let duality ~largest model xs m ~emit =
   let t = Model.add_var ~lb:neg_infinity model in
+  let slacks = Array.make xs.count 0 in
   let neg_term v c = Model.term model v (-1. *. c) in
   let pos_term v c = Model.term model v (-1. *. (-1. *. c)) in
   for i = 0 to xs.count - 1 do
     Model.scope model (xs.id i) (fun () ->
         let s = Model.add_var model in
+        slacks.(i) <- s;
         Model.term model s 1.;
         if largest then begin
           (* ge (var s) (sub x t) *)
@@ -103,9 +104,7 @@ let duality ~largest model xs m ~emit =
   (* add (scale m t) (sum slacks), or sub for the smallest: constant 0. *)
   emit t (float_of_int m *. 1.);
   let sign = if largest then 1. else -1. *. 1. in
-  for i = 0 to xs.count - 1 do
-    emit (t + 1 + i) sign
-  done;
+  Array.iter (fun s -> emit s sign) slacks;
   0.
 
 let emit_sum ~largest ?(encoding = `Sorting_network) model xs m ~emit =

@@ -697,10 +697,10 @@ let test_to_problem_allocation () =
 
 (* Steps 20-30 of a seeded warm [Controller.step] chain on default L-Net
    (calibrated demands, audit on) allocate at most [bound] minor words:
-   1.5 times what they took on OCaml 5.1.1 when the bound was set
-   (2,154,881 for FFC (2,1,0), 309,459 for basic TE; the flat problem,
-   streamed rows and allocation-light fault checks halved them from
-   4,684,743 and 794,705). *)
+   about 1.5 times what they took on OCaml 5.1.1, run alone (2,167,365 for
+   FFC (2,1,0), 309,489 for basic TE; the flat problem, streamed rows and
+   allocation-light fault checks halved them from 4,684,743 and 794,705).
+   After the suite's earlier tests the FFC chain reads lower (1,926,245). *)
 let step_chain_words mode =
   let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
   let input = sc.Ffc_sim.Scenario.input in

@@ -533,15 +533,9 @@ let prop_backends_agree_larger =
 (* Sparse LU: FTRAN/BTRAN residuals under column-replacement updates   *)
 (* ------------------------------------------------------------------ *)
 
-(* The tests give columns as [(rows, values)] pairs and flatten them into
-   the form [Sparse_lu.factorise] takes at the call. *)
-let factorise ?(repair = false) ~m ~complete cols =
-  let ncols = Array.length cols in
-  let col_start = Array.make (ncols + 1) 0 in
-  Array.iteri (fun k (rows, _) -> col_start.(k + 1) <- col_start.(k) + Array.length rows) cols;
-  let row_idx = Array.concat (Array.to_list (Array.map fst cols)) in
-  let col_val = Array.concat (Array.to_list (Array.map snd cols)) in
-  Sparse_lu.factorise ~repair ~m ~complete ~ncols ~col_start ~row_idx ~col_val
+(* The tests give columns as [(rows, values)] pairs, flattened at the call
+   as the lu oracle does. *)
+let factorise = Ffc_check.Oracles.factorise
 
 (* Random strictly diagonally dominant sparse columns: guaranteed
    nonsingular, so [factorise] must succeed and the triangular solves can be
