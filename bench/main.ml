@@ -1592,7 +1592,7 @@ let telemetry () =
   let n = intervals 16 in
   let um = Sim.Update_model.optimistic () in
   let loss = 0.25 and delay = 2 and noise = 0.08 in
-  let fibres = Array.of_list (Sim.Fault_model.fibres topo) in
+  let fibres = Array.of_list (Topology.fibres topo) in
   let forced _rng i =
     if Array.length fibres = 0 then []
     else

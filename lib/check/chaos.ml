@@ -45,7 +45,7 @@ type plan = {
    topology's population so shrinking the scenario never invalidates a
    plan. *)
 let forced_of_plan plan topo =
-  let fibre_arr = Array.of_list (Fault_model.fibres topo) in
+  let fibre_arr = Array.of_list (Topology.fibres topo) in
   let switch_arr = Array.of_list (Topology.switches topo) in
   fun _rng interval_idx ->
     if Array.length fibre_arr = 0 then []

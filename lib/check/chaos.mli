@@ -39,7 +39,7 @@
     runnable repro. *)
 
 type elem =
-  | Fibre of int  (** index into {!Ffc_sim.Fault_model.fibres}, taken mod *)
+  | Fibre of int  (** index into {!Ffc_net.Topology.fibres}, taken mod *)
   | Switch of int  (** index into the switch list, taken mod *)
 
 type fault_spec = {

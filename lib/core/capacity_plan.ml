@@ -15,12 +15,11 @@ let solve ?(config = Ffc.config ()) ?prev (input : Te_types.input) =
   Formulation.demand_constraints vars input;
   let nlinks = Topology.num_links input.Te_types.topo in
   let cap_vars = Array.make nlinks (-1) in
-  let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
       let c = Model.add_var model in
       cap_vars.(l.Topology.id) <- c;
-      match per_link.(l.Topology.id) with
+      match vars.Formulation.crossings.(l.Topology.id) with
       | [] -> ()
       | crossings -> Model.le model (Formulation.load_expr vars crossings) (Expr.var c))
     (Topology.links input.Te_types.topo);

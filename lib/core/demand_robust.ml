@@ -18,10 +18,9 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
   let vars = Formulation.make_vars ~fixed_demand:true model peak_input in
   Formulation.demand_constraints vars peak_input;
   let u = Model.add_var model in
-  let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
-      match per_link.(l.Topology.id) with
+      match vars.Formulation.crossings.(l.Topology.id) with
       | [] -> ()
       | crossings ->
         (* Group tunnel loads by flow: nominal share + deviation term. *)
@@ -65,31 +64,17 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
 let worst_case_utilisation (input : Te_types.input) ~peaks ~gamma
     (alloc : Te_types.allocation) =
   let flow_ids = List.map (fun (f : Flow.t) -> f.Flow.id) input.Te_types.flows in
-  let cases = Enumerate.subsets_upto flow_ids gamma in
-  let worst = ref 0. in
-  List.iter
-    (fun peaked ->
-      let rates f =
-        let w = Te_types.weights alloc f in
-        let d = if List.mem f peaked then peaks.(f) else input.Te_types.demands.(f) in
-        Array.map (fun wi -> wi *. d) w
+  let links = Topology.links input.Te_types.topo in
+  List.fold_left
+    (fun worst peaked ->
+      let loads =
+        Te_types.loads_with input (fun (f : Flow.t) ->
+            let id = f.Flow.id in
+            let d = if List.mem id peaked then peaks.(id) else input.Te_types.demands.(id) in
+            Array.map (fun wi -> wi *. d) (Te_types.weights alloc id))
       in
-      let loads = Array.make (Topology.num_links input.Te_types.topo) 0. in
-      List.iter
-        (fun (f : Flow.t) ->
-          let r = rates f.Flow.id in
-          List.iteri
-            (fun ti (t : Tunnel.t) ->
-              if r.(ti) > 0. then
-                List.iter
-                  (fun (l : Topology.link) ->
-                    loads.(l.Topology.id) <- loads.(l.Topology.id) +. r.(ti))
-                  t.Tunnel.links)
-            f.Flow.tunnels)
-        input.Te_types.flows;
-      Array.iter
-        (fun (l : Topology.link) ->
-          worst := max !worst (loads.(l.Topology.id) /. l.Topology.capacity))
-        (Topology.links input.Te_types.topo))
-    cases;
-  !worst
+      Array.fold_left
+        (fun worst (l : Topology.link) -> max worst (loads.(l.Topology.id) /. l.Topology.capacity))
+        worst links)
+    0.
+    (Enumerate.subsets_upto flow_ids gamma)

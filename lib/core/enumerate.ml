@@ -115,11 +115,10 @@ let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
                | Ffc.Rl_assumed_reliable -> ())
              vars.Formulation.af.(id))
          input.Te_types.flows;
-       let per_link = Formulation.crossings_by_link input in
        Array.iter
          (fun (l : Topology.link) ->
            let lid = l.Topology.id in
-           let crossings = per_link.(lid) in
+           let crossings = vars.Formulation.crossings.(lid) in
            if crossings <> [] then begin
              let cap =
                l.Topology.capacity -. (match reserved with None -> 0. | Some r -> r.(lid))
@@ -165,21 +164,20 @@ let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
 
 let tol = 1e-6
 
+let rec first_failure check = function
+  | [] -> Ok ()
+  | x :: rest -> ( match check x with Ok () -> first_failure check rest | Error _ as e -> e)
+
 let first_overloaded ?(skip = fun _ -> false) (input : Te_types.input) loads =
   let topo = input.Te_types.topo in
-  (* One walk over the adjacency lists keeps the lowest-id overloaded link;
-     no link array is built. *)
-  let first = ref None in
-  let visit (l : Topology.link) =
-    if (not (skip l.Topology.id)) && loads.(l.Topology.id) > l.Topology.capacity +. tol then
-      match !first with
-      | Some (f : Topology.link) when f.Topology.id < l.Topology.id -> ()
-      | _ -> first := Some l
+  let rec from id =
+    if id >= Topology.num_links topo then None
+    else
+      let l = Topology.link topo id in
+      if (not (skip id)) && loads.(id) > l.Topology.capacity +. tol then Some l
+      else from (id + 1)
   in
-  for v = 0 to Topology.num_switches topo - 1 do
-    List.iter visit (Topology.out_links topo v)
-  done;
-  !first
+  from 0
 
 (* [context] formats the fault case, only on a violation. *)
 let check_loads (input : Te_types.input) loads ~context =
@@ -251,16 +249,13 @@ let control_fault_universe (input : Te_types.input) =
 
 let verify_data_plane (input : Te_types.input) alloc ~ke ~kv =
   let all_links, all_switches = data_fault_universe input in
-  let link_cases = subsets_upto all_links ke in
   let switch_cases = subsets_upto all_switches kv in
-  let rec check_cases = function
-    | [] -> Ok ()
-    | (fl, fs) :: rest -> (
-      match check_data_case input alloc ~failed_links:fl ~failed_switches:fs with
-      | Ok () -> check_cases rest
-      | Error _ as e -> e)
-  in
-  check_cases (List.concat_map (fun fl -> List.map (fun fs -> (fl, fs)) switch_cases) link_cases)
+  first_failure
+    (fun fl ->
+      first_failure
+        (fun fs -> check_data_case input alloc ~failed_links:fl ~failed_switches:fs)
+        switch_cases)
+    (subsets_upto all_links ke)
 
 (* Load check for a stuck-switch set: stuck ingresses split the new rate by
    old weights; healthy ones are charged their planned upper bounds
@@ -297,16 +292,10 @@ let verify_combined (input : Te_types.input) ~old_alloc ~new_alloc
     in
     check_loads input loads ~context
   in
-  let rec go = function
-    | [] -> Ok ()
-    | (stuck, fl, fs) :: rest -> (
-      match check stuck fl fs with Ok () -> go rest | Error _ as e -> e)
-  in
-  go
-    (List.concat_map
-       (fun stuck ->
-         List.concat_map (fun fl -> List.map (fun fs -> (stuck, fl, fs)) switch_cases) link_cases)
-       stuck_cases)
+  first_failure
+    (fun stuck ->
+      first_failure (fun fl -> first_failure (check stuck fl) switch_cases) link_cases)
+    stuck_cases
 
 (* One control-plane fault case, for the same sampled-audit use. *)
 let check_control_case (input : Te_types.input) ~old_alloc ~new_alloc ~stuck =
@@ -317,11 +306,6 @@ let check_control_case (input : Te_types.input) ~old_alloc ~new_alloc ~stuck =
   check_loads input loads ~context
 
 let verify_control_plane (input : Te_types.input) ~old_alloc ~new_alloc ~kc =
-  let rec check_cases = function
-    | [] -> Ok ()
-    | stuck :: rest -> (
-      match check_control_case input ~old_alloc ~new_alloc ~stuck with
-      | Ok () -> check_cases rest
-      | Error _ as e -> e)
-  in
-  check_cases (subsets_upto (control_fault_universe input) kc)
+  first_failure
+    (fun stuck -> check_control_case input ~old_alloc ~new_alloc ~stuck)
+    (subsets_upto (control_fault_universe input) kc)

@@ -52,6 +52,12 @@ val stuck_loads :
     others are charged their planned upper bounds [a_{f,t}], which
     dominate any split of [b_f] they may install. *)
 
+val first_failure : ('a -> (unit, string) result) -> 'a list -> (unit, string) result
+(** [first_failure check cases] runs [check] over [cases] in order and
+    returns the first [Error], or [Ok ()]: the one case loop of every
+    exhaustive verifier. Nested calls walk a cross product of case lists
+    without building it. *)
+
 val first_overloaded :
   ?skip:(int -> bool) -> Te_types.input -> float array -> Ffc_net.Topology.link option
 (** The first link, in id order, whose load exceeds its capacity by more

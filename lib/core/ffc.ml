@@ -190,12 +190,11 @@ let control_plane_constraints cfg (vars : Formulation.vars) (input : Te_types.in
   (* Old planned load per link, for the §6 skip rule and §4.5 unprotected
      moves. *)
   let old_loads = Te_types.link_loads input prev in
-  let per_link = Formulation.crossings_by_link input in
   Model.scope model Formulation.scope_control @@ fun () ->
   Array.iter
     (fun (l : Topology.link) ->
       let lid = l.Topology.id in
-      let crossings = per_link.(lid) in
+      let crossings = vars.Formulation.crossings.(lid) in
       if crossings <> [] then begin
         if old_loads.(lid) > l.Topology.capacity +. 1e-6 then
           (* §4.5: link already overloaded by the old configuration (e.g.

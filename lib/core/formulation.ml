@@ -1,10 +1,13 @@
 open Ffc_net
 open Ffc_lp
 
+type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
+
 type vars = {
   model : Model.t;
   bf : Model.var array;
   af : Model.var array array;
+  crossings : crossing list array;
 }
 
 let scope_vars = 1
@@ -14,6 +17,21 @@ let scope_frozen = 4
 let scope_beta = 5
 let scope_control = 6
 let scope_data_plane = 7
+
+let crossings_by_link (input : Te_types.input) =
+  let per_link = Array.make (Topology.num_links input.Te_types.topo) [] in
+  List.iter
+    (fun (f : Flow.t) ->
+      List.iteri
+        (fun tidx (tn : Tunnel.t) ->
+          List.iter
+            (fun (l : Topology.link) ->
+              per_link.(l.Topology.id) <-
+                { flow = f; tidx; tunnel = tn } :: per_link.(l.Topology.id))
+            tn.Tunnel.links)
+        f.Flow.tunnels)
+    input.Te_types.flows;
+  per_link
 
 let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
   let n = Array.length input.Te_types.demands in
@@ -32,24 +50,7 @@ let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
               bf.(id) <- Model.add_var ~lb ~ub:d model;
               af.(id) <- Array.init (Flow.num_tunnels f) (fun _ -> Model.add_var model)))
         input.Te_types.flows);
-  { model; bf; af }
-
-type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
-
-let crossings_by_link (input : Te_types.input) =
-  let per_link = Array.make (Topology.num_links input.Te_types.topo) [] in
-  List.iter
-    (fun (f : Flow.t) ->
-      List.iteri
-        (fun tidx (tn : Tunnel.t) ->
-          List.iter
-            (fun (l : Topology.link) ->
-              per_link.(l.Topology.id) <-
-                { flow = f; tidx; tunnel = tn } :: per_link.(l.Topology.id))
-            tn.Tunnel.links)
-        f.Flow.tunnels)
-    input.Te_types.flows;
-  per_link
+  { model; bf; af; crossings = crossings_by_link input }
 
 (* Each crossing joins its ingress's group in a list kept sorted by
    ingress, so a group lists its crossings last first. *)
@@ -86,12 +87,11 @@ let append_load vars crossings =
   List.iter (fun c -> Model.term vars.model vars.af.(c.flow.Flow.id).(c.tidx) 1.) crossings
 
 let capacity_constraints ?reserved vars (input : Te_types.input) =
-  let per_link = crossings_by_link input in
   Model.scope vars.model scope_capacity (fun () ->
       Array.iter
         (fun (l : Topology.link) ->
           let id = l.Topology.id in
-          match per_link.(id) with
+          match vars.crossings.(id) with
           | [] -> ()
           | crossings ->
             let cap =

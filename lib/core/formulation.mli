@@ -6,10 +6,16 @@
 open Ffc_net
 open Ffc_lp
 
+type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
+(** One (flow, tunnel) pair traversing a given link. *)
+
 type vars = {
   model : Model.t;
   bf : Model.var array; (* by flow id *)
   af : Model.var array array; (* by flow id, tunnel position *)
+  crossings : crossing list array;
+      (* by link id: [crossings_by_link] of the input, computed once per
+         build for every row that groups a link's tunnels *)
 }
 
 (** {2 Stable keys}
@@ -37,15 +43,14 @@ val scope_control : int  (** Eqns 13-14: per link, then ingress *)
 val scope_data_plane : int  (** Eqn 15: per flow, then tunnel *)
 
 val make_vars : ?fixed_demand:bool -> Model.t -> Te_types.input -> vars
-(** Creates [b_f] in [\[0, d_f\]] and [a_{f,t} >= 0]. With [~fixed_demand]
-    (the §5.4 no-rate-control setting) [b_f] is pinned to [d_f]. Raises
-    [Invalid_argument] naming the flow if a demand is negative or NaN. *)
-
-type crossing = { flow : Flow.t; tidx : int; tunnel : Tunnel.t }
-(** One (flow, tunnel) pair traversing a given link. *)
+(** Creates [b_f] in [\[0, d_f\]] and [a_{f,t} >= 0], and the crossing
+    index [crossings]. With [~fixed_demand] (the §5.4 no-rate-control
+    setting) [b_f] is pinned to [d_f]. Raises [Invalid_argument] naming the
+    flow if a demand is negative or NaN. *)
 
 val crossings_by_link : Te_types.input -> crossing list array
-(** Indexed by link id: every tunnel crossing that link ([L[t,e] = 1]). *)
+(** Indexed by link id: every tunnel crossing that link ([L[t,e] = 1]).
+    A build reads [vars.crossings] instead of calling this again. *)
 
 val by_ingress : crossing list -> (Topology.switch * crossing list) list
 (** Group crossings by the flow's ingress switch ([S[t,v] = 1]). *)

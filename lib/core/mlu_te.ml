@@ -14,10 +14,9 @@ let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input)
   let vars = Formulation.make_vars ~fixed_demand:true model input in
   Formulation.demand_constraints vars input;
   let u = Model.add_var model in
-  let per_link = Formulation.crossings_by_link input in
   Array.iter
     (fun (l : Topology.link) ->
-      match per_link.(l.Topology.id) with
+      match vars.Formulation.crossings.(l.Topology.id) with
       | [] -> ()
       | crossings ->
         (* u >= load / c_e, i.e. u * c_e - load >= 0. *)

@@ -38,10 +38,9 @@ let solve ?(config = Ffc.config ()) ~(prev : Te_types.allocation) (input : Te_ty
              Model.ge model (Expr.var b) (Expr.var ~coeff:w'.(ti) r.(id)))
            vars.Formulation.af.(id))
        input.Te_types.flows;
-     let per_link = Formulation.crossings_by_link input in
      Array.iter
        (fun (l : Topology.link) ->
-         let crossings = per_link.(l.Topology.id) in
+         let crossings = vars.Formulation.crossings.(l.Topology.id) in
          if crossings <> [] then begin
            let groups = Formulation.by_ingress crossings in
            let d_exprs =

@@ -111,51 +111,37 @@ let solve ~ke (input : Te_types.input) =
   | Error f -> Error f.Te_types.message
 
 let verify (input : Te_types.input) result ~ke =
-  let tol = 1e-6 in
-  let all_cases = cases input ~ke in
   let check_case failed =
-    let loads = Array.make (Topology.num_links input.Te_types.topo) 0. in
-    let bad = ref None in
-    List.iter
-      (fun (f : Flow.t) ->
-        let id = f.Flow.id in
-        match List.assoc_opt failed result.splits.(id) with
-        | None -> bad := Some (Printf.sprintf "flow %d missing split for a case" id)
-        | Some alloc ->
-          let carried = ref 0. in
-          List.iteri
-            (fun ti (t : Tunnel.t) ->
-              let r = alloc.(ti) in
-              if r > 0. then begin
-                if
-                  not
-                    (Tunnel.survives t
-                       ~failed_links:(fun l -> List.mem l failed)
-                       ~failed_switches:(fun _ -> false))
-                then bad := Some (Printf.sprintf "flow %d uses a dead tunnel" id);
-                carried := !carried +. r;
-                List.iter
-                  (fun (l : Topology.link) ->
-                    loads.(l.Topology.id) <- loads.(l.Topology.id) +. r)
-                  t.Tunnel.links
-              end)
-            f.Flow.tunnels;
-          if !carried < result.bf.(id) -. tol then
-            bad := Some (Printf.sprintf "flow %d under-carried in a case" id))
-      input.Te_types.flows;
-    if !bad = None then
-      Array.iter
-        (fun (l : Topology.link) ->
-          if loads.(l.Topology.id) > l.Topology.capacity +. tol then
-            bad :=
-              Some
-                (Printf.sprintf "link %d overloaded (%.6f > %.6f)" l.Topology.id
-                   loads.(l.Topology.id) l.Topology.capacity))
-        (Topology.links input.Te_types.topo);
-    !bad
+    let check_flow (f : Flow.t) =
+      let id = f.Flow.id in
+      match List.assoc_opt failed result.splits.(id) with
+      | None -> Error (Printf.sprintf "flow %d missing split for a case" id)
+      | Some alloc ->
+        let dead ti (t : Tunnel.t) =
+          alloc.(ti) > 0.
+          && not
+               (Tunnel.survives t
+                  ~failed_links:(fun l -> List.mem l failed)
+                  ~failed_switches:(fun _ -> false))
+        in
+        let carried = Array.fold_left (fun acc r -> if r > 0. then acc +. r else acc) 0. alloc in
+        if List.filteri dead f.Flow.tunnels <> [] then
+          Error (Printf.sprintf "flow %d uses a dead tunnel" id)
+        else if carried < result.bf.(id) -. 1e-6 then
+          Error (Printf.sprintf "flow %d under-carried in a case" id)
+        else Ok ()
+    in
+    match Enumerate.first_failure check_flow input.Te_types.flows with
+    | Error _ as e -> e
+    | Ok () -> (
+      let loads =
+        Te_types.loads_with input (fun f -> List.assoc failed result.splits.(f.Flow.id))
+      in
+      match Enumerate.first_overloaded input loads with
+      | None -> Ok ()
+      | Some l ->
+        Error
+          (Printf.sprintf "link %d overloaded (%.6f > %.6f)" l.Topology.id
+             loads.(l.Topology.id) l.Topology.capacity))
   in
-  let rec go = function
-    | [] -> Ok ()
-    | c :: rest -> ( match check_case c with None -> go rest | Some m -> Error m)
-  in
-  go all_cases
+  Enumerate.first_failure check_case (cases input ~ke)

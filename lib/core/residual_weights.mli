@@ -32,4 +32,6 @@ val solve :
 
 val verify : Te_types.input -> result -> ke:int -> (unit, string) Stdlib.result
 (** Check every enumerated case's stored split: within capacity, carries
-    [bf], uses only surviving tunnels. *)
+    [bf], uses only surviving tunnels. [Error] names the first failing
+    case's first bad flow or, when every flow's split is sound, its
+    lowest-id overloaded link ({!Enumerate.first_overloaded}). *)

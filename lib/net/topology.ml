@@ -3,13 +3,9 @@ type switch = int
 type link = { id : int; src : switch; dst : switch; capacity : float; delay_ms : float }
 
 type t = {
-  n : int;
   names : string array;
-  mutable link_list : link list; (* reversed *)
-  mutable nlinks : int;
-  mutable out_adj : link list array;
-  mutable in_adj : link list array;
-  pair_index : (switch * switch, link) Hashtbl.t;
+  mutable by_id : link array;
+  out_adj : link list array; (* newest first *)
 }
 
 let create ?names n =
@@ -21,85 +17,64 @@ let create ?names n =
       Array.copy ns
     | None -> Array.init n (fun i -> Printf.sprintf "s%d" (i + 1))
   in
-  {
-    n;
-    names;
-    link_list = [];
-    nlinks = 0;
-    out_adj = Array.make n [];
-    in_adj = Array.make n [];
-    pair_index = Hashtbl.create 64;
-  }
+  { names; by_id = [||]; out_adj = Array.make n [] }
 
-let check_switch t v = if v < 0 || v >= t.n then invalid_arg "Topology: bad switch id"
+let num_switches t = Array.length t.names
+let num_links t = Array.length t.by_id
+
+let check_switch t v =
+  if v < 0 || v >= num_switches t then invalid_arg "Topology: bad switch id"
+
+let find_link t u v =
+  if u < 0 || u >= num_switches t then None
+  else List.find_opt (fun l -> l.dst = v) t.out_adj.(u)
 
 let add_link ?(delay_ms = 1.) t u v cap =
   check_switch t u;
   check_switch t v;
   if u = v then invalid_arg "Topology.add_link: self-loop";
   if cap <= 0. then invalid_arg "Topology.add_link: non-positive capacity";
-  if Hashtbl.mem t.pair_index (u, v) then invalid_arg "Topology.add_link: duplicate link";
-  let l = { id = t.nlinks; src = u; dst = v; capacity = cap; delay_ms } in
-  t.nlinks <- t.nlinks + 1;
-  t.link_list <- l :: t.link_list;
+  if find_link t u v <> None then invalid_arg "Topology.add_link: duplicate link";
+  let l = { id = num_links t; src = u; dst = v; capacity = cap; delay_ms } in
+  t.by_id <- Array.append t.by_id [| l |];
   t.out_adj.(u) <- l :: t.out_adj.(u);
-  t.in_adj.(v) <- l :: t.in_adj.(v);
-  Hashtbl.add t.pair_index (u, v) l;
   l
 
 let add_duplex ?delay_ms t u v cap =
   (add_link ?delay_ms t u v cap, add_link ?delay_ms t v u cap)
 
-let num_switches t = t.n
-let num_links t = t.nlinks
-
-let links t =
-  let arr = Array.make t.nlinks None in
-  List.iter (fun l -> arr.(l.id) <- Some l) t.link_list;
-  Array.map (function Some l -> l | None -> assert false) arr
+let links t = Array.copy t.by_id
 
 let link t i =
-  match List.find_opt (fun l -> l.id = i) t.link_list with
-  | Some l -> l
-  | None -> invalid_arg "Topology.link: bad id"
-
-let find_link t u v = Hashtbl.find_opt t.pair_index (u, v)
+  if i < 0 || i >= num_links t then invalid_arg "Topology.link: bad id";
+  t.by_id.(i)
 
 let out_links t v =
   check_switch t v;
   t.out_adj.(v)
 
-let in_links t v =
-  check_switch t v;
-  t.in_adj.(v)
-
 let switch_name t v =
   check_switch t v;
   t.names.(v)
 
-let switches t = List.init t.n (fun i -> i)
+let switches t = List.init (num_switches t) (fun i -> i)
 
+(* A fibre is listed once, at its lower-id direction. *)
 let fibres t =
-  let seen = Hashtbl.create 64 in
-  List.fold_left
-    (fun acc l ->
-      let key = (min l.src l.dst, max l.src l.dst) in
-      if Hashtbl.mem seen key then acc
-      else begin
-        Hashtbl.add seen key ();
-        let ids =
-          l.id :: (match find_link t l.dst l.src with Some r -> [ r.id ] | None -> [])
-        in
-        ids :: acc
-      end)
-    []
-    (List.rev t.link_list)
-  |> List.rev
+  let acc = ref [] in
+  for id = num_links t - 1 downto 0 do
+    let l = t.by_id.(id) in
+    match find_link t l.dst l.src with
+    | Some r when r.id < id -> ()
+    | Some r -> acc := [ id; r.id ] :: !acc
+    | None -> acc := [ id ] :: !acc
+  done;
+  !acc
 
 let pp fmt t =
-  Format.fprintf fmt "topology: %d switches, %d links@." t.n t.nlinks;
-  List.iter
+  Format.fprintf fmt "topology: %d switches, %d links@." (num_switches t) (num_links t);
+  Array.iter
     (fun l ->
       Format.fprintf fmt "  %s -> %s : %g Gbps (%g ms)@." t.names.(l.src) t.names.(l.dst)
         l.capacity l.delay_ms)
-    (List.rev t.link_list)
+    t.by_id

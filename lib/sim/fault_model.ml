@@ -14,8 +14,6 @@ type t = {
   burst_factor : float;
 }
 
-let fibres = Topology.fibres
-
 let independent ~link_fail_per_interval ~switch_fail_per_interval =
   {
     link_fail_per_interval;
@@ -27,7 +25,7 @@ let independent ~link_fail_per_interval ~switch_fail_per_interval =
   }
 
 let lnet_like topo =
-  let nf = max 1 (List.length (fibres topo)) in
+  let nf = max 1 (List.length (Topology.fibres topo)) in
   let ns = max 1 (Topology.num_switches topo) in
   (* One link failure per 6 intervals network-wide; switch failures 20x
      rarer network-wide. *)
@@ -72,7 +70,7 @@ let correlated ?srlgs ?srlg_fail_per_interval ?burst_prob ?burst_factor t =
    distinct fibres (all their directed link ids fail together — a shared
    conduit cut). *)
 let random_srlgs rng topo ~groups ~width =
-  let all = Array.of_list (fibres topo) in
+  let all = Array.of_list (Topology.fibres topo) in
   List.init (max 0 groups) (fun _ ->
       Rng.sample_without_replacement rng (max 1 width) all |> List.concat)
   |> List.filter (fun g -> g <> [])
@@ -84,27 +82,22 @@ let random_srlgs rng topo ~groups ~width =
    [Link_down] faults whose every link has an endpoint at a switch already
    down at that time. *)
 let dedup topo faults =
-  let endpoints = Hashtbl.create 64 in
-  Array.iter
-    (fun (l : Topology.link) ->
-      Hashtbl.replace endpoints l.Topology.id (l.Topology.src, l.Topology.dst))
-    (Topology.links topo);
-  let down = Hashtbl.create 8 in
+  let down = ref [] in
+  (* An id outside the topology names no endpoints: its fault stays. *)
+  let dead id =
+    id >= 0
+    && id < Topology.num_links topo
+    &&
+    let l = Topology.link topo id in
+    List.mem l.Topology.src !down || List.mem l.Topology.dst !down
+  in
   List.filter
     (fun f ->
       match f.kind with
       | Switch_down v ->
-        Hashtbl.replace down v ();
+        down := v :: !down;
         true
-      | Link_down ids ->
-        ids = []
-        || not
-             (List.for_all
-                (fun id ->
-                  match Hashtbl.find_opt endpoints id with
-                  | Some (s, d) -> Hashtbl.mem down s || Hashtbl.mem down d
-                  | None -> false)
-                ids))
+      | Link_down ids -> ids = [] || not (List.for_all dead ids))
     faults
 
 let by_time = List.sort (fun a b -> Float.compare a.time_s b.time_s)
@@ -122,7 +115,7 @@ let sample rng ~interval_s topo t =
     (fun fibre ->
       if Rng.bernoulli rng (scale t.link_fail_per_interval) then
         faults := { time_s = Rng.float rng interval_s; kind = Link_down fibre } :: !faults)
-    (fibres topo);
+    (Topology.fibres topo);
   List.iter
     (fun v ->
       if Rng.bernoulli rng (scale t.switch_fail_per_interval) then
@@ -138,7 +131,7 @@ let sample rng ~interval_s topo t =
   dedup topo (by_time !faults)
 
 let forced_link_failures rng ~interval_s topo n =
-  let all = Array.of_list (fibres topo) in
+  let all = Array.of_list (Topology.fibres topo) in
   Rng.sample_without_replacement rng n all
   |> List.map (fun fibre -> { time_s = Rng.float rng interval_s; kind = Link_down fibre })
   |> by_time

@@ -62,24 +62,25 @@ val correlated :
 val random_srlgs :
   Ffc_util.Rng.t -> Topology.t -> groups:int -> width:int -> int list list
 (** [groups] random shared-risk groups, each the union of [width] distinct
-    fibres (a shared conduit cut) — for experiments that want correlated
-    structure without hand-picking fibres. *)
-
-val fibres : Topology.t -> int list list
-(** Undirected fibre groups: each group lists the directed link ids that
-    fail together. *)
+    fibres ({!Ffc_net.Topology.fibres}; a shared conduit cut) — for
+    experiments that want correlated structure without hand-picking
+    fibres. *)
 
 val sample : Ffc_util.Rng.t -> interval_s:float -> Topology.t -> t -> fault list
-(** Random faults for one interval, sorted by time and {!dedup}ed. *)
+(** Random faults for one interval, sorted by time and {!dedup}ed: one
+    draw per fibre ({!Ffc_net.Topology.fibres} order), then per switch,
+    then per shared-risk group. *)
 
 val dedup : Topology.t -> fault list -> fault list
 (** Drop [Link_down] faults made redundant by an earlier (or simultaneous)
     [Switch_down] of one of their endpoints in the same time-sorted list:
     those fibres are already dead, and counting them again would
-    double-count toward the protection edge. *)
+    double-count toward the protection edge. Endpoints are read through
+    {!Ffc_net.Topology.link}; a fault naming a link id outside the
+    topology is kept. *)
 
 val forced_link_failures : Ffc_util.Rng.t -> interval_s:float -> Topology.t -> int -> fault list
-(** Exactly [n] distinct fibre failures at uniform times (the Figure 1
-    forced-fault experiments). *)
+(** Exactly [n] distinct fibre failures ({!Ffc_net.Topology.fibres}) at
+    uniform times (the Figure 1 forced-fault experiments). *)
 
 val forced_switch_failures : Ffc_util.Rng.t -> interval_s:float -> Topology.t -> int -> fault list

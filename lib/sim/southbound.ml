@@ -43,15 +43,13 @@ let retry_policy ?(max_attempts = default_retry.max_attempts)
   if jitter < 0. then invalid_arg "Southbound.retry_policy: negative jitter";
   { max_attempts; attempt_timeout_s; backoff_base_s; backoff_mult; backoff_max_s; jitter }
 
-type switch_state = {
-  mutable epoch : int;
-  mutable outage_until : float;  (** absolute simulation time *)
-}
-
 type t = {
   retry : retry_policy;
   model : Update_model.t;
-  switches : (Topology.switch, switch_state) Hashtbl.t;
+  ingresses : Topology.switch array; (* ascending: slot i is ingress ingresses.(i) *)
+  slot_of : int array; (* by switch id: its slot, or -1 if it sources no flow *)
+  epochs : int array; (* by slot *)
+  outage_until : float array; (* by slot; absolute simulation time *)
   installed : Te_types.allocation;
       (* row f: the configuration flow f's ingress switch runs. A switch's
          rows for other ingresses' flows are never read, so none are kept. *)
@@ -60,42 +58,43 @@ type t = {
 }
 
 let create ?(retry = default_retry) model (input : Te_types.input) =
-  let switches = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Flow.t) ->
-      if not (Hashtbl.mem switches f.Flow.src) then
-        Hashtbl.add switches f.Flow.src { epoch = 0; outage_until = 0. })
-    input.Te_types.flows;
+  let srcs = List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows in
+  let ingresses = Array.of_list (List.sort_uniq Int.compare srcs) in
+  let slot_of = Array.make (Topology.num_switches input.Te_types.topo) (-1) in
+  Array.iteri (fun i v -> slot_of.(v) <- i) ingresses;
+  let n = Array.length ingresses in
   {
     retry;
     model;
-    switches;
+    ingresses;
+    slot_of;
+    epochs = Array.make n 0;
+    outage_until = Array.make n 0.;
     installed = Te_types.zero_allocation input;
     target_epoch = 0;
     now = 0.;
   }
 
-let state t v =
-  match Hashtbl.find_opt t.switches v with
-  | Some s -> s
-  | None -> invalid_arg "Southbound: unknown ingress switch"
+let slot t v =
+  if v < 0 || v >= Array.length t.slot_of || t.slot_of.(v) < 0 then
+    invalid_arg "Southbound: unknown ingress switch";
+  t.slot_of.(v)
 
 let running t v =
-  ignore (state t v);
+  ignore (slot t v);
   t.installed
 
-let epoch_lag t v = t.target_epoch - (state t v).epoch
+let epoch_lag t v = t.target_epoch - t.epochs.(slot t v)
 let now_s t = t.now
 
-(* The polymorphic [compare] in the switch-list sorts of this module is
-   intentional: switch ids are plain ints (no NaN hazards), and the
-   float-keyed sorts elsewhere in the tree use [Float.compare]. *)
 let stale_switches t =
-  Hashtbl.fold (fun v s acc -> if s.epoch < t.target_epoch then v :: acc else acc)
-    t.switches []
-  |> List.sort compare
+  let stale = ref [] in
+  for i = Array.length t.ingresses - 1 downto 0 do
+    if t.epochs.(i) < t.target_epoch then stale := t.ingresses.(i) :: !stale
+  done;
+  !stale
 
-let force_outage t v ~until_s = (state t v).outage_until <- until_s
+let force_outage t v ~until_s = t.outage_until.(slot t v) <- until_s
 
 (* Coasting: the network clock advances even when no push happens — a
    crashed controller cannot stop time, and switch outage deadlines are
@@ -106,24 +105,20 @@ let tick t ~interval_s = t.now <- t.now +. interval_s
 (* Crash-recovery journal                                              *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_switches t =
-  List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.switches [])
-
 let snapshot t =
   let w = Journal.writer "southbound" in
   Journal.put_int w "target_epoch" t.target_epoch;
   Journal.put_float w "now" t.now;
-  let ids = sorted_switches t in
-  Journal.put w "switches" (String.concat "," (List.map string_of_int ids));
+  Journal.put w "switches"
+    (String.concat "," (Array.to_list (Array.map string_of_int t.ingresses)));
   Journal.put_floats w "bf" t.installed.Te_types.bf;
   Journal.put_float_rows w "af" t.installed.Te_types.af;
-  List.iter
-    (fun v ->
-      let st = state t v in
+  Array.iteri
+    (fun i v ->
       let key f = Printf.sprintf "switch.%d.%s" v f in
-      Journal.put_int w (key "epoch") st.epoch;
-      Journal.put_float w (key "outage_until") st.outage_until)
-    ids;
+      Journal.put_int w (key "epoch") t.epochs.(i);
+      Journal.put_float w (key "outage_until") t.outage_until.(i))
+    t.ingresses;
   Journal.to_string w
 
 let restore ?retry model (input : Te_types.input) s =
@@ -149,7 +144,7 @@ let restore ?retry model (input : Te_types.input) s =
     (* The journal must describe exactly this input's ingress set and
        allocation shape: a snapshot from a different topology restored here
        would silently run the wrong switches, or fail the first push. *)
-    if journal_ids <> sorted_switches t then
+    if journal_ids <> Array.to_list t.ingresses then
       Error "journal: switch set does not match the input's ingresses"
     else if Array.length bf <> nflows || Array.length af <> nflows then
       Error
@@ -175,9 +170,9 @@ let restore ?retry model (input : Te_types.input) s =
             let key f = Printf.sprintf "switch.%d.%s" v f in
             let* epoch = Journal.get_int r (key "epoch") in
             let* outage_until = Journal.get_float r (key "outage_until") in
-            let st = state t v in
-            st.epoch <- epoch;
-            st.outage_until <- outage_until;
+            let i = slot t v in
+            t.epochs.(i) <- epoch;
+            t.outage_until.(i) <- outage_until;
             fill rest
         in
         fill journal_ids)
@@ -205,27 +200,10 @@ type report = {
 (* A switch needs a push iff some flow it sources would change its installed
    split (weights) or gain rules it doesn't have. Rate limits live at the
    hosts, not the switch, so a pure [bf] change needs no switch update. *)
-let needs_push t (input : Te_types.input) v ~target =
-  List.exists
-    (fun (f : Flow.t) ->
-      f.Flow.src = v
-      &&
-      let w_new = Te_types.weights target f.Flow.id in
-      let w_old = Te_types.weights t.installed f.Flow.id in
-      Array.exists2 (fun a b -> abs_float (a -. b) > 1e-6) w_new w_old)
-    input.Te_types.flows
-
-(* Switch [v] now runs [target] at [epoch]: its own flows' rows change. *)
-let install t (input : Te_types.input) v ~target epoch =
-  List.iter
-    (fun (f : Flow.t) ->
-      if f.Flow.src = v then begin
-        let id = f.Flow.id in
-        t.installed.Te_types.bf.(id) <- target.Te_types.bf.(id);
-        t.installed.Te_types.af.(id) <- target.Te_types.af.(id)
-      end)
-    input.Te_types.flows;
-  (state t v).epoch <- epoch
+let splits_change t ~target id =
+  let w_new = Te_types.weights target id in
+  let w_old = Te_types.weights t.installed id in
+  Array.exists2 (fun a b -> abs_float (a -. b) > 1e-6) w_new w_old
 
 type timeline = { landed_at : float option; tries : int; failed : int; timed_out : int }
 
@@ -265,9 +243,7 @@ let standing t =
     pushed = 0;
     applied = [];
     stale = stale_switches t;
-    max_epoch_lag =
-      Hashtbl.fold (fun _ (s : switch_state) acc -> max acc (t.target_epoch - s.epoch))
-        t.switches 0;
+    max_epoch_lag = Array.fold_left (fun acc e -> max acc (t.target_epoch - e)) 0 t.epochs;
     attempts = 0;
     retries = 0;
     retry_successes = 0;
@@ -292,33 +268,37 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
   let failures = ref 0 in
   let timeouts = ref 0 in
   let outages_started = ref 0 in
+  (* Pass 1: the ingresses whose splits change stay pending until their
+     push lands; every other one runs the target at once. *)
+  let pending = Array.make (Array.length t.ingresses) false in
   List.iter
-    (fun v ->
-      let st = state t v in
-      if not (needs_push t input v ~target) then
-        (* Nothing to install: the switch's splits already match the target,
-           so it silently runs the new epoch. *)
-        install t input v ~target epoch
-      else begin
+    (fun (f : Flow.t) ->
+      let i = t.slot_of.(f.Flow.src) in
+      if not pending.(i) then pending.(i) <- splits_change t ~target f.Flow.id)
+    input.Te_types.flows;
+  Array.iteri
+    (fun i v ->
+      if pending.(i) then begin
         incr pushed;
         (* All pushes start at the interval edge and run concurrently, each
-           on its own retry timeline. An attempt during a control-plane
-           outage fails without a draw; a fresh failure may be the onset of
-           one, and while it lasts every retry fails (correlated). *)
+           on its own retry timeline, drawn in ingress order. An attempt
+           during a control-plane outage fails without a draw; a fresh
+           failure may be the onset of one, and while it lasts every retry
+           fails (correlated). *)
         let attempt ~at_s =
           let now = t.now +. at_s in
-          if now < st.outage_until then Update_model.Failed
+          if now < t.outage_until.(i) then Update_model.Failed
           else
             match Update_model.attempt_update rng t.model with
             | Update_model.Failed ->
               if Rng.bernoulli rng t.model.Update_model.outage_prob then begin
                 incr outages_started;
-                st.outage_until <- now +. t.model.Update_model.outage_duration_s rng;
+                t.outage_until.(i) <- now +. t.model.Update_model.outage_duration_s rng;
                 Obs.event ~level:Obs.Debug "southbound.outage_started"
                   [
                     ("switch", Obs.Int v);
                     ("at_s", Obs.Float now);
-                    ("until_s", Obs.Float st.outage_until);
+                    ("until_s", Obs.Float t.outage_until.(i));
                   ]
               end;
               Update_model.Failed
@@ -332,11 +312,22 @@ let push t rng (input : Te_types.input) ~target ~interval_s =
         match tl.landed_at with
         | None -> ()
         | Some at_s ->
-          install t input v ~target epoch;
+          pending.(i) <- false;
           applied := { switch = v; at_s; attempts = tl.tries } :: !applied;
           if tl.tries > 1 then incr retry_successes
       end)
-    (sorted_switches t);
+    t.ingresses;
+  (* Pass 2: each ingress that runs the target installs its own flows' rows
+     at this epoch. *)
+  List.iter
+    (fun (f : Flow.t) ->
+      if not pending.(t.slot_of.(f.Flow.src)) then begin
+        let id = f.Flow.id in
+        t.installed.Te_types.bf.(id) <- target.Te_types.bf.(id);
+        t.installed.Te_types.af.(id) <- target.Te_types.af.(id)
+      end)
+    input.Te_types.flows;
+  Array.iteri (fun i p -> if not p then t.epochs.(i) <- epoch) pending;
   t.now <- t.now +. interval_s;
   let report =
     {

@@ -62,9 +62,11 @@ type t
     counts live in the [southbound.*] Obs counters. *)
 
 val create : ?retry:retry_policy -> Update_model.t -> Te_types.input -> t
-(** One state per ingress switch of [input] (epoch 0), every switch running
+(** One slot per ingress switch of [input] (epoch 0), every switch running
     the zero allocation — an unconfigured switch blackholes, as in the
-    pre-engine semantics. *)
+    pre-engine semantics. The ingresses are sorted here, once, with an
+    index from switch id to slot: every later walk over them (pushes,
+    {!stale_switches}, the journal) visits them in ascending id order. *)
 
 type apply_event = {
   switch : Ffc_net.Topology.switch;
@@ -122,10 +124,11 @@ val push : t -> Ffc_util.Rng.t -> Te_types.input -> target:Te_types.allocation -
     installed splits differ (a pure rate change needs no switch update:
     rate limiters live at the hosts). Pushes run concurrently from the
     interval edge, each on its own {!retry_timeline} bounded by
-    [interval_s]; an attempt during a control-plane outage fails without a
-    draw, and a fresh failure starts an outage with probability
-    {!Update_model.t.outage_prob}. Advances the engine clock by
-    [interval_s]. *)
+    [interval_s], drawn in ascending switch order; an attempt during a
+    control-plane outage fails without a draw, and a fresh failure starts
+    an outage with probability {!Update_model.t.outage_prob}. Advances
+    the engine clock by [interval_s]. [input] must have the flows of the
+    input the engine was created with (its demands may differ). *)
 
 val hold : t -> interval_s:float -> report
 (** An interval without a push (the controller is down, or it skipped the
@@ -144,6 +147,8 @@ val stale_switches : t -> Ffc_net.Topology.switch list
 (** Switches running an older epoch than the current target (sorted). *)
 
 val epoch_lag : t -> Ffc_net.Topology.switch -> int
+(** How many epochs the switch runs behind the target. [Invalid_argument]
+    if the switch is not an ingress of the engine's input. *)
 
 val imposed_mix : t -> Te_types.input -> rates:float array -> Te_types.allocation
 (** The load the network actually imposes: per flow, [rates] (the per-flow
@@ -156,7 +161,9 @@ val imposed_mix : t -> Te_types.input -> rates:float array -> Te_types.allocatio
 
 val force_outage : t -> Ffc_net.Topology.switch -> until_s:float -> unit
 (** Test hook: put the switch in outage until the given absolute engine
-    time ({!now_s} starts at 0 and advances by [interval_s] per push). *)
+    time ({!now_s} starts at 0 and advances by [interval_s] per push).
+    [Invalid_argument] if the switch is not an ingress of the engine's
+    input. *)
 
 val now_s : t -> float
 

@@ -265,7 +265,7 @@ let test_srlg_and_burst () =
       (List.sort compare ids)
   | Sim.Fault_model.Switch_down _ -> Alcotest.fail "expected a link-group fault");
   (* A certain burst with a saturating factor takes down every fibre. *)
-  let nf = List.length (Sim.Fault_model.fibres topo) in
+  let nf = List.length (Topology.fibres topo) in
   let burst =
     Sim.Fault_model.correlated ~burst_prob:1. ~burst_factor:1e9
       (Sim.Fault_model.independent ~link_fail_per_interval:1e-6 ~switch_fail_per_interval:0.)

@@ -746,10 +746,9 @@ let test_bland_terminates () =
     let vars = Formulation.make_vars ~fixed_demand:true model input in
     Formulation.demand_constraints vars input;
     let u = Model.add_var model in
-    let per_link = Formulation.crossings_by_link input in
     Array.iter
       (fun (l : Topology.link) ->
-        match per_link.(l.Topology.id) with
+        match vars.Formulation.crossings.(l.Topology.id) with
         | [] -> ()
         | crossings ->
           Model.ge model

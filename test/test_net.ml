@@ -112,8 +112,31 @@ let test_topology_basics () =
   Alcotest.(check int) "switches" 3 (Topology.num_switches t);
   Alcotest.(check bool) "find" true (Topology.find_link t 0 1 = Some l01);
   Alcotest.(check bool) "find missing" true (Topology.find_link t 1 0 = None);
-  Alcotest.(check int) "out of 1" 1 (List.length (Topology.out_links t 1));
-  Alcotest.(check int) "in of 1" 2 (List.length (Topology.in_links t 1))
+  Alcotest.(check int) "out of 1" 1 (List.length (Topology.out_links t 1))
+
+(* Links added out of fibre order: each fibre is listed once, at its
+   lower-id direction, with its reverse when present. *)
+let test_topology_by_id () =
+  let t = Topology.create 4 in
+  List.iter
+    (fun (u, v) -> ignore (Topology.add_link t u v 1.))
+    [ (0, 1); (1, 2); (2, 1); (1, 0); (0, 2); (3, 0); (0, 3) ];
+  Alcotest.(check (list (list int)))
+    "fibres" [ [ 0; 3 ]; [ 1; 2 ]; [ 4 ]; [ 5; 6 ] ] (Topology.fibres t);
+  let l = Topology.link t 4 in
+  Alcotest.(check (list int)) "link 4 is 0->2" [ 4; 0; 2 ]
+    [ l.Topology.id; l.Topology.src; l.Topology.dst ];
+  Alcotest.(check bool) "links by id" true
+    (Array.for_all (fun (l : Topology.link) -> Topology.link t l.Topology.id == l)
+       (Topology.links t));
+  List.iter
+    (fun id ->
+      match Topology.link t id with
+      | _ -> Alcotest.failf "link %d: expected Invalid_argument" id
+      | exception Invalid_argument _ -> ())
+    [ -1; Topology.num_links t ];
+  Alcotest.(check bool) "find from a non-switch" true
+    (Topology.find_link t 4 0 = None && Topology.find_link t (-1) 0 = None)
 
 let test_topology_validation () =
   let t = Topology.create 2 in
@@ -372,7 +395,11 @@ let () =
           case "table render" test_table_render;
         ] );
       ( "topology",
-        [ case "basics" test_topology_basics; case "validation" test_topology_validation ] );
+        [
+          case "basics" test_topology_basics;
+          case "validation" test_topology_validation;
+          case "links by id, fibres" test_topology_by_id;
+        ] );
       ( "tunnel", [ case "basics" test_tunnel_basics; case "validation" test_tunnel_validation ] );
       ( "paths",
         [

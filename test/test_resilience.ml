@@ -263,7 +263,7 @@ let test_fault_dedup () =
         | None -> [])
       ids
   in
-  match Sim.Fault_model.fibres topo with
+  match Topology.fibres topo with
   | f1 :: rest ->
     let v = List.hd (endpoints_of f1) in
     let untouched =

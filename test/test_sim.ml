@@ -16,7 +16,7 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let test_fibres_pair_directions () =
   let topo = Topo_gen.fig2 () in
-  let fibres = Sim.Fault_model.fibres topo in
+  let fibres = Topology.fibres topo in
   Alcotest.(check int) "5 fibres" 5 (List.length fibres);
   List.iter (fun ids -> Alcotest.(check int) "both directions" 2 (List.length ids)) fibres
 

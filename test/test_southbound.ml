@@ -127,6 +127,42 @@ let test_stragglers_time_out () =
   Alcotest.(check (list int)) "both stale" [ 0; 1 ] r.Sim.Southbound.stale;
   Alcotest.(check int) "nothing applied" 0 (List.length r.Sim.Southbound.applied)
 
+(* Ingresses 3, 0 and 1 are listed out of id order; switches 2 and 4
+   source no flow. Held stale, the middle ingress and the last one are
+   reported in ascending order. *)
+let test_ingress_slots () =
+  let topo = Topology.create 5 in
+  let flow id src =
+    Flow.create ~id ~src ~dst:4 [ Tunnel.create ~id [ Topology.add_link topo src 4 10. ] ]
+  in
+  let input =
+    { Te_types.topo; flows = [ flow 0 3; flow 1 0; flow 2 1 ]; demands = [| 1.; 1.; 1. |] }
+  in
+  let eng = Sim.Southbound.create ~retry:fixed_retry instant_model input in
+  Sim.Southbound.force_outage eng 1 ~until_s:1e9;
+  Sim.Southbound.force_outage eng 3 ~until_s:1e9;
+  let target = { Te_types.bf = [| 1.; 1.; 1. |]; af = [| [| 1. |]; [| 1. |]; [| 1. |] |] } in
+  let r = Sim.Southbound.push eng (Rng.create 5) input ~target ~interval_s:300. in
+  Alcotest.(check (list int)) "report.stale ascending" [ 1; 3 ] r.Sim.Southbound.stale;
+  Alcotest.(check (list int)) "stale_switches ascending" [ 1; 3 ]
+    (Sim.Southbound.stale_switches eng);
+  Alcotest.(check (list int)) "only switch 0 applied" [ 0 ]
+    (List.map (fun e -> e.Sim.Southbound.switch) r.Sim.Southbound.applied);
+  let expect_invalid what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun v ->
+      expect_invalid (Printf.sprintf "running %d" v) (fun () ->
+          ignore (Sim.Southbound.running eng v));
+      expect_invalid (Printf.sprintf "epoch_lag %d" v) (fun () ->
+          ignore (Sim.Southbound.epoch_lag eng v));
+      expect_invalid (Printf.sprintf "force_outage %d" v) (fun () ->
+          Sim.Southbound.force_outage eng v ~until_s:0.))
+    [ 2; 4; 5; -1 ]
+
 let test_completion_past_interval_edge_is_stale () =
   let input = mixed_input () in
   (* 20 s completion fits the 30 s timeout but not the 10 s interval: the
@@ -383,6 +419,7 @@ let () =
           case "retry timeline schedule" test_retry_timeline_schedule;
           case "completion past the edge counts stale"
             test_completion_past_interval_edge_is_stale;
+          case "ingress slots: ascending, bounds-checked" test_ingress_slots;
         ] );
       ( "mixing",
         [

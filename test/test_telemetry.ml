@@ -134,7 +134,7 @@ let test_neutral_consumes_no_randomness () =
 let test_delayed_notification_and_reconcile () =
   let sc = lnet () in
   let topo = sc.Sim.Scenario.input.Te_types.topo in
-  let fibre = List.hd (Sim.Fault_model.fibres topo) in
+  let fibre = List.hd (Ffc_net.Topology.fibres topo) in
   let fault = { Sim.Fault_model.time_s = 10.; kind = Sim.Fault_model.Link_down fibre } in
   let t = Sim.Telemetry.create (Sim.Telemetry.config ~delay:2 ()) in
   let rng = Rng.create 3 in
