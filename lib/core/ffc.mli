@@ -31,7 +31,13 @@ type config = {
           "mice" and get fixed equal-split allocations (§6); default 0.01 *)
   ingress_skip_fraction : float;
       (** ignore ingresses whose old load on a link is below this fraction
-          of capacity (§6); default 1e-5 (the paper's 0.001%) *)
+          of capacity (§6); default 1e-5 (the paper's 0.001%). An
+          approximation the paper accepts: a skipped ingress that gets stuck
+          can still push its link past capacity by up to its old load, so
+          Eqn 5 can fail by that much (DESIGN §4: on default L-Net at
+          scale 1.0, two steps of 30 by about 2e-4 Gbps). The exact
+          configurations (the CLI, the oracles, the edge benchmark) set it,
+          and [mice_fraction], to 0. *)
   rescale_aware : bool;
       (** This repository's extension beyond the paper. The paper's combined
           formulation (§4.5) bounds a stuck ingress by [beta = max(w' b, a)],

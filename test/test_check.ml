@@ -149,29 +149,6 @@ let test_real_oracles_clean_smoke () =
           f.Fuzz.repro)
     r.Fuzz.oracles
 
-(* The solver gate: the lp and lu oracles, 1000 instances per seed over
-   seeds 1-6, as `ffc fuzz --oracles lp,lu --count 1000 --seed N` runs
-   them. Each oracle's (exercised, skipped, findings) is pinned, so a
-   solver change that moves a verdict -- a new finding, or an instance
-   that starts or stops being skipped -- fails here. *)
-let test_solver_fuzz_pinned () =
-  let oracles = match Oracles.select [ "lp"; "lu" ] with Ok os -> os | Error e -> failwith e in
-  List.iter
-    (fun (seed, lp) ->
-      let r = Fuzz.run ~seed ~count:1000 ~oracles () in
-      Alcotest.(check (list (pair string (triple int int int))))
-        (Printf.sprintf "seed %d" seed)
-        [ ("lp", lp); ("lu", (1000, 0, 0)) ]
-        (List.map (fun (name, e, s, f) -> (name, (e, s, f))) (counts r)))
-    [
-      (1, (995, 5, 0));
-      (2, (995, 5, 0));
-      (3, (997, 3, 0));
-      (4, (998, 2, 0));
-      (5, (996, 4, 0));
-      (6, (998, 2, 0));
-    ]
-
 (* The sharded campaign is bit-identical to the sequential one: same
    instance streams (pre-split RNGs), same findings (index-order replay
    with the same early-exit point), same shrunk repros. The synthetic
@@ -322,7 +299,6 @@ let () =
       ( "oracles",
         [
           case "seeded smoke is clean" test_real_oracles_clean_smoke;
-          case "solver fuzz counts pinned (seeds 1-6)" test_solver_fuzz_pinned;
           case "selection by name" test_oracle_selection;
         ] );
       ( "parallel",

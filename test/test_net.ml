@@ -138,6 +138,29 @@ let test_topology_by_id () =
   Alcotest.(check bool) "find from a non-switch" true
     (Topology.find_link t 4 0 = None && Topology.find_link t (-1) 0 = None)
 
+(* 100 links cross several doublings of the link array: [links] holds
+   exactly [num_links] entries, in id order, and no spare slot shows. *)
+let test_topology_growth () =
+  let n = 11 in
+  let t = Topology.create n in
+  let pairs =
+    List.concat_map (fun u -> List.init 10 (fun k -> (u, (u + k + 1) mod n))) (List.init 10 Fun.id)
+  in
+  List.iter (fun (u, v) -> ignore (Topology.add_link t u v 1.)) pairs;
+  let ls = Topology.links t in
+  Alcotest.(check int) "num_links" 100 (Topology.num_links t);
+  Alcotest.(check int) "links length" 100 (Array.length ls);
+  Alcotest.(check (list (triple int int int)))
+    "ids in insertion order"
+    (List.mapi (fun i (u, v) -> (i, u, v)) pairs)
+    (Array.to_list
+       (Array.map (fun (l : Topology.link) -> (l.Topology.id, l.Topology.src, l.Topology.dst)) ls));
+  (match Topology.link t (Topology.num_links t) with
+  | _ -> Alcotest.fail "link num_links: expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "fibres cover every link" 100
+    (List.length (List.concat (Topology.fibres t)))
+
 let test_topology_validation () =
   let t = Topology.create 2 in
   ignore (Topology.add_link t 0 1 1.);
@@ -399,6 +422,7 @@ let () =
           case "basics" test_topology_basics;
           case "validation" test_topology_validation;
           case "links by id, fibres" test_topology_by_id;
+          case "link array grows past doublings" test_topology_growth;
         ] );
       ( "tunnel", [ case "basics" test_tunnel_basics; case "validation" test_tunnel_validation ] );
       ( "paths",
