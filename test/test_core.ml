@@ -863,7 +863,7 @@ let () =
           case "control FFC rows are O(kc n)" test_control_constraint_growth;
           case "data FFC rows are O(tau |T|)" test_data_constraint_growth;
         ] );
-      ( "paper-approximations",
+      ( "approximations",
         [ case "section 6 ingress skip: two Eqn 5 misses pinned" test_skip_rule_misses_pinned ] );
       ("instrumentation", [ case "timing is positive wall-clock" test_stats_wall_clock ]);
       ( "warm-start",
