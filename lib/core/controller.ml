@@ -224,10 +224,12 @@ let audit_class rng ~budget (input : Te_types.input) ~prev ~alloc
   data_case 0 0;
   let have_data = prot.Te_types.ke > 0 || prot.Te_types.kv > 0 in
   let have_control = prot.Te_types.kc > 0 in
-  let ingresses = Array.of_list (Enumerate.control_fault_universe input) in
+  (* Built on the first control case drawn: an audit at kc = 0 (a class
+     without control-plane protection, basic TE, last-good) draws none. *)
+  let ingresses = lazy (Array.of_list (Enumerate.control_fault_universe input)) in
   let control_case () =
     let n = 1 + Rng.int rng prot.Te_types.kc in
-    let stuck = Rng.sample_without_replacement rng n ingresses in
+    let stuck = Rng.sample_without_replacement rng n (Lazy.force ingresses) in
     record (Enumerate.check_control_case input ~old_alloc:prev ~new_alloc:alloc ~stuck)
   in
   let remaining = ref (max 0 (budget - 1)) in

@@ -268,9 +268,10 @@ type state = {
   backlog : float array;  (** unsatisfied demand carried to the next interval *)
   mutable down_until : float;  (** absolute time the controller is down until *)
   mutable was_down : bool;
-  mutable journal : (string * string) option;
-      (** controller and southbound snapshots after the last completed
-          step+push *)
+  mutable journal : (string * Southbound.t) option;
+      (** after the last completed step+push: the controller's snapshot and
+          the engine captured by value, encoded only when a journaled
+          restart reads it *)
   mutable last_kc : int;
       (** effective kc of the standing target: the level the coasting
           network's configuration was last verified at *)
@@ -328,10 +329,15 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let failed_links = Hashtbl.create 8 and failed_switches = Hashtbl.create 4 in
     let is_failed_link l = Hashtbl.mem failed_links l in
     let is_failed_switch v = Hashtbl.mem failed_switches v in
+    (* The rates in force, with their loss measure taken at most once: the
+       initial congestion check and the accrual of their segment share it. *)
     let current_rates () =
-      Rescale.rescale input_t target ~stuck:stuck_set
-        ~old_alloc_of:(Southbound.running st.engine)
-        ~failed_links:is_failed_link ~failed_switches:is_failed_switch ()
+      let rates =
+        Rescale.rescale input_t target ~stuck:stuck_set
+          ~old_alloc_of:(Southbound.running st.engine)
+          ~failed_links:is_failed_link ~failed_switches:is_failed_switch ()
+      in
+      (rates, lazy (Loss.measure input_t rates.Rescale.tunnel_rates))
     in
     let lost_congestion = Array.make nclasses 0. in
     let lost_blackhole = Array.make nclasses 0. in
@@ -347,14 +353,14 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       let at = now +. detect_s +. notify_s +. d in
       reaction_done := min at cfg.interval_s
     in
-    let rates = ref (current_rates ()) in
+    let current = ref (current_rates ()) in
     (* Control-plane faults: if the mix congests, a reactive (or
        beyond-protection) controller fixes it after a reaction delay. *)
     (match react with
     | None -> ()
     | Some _ ->
       let initial_congestion =
-        Array.fold_left ( +. ) 0. (Loss.congestion_rates input_t !rates.Rescale.tunnel_rates)
+        Array.fold_left ( +. ) 0. (Lazy.force (snd !current)).Loss.dropped
       in
       if initial_congestion > 1e-9 then schedule_reaction 0.);
     (* Accrue loss over [t0, t1) for the current rates; congestion and
@@ -368,19 +374,18 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           else lossy_until -. t0
         in
         if lossy_dur > 0. then begin
-          let cong = Loss.congestion_rates input_t !rates.Rescale.tunnel_rates in
+          let rates, measure = !current in
+          let measure = Lazy.force measure in
           Array.iteri
             (fun cls c -> lost_congestion.(cls) <- lost_congestion.(cls) +. (c *. lossy_dur))
-            cong;
+            measure.Loss.dropped;
           let undeliv =
-            Loss.class_rate input_t (fun f -> !rates.Rescale.undeliverable.(f))
+            Loss.class_rate input_t (fun f -> rates.Rescale.undeliverable.(f))
           in
           Array.iteri
             (fun cls u -> lost_blackhole.(cls) <- lost_blackhole.(cls) +. (u *. lossy_dur))
             undeliv;
-          max_oversub :=
-            max !max_oversub
-              (Loss.max_oversubscription input_t !rates.Rescale.tunnel_rates)
+          max_oversub := max !max_oversub measure.Loss.max_oversub_pct
         end
       end
     in
@@ -398,12 +403,13 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           | Fault_model.Switch_down s -> v = s
         in
         let burst = Array.make nclasses 0. in
+        let rates, _ = !current in
         List.iter
           (fun (f : Flow.t) ->
             let id = f.Flow.id in
             List.iteri
               (fun ti (tn : Tunnel.t) ->
-                let r = !rates.Rescale.tunnel_rates.(id).(ti) in
+                let r = rates.Rescale.tunnel_rates.(id).(ti) in
                 if
                   r > 0.
                   && List.exists
@@ -426,7 +432,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
         | Fault_model.Switch_down v ->
           incr cum_switch_faults;
           Hashtbl.replace failed_switches v ());
-        rates := current_rates ();
+        current := current_rates ();
         (* React at the edge of protection (§8.1): a reactive controller on
            every fault; a proactive one once cumulative faults reach the
            smallest protection level of any class (or on any fault of an
@@ -550,16 +556,17 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       match downtime with Some d -> st.down_until <- t_start +. d | None -> ())
     | _ -> ()
   in
-  (* Restart: a journaled controller resumes from the snapshot taken after
-     its last completed step+push (the engine state is replayed through the
-     serialization path end-to-end, then ticked through the coasted
-     intervals — legitimate, since nothing but the clock moved while the
-     controller was down). A cold restart keeps the real network state
-     (switches do not forget their configs when the controller dies) but
-     boots a blind controller. Returns whether the journal was used. *)
+  (* Restart: a journaled controller resumes from the journal of its last
+     completed step+push. The captured engine is encoded and decoded here,
+     so every restore runs the serialization path end to end; the restored
+     engine is then ticked through the coasted intervals — legitimate,
+     since nothing but the clock moved while the controller was down. A
+     cold restart keeps the real network state (switches do not forget
+     their configs when the controller dies) but boots a blind controller.
+     Returns whether the journal was used. *)
   let restart interval_idx t_start =
     match (cfg.outage, st.journal) with
-    | Some { recovery = Journaled_restart; _ }, Some (cs, es) ->
+    | Some { recovery = Journaled_restart; _ }, Some (cs, captured) ->
       (* A restore mismatch is an Error event carrying the decoder's
          complaint, so post-mortems can see which snapshot failed. *)
       let restored component = function
@@ -572,7 +579,9 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       in
       let c = restored "controller" (Controller.restore ccfg cs) in
       let e =
-        restored "southbound" (Southbound.restore ~retry:cfg.retry cfg.update_model input es)
+        restored "southbound"
+          (Southbound.restore ~retry:cfg.retry cfg.update_model input
+             (Southbound.snapshot captured))
       in
       while Southbound.now_s e +. 1e-9 < t_start do
         Southbound.tick e ~interval_s:cfg.interval_s
@@ -705,12 +714,13 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     in
     st.last_kc <- kc;
     (* Journal the post-step state — everything a restarted controller
-       needs to resume as if it never died. Snapshots are taken every up
-       interval (not lazily at crash time): a real controller cannot
-       journal after it has crashed. *)
+       needs to resume as if it never died. The state is captured every up
+       interval (not lazily at crash time: a real controller cannot journal
+       after it has crashed), the engine's by value; it is encoded and
+       decoded only when a journaled restart reads it. *)
     (match cfg.outage with
     | Some { recovery = Journaled_restart; _ } when not down ->
-      st.journal <- Some (Controller.snapshot st.ctrl, Southbound.snapshot st.engine)
+      st.journal <- Some (Controller.snapshot st.ctrl, Southbound.copy st.engine)
     | _ -> ());
     let faults = sample_faults interval_idx in
     if not down then Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;

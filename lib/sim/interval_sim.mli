@@ -35,16 +35,21 @@ type mode =
     mixture while demands drift and data-plane faults keep arriving (same
     fault stream, so timelines stay identical across recovery strategies) —
     with nobody reacting. On restart the controller either resumes from its
-    crash-recovery journal ({!Ffc_core.Controller.snapshot} /
-    {!Southbound.snapshot}, replayed through the serialization path
-    end-to-end) or boots cold: the network state survives either way, but a
-    cold controller is {e blind} on its recovery interval — it plans from a
-    zero previous allocation and an assumed-clean switch fleet until the
-    push reports re-sync its view. *)
+    crash-recovery journal or boots cold: the network state survives either
+    way, but a cold controller is {e blind} on its recovery interval — it
+    plans from a zero previous allocation and an assumed-clean switch fleet
+    until the push reports re-sync its view.
+
+    Under {!Journaled_restart} the journal is captured on every up interval,
+    after the step and push: the controller's
+    {!Ffc_core.Controller.snapshot} (one line) and the engine by value
+    ({!Southbound.copy}). The engine is encoded ({!Southbound.snapshot}) and
+    decoded ({!Southbound.restore}) only when a restart reads the journal,
+    so every restore still runs the serialization path end to end. *)
 
 type recovery =
   | Cold_restart  (** fresh controller, blind recovery interval *)
-  | Journaled_restart  (** resume from the last interval's snapshots *)
+  | Journaled_restart  (** resume from the journal of the last up interval *)
 
 type outage_model = {
   crash_per_interval : float;

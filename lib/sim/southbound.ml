@@ -105,6 +105,21 @@ let tick t ~interval_s = t.now <- t.now +. interval_s
 (* Crash-recovery journal                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every mutable part: [push] writes [bf] in place and installs [af] rows
+   that the target allocation also holds, so both are copied down to the
+   rows. The rest is immutable after [create] and stays shared. *)
+let copy t =
+  {
+    t with
+    epochs = Array.copy t.epochs;
+    outage_until = Array.copy t.outage_until;
+    installed =
+      {
+        Te_types.bf = Array.copy t.installed.Te_types.bf;
+        af = Array.map Array.copy t.installed.Te_types.af;
+      };
+  }
+
 let snapshot t =
   let w = Journal.writer "southbound" in
   Journal.put_int w "target_epoch" t.target_epoch;

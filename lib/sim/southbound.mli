@@ -174,6 +174,14 @@ val tick : t -> interval_s:float -> unit
 
 (** {2 Crash-recovery journal} *)
 
+val copy : t -> t
+(** The engine's state by value: the clock, the target epoch, each
+    ingress's epoch and outage deadline, and the installed allocation down
+    to its rows. Pushes, ticks and outages on either engine leave the
+    other's state, and its {!snapshot}, unchanged. Cheaper than
+    {!snapshot}, which formats every installed rate: capture state with
+    [copy] and encode it when it is read. *)
+
 val snapshot : t -> string
 (** Serialize the full engine state to a {!Ffc_core.Journal} document:
     target epoch, engine clock, the switch set, the installed allocation

@@ -192,6 +192,46 @@ let test_southbound_restore_checks_allocation_shape () =
     (Error "journal: flow 0 has 2 tunnel allocations, input has 1 tunnels")
     (Sim.Southbound.restore instant_model other snap)
 
+(* An engine captured by value is isolated from the live one. After the
+   capture the live engine runs on: an in-place write reaches a target row
+   it installed, and pushes replace af rows, write bf in place, start an
+   outage and advance epochs. The capture's encoding must stay the snapshot
+   taken at capture time, byte for byte. *)
+let test_southbound_copy_isolated () =
+  let input = small_input () in
+  let model =
+    {
+      instant_model with
+      Sim.Update_model.config_fail_prob = 0.5;
+      outage_prob = 1.;
+      outage_duration_s = (fun _ -> 600.);
+    }
+  in
+  let engine = Sim.Southbound.create model input in
+  let rng = Rng.create 1 in
+  let push bf af =
+    Sim.Southbound.push engine rng input ~target:{ Te_types.bf; af } ~interval_s:300.
+  in
+  let target = { Te_types.bf = [| 6.; 2. |]; af = [| [| 1.; 5. |]; [| 2. |] |] } in
+  let first = Sim.Southbound.push engine rng input ~target ~interval_s:300. in
+  Alcotest.(check (list int)) "both switches run the first target" [] first.Sim.Southbound.stale;
+  Alcotest.(check bool) "the engine holds the target's rows themselves" true
+    ((Sim.Southbound.running engine 1).Te_types.af.(1) == target.Te_types.af.(1));
+  let captured = Sim.Southbound.copy engine in
+  let doc = Sim.Southbound.snapshot engine in
+  target.Te_types.af.(1).(0) <- 7.;
+  let reports =
+    List.init 4 (fun i ->
+        let r = float_of_int (i + 2) in
+        push [| r; 1. |] [| [| 1.; r |]; [| 1. |] |])
+  in
+  let some what p = Alcotest.(check bool) what true (List.exists p reports) in
+  some "a push landed" (fun r -> r.Sim.Southbound.applied <> []);
+  some "a push started an outage" (fun r -> r.Sim.Southbound.outages_started > 0);
+  Alcotest.(check bool) "the live engine moved" true (Sim.Southbound.snapshot engine <> doc);
+  Alcotest.(check string) "the capture still encodes as at capture time" doc
+    (Sim.Southbound.snapshot captured)
+
 (* Journals hold decision state only: the controller's audit RNG, and one
    installed allocation for the whole engine rather than one per switch. *)
 let test_journals_hold_decision_state () =
@@ -574,6 +614,7 @@ let () =
             test_southbound_roundtrip_continuation;
           case "switch-set mismatch rejected" test_southbound_restore_checks_switch_set;
           case "mis-shaped allocation rejected" test_southbound_restore_checks_allocation_shape;
+          case "a captured engine is isolated from the live one" test_southbound_copy_isolated;
           case "journals hold decision state only" test_journals_hold_decision_state;
         ] );
       ( "faults",

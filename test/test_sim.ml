@@ -137,15 +137,10 @@ let test_class_rate () =
   check_float "class 0" 1.5 per.(0);
   check_float "class 1" 2.5 per.(1)
 
-(* Property: [Loss.congestion_rates] matches the closed-form strict-priority
-   reference. On each link, the classes are served in priority order, so the
-   drop of class [c] is the growth of the overflow between the load prefix
-   up to [c-1] and up to [c]: over(prefix_c) - over(prefix_{c-1}) with
-   over(s) = max 0 (s - capacity). Aggregating that per link must reproduce
-   the serve-loop in [congestion_rates] exactly, and the total drop must
-   equal the summed link overflows (conservation). *)
-let prop_congestion_rates_match_prefix_reference =
-  let gen_case =
+(* Fuzz TE instances, with one or two priority classes, under random
+   tunnel rates. *)
+let arb_rated_instance =
+  QCheck.make
     QCheck.Gen.(
       map
         (fun seed ->
@@ -155,18 +150,22 @@ let prop_congestion_rates_match_prefix_reference =
           let rates =
             List.map
               (fun (f : Flow.t) ->
-                List.map (fun _ -> Rng.uniform rng 0. 400.) f.Flow.tunnels)
+                Array.of_list (List.map (fun _ -> Rng.uniform rng 0. 400.) f.Flow.tunnels))
               input.Te_types.flows
           in
-          (input, rates))
+          (input, Array.of_list rates))
         (int_bound 100_000))
-  in
-  let arb = QCheck.make gen_case in
-  QCheck.Test.make ~count:300 ~name:"congestion_rates matches prefix-sum reference" arb
-    (fun (input, rate_lists) ->
-      let rates =
-        Array.of_list (List.map Array.of_list rate_lists)
-      in
+
+(* Property: [Loss.congestion_rates] matches the closed-form strict-priority
+   reference. On each link, the classes are served in priority order, so the
+   drop of class [c] is the growth of the overflow between the load prefix
+   up to [c-1] and up to [c]: over(prefix_c) - over(prefix_{c-1}) with
+   over(s) = max 0 (s - capacity). Aggregating that per link must reproduce
+   the serve-loop in [congestion_rates] exactly, and the total drop must
+   equal the summed link overflows (conservation). *)
+let prop_congestion_rates_match_prefix_reference =
+  QCheck.Test.make ~count:300 ~name:"congestion_rates matches prefix-sum reference"
+    arb_rated_instance (fun (input, rates) ->
       let drops = Sim.Loss.congestion_rates input rates in
       let loads = Sim.Loss.loads_by_class input rates in
       let nc = Array.length loads in
@@ -188,6 +187,33 @@ let prop_congestion_rates_match_prefix_reference =
       let per_class_ok = Array.for_all2 close drops reference in
       let total = Array.fold_left ( +. ) 0. drops in
       per_class_ok && close total !total_overflow)
+
+(* Property: [Loss.measure]'s one load pass gives, bit for bit, what the
+   separate passes gave: each class's drop is the serve loop over
+   [Loss.loads_by_class], and the peak is [Te_types.max_oversubscription]
+   over the aggregate [Rescale.loads], whose sums run in another order than
+   the class rows' when there are several classes. *)
+let prop_measure_matches_separate_passes =
+  QCheck.Test.make ~count:300 ~name:"measure matches the separate passes bit for bit"
+    arb_rated_instance (fun (input, rates) ->
+      let m = Sim.Loss.measure input rates in
+      let loads = Sim.Loss.loads_by_class input rates in
+      let dropped = Array.make (Array.length loads) 0. in
+      Array.iter
+        (fun (l : Topology.link) ->
+          let lid = l.Topology.id in
+          let remaining = ref l.Topology.capacity in
+          Array.iteri
+            (fun cls row ->
+              let served = min row.(lid) !remaining in
+              remaining := !remaining -. served;
+              dropped.(cls) <- dropped.(cls) +. (row.(lid) -. served))
+            loads)
+        (Topology.links input.Te_types.topo);
+      let peak = Te_types.max_oversubscription input (Rescale.loads input rates) in
+      Array.for_all2 Float.equal dropped m.Sim.Loss.dropped
+      && Float.equal peak m.Sim.Loss.max_oversub_pct
+      && Array.for_all2 Float.equal dropped (Sim.Loss.congestion_rates input rates))
 
 (* ------------------------------------------------------------------ *)
 (* Update simulation                                                   *)
@@ -475,6 +501,27 @@ let pinned_arm ~recovery ~sensing ~retry ~update_model ~scale =
   let cfg = { base with Sim.Interval_sim.forced_faults = Some forced } in
   Sim.Interval_sim.run ~rng:(Rng.create 32) cfg input ~demand_series
 
+(* The edge benchmark's sim-reactive configuration on default L-Net: basic
+   TE reacting to every lnet-like fault, lossy, delayed and noisy sensing
+   through the default estimator, and random controller crashes recovered
+   from the journal. The only pinned arm with reactive mode and random
+   crashes. *)
+let reactive_arm () =
+  let sc = Sim.Scenario.lnet_sim (Rng.create 42) in
+  let input = sc.Sim.Scenario.input in
+  let demand_series = Sim.Scenario.demand_series (Rng.create 43) sc ~scale:0.6 ~intervals:300 in
+  let cfg =
+    Sim.Interval_sim.default_config
+      ~telemetry:(Sim.Telemetry.config ~loss:0.25 ~delay:2 ~demand_noise:0.08 ())
+      ~estimator:(Estimator.config ())
+      ~outage:
+        (Sim.Interval_sim.controller_outage ~crash_per_interval:0.05
+           Sim.Interval_sim.Journaled_restart)
+      ~mode:Sim.Interval_sim.Reactive ~update_model:(Sim.Update_model.realistic ())
+      (Sim.Fault_model.lnet_like input.Te_types.topo)
+  in
+  Sim.Interval_sim.run ~rng:(Rng.create 44) cfg input ~demand_series
+
 let stream_digest stats =
   Digest.to_hex
     (Digest.string (String.concat "\n" (List.map Sim.Interval_sim.stats_json_line stats)))
@@ -503,14 +550,23 @@ let test_engine_pinned_streams () =
   has "escalated step" (fun s -> s.escalated);
   has "beyond-budget verdict" (fun s ->
       match s.kc_verdict with Sim.Southbound.Beyond_budget _ -> true | _ -> false);
+  let reactive = reactive_arm () in
+  let reactive_has what p = Alcotest.(check bool) what true (List.exists p reactive) in
+  reactive_has "reactive: controller down" (fun s -> s.controller_down);
+  reactive_has "reactive: journaled recovery" (fun s -> s.recovered_from_journal);
+  reactive_has "reactive: reaction" (fun s -> s.reacted);
   Alcotest.(check (list string))
     "stream digests"
     [
       "1a98d8f5f69167917e53d0e56a355e3d";
       "40bdf41c6889c17ea4dff9b7c330add1";
       "1d67181f3a4ae69b6650afbfe7c4f98b";
+      "b900ee53227c2851f12f9d067f103bad";
     ]
-    [ stream_digest journaled; stream_digest cold; stream_digest single ]
+    [
+      stream_digest journaled; stream_digest cold; stream_digest single;
+      stream_digest reactive;
+    ]
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -536,6 +592,7 @@ let () =
           case "drops high when saturated" test_priority_queueing_drops_high_when_saturated;
           case "class rates" test_class_rate;
           QCheck_alcotest.to_alcotest prop_congestion_rates_match_prefix_reference;
+          QCheck_alcotest.to_alcotest prop_measure_matches_separate_passes;
         ] );
       ( "update-sim",
         [
