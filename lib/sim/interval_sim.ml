@@ -329,15 +329,10 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let failed_links = Hashtbl.create 8 and failed_switches = Hashtbl.create 4 in
     let is_failed_link l = Hashtbl.mem failed_links l in
     let is_failed_switch v = Hashtbl.mem failed_switches v in
-    (* The rates in force, with their loss measure taken at most once: the
-       initial congestion check and the accrual of their segment share it. *)
     let current_rates () =
-      let rates =
-        Rescale.rescale input_t target ~stuck:stuck_set
-          ~old_alloc_of:(Southbound.running st.engine)
-          ~failed_links:is_failed_link ~failed_switches:is_failed_switch ()
-      in
-      (rates, lazy (Loss.measure input_t rates.Rescale.tunnel_rates))
+      Rescale.rescale input_t target ~stuck:stuck_set
+        ~old_alloc_of:(Southbound.running st.engine)
+        ~failed_links:is_failed_link ~failed_switches:is_failed_switch ()
     in
     let lost_congestion = Array.make nclasses 0. in
     let lost_blackhole = Array.make nclasses 0. in
@@ -353,14 +348,14 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       let at = now +. detect_s +. notify_s +. d in
       reaction_done := min at cfg.interval_s
     in
-    let current = ref (current_rates ()) in
+    let rates = ref (current_rates ()) in
     (* Control-plane faults: if the mix congests, a reactive (or
        beyond-protection) controller fixes it after a reaction delay. *)
     (match react with
     | None -> ()
     | Some _ ->
       let initial_congestion =
-        Array.fold_left ( +. ) 0. (Lazy.force (snd !current)).Loss.dropped
+        Array.fold_left ( +. ) 0. (Loss.congestion_rates input_t !rates.Rescale.tunnel_rates)
       in
       if initial_congestion > 1e-9 then schedule_reaction 0.);
     (* Accrue loss over [t0, t1) for the current rates; congestion and
@@ -374,18 +369,19 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           else lossy_until -. t0
         in
         if lossy_dur > 0. then begin
-          let rates, measure = !current in
-          let measure = Lazy.force measure in
+          let cong = Loss.congestion_rates input_t !rates.Rescale.tunnel_rates in
           Array.iteri
             (fun cls c -> lost_congestion.(cls) <- lost_congestion.(cls) +. (c *. lossy_dur))
-            measure.Loss.dropped;
+            cong;
           let undeliv =
-            Loss.class_rate input_t (fun f -> rates.Rescale.undeliverable.(f))
+            Loss.class_rate input_t (fun f -> !rates.Rescale.undeliverable.(f))
           in
           Array.iteri
             (fun cls u -> lost_blackhole.(cls) <- lost_blackhole.(cls) +. (u *. lossy_dur))
             undeliv;
-          max_oversub := max !max_oversub measure.Loss.max_oversub_pct
+          max_oversub :=
+            max !max_oversub
+              (Loss.max_oversubscription input_t !rates.Rescale.tunnel_rates)
         end
       end
     in
@@ -403,13 +399,12 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
           | Fault_model.Switch_down s -> v = s
         in
         let burst = Array.make nclasses 0. in
-        let rates, _ = !current in
         List.iter
           (fun (f : Flow.t) ->
             let id = f.Flow.id in
             List.iteri
               (fun ti (tn : Tunnel.t) ->
-                let r = rates.Rescale.tunnel_rates.(id).(ti) in
+                let r = !rates.Rescale.tunnel_rates.(id).(ti) in
                 if
                   r > 0.
                   && List.exists
@@ -432,7 +427,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
         | Fault_model.Switch_down v ->
           incr cum_switch_faults;
           Hashtbl.replace failed_switches v ());
-        current := current_rates ();
+        rates := current_rates ();
         (* React at the edge of protection (§8.1): a reactive controller on
            every fault; a proactive one once cumulative faults reach the
            smallest protection level of any class (or on any fault of an

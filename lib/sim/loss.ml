@@ -4,44 +4,28 @@ open Ffc_core
 let num_classes (input : Te_types.input) =
   1 + List.fold_left (fun acc (f : Flow.t) -> max acc f.Flow.priority) 0 input.Te_types.flows
 
-(* The one load pass. Each positive tunnel rate is added to its flow's
-   class row and to the aggregate, every sum taken in flow, tunnel and link
-   order: [Rescale.loads]'s order, so the aggregate is bit-identical to it.
-   With one class the aggregate is that class's row, built by the same
-   additions. Recursion over the lists rather than closures, which would
-   box each rate. *)
-let rec add_links row total r = function
-  | [] -> ()
-  | (l : Topology.link) :: rest ->
-    let lid = l.Topology.id in
-    row.(lid) <- row.(lid) +. r;
-    if total != row then total.(lid) <- total.(lid) +. r;
-    add_links row total r rest
-
-let rec add_tunnels row total rates ti = function
-  | [] -> ()
-  | (tn : Tunnel.t) :: rest ->
-    let r = rates.(ti) in
-    if r > 0. then add_links row total r tn.Tunnel.links;
-    add_tunnels row total rates (ti + 1) rest
-
-let load_pass (input : Te_types.input) rates =
+let loads_by_class (input : Te_types.input) rates =
   let nc = num_classes input in
   let nl = Topology.num_links input.Te_types.topo in
-  let by_class = Array.make_matrix nc nl 0. in
-  let total = if nc = 1 then by_class.(0) else Array.make nl 0. in
+  let loads = Array.make_matrix nc nl 0. in
   List.iter
     (fun (f : Flow.t) ->
-      add_tunnels by_class.(f.Flow.priority) total rates.(f.Flow.id) 0 f.Flow.tunnels)
+      let id = f.Flow.id in
+      let cls = f.Flow.priority in
+      List.iteri
+        (fun ti (t : Tunnel.t) ->
+          let r = rates.(id).(ti) in
+          if r > 0. then
+            List.iter
+              (fun (l : Topology.link) ->
+                loads.(cls).(l.Topology.id) <- loads.(cls).(l.Topology.id) +. r)
+              t.Tunnel.links)
+        f.Flow.tunnels)
     input.Te_types.flows;
-  (by_class, total)
+  loads
 
-let loads_by_class input rates = fst (load_pass input rates)
-
-type measure = { dropped : float array; max_oversub_pct : float }
-
-let measure (input : Te_types.input) rates =
-  let loads, total = load_pass input rates in
+let congestion_rates (input : Te_types.input) rates =
+  let loads = loads_by_class input rates in
   let nc = Array.length loads in
   let dropped = Array.make nc 0. in
   Array.iter
@@ -56,9 +40,7 @@ let measure (input : Te_types.input) rates =
         dropped.(cls) <- dropped.(cls) +. (load -. served)
       done)
     (Topology.links input.Te_types.topo);
-  { dropped; max_oversub_pct = Te_types.max_oversubscription input total }
-
-let congestion_rates input rates = (measure input rates).dropped
+  dropped
 
 let class_rate (input : Te_types.input) rate_of_flow =
   let out = Array.make (num_classes input) 0. in
@@ -66,3 +48,6 @@ let class_rate (input : Te_types.input) rate_of_flow =
     (fun (f : Flow.t) -> out.(f.Flow.priority) <- out.(f.Flow.priority) +. rate_of_flow f.Flow.id)
     input.Te_types.flows;
   out
+
+let max_oversubscription (input : Te_types.input) rates =
+  Te_types.max_oversubscription input (Rescale.loads input rates)

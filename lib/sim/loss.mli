@@ -13,24 +13,13 @@ val loads_by_class : Ffc_core.Te_types.input -> float array array -> float array
 (** [loads_by_class input rates] is a [class][link] load matrix from
     per-flow tunnel rates. *)
 
-type measure = {
-  dropped : float array;
-      (** Gbps dropped per priority class under priority queueing. Length
-          {!num_classes}. *)
-  max_oversub_pct : float;
-      (** max relative link oversubscription (percent): the aggregate link
-          loads, bit-identical to {!Ffc_core.Rescale.loads}, through
-          {!Ffc_core.Te_types.max_oversubscription} *)
-}
-
-val measure : Ffc_core.Te_types.input -> float array array -> measure
-(** Both loss figures of one rate vector (per-flow tunnel rates) from one
-    pass over its loads: the class loads of {!loads_by_class} and the
-    aggregate beside them. *)
-
 val congestion_rates : Ffc_core.Te_types.input -> float array array -> float array
-(** [(measure input rates).dropped]. *)
+(** Gbps dropped per priority class under priority queueing, given tunnel
+    rates. Length {!num_classes}. *)
 
 val class_rate : Ffc_core.Te_types.input -> (int -> float) -> float array
 (** [class_rate input rate_of_flow] sums a per-flow rate into per-class
     totals. *)
+
+val max_oversubscription : Ffc_core.Te_types.input -> float array array -> float
+(** Max relative link oversubscription (percent) given tunnel rates. *)

@@ -137,10 +137,15 @@ let test_class_rate () =
   check_float "class 0" 1.5 per.(0);
   check_float "class 1" 2.5 per.(1)
 
-(* Fuzz TE instances, with one or two priority classes, under random
-   tunnel rates. *)
-let arb_rated_instance =
-  QCheck.make
+(* Property: [Loss.congestion_rates] matches the closed-form strict-priority
+   reference. On each link, the classes are served in priority order, so the
+   drop of class [c] is the growth of the overflow between the load prefix
+   up to [c-1] and up to [c]: over(prefix_c) - over(prefix_{c-1}) with
+   over(s) = max 0 (s - capacity). Aggregating that per link must reproduce
+   the serve-loop in [congestion_rates] exactly, and the total drop must
+   equal the summed link overflows (conservation). *)
+let prop_congestion_rates_match_prefix_reference =
+  let gen_case =
     QCheck.Gen.(
       map
         (fun seed ->
@@ -150,22 +155,18 @@ let arb_rated_instance =
           let rates =
             List.map
               (fun (f : Flow.t) ->
-                Array.of_list (List.map (fun _ -> Rng.uniform rng 0. 400.) f.Flow.tunnels))
+                List.map (fun _ -> Rng.uniform rng 0. 400.) f.Flow.tunnels)
               input.Te_types.flows
           in
-          (input, Array.of_list rates))
+          (input, rates))
         (int_bound 100_000))
-
-(* Property: [Loss.congestion_rates] matches the closed-form strict-priority
-   reference. On each link, the classes are served in priority order, so the
-   drop of class [c] is the growth of the overflow between the load prefix
-   up to [c-1] and up to [c]: over(prefix_c) - over(prefix_{c-1}) with
-   over(s) = max 0 (s - capacity). Aggregating that per link must reproduce
-   the serve-loop in [congestion_rates] exactly, and the total drop must
-   equal the summed link overflows (conservation). *)
-let prop_congestion_rates_match_prefix_reference =
-  QCheck.Test.make ~count:300 ~name:"congestion_rates matches prefix-sum reference"
-    arb_rated_instance (fun (input, rates) ->
+  in
+  let arb = QCheck.make gen_case in
+  QCheck.Test.make ~count:300 ~name:"congestion_rates matches prefix-sum reference" arb
+    (fun (input, rate_lists) ->
+      let rates =
+        Array.of_list (List.map Array.of_list rate_lists)
+      in
       let drops = Sim.Loss.congestion_rates input rates in
       let loads = Sim.Loss.loads_by_class input rates in
       let nc = Array.length loads in
@@ -187,33 +188,6 @@ let prop_congestion_rates_match_prefix_reference =
       let per_class_ok = Array.for_all2 close drops reference in
       let total = Array.fold_left ( +. ) 0. drops in
       per_class_ok && close total !total_overflow)
-
-(* Property: [Loss.measure]'s one load pass gives, bit for bit, what the
-   separate passes gave: each class's drop is the serve loop over
-   [Loss.loads_by_class], and the peak is [Te_types.max_oversubscription]
-   over the aggregate [Rescale.loads], whose sums run in another order than
-   the class rows' when there are several classes. *)
-let prop_measure_matches_separate_passes =
-  QCheck.Test.make ~count:300 ~name:"measure matches the separate passes bit for bit"
-    arb_rated_instance (fun (input, rates) ->
-      let m = Sim.Loss.measure input rates in
-      let loads = Sim.Loss.loads_by_class input rates in
-      let dropped = Array.make (Array.length loads) 0. in
-      Array.iter
-        (fun (l : Topology.link) ->
-          let lid = l.Topology.id in
-          let remaining = ref l.Topology.capacity in
-          Array.iteri
-            (fun cls row ->
-              let served = min row.(lid) !remaining in
-              remaining := !remaining -. served;
-              dropped.(cls) <- dropped.(cls) +. (row.(lid) -. served))
-            loads)
-        (Topology.links input.Te_types.topo);
-      let peak = Te_types.max_oversubscription input (Rescale.loads input rates) in
-      Array.for_all2 Float.equal dropped m.Sim.Loss.dropped
-      && Float.equal peak m.Sim.Loss.max_oversub_pct
-      && Array.for_all2 Float.equal dropped (Sim.Loss.congestion_rates input rates))
 
 (* ------------------------------------------------------------------ *)
 (* Update simulation                                                   *)
@@ -592,7 +566,6 @@ let () =
           case "drops high when saturated" test_priority_queueing_drops_high_when_saturated;
           case "class rates" test_class_rate;
           QCheck_alcotest.to_alcotest prop_congestion_rates_match_prefix_reference;
-          QCheck_alcotest.to_alcotest prop_measure_matches_separate_passes;
         ] );
       ( "update-sim",
         [
