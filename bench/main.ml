@@ -176,9 +176,7 @@ let figure1b () =
   let n = intervals 40 in
   let series = Sim.Scenario.demand_series (Rng.create 102) sc ~scale:1.0 ~intervals:n in
   let rng = Rng.create 103 in
-  let ingresses =
-    List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
-  in
+  let ingresses = Array.of_list (Enumerate.control_fault_universe input) in
   let t = Table.create [ "faults"; "p25 (%)"; "p50 (%)"; "p75 (%)"; "p90 (%)"; "p99 (%)" ] in
   List.iter
     (fun nstuck ->
@@ -190,7 +188,7 @@ let figure1b () =
           match Basic_te.solve input_t with
           | Error _ -> ()
           | Ok alloc ->
-            let stuck = Rng.sample_without_replacement rng nstuck (Array.of_list ingresses) in
+            let stuck = Rng.sample_without_replacement rng nstuck ingresses in
             let rates =
               Rescale.rescale input_t alloc
                 ~stuck:(fun v -> List.mem v stuck)
@@ -1418,7 +1416,7 @@ let fuzz () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Chaos: crash-recovery journal and adversarial guarantee hunting     *)
+(* Chaos: controller crash recovery and adversarial guarantee hunting  *)
 (* ------------------------------------------------------------------ *)
 
 (* Controller crash-recovery on the over-subscribed L-Net. Both arms see an
@@ -1427,8 +1425,9 @@ let fuzz () =
    at the same interval (forced crashes consume no randomness, so the
    arms' streams stay aligned) — and differ only in how the controller
    comes back: cold (blind recovery interval: zero previous allocation,
-   assumed-clean switch fleet) vs journaled (controller and southbound
-   state resumed through the crash-recovery serialization end-to-end).
+   assumed-clean switch fleet) vs journaled (the controller resumes with
+   its audit stream against the switches' surviving configurations, the
+   state a crash-recovery journal would hold).
 
    Contracts asserted:
      - both arms actually exercise downtime and a recovery interval, and

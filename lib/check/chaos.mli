@@ -5,7 +5,7 @@
     A {!plan} is a deterministic chaos schedule: a small L-Net-like scenario
     plus forced data-plane faults (at most [ke] distinct fibres and [kv]
     distinct switches per interval, enforced at execution time), optionally
-    one controller crash recovered through the crash-recovery journal, and
+    one controller crash with a journaled restart, and
     optionally a degraded sensing plane (lossy/delayed/noisy telemetry with
     the robust estimator on, see {!Ffc_sim.Telemetry}). {!test} runs
     {!Ffc_sim.Interval_sim} over the plan and fails iff the simulated
@@ -50,7 +50,9 @@ type fault_spec = {
 
 type crash_spec = {
   cr_interval : int;  (** interval edge at which the controller dies *)
-  cr_downtime : float;  (** seconds; journaled recovery at the next edge after *)
+  cr_downtime : float;
+      (** seconds; a journaled restart at the next edge after (cold if no
+          step completed before the crash) *)
 }
 
 type tele_spec = {

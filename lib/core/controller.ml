@@ -81,36 +81,8 @@ type t = {
 
 let create cfg = { cfg; audit_rng = Rng.create cfg.audit_seed; bases = [] }
 
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery journal                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The warm-start basis caches are deliberately NOT journaled. They are
-   solver-internal state (Problem.basis values keyed by the formulation's
-   row and column keys), large relative to everything else here, and entirely
-   re-derivable: the first step after a restore simply cold-starts each
-   rung's LP and repopulates the cache — a one-interval warm-up cost.
-   Journaling them would drag the simplex's internal representation into
-   the serialization compatibility contract for state that carries no
-   guarantee. What matters for continuity is journaled: the audit RNG
-   state, so the sampled-guarantee audit stream continues bit-for-bit
-   instead of replaying the same cases. *)
-
-let snapshot t =
-  let w = Journal.writer "controller" in
-  Journal.put_int64 w "audit_rng" (Rng.to_state t.audit_rng);
-  Journal.to_string w
-
-let restore cfg s =
-  let ( let* ) = Result.bind in
-  let* r = Journal.expect "controller" (Journal.of_string s) in
-  let* audit_state = Journal.get_int64 r "audit_rng" in
-  Ok
-    {
-      cfg;
-      audit_rng = Rng.of_state audit_state;
-      bases = [] (* dropped on purpose; see the note above *);
-    }
+(* The audit stream continues; the bases are dropped (see the mli). *)
+let restart t = { t with bases = [] }
 
 let set_basis t ~rung ~cls basis =
   match basis with

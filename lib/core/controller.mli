@@ -100,6 +100,16 @@ val create : config -> t
 (** A controller with empty basis caches and the audit RNG seeded from
     [config.audit_seed]. *)
 
+val restart : t -> t
+(** The controller as it comes back from a crash with its journal: the
+    same config and audit RNG, so the sampled-guarantee audit stream
+    continues where it stopped instead of replaying the same cases, and
+    empty basis caches. The bases are not kept on purpose: they are
+    solver-internal and re-derivable, so the first step after a restart
+    cold-starts each rung's LP and repopulates the cache instead of
+    carrying simplex internals across the crash. The two controllers
+    share the RNG; use only the restarted one. *)
+
 val step :
   t ->
   ?stale:int ->
@@ -173,21 +183,3 @@ val audit_class :
 (** The sampled auditor on one (class-restricted) input: the no-fault case
     first, then up to [budget - 1] random {!Enumerate.check_data_case} /
     {!Enumerate.check_control_case} draws within the protection level. *)
-
-(** {2 Crash-recovery journal} *)
-
-val snapshot : t -> string
-(** Serialize the controller's guarantee-relevant state to a {!Journal}
-    document: the audit RNG state (so the sampled-guarantee audit stream
-    continues bit-for-bit after a restart), its only key.
-    The warm-start basis caches are deliberately dropped — they are
-    solver-internal, large, and re-derivable, so a restored controller
-    pays a one-interval cold-start on each rung's LP instead of dragging
-    simplex internals into the serialization contract. *)
-
-val restore : config -> string -> (t, string) result
-(** Rebuild a controller from a {!snapshot}. The [config] comes from the
-    caller, as on a real restart (mode closures are not serializable; the
-    restarted binary brings its own configuration). [Error] on a version
-    mismatch, a different component's document, or a missing/corrupt
-    field — never a silently-partial restore. *)

@@ -247,8 +247,8 @@ type source =
   | Solve of Controller.step
 
 (* An interval's target and what became of it at the interval edge.
-   Everything after — the kc check, journal, faults, play, verdicts and
-   accounting — is one tail shared by every source. *)
+   Everything after — the kc check, faults, play, verdicts and accounting
+   — is one tail shared by every source. *)
 type plan = {
   source : source;
   target : Te_types.allocation;  (** what the network is told to run *)
@@ -260,18 +260,15 @@ type plan = {
 (* The simulator's state between intervals. *)
 type state = {
   mutable ctrl : Controller.t;
-  mutable engine : Southbound.t;
-      (** the per-switch installed state (epochs, outages) *)
+  engine : Southbound.t;
+      (** the per-switch installed state (epochs, outages); it survives
+          controller crashes *)
   mutable enforced_bf : float array;
       (** per-flow rates the host rate limiters enforce (they always
           update, even when a switch's splits do not — §2.2) *)
   backlog : float array;  (** unsatisfied demand carried to the next interval *)
   mutable down_until : float;  (** absolute time the controller is down until *)
   mutable was_down : bool;
-  mutable journal : (string * Southbound.t) option;
-      (** after the last completed step+push: the controller's snapshot and
-          the engine captured by value, encoded only when a journaled
-          restart reads it *)
   mutable last_kc : int;
       (** effective kc of the standing target: the level the coasting
           network's configuration was last verified at *)
@@ -298,11 +295,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
   let nflows = Array.length input.Te_types.demands in
   let nclasses = Loss.num_classes input in
   let links = Topology.links input.Te_types.topo in
-  let ingresses =
-    (* Polymorphic [compare] is intentional here: switch ids are plain
-       ints, and the float-keyed sorts elsewhere use [Float.compare]. *)
-    List.sort_uniq compare (List.map (fun (f : Flow.t) -> f.Flow.src) input.Te_types.flows)
-  in
+  let ningresses = List.length (Enumerate.control_fault_universe input) in
   (* --- sensing (neutral by default: the controller sees truth) --- *)
   let tele = Telemetry.create cfg.telemetry in
   let est = Estimator.create cfg.estimator ~nflows in
@@ -315,7 +308,6 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       backlog = Array.make nflows 0.;
       down_until = neg_infinity;
       was_down = false;
-      journal = None;
       last_kc = 0;
       last_solve = None;
     }
@@ -344,7 +336,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let reaction_done = ref infinity in
     let schedule_reaction now =
       reacted := true;
-      let d = reaction_delay update_rng cfg (List.length ingresses) in
+      let d = reaction_delay update_rng cfg ningresses in
       let at = now +. detect_s +. notify_s +. d in
       reaction_done := min at cfg.interval_s
     in
@@ -551,43 +543,21 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       match downtime with Some d -> st.down_until <- t_start +. d | None -> ())
     | _ -> ()
   in
-  (* Restart: a journaled controller resumes from the journal of its last
-     completed step+push. The captured engine is encoded and decoded here,
-     so every restore runs the serialization path end to end; the restored
-     engine is then ticked through the coasted intervals — legitimate,
-     since nothing but the clock moved while the controller was down. A
-     cold restart keeps the real network state (switches do not forget
-     their configs when the controller dies) but boots a blind controller.
-     Returns whether the journal was used. *)
-  let restart interval_idx t_start =
-    match (cfg.outage, st.journal) with
-    | Some { recovery = Journaled_restart; _ }, Some (cs, captured) ->
-      (* A restore mismatch is an Error event carrying the decoder's
-         complaint, so post-mortems can see which snapshot failed. *)
-      let restored component = function
-        | Ok x -> x
-        | Error m ->
-          Obs.event ~level:Obs.Error "interval.journal_restore_mismatch"
-            [ ("component", Obs.Str component); ("interval", Obs.Int interval_idx);
-              ("reason", Obs.Str m) ];
-          invalid_arg (Printf.sprintf "Interval_sim: %s journal: %s" component m)
-      in
-      let c = restored "controller" (Controller.restore ccfg cs) in
-      let e =
-        restored "southbound"
-          (Southbound.restore ~retry:cfg.retry cfg.update_model input
-             (Southbound.snapshot captured))
-      in
-      while Southbound.now_s e +. 1e-9 < t_start do
-        Southbound.tick e ~interval_s:cfg.interval_s
-      done;
-      st.ctrl <- c;
-      st.engine <- e;
+  (* Restart. Switches do not forget their configs when the controller
+     dies, so the engine is the live network either way. A journaled
+     controller resumes from the state its journal would hold, which is
+     what it held when it crashed: nothing touches a down controller. A
+     crash before the first completed step leaves no journal, so that
+     restart, like every cold one, boots a blind controller. Returns
+     whether the journal was used. *)
+  let restart interval_idx =
+    match (cfg.outage, st.last_solve) with
+    | Some { recovery = Journaled_restart; _ }, Some _ ->
+      st.ctrl <- Controller.restart st.ctrl;
       Obs.event ~level:Obs.Debug "interval.journal_restored"
         [ ("interval", Obs.Int interval_idx) ];
       true
     | _ ->
-      (* Cold restart — or a crash before the first snapshot existed. *)
       st.ctrl <- Controller.create ccfg;
       Obs.event ~level:Obs.Debug "interval.cold_restart" [ ("interval", Obs.Int interval_idx) ];
       false
@@ -682,7 +652,7 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
     let down = t_start +. 1e-9 < st.down_until in
     let recovery = (not down) && st.was_down in
     st.was_down <- down;
-    let recovered = recovery && restart interval_idx t_start in
+    let recovered = recovery && restart interval_idx in
     let demands =
       Array.init nflows (fun f -> base_demands.(f) +. (st.backlog.(f) /. cfg.interval_s))
     in
@@ -708,15 +678,6 @@ let run ~rng cfg (input : Te_types.input) ~demand_series =
       Southbound.check_guarantee st.engine ~grandfathered input_t ~target ~kc
     in
     st.last_kc <- kc;
-    (* Journal the post-step state — everything a restarted controller
-       needs to resume as if it never died. The state is captured every up
-       interval (not lazily at crash time: a real controller cannot journal
-       after it has crashed), the engine's by value; it is encoded and
-       decoded only when a journaled restart reads it. *)
-    (match cfg.outage with
-    | Some { recovery = Journaled_restart; _ } when not down ->
-      st.journal <- Some (Controller.snapshot st.ctrl, Southbound.copy st.engine)
-    | _ -> ());
     let faults = sample_faults interval_idx in
     if not down then Telemetry.note_faults tele telemetry_rng ~interval:interval_idx faults;
     let stale = report.Southbound.stale in

@@ -40,16 +40,21 @@ type mode =
     plans from a zero previous allocation and an assumed-clean switch fleet
     until the push reports re-sync its view.
 
-    Under {!Journaled_restart} the journal is captured on every up interval,
-    after the step and push: the controller's
-    {!Ffc_core.Controller.snapshot} (one line) and the engine by value
-    ({!Southbound.copy}). The engine is encoded ({!Southbound.snapshot}) and
-    decoded ({!Southbound.restore}) only when a restart reads the journal,
-    so every restore still runs the serialization path end to end. *)
+    The simulator models the journal by the state it would hold, not by a
+    serialized copy: the switches' configurations live in the {!Southbound}
+    engine, which the crash does not touch, and the controller's
+    guarantee-relevant state is its audit RNG, which nothing draws from
+    while it is down. A {!Journaled_restart} therefore resumes the crashed
+    controller ({!Ffc_core.Controller.restart}: the same audit stream,
+    empty warm-start caches), provided a step completed before the crash.
+    A crash before the first up interval leaves nothing to journal, so that
+    restart boots cold. *)
 
 type recovery =
   | Cold_restart  (** fresh controller, blind recovery interval *)
-  | Journaled_restart  (** resume from the journal of the last up interval *)
+  | Journaled_restart
+      (** resume from the journal of the last up interval (cold if no
+          step completed before the crash) *)
 
 type outage_model = {
   crash_per_interval : float;
@@ -172,9 +177,9 @@ type interval_stats = {
           [rung_label] is ["controller-down"], and [kc_verdict] re-asserts
           the standing configuration at the last delivered kc) *)
   recovered_from_journal : bool;
-      (** [true] iff this interval's controller was rebuilt from the
+      (** [true] iff this interval's controller resumed from the
           crash-recovery journal (first up interval after a downtime under
-          {!Journaled_restart}) *)
+          {!Journaled_restart}, once a step has completed) *)
   recovery_interval : bool;
       (** [true] iff this is the first up interval after a downtime
           (whichever recovery strategy) *)

@@ -96,102 +96,6 @@ let stale_switches t =
 
 let force_outage t v ~until_s = t.outage_until.(slot t v) <- until_s
 
-(* Coasting: the network clock advances even when no push happens — a
-   crashed controller cannot stop time, and switch outage deadlines are
-   absolute engine times. *)
-let tick t ~interval_s = t.now <- t.now +. interval_s
-
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery journal                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Every mutable part: [push] writes [bf] in place and installs [af] rows
-   that the target allocation also holds, so both are copied down to the
-   rows. The rest is immutable after [create] and stays shared. *)
-let copy t =
-  {
-    t with
-    epochs = Array.copy t.epochs;
-    outage_until = Array.copy t.outage_until;
-    installed =
-      {
-        Te_types.bf = Array.copy t.installed.Te_types.bf;
-        af = Array.map Array.copy t.installed.Te_types.af;
-      };
-  }
-
-let snapshot t =
-  let w = Journal.writer "southbound" in
-  Journal.put_int w "target_epoch" t.target_epoch;
-  Journal.put_float w "now" t.now;
-  Journal.put w "switches"
-    (String.concat "," (Array.to_list (Array.map string_of_int t.ingresses)));
-  Journal.put_floats w "bf" t.installed.Te_types.bf;
-  Journal.put_float_rows w "af" t.installed.Te_types.af;
-  Array.iteri
-    (fun i v ->
-      let key f = Printf.sprintf "switch.%d.%s" v f in
-      Journal.put_int w (key "epoch") t.epochs.(i);
-      Journal.put_float w (key "outage_until") t.outage_until.(i))
-    t.ingresses;
-  Journal.to_string w
-
-let restore ?retry model (input : Te_types.input) s =
-  let ( let* ) = Result.bind in
-  let* r = Journal.expect "southbound" (Journal.of_string s) in
-  let t = create ?retry model input in
-  let* target_epoch = Journal.get_int r "target_epoch" in
-  let* now = Journal.get_float r "now" in
-  let* ids = Journal.get r "switches" in
-  let* bf = Journal.get_floats r "bf" in
-  let* af = Journal.get_float_rows r "af" in
-  let journal_ids =
-    if ids = "" then Some []
-    else
-      let parts = String.split_on_char ',' ids in
-      let out = List.filter_map int_of_string_opt parts in
-      if List.length out = List.length parts then Some out else None
-  in
-  let nflows = Array.length input.Te_types.demands in
-  match journal_ids with
-  | None -> Error (Printf.sprintf "journal: unreadable switch list %S" ids)
-  | Some journal_ids -> (
-    (* The journal must describe exactly this input's ingress set and
-       allocation shape: a snapshot from a different topology restored here
-       would silently run the wrong switches, or fail the first push. *)
-    if journal_ids <> Array.to_list t.ingresses then
-      Error "journal: switch set does not match the input's ingresses"
-    else if Array.length bf <> nflows || Array.length af <> nflows then
-      Error
-        (Printf.sprintf "journal: allocation has %d/%d rows, input has %d flows"
-           (Array.length bf) (Array.length af) nflows)
-    else
-      match
-        List.find_opt
-          (fun (f : Flow.t) -> Array.length af.(f.Flow.id) <> Flow.num_tunnels f)
-          input.Te_types.flows
-      with
-      | Some f ->
-        Error
-          (Printf.sprintf "journal: flow %d has %d tunnel allocations, input has %d tunnels"
-             f.Flow.id (Array.length af.(f.Flow.id)) (Flow.num_tunnels f))
-      | None ->
-        let rec fill = function
-          | [] ->
-            t.target_epoch <- target_epoch;
-            t.now <- now;
-            Ok { t with installed = { Te_types.bf; af } }
-          | v :: rest ->
-            let key f = Printf.sprintf "switch.%d.%s" v f in
-            let* epoch = Journal.get_int r (key "epoch") in
-            let* outage_until = Journal.get_float r (key "outage_until") in
-            let i = slot t v in
-            t.epochs.(i) <- epoch;
-            t.outage_until.(i) <- outage_until;
-            fill rest
-        in
-        fill journal_ids)
-
 (* ------------------------------------------------------------------ *)
 (* Push                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -267,8 +171,11 @@ let standing t =
     outages_started = 0;
   }
 
+(* Coasting: the network clock advances even when no push happens — a
+   crashed controller cannot stop time, and switch outage deadlines are
+   absolute engine times. *)
 let hold t ~interval_s =
-  tick t ~interval_s;
+  t.now <- t.now +. interval_s;
   standing t
 
 let push t rng (input : Te_types.input) ~target ~interval_s =

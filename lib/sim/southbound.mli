@@ -65,8 +65,11 @@ val create : ?retry:retry_policy -> Update_model.t -> Te_types.input -> t
 (** One slot per ingress switch of [input] (epoch 0), every switch running
     the zero allocation — an unconfigured switch blackholes, as in the
     pre-engine semantics. The ingresses are sorted here, once, with an
-    index from switch id to slot: every later walk over them (pushes,
-    {!stale_switches}, the journal) visits them in ascending id order. *)
+    index from switch id to slot: every later walk over them (pushes and
+    {!stale_switches}) visits them in ascending id order. The engine
+    outlives controller crashes (switches keep their configurations when
+    the controller dies), so a restarted controller resumes against this
+    same engine. *)
 
 type apply_event = {
   switch : Ffc_net.Topology.switch;
@@ -132,9 +135,11 @@ val push : t -> Ffc_util.Rng.t -> Te_types.input -> target:Te_types.allocation -
 
 val hold : t -> interval_s:float -> report
 (** An interval without a push (the controller is down, or it skipped the
-    re-solve): {!tick}, then report the standing state — the current
-    target epoch, no attempts, the stale switches and the worst epoch
-    lag. *)
+    re-solve): advance the engine clock by [interval_s], then report the
+    standing state — the current target epoch, no attempts, the stale
+    switches and the worst epoch lag. The network coasts: installed
+    splits, epochs and outage deadlines (absolute times) all keep their
+    meaning. *)
 
 val running : t -> Ffc_net.Topology.switch -> Te_types.allocation
 (** The installed view, for an ingress switch: the rows of the flows the
@@ -166,37 +171,6 @@ val force_outage : t -> Ffc_net.Topology.switch -> until_s:float -> unit
     input. *)
 
 val now_s : t -> float
-
-val tick : t -> interval_s:float -> unit
-(** Advance the engine clock without pushing anything — an interval during
-    which the controller is down. The network coasts: installed splits,
-    epochs and outage deadlines (absolute times) all keep their meaning. *)
-
-(** {2 Crash-recovery journal} *)
-
-val copy : t -> t
-(** The engine's state by value: the clock, the target epoch, each
-    ingress's epoch and outage deadline, and the installed allocation down
-    to its rows. Pushes, ticks and outages on either engine leave the
-    other's state, and its {!snapshot}, unchanged. Cheaper than
-    {!snapshot}, which formats every installed rate: capture state with
-    [copy] and encode it when it is read. *)
-
-val snapshot : t -> string
-(** Serialize the full engine state to a {!Ffc_core.Journal} document:
-    target epoch, engine clock, the switch set, the installed allocation
-    (one [bf] and one [af] line), and per ingress switch its epoch and
-    outage deadline (floats encoded exactly, so a restored engine behaves
-    bit-for-bit like the original). *)
-
-val restore :
-  ?retry:retry_policy -> Update_model.t -> Te_types.input -> string -> (t, string) result
-(** Rebuild an engine from a {!snapshot} against the same input. The retry
-    policy and update model come from the caller's configuration, as on a
-    real restart. [Error] on a journal version mismatch, a different
-    component's document, a switch set that does not match [input]'s
-    ingresses, an installed allocation whose shape does not match
-    [input]'s flows and tunnels, or any missing/corrupt field. *)
 
 (** {2 kc-guarantee checker} *)
 

@@ -5,11 +5,6 @@ type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* The generator is its one word, which is what makes crash-recovery
-   journaling of RNG-bearing components trivial: persist [to_state],
-   rebuild with [of_state], and the stream continues bit-for-bit. *)
-let to_state t = Bytes.get_int64_le t 0
-
 let of_state state =
   let t = Bytes.create 8 in
   Bytes.set_int64_le t 0 state;
@@ -33,8 +28,6 @@ let split t =
   let gamma = int64 t in
   (* Any odd gamma works; fold it into the state to decorrelate streams. *)
   of_state (Int64.logxor seed (Int64.logor gamma 1L))
-
-let copy t = Bytes.copy t
 
 let[@inline] float t bound =
   assert (bound > 0.);

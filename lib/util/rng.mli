@@ -15,17 +15,6 @@ val split : t -> t
 (** [split t] derives a statistically independent generator and advances
     [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
-val to_state : t -> int64
-(** The complete generator state (SplitMix64 carries a single 64-bit word).
-    Serialize this to resume the exact stream after a restart. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from {!to_state}; continues the stream
-    bit-for-bit. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
