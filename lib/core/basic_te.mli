@@ -26,6 +26,52 @@ val solve_checked :
     degradation ladder) can react to deadline expiry and iteration limits
     differently from infeasibility; their messages read
     ["basic TE: <what> (<reason>)"] (see {!Formulation.solve}). A malformed
-    input that fails the model build (a negative or NaN demand) is an
-    [`Infeasible] failure carrying the build's message, which names the
-    flow. *)
+    input (a negative or NaN demand) is an [`Infeasible] failure carrying
+    {!Formulation.demand}'s message, which names the flow. It builds an
+    {!lp} and solves it once ({!solve_lp}). *)
+
+(** {2 The LP kept between intervals}
+
+    A controller re-plans every interval on a fixed network, and between
+    two intervals only the demands change; they enter Eqns 1-4 as the
+    upper bounds of the [b_f]. An {!lp} is built once per topology and
+    flow list and re-solved with each interval's demands: a re-solve
+    writes them into the [b_f] bounds ({!Ffc_lp.Model.set_ub}) and solves
+    the problem the model kept from its last solve. That is the problem,
+    and with the same warm start the basis, a fresh build would hand the
+    solver, so every result is bit-identical to {!solve_checked}'s. *)
+
+type lp
+(** The basic-TE LP of one topology and flow list. It holds no solve
+    state, only the demands of its last solve, which the next one
+    overwrites. *)
+
+val lp : ?reserved:float array -> Te_types.input -> lp
+(** [lp input] builds the LP of [input]'s topology and flow list. It reads
+    none of [input]'s demands. [reserved] is fixed at the build (see
+    {!solve}). *)
+
+val built_for : lp -> Te_types.input -> bool
+(** [built_for lp input] holds when [input]'s topology and flow list are
+    physically the values [lp] was built from. A link added to that
+    topology since then crosses no tunnel of the flow list, so it adds no
+    row and [lp] stays right. *)
+
+val solve_lp :
+  ?started_ms:float ->
+  ?presolve:bool ->
+  ?max_iterations:int ->
+  ?deadline_ms:float ->
+  ?warm_start:Ffc_lp.Problem.basis ->
+  lp ->
+  Te_types.input ->
+  ( Te_types.allocation * Ffc_lp.Problem.basis option * Formulation.stats,
+    Te_types.solve_failure )
+  result
+(** Solves [lp] with [input]'s demands, as {!solve_checked} solves a fresh
+    build, with the same results, failures and messages, and also returns
+    the solve's {!Formulation.stats}. [started_ms] (default: now) is the
+    {!Ffc_util.Clock.now_ms} reading from which time counts against
+    [deadline_ms]: a caller that has just built [lp] passes the reading
+    from before the build. Raises [Invalid_argument] unless
+    [built_for lp input]. *)

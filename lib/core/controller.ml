@@ -77,11 +77,15 @@ type t = {
      protection level. Class [-1] holds the basic-TE rung's single joint
      LP. *)
   mutable bases : ((int * int) * Problem.basis) list;
+  mutable basic_lp : Basic_te.lp option;
+      (* the basic-TE rung's LP, rebuilt only for another topology or flow
+         list *)
 }
 
-let create cfg = { cfg; audit_rng = Rng.create cfg.audit_seed; bases = [] }
+let create cfg = { cfg; audit_rng = Rng.create cfg.audit_seed; bases = []; basic_lp = None }
 
-(* The audit stream continues; the bases are dropped (see the mli). *)
+(* The audit stream continues; the bases are dropped and the basic-TE LP
+   is kept (see the mli). *)
 let restart t = { t with bases = [] }
 
 let set_basis t ~rung ~cls basis =
@@ -285,12 +289,20 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
   match kind with
   | Last_good -> Accepted (rescale_last_good input prev, [])
   | Basic_te -> (
+    let started_ms = Clock.now_ms () in
+    let lp =
+      match t.basic_lp with
+      | Some lp when Basic_te.built_for lp input -> lp
+      | _ ->
+        let lp = Basic_te.lp input in
+        t.basic_lp <- Some lp;
+        lp
+    in
     match
-      Basic_te.solve_checked ~presolve:false
-        ?max_iterations:t.cfg.max_iterations ?deadline_ms:t.cfg.deadline_ms
-        ?warm_start:(get_basis t ~rung ~cls:(-1)) input
+      Basic_te.solve_lp ~started_ms ~presolve:false ?max_iterations:t.cfg.max_iterations
+        ?deadline_ms:t.cfg.deadline_ms ?warm_start:(get_basis t ~rung ~cls:(-1)) lp input
     with
-    | Ok (alloc, basis) ->
+    | Ok (alloc, basis, _) ->
       set_basis t ~rung ~cls:(-1) basis;
       Accepted (alloc, [])
     | Error f -> Failed f)

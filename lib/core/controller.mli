@@ -91,10 +91,16 @@ type step = {
 }
 
 type t
-(** Mutable controller state: the sampled auditor's RNG and warm-start
-    basis caches keyed by (rung, priority class) — each rung re-solves from
-    its own previous optimum, the closest start for its protection level.
-    Lifetime counts live in the [controller.*] Obs counters. *)
+(** Mutable controller state: the sampled auditor's RNG, warm-start basis
+    caches keyed by (rung, priority class) — each rung re-solves from its
+    own previous optimum, the closest start for its protection level — and
+    the basic-TE rung's LP ({!Basic_te.lp}). That LP is built on the rung's
+    first solve and re-solved with each step's demands; it is rebuilt only
+    when a step's topology or flow list is not physically the value it was
+    built from ({!Basic_te.built_for}), so a caller that passes the same
+    network every interval builds it once. The FFC rungs build their LPs
+    afresh every step. Lifetime counts live in the [controller.*] Obs
+    counters. *)
 
 val create : config -> t
 (** A controller with empty basis caches and the audit RNG seeded from
@@ -103,8 +109,9 @@ val create : config -> t
 val restart : t -> t
 (** The controller as it comes back from a crash with its journal: the
     same config and audit RNG, so the sampled-guarantee audit stream
-    continues where it stopped instead of replaying the same cases, and
-    empty basis caches. The bases are not kept on purpose: they are
+    continues where it stopped instead of replaying the same cases, the
+    same basic-TE LP, which holds no solve state, and empty basis caches.
+    The bases are not kept on purpose: they are
     solver-internal and re-derivable, so the first step after a restart
     cold-starts each rung's LP and repopulates the cache instead of
     carrying simplex internals across the crash. The two controllers

@@ -33,6 +33,13 @@ let crossings_by_link (input : Te_types.input) =
     input.Te_types.flows;
   per_link
 
+let demand (input : Te_types.input) (f : Flow.t) =
+  let d = input.Te_types.demands.(f.Flow.id) in
+  if not (d >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Formulation.demand: flow %d has demand %g (negative or NaN)" f.Flow.id d);
+  d
+
 let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
   let n = Array.length input.Te_types.demands in
   let bf = Array.make n (-1) and af = Array.make n [||] in
@@ -40,11 +47,7 @@ let make_vars ?(fixed_demand = false) model (input : Te_types.input) =
       List.iter
         (fun (f : Flow.t) ->
           let id = f.Flow.id in
-          let d = input.Te_types.demands.(id) in
-          if not (d >= 0.) then
-            invalid_arg
-              (Printf.sprintf "Formulation.make_vars: flow %d has demand %g (negative or NaN)"
-                 id d);
+          let d = demand input f in
           let lb = if fixed_demand then d else 0. in
           Model.scope model id (fun () ->
               bf.(id) <- Model.add_var ~lb ~ub:d model;

@@ -45,8 +45,13 @@ val scope_data_plane : int  (** Eqn 15: per flow, then tunnel *)
 val make_vars : ?fixed_demand:bool -> Model.t -> Te_types.input -> vars
 (** Creates [b_f] in [\[0, d_f\]] and [a_{f,t} >= 0], and the crossing
     index [crossings]. With [~fixed_demand] (the §5.4 no-rate-control
-    setting) [b_f] is pinned to [d_f]. Raises [Invalid_argument] naming the
-    flow if a demand is negative or NaN. *)
+    setting) [b_f] is pinned to [d_f]. Reads each demand through {!demand},
+    so it raises [Invalid_argument] naming the flow if one is negative or
+    NaN. *)
+
+val demand : Te_types.input -> Flow.t -> float
+(** [demand input f] is [f]'s demand in [input]. Raises [Invalid_argument]
+    naming the flow if it is negative or NaN. *)
 
 val crossings_by_link : Te_types.input -> crossing list array
 (** Indexed by link id: every tunnel crossing that link ([L[t,e] = 1]).

@@ -26,6 +26,10 @@ type t = {
   mutable sense_max : bool;
   mutable last_stats : Problem.solver_stats option;
       (* instrumentation of the most recent [solve], whatever its outcome *)
+  mutable kept : (Problem.t * int array) option;
+      (* the unpresolved problem and column keys the last [solve]
+         assembled, reused by the next one until a variable, row or
+         objective is added; [set_ub] writes through to it *)
   mutable scope : int; (* hash of the current scope's path from the root *)
   mutable var_ord : int; (* variables added directly in the current scope *)
   mutable row_ord : int; (* rows added directly in the current scope *)
@@ -74,6 +78,7 @@ let create () =
     objective = Expr.zero;
     sense_max = true;
     last_stats = None;
+    kept = None;
     scope = 0;
     var_ord = 0;
     row_ord = 0;
@@ -108,7 +113,15 @@ let add_var ?(lb = 0.) ?(ub = infinity) t =
   t.var_keys.(i) <- var_key t.scope t.var_ord;
   t.nvars <- i + 1;
   t.var_ord <- t.var_ord + 1;
+  t.kept <- None;
   i
+
+let set_ub t j ub =
+  if j < 0 || j >= t.nvars then invalid_arg "Model.set_ub: no such variable";
+  if Float.is_nan ub then invalid_arg "Model.set_ub: NaN bound";
+  if t.lbs.(j) > ub then invalid_arg "Model.set_ub: lb > ub";
+  t.ubs.(j) <- ub;
+  match t.kept with Some (p, _) -> p.Problem.ub.(j) <- ub | None -> ()
 
 let term t j c =
   let k = t.nterms in
@@ -133,7 +146,8 @@ let close_row t sense ~lhs ~rhs =
   t.row_keys.(i) <- row_key t.scope t.row_ord;
   t.row_start.(i + 1) <- t.nterms;
   t.row_ord <- t.row_ord + 1;
-  t.nrows <- i + 1
+  t.nrows <- i + 1;
+  t.kept <- None
 
 (* The [Expr] front-end: a row's terms in the order [Expr.iter_sub] lists
    [lhs - rhs], then both constants. *)
@@ -147,11 +161,13 @@ let eq t lhs rhs = add_row t lhs rhs Problem.Eq
 
 let maximize t e =
   t.objective <- e;
-  t.sense_max <- true
+  t.sense_max <- true;
+  t.kept <- None
 
 let minimize t e =
   t.objective <- e;
-  t.sense_max <- false
+  t.sense_max <- false;
+  t.kept <- None
 
 type solution = {
   x : float array;
@@ -169,9 +185,9 @@ type outcome =
 
 type backend = [ `Revised | `Dense_tableau ]
 
-(* The computational form plus the key of each of its columns: the
-   variables' keys, then the keys of the rows presolve kept (their slacks). *)
-let to_problem ?(presolve = true) t =
+(* The unpresolved computational form and the key of each of its columns:
+   the variables' keys, then the rows' keys (their slacks). *)
+let assemble t =
   let lb = Array.sub t.lbs 0 t.nvars and ub = Array.sub t.ubs 0 t.nvars in
   let obj = Array.make t.nvars 0. in
   let sign = if t.sense_max then -1. else 1. in
@@ -180,16 +196,33 @@ let to_problem ?(presolve = true) t =
     Problem.of_rows ~nstruct:t.nvars ~lb ~ub ~obj ~nrows:t.nrows ~sense:t.senses ~rhs:t.rhs
       ~row_start:t.row_start ~term_var:t.term_var ~term_coef:t.term_coef
   in
-  let keys row_keys = Array.append (Array.sub t.var_keys 0 t.nvars) row_keys in
-  if not presolve then Some (p, keys (Array.sub t.row_keys 0 t.nrows))
+  (p, Array.append (Array.sub t.var_keys 0 t.nvars) (Array.sub t.row_keys 0 t.nrows))
+
+(* Presolve, when asked, keeps a subset of the rows: their slacks keep
+   their keys. *)
+let reduce ?(presolve = true) t ((p, _) as assembled) =
+  if not presolve then Some assembled
   else
     match Presolve.reduce p with
     | Presolve.Infeasible _ -> None
     | Presolve.Reduced { problem; kept } ->
-      Some (problem, keys (Array.map (fun i -> t.row_keys.(i)) kept))
+      Some
+        ( problem,
+          Array.append (Array.sub t.var_keys 0 t.nvars) (Array.map (fun i -> t.row_keys.(i)) kept)
+        )
+
+let to_problem ?presolve t = reduce ?presolve t (assemble t)
 
 let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_start t =
-  match to_problem ?presolve t with
+  let assembled =
+    match t.kept with
+    | Some a -> a
+    | None ->
+      let a = assemble t in
+      t.kept <- Some a;
+      a
+  in
+  match reduce ?presolve t assembled with
   | None ->
     t.last_stats <- Some (Problem.default_stats ~reason:"presolve-infeasible" ());
     Infeasible

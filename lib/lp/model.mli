@@ -25,6 +25,12 @@ val add_var : ?lb:float -> ?ub:float -> t -> var
 (** New variable. [lb] defaults to [0.], [ub] to [infinity]. Use
     [~lb:neg_infinity] for free variables. *)
 
+val set_ub : t -> var -> float -> unit
+(** [set_ub t x ub] replaces [x]'s upper bound, for a re-solve of the same
+    model with new data. Raises [Invalid_argument] on an unknown variable,
+    a NaN bound or [ub] below [x]'s lower bound, as {!Problem.of_rows}
+    rejects them. *)
+
 (** {2 Rows}
 
     A row is built by appending its terms ({!term}) and then closing it
@@ -105,7 +111,13 @@ val solve :
   t ->
   outcome
 (** Solve the model as currently built. The model remains usable (more
-    constraints may be added and it can be re-solved). Default backend is
+    constraints may be added and it can be re-solved). The unpresolved
+    problem a solve assembles ({!to_problem}'s [~presolve:false] form) is
+    kept in the model, and the next solve starts from it instead of
+    assembling it again: {!set_ub} writes through to it, and adding a
+    variable ({!add_var}), closing a row ({!close_row}, {!le}, {!ge},
+    {!eq}) or setting the objective drops it. A row's terms join the
+    problem when the row closes. Default backend is
     [`Revised]; {!Presolve} runs first unless [~presolve:false].
     [?max_iterations] caps simplex pivots and [?deadline_ms] bounds the solve
     wall-clock (both backends); expiry yields {!Iteration_limit} /

@@ -18,12 +18,14 @@ let calibration_target = 0.99
    satisfaction ratio. Returns the scale together with the satisfaction
    ratio achieved there, so callers can tell a calibrated scenario from one
    where even the smallest scale in range cannot reach the target (the
-   ratio then sits below it). *)
+   ratio then sits below it). The basic-TE LP is built once and re-solved
+   at every scale, cold and with presolve on. *)
 let calibrate (input : Te_types.input) =
+  let lp = Basic_te.lp input in
   let satisfied scale =
     let demands = Traffic.scale scale input.Te_types.demands in
-    match Basic_te.solve { input with Te_types.demands } with
-    | Ok alloc ->
+    match Basic_te.solve_lp lp { input with Te_types.demands } with
+    | Ok (alloc, _, _) ->
       let total = Traffic.total demands in
       if total <= 0. then 1. else Te_types.throughput alloc /. total
     | Error _ -> 0.

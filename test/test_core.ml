@@ -203,6 +203,162 @@ let test_malformed_demand () =
       | Error f -> Alcotest.failf "%s, infinite demand: %s" name f.Te_types.message)
     entry_points
 
+(* The basic-TE LP kept between intervals must give what a fresh build
+   gives, bit for bit. The reference is basic TE built the way it was
+   before the LP was kept: a fresh model whose [b_f] bounds are created at
+   the demands, solved once. Both sides run under a constant clock, so the
+   wall-time fields of their stats are equal too. *)
+let fresh_basic_te ?warm_start (input : Te_types.input) =
+  let model = Ffc_lp.Model.create () in
+  let vars = Formulation.make_vars model input in
+  Formulation.capacity_constraints vars input;
+  Formulation.demand_constraints vars input;
+  Ffc_lp.Model.maximize model (Formulation.total_rate_expr vars);
+  Formulation.solve ~label:"basic TE" ~presolve:false ?warm_start
+    ~started_ms:(Ffc_util.Clock.now_ms ()) model
+  |> Result.map (fun (sol, stats) ->
+         (Formulation.alloc_of_solution vars input sol, Ffc_lp.Model.solution_basis sol, stats))
+
+let alloc_bits (a : Te_types.allocation) =
+  let bits = Array.map Int64.bits_of_float in
+  (bits a.Te_types.bf, Array.map bits a.Te_types.af)
+
+let check_same_alloc label a b =
+  if alloc_bits a <> alloc_bits b then Alcotest.failf "%s: allocations differ" label
+
+let check_same_failure label (expected : Te_types.solve_failure) (f : Te_types.solve_failure) =
+  Alcotest.(check string)
+    (label ^ ": kind")
+    (Te_types.failure_kind_label expected.Te_types.kind)
+    (Te_types.failure_kind_label f.Te_types.kind);
+  Alcotest.(check string) (label ^ ": message") expected.Te_types.message f.Te_types.message
+
+(* Default L-Net (topology seed 42) and a second network, each with a
+   30-interval calibrated demand series at traffic scale 1.0. *)
+let kept_lp_networks () =
+  List.map
+    (fun seed ->
+      let sc = Ffc_sim.Scenario.lnet_sim (Rng.create seed) in
+      ( sc.Ffc_sim.Scenario.input,
+        Ffc_sim.Scenario.demand_series (Rng.create 7) sc ~scale:1.0 ~intervals:30 ))
+    [ 42; 43 ]
+
+(* One kept LP re-solved over the series, each solve warm from its own
+   last basis, against a fresh build warm from the reference's: every
+   allocation, basis (statuses and keys) and stats record (solver record
+   included) is equal. A failed re-solve (negative or NaN demand) fails
+   as the fresh build does, with the same message, and the next re-solve
+   still matches. *)
+let test_kept_lp_matches_fresh () =
+  Ffc_util.Clock.with_hook (fun () -> 0.) @@ fun () ->
+  let input, series = List.hd (kept_lp_networks ()) in
+  let lp = Basic_te.lp input in
+  let kept_basis = ref None and fresh_basis = ref None in
+  Array.iteri
+    (fun i demands ->
+      let input = { input with Te_types.demands } in
+      let label = Printf.sprintf "interval %d" i in
+      (match
+         ( Basic_te.solve_lp ~presolve:false ?warm_start:!kept_basis lp input,
+           fresh_basic_te ?warm_start:!fresh_basis input,
+           Basic_te.solve_checked ~presolve:false ?warm_start:!fresh_basis input )
+       with
+      | Ok (a, b, st), Ok (a', b', st'), Ok (a'', b'') ->
+        check_same_alloc label a' a;
+        check_same_alloc (label ^ ", solve_checked") a' a'';
+        Alcotest.(check bool) (label ^ ": same basis") true (b = b' && b' = b'');
+        Alcotest.(check bool) (label ^ ": same stats") true (st = st');
+        kept_basis := b;
+        fresh_basis := b'
+      | _ -> Alcotest.failf "%s: a solve failed" label);
+      if i = 10 || i = 20 then
+        List.iter
+          (fun d ->
+            let demands = Array.copy demands in
+            demands.(3) <- d;
+            let bad = { input with Te_types.demands } in
+            match (Basic_te.solve_lp ~presolve:false lp bad, Basic_te.solve_checked bad) with
+            | Error f, Error expected ->
+              check_same_failure (Printf.sprintf "%s, demand %g" label d) expected f
+            | _ -> Alcotest.failf "%s: demand %g accepted" label d)
+          [ -1.; nan ])
+    series;
+  Alcotest.check_raises "another network"
+    (Invalid_argument "Basic_te.solve_lp: input of another topology or flow list") (fun () ->
+      let other, _ = List.nth (kept_lp_networks ()) 1 in
+      ignore (Basic_te.solve_lp lp other))
+
+(* A [Basic]-mode controller against fresh builds chained with the
+   controller's own warm starts: 30 steps on default L-Net, then 10 on
+   another network, 5 on a copy of the first flow list (equal, but another
+   value) and 15 back on the first network, each a rebuild where the
+   network changes. Each step's allocation equals the fresh build's bit for
+   bit, and so does each step's solver-layer registry (every [revised.*],
+   [lu.*] and [model.*] metric, recorded from zero), which the stats and
+   the basis each solve starts from decide. A NaN demand fails the
+   basic-TE rung with the fresh build's failure. *)
+let test_kept_lp_in_controller () =
+  let module Obs = Ffc_obs.Obs in
+  let solver_registry f =
+    Obs.reset ();
+    let r = f () in
+    let solver_metric (name, _) =
+      List.exists (fun prefix -> String.starts_with ~prefix name) [ "revised."; "lu."; "model." ]
+    in
+    (r, List.filter solver_metric (Obs.snapshot ()))
+  in
+  Obs.enable ~tracing:false ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  Ffc_util.Clock.with_hook (fun () -> 0.) @@ fun () ->
+  let a, b =
+    match kept_lp_networks () with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  let input_a, series_a = a and input_b, series_b = b in
+  let copy_a =
+    { input_a with Te_types.flows = List.map Fun.id input_a.Te_types.flows }
+  in
+  let steps =
+    List.concat
+      [
+        List.map (fun d -> (input_a, d)) (Array.to_list series_a);
+        List.map (fun d -> (input_b, d)) (Array.to_list (Array.sub series_b 0 10));
+        List.map (fun d -> (copy_a, d)) (Array.to_list (Array.sub series_a 0 5));
+        List.map (fun d -> (input_a, d)) (Array.to_list (Array.sub series_a 5 15));
+      ]
+  in
+  let ctrl = Controller.create (Controller.config Controller.Basic) in
+  let prev = ref (Te_types.zero_allocation input_a) and basis = ref None in
+  List.iteri
+    (fun i ((input : Te_types.input), demands) ->
+      let input = { input with Te_types.demands } in
+      let label = Printf.sprintf "step %d" i in
+      if i = 30 || i = 40 || i = 45 then prev := Te_types.zero_allocation input;
+      let s, registry = solver_registry (fun () -> Controller.step ctrl input ~prev:!prev) in
+      let fresh, fresh_registry =
+        solver_registry (fun () -> fresh_basic_te ?warm_start:!basis input)
+      in
+      Alcotest.(check string) (label ^ ": rung") "basic-te" s.Controller.label;
+      (match fresh with
+      | Ok (alloc, b, _) ->
+        check_same_alloc label alloc s.Controller.alloc;
+        basis := b
+      | Error f -> Alcotest.failf "%s: %s" label f.Te_types.message);
+      if registry <> fresh_registry then Alcotest.failf "%s: solver registries differ" label;
+      prev := s.Controller.alloc)
+    steps;
+  let input, demands = List.nth steps (List.length steps - 1) in
+  let demands = Array.copy demands in
+  demands.(3) <- nan;
+  let bad = { input with Te_types.demands } in
+  let s = Controller.step ctrl bad ~prev:!prev in
+  match (s.Controller.attempts, Basic_te.solve_checked bad) with
+  | { Controller.outcome = Error f; kind = Controller.Basic_te; _ } :: _, Error expected ->
+    check_same_failure "NaN demand" expected f
+  | _ -> Alcotest.fail "NaN demand: the basic-TE rung did not fail"
+
 (* ------------------------------------------------------------------ *)
 (* Allocation helpers                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -700,7 +856,10 @@ let test_to_problem_allocation () =
    about 1.5 times what they took on OCaml 5.1.1, run alone (2,167,365 for
    FFC (2,1,0), 309,489 for basic TE; the flat problem, streamed rows and
    allocation-light fault checks halved them from 4,684,743 and 794,705).
-   After the suite's earlier tests the FFC chain reads lower (1,926,245). *)
+   After the suite's earlier tests the FFC chain reads lower (1,926,245).
+   Keeping the basic-TE LP between steps took basic TE from 298,039 to
+   143,959, so its bound now fails a chain that rebuilds the LP every
+   step. *)
 let step_chain_words mode =
   let sc = Ffc_sim.Scenario.lnet_sim (Rng.create 42) in
   let input = sc.Ffc_sim.Scenario.input in
@@ -727,7 +886,7 @@ let test_step_allocation () =
         Alcotest.failf "%s: steps 20-30 allocated %.0f minor words, above %.0f" name words bound)
     [
       ("FFC (2,1,0) duality", Controller.Ffc_ladder ffc_210, 3_232_000.);
-      ("basic TE", Controller.Basic, 464_000.);
+      ("basic TE", Controller.Basic, 216_000.);
     ]
 
 (* The §6 ingress-skip rule is an approximation, and this pins what it
@@ -849,6 +1008,8 @@ let () =
           case "serves light demand fully" test_basic_te_serves_light_demand;
           case "reserved capacity honoured" test_reserved_capacity;
           case "malformed demand is an Infeasible error" test_malformed_demand;
+          case "kept LP matches a fresh build" test_kept_lp_matches_fresh;
+          case "kept LP in the controller matches fresh builds" test_kept_lp_in_controller;
         ] );
       ( "helpers",
         [

@@ -169,6 +169,69 @@ let test_model_malformed_rows () =
         fun m x -> Model.le m (Expr.add (Expr.var x) (Expr.var foreign)) (Expr.const 1.) );
     ]
 
+(* [Model.set_ub] rejects the bounds [Problem.of_rows] rejects, a NaN
+   bound and one below the lower bound. A solve keeps the problem it
+   assembled for the next one: a bound set after a solve must reach the
+   next solve, and so must a row, a variable or an objective added after
+   one. Each re-solve of one model along the steps below equals, bit for
+   bit, a fresh model built with the same steps, with presolve on and
+   off. *)
+let test_model_set_ub () =
+  let m = Model.create () in
+  let x = Model.add_var ~lb:1. ~ub:10. m in
+  List.iter
+    (fun (label, ub) ->
+      (match
+         Problem.of_rows ~nstruct:1 ~lb:[| 1. |] ~ub:[| ub |] ~obj:[| 0. |] ~nrows:0 ~sense:[||]
+           ~rhs:[||] ~row_start:[| 0 |] ~term_var:[||] ~term_coef:[||]
+       with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: Problem.of_rows accepted it" label);
+      match Model.set_ub m x ub with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: Model.set_ub accepted it" label)
+    [ ("NaN bound", nan); ("ub below lb", 0.5) ];
+  Model.set_ub m x 1.;
+  Model.set_ub m x infinity;
+  let steps =
+    [
+      ( (fun m ->
+          let x = Model.add_var ~ub:10. m and y = Model.add_var ~ub:5. m in
+          Model.le m Expr.(add (var x) (var y)) (Expr.const 12.);
+          Model.maximize m Expr.(add (var x) (var y))),
+        12. );
+      ((fun m -> Model.set_ub m 0 3.), 8.);
+      ((fun m -> Model.le m (Expr.var 1) (Expr.const 4.)), 7.);
+      ( (fun m ->
+          let z = Model.add_var ~ub:2. m in
+          Model.maximize m Expr.(add (add (var 0) (var 1)) (var z))),
+        9. );
+      ((fun m -> Model.set_ub m 2 1.), 8.);
+      ((fun m -> Model.set_ub m 0 infinity), 13.);
+    ]
+  in
+  let solved presolve m =
+    match Model.solve ~presolve m with
+    | Model.Optimal s ->
+      (Model.objective_value s, List.init (Model.num_vars m) (fun j -> Model.value s j))
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  List.iter
+    (fun presolve ->
+      let kept = Model.create () in
+      List.iteri
+        (fun k (step, expected) ->
+          step kept;
+          let fresh = Model.create () in
+          List.iteri (fun i (step, _) -> if i <= k then step fresh) steps;
+          let obj, xs = solved presolve kept in
+          let label = Printf.sprintf "step %d (presolve %b)" k presolve in
+          Alcotest.(check (float 0.)) (label ^ ": objective") expected obj;
+          if (obj, xs) <> solved presolve fresh then
+            Alcotest.failf "%s: re-solve differs from a fresh model" label)
+        steps)
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 (* Hand-checked LPs on both backends                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1527,6 +1590,7 @@ let () =
         [
           case "repeated variable merged in term order" test_model_repeated_variable;
           case "malformed rows rejected" test_model_malformed_rows;
+          case "set_ub and additions reach the next solve" test_model_set_ub;
         ] );
       ( "simplex",
         List.concat
