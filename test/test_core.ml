@@ -159,9 +159,10 @@ let test_reserved_capacity () =
       (Topology.links input.Te_types.topo)
   | Error e -> Alcotest.fail e
 
-(* A negative or NaN demand fails the model build: both checked entry
-   points return an [`Infeasible] error naming the flow instead of raising.
-   An infinite demand is well-formed (the network caps the flow). *)
+(* A negative or NaN demand fails before the solver runs: both checked
+   entry points return an [`Infeasible] error naming the flow instead of
+   raising. An infinite demand is well-formed (the network caps the
+   flow). *)
 let test_malformed_demand () =
   let input = (Ffc_sim.Scenario.snet (Rng.create 42)).Ffc_sim.Scenario.input in
   let flow = 3 in
