@@ -814,13 +814,13 @@ let warm_bench () =
     (fun i demands ->
       if i = 0 then begin
         let r = solve_one ~prev:!prev demands in
-        chain := r.Ffc.basis;
+        chain := Some r.Ffc.basis;
         prev := r.Ffc.alloc
       end
       else begin
         let cold = solve_one ~prev:!prev demands in
         let warm = solve_one ?warm_start:!chain ~prev:!prev demands in
-        chain := warm.Ffc.basis;
+        chain := Some warm.Ffc.basis;
         prev := warm.Ffc.alloc;
         incr compared;
         cold_ms := cold.Ffc.stats.Ffc.solve_ms :: !cold_ms;
@@ -936,34 +936,35 @@ let lp_bench () =
         (if !fast then [ 10; 14 ] else [ 10; 14; 26 ])
   in
   (* The revised simplex through [Ffc.solve]; the dense-tableau oracle on
-     the same build through [Model.solve], where the reference solver
-     lives. Either gives the allocation, the LP's size and the simplex
-     stats (the dense tableau counts no iterations). *)
-  let solve config backend ~prev input =
-    match backend with
+     the same build through [Dense_tableau.solve]. Either gives the
+     allocation, the LP's size and the simplex stats (the dense tableau
+     counts no iterations). *)
+  let solve config solved_by ~prev input =
+    match solved_by with
     | `Revised ->
       Result.map
         (fun (r : Ffc.result) ->
           let st = r.Ffc.stats in
           (r.Ffc.alloc, st.Ffc.lp_vars, st.Ffc.lp_rows, st.Ffc.solver))
         (Ffc.solve ~config ~prev input)
-    | `Dense_tableau -> (
+    | `Dense_tableau ->
       let module Model = Ffc_lp.Model in
+      let module Dense_tableau = Ffc_check.Dense_tableau in
       let vars = Ffc.build ~config ~prev input in
       let model = vars.Formulation.model in
       Model.maximize model (Formulation.total_rate_expr vars);
-      match Model.solve ~backend:`Dense_tableau model with
-      | Model.Optimal sol ->
+      let r = Dense_tableau.solve model in
+      if r.Dense_tableau.status <> Problem.Optimal then Error "dense tableau: not optimal"
+      else
         Ok
-          ( Formulation.alloc_of_solution vars input sol,
+          ( Formulation.alloc_of_solution vars input (fun v -> r.Dense_tableau.x.(v)),
             Model.num_vars model,
             Model.num_constraints model,
             None )
-      | _ -> Error "dense tableau: not optimal")
   in
-  let encoding_name encoding backend =
+  let encoding_name encoding solved_by =
     (match encoding with `Sorting_network -> "sorting-net" | `Duality -> "duality")
-    ^ match backend with `Revised -> "" | `Dense_tableau -> " (dense tableau)"
+    ^ match solved_by with `Revised -> "" | `Dense_tableau -> " (dense tableau)"
   in
   (* Whole-solve wall clock of the L-Net (2,1,0) rows before the LU rework. *)
   let baseline_ms =
@@ -998,11 +999,11 @@ let lp_bench () =
       add ~sites sc "non-FFC" "-"
         [ ("time_ms", Float basic_ms); ("objective", Float (Te_types.throughput prev)) ];
       List.iter
-        (fun ((label, protection), encoding, backend) ->
-          let name = encoding_name encoding backend in
+        (fun ((label, protection), encoding, solved_by) ->
+          let name = encoding_name encoding solved_by in
           let config = Ffc.config ~protection ~encoding () in
           let (alloc, lp_vars, lp_rows, solver), ms =
-            match Clock.time_ms (fun () -> solve config backend ~prev input) with
+            match Clock.time_ms (fun () -> solve config solved_by ~prev input) with
             | Ok r, ms -> (r, ms)
             | Error e, _ ->
               failwith (Printf.sprintf "bench lp (%s %s %s): %s" sc.Sim.Scenario.name label name e)
@@ -1267,6 +1268,12 @@ let kc_beyond s =
 let kc_violation s =
   match s.Sim.Interval_sim.kc_verdict with Sim.Southbound.Violation _ -> true | _ -> false
 
+(* Gb granted in one interval, over every class. *)
+let granted_gb s =
+  Array.fold_left
+    (fun a (c : Sim.Interval_sim.class_stats) -> a +. c.Sim.Interval_sim.granted_gb)
+    0. s.Sim.Interval_sim.per_class
+
 let kc_fields stats =
   [
     ("kc_ok", "kc ok", Json.Int (count kc_ok stats));
@@ -1433,6 +1440,11 @@ let fuzz () =
      - both arms actually exercise downtime and a recovery interval, and
        the journaled arm restored from the journal at least once;
      - the journaled arm never loses more traffic than the cold arm;
+     - the journaled arm grants strictly less over its recovery intervals
+       than the cold arm: it plans against the installed configuration,
+       while the cold arm's zero previous allocation leaves its
+       control-plane (kc) rows vacuous, so a journal flag that left the
+       plan blind would grant as much;
      - zero kc-guarantee violations in the journaled arm;
      - the adversarial hunter (budget-bounded, fixed seed) finds no
        guarantee violation within the configured protection.
@@ -1488,9 +1500,8 @@ let chaos () =
   let down s = s.Sim.Interval_sim.controller_down in
   let recovering s = s.Sim.Interval_sim.recovery_interval in
   let from_journal s = s.Sim.Interval_sim.recovered_from_journal in
-  let lost pred stats =
-    List.fold_left (fun a s -> if pred s then a +. Sim.Interval_sim.total_lost s else a) 0. stats
-  in
+  let sum f pred stats = List.fold_left (fun a s -> if pred s then a +. f s else a) 0. stats in
+  let lost = sum Sim.Interval_sim.total_lost and granted = sum granted_gb in
   let summary (name, stats) =
     [
       ("name", "arm", Json.String name); ("intervals", "intervals", Int n);
@@ -1501,6 +1512,7 @@ let chaos () =
       ( "outage_window_lost_gb",
         "window lost Gb",
         Float (lost (fun s -> down s || recovering s) stats) );
+      ("recovery_granted_gb", "recovery granted Gb", Float (granted recovering stats));
     ]
     @ kc_fields stats
   in
@@ -1548,6 +1560,9 @@ let chaos () =
       ( "journal_no_worse",
         "journaled recovery loses no more than cold",
         lost (fun _ -> true) journaled <= cold_lost +. (1e-6 *. (1. +. cold_lost)) );
+      ( "journal_plans_protected",
+        "journaled recovery grants less than cold's blind plan",
+        granted recovering journaled < granted recovering cold );
       ( "zero_violations",
         "zero kc-guarantee violations (journaled arm)",
         count kc_violation journaled = 0 );
@@ -1640,14 +1655,9 @@ let telemetry () =
   in
   let summary (name, stats) =
     let sumf f = List.fold_left (fun a s -> a +. f s) 0. stats in
-    let granted s =
-      Array.fold_left
-        (fun a (c : Sim.Interval_sim.class_stats) -> a +. c.Sim.Interval_sim.granted_gb)
-        0. s.Sim.Interval_sim.per_class
-    in
     [
       ("name", "arm", Json.String name); ("intervals", "intervals", Int n);
-      ("granted_gb", "granted Gb", Float (sumf granted));
+      ("granted_gb", "granted Gb", Float (sumf granted_gb));
       ("lost_gb", "lost Gb", Float (sumf Sim.Interval_sim.total_lost));
       ("kc_violations", "kc viol", Int (count kc_violation stats));
       ("gt_ok", "gt ok", Int (count gt_ok stats));

@@ -6,6 +6,8 @@
    - two-sided bounds add an explicit range row;
    - free variables are split into a positive and a negative part. *)
 
+open Ffc_lp
+
 type col_map =
   | Fixed of float (* original value *)
   | Shifted of int * float (* x = x'_idx + offset *)
@@ -98,11 +100,10 @@ let standardise (p : Problem.t) =
 
 let eps = 1e-9
 
-module Clock = Ffc_util.Clock
-
 (* Full tableau over columns [0..n-1] structural, [n..n+m-1] artificial,
-   column n+m = rhs. Row m is the objective row. *)
-let solve ?max_iterations ?deadline_ms (p : Problem.t) =
+   column n+m = rhs. Row m is the objective row. Returns the status and,
+   when optimal, the values of [p]'s structural columns. *)
+let tableau (p : Problem.t) =
   let sf = standardise p in
   let m = Array.length sf.b in
   let n = sf.n in
@@ -115,18 +116,8 @@ let solve ?max_iterations ?deadline_ms (p : Problem.t) =
     t.(i).(width - 1) <- flip *. sf.b.(i)
   done;
   let basis = Array.init m (fun i -> n + i) in
-  let max_iterations =
-    match max_iterations with Some k -> k | None -> 200 * (m + n) + 5_000
-  in
+  let max_iterations = 200 * (m + n) + 5_000 in
   let iterations = ref 0 in
-  let deadline_at =
-    match deadline_ms with None -> infinity | Some d -> Clock.now_ms () +. d
-  in
-  let deadline_expired () =
-    Float.is_finite deadline_at
-    && !iterations land 15 = 0
-    && Clock.now_ms () >= deadline_at
-  in
   (* Bland's rule: entering = lowest-index column with negative reduced cost,
      leaving = lowest-index basic among the min-ratio rows. In phase 1 a
      column whose ratio test finds no pivot row is skipped rather than
@@ -201,7 +192,6 @@ let solve ?max_iterations ?deadline_ms (p : Problem.t) =
   in
   let rec iterate ~phase1 allowed =
     if !iterations > max_iterations then `Iterlimit
-    else if deadline_expired () then `Deadline
     else begin
       let step = ref `Optimal in
       let tiny = ref (-1, -1) in
@@ -249,39 +239,12 @@ let solve ?max_iterations ?deadline_ms (p : Problem.t) =
     done;
     t.(m).(j) <- (if j >= n && j < n + m then 1. -. !acc else -. !acc)
   done;
-  let finish status x_struct =
-    let x = Array.make p.Problem.ncols 0. in
-    (match x_struct with
-    | None -> ()
-    | Some xs ->
-      for j = 0 to p.Problem.ncols - 1 do
-        x.(j) <-
-          (match sf.mapping.(j) with
-          | Fixed v -> v
-          | Shifted (idx, off) -> xs idx +. off
-          | Mirrored (idx, off) -> off -. xs idx
-          | Split (pos, neg) -> xs pos -. xs neg)
-      done);
-    let objective = ref 0. in
-    for j = 0 to p.Problem.ncols - 1 do
-      objective := !objective +. (p.Problem.obj.(j) *. x.(j))
-    done;
-    {
-      Problem.status;
-      x;
-      objective = !objective;
-      iterations = !iterations;
-      stats = Problem.default_stats ~reason:"dense-tableau" ();
-      basis = None;
-    }
-  in
   match iterate ~phase1:true (fun _ -> true) with
-  | `Iterlimit -> finish Problem.Iteration_limit None
-  | `Deadline -> finish Problem.Deadline_exceeded None
+  | `Iterlimit -> (Problem.Iteration_limit, [||])
   | `Unbounded -> assert false (* phase 1 never reports unbounded *)
   | `Optimal ->
     let phase1_obj = -.t.(m).(width - 1) in
-    if phase1_obj > 1e-6 then finish Problem.Infeasible None
+    if phase1_obj > 1e-6 then (Problem.Infeasible, [||])
     else begin
       (* Drive any basic artificial out where possible, pivoting on the
          row's largest structural entry. The pivot moves the artificial's
@@ -320,13 +283,43 @@ let solve ?max_iterations ?deadline_ms (p : Problem.t) =
       done;
       let allowed j = j < n in
       match iterate ~phase1:false allowed with
-      | `Iterlimit -> finish Problem.Iteration_limit None
-      | `Deadline -> finish Problem.Deadline_exceeded None
-      | `Unbounded -> finish Problem.Unbounded None
+      | `Iterlimit -> (Problem.Iteration_limit, [||])
+      | `Unbounded -> (Problem.Unbounded, [||])
       | `Optimal ->
         let xs = Array.make n 0. in
         for i = 0 to m - 1 do
           if basis.(i) < n then xs.(basis.(i)) <- t.(i).(width - 1)
         done;
-        finish Problem.Optimal (Some (fun idx -> xs.(idx)))
+        ( Problem.Optimal,
+          Array.init p.Problem.nstruct (fun j ->
+              match sf.mapping.(j) with
+              | Fixed v -> v
+              | Shifted (idx, off) -> xs.(idx) +. off
+              | Mirrored (idx, off) -> off -. xs.(idx)
+              | Split (pos, neg) -> xs.(pos) -. xs.(neg)) )
     end
+
+type result = { status : Problem.status; x : float array; objective : float }
+
+let unsolved status = { status; x = [||]; objective = nan }
+
+let solve ?presolve model =
+  match Model.to_problem ?presolve model with
+  | None -> unsolved Problem.Infeasible
+  | Some (p, _) -> (
+    match tableau p with
+    | Problem.Optimal, x ->
+      { status = Problem.Optimal; x; objective = Model.objective_at model x }
+    | status, _ -> unsolved status)
+
+let of_outcome model = function
+  | Model.Optimal s ->
+    {
+      status = Problem.Optimal;
+      x = Array.init (Model.num_vars model) (Model.value s);
+      objective = Model.objective_value s;
+    }
+  | Model.Infeasible -> unsolved Problem.Infeasible
+  | Model.Unbounded -> unsolved Problem.Unbounded
+  | Model.Iteration_limit -> unsolved Problem.Iteration_limit
+  | Model.Deadline_exceeded -> unsolved Problem.Deadline_exceeded

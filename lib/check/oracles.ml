@@ -1,7 +1,7 @@
 (* The differential and invariant oracles run by the fuzzing harness.
 
    Each oracle checks a property that must hold for *every* instance, using
-   an independent reference: a second solver backend, a dense linear-algebra
+   an independent reference: a second LP solver, a dense linear-algebra
    reconstruction, the exhaustive fault-case enumerator, or a
    reimplementation of the accounting being tested. Failure messages are
    prefixed with a category (up to the first ':') so shrinking preserves the
@@ -18,12 +18,18 @@ let failf fmt = Printf.ksprintf (fun s -> Fuzz.Fail s) fmt
 (* LP: revised (with and without presolve) vs dense tableau            *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_label = function
-  | Model.Optimal _ -> "optimal"
-  | Model.Infeasible -> "infeasible"
-  | Model.Unbounded -> "unbounded"
-  | Model.Iteration_limit -> "iteration-limit"
-  | Model.Deadline_exceeded -> "deadline"
+(* Both solvers' verdicts are compared as [Dense_tableau.result]s: the
+   revised simplex's through [Dense_tableau.of_outcome]. *)
+let status_label = function
+  | Problem.Optimal -> "optimal"
+  | Problem.Infeasible -> "infeasible"
+  | Problem.Unbounded -> "unbounded"
+  | Problem.Iteration_limit -> "iteration-limit"
+  | Problem.Deadline_exceeded -> "deadline"
+
+let label (r : Dense_tableau.result) = status_label r.Dense_tableau.status
+let optimal (r : Dense_tableau.result) = r.Dense_tableau.status = Problem.Optimal
+let objective (r : Dense_tableau.result) = r.Dense_tableau.objective
 
 let obj_close a b = abs_float (a -. b) <= 1e-5 *. (1. +. max (abs_float a) (abs_float b))
 
@@ -68,7 +74,9 @@ let lp_violation ?(with_mass = true) (t : Gen.lp) x =
    point would otherwise have its (absolute ~1e-7) residual diluted below
    the strict threshold, certifying a tolerance artifact as a witness. *)
 let strictly_feasible t x = lp_violation ~with_mass:false t x <= 1e-10
-let point t xs sol = Array.init (Gen.lp_nvars t) (fun j -> Model.value sol xs.(j))
+
+let point t xs (r : Dense_tableau.result) =
+  Array.init (Gen.lp_nvars t) (fun j -> r.Dense_tableau.x.(xs.(j)))
 
 (* Relax the inequality right-hand sides a little so the warm-started
    re-solve starts from a near-optimal but non-final basis. *)
@@ -90,8 +98,9 @@ let relax_lp (t : Gen.lp) =
 let reweigh_lp (t : Gen.lp) =
   { t with Gen.obj = Array.mapi (fun j c -> if j land 1 = 0 then c +. 1.5 else c -. 1.5) t.Gen.obj }
 
-let budget_outcome = function
-  | Model.Iteration_limit | Model.Deadline_exceeded -> true
+let budget_outcome (r : Dense_tableau.result) =
+  match r.Dense_tableau.status with
+  | Problem.Iteration_limit | Problem.Deadline_exceeded -> true
   | _ -> false
 
 (* A warm-started revised solve of [t'] from [basis] against a cold dense
@@ -101,34 +110,34 @@ let budget_outcome = function
 let warm_leg basis ?row_ids category what (t' : Gen.lp) =
   let m1, xs1 = Gen.lp_model ?row_ids t' in
   let m2, _ = Gen.lp_model ?row_ids t' in
-  let w1 = Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis m1 in
-  let w2 = Model.solve ~backend:`Dense_tableau m2 in
+  let w1 = Dense_tableau.of_outcome m1 (Model.solve ~presolve:false ~warm_start:basis m1) in
+  let w2 = Dense_tableau.solve m2 in
   if budget_outcome w1 || budget_outcome w2 then Fuzz.Pass
   else
-    match (w1, w2) with
-    | Model.Optimal u1, Model.Optimal u2 ->
-      let a = Model.objective_value u1 and b = Model.objective_value u2 in
+    match (optimal w1, optimal w2) with
+    | true, true ->
+      let a = objective w1 and b = objective w2 in
       if obj_close a b then Fuzz.Pass
       else
         let best = max a b in
         let proves =
           List.exists
             (fun u ->
-              Model.objective_value u >= best -. (1e-7 *. (1. +. abs_float best))
+              objective u >= best -. (1e-7 *. (1. +. abs_float best))
               && strictly_feasible t' (point t' xs1 u))
-            [ u1; u2 ]
+            [ w1; w2 ]
         in
         if proves then failf "%s: warm revised=%.9g dense=%.9g (%s)" category a b what
         else Fuzz.Skip "ill-conditioned (warm leg)"
-    | (Model.Optimal u, other) | (other, Model.Optimal u) ->
+    | true, false | false, true ->
+      let u, other = if optimal w1 then (w1, w2) else (w2, w1) in
       if
-        (other = Model.Infeasible && strictly_feasible t' (point t' xs1 u))
-        || (other = Model.Unbounded && abs_float (Model.objective_value u) <= 1e6)
-      then
-        failf "%s: warm revised=%s dense=%s (%s)" category (outcome_label w1)
-          (outcome_label w2) what
+        (other.Dense_tableau.status = Problem.Infeasible
+        && strictly_feasible t' (point t' xs1 u))
+        || (other.Dense_tableau.status = Problem.Unbounded && abs_float (objective u) <= 1e6)
+      then failf "%s: warm revised=%s dense=%s (%s)" category (label w1) (label w2) what
       else Fuzz.Skip "ill-conditioned (warm leg)"
-    | _ -> Fuzz.Pass
+    | false, false -> Fuzz.Pass
 
 let lp_test (t : Gen.lp) =
   (* Variable handles are structural — identical across models built from the
@@ -136,28 +145,23 @@ let lp_test (t : Gen.lp) =
      [Model.solve] caches stats on the model, so each leg solves its own
      freshly built copy. *)
   let _, xs = Gen.lp_model t in
-  let solve_fresh backend ~presolve =
+  let revised ~presolve =
     let m, _ = Gen.lp_model t in
-    Model.solve ~backend ~presolve m
+    let o = Model.solve ~presolve m in
+    (Dense_tableau.of_outcome m o, o)
   in
-  let o_rev = solve_fresh `Revised ~presolve:true in
-  let o_raw = solve_fresh `Revised ~presolve:false in
-  let o_dense = solve_fresh `Dense_tableau ~presolve:true in
-  if budget_outcome o_rev || budget_outcome o_raw || budget_outcome o_dense then
-    Fuzz.Skip "budget outcome"
+  let o_rev, _ = revised ~presolve:true in
+  let o_raw, raw = revised ~presolve:false in
+  let o_dense = Dense_tableau.solve ~presolve:true (fst (Gen.lp_model t)) in
+  let legs = [ o_rev; o_raw; o_dense ] in
+  if List.exists budget_outcome legs then Fuzz.Skip "budget outcome"
   else begin
-    let labels =
-      [ outcome_label o_rev; outcome_label o_raw; outcome_label o_dense ]
-    in
+    let labels = List.map label legs in
     let describe () =
       Printf.sprintf "revised=%s nopresolve=%s dense=%s" (List.nth labels 0)
         (List.nth labels 1) (List.nth labels 2)
     in
-    let sols =
-      List.filter_map
-        (function Model.Optimal s -> Some s | _ -> None)
-        [ o_rev; o_raw; o_dense ]
-    in
+    let sols = List.filter optimal legs in
     let strict_witness () =
       List.exists (fun s -> strictly_feasible t (point t xs s)) sols
     in
@@ -170,23 +174,21 @@ let lp_test (t : Gen.lp) =
         if strict_witness () then failf "status-mismatch: %s" (describe ())
         else Fuzz.Skip "ill-conditioned (loose witness only)"
       else if has "unbounded" && sols <> [] then
-        if List.exists (fun s -> abs_float (Model.objective_value s) > 1e6) sols
+        if List.exists (fun s -> abs_float (objective s) > 1e6) sols
         then Fuzz.Skip "ill-conditioned (huge optimum vs unbounded)"
         else failf "status-mismatch: %s" (describe ())
       else failf "status-mismatch: %s" (describe ())
     end
     else
-      match (o_rev, o_raw, o_dense) with
-      | Model.Optimal s1, Model.Optimal s2, Model.Optimal s3 ->
-        let v1 = Model.objective_value s1
-        and v2 = Model.objective_value s2
-        and v3 = Model.objective_value s3 in
+      match raw with
+      | Model.Optimal s2 ->
+        let v1 = objective o_rev and v2 = objective o_raw and v3 = objective o_dense in
         let viol =
           List.find_map
             (fun (name, s) ->
               let v = lp_violation t (point t xs s) in
               if v > 1e-6 then Some (name, v) else None)
-            [ ("revised", s1); ("nopresolve", s2); ("dense", s3) ]
+            [ ("revised", o_rev); ("nopresolve", o_raw); ("dense", o_dense) ]
         in
         (match viol with
          | Some (name, v) ->
@@ -199,7 +201,7 @@ let lp_test (t : Gen.lp) =
              let proves =
                List.exists
                  (fun s ->
-                   Model.objective_value s >= best -. (1e-7 *. (1. +. abs_float best))
+                   objective s >= best -. (1e-7 *. (1. +. abs_float best))
                    && strictly_feasible t (point t xs s))
                  sols
              in
@@ -215,23 +217,21 @@ let lp_test (t : Gen.lp) =
                 mapped by key, and the reshaped one under a moved
                 objective, whose warm start is then usually primal and
                 dual infeasible. *)
-             (match Model.solution_basis s2 with
-              | None -> Fuzz.Pass
-              | Some basis -> (
-                let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
-                let legs =
-                  [
-                    (fun () -> warm_leg basis "warm-mismatch" "after rhs relaxation" (relax_lp t));
-                    (fun () ->
-                      warm_leg basis ~row_ids "warm-shape-mismatch" "after row set change" t');
-                    (fun () ->
-                      warm_leg basis ~row_ids "warm-cost-mismatch"
-                        "after row set and objective change" (reweigh_lp t'));
-                  ]
-                in
-                List.fold_left
-                  (fun verdict leg -> match verdict with Fuzz.Pass -> leg () | v -> v)
-                  Fuzz.Pass legs)))
+             let basis = Model.solution_basis s2 in
+             let t', row_ids = Gen.lp_reshape t ~cap:(v2 -. (0.125 *. (1. +. abs_float v2))) in
+             let legs =
+               [
+                 (fun () -> warm_leg basis "warm-mismatch" "after rhs relaxation" (relax_lp t));
+                 (fun () ->
+                   warm_leg basis ~row_ids "warm-shape-mismatch" "after row set change" t');
+                 (fun () ->
+                   warm_leg basis ~row_ids "warm-cost-mismatch"
+                     "after row set and objective change" (reweigh_lp t'));
+               ]
+             in
+             List.fold_left
+               (fun verdict leg -> match verdict with Fuzz.Pass -> leg () | v -> v)
+               Fuzz.Pass legs)
       | _ -> Fuzz.Pass (* statuses agree on infeasible/unbounded *)
   end
 

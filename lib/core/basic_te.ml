@@ -39,7 +39,9 @@ let solve_lp ?started_ms ?presolve ?max_iterations ?deadline_ms ?warm_start lp
     Formulation.solve ~label:"basic TE" ?presolve ?max_iterations ?deadline_ms ?warm_start
       ~started_ms model
     |> Result.map (fun (sol, stats) ->
-           (Formulation.alloc_of_solution lp.vars input sol, Model.solution_basis sol, stats))
+           ( Formulation.alloc_of_solution lp.vars input (Model.value sol),
+             Model.solution_basis sol,
+             stats ))
 
 let solve_checked ?reserved ?presolve ?max_iterations ?deadline_ms ?warm_start
     (input : Te_types.input) =

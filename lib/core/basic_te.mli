@@ -17,7 +17,7 @@ val solve_checked :
   ?deadline_ms:float ->
   ?warm_start:Ffc_lp.Problem.basis ->
   Te_types.input ->
-  (Te_types.allocation * Ffc_lp.Problem.basis option, Te_types.solve_failure) result
+  (Te_types.allocation * Ffc_lp.Problem.basis, Te_types.solve_failure) result
 (** Like {!solve} but also returns the final simplex basis, and accepts one
     from a previous interval's solve to warm-start (mapped by key onto this
     build, see {!Ffc_lp.Model.solve}). [max_iterations] caps the simplex
@@ -65,7 +65,7 @@ val solve_lp :
   ?warm_start:Ffc_lp.Problem.basis ->
   lp ->
   Te_types.input ->
-  ( Te_types.allocation * Ffc_lp.Problem.basis option * Formulation.stats,
+  ( Te_types.allocation * Ffc_lp.Problem.basis * Formulation.stats,
     Te_types.solve_failure )
   result
 (** Solves [lp] with [input]'s demands, as {!solve_checked} solves a fresh

@@ -44,7 +44,7 @@ let solve ?(config = Ffc.config ()) ?prev (input : Te_types.input) =
     Ok
       {
         capacities;
-        alloc = Formulation.alloc_of_solution vars input sol;
+        alloc = Formulation.alloc_of_solution vars input (Model.value sol);
         total_capacity = Model.objective_value sol;
         stats;
       }

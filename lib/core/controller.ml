@@ -89,9 +89,7 @@ let create cfg = { cfg; audit_rng = Rng.create cfg.audit_seed; bases = []; basic
 let restart t = { t with bases = [] }
 
 let set_basis t ~rung ~cls basis =
-  match basis with
-  | None -> ()
-  | Some b -> t.bases <- ((rung, cls), b) :: List.remove_assoc (rung, cls) t.bases
+  t.bases <- ((rung, cls), basis) :: List.remove_assoc (rung, cls) t.bases
 
 let get_basis t ~rung ~cls = List.assoc_opt (rung, cls) t.bases
 
@@ -302,9 +300,9 @@ let try_rung t (input : Te_types.input) ~prev ~rung ~boost ~use_bases kind =
       Basic_te.solve_lp ~started_ms ~presolve:false ?max_iterations:t.cfg.max_iterations
         ?deadline_ms:t.cfg.deadline_ms ?warm_start:(get_basis t ~rung ~cls:(-1)) lp input
     with
-    | Ok (alloc, basis, _) ->
+    | Ok (alloc, basis, stats) ->
       set_basis t ~rung ~cls:(-1) basis;
-      Accepted (alloc, [])
+      Accepted (alloc, [ (-1, stats) ])
     | Error f -> Failed f)
   | Full_protection | Reduced _ -> (
     let config_of =

@@ -86,7 +86,11 @@ type step = {
   escalated : bool;
       (** [true] iff the reported stale-ingress count exceeded the configured
           kc and the step was solved at a raised kc (see {!step}) *)
-  per_class_stats : (int * Ffc.stats) list;  (** accepted FFC rung only *)
+  per_class_stats : (int * Ffc.stats) list;
+      (** the accepted rung's LP solves: one per priority class on an FFC
+          rung, [[(-1, stats)]] on the basic-TE rung (its joint LP, under
+          the class [-1] its warm-start basis is cached by), none on the
+          last-good rung *)
   audit : audit_report option;  (** [None] iff auditing is disabled *)
 }
 

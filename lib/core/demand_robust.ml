@@ -55,7 +55,7 @@ let solve ?(config = Ffc.config ()) ~peaks ~gamma (input : Te_types.input) =
   | Ok (sol, stats) ->
     Ok
       {
-        alloc = Formulation.alloc_of_solution vars peak_input sol;
+        alloc = Formulation.alloc_of_solution vars peak_input (Model.value sol);
         mlu = Model.value sol u;
         stats;
       }

@@ -152,7 +152,7 @@ let solve ?(rl_mode = Ffc.Rl_assumed_reliable)
   | Ok (sol, stats) ->
     Ok
       {
-        Ffc.alloc = Formulation.alloc_of_solution vars input sol;
+        Ffc.alloc = Formulation.alloc_of_solution vars input (Model.value sol);
         stats;
         basis = Model.solution_basis sol;
       }

@@ -32,7 +32,7 @@ let solve ?(config = Ffc.config ()) ?prev ?reserved ?(alpha = 2.) (input : Te_ty
         input.Te_types.flows;
       Model.maximize model !unfrozen_rate;
       match Formulation.solve ~label:"fairness iteration" ~started_ms model with
-      | Ok (sol, _) -> Ok (Formulation.alloc_of_solution vars input sol)
+      | Ok (sol, _) -> Ok (Formulation.alloc_of_solution vars input (Model.value sol))
       | Error f -> Error f.Te_types.message
     in
     let rec loop floor_cap cap iters last =

@@ -26,7 +26,7 @@ type stats = Formulation.stats = {
   solver : Problem.solver_stats option;
 }
 
-type result = { alloc : Te_types.allocation; stats : stats; basis : Problem.basis option }
+type result = { alloc : Te_types.allocation; stats : stats; basis : Problem.basis }
 
 (* Flows collectively carrying at most [fraction] of total demand, smallest
    first (§6 mice optimisation). *)
@@ -299,7 +299,7 @@ let solve_checked ?(config = config ()) ?prev ?prev2 ?uncertain_flows ?reserved 
       ~started_ms model
     |> Result.map (fun (sol, stats) ->
            {
-             alloc = Formulation.alloc_of_solution vars input sol;
+             alloc = Formulation.alloc_of_solution vars input (Model.value sol);
              stats;
              basis = Model.solution_basis sol;
            })

@@ -76,7 +76,7 @@ type stats = Formulation.stats = {
 type result = {
   alloc : Te_types.allocation;
   stats : stats;
-  basis : Ffc_lp.Problem.basis option;
+  basis : Ffc_lp.Problem.basis;
       (** final simplex basis; feed to the next [solve ?warm_start] of the
           same formulation (e.g. the following TE interval) *)
 }

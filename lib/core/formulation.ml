@@ -110,15 +110,15 @@ let capacity_constraints ?reserved vars (input : Te_types.input) =
 let total_rate_expr vars =
   Expr.sum (Array.to_list (Array.map (fun v -> if v >= 0 then Expr.var v else Expr.zero) vars.bf))
 
-let alloc_of_solution vars (input : Te_types.input) sol =
+let alloc_of_solution vars (input : Te_types.input) value =
   let n = Array.length input.Te_types.demands in
   let bf = Array.make n 0. in
   let af = Array.make n [||] in
   List.iter
     (fun (f : Flow.t) ->
       let id = f.Flow.id in
-      bf.(id) <- max 0. (Model.value sol vars.bf.(id));
-      af.(id) <- Array.map (fun v -> max 0. (Model.value sol v)) vars.af.(id))
+      bf.(id) <- max 0. (value vars.bf.(id));
+      af.(id) <- Array.map (fun v -> max 0. (value v)) vars.af.(id))
     input.Te_types.flows;
   { Te_types.bf; af }
 

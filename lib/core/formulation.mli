@@ -77,9 +77,11 @@ val append_load : vars -> crossing list -> unit
 val total_rate_expr : vars -> Expr.t
 (** [sum_f b_f], the Eqn 1 objective. *)
 
-val alloc_of_solution : vars -> Te_types.input -> Model.solution -> Te_types.allocation
-(** Read the solved variables back into an {!Te_types.allocation}; clamps
-    within numerical tolerance to be non-negative. *)
+val alloc_of_solution : vars -> Te_types.input -> (Model.var -> float) -> Te_types.allocation
+(** [alloc_of_solution vars input value] reads the solved variables back
+    into an {!Te_types.allocation}, [value] giving each variable's value
+    ([Model.value sol] for a solve's solution); clamps within numerical
+    tolerance to be non-negative. *)
 
 (** {2 Solving} *)
 
@@ -107,9 +109,7 @@ val solve :
     the build began. The build time counts against [deadline_ms]: a budget
     the build used up fails with [`Deadline] before the solver starts, and
     the solver gets what is left. Every other option goes to {!Model.solve}
-    unchanged. Every TE LP is solved by the revised simplex; the dense
-    tableau, the reference solver, is reached only through {!Model.solve}
-    itself. A failure's message reads
+    unchanged. A failure's message reads
     [<label>: infeasible|unbounded|iteration limit|deadline exceeded],
     followed by [" (<reason>)"] when the solver gave a
     [Problem.status_reason] (["model build"] when the build used the

@@ -48,7 +48,7 @@ let solve ?(config = Ffc.config ()) ?prev ?(sigma = 1.) (input : Te_types.input)
   | Ok (sol, stats) ->
     Ok
       {
-        alloc = Formulation.alloc_of_solution vars input sol;
+        alloc = Formulation.alloc_of_solution vars input (Model.value sol);
         mlu = Model.value sol u;
         fault_mlu = Option.map (Model.value sol) uf;
         stats;

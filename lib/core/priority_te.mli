@@ -23,7 +23,7 @@ val solve_warm_checked :
   ?deadline_ms:float ->
   ?warm_starts:(int * Ffc_lp.Problem.basis) list ->
   Te_types.input ->
-  ( Te_types.allocation * (int * Ffc.stats * Ffc_lp.Problem.basis option) list,
+  ( Te_types.allocation * (int * Ffc.stats * Ffc_lp.Problem.basis) list,
     int * Te_types.solve_failure )
   result
 (** Like {!solve} but threads simplex bases per priority class:

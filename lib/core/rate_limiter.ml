@@ -70,7 +70,7 @@ let solve ?(config = Ffc.config ()) ~(prev : Te_types.allocation) (input : Te_ty
   | Ok (sol, stats) ->
     Ok
       {
-        Ffc.alloc = Formulation.alloc_of_solution vars input sol;
+        Ffc.alloc = Formulation.alloc_of_solution vars input (Model.value sol);
         stats;
         basis = Model.solution_basis sol;
       }

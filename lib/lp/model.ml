@@ -173,7 +173,7 @@ type solution = {
   x : float array;
   obj : float;
   stats : Problem.solver_stats;
-  basis : Problem.basis option;
+  basis : Problem.basis;
 }
 
 type outcome =
@@ -182,8 +182,6 @@ type outcome =
   | Unbounded
   | Iteration_limit
   | Deadline_exceeded
-
-type backend = [ `Revised | `Dense_tableau ]
 
 (* The unpresolved computational form and the key of each of its columns:
    the variables' keys, then the rows' keys (their slacks). *)
@@ -213,7 +211,9 @@ let reduce ?(presolve = true) t ((p, _) as assembled) =
 
 let to_problem ?presolve t = reduce ?presolve t (assemble t)
 
-let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_start t =
+let objective_at t x = Expr.eval (fun j -> x.(j)) t.objective
+
+let solve ?presolve ?max_iterations ?deadline_ms ?warm_start t =
   let assembled =
     match t.kept with
     | Some a -> a
@@ -227,34 +227,26 @@ let solve ?(backend = `Revised) ?presolve ?max_iterations ?deadline_ms ?warm_sta
     t.last_stats <- Some (Problem.default_stats ~reason:"presolve-infeasible" ());
     Infeasible
   | Some (p, keys) ->
-  let result, remapped =
-    match backend with
-    | `Revised ->
-      (* A keyed basis is mapped onto this build's columns: rows and
-         variables that appeared or vanished since it was recorded
-         (data-dependent blocks of the formulation, presolve reductions)
-         are matched by key, never by position. *)
-      let basis, remapped =
-        match warm_start with
-        | Some b when Array.length b.Problem.keys > 0 ->
-          let b, remapped = Problem.remap_basis b ~nstruct:t.nvars ~keys in
-          if remapped then Obs.incr m_remaps;
-          (Some b, remapped)
-        | w -> (w, false)
-      in
-      (Revised.solve ?max_iterations ?deadline_ms ?basis p, remapped)
-    | `Dense_tableau -> (Dense_tableau.solve ?max_iterations ?deadline_ms p, false)
+  (* A keyed basis is mapped onto this build's columns: rows and variables
+     that appeared or vanished since it was recorded (data-dependent blocks
+     of the formulation, presolve reductions) are matched by key, never by
+     position. *)
+  let basis, remapped =
+    match warm_start with
+    | Some b when Array.length b.Problem.keys > 0 ->
+      let b, remapped = Problem.remap_basis b ~nstruct:t.nvars ~keys in
+      if remapped then Obs.incr m_remaps;
+      (Some b, remapped)
+    | w -> (w, false)
   in
+  let result = Revised.solve ?max_iterations ?deadline_ms ?basis p in
   let stats = { result.Problem.stats with Problem.warm_remapped = remapped } in
   t.last_stats <- Some stats;
   match result.Problem.status with
   | Problem.Optimal ->
     let x = Array.sub result.Problem.x 0 t.nvars in
-    let obj =
-      Expr.eval (fun j -> x.(j)) t.objective
-    in
-    let basis = Option.map (fun b -> { b with Problem.keys }) result.Problem.basis in
-    Optimal { x; obj; stats; basis }
+    Optimal
+      { x; obj = objective_at t x; stats; basis = { result.Problem.basis with Problem.keys } }
   | Problem.Infeasible -> Infeasible
   | Problem.Unbounded -> Unbounded
   | Problem.Iteration_limit -> Iteration_limit

@@ -1,6 +1,6 @@
 (** Mutable LP model builder: variables with bounds, linear constraints, a
-    single linear objective, and a [solve] entry point dispatching to a
-    solver backend. This is the API the FFC formulations are written
+    single linear objective, and a [solve] entry point, the revised simplex
+    ({!Revised}). This is the API the FFC formulations are written
     against. *)
 
 type t
@@ -92,8 +92,6 @@ type outcome =
       (** the [?deadline_ms] wall-clock budget expired mid-solve; see
           {!last_stats} for which phase was cut *)
 
-type backend = [ `Revised | `Dense_tableau ]
-
 val to_problem : ?presolve:bool -> t -> (Problem.t * int array) option
 (** The computational form {!solve} hands the solver, with the key of each
     of its columns: the variables' keys, then the keys of the rows it kept
@@ -102,8 +100,12 @@ val to_problem : ?presolve:bool -> t -> (Problem.t * int array) option
     infeasible. Raises [Invalid_argument] on a malformed model (see
     {!Problem.of_rows}). *)
 
+val objective_at : t -> float array -> float
+(** [objective_at t x] is [t]'s objective, in the user's sense, at the
+    values [x] of its variables (indexed by {!var}): how {!solve} computes
+    {!objective_value}. *)
+
 val solve :
-  ?backend:backend ->
   ?presolve:bool ->
   ?max_iterations:int ->
   ?deadline_ms:float ->
@@ -117,10 +119,10 @@ val solve :
     assembling it again: {!set_ub} writes through to it, and adding a
     variable ({!add_var}), closing a row ({!close_row}, {!le}, {!ge},
     {!eq}) or setting the objective drops it. A row's terms join the
-    problem when the row closes. Default backend is
-    [`Revised]; {!Presolve} runs first unless [~presolve:false].
-    [?max_iterations] caps simplex pivots and [?deadline_ms] bounds the solve
-    wall-clock (both backends); expiry yields {!Iteration_limit} /
+    problem when the row closes. {!Presolve} runs first unless
+    [~presolve:false]; the revised simplex ({!Revised.solve}) solves what
+    it leaves. [?max_iterations] caps simplex pivots and [?deadline_ms]
+    bounds the solve wall-clock; expiry yields {!Iteration_limit} /
     {!Deadline_exceeded} respectively. [?warm_start] seeds the revised
     simplex with a basis from a previous solve ({!solution_basis}) — of
     this model, or of another build of the same formulation whose rows and
@@ -129,8 +131,7 @@ val solve :
     ({!Problem.remap_basis}; [stats.warm_remapped] says it was), never by
     position, and the revised simplex repairs whatever the mapping leaves
     inconsistent. A bare positional snapshot ({!Problem.basis_of_statuses})
-    is passed through as is. The dense-tableau backend ignores
-    [?warm_start]. *)
+    is passed through as is. *)
 
 val last_stats : t -> Problem.solver_stats option
 (** Instrumentation of the most recent [solve] on this model, available
@@ -146,10 +147,10 @@ val objective_value : solution -> float
 val solution_stats : solution -> Problem.solver_stats
 (** Solver instrumentation for the solve that produced this solution. *)
 
-val solution_basis : solution -> Problem.basis option
-(** Final simplex basis ([Some] for the revised backend), keyed by this
-    build's variable and constraint keys; feed it to the next
-    [solve ~warm_start] of this formulation, whatever its new shape. *)
+val solution_basis : solution -> Problem.basis
+(** Final simplex basis, keyed by this build's variable and constraint
+    keys; feed it to the next [solve ~warm_start] of this formulation,
+    whatever its new shape. *)
 
 val num_vars : t -> int
 val num_constraints : t -> int

@@ -228,5 +228,5 @@ type result = {
   objective : float;
   iterations : int;
   stats : solver_stats;
-  basis : basis option;
+  basis : basis;
 }

@@ -1,4 +1,4 @@
-(** Standard computational form shared by the simplex implementations.
+(** The computational form {!Model} assembles and {!Revised} solves.
 
     A problem is [minimise obj . x] subject to [A x + s = rhs] and
     [lb <= x <= ub], where one slack variable [s_i] is appended per row with
@@ -155,10 +155,12 @@ type solver_stats = {
           where [<why>] is ["warm dual found no entering column"],
           ["warm dual stalled"] or ["basis of another dimension"] *)
 }
-(** Instrumentation emitted by the revised simplex; the dense-tableau oracle
-    fills in {!default_stats}. *)
+(** Instrumentation emitted by the revised simplex. *)
 
 val default_stats : ?reason:string -> unit -> solver_stats
+(** The record of a solve that ran no simplex (every count 0, no warm
+    start), with [status_reason = reason]: {!Model.solve} reports a
+    presolve proof of infeasibility with it. *)
 
 val pp_stats : Format.formatter -> solver_stats -> unit
 
@@ -168,7 +170,7 @@ type result = {
   objective : float;  (** minimisation objective value *)
   iterations : int;
   stats : solver_stats;
-  basis : basis option;
-      (** final basis when the solver maintains one ([Revised]); reuse via
+  basis : basis;
+      (** final basis, a bare positional snapshot; reuse via
           [Revised.solve ~basis] to warm-start a related solve *)
 }

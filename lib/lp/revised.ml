@@ -1042,7 +1042,7 @@ let finish st ~phase1 ~warm status reason =
     objective;
     iterations = a.spent_iterations + st.iterations;
     stats;
-    basis = Some (export_basis st);
+    basis = export_basis st;
   }
 
 (* Pin artificials to zero and install the real objective. *)

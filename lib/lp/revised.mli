@@ -45,6 +45,6 @@ val solve :
     ["deadline (phase 2)"]). A
     non-positive budget fails before the first pivot. On [Optimal] the
     returned [x] (one entry per structural and slack column) satisfies all
-    constraints and bounds to working tolerance. [result.basis] is always
-    [Some] and can seed the next [?basis]; [result.stats] carries the
+    constraints and bounds to working tolerance. [result.basis] can seed
+    the next [?basis], whatever the status; [result.stats] carries the
     instrumentation record ({!Problem.solver_stats}). *)

@@ -19,7 +19,8 @@ let calibration_target = 0.99
    ratio achieved there, so callers can tell a calibrated scenario from one
    where even the smallest scale in range cannot reach the target (the
    ratio then sits below it). The basic-TE LP is built once and re-solved
-   at every scale, cold and with presolve on. *)
+   at every scale, cold and with presolve on; each scale is solved once,
+   the final [lo] included, whose ratio the bisection already measured. *)
 let calibrate (input : Te_types.input) =
   let lp = Basic_te.lp input in
   let satisfied scale =
@@ -31,15 +32,18 @@ let calibrate (input : Te_types.input) =
     | Error _ -> 0.
   in
   let lo = ref 0.05 and hi = ref 50. in
-  let at_lo = satisfied !lo in
-  if at_lo < calibration_target then (!lo, at_lo)
-  else begin
+  let at_lo = ref (satisfied !lo) in
+  if !at_lo >= calibration_target then
     for _ = 1 to 22 do
       let mid = sqrt (!lo *. !hi) in
-      if satisfied mid >= calibration_target then lo := mid else hi := mid
+      let at_mid = satisfied mid in
+      if at_mid >= calibration_target then begin
+        lo := mid;
+        at_lo := at_mid
+      end
+      else hi := mid
     done;
-    (!lo, satisfied !lo)
-  end
+  (!lo, !at_lo)
 
 let build name topo spec =
   let input =

@@ -32,7 +32,7 @@ let fixed_seed seed =
   ]
 
 (* The rows 3.0000001 x = 5 and 3 x = 5: infeasible, but feasible within
-   solver tolerance, so the backends disagree and the lp oracle skips the
+   solver tolerance, so the solvers disagree and the lp oracle skips the
    instance as ill-conditioned. Printed to six digits the rows coincide and
    the verdict becomes PASS, so a literal printer that loses digits fails
    the diff here. *)

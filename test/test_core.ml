@@ -218,7 +218,9 @@ let fresh_basic_te ?warm_start (input : Te_types.input) =
   Formulation.solve ~label:"basic TE" ~presolve:false ?warm_start
     ~started_ms:(Ffc_util.Clock.now_ms ()) model
   |> Result.map (fun (sol, stats) ->
-         (Formulation.alloc_of_solution vars input sol, Ffc_lp.Model.solution_basis sol, stats))
+         ( Formulation.alloc_of_solution vars input (Ffc_lp.Model.value sol),
+           Ffc_lp.Model.solution_basis sol,
+           stats ))
 
 let alloc_bits (a : Te_types.allocation) =
   let bits = Array.map Int64.bits_of_float in
@@ -269,8 +271,8 @@ let test_kept_lp_matches_fresh () =
         check_same_alloc (label ^ ", solve_checked") a' a'';
         Alcotest.(check bool) (label ^ ": same basis") true (b = b' && b' = b'');
         Alcotest.(check bool) (label ^ ": same stats") true (st = st');
-        kept_basis := b;
-        fresh_basis := b'
+        kept_basis := Some b;
+        fresh_basis := Some b'
       | _ -> Alcotest.failf "%s: a solve failed" label);
       if i = 10 || i = 20 then
         List.iter
@@ -294,10 +296,11 @@ let test_kept_lp_matches_fresh () =
    another network, 5 on a copy of the first flow list (equal, but another
    value) and 15 back on the first network, each a rebuild where the
    network changes. Each step's allocation equals the fresh build's bit for
-   bit, and so does each step's solver-layer registry (every [revised.*],
-   [lu.*] and [model.*] metric, recorded from zero), which the stats and
-   the basis each solve starts from decide. A NaN demand fails the
-   basic-TE rung with the fresh build's failure. *)
+   bit, its solver record ([per_class_stats], the joint LP's [(-1, stats)])
+   equals the fresh solve's stats, and so does each step's solver-layer
+   registry (every [revised.*], [lu.*] and [model.*] metric, recorded from
+   zero), which the stats and the basis each solve starts from decide. A
+   NaN demand fails the basic-TE rung with the fresh build's failure. *)
 let test_kept_lp_in_controller () =
   let module Obs = Ffc_obs.Obs in
   let solver_registry f =
@@ -343,9 +346,11 @@ let test_kept_lp_in_controller () =
       in
       Alcotest.(check string) (label ^ ": rung") "basic-te" s.Controller.label;
       (match fresh with
-      | Ok (alloc, b, _) ->
+      | Ok (alloc, b, stats) ->
         check_same_alloc label alloc s.Controller.alloc;
-        basis := b
+        if s.Controller.per_class_stats <> [ (-1, stats) ] then
+          Alcotest.failf "%s: the rung's solver record differs from the fresh solve's" label;
+        basis := Some b
       | Error f -> Alcotest.failf "%s: %s" label f.Te_types.message);
       if registry <> fresh_registry then Alcotest.failf "%s: solver registries differ" label;
       prev := s.Controller.alloc)
@@ -604,7 +609,7 @@ let test_stats_wall_clock () =
   Alcotest.(check bool) "solve_ms positive" true (r.Ffc.stats.Ffc.solve_ms > 0.);
   Alcotest.(check bool) "build_ms positive" true (r.Ffc.stats.Ffc.build_ms > 0.);
   match r.Ffc.stats.Ffc.solver with
-  | None -> Alcotest.fail "revised backend reported no solver stats"
+  | None -> Alcotest.fail "the solve reported no solver stats"
   | Some s ->
     Alcotest.(check bool)
       "did simplex work" true
@@ -675,7 +680,7 @@ let test_ffc_warm_across_skip_change () =
   in
   let a = solve prev_a in
   let cold = solve prev_b in
-  let warm = solve ?warm_start:a.Ffc.basis prev_b in
+  let warm = solve ~warm_start:a.Ffc.basis prev_b in
   Alcotest.(check int) "one M-sum row fewer" (a.Ffc.stats.Ffc.lp_rows - 1)
     warm.Ffc.stats.Ffc.lp_rows;
   (match warm.Ffc.stats.Ffc.solver with
@@ -716,7 +721,7 @@ let test_ffc_warm_chain_pinned () =
     | Error e -> Alcotest.fail e
     | Ok r ->
       prev := r.Ffc.alloc;
-      basis := r.Ffc.basis;
+      basis := Some r.Ffc.basis;
       let s = Option.get r.Ffc.stats.Ffc.solver in
       ( (s.Ffc_lp.Problem.phase1_iterations, s.Ffc_lp.Problem.phase2_iterations),
         ( s.Ffc_lp.Problem.refactorisations,
@@ -786,7 +791,7 @@ let form_digest config =
       | Error e -> Alcotest.fail e
       | Ok r ->
         prev := r.Ffc.alloc;
-        basis := r.Ffc.basis)
+        basis := Some r.Ffc.basis)
     series;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -1,6 +1,6 @@
-(* Tests for the LP substrate: expression algebra, both simplex backends on
-   hand-checked instances, and a randomised cross-check of the revised
-   simplex against the dense tableau oracle. *)
+(* Tests for the LP substrate: expression algebra, the revised simplex and
+   the dense tableau oracle on hand-checked instances, and a randomised
+   cross-check of the revised simplex against the oracle. *)
 
 open Ffc_lp
 
@@ -233,50 +233,63 @@ let test_model_set_ub () =
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
-(* Hand-checked LPs on both backends                                   *)
+(* Hand-checked LPs on both solvers                                    *)
 (* ------------------------------------------------------------------ *)
 
-let backends = [ ("revised", `Revised); ("tableau", `Dense_tableau) ]
+module Dense_tableau = Ffc_check.Dense_tableau
 
-let solve_opt ?backend m =
-  match Model.solve ?backend m with
-  | Model.Optimal s -> s
-  | Model.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Model.Unbounded -> Alcotest.fail "unexpected unbounded"
-  | Model.Iteration_limit -> Alcotest.fail "iteration limit"
-  | Model.Deadline_exceeded -> Alcotest.fail "unexpected deadline"
+(* Both solvers' verdicts as [Dense_tableau.result]s: the revised
+   simplex's ([Model.solve]) through [Dense_tableau.of_outcome]. *)
+let revised ?presolve ?warm_start m =
+  Dense_tableau.of_outcome m (Model.solve ?presolve ?warm_start m)
 
-let test_basic_max backend () =
+let status (r : Dense_tableau.result) = r.Dense_tableau.status
+let objective (r : Dense_tableau.result) = r.Dense_tableau.objective
+let value (r : Dense_tableau.result) v = r.Dense_tableau.x.(v)
+
+let solvers =
+  [ ("revised", fun m -> revised m); ("tableau", fun m -> Dense_tableau.solve m) ]
+
+let solve_opt solve m =
+  let r = solve m in
+  match status r with
+  | Problem.Optimal -> r
+  | Problem.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Problem.Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Problem.Iteration_limit -> Alcotest.fail "iteration limit"
+  | Problem.Deadline_exceeded -> Alcotest.fail "unexpected deadline"
+
+let test_basic_max solve () =
   (* max x + y st x + 2y <= 4, 3x + y <= 6 -> x = 8/5, y = 6/5, obj 14/5 *)
   let m = Model.create () in
   let x = Model.add_var m and y = Model.add_var m in
   Model.le m Expr.(add (var x) (var ~coeff:2. y)) (Expr.const 4.);
   Model.le m Expr.(add (var ~coeff:3. x) (var y)) (Expr.const 6.);
   Model.maximize m Expr.(add (var x) (var y));
-  let s = solve_opt ~backend m in
-  check_float "obj" 2.8 (Model.objective_value s);
-  check_float "x" 1.6 (Model.value s x);
-  check_float "y" 1.2 (Model.value s y)
+  let s = solve_opt solve m in
+  check_float "obj" 2.8 (objective s);
+  check_float "x" 1.6 (value s x);
+  check_float "y" 1.2 (value s y)
 
-let test_min_with_ge backend () =
+let test_min_with_ge solve () =
   (* min 2x + 3y st x + y >= 4, x <= 3 -> x = 3, y = 1, obj 9 *)
   let m = Model.create () in
   let x = Model.add_var ~ub:3. m and y = Model.add_var m in
   Model.ge m Expr.(add (var x) (var y)) (Expr.const 4.);
   Model.minimize m Expr.(add (var ~coeff:2. x) (var ~coeff:3. y));
-  let s = solve_opt ~backend m in
-  check_float "obj" 9. (Model.objective_value s)
+  let s = solve_opt solve m in
+  check_float "obj" 9. (objective s)
 
-let test_equality backend () =
+let test_equality solve () =
   (* max x st x + y = 5, y >= 2 -> x = 3 *)
   let m = Model.create () in
   let x = Model.add_var m and y = Model.add_var ~lb:2. m in
   Model.eq m Expr.(add (var x) (var y)) (Expr.const 5.);
   Model.maximize m (Expr.var x);
-  let s = solve_opt ~backend m in
-  check_float "x" 3. (Model.value s x)
+  let s = solve_opt solve m in
+  check_float "x" 3. (value s x)
 
-let test_free_var backend () =
+let test_free_var solve () =
   (* min y st y >= x - 4, y >= -x, 0 <= x <= 10: optimum y = -2 at x = 2 *)
   let m = Model.create () in
   let x = Model.add_var ~ub:10. m in
@@ -284,48 +297,48 @@ let test_free_var backend () =
   Model.ge m (Expr.var y) Expr.(add_term (const (-4.)) 1. x);
   Model.ge m (Expr.var y) (Expr.var ~coeff:(-1.) x);
   Model.minimize m (Expr.var y);
-  let s = solve_opt ~backend m in
-  check_float "obj" (-2.) (Model.objective_value s)
+  let s = solve_opt solve m in
+  check_float "obj" (-2.) (objective s)
 
-let test_fixed_var backend () =
+let test_fixed_var solve () =
   let m = Model.create () in
   let x = Model.add_var ~lb:2.5 ~ub:2.5 m and y = Model.add_var ~ub:4. m in
   Model.le m Expr.(add (var x) (var y)) (Expr.const 6.);
   Model.maximize m Expr.(add (var x) (var ~coeff:2. y));
-  let s = solve_opt ~backend m in
-  check_float "obj" 9.5 (Model.objective_value s);
-  check_float "x fixed" 2.5 (Model.value s x)
+  let s = solve_opt solve m in
+  check_float "obj" 9.5 (objective s);
+  check_float "x fixed" 2.5 (value s x)
 
-let test_infeasible backend () =
+let test_infeasible solve () =
   let m = Model.create () in
   let x = Model.add_var ~ub:3. m in
   Model.ge m (Expr.var x) (Expr.const 5.);
   Model.maximize m (Expr.var x);
-  match Model.solve ~backend m with
-  | Model.Infeasible -> ()
+  match status (solve m) with
+  | Problem.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
-let test_infeasible_rows backend () =
+let test_infeasible_rows solve () =
   let m = Model.create () in
   let x = Model.add_var m and y = Model.add_var m in
   Model.eq m Expr.(add (var x) (var y)) (Expr.const 1.);
   Model.ge m Expr.(add (var x) (var y)) (Expr.const 2.);
   Model.maximize m (Expr.var x);
-  match Model.solve ~backend m with
-  | Model.Infeasible -> ()
+  match status (solve m) with
+  | Problem.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
-let test_unbounded backend () =
+let test_unbounded solve () =
   let m = Model.create () in
   let x = Model.add_var m and y = Model.add_var m in
   Model.ge m Expr.(add (var x) (var y)) (Expr.const 1.);
   Model.maximize m (Expr.var x);
-  match Model.solve ~backend m with
-  | Model.Unbounded -> ()
-  | Model.Optimal _ -> Alcotest.fail "expected unbounded, got optimal"
+  match status (solve m) with
+  | Problem.Unbounded -> ()
+  | Problem.Optimal -> Alcotest.fail "expected unbounded, got optimal"
   | _ -> Alcotest.fail "expected unbounded"
 
-let test_degenerate backend () =
+let test_degenerate solve () =
   (* Redundant constraints active at the optimum. *)
   let m = Model.create () in
   let x = Model.add_var m and y = Model.add_var m in
@@ -334,37 +347,38 @@ let test_degenerate backend () =
   Model.le m (Expr.var x) (Expr.const 2.);
   Model.le m (Expr.var y) (Expr.const 2.);
   Model.maximize m Expr.(add (var x) (var y));
-  let s = solve_opt ~backend m in
-  check_float "obj" 2. (Model.objective_value s)
+  let s = solve_opt solve m in
+  check_float "obj" 2. (objective s)
 
-let test_neg_rhs backend () =
+let test_neg_rhs solve () =
   (* Constraint with negative rhs exercising artificial signs. *)
   let m = Model.create () in
   let x = Model.add_var ~lb:neg_infinity m in
   Model.le m (Expr.var x) (Expr.const (-3.));
   Model.maximize m (Expr.var x);
-  let s = solve_opt ~backend m in
-  check_float "x" (-3.) (Model.value s x)
+  let s = solve_opt solve m in
+  check_float "x" (-3.) (value s x)
 
-let test_resolve backend () =
+let test_resolve solve () =
   (* Models stay usable: add a constraint, re-solve, objective tightens. *)
   let m = Model.create () in
   let x = Model.add_var ~ub:10. m in
   Model.maximize m (Expr.var x);
-  let s1 = solve_opt ~backend m in
-  check_float "first" 10. (Model.objective_value s1);
+  let s1 = solve_opt solve m in
+  check_float "first" 10. (objective s1);
   Model.le m (Expr.var x) (Expr.const 4.);
-  let s2 = solve_opt ~backend m in
-  check_float "second" 4. (Model.objective_value s2)
+  let s2 = solve_opt solve m in
+  check_float "second" 4. (objective s2)
 
-let test_empty_objective backend () =
+let test_empty_objective solve () =
   (* Pure feasibility problem. *)
   let m = Model.create () in
   let x = Model.add_var ~ub:2. m in
   Model.ge m (Expr.var x) (Expr.const 1.);
-  match Model.solve ~backend m with
-  | Model.Optimal s ->
-    let v = Model.value s x in
+  let s = solve m in
+  match status s with
+  | Problem.Optimal ->
+    let v = value s x in
     Alcotest.(check bool) "within bounds" true (v >= 1. -. 1e-9 && v <= 2. +. 1e-9)
   | _ -> Alcotest.fail "expected optimal"
 
@@ -415,34 +429,35 @@ let build_random_lp spec =
   (m, vars)
 
 let status_name = function
-  | Model.Optimal _ -> "optimal"
-  | Model.Infeasible -> "infeasible"
-  | Model.Unbounded -> "unbounded"
-  | Model.Iteration_limit -> "iterlimit"
-  | Model.Deadline_exceeded -> "deadline"
+  | Problem.Optimal -> "optimal"
+  | Problem.Infeasible -> "infeasible"
+  | Problem.Unbounded -> "unbounded"
+  | Problem.Iteration_limit -> "iterlimit"
+  | Problem.Deadline_exceeded -> "deadline"
+
+(* The revised simplex against the tableau oracle on one model: the same
+   status, and objectives within [tol] when optimal; a budget status on
+   either side discards the instance. *)
+let solvers_agree ~tol m =
+  let r1 = revised m and r2 = Dense_tableau.solve m in
+  match (status r1, status r2) with
+  | Problem.Iteration_limit, _ | _, Problem.Iteration_limit -> QCheck.assume_fail ()
+  | Problem.Deadline_exceeded, _ | _, Problem.Deadline_exceeded -> QCheck.assume_fail ()
+  | Problem.Optimal, Problem.Optimal -> abs_float (objective r1 -. objective r2) < tol
+  | Problem.Infeasible, Problem.Infeasible | Problem.Unbounded, Problem.Unbounded -> true
+  | a, b -> QCheck.Test.fail_reportf "status mismatch: %s vs %s" (status_name a) (status_name b)
 
 let lp_arbitrary = QCheck.make ~print:(fun _ -> "<lp spec>") random_lp_gen
 
 let prop_backends_agree =
   QCheck.Test.make ~count:400 ~name:"revised simplex agrees with tableau oracle" lp_arbitrary
-    (fun spec ->
-      let m, _ = build_random_lp spec in
-      let r1 = Model.solve ~backend:`Revised m in
-      let r2 = Model.solve ~backend:`Dense_tableau m in
-      match (r1, r2) with
-      | Model.Iteration_limit, _ | _, Model.Iteration_limit -> QCheck.assume_fail ()
-      | Model.Deadline_exceeded, _ | _, Model.Deadline_exceeded -> QCheck.assume_fail ()
-      | Model.Optimal s1, Model.Optimal s2 ->
-        abs_float (Model.objective_value s1 -. Model.objective_value s2) < 1e-5
-      | Model.Infeasible, Model.Infeasible | Model.Unbounded, Model.Unbounded -> true
-      | _ ->
-        QCheck.Test.fail_reportf "status mismatch: %s vs %s" (status_name r1) (status_name r2))
+    (fun spec -> solvers_agree ~tol:1e-5 (fst (build_random_lp spec)))
 
 let prop_feasible =
   QCheck.Test.make ~count:400 ~name:"revised simplex solutions satisfy all constraints"
     lp_arbitrary (fun spec ->
       let m, vars = build_random_lp spec in
-      match Model.solve ~backend:`Revised m with
+      match Model.solve m with
       | Model.Optimal s ->
         let xs = List.map (Model.value s) vars in
         let row_ok (terms, sense, rhs) =
@@ -549,14 +564,14 @@ let prop_presolve_preserves_solutions =
   QCheck.Test.make ~count:400 ~name:"presolve preserves status and optimum" lp_arbitrary
     (fun spec ->
       let m, _ = build_random_lp spec in
-      let with_p = Model.solve ~presolve:true m in
-      let without_p = Model.solve ~presolve:false m in
-      match (with_p, without_p) with
-      | Model.Iteration_limit, _ | _, Model.Iteration_limit -> QCheck.assume_fail ()
-      | Model.Deadline_exceeded, _ | _, Model.Deadline_exceeded -> QCheck.assume_fail ()
-      | Model.Optimal a, Model.Optimal b ->
-        abs_float (Model.objective_value a -. Model.objective_value b) < 1e-5
-      | Model.Infeasible, Model.Infeasible | Model.Unbounded, Model.Unbounded -> true
+      let with_p = revised ~presolve:true m in
+      let without_p = revised ~presolve:false m in
+      match (status with_p, status without_p) with
+      | Problem.Iteration_limit, _ | _, Problem.Iteration_limit -> QCheck.assume_fail ()
+      | Problem.Deadline_exceeded, _ | _, Problem.Deadline_exceeded -> QCheck.assume_fail ()
+      | Problem.Optimal, Problem.Optimal ->
+        abs_float (objective with_p -. objective without_p) < 1e-5
+      | Problem.Infeasible, Problem.Infeasible | Problem.Unbounded, Problem.Unbounded -> true
       | a, b ->
         QCheck.Test.fail_reportf "presolve changed status: %s vs %s" (status_name a)
           (status_name b))
@@ -581,16 +596,7 @@ let larger_lp_gen =
 let prop_backends_agree_larger =
   QCheck.Test.make ~count:80 ~name:"backends agree on larger instances"
     (QCheck.make ~print:(fun _ -> "<larger lp>") larger_lp_gen)
-    (fun spec ->
-      let m, _ = build_random_lp spec in
-      match (Model.solve ~backend:`Revised m, Model.solve ~backend:`Dense_tableau m) with
-      | Model.Iteration_limit, _ | _, Model.Iteration_limit -> QCheck.assume_fail ()
-      | Model.Deadline_exceeded, _ | _, Model.Deadline_exceeded -> QCheck.assume_fail ()
-      | Model.Optimal s1, Model.Optimal s2 ->
-        abs_float (Model.objective_value s1 -. Model.objective_value s2) < 1e-4
-      | Model.Infeasible, Model.Infeasible | Model.Unbounded, Model.Unbounded -> true
-      | a, b ->
-        QCheck.Test.fail_reportf "status mismatch: %s vs %s" (status_name a) (status_name b))
+    (fun spec -> solvers_agree ~tol:1e-4 (fst (build_random_lp spec)))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU: FTRAN/BTRAN residuals under column-replacement updates   *)
@@ -984,16 +990,7 @@ let degenerate_lp_gen =
 let prop_degenerate_backends_agree =
   QCheck.Test.make ~count:300 ~name:"backends agree on degenerate instances"
     (QCheck.make ~print:(fun _ -> "<degenerate lp>") degenerate_lp_gen)
-    (fun spec ->
-      let m, _ = build_random_lp spec in
-      match (Model.solve ~backend:`Revised m, Model.solve ~backend:`Dense_tableau m) with
-      | Model.Iteration_limit, _ | _, Model.Iteration_limit -> QCheck.assume_fail ()
-      | Model.Deadline_exceeded, _ | _, Model.Deadline_exceeded -> QCheck.assume_fail ()
-      | Model.Optimal s1, Model.Optimal s2 ->
-        abs_float (Model.objective_value s1 -. Model.objective_value s2) < 1e-5
-      | Model.Infeasible, Model.Infeasible | Model.Unbounded, Model.Unbounded -> true
-      | a, b ->
-        QCheck.Test.fail_reportf "status mismatch: %s vs %s" (status_name a) (status_name b))
+    (fun spec -> solvers_agree ~tol:1e-5 (fst (build_random_lp spec)))
 
 (* ------------------------------------------------------------------ *)
 (* Warm starts                                                         *)
@@ -1015,35 +1012,35 @@ let prop_warm_agrees =
   QCheck.Test.make ~count:300 ~name:"warm-started solve agrees with cold and tableau oracle"
     lp_arbitrary (fun spec ->
       let m0, _ = build_random_lp spec in
-      match Model.solve ~backend:`Revised ~presolve:false m0 with
+      match Model.solve ~presolve:false m0 with
       | Model.Iteration_limit | Model.Deadline_exceeded -> QCheck.assume_fail ()
       | Model.Infeasible | Model.Unbounded -> true
       | Model.Optimal s0 -> (
-        match Model.solution_basis s0 with
-        | None -> QCheck.Test.fail_report "revised backend returned no basis"
-        | Some basis -> (
-          let spec' = perturb_spec 0.5 spec in
-          let cold_m, _ = build_random_lp spec' in
-          let warm_m, _ = build_random_lp spec' in
-          let oracle_m, _ = build_random_lp spec' in
-          let cold = Model.solve ~backend:`Revised ~presolve:false cold_m in
-          let warm = Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis warm_m in
-          let oracle = Model.solve ~backend:`Dense_tableau ~presolve:false oracle_m in
-          match (cold, warm, oracle) with
-          | Model.Iteration_limit, _, _ | _, Model.Iteration_limit, _ | _, _, Model.Iteration_limit
-          | Model.Deadline_exceeded, _, _
-          | _, Model.Deadline_exceeded, _
-          | _, _, Model.Deadline_exceeded ->
-            QCheck.assume_fail ()
-          | Model.Optimal a, Model.Optimal b, Model.Optimal c ->
-            abs_float (Model.objective_value a -. Model.objective_value b) < 1e-5
-            && abs_float (Model.objective_value b -. Model.objective_value c) < 1e-5
-          | Model.Infeasible, Model.Infeasible, Model.Infeasible
-          | Model.Unbounded, Model.Unbounded, Model.Unbounded ->
-            true
-          | a, b, c ->
-            QCheck.Test.fail_reportf "status mismatch: cold %s / warm %s / oracle %s"
-              (status_name a) (status_name b) (status_name c))))
+        let basis = Model.solution_basis s0 in
+        let spec' = perturb_spec 0.5 spec in
+        let cold_m, _ = build_random_lp spec' in
+        let warm_m, _ = build_random_lp spec' in
+        let oracle_m, _ = build_random_lp spec' in
+        let cold = revised ~presolve:false cold_m in
+        let warm = revised ~presolve:false ~warm_start:basis warm_m in
+        let oracle = Dense_tableau.solve ~presolve:false oracle_m in
+        match (status cold, status warm, status oracle) with
+        | Problem.Iteration_limit, _, _
+        | _, Problem.Iteration_limit, _
+        | _, _, Problem.Iteration_limit
+        | Problem.Deadline_exceeded, _, _
+        | _, Problem.Deadline_exceeded, _
+        | _, _, Problem.Deadline_exceeded ->
+          QCheck.assume_fail ()
+        | Problem.Optimal, Problem.Optimal, Problem.Optimal ->
+          abs_float (objective cold -. objective warm) < 1e-5
+          && abs_float (objective warm -. objective oracle) < 1e-5
+        | Problem.Infeasible, Problem.Infeasible, Problem.Infeasible
+        | Problem.Unbounded, Problem.Unbounded, Problem.Unbounded ->
+          true
+        | a, b, c ->
+          QCheck.Test.fail_reportf "status mismatch: cold %s / warm %s / oracle %s"
+            (status_name a) (status_name b) (status_name c)))
 
 (* A structured instance large enough that cold phase 1 does real work; the
    basis of the base solve should carry the perturbed-rhs re-solve most of
@@ -1070,17 +1067,13 @@ let test_warm_cuts_iterations () =
     m
   in
   let base =
-    match Model.solve ~backend:`Revised ~presolve:false (build 1.0) with
+    match Model.solve ~presolve:false (build 1.0) with
     | Model.Optimal s -> s
     | _ -> Alcotest.fail "base solve not optimal"
   in
-  let basis =
-    match Model.solution_basis base with
-    | Some b -> b
-    | None -> Alcotest.fail "no basis from base solve"
-  in
+  let basis = Model.solution_basis base in
   let solve ?warm_start () =
-    match Model.solve ~backend:`Revised ~presolve:false ?warm_start (build 1.02) with
+    match Model.solve ~presolve:false ?warm_start (build 1.02) with
     | Model.Optimal s -> s
     | _ -> Alcotest.fail "perturbed solve not optimal"
   in
@@ -1102,7 +1095,7 @@ let test_warm_dimension_mismatch () =
   let x = Model.add_var ~ub:5. m in
   Model.maximize m (Expr.var x);
   let bogus = Problem.basis_of_statuses (Array.make 3 Problem.Bs_lower) in
-  match Model.solve ~backend:`Revised ~presolve:false ~warm_start:bogus m with
+  match Model.solve ~presolve:false ~warm_start:bogus m with
   | Model.Optimal s ->
     check_float "objective" 5. (Model.objective_value s);
     let st = Model.solution_stats s in
@@ -1134,16 +1127,16 @@ let test_warm_survives_refactor () =
     m
   in
   let base =
-    match Model.solve ~backend:`Revised ~presolve:false (build ~rhs_scale:1.0 ~objw:(fun _ -> 1.)) with
+    match Model.solve ~presolve:false (build ~rhs_scale:1.0 ~objw:(fun _ -> 1.)) with
     | Model.Optimal s -> s
     | _ -> Alcotest.fail "base solve not optimal"
   in
-  let basis = Option.get (Model.solution_basis base) in
+  let basis = Model.solution_basis base in
   (* Reweighting the objective (not just scaling the rhs, which leaves the
      old basis dual feasible) forces the warm solve through enough pivots to
      exhaust the eta-file update limit. *)
   let perturbed () = build ~rhs_scale:0.5 ~objw:(fun j -> 1. +. (2. *. float_of_int (j mod 4))) in
-  match Model.solve ~backend:`Revised ~presolve:false ~warm_start:basis (perturbed ()) with
+  match Model.solve ~presolve:false ~warm_start:basis (perturbed ()) with
   | Model.Optimal warm ->
     let ws = Model.solution_stats warm in
     Alcotest.(check bool) "warm accepted" true ws.Problem.warm_started;
@@ -1151,12 +1144,9 @@ let test_warm_survives_refactor () =
       (Printf.sprintf "refactorised at least twice (got %d)" ws.Problem.refactorisations)
       true
       (ws.Problem.refactorisations >= 2);
-    (match Model.solve ~backend:`Dense_tableau ~presolve:false (perturbed ()) with
-    | Model.Optimal oracle ->
-      check_float "matches oracle after refactor"
-        (Model.objective_value oracle)
-        (Model.objective_value warm)
-    | _ -> Alcotest.fail "oracle not optimal")
+    let oracle = Dense_tableau.solve ~presolve:false (perturbed ()) in
+    if status oracle <> Problem.Optimal then Alcotest.fail "oracle not optimal";
+    check_float "matches oracle after refactor" (objective oracle) (Model.objective_value warm)
   | _ -> Alcotest.fail "warm solve not optimal"
 
 (* Two models with the same variable count whose presolve reductions keep
@@ -1188,19 +1178,19 @@ let test_warm_presolve_row_set_remap () =
     m
   in
   let basis =
-    match Model.solve ~backend:`Revised ~presolve:true (build_a ()) with
-    | Model.Optimal s -> Option.get (Model.solution_basis s)
+    match Model.solve ~presolve:true (build_a ()) with
+    | Model.Optimal s -> Model.solution_basis s
     | _ -> Alcotest.fail "model A not optimal"
   in
   (* Same-shaped re-solve takes the basis as it is... *)
-  (match Model.solve ~backend:`Revised ~presolve:true ~warm_start:basis (build_a ()) with
+  (match Model.solve ~presolve:true ~warm_start:basis (build_a ()) with
   | Model.Optimal s ->
     let st = Model.solution_stats s in
     Alcotest.(check bool) "same shape accepted" true st.Problem.warm_started;
     Alcotest.(check bool) "same shape not remapped" false st.Problem.warm_remapped
   | _ -> Alcotest.fail "re-solve of A not optimal");
   (* ...and the different reduction gets it mapped by key. *)
-  match Model.solve ~backend:`Revised ~presolve:true ~warm_start:basis (build_b ()) with
+  match Model.solve ~presolve:true ~warm_start:basis (build_b ()) with
   | Model.Optimal s ->
     (* B's optimum: x0 = 3 (singleton bound), x1 = 7 (row keeps x0+x1 <= 10),
        objective 2*3 + 7 = 13. *)
@@ -1209,7 +1199,7 @@ let test_warm_presolve_row_set_remap () =
     Alcotest.(check bool) "warm started" true st.Problem.warm_started;
     Alcotest.(check bool) "remapped" true st.Problem.warm_remapped;
     (* Column 2 is the one slack: A's row 0, B's row 1. *)
-    let keys_b = (Option.get (Model.solution_basis s)).Problem.keys in
+    let keys_b = (Model.solution_basis s).Problem.keys in
     Alcotest.(check bool) "kept rows keyed apart" true
       (basis.Problem.keys.(2) <> keys_b.(2));
     let start, _ = Problem.remap_basis basis ~nstruct:2 ~keys:keys_b in
@@ -1288,13 +1278,13 @@ let blocks k ~cap ~weight =
 
 let optimal_basis m =
   match Model.solve ~presolve:false m with
-  | Model.Optimal s -> Option.get (Model.solution_basis s)
+  | Model.Optimal s -> Model.solution_basis s
   | _ -> Alcotest.fail "base solve not optimal"
 
 let dense_objective m =
-  match Model.solve ~backend:`Dense_tableau ~presolve:false m with
-  | Model.Optimal s -> Model.objective_value s
-  | _ -> Alcotest.fail "dense tableau not optimal"
+  let r = Dense_tableau.solve ~presolve:false m in
+  if status r <> Problem.Optimal then Alcotest.fail "dense tableau not optimal";
+  objective r
 
 (* Only right-hand sides move: the dual phase alone reaches the optimum,
    with no restart and nothing left for phase 2. *)
@@ -1389,9 +1379,9 @@ let test_keys_distinct () =
   let z = v () in
   row [ z; x0 ];
   Model.maximize m (Expr.sum (List.init (Model.num_vars m) Expr.var));
-  match Model.solve ~backend:`Revised ~presolve:false m with
+  match Model.solve ~presolve:false m with
   | Model.Optimal s ->
-    let keys = (Option.get (Model.solution_basis s)).Problem.keys in
+    let keys = (Model.solution_basis s).Problem.keys in
     Alcotest.(check int) "one key per column" (Model.num_vars m + Model.num_constraints m)
       (Array.length keys);
     Alcotest.(check int) "all keys distinct" (Array.length keys)
@@ -1437,7 +1427,7 @@ let test_sparse_lu_zero_length_column () =
   ignore (factorise ~m:2 ~complete:false zero_col);
   Alcotest.(check (array int64)) "reused scratch, same factors" fresh (solve ())
 
-(* Fuzzer-found solver regressions. Each of these once made a backend return
+(* Fuzzer-found solver regressions. Each of these once made a solver return
    a wrong verdict or an infeasible "optimal" point; the harness in
    lib/check shrank them to these instances. The assertions are
    invariants -- right status class, no macroscopic constraint violation --
@@ -1491,13 +1481,13 @@ let test_dense_noise_column_not_infeasible () =
   let m, _ =
     build_instance [| 0.; 0.; 0.; 0. |] [| 5.; 5.; 8.; 2. |] [| 2.; -3.; 1.; 4. |] rows
   in
-  match Model.solve ~backend:`Dense_tableau m with
-  | Model.Optimal _ -> ()
+  match status (Dense_tableau.solve m) with
+  | Problem.Optimal -> ()
   | o ->
     Alcotest.failf "feasible instance reported %s"
       (match o with
-      | Model.Infeasible -> "infeasible"
-      | Model.Unbounded -> "unbounded"
+      | Problem.Infeasible -> "infeasible"
+      | Problem.Unbounded -> "unbounded"
       | _ -> "budget-limited")
 
 (* An unbounded ray that requires stepping over a genuine 1e-7 data
@@ -1508,10 +1498,9 @@ let test_dense_tiny_data_ray_unbounded () =
   let m, _ =
     build_instance [| neg_infinity; 0. |] [| infinity; 7. |] [| -4.; 2. |] rows
   in
-  (match Model.solve ~backend:`Dense_tableau m with
-  | Model.Unbounded -> ()
-  | _ -> Alcotest.fail "dense missed the unbounded ray");
-  match Model.solve ~backend:`Revised m with
+  if status (Dense_tableau.solve m) <> Problem.Unbounded then
+    Alcotest.fail "dense missed the unbounded ray";
+  match Model.solve m with
   | Model.Unbounded -> ()
   | _ -> Alcotest.fail "revised missed the unbounded ray"
 
@@ -1522,11 +1511,12 @@ let test_dense_tiny_data_ray_unbounded () =
 let test_dense_drive_out_respects_bounds () =
   let rows = [ ([| -0.9999999; 3. |], 0, -3.); ([| -1.; 3. |], 0, -3.) ] in
   let m, xs = build_instance [| 0.; 0. |] [| 3.; infinity |] [| 0.; 0. |] rows in
-  match Model.solve ~backend:`Dense_tableau m with
-  | Model.Optimal s ->
+  let s = Dense_tableau.solve m in
+  match status s with
+  | Problem.Optimal ->
     Array.iter
       (fun x ->
-        let v = Model.value s x in
+        let v = value s x in
         Alcotest.(check bool)
           (Printf.sprintf "in bounds (got %g)" v)
           true
@@ -1549,7 +1539,7 @@ let test_revised_phase2_primal_feasibility () =
   List.iter
     (fun presolve ->
       let m, xs = build_instance lb ub obj rows in
-      match Model.solve ~backend:`Revised ~presolve m with
+      match Model.solve ~presolve m with
       | Model.Optimal s ->
         let x = Array.map (Model.value s) xs in
         let v = max_violation rows x in
@@ -1567,8 +1557,8 @@ let test_printers () =
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
-  let per_backend name f =
-    List.map (fun (bname, b) -> case (Printf.sprintf "%s (%s)" name bname) (f b)) backends
+  let per_solver name f =
+    List.map (fun (sname, solve) -> case (Printf.sprintf "%s (%s)" name sname) (f solve)) solvers
   in
   Alcotest.run "lp"
     [
@@ -1595,18 +1585,18 @@ let () =
       ( "simplex",
         List.concat
           [
-            per_backend "basic max" test_basic_max;
-            per_backend "min with >=" test_min_with_ge;
-            per_backend "equality" test_equality;
-            per_backend "free variable" test_free_var;
-            per_backend "fixed variable" test_fixed_var;
-            per_backend "infeasible bounds" test_infeasible;
-            per_backend "infeasible rows" test_infeasible_rows;
-            per_backend "unbounded" test_unbounded;
-            per_backend "degenerate" test_degenerate;
-            per_backend "negative rhs" test_neg_rhs;
-            per_backend "re-solve" test_resolve;
-            per_backend "pure feasibility" test_empty_objective;
+            per_solver "basic max" test_basic_max;
+            per_solver "min with >=" test_min_with_ge;
+            per_solver "equality" test_equality;
+            per_solver "free variable" test_free_var;
+            per_solver "fixed variable" test_fixed_var;
+            per_solver "infeasible bounds" test_infeasible;
+            per_solver "infeasible rows" test_infeasible_rows;
+            per_solver "unbounded" test_unbounded;
+            per_solver "degenerate" test_degenerate;
+            per_solver "negative rhs" test_neg_rhs;
+            per_solver "re-solve" test_resolve;
+            per_solver "pure feasibility" test_empty_objective;
           ] );
       ( "presolve",
         [

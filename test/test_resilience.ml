@@ -196,16 +196,18 @@ let test_deadline_generous_matches_oracle () =
     | Ok (a, _) -> Te_types.throughput a
     | Error f -> Alcotest.fail f.Te_types.message
   in
-  (* Basic TE is FFC with no protection; the reference solver lives in
-     [Model.solve]. *)
+  (* Basic TE is FFC with no protection, solved by the reference
+     solver. *)
   let oracle =
-    let module Model = Ffc_lp.Model in
+    let module Dense_tableau = Ffc_check.Dense_tableau in
     let vars = Ffc.build input in
     let model = vars.Formulation.model in
-    Model.maximize model (Formulation.total_rate_expr vars);
-    match Model.solve ~backend:`Dense_tableau model with
-    | Model.Optimal sol -> Te_types.throughput (Formulation.alloc_of_solution vars input sol)
-    | _ -> Alcotest.fail "dense tableau: not optimal"
+    Ffc_lp.Model.maximize model (Formulation.total_rate_expr vars);
+    let r = Dense_tableau.solve model in
+    if r.Dense_tableau.status <> Ffc_lp.Problem.Optimal then
+      Alcotest.fail "dense tableau: not optimal";
+    Te_types.throughput
+      (Formulation.alloc_of_solution vars input (fun v -> r.Dense_tableau.x.(v)))
   in
   Alcotest.(check (float 1e-6)) "generous deadline reaches the optimum" oracle revised
 
