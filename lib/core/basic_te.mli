@@ -37,14 +37,19 @@ val solve_checked :
     upper bounds of the [b_f]. An {!lp} is built once per topology and
     flow list and re-solved with each interval's demands: a re-solve
     writes them into the [b_f] bounds ({!Ffc_lp.Model.set_ub}) and solves
-    the problem the model kept from its last solve. That is the problem,
-    and with the same warm start the basis, a fresh build would hand the
-    solver, so every result is bit-identical to {!solve_checked}'s. *)
+    the problem the model kept from its last solve. That is the problem a
+    fresh build would hand the solver. A re-solve with [~presolve:false]
+    warm from the basis the last one returned resumes that solve's solver
+    state ({!Ffc_lp.Model.solve}): it reaches the optimal throughput a
+    fresh build reaches, but may stop at another optimal vertex. Every
+    other re-solve, a first or cold one included, is bit-identical to
+    {!solve_checked}'s with the same warm start. *)
 
 type lp
-(** The basic-TE LP of one topology and flow list. It holds no solve
-    state, only the demands of its last solve, which the next one
-    overwrites. *)
+(** The basic-TE LP of one topology and flow list. Its model keeps the
+    demands of its last solve, which the next one overwrites, and the
+    solver state of its last optimal solve without presolve, which the
+    next one resumes or replaces. *)
 
 val lp : ?reserved:float array -> Te_types.input -> lp
 (** [lp input] builds the LP of [input]'s topology and flow list. It reads
@@ -69,8 +74,8 @@ val solve_lp :
     Te_types.solve_failure )
   result
 (** Solves [lp] with [input]'s demands, as {!solve_checked} solves a fresh
-    build, with the same results, failures and messages, and also returns
-    the solve's {!Formulation.stats}. [started_ms] (default: now) is the
+    build, with the same failures and messages and, unless it resumes,
+    the same results, and also returns the solve's {!Formulation.stats}. [started_ms] (default: now) is the
     {!Ffc_util.Clock.now_ms} reading from which time counts against
     [deadline_ms]: a caller that has just built [lp] passes the reading
     from before the build. Raises [Invalid_argument] unless

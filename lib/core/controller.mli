@@ -114,12 +114,13 @@ val restart : t -> t
 (** The controller as it comes back from a crash with its journal: the
     same config and audit RNG, so the sampled-guarantee audit stream
     continues where it stopped instead of replaying the same cases, the
-    same basic-TE LP, which holds no solve state, and empty basis caches.
-    The bases are not kept on purpose: they are
-    solver-internal and re-derivable, so the first step after a restart
-    cold-starts each rung's LP and repopulates the cache instead of
-    carrying simplex internals across the crash. The two controllers
-    share the RNG; use only the restarted one. *)
+    same basic-TE LP, and empty basis caches. The bases are not kept on
+    purpose: they are solver-internal and re-derivable, so the first step
+    after a restart cold-starts each rung's LP and repopulates the cache
+    instead of carrying simplex internals across the crash. The basic-TE
+    LP still holds the solver state of its last solve, but no basis is
+    offered to resume it, so the next solve is cold and replaces it. The
+    two controllers share the RNG; use only the restarted one. *)
 
 val step :
   t ->

@@ -4,6 +4,16 @@ let m_remaps = Obs.counter "model.basis_remaps"
 
 type var = int
 
+(* The unpresolved problem and the key of each of its columns: the
+   variables' keys, then the rows' keys (their slacks). [set_ub] writes
+   through to [problem]. [solver] is the state the last solve ended in
+   when that solve was an unpresolved optimum of [problem]. *)
+type kept = {
+  problem : Problem.t;
+  keys : int array;
+  mutable solver : Revised.state option;
+}
+
 (* Variables and rows live in growable arrays whose first [nvars] / [nrows]
    slots are in use. Row [i]'s terms are the slots [row_start.(i)] to
    [row_start.(i + 1) - 1] of one row-major buffer, unmerged and in the
@@ -26,10 +36,9 @@ type t = {
   mutable sense_max : bool;
   mutable last_stats : Problem.solver_stats option;
       (* instrumentation of the most recent [solve], whatever its outcome *)
-  mutable kept : (Problem.t * int array) option;
-      (* the unpresolved problem and column keys the last [solve]
-         assembled, reused by the next one until a variable, row or
-         objective is added; [set_ub] writes through to it *)
+  mutable kept : kept option;
+      (* what the last [solve] assembled, reused by the next one until a
+         variable, row or objective is added *)
   mutable scope : int; (* hash of the current scope's path from the root *)
   mutable var_ord : int; (* variables added directly in the current scope *)
   mutable row_ord : int; (* rows added directly in the current scope *)
@@ -121,7 +130,7 @@ let set_ub t j ub =
   if Float.is_nan ub then invalid_arg "Model.set_ub: NaN bound";
   if t.lbs.(j) > ub then invalid_arg "Model.set_ub: lb > ub";
   t.ubs.(j) <- ub;
-  match t.kept with Some (p, _) -> p.Problem.ub.(j) <- ub | None -> ()
+  match t.kept with Some k -> k.problem.Problem.ub.(j) <- ub | None -> ()
 
 let term t j c =
   let k = t.nterms in
@@ -183,8 +192,7 @@ type outcome =
   | Iteration_limit
   | Deadline_exceeded
 
-(* The unpresolved computational form and the key of each of its columns:
-   the variables' keys, then the rows' keys (their slacks). *)
+(* The unpresolved computational form and the key of each of its columns. *)
 let assemble t =
   let lb = Array.sub t.lbs 0 t.nvars and ub = Array.sub t.ubs 0 t.nvars in
   let obj = Array.make t.nvars 0. in
@@ -198,7 +206,7 @@ let assemble t =
 
 (* Presolve, when asked, keeps a subset of the rows: their slacks keep
    their keys. *)
-let reduce ?(presolve = true) t ((p, _) as assembled) =
+let reduce ~presolve t ((p, _) as assembled) =
   if not presolve then Some assembled
   else
     match Presolve.reduce p with
@@ -209,37 +217,56 @@ let reduce ?(presolve = true) t ((p, _) as assembled) =
           Array.append (Array.sub t.var_keys 0 t.nvars) (Array.map (fun i -> t.row_keys.(i)) kept)
         )
 
-let to_problem ?presolve t = reduce ?presolve t (assemble t)
+let to_problem ?(presolve = true) t = reduce ~presolve t (assemble t)
 
 let objective_at t x = Expr.eval (fun j -> x.(j)) t.objective
 
-let solve ?presolve ?max_iterations ?deadline_ms ?warm_start t =
-  let assembled =
+(* Whether [b] is the basis the solve that left [st] returned: the kept
+   problem's keys and [st]'s statuses. *)
+let resumes st keys (b : Problem.basis) =
+  let bk = b.Problem.keys in
+  (bk == keys || (Array.length bk = Array.length keys && Array.for_all2 Int.equal bk keys))
+  && Revised.resumes st b
+
+let solve ?(presolve = true) ?max_iterations ?deadline_ms ?warm_start t =
+  let kept =
     match t.kept with
-    | Some a -> a
+    | Some k -> k
     | None ->
-      let a = assemble t in
-      t.kept <- Some a;
-      a
+      let problem, keys = assemble t in
+      let k = { problem; keys; solver = None } in
+      t.kept <- Some k;
+      k
   in
-  match reduce ?presolve t assembled with
+  let last = kept.solver in
+  kept.solver <- None;
+  match reduce ~presolve t (kept.problem, kept.keys) with
   | None ->
     t.last_stats <- Some (Problem.default_stats ~reason:"presolve-infeasible" ());
     Infeasible
   | Some (p, keys) ->
-  (* A keyed basis is mapped onto this build's columns: rows and variables
-     that appeared or vanished since it was recorded (data-dependent blocks
-     of the formulation, presolve reductions) are matched by key, never by
-     position. *)
-  let basis, remapped =
-    match warm_start with
-    | Some b when Array.length b.Problem.keys > 0 ->
-      let b, remapped = Problem.remap_basis b ~nstruct:t.nvars ~keys in
-      if remapped then Obs.incr m_remaps;
-      (Some b, remapped)
-    | w -> (w, false)
+  let (result, state), remapped =
+    match (warm_start, last) with
+    | Some b, Some st when (not presolve) && resumes st keys b ->
+      (* The basis the last solve of this very problem returned: resume
+         that solve's state instead of factorising the basis again. *)
+      (Revised.resume ?max_iterations ?deadline_ms st, false)
+    | _ ->
+      (* A keyed basis is mapped onto this build's columns: rows and
+         variables that appeared or vanished since it was recorded
+         (data-dependent blocks of the formulation, presolve reductions)
+         are matched by key, never by position. *)
+      let basis, remapped =
+        match warm_start with
+        | Some b when Array.length b.Problem.keys > 0 ->
+          let b, remapped = Problem.remap_basis b ~nstruct:t.nvars ~keys in
+          if remapped then Obs.incr m_remaps;
+          (Some b, remapped)
+        | w -> (w, false)
+      in
+      (Revised.solve ?max_iterations ?deadline_ms ?basis p, remapped)
   in
-  let result = Revised.solve ?max_iterations ?deadline_ms ?basis p in
+  if not presolve then kept.solver <- state;
   let stats = { result.Problem.stats with Problem.warm_remapped = remapped } in
   t.last_stats <- Some stats;
   match result.Problem.status with

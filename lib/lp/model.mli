@@ -131,7 +131,17 @@ val solve :
     ({!Problem.remap_basis}; [stats.warm_remapped] says it was), never by
     position, and the revised simplex repairs whatever the mapping leaves
     inconsistent. A bare positional snapshot ({!Problem.basis_of_statuses})
-    is passed through as is. *)
+    is passed through as is.
+
+    The kept problem also keeps the solver state of its last solve when
+    that solve ran with [~presolve:false] and was optimal. A solve with
+    [~presolve:false] whose [?warm_start] is the basis that solve returned
+    (the same statuses and keys) resumes that state ({!Revised.resume})
+    instead of factorising the basis again: only the bounds {!set_ub}
+    moved, so the kept factorisation still holds. It reaches an optimum of
+    the same problem, but not always the vertex a fresh warm solve would
+    reach. Any other call (presolve on, no basis, another basis, or a
+    problem dropped since) solves anew and replaces the state. *)
 
 val last_stats : t -> Problem.solver_stats option
 (** Instrumentation of the most recent [solve] on this model, available

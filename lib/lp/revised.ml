@@ -34,18 +34,23 @@
    never the warm start. If the implied point violates bounds, a dual
    simplex phase under the real costs runs before phase 2: the basic
    variable that violates its bounds most leaves at that bound, a Harris
-   two-pass ratio test over its pivot row (BTRAN of e_r, then the rows of A
-   it reaches, read from the transpose {!Problem.rows} when the phase
-   starts) picks the entering column, and the reduced costs follow the
-   pivot row instead of being priced again. A remapped optimal basis is
-   usually dual feasible (right-hand sides moved, costs did not); a
-   nonbasic column that is not gets its cost shifted until it is, and
-   phase 2, which prices the true costs, removes the shifts and certifies
-   optimality. A dual phase that finds no entering column (which proves
+   two-pass ratio test over its pivot row (BTRAN of e_r, then the rows of
+   A it reaches, read from the transpose {!Problem.rows} that the state's
+   first dual phase builds) picks the entering column, and the reduced
+   costs follow the pivot row instead of being priced again. A remapped
+   optimal basis is usually dual feasible (right-hand sides moved, costs
+   did not); a nonbasic column that is not gets its cost shifted until it
+   is, and phase 2, which prices the true costs, removes the shifts and
+   certifies optimality. A dual phase that finds no entering column (which proves
    nothing once costs are shifted) or stalls ends the warm attempt: the
    solve starts cold, counted in [stats.restarts], and its [status_reason]
    names the warm failure. The same dual phase repairs a phase-2 optimum
    that turns out primally infeasible after a refactorisation.
+
+   Resumes ([resume]): an optimal solve's state keeps its basis, its
+   factorisation and every array it worked in, and a re-solve of the same
+   problem after its bounds moved starts from it as a warm solve starts
+   from a freshly factorised basis.
 
    Invariants maintained across iterations:
    - [basic.(i)] is the variable basic in position/row i; [vstat.(j)] tracks
@@ -66,6 +71,7 @@ let m_restarts = Obs.counter "revised.restarts"
 let m_lu_updates = Obs.counter "revised.lu_updates"
 let m_cold_fallbacks = Obs.counter "revised.cold_fallbacks"
 let m_warm_repairs = Obs.counter "revised.warm_repairs"
+let m_resumes = Obs.counter "revised.resumes"
 let m_solve_ms = Obs.histogram "revised.solve_ms"
 let m_solve_iterations = Obs.histogram "revised.solve_iterations"
 
@@ -104,6 +110,25 @@ let fresh_acc () =
 
 type vstat = Basic | At_lower | At_upper | Free_nonbasic
 
+(* Scratch of the dual phase. [alpha] is 0 outside the columns listed in
+   [touched] by the last [pivot_row]. The structural part of A is kept by
+   rows too ({!Problem.rows}): row [i]'s entries are [row_start.(i) ..
+   row_start.(i + 1) - 1] of [row_cols] and [row_vals]. *)
+type dual_work = {
+  y : float array; (* duals, length m *)
+  rho : float array; (* B^-T e_r, length m *)
+  d : float array; (* reduced costs, length n; 0 on basic columns *)
+  alpha : float array; (* pivot row, length n *)
+  touched : int array;
+  eligible : int array; (* the ratio test's eligible columns *)
+  row_start : int array;
+  row_cols : int array;
+  row_vals : float array;
+}
+
+(* A solve's state holds every array the solve works in, so a state kept
+   after an optimal solve can be resumed ([resume]) without allocating
+   them again. *)
 type state = {
   p : Problem.t;
   n : int; (* total columns including artificials *)
@@ -111,7 +136,7 @@ type state = {
   lb : float array; (* length n *)
   ub : float array;
   art_sign : float array; (* per-row sign of its artificial column *)
-  mutable cost : float array; (* current phase costs, length n *)
+  cost : float array; (* current phase costs, length n *)
   mutable basic : int array; (* position -> variable *)
   vstat : vstat array;
   xval : float array;
@@ -121,13 +146,16 @@ type state = {
   mutable g_val : float array;
   work : float array; (* scratch, length m *)
   rwork : float array;
+  y_primal : float array; (* the primal phases' duals, length m *)
   cand : int array; (* candidate-list pricing: variable indices *)
+  scores : float array; (* and their scores *)
   mutable ncand : int;
+  mutable dw : dual_work option; (* built by the first dual phase *)
   mutable bland : bool;
   mutable degenerate_run : int;
   mutable iterations : int;
   mutable deadline_at : float; (* absolute Clock.now_ms deadline; infinity = none *)
-  acc : acc;
+  mutable acc : acc;
 }
 
 (* Column [j] of [A I Art] is a structural column's segment of the
@@ -240,6 +268,15 @@ let rest_at_bound ~lb ~ub vstat xval j =
     vstat.(j) <- Free_nonbasic;
     xval.(j) <- 0.
   end
+
+(* A nonbasic column that was at its upper bound stays there while that
+   bound is finite; any other rests at a bound. *)
+let place_nonbasic ~lb ~ub vstat xval j ~at_upper =
+  if at_upper && Float.is_finite ub.(j) then begin
+    vstat.(j) <- At_upper;
+    xval.(j) <- ub.(j)
+  end
+  else rest_at_bound ~lb ~ub vstat xval j
 
 (* The first [ncols] columns of [cols], gathered into the state's flat
    buffers. They are kept for the solve's later refactorisations and
@@ -381,7 +418,8 @@ let price_full st y =
   end
   else begin
     let k = Array.length st.cand in
-    let scores = Array.make k 0. in
+    (* A slot's score is written before it is read. *)
+    let scores = st.scores in
     st.ncand <- 0;
     let min_pos = ref 0 in
     let best = ref No_candidate and best_score = ref opt_tol in
@@ -569,7 +607,7 @@ let refactorise_if_full st =
   | _ -> false
 
 let run_phase st ~max_iterations =
-  let y = Array.make st.m 0. in
+  let y = st.y_primal in
   let w = st.work in
   let rec loop () =
     if st.iterations >= max_iterations then Phase_iterlimit
@@ -642,8 +680,11 @@ let make_state acc (p : Problem.t) ~lb ~ub ~vstat ~xval ~art_sign =
     g_val = [||];
     work = Array.make m 0.;
     rwork = Array.make m 0.;
+    y_primal = Array.make m 0.;
     cand = Array.make candidate_list_size 0;
+    scores = Array.make candidate_list_size 0.;
     ncand = 0;
+    dw = None;
     bland = false;
     degenerate_run = 0;
     iterations = 0;
@@ -713,10 +754,7 @@ let warm_state acc (p : Problem.t) (b : Problem.basis) =
     | Problem.Bs_basic ->
       vstat.(j) <- Basic;
       incr nbasic
-    | Problem.Bs_upper when Float.is_finite ub.(j) ->
-      vstat.(j) <- At_upper;
-      xval.(j) <- ub.(j)
-    | Problem.Bs_upper | Problem.Bs_lower | Problem.Bs_free -> rest_at_bound ~lb ~ub vstat xval j
+    | status -> place_nonbasic ~lb ~ub vstat xval j ~at_upper:(status = Problem.Bs_upper)
   done;
   (* The basic columns in increasing order. *)
   let cols = Array.make !nbasic 0 in
@@ -752,36 +790,30 @@ let leaving_row st =
   done;
   (!r, !sum)
 
-(* Scratch of one dual phase. [alpha] is 0 outside the columns listed in
-   [touched] by the last [pivot_row]. The structural part of A is kept by
-   rows too ({!Problem.rows}): row [i]'s entries are [row_start.(i) ..
-   row_start.(i + 1) - 1] of [row_cols] and [row_vals]. *)
-type dual_work = {
-  y : float array; (* duals, length m *)
-  rho : float array; (* B^-T e_r, length m *)
-  d : float array; (* reduced costs, length n; 0 on basic columns *)
-  alpha : float array; (* pivot row, length n *)
-  touched : int array;
-  eligible : int array; (* the ratio test's eligible columns *)
-  row_start : int array;
-  row_cols : int array;
-  row_vals : float array;
-}
-
-(* Only a dual phase reads the rows, so a cold solve never builds them. *)
+(* Only a dual phase reads the rows, so a solve that runs none never
+   builds them; the state keeps them for its later dual phases. Between
+   two dual pivots [alpha] is all 0 and every other array is written
+   before it is read. *)
 let dual_work st =
-  let { Problem.row_start; row_cols; row_vals } = Problem.rows st.p and m = st.m in
-  {
-    y = Array.make m 0.;
-    rho = Array.make m 0.;
-    d = Array.make st.n 0.;
-    alpha = Array.make st.n 0.;
-    touched = Array.make st.n 0;
-    eligible = Array.make st.n 0;
-    row_start;
-    row_cols;
-    row_vals;
-  }
+  match st.dw with
+  | Some dw -> dw
+  | None ->
+    let { Problem.row_start; row_cols; row_vals } = Problem.rows st.p and m = st.m in
+    let dw =
+      {
+        y = Array.make m 0.;
+        rho = Array.make m 0.;
+        d = Array.make st.n 0.;
+        alpha = Array.make st.n 0.;
+        touched = Array.make st.n 0;
+        eligible = Array.make st.n 0;
+        row_start;
+        row_cols;
+        row_vals;
+      }
+    in
+    st.dw <- Some dw;
+    dw
 
 (* Reduced costs of every nonbasic column under the current costs; a column
    that could enter in its improving direction is dual infeasible and gets
@@ -995,14 +1027,14 @@ let dual_phase st ~max_iterations =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let col_status = function
+  | Basic -> Problem.Bs_basic
+  | At_lower -> Problem.Bs_lower
+  | At_upper -> Problem.Bs_upper
+  | Free_nonbasic -> Problem.Bs_free
+
 let export_basis st =
-  Problem.basis_of_statuses
-    (Array.init st.p.Problem.ncols (fun j ->
-         match st.vstat.(j) with
-         | Basic -> Problem.Bs_basic
-         | At_lower -> Problem.Bs_lower
-         | At_upper -> Problem.Bs_upper
-         | Free_nonbasic -> Problem.Bs_free))
+  Problem.basis_of_statuses (Array.init st.p.Problem.ncols (fun j -> col_status st.vstat.(j)))
 
 let finish st ~phase1 ~warm status reason =
   let p = st.p in
@@ -1057,9 +1089,8 @@ let enter_phase2 st =
       st.xval.(aj) <- 0.
     end
   done;
-  let cost = Array.make st.n 0. in
-  Array.blit p.Problem.obj 0 cost 0 p.Problem.ncols;
-  st.cost <- cost;
+  Array.blit p.Problem.obj 0 st.cost 0 p.Problem.ncols;
+  Array.fill st.cost p.Problem.ncols st.m 0.;
   st.bland <- false;
   st.degenerate_run <- 0
 
@@ -1126,36 +1157,37 @@ let cold_solve acc (p : Problem.t) ~max_iterations ~deadline_at =
       run_phase st ~max_iterations
     | o -> o
   in
-  match outcome with
-  | Phase_unbounded ->
-    finish st ~phase1:st.iterations ~warm:false Problem.Infeasible
-      "phase1-unbounded (numerical trouble; reported infeasible)"
-  | Phase_iterlimit ->
-    finish st ~phase1:st.iterations ~warm:false Problem.Iteration_limit
-      "iteration-limit (phase 1)"
-  | Phase_deadline ->
-    finish st ~phase1:st.iterations ~warm:false Problem.Deadline_exceeded "deadline (phase 1)"
-  | Phase_optimal ->
-    let art_sum = ref 0. in
-    for i = 0 to st.m - 1 do
-      art_sum := !art_sum +. abs_float st.xval.(p.Problem.ncols + i)
-    done;
-    if !art_sum > feas_tol *. float_of_int (st.m + 1) then
-      finish st ~phase1:st.iterations ~warm:false Problem.Infeasible "infeasible"
-    else begin
-      let phase1 = st.iterations in
-      run_phase2 st ~max_iterations ~phase1 ~warm:false
-    end
+  ( st,
+    match outcome with
+    | Phase_unbounded ->
+      finish st ~phase1:st.iterations ~warm:false Problem.Infeasible
+        "phase1-unbounded (numerical trouble; reported infeasible)"
+    | Phase_iterlimit ->
+      finish st ~phase1:st.iterations ~warm:false Problem.Iteration_limit
+        "iteration-limit (phase 1)"
+    | Phase_deadline ->
+      finish st ~phase1:st.iterations ~warm:false Problem.Deadline_exceeded "deadline (phase 1)"
+    | Phase_optimal ->
+      let art_sum = ref 0. in
+      for i = 0 to st.m - 1 do
+        art_sum := !art_sum +. abs_float st.xval.(p.Problem.ncols + i)
+      done;
+      if !art_sum > feas_tol *. float_of_int (st.m + 1) then
+        finish st ~phase1:st.iterations ~warm:false Problem.Infeasible "infeasible"
+      else begin
+        let phase1 = st.iterations in
+        run_phase2 st ~max_iterations ~phase1 ~warm:false
+      end )
 
-(* The warm basis with the real costs goes through the dual phase, then
-   phase 2. A dual phase that finds no entering column (a dual ray, which
-   would prove infeasibility only if no cost were shifted) or stalls
-   abandons the basis: [None] hands the problem to a cold solve. *)
-let warm_solve acc (p : Problem.t) b ~max_iterations ~deadline_at =
-  let st = warm_state acc p b in
-  st.deadline_at <- deadline_at;
+(* A warm state -- its basis factorised, its basic values computed -- run
+   with the real costs through the dual phase, then phase 2. A dual phase
+   that finds no entering column (a dual ray, which would prove
+   infeasibility only if no cost were shifted) or stalls abandons the
+   basis: [None] hands the problem to a cold solve. *)
+let run_warm st ~max_iterations =
   enter_phase2 st;
   let abandon why =
+    let acc = st.acc in
     acc.restarts <- acc.restarts + 1;
     acc.spent_iterations <- acc.spent_iterations + st.iterations;
     acc.fallback <- Some why;
@@ -1175,8 +1207,34 @@ let warm_solve acc (p : Problem.t) b ~max_iterations ~deadline_at =
   | Dual_no_entering -> abandon "warm dual found no entering column"
   | Dual_stalled -> abandon "warm dual stalled"
 
-let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
-  let acc = fresh_acc () in
+(* Make [st], the state an optimal solve ended in, the start of a re-solve
+   of its problem with the bounds the problem holds now: each nonbasic
+   column moves onto its new bound, where [warm_state] would place it, and
+   the basic values are recomputed from the kept factorisation and its eta
+   file. Once the eta file holds more nonzeros than the factors, each
+   FTRAN and BTRAN reads more of the etas than of the factors, so the
+   basis is refactorised first. *)
+let resume_state st ~deadline_at =
+  let p = st.p in
+  st.acc <- fresh_acc ();
+  st.iterations <- 0;
+  st.ncand <- 0;
+  st.deadline_at <- deadline_at;
+  Array.blit p.Problem.lb 0 st.lb 0 p.Problem.ncols;
+  Array.blit p.Problem.ub 0 st.ub 0 p.Problem.ncols;
+  for j = 0 to p.Problem.ncols - 1 do
+    let status = st.vstat.(j) in
+    if status <> Basic then
+      place_nonbasic ~lb:st.lb ~ub:st.ub st.vstat st.xval j ~at_upper:(status = At_upper)
+  done;
+  let refactorised =
+    match st.lu with
+    | Some lu -> Sparse_lu.eta_nnz lu > Sparse_lu.nnz lu && refactorise st
+    | None -> false
+  in
+  if not refactorised then ignore (recompute_basics st)
+
+let budget ?max_iterations ?deadline_ms (p : Problem.t) =
   let m = p.Problem.nrows in
   let n = p.Problem.ncols + m in
   let max_iterations =
@@ -1185,34 +1243,47 @@ let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
   let deadline_at =
     match deadline_ms with None -> infinity | Some d -> Clock.now_ms () +. d
   in
-  let warm_result =
-    match basis with
-    | Some b when Array.length b.Problem.statuses = p.Problem.ncols ->
-      warm_solve acc p b ~max_iterations ~deadline_at
-    | Some _ ->
-      (* A bare positional snapshot of another layout; keyed ones arrive
-         here already mapped onto this problem by [Model.solve]. *)
-      acc.restarts <- acc.restarts + 1;
-      acc.fallback <- Some "basis of another dimension";
-      None
-    | None -> None
-  in
-  match warm_result with
-  | Some r -> r
-  | None ->
-    if basis <> None then begin
-      (* A warm basis was offered but abandoned: structured replacement for
-         what used to be an invisible counter bump. *)
-      Obs.incr m_cold_fallbacks;
-      Obs.event ~level:Obs.Debug "revised.cold_fallback"
-        [ ("rows", Obs.Int m); ("cols", Obs.Int p.Problem.ncols) ]
-    end;
-    cold_solve acc p ~max_iterations ~deadline_at
+  (max_iterations, deadline_at)
 
-let solve ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
+(* A warm basis was offered but abandoned: structured replacement for what
+   used to be an invisible counter bump. *)
+let cold_fallback acc (p : Problem.t) ~max_iterations ~deadline_at =
+  Obs.incr m_cold_fallbacks;
+  Obs.event ~level:Obs.Debug "revised.cold_fallback"
+    [ ("rows", Obs.Int p.Problem.nrows); ("cols", Obs.Int p.Problem.ncols) ];
+  cold_solve acc p ~max_iterations ~deadline_at
+
+let solve_impl ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
+  let acc = fresh_acc () in
+  let max_iterations, deadline_at = budget ?max_iterations ?deadline_ms p in
+  match basis with
+  | None -> cold_solve acc p ~max_iterations ~deadline_at
+  | Some b when Array.length b.Problem.statuses = p.Problem.ncols -> (
+    let st = warm_state acc p b in
+    st.deadline_at <- deadline_at;
+    match run_warm st ~max_iterations with
+    | Some r -> (st, r)
+    | None -> cold_fallback acc p ~max_iterations ~deadline_at)
+  | Some _ ->
+    (* A bare positional snapshot of another layout; keyed ones arrive
+       here already mapped onto this problem by [Model.solve]. *)
+    acc.restarts <- acc.restarts + 1;
+    acc.fallback <- Some "basis of another dimension";
+    cold_fallback acc p ~max_iterations ~deadline_at
+
+let resume_impl ?max_iterations ?deadline_ms st =
+  let max_iterations, deadline_at = budget ?max_iterations ?deadline_ms st.p in
+  resume_state st ~deadline_at;
+  match run_warm st ~max_iterations with
+  | Some r -> (st, r)
+  | None -> cold_fallback st.acc st.p ~max_iterations ~deadline_at
+
+(* Both entries open the same span and record the same metrics; the state
+   is handed back only with an optimum. *)
+let instrumented solve =
   Obs.with_span "revised.solve" (fun () ->
       let t0 = Clock.now_ms () in
-      let r = solve_impl ?max_iterations ?deadline_ms ?basis p in
+      let st, r = solve () in
       if Obs.enabled () then begin
         let s = r.Problem.stats in
         Obs.add m_warm_repairs (float_of_int s.Problem.warm_repairs);
@@ -1224,4 +1295,18 @@ let solve ?max_iterations ?deadline_ms ?basis (p : Problem.t) =
         Obs.observe m_solve_ms (Clock.since_ms t0);
         Obs.observe m_solve_iterations (float_of_int r.Problem.iterations)
       end;
-      r)
+      (r, if r.Problem.status = Problem.Optimal then Some st else None))
+
+let solve ?max_iterations ?deadline_ms ?basis p =
+  instrumented (fun () -> solve_impl ?max_iterations ?deadline_ms ?basis p)
+
+let resumes st (b : Problem.basis) =
+  let s = b.Problem.statuses in
+  Array.length s = st.p.Problem.ncols
+  &&
+  let rec same j = j < 0 || (s.(j) = col_status st.vstat.(j) && same (j - 1)) in
+  same (Array.length s - 1)
+
+let resume ?max_iterations ?deadline_ms st =
+  Obs.incr m_resumes;
+  instrumented (fun () -> resume_impl ?max_iterations ?deadline_ms st)

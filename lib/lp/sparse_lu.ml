@@ -59,6 +59,7 @@ type t = {
   mutable e_idx : int array array;
   mutable e_val : float array array;
   mutable nupd : int;
+  mutable e_nnz : int; (* the etas' entries, pivots included *)
 }
 
 type factor_result = {
@@ -507,6 +508,7 @@ let factorise ~repair ~m ~complete ~ncols ~col_start ~row_idx ~col_val =
           e_idx = [||];
           e_val = [||];
           nupd = 0;
+          e_nnz = 0;
         }
       in
       Obs.incr m_factorisations;
@@ -640,8 +642,10 @@ let update t ~r ~w =
   t.e_idx.(t.nupd) <- idx;
   t.e_val.(t.nupd) <- vals;
   t.nupd <- t.nupd + 1;
+  t.e_nnz <- t.e_nnz + !nz + 1;
   Obs.incr m_etas
 
 let updates t = t.nupd
+let eta_nnz t = t.e_nnz
 let nnz t = t.lu_nnz
 let fill_in t = t.fill

@@ -99,6 +99,11 @@ val update : t -> r:int -> w:float array -> unit
 val updates : t -> int
 (** Number of update etas accumulated since factorisation. *)
 
+val eta_nnz : t -> int
+(** Nonzeros in the update etas accumulated since factorisation, each
+    eta's pivot included: what {!ftran} and {!btran} read beyond the
+    factors' {!nnz}. *)
+
 val nnz : t -> int
 (** Nonzeros in the LU factors (L multipliers + U entries + diagonal). *)
 

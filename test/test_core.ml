@@ -204,11 +204,11 @@ let test_malformed_demand () =
       | Error f -> Alcotest.failf "%s, infinite demand: %s" name f.Te_types.message)
     entry_points
 
-(* The basic-TE LP kept between intervals must give what a fresh build
-   gives, bit for bit. The reference is basic TE built the way it was
-   before the LP was kept: a fresh model whose [b_f] bounds are created at
-   the demands, solved once. Both sides run under a constant clock, so the
-   wall-time fields of their stats are equal too. *)
+(* The basic-TE LP kept between intervals against a fresh build. The
+   reference is basic TE built the way it was before the LP was kept: a
+   fresh model whose [b_f] bounds are created at the demands, solved once.
+   Both sides run under a constant clock, so the wall-time fields of their
+   stats are equal too. *)
 let fresh_basic_te ?warm_start (input : Te_types.input) =
   let model = Ffc_lp.Model.create () in
   let vars = Formulation.make_vars model input in
@@ -229,6 +229,35 @@ let alloc_bits (a : Te_types.allocation) =
 let check_same_alloc label a b =
   if alloc_bits a <> alloc_bits b then Alcotest.failf "%s: allocations differ" label
 
+(* A re-solve that resumes the kept solver state reaches an optimum of the
+   same LP, not necessarily the fresh build's vertex: its throughput (the
+   objective) equals the fresh build's within 1e-9 relative, and its
+   allocation meets every bound of Eqns 1-4 within 1e-6 -- each link's
+   load within its capacity, each flow's grant within its demand and its
+   tunnels' sum, and no rate negative. *)
+let check_same_optimum label (input : Te_types.input) ~fresh (alloc : Te_types.allocation) =
+  let tol = 1e-6 in
+  let t = Te_types.throughput alloc and t' = Te_types.throughput fresh in
+  if abs_float (t -. t') > 1e-9 *. abs_float t' then
+    Alcotest.failf "%s: throughput %.17g, fresh build %.17g" label t t';
+  let loads = Te_types.link_loads input alloc in
+  Array.iter
+    (fun (l : Topology.link) ->
+      if loads.(l.Topology.id) > l.Topology.capacity +. tol then
+        Alcotest.failf "%s: link %d carries %.17g over capacity %g" label l.Topology.id
+          loads.(l.Topology.id) l.Topology.capacity)
+    (Topology.links input.Te_types.topo);
+  List.iter
+    (fun (f : Flow.t) ->
+      let id = f.Flow.id in
+      let bf = alloc.Te_types.bf.(id) and af = alloc.Te_types.af.(id) in
+      if bf < -.tol || bf > input.Te_types.demands.(id) +. tol then
+        Alcotest.failf "%s: flow %d granted %.17g of demand %g" label id bf
+          input.Te_types.demands.(id);
+      if Array.exists (fun a -> a < -.tol) af || Array.fold_left ( +. ) 0. af < bf -. tol then
+        Alcotest.failf "%s: flow %d's tunnels do not carry its grant" label id)
+    input.Te_types.flows
+
 let check_same_failure label (expected : Te_types.solve_failure) (f : Te_types.solve_failure) =
   Alcotest.(check string)
     (label ^ ": kind")
@@ -246,33 +275,76 @@ let kept_lp_networks () =
         Ffc_sim.Scenario.demand_series (Rng.create 7) sc ~scale:1.0 ~intervals:30 ))
     [ 42; 43 ]
 
+(* [f ()] with the Obs registry recorded from zero, and the registry's
+   solver-layer metrics ([revised.*], [lu.*], [model.*]) after it. Obs must
+   be enabled. *)
+let solver_registry f =
+  let module Obs = Ffc_obs.Obs in
+  Obs.reset ();
+  let r = f () in
+  let solver_metric (name, _) =
+    List.exists (fun prefix -> String.starts_with ~prefix name) [ "revised."; "lu."; "model." ]
+  in
+  (r, List.filter solver_metric (Obs.snapshot ()))
+
+let with_registry f =
+  let module Obs = Ffc_obs.Obs in
+  Obs.enable ~tracing:false ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    f
+
+let resumes registry =
+  match List.assoc_opt "revised.resumes" registry with
+  | Some (Ffc_obs.Obs.Counter_v n) -> int_of_float n
+  | _ -> Alcotest.fail "no revised.resumes counter"
+
 (* One kept LP re-solved over the series, each solve warm from its own
-   last basis, against a fresh build warm from the reference's: every
-   allocation, basis (statuses and keys) and stats record (solver record
-   included) is equal. A failed re-solve (negative or NaN demand) fails
-   as the fresh build does, with the same message, and the next re-solve
-   still matches. *)
+   last basis. Its first solve is cold, as the fresh build's, and equals
+   it bit for bit: allocation, basis (statuses and keys) and stats record
+   (solver record included). Every later solve resumes the kept solver
+   state and reaches the fresh build's optimum ([check_same_optimum]); the
+   fresh build, and [Basic_te.solve_checked]'s, start warm from the same
+   basis and equal each other bit for bit. A failed re-solve (negative or
+   NaN demand) fails as the fresh build does, with the same message, and
+   the next re-solve still resumes. *)
 let test_kept_lp_matches_fresh () =
+  with_registry @@ fun () ->
   Ffc_util.Clock.with_hook (fun () -> 0.) @@ fun () ->
   let input, series = List.hd (kept_lp_networks ()) in
   let lp = Basic_te.lp input in
-  let kept_basis = ref None and fresh_basis = ref None in
+  let basis = ref None in
   Array.iteri
     (fun i demands ->
       let input = { input with Te_types.demands } in
       let label = Printf.sprintf "interval %d" i in
+      let kept, registry =
+        solver_registry (fun () -> Basic_te.solve_lp ~presolve:false ?warm_start:!basis lp input)
+      in
+      Alcotest.(check int) (label ^ ": resumed") (if i = 0 then 0 else 1) (resumes registry);
       (match
-         ( Basic_te.solve_lp ~presolve:false ?warm_start:!kept_basis lp input,
-           fresh_basic_te ?warm_start:!fresh_basis input,
-           Basic_te.solve_checked ~presolve:false ?warm_start:!fresh_basis input )
+         ( kept,
+           fresh_basic_te ?warm_start:!basis input,
+           Basic_te.solve_checked ~presolve:false ?warm_start:!basis input )
        with
       | Ok (a, b, st), Ok (a', b', st'), Ok (a'', b'') ->
-        check_same_alloc label a' a;
         check_same_alloc (label ^ ", solve_checked") a' a'';
-        Alcotest.(check bool) (label ^ ": same basis") true (b = b' && b' = b'');
-        Alcotest.(check bool) (label ^ ": same stats") true (st = st');
-        kept_basis := Some b;
-        fresh_basis := Some b'
+        Alcotest.(check bool) (label ^ ": solve_checked's basis") true (b' = b'');
+        if i = 0 then begin
+          check_same_alloc label a' a;
+          Alcotest.(check bool) (label ^ ": same basis") true (b = b');
+          Alcotest.(check bool) (label ^ ": same stats") true (st = st')
+        end
+        else begin
+          check_same_optimum label input ~fresh:a' a;
+          let solver = Option.get st.Formulation.solver in
+          Alcotest.(check bool) (label ^ ": warm") true solver.Ffc_lp.Problem.warm_started;
+          Alcotest.(check string) (label ^ ": reason") "optimal"
+            solver.Ffc_lp.Problem.status_reason
+        end;
+        basis := Some b
       | _ -> Alcotest.failf "%s: a solve failed" label);
       if i = 10 || i = 20 then
         List.iter
@@ -291,31 +363,20 @@ let test_kept_lp_matches_fresh () =
       let other, _ = List.nth (kept_lp_networks ()) 1 in
       ignore (Basic_te.solve_lp lp other))
 
-(* A [Basic]-mode controller against fresh builds chained with the
-   controller's own warm starts: 30 steps on default L-Net, then 10 on
-   another network, 5 on a copy of the first flow list (equal, but another
-   value) and 15 back on the first network, each a rebuild where the
-   network changes. Each step's allocation equals the fresh build's bit for
-   bit, its solver record ([per_class_stats], the joint LP's [(-1, stats)])
-   equals the fresh solve's stats, and so does each step's solver-layer
-   registry (every [revised.*], [lu.*] and [model.*] metric, recorded from
-   zero), which the stats and the basis each solve starts from decide. A
-   NaN demand fails the basic-TE rung with the fresh build's failure. *)
+(* A [Basic]-mode controller against fresh builds chained with their own
+   warm starts: 30 steps on default L-Net, then 10 on another network, 5
+   on a copy of the first flow list (equal, but another value) and 15 back
+   on the first network, each a rebuild where the network changes. The
+   first step is cold on both sides and equal bit for bit: allocation,
+   solver record ([per_class_stats], the joint LP's [(-1, stats)]) and
+   solver-layer registry (every [revised.*], [lu.*] and [model.*] metric,
+   recorded from zero). Every other step reaches the fresh build's optimum
+   ([check_same_optimum]); it resumes the kept solver state exactly when
+   the network did not change, and a rebuild starts warm from the
+   controller's last basis, mapped by key. A NaN demand fails the basic-TE
+   rung with the fresh build's failure. *)
 let test_kept_lp_in_controller () =
-  let module Obs = Ffc_obs.Obs in
-  let solver_registry f =
-    Obs.reset ();
-    let r = f () in
-    let solver_metric (name, _) =
-      List.exists (fun prefix -> String.starts_with ~prefix name) [ "revised."; "lu."; "model." ]
-    in
-    (r, List.filter solver_metric (Obs.snapshot ()))
-  in
-  Obs.enable ~tracing:false ();
-  Fun.protect ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-  @@ fun () ->
+  with_registry @@ fun () ->
   Ffc_util.Clock.with_hook (fun () -> 0.) @@ fun () ->
   let a, b =
     match kept_lp_networks () with [ a; b ] -> (a, b) | _ -> assert false
@@ -333,6 +394,7 @@ let test_kept_lp_in_controller () =
         List.map (fun d -> (input_a, d)) (Array.to_list (Array.sub series_a 5 15));
       ]
   in
+  let rebuilt i = i = 0 || i = 30 || i = 40 || i = 45 in
   let ctrl = Controller.create (Controller.config Controller.Basic) in
   let prev = ref (Te_types.zero_allocation input_a) and basis = ref None in
   List.iteri
@@ -345,14 +407,18 @@ let test_kept_lp_in_controller () =
         solver_registry (fun () -> fresh_basic_te ?warm_start:!basis input)
       in
       Alcotest.(check string) (label ^ ": rung") "basic-te" s.Controller.label;
+      Alcotest.(check int) (label ^ ": resumed") (if rebuilt i then 0 else 1) (resumes registry);
       (match fresh with
       | Ok (alloc, b, stats) ->
-        check_same_alloc label alloc s.Controller.alloc;
-        if s.Controller.per_class_stats <> [ (-1, stats) ] then
-          Alcotest.failf "%s: the rung's solver record differs from the fresh solve's" label;
+        if i = 0 then begin
+          check_same_alloc label alloc s.Controller.alloc;
+          if s.Controller.per_class_stats <> [ (-1, stats) ] then
+            Alcotest.failf "%s: the rung's solver record differs from the fresh solve's" label;
+          if registry <> fresh_registry then Alcotest.failf "%s: solver registries differ" label
+        end
+        else check_same_optimum label input ~fresh:alloc s.Controller.alloc;
         basis := Some b
       | Error f -> Alcotest.failf "%s: %s" label f.Te_types.message);
-      if registry <> fresh_registry then Alcotest.failf "%s: solver registries differ" label;
       prev := s.Controller.alloc)
     steps;
   let input, demands = List.nth steps (List.length steps - 1) in

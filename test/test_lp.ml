@@ -1042,6 +1042,212 @@ let prop_warm_agrees =
           QCheck.Test.fail_reportf "status mismatch: cold %s / warm %s / oracle %s"
             (status_name a) (status_name b) (status_name c)))
 
+(* [f ()] and the number of solves it resumed ([revised.resumes]). *)
+let counting_resumes f =
+  let module Obs = Ffc_obs.Obs in
+  Obs.enable ~tracing:false ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      match List.assoc_opt "revised.resumes" (Obs.snapshot ()) with
+      | Some (Obs.Counter_v n) -> (r, int_of_float n)
+      | _ -> Alcotest.fail "no revised.resumes counter")
+
+(* New upper bounds for a random LP's variables (it has at most 6),
+   [None] keeping a variable's bound: whole and half units from 0 to 12,
+   or no bound. *)
+let ub_moves =
+  let open QCheck.Gen in
+  let ub = oneof [ return infinity; map (fun k -> float_of_int k /. 2.) (int_bound 24) ] in
+  QCheck.make ~print:QCheck.Print.(list (option float)) (list_repeat 6 (opt ub))
+
+let move_ubs moves m vars =
+  List.iteri
+    (fun j v -> match List.nth moves j with Some ub -> Model.set_ub m v ub | None -> ())
+    vars
+
+(* A re-solve of the same model after [Model.set_ub] moved some upper
+   bounds, warm from the basis its optimal solve returned, resumes that
+   solve's state; it must agree with a cold rebuild that has the moved
+   bounds from the start, and with the dense tableau. *)
+let prop_resume_agrees =
+  QCheck.Test.make ~count:300 ~name:"resumed re-solve after set_ub agrees with cold and tableau"
+    (QCheck.pair lp_arbitrary ub_moves) (fun (spec, moves) ->
+      let m, vars = build_random_lp spec in
+      match Model.solve ~presolve:false m with
+      | Model.Iteration_limit | Model.Deadline_exceeded -> QCheck.assume_fail ()
+      | Model.Infeasible | Model.Unbounded -> true
+      | Model.Optimal s0 -> (
+        move_ubs moves m vars;
+        let resumed, n =
+          counting_resumes (fun () ->
+              revised ~presolve:false ~warm_start:(Model.solution_basis s0) m)
+        in
+        if n <> 1 then QCheck.Test.fail_reportf "%d resumes, expected 1" n;
+        let moved () =
+          let m, vars = build_random_lp spec in
+          move_ubs moves m vars;
+          m
+        in
+        let cold = revised ~presolve:false (moved ()) in
+        let oracle = Dense_tableau.solve ~presolve:false (moved ()) in
+        match (status cold, status resumed, status oracle) with
+        | Problem.Iteration_limit, _, _
+        | _, Problem.Iteration_limit, _
+        | _, _, Problem.Iteration_limit
+        | Problem.Deadline_exceeded, _, _
+        | _, Problem.Deadline_exceeded, _
+        | _, _, Problem.Deadline_exceeded ->
+          QCheck.assume_fail ()
+        | Problem.Optimal, Problem.Optimal, Problem.Optimal ->
+          abs_float (objective cold -. objective resumed) < 1e-5
+          && abs_float (objective resumed -. objective oracle) < 1e-5
+        | Problem.Infeasible, Problem.Infeasible, Problem.Infeasible
+        | Problem.Unbounded, Problem.Unbounded, Problem.Unbounded ->
+          true
+        | a, b, c ->
+          QCheck.Test.fail_reportf "status mismatch: cold %s / resumed %s / oracle %s"
+            (status_name a) (status_name b) (status_name c)))
+
+(* Maximise [3x + 2y] subject to [x + y <= 4] and [x + 3y <= 9], with
+   [x <= 3] a bound [Model.set_ub] moves. At [x <= 3] the optimum is
+   x = 3, y = 1 (objective 11), with x at its bound and y and the second
+   row's slack basic; at [x <= 1] it is x = 1, y = 8/3 (objective 25/3),
+   with the first row's slack basic in place of the second's. *)
+let bounded_block () =
+  let m = Model.create () in
+  let x = Model.add_var ~ub:3. m and y = Model.add_var m in
+  Model.le m (Expr.add (Expr.var x) (Expr.var y)) (Expr.const 4.);
+  Model.le m (Expr.add (Expr.var x) (Expr.var ~coeff:3. y)) (Expr.const 9.);
+  Model.maximize m (Expr.add (Expr.var ~coeff:3. x) (Expr.var ~coeff:2. y));
+  (m, x, y)
+
+let optimal what = function
+  | Model.Optimal s -> s
+  | _ -> Alcotest.failf "%s: not optimal" what
+
+(* Only the basis the last optimal solve returned resumes: an older basis
+   of the same model is factorised afresh, as any warm start is. *)
+let test_resume_only_last_basis () =
+  let m, x, _ = bounded_block () in
+  let first = Model.solution_basis (optimal "first" (Model.solve ~presolve:false m)) in
+  Model.set_ub m x 1.;
+  let s, n = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:first m) in
+  let s = optimal "resumed" s in
+  Alcotest.(check int) "resumed" 1 n;
+  check_float "objective at x <= 1" (25. /. 3.) (Model.objective_value s);
+  let st = Model.solution_stats s in
+  Alcotest.(check bool) "warm" true st.Problem.warm_started;
+  Alcotest.(check string) "reason" "optimal" st.Problem.status_reason;
+  Alcotest.(check int) "no refactorisation" 0 st.Problem.refactorisations;
+  Alcotest.(check bool) "another basis" true (Model.solution_basis s <> first);
+  Model.set_ub m x 3.;
+  let s, n = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:first m) in
+  let s = optimal "older basis" s in
+  Alcotest.(check int) "older basis: not resumed" 0 n;
+  check_float "objective at x <= 3" 11. (Model.objective_value s);
+  let st = Model.solution_stats s in
+  Alcotest.(check bool) "older basis: warm" true st.Problem.warm_started;
+  Alcotest.(check int) "older basis: refactorised" 1 st.Problem.refactorisations
+
+(* A row added since the last solve drops the kept problem and its
+   state: the re-solve maps the basis onto the new layout by key. *)
+let test_resume_not_after_new_row () =
+  let m, _, y = bounded_block () in
+  let basis = Model.solution_basis (optimal "first" (Model.solve ~presolve:false m)) in
+  Model.le m (Expr.var y) (Expr.const 0.5);
+  let s, n = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:basis m) in
+  let s = optimal "re-solve" s in
+  Alcotest.(check int) "not resumed" 0 n;
+  check_float "objective" 10. (Model.objective_value s);
+  let st = Model.solution_stats s in
+  Alcotest.(check bool) "remapped" true st.Problem.warm_remapped;
+  Alcotest.(check bool) "refactorised" true (st.Problem.refactorisations >= 1)
+
+(* Bounds that leave no feasible point: the resumed dual phase finds no
+   entering column and the solve falls back cold, which proves
+   infeasibility and names the warm failure. A non-optimal solve keeps no
+   state, so the next re-solve from the last optimal basis is a plain
+   warm start. *)
+let test_resume_falls_back_cold () =
+  let m = Model.create () in
+  let x = Model.add_var ~ub:3. m and y = Model.add_var ~ub:3. m in
+  let sum = Expr.add (Expr.var x) (Expr.var y) in
+  Model.le m sum (Expr.const 4.);
+  Model.ge m sum (Expr.const 2.);
+  Model.maximize m (Expr.add (Expr.var ~coeff:2. x) (Expr.var y));
+  let basis = Model.solution_basis (optimal "first" (Model.solve ~presolve:false m)) in
+  Model.set_ub m x 0.5;
+  Model.set_ub m y 0.5;
+  let outcome, n = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:basis m) in
+  Alcotest.(check int) "resumed" 1 n;
+  (match outcome with
+  | Model.Infeasible ->
+    let st = Option.get (Model.last_stats m) in
+    Alcotest.(check int) "one restart" 1 st.Problem.restarts;
+    Alcotest.(check bool) "cold" false st.Problem.warm_started;
+    Alcotest.(check string) "reason"
+      "infeasible (cold fallback: warm dual found no entering column)" st.Problem.status_reason
+  | _ -> Alcotest.fail "expected Infeasible");
+  Model.set_ub m x 3.;
+  Model.set_ub m y 3.;
+  let s, n = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:basis m) in
+  let s = optimal "after the fallback" s in
+  Alcotest.(check int) "after the fallback: not resumed" 0 n;
+  check_float "objective" 7. (Model.objective_value s)
+
+(* A cold solve of a dense LP leaves product-form etas with more nonzeros
+   than its slack basis's factors, so the first resume refactorises, once,
+   before its dual pivots. A resume with unchanged bounds pivots nothing,
+   and refactorises only if the pivots before it filled the eta file; so
+   a second such resume leaves the factorisation alone. *)
+let test_resume_refactor_rule () =
+  let rng = Ffc_util.Rng.create 42 in
+  let nvars = 40 and nrows = 60 in
+  let m = Model.create () in
+  let vars = Array.init nvars (fun _ -> Model.add_var ~ub:50. m) in
+  for i = 0 to nrows - 1 do
+    let lhs =
+      Expr.sum
+        (Array.to_list (Array.map (fun v -> Expr.var ~coeff:(Ffc_util.Rng.uniform rng 0. 4.) v) vars))
+    in
+    Model.le m lhs (Expr.const (30. +. float_of_int (i mod 7)))
+  done;
+  Model.maximize m
+    (Expr.sum
+       (Array.to_list (Array.map (fun v -> Expr.var ~coeff:(Ffc_util.Rng.uniform rng 1. 5.) v) vars)));
+  let cold = optimal "cold" (Model.solve ~presolve:false m) in
+  Alcotest.(check int) "cold: one factorisation" 1
+    (Model.solution_stats cold).Problem.refactorisations;
+  Array.iteri (fun j v -> if j mod 3 = 0 then Model.set_ub m v 0.05) vars;
+  let resume basis = counting_resumes (fun () -> Model.solve ~presolve:false ~warm_start:basis m) in
+  let first, n = resume (Model.solution_basis cold) in
+  let first = optimal "first resume" first in
+  Alcotest.(check int) "first resume" 1 n;
+  let st = Model.solution_stats first in
+  Alcotest.(check int) "first resume: refactorised once" 1 st.Problem.refactorisations;
+  Alcotest.(check bool) "first resume: pivoted" true (st.Problem.phase1_iterations > 0);
+  let oracle = Dense_tableau.solve ~presolve:false m in
+  check_float "first resume: tableau objective" (objective oracle) (Model.objective_value first);
+  let unchanged what basis ~refactorisations =
+    let s, n = resume basis in
+    let s = optimal what s in
+    Alcotest.(check int) what 1 n;
+    let st = Model.solution_stats s in
+    if st.Problem.refactorisations > refactorisations then
+      Alcotest.failf "%s: %d refactorisations" what st.Problem.refactorisations;
+    Alcotest.(check int) (what ^ ": no pivot") 0
+      (st.Problem.phase1_iterations + st.Problem.phase2_iterations);
+    check_float (what ^ ": same objective") (Model.objective_value first) (Model.objective_value s);
+    Model.solution_basis s
+  in
+  let second = unchanged "second resume" (Model.solution_basis first) ~refactorisations:1 in
+  ignore (unchanged "third resume" second ~refactorisations:0)
+
 (* A structured instance large enough that cold phase 1 does real work; the
    basis of the base solve should carry the perturbed-rhs re-solve most of
    the way (measurably fewer total iterations, warm path accepted). *)
@@ -1645,6 +1851,11 @@ let () =
           case "dual re-solve shifts dual-infeasible costs" test_dual_cost_shift;
           case "dual re-solve of an infeasible rhs falls back cold" test_dual_infeasible_falls_back;
           case "deadline inside the dual phase" test_dual_deadline;
+          QCheck_alcotest.to_alcotest prop_resume_agrees;
+          case "only the last basis resumes" test_resume_only_last_basis;
+          case "a new row stops a resume" test_resume_not_after_new_row;
+          case "a resume falls back cold" test_resume_falls_back_cold;
+          case "a full eta file refactorises once" test_resume_refactor_rule;
         ] );
       ("printers", [ case "expression printer" test_printers ]);
     ]

@@ -535,7 +535,7 @@ let test_engine_pinned_streams () =
       "1a98d8f5f69167917e53d0e56a355e3d";
       "40bdf41c6889c17ea4dff9b7c330add1";
       "1d67181f3a4ae69b6650afbfe7c4f98b";
-      "b900ee53227c2851f12f9d067f103bad";
+      "6dc8c4f237c159c0b539c9819d9fb047";
     ]
     [
       stream_digest journaled; stream_digest cold; stream_digest single;
